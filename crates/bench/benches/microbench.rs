@@ -104,15 +104,21 @@ fn bench_sixlowpan() {
     bench("sixlowpan/iphc_decompress", Some(len), 100_000, || {
         black_box(lln_sixlowpan::decompress(&packet, NodeId(1), NodeId(2))).unwrap();
     });
+    let mut frame_payload = Vec::new();
     bench("sixlowpan/fragment_5_frames", None, 100_000, || {
-        black_box(lln_sixlowpan::fragment(&packet, 7, 104));
+        for f in lln_sixlowpan::fragment(&packet, 7, 104) {
+            f.write_into(&mut frame_payload);
+            black_box(&frame_payload);
+        }
     });
-    let frags = lln_sixlowpan::fragment(&packet, 7, 104);
+    let frags: Vec<Vec<u8>> = lln_sixlowpan::fragment(&packet, 7, 104)
+        .map(|f| f.to_vec())
+        .collect();
     bench("sixlowpan/reassemble_5_frames", None, 50_000, || {
         let mut r = lln_sixlowpan::Reassembler::default();
         let mut out = None;
         for f in &frags {
-            out = r.offer(NodeId(1), &f.bytes, Instant::ZERO);
+            out = r.offer(NodeId(1), f, Instant::ZERO);
         }
         black_box(out);
     });

@@ -25,7 +25,7 @@ fn main() {
     let hdr = Ipv6Header::new(src, dst, NextHeader::Tcp, tcp_bytes.len() as u16);
     let packet = compress(&hdr, NodeId(12), NodeId(0), &tcp_bytes);
     let iphc_len = packet.len() - tcp_bytes.len();
-    let frags = fragment(&packet, 1, MAX_FRAME_PAYLOAD);
+    let frags: Vec<_> = fragment(&packet, 1, MAX_FRAME_PAYLOAD).collect();
 
     println!("== Table 6: header overhead per frame ==\n");
     println!("{:<26} {:>12} {:>14}", "header", "first frame", "other frames");
@@ -53,7 +53,7 @@ fn main() {
         frags.len()
     );
     for (i, f) in frags.iter().enumerate() {
-        let mpdu = MacFrame::data(NodeId(12), NodeId(0), i as u8, f.bytes.clone());
+        let mpdu = MacFrame::data(NodeId(12), NodeId(0), i as u8, f.to_vec());
         println!("  frame {}: MPDU {} B", i + 1, mpdu.encode().len());
     }
 }

@@ -161,7 +161,7 @@ pub fn mss_for_frames(frames: usize) -> usize {
         );
         let seg = vec![0u8; tcp_hdr + payload];
         let packet = lln_sixlowpan::compress(&hdr, NodeId(2), NodeId(1), &seg);
-        let n = lln_sixlowpan::fragment(&packet, 0, lln_sixlowpan::MAX_FRAME_PAYLOAD).len();
+        let n = lln_sixlowpan::fragment(&packet, 0, lln_sixlowpan::MAX_FRAME_PAYLOAD).count();
         if n == frames {
             best = payload;
         } else if n > frames {

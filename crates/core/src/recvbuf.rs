@@ -163,10 +163,10 @@ impl RecvBuffer {
         if let Some(&(start, end)) = self.ranges.first() {
             if start == 0 {
                 let n = end;
-                for k in 0..n {
-                    let pos = (self.head + self.avail + k) % cap;
-                    self.set_bit(pos, false);
-                }
+                let pos = (self.head + self.avail) % cap;
+                let first = n.min(cap - pos);
+                self.clear_bits(pos, pos + first);
+                self.clear_bits(0, n - first);
                 self.avail += n;
                 self.ranges.remove(0);
                 // Shift remaining ranges down by n.
@@ -179,41 +179,45 @@ impl RecvBuffer {
         self.avail - before_avail
     }
 
+    /// Clears the bitmap bits for buffer positions `lo..hi` (no wrap),
+    /// a whole byte at a time where the span covers one.
+    fn clear_bits(&mut self, lo: usize, hi: usize) {
+        let mut k = lo;
+        while k < hi && !k.is_multiple_of(8) {
+            self.set_bit(k, false);
+            k += 1;
+        }
+        let whole_end = hi - hi % 8;
+        if k < whole_end {
+            self.bitmap[k / 8..whole_end / 8].fill(0);
+            k = whole_end;
+        }
+        while k < hi {
+            self.set_bit(k, false);
+            k += 1;
+        }
+    }
+
+    /// Merges `[start, end)` into the sorted, disjoint `ranges` in
+    /// place; ranges it overlaps or touches collapse into one.
     fn insert_range(&mut self, start: usize, end: usize) {
         debug_assert!(start < end);
-        let mut new = (start, end);
-        let mut out: Vec<(usize, usize)> = Vec::with_capacity(self.ranges.len() + 1);
-        for &r in &self.ranges {
-            if r.1 < new.0 {
-                out.push(r);
-            } else if new.1 < r.0 {
-                // insert before r later
-                if new.0 != usize::MAX {
-                    out.push(new);
-                    new = (usize::MAX, usize::MAX);
-                }
-                out.push(r);
-            } else {
-                // overlap/adjacent: merge
-                new = (new.0.min(r.0), new.1.max(r.1));
-            }
+        // `ranges[i..j]` are exactly the ranges that overlap or touch.
+        let i = self.ranges.partition_point(|r| r.1 < start);
+        let j = i + self.ranges[i..].partition_point(|r| r.0 <= end);
+        if i == j {
+            self.ranges.insert(i, (start, end));
+            return;
         }
-        if new.0 != usize::MAX {
-            out.push(new);
-        }
-        out.sort_unstable();
-        self.ranges = out;
+        self.ranges[i] = (start.min(self.ranges[i].0), end.max(self.ranges[j - 1].1));
+        self.ranges.drain(i + 1..j);
     }
 
     /// Reads up to `out.len()` in-sequence bytes into `out`, consuming
     /// them. Returns the count read.
     pub fn read(&mut self, out: &mut [u8]) -> usize {
-        let n = out.len().min(self.avail);
-        let cap = self.capacity();
-        for (i, slot) in out[..n].iter_mut().enumerate() {
-            *slot = self.buf[(self.head + i) % cap];
-        }
-        self.head = (self.head + n) % cap;
+        let n = self.peek(out);
+        self.head = (self.head + n) % self.capacity();
         self.avail -= n;
         n
     }
@@ -221,10 +225,10 @@ impl RecvBuffer {
     /// Peeks at in-sequence bytes without consuming.
     pub fn peek(&self, out: &mut [u8]) -> usize {
         let n = out.len().min(self.avail);
-        let cap = self.capacity();
-        for (i, slot) in out[..n].iter_mut().enumerate() {
-            *slot = self.buf[(self.head + i) % cap];
-        }
+        // Two bulk copies, split at the wrap point.
+        let first = n.min(self.capacity() - self.head);
+        out[..first].copy_from_slice(&self.buf[self.head..self.head + first]);
+        out[first..n].copy_from_slice(&self.buf[..n - first]);
         n
     }
 
@@ -444,6 +448,69 @@ mod tests {
             delivered.extend_from_slice(&out[..r]);
         }
         assert_eq!(delivered, src);
+    }
+
+    #[test]
+    fn read_and_peek_across_wrap_match_reference_stream() {
+        // Odd capacity and read sizes walk the head through every wrap
+        // offset; a reference copy of the stream checks each byte.
+        let mut rb = RecvBuffer::new(13);
+        let src: Vec<u8> = (0u16..400).map(|i| (i * 7 + 3) as u8).collect();
+        let (mut fed, mut got) = (0usize, 0usize);
+        let mut step = 0usize;
+        while got < src.len() {
+            step += 1;
+            let take = (1 + step * 5 % 9).min(src.len() - fed);
+            fed += rb.write(0, &src[fed..fed + take]);
+            let want = 1 + step * 3 % 11;
+            let mut peeked = vec![0u8; want];
+            let p = rb.peek(&mut peeked);
+            assert_eq!(peeked[..p], src[got..got + p], "peek at {got}");
+            assert_eq!(rb.available(), fed - got, "peek consumes nothing");
+            let mut out = vec![0u8; want];
+            let r = rb.read(&mut out);
+            assert_eq!(r, p);
+            assert_eq!(out[..r], src[got..got + r], "read at {got}");
+            got += r;
+            rb.check_invariants();
+        }
+    }
+
+    #[test]
+    fn absorb_clears_bitmap_across_wrap_and_whole_bytes() {
+        // A 40-byte out-of-order run that wraps the buffer end: its
+        // absorb clears a partial byte, whole bytes, and the wrapped
+        // head of the bitmap.
+        let mut rb = RecvBuffer::new(64);
+        rb.write(0, &[1; 50]);
+        let mut out = [0u8; 50];
+        rb.read(&mut out); // head = 50
+        let run: Vec<u8> = (0..40).collect();
+        assert_eq!(rb.write(3, &run), 0);
+        rb.check_invariants();
+        assert_eq!(rb.write(0, b"abc"), 43);
+        assert!(!rb.has_out_of_order());
+        rb.check_invariants();
+        let mut out = [0u8; 43];
+        rb.read(&mut out);
+        assert_eq!(&out[..3], b"abc");
+        assert_eq!(out[3..], run[..]);
+    }
+
+    #[test]
+    fn range_merge_bridges_several_held_ranges() {
+        let mut rb = RecvBuffer::new(64);
+        rb.write(10, b"aa");
+        rb.write(20, b"bb");
+        rb.write(30, b"cc");
+        rb.write(40, b"dd");
+        // One write touching the end of the first and the start of the
+        // third swallows the second.
+        rb.write(12, &[b'x'; 18]);
+        assert_eq!(rb.out_of_order_ranges(), &[(10, 32), (40, 42)]);
+        rb.write(5, b"yy");
+        assert_eq!(rb.out_of_order_ranges(), &[(5, 7), (10, 32), (40, 42)]);
+        rb.check_invariants();
     }
 
     #[test]

@@ -89,20 +89,27 @@ impl SendBuffer {
         (&self.buf[start..start + first], &self.buf[..len - first])
     }
 
-    /// Copies `len` bytes at `offset` into a fresh Vec (used where the
-    /// driving stack needs owned bytes; tests compare against `view`).
-    pub fn copy_out(&self, offset: usize, len: usize) -> Vec<u8> {
+    /// Replaces `out`'s contents with the `len` bytes at `offset` (the
+    /// same clamped range as [`SendBuffer::view`]). The caller owns and
+    /// reuses `out`, so filling a segment payload allocates nothing once
+    /// the buffer has grown to one MSS.
+    pub fn copy_into(&self, offset: usize, len: usize, out: &mut Vec<u8>) {
         let (a, b) = self.view(offset, len);
-        let mut v = Vec::with_capacity(a.len() + b.len());
-        v.extend_from_slice(a);
-        v.extend_from_slice(b);
-        v
+        out.clear();
+        out.extend_from_slice(a);
+        out.extend_from_slice(b);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn bytes_at(b: &SendBuffer, offset: usize, len: usize) -> Vec<u8> {
+        let mut v = vec![0xEE; 3];
+        b.copy_into(offset, len, &mut v);
+        v
+    }
 
     #[test]
     fn push_and_len_accounting() {
@@ -122,7 +129,7 @@ mod tests {
         b.advance(3);
         assert_eq!(b.len(), 5);
         assert_eq!(b.push(b"XY"), 2);
-        assert_eq!(b.copy_out(0, 7), b"defghXY");
+        assert_eq!(bytes_at(&b, 0, 7), b"defghXY");
     }
 
     #[test]
@@ -151,7 +158,7 @@ mod tests {
         let (x, y) = b.view(0, 6);
         assert_eq!(x, b"gh");
         assert_eq!(y, b"wxyz");
-        assert_eq!(b.copy_out(0, 6), b"ghwxyz");
+        assert_eq!(bytes_at(&b, 0, 6), b"ghwxyz");
     }
 
     #[test]
@@ -166,7 +173,7 @@ mod tests {
     }
 
     #[test]
-    fn copy_out_matches_stream_order_across_many_cycles() {
+    fn copy_into_matches_stream_order_across_many_cycles() {
         let mut b = SendBuffer::new(7);
         let mut expect: Vec<u8> = Vec::new();
         let mut next: u8 = 0;
@@ -179,11 +186,11 @@ mod tests {
             expect.extend_from_slice(&chunk[..taken]);
             // Ack two bytes when we have them.
             if b.len() >= 2 {
-                assert_eq!(b.copy_out(0, 2), expect[..2].to_vec());
+                assert_eq!(bytes_at(&b, 0, 2), expect[..2].to_vec());
                 b.advance(2);
                 expect.drain(..2);
             }
         }
-        assert_eq!(b.copy_out(0, b.len()), expect);
+        assert_eq!(bytes_at(&b, 0, b.len()), expect);
     }
 }

@@ -116,6 +116,9 @@ pub struct TcpSocket {
     snd_wl1: TcpSeq,
     snd_wl2: TcpSeq,
     sndbuf: SendBuffer,
+    /// Payload buffer lent to the last emitted data segment; the stack
+    /// hands it back through [`TcpSocket::recycle`] once encoded.
+    tx_payload: Vec<u8>,
     snd_mss: usize,
     fin_queued: bool,
     /// Sequence number consumed by our FIN, once transmitted.
@@ -213,6 +216,7 @@ impl TcpSocket {
             snd_wl1: TcpSeq(0),
             snd_wl2: TcpSeq(0),
             sndbuf,
+            tx_payload: Vec::new(),
             snd_mss: mss,
             fin_queued: false,
             fin_seq: None,
@@ -1214,6 +1218,16 @@ impl TcpSocket {
         }
     }
 
+    /// Takes back a segment produced by [`TcpSocket::poll_transmit`]
+    /// after the stack has encoded it, keeping its payload allocation
+    /// for the next data segment. Optional: dropping the segment instead
+    /// is always correct, it only costs the next segment an allocation.
+    pub fn recycle(&mut self, seg: Segment) {
+        if seg.payload.capacity() > self.tx_payload.capacity() {
+            self.tx_payload = seg.payload;
+        }
+    }
+
     fn poll_ack_only(&mut self, now: Instant) -> Option<Segment> {
         if self.ack_now && !matches!(self.state, TcpState::Closed) {
             Some(self.emit_ack(now))
@@ -1426,7 +1440,8 @@ impl TcpSocket {
 
     fn emit_range(&mut self, seq: TcpSeq, len: usize, now: Instant, is_rexmit: bool) -> Segment {
         let off = seq.distance_from(self.snd_una) as usize;
-        let payload = self.sndbuf.copy_out(off, len);
+        let mut payload = std::mem::take(&mut self.tx_payload);
+        self.sndbuf.copy_into(off, len, &mut payload);
         let mut flags = Flags::ACK;
         // PSH when this segment drains the currently buffered data.
         if off + payload.len() >= self.sndbuf.len() {

@@ -117,8 +117,12 @@ impl MacFrame {
         }
     }
 
-    /// Builds a data-request command (sleepy child polls its parent).
-    pub fn data_request(src: NodeId, dst: NodeId, seq: u8) -> Self {
+    /// Builds a data-request command (sleepy child polls its parent),
+    /// writing the command into `payload` (any previous contents are
+    /// discarded; pass a pooled buffer to avoid an allocation).
+    pub fn data_request(src: NodeId, dst: NodeId, seq: u8, mut payload: Vec<u8>) -> Self {
+        payload.clear();
+        payload.push(CMD_DATA_REQUEST);
         MacFrame {
             frame_type: FrameType::Command,
             seq,
@@ -126,7 +130,7 @@ impl MacFrame {
             src,
             pending: false,
             ack_request: true,
-            payload: vec![CMD_DATA_REQUEST],
+            payload,
         }
     }
 
@@ -276,7 +280,7 @@ mod tests {
 
     #[test]
     fn data_request_roundtrip() {
-        let f = MacFrame::data_request(NodeId(12), NodeId(1), 5);
+        let f = MacFrame::data_request(NodeId(12), NodeId(1), 5, Vec::new());
         let dec = MacFrame::decode(&f.encode()).unwrap();
         assert!(dec.is_data_request());
         assert!(dec.ack_request);

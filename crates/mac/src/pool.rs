@@ -10,10 +10,13 @@
 //!
 //! A [`FramePool`] recycles the underlying allocations: when the last
 //! reference to a buffer is handed back via [`FramePool::reclaim`], its
-//! heap storage (the `Arc` block and the encoding `Vec`) is reused for
-//! the next frame instead of going back to the allocator. The steady
-//! state of a busy node — one frame in flight, a handful queued — runs
-//! entirely out of the pool.
+//! heap storage (the `Arc` block, the encoding `Vec` and the payload
+//! `Vec`) is reused for later frames instead of going back to the
+//! allocator. Payloads are built in buffers from
+//! [`FramePool::payload_buf`]; when a recycled block takes a new frame,
+//! the old frame's payload returns to that list. The steady state of a
+//! busy node — one frame in flight, a handful queued — runs entirely
+//! out of the pool.
 //!
 //! # Ownership rules
 //!
@@ -24,7 +27,7 @@
 //!   `FrameBuf` is always correct, and `reclaim` quietly declines
 //!   buffers that still have other holders.
 
-use crate::frame::MacFrame;
+use crate::frame::{MacFrame, MAX_MAC_PAYLOAD};
 use std::sync::Arc;
 
 /// An immutable MAC frame plus its cached wire encoding.
@@ -64,6 +67,8 @@ impl FrameBuf {
 /// A free list of uniquely-owned frame buffers awaiting reuse.
 pub struct FramePool {
     spares: Vec<Arc<FrameData>>,
+    /// Cleared payload buffers, lent out by [`FramePool::payload_buf`].
+    payloads: Vec<Vec<u8>>,
     max_spares: usize,
     /// Allocations served from the free list.
     pub reused: u64,
@@ -82,6 +87,7 @@ impl FramePool {
     pub fn new(max_spares: usize) -> Self {
         FramePool {
             spares: Vec::new(),
+            payloads: Vec::new(),
             max_spares,
             reused: 0,
             fresh: 0,
@@ -94,8 +100,9 @@ impl FramePool {
         match self.spares.pop() {
             Some(mut arc) => {
                 let d = Arc::get_mut(&mut arc).expect("spares are uniquely owned");
-                d.frame = frame;
+                let old = std::mem::replace(&mut d.frame, frame);
                 d.frame.encode_into(&mut d.encoded);
+                self.keep_payload(old.payload);
                 self.reused += 1;
                 FrameBuf(arc)
             }
@@ -112,6 +119,24 @@ impl FramePool {
     pub fn reclaim(&mut self, buf: FrameBuf) {
         if self.spares.len() < self.max_spares && Arc::strong_count(&buf.0) == 1 {
             self.spares.push(buf.0);
+        }
+    }
+
+    /// An empty payload buffer for the next frame, reused from an
+    /// earlier frame's payload when one is spare. It always has room for
+    /// a full [`MAX_MAC_PAYLOAD`], so a recycled short payload never has
+    /// to grow mid-write. Build the payload in it, then pass the frame
+    /// to [`FramePool::alloc`].
+    pub fn payload_buf(&mut self) -> Vec<u8> {
+        let mut payload = self.payloads.pop().unwrap_or_default();
+        payload.reserve(MAX_MAC_PAYLOAD);
+        payload
+    }
+
+    fn keep_payload(&mut self, mut payload: Vec<u8>) {
+        if payload.capacity() > 0 && self.payloads.len() < self.max_spares {
+            payload.clear();
+            self.payloads.push(payload);
         }
     }
 
@@ -179,6 +204,32 @@ mod tests {
         pool.reclaim(a);
         assert_eq!(pool.spares(), 0, "shared buffer must not be recycled");
         drop(held);
+    }
+
+    #[test]
+    fn payload_capacity_survives_interleaved_ack_frames() {
+        let mut pool = FramePool::new(8);
+        // Warm up: one data frame recycled through the pool.
+        let mut p = pool.payload_buf();
+        p.extend_from_slice(&[0x11; 100]);
+        let d = pool.alloc(MacFrame::data(NodeId(1), NodeId(2), 1, p));
+        pool.reclaim(d);
+        for seq in 0..20u8 {
+            // An ACK takes the recycled block; its payload-free frame
+            // must not throw away the data frame's payload allocation.
+            let ack = pool.alloc(MacFrame::ack(seq, false));
+            let mut p = pool.payload_buf();
+            assert!(p.is_empty());
+            assert!(p.capacity() >= 100, "payload capacity lost at {seq}");
+            p.extend_from_slice(&[seq; 100]);
+            let data = pool.alloc(MacFrame::data(NodeId(1), NodeId(2), seq, p));
+            assert_eq!(data.encoded(), data.frame().encode().as_slice());
+            assert_eq!(data.frame().payload, vec![seq; 100]);
+            pool.reclaim(ack);
+            pool.reclaim(data);
+        }
+        // Fresh blocks: the warm-up data frame's and one ACK's.
+        assert_eq!(pool.fresh, 2);
     }
 
     #[test]

@@ -237,7 +237,7 @@ mod tests {
         assert!(s.contains("DATA 3->4"), "{s}");
         let a = MacFrame::ack(9, true);
         assert!(summarize_frame(&a).contains("[pending]"));
-        let dr = MacFrame::data_request(NodeId(5), NodeId(1), 2);
+        let dr = MacFrame::data_request(NodeId(5), NodeId(1), 2, Vec::new());
         assert!(summarize_frame(&dr).contains("DATA-REQ"));
     }
 

@@ -140,6 +140,12 @@ pub struct World {
     pub pool: FramePool,
     /// Optional tcpdump-style event log (see [`crate::trace`]).
     pub trace: crate::trace::PacketTrace,
+    /// Scratch: radios listening to the frame being resolved.
+    listeners: Vec<RadioIdx>,
+    /// Scratch: per-listener delivery outcomes of that frame.
+    outcomes: Vec<(RadioIdx, bool)>,
+    /// Scratch: packets a transport pump emits, before IP queueing.
+    pumped: Vec<(Ipv6Header, Vec<u8>)>,
 }
 
 impl World {
@@ -207,6 +213,9 @@ impl World {
             interferer_handles: HashMap::new(),
             pool: FramePool::default(),
             trace: crate::trace::PacketTrace::new(),
+            listeners: Vec::new(),
+            outcomes: Vec::new(),
+            pumped: Vec::new(),
         };
         // Sleepy leaves begin their poll schedule immediately (spread
         // out to avoid synchronised polls).
@@ -653,12 +662,14 @@ impl World {
             n.meter.set_radio_state(RadioState::Sleep, now);
         }
         self.sync_governor(i);
-        self.trace.record(
-            now,
-            self.nodes[i].id,
-            crate::trace::TraceDir::Drop,
-            format!("fault: reboot (down {down_for})"),
-        );
+        if self.trace.is_enabled() {
+            self.trace.record(
+                now,
+                self.nodes[i].id,
+                crate::trace::TraceDir::Drop,
+                format!("fault: reboot (down {down_for})"),
+            );
+        }
         self.queue.schedule(now + down_for, Event::FaultRebootUp(i));
     }
 
@@ -743,12 +754,14 @@ impl World {
             self.nodes[old_parent.0 as usize].sleepy_children.remove(&id);
             self.nodes[new_parent.0 as usize].sleepy_children.insert(id);
         }
-        self.trace.record(
-            now,
-            self.nodes[i].id,
-            crate::trace::TraceDir::Forward,
-            format!("fault: route flap, parent {} -> {}", old_parent.0, new_parent.0),
-        );
+        if self.trace.is_enabled() {
+            self.trace.record(
+                now,
+                self.nodes[i].id,
+                crate::trace::TraceDir::Forward,
+                format!("fault: route flap, parent {} -> {}", old_parent.0, new_parent.0),
+            );
+        }
     }
 
     fn on_fault_ber_start(&mut self, i: usize, ber: f64, span: Duration, now: Instant) {
@@ -898,11 +911,23 @@ impl World {
         });
     }
 
-    /// Fragments `pkt` into MAC frames bound for its next hop. The
-    /// compressed packet is built in the node's reusable scratch buffer
-    /// via the per-neighbor IPHC header cache, and the payload buffer
-    /// is recycled into the pool once its bytes are framed.
+    /// Fragments `pkt` into MAC frames bound for its next hop.
     fn fragment_packet(&mut self, i: usize, pkt: OutPacket) {
+        self.frame_packet(i, pkt, None);
+        self.nodes[i].counters.inc("packets_tx");
+    }
+
+    /// Compresses `pkt` and frames its 6LoWPAN fragments for
+    /// `pkt.next_hop`: onto the current-packet queue when `indirect` is
+    /// `None`, or onto the control queue with the given frame-pending
+    /// bit (a parent draining a sleepy child's indirect queue).
+    ///
+    /// Nothing here allocates in steady state: the packet is compressed
+    /// in the node's scratch buffer via the per-neighbor IPHC header
+    /// cache, each fragment is written into a payload buffer the frame
+    /// pool recycles, and the packet's payload returns to the node's
+    /// [`crate::stack::BufPool`] once framed.
+    fn frame_packet(&mut self, i: usize, pkt: OutPacket, indirect: Option<bool>) {
         let src_l2 = self.nodes[i].id;
         let dst_l2 = pkt.next_hop;
         let mut compressed = std::mem::take(&mut self.nodes[i].compress_buf);
@@ -912,12 +937,19 @@ impl World {
         let tag = self.nodes[i].next_tag();
         for frag in fragment(&compressed, tag, MAX_MAC_PAYLOAD) {
             let seq = self.nodes[i].next_seq();
-            let f = self.pool.alloc(MacFrame::data(src_l2, dst_l2, seq, frag.bytes));
-            self.nodes[i].cur_packet_frames.push_back(f);
+            let mut payload = self.pool.payload_buf();
+            frag.write_into(&mut payload);
+            let mut f = MacFrame::data(src_l2, dst_l2, seq, payload);
+            f.pending = indirect == Some(true);
+            let buf = self.pool.alloc(f);
+            if indirect.is_some() {
+                self.nodes[i].enqueue_ctrl(buf);
+            } else {
+                self.nodes[i].cur_packet_frames.push_back(buf);
+            }
         }
         self.nodes[i].compress_buf = compressed;
         self.nodes[i].seg_bufs.put(pkt.payload);
-        self.nodes[i].counters.inc("packets_tx");
     }
 
     fn handle_step(&mut self, i: usize, step: TxStep, now: Instant) {
@@ -1009,19 +1041,45 @@ impl World {
         self.handle_step(i, step, now);
     }
 
-    fn listeners_since(&self, start: Instant, exclude: usize) -> Vec<RadioIdx> {
-        self.nodes
-            .iter()
-            .enumerate()
-            .filter(|(j, n)| {
-                *j != exclude
-                    && n.awake
-                    && !n.transmitting
-                    && n.listen_since <= start
-                    && n.kind != NodeKind::CloudHost
-            })
-            .map(|(j, _)| RadioIdx(j))
-            .collect()
+    /// Closes the medium record of `handle` — `buf`, sent by `i` and on
+    /// the air since `start` — and delivers the frame to every radio
+    /// that decoded it. Only radios awake, not transmitting, and
+    /// listening since the frame began can receive it. The listener list
+    /// and the outcomes pass through world-owned scratch buffers, so
+    /// resolving a frame allocates nothing.
+    fn resolve_tx(
+        &mut self,
+        i: usize,
+        handle: TxHandle,
+        start: Instant,
+        buf: &FrameBuf,
+        now: Instant,
+    ) {
+        let mut listeners = std::mem::take(&mut self.listeners);
+        listeners.clear();
+        listeners.extend(
+            self.nodes
+                .iter()
+                .enumerate()
+                .filter(|(j, n)| {
+                    *j != i
+                        && n.awake
+                        && !n.transmitting
+                        && n.listen_since <= start
+                        && n.kind != NodeKind::CloudHost
+                })
+                .map(|(j, _)| RadioIdx(j)),
+        );
+        let mut outcomes = std::mem::take(&mut self.outcomes);
+        outcomes.clear();
+        outcomes.extend_from_slice(self.medium.end_tx(handle, &listeners));
+        self.listeners = listeners;
+        for &(rx, ok) in &outcomes {
+            if ok {
+                self.deliver_encoded(rx.0, buf.frame(), buf.encoded(), now);
+            }
+        }
+        self.outcomes = outcomes;
     }
 
     fn on_air_done(&mut self, i: usize, now: Instant) {
@@ -1036,14 +1094,7 @@ impl World {
         self.nodes[i].transmitting = false;
         self.nodes[i].listen_since = now;
         self.nodes[i].meter.set_radio_state(RadioState::Rx, now);
-        // Resolve deliveries.
-        let listeners = self.listeners_since(start, i);
-        let outcomes = self.medium.end_tx(handle, &listeners);
-        for (rx, ok) in outcomes {
-            if ok {
-                self.deliver_encoded(rx.0, buf.frame(), buf.encoded(), now);
-            }
-        }
+        self.resolve_tx(i, handle, start, &buf, now);
         // Advance the transmit state machine.
         let step = {
             let tx = self.nodes[i].cur_tx.as_mut().unwrap();
@@ -1073,15 +1124,17 @@ impl World {
             }
             if !ok {
                 self.nodes[i].counters.inc("frames_dropped");
-                self.trace.record(
-                    now,
-                    self.nodes[i].id,
-                    crate::trace::TraceDir::Drop,
-                    format!(
-                        "link retries exhausted: {}",
-                        crate::trace::summarize_frame(tx.frame.frame())
-                    ),
-                );
+                if self.trace.is_enabled() {
+                    self.trace.record(
+                        now,
+                        self.nodes[i].id,
+                        crate::trace::TraceDir::Drop,
+                        format!(
+                            "link retries exhausted: {}",
+                            crate::trace::summarize_frame(tx.frame.frame())
+                        ),
+                    );
+                }
                 // Losing one fragment loses the packet: discard the rest.
                 self.nodes[i].cur_packet_frames.clear();
                 if tx.frame.frame().is_data_request() {
@@ -1157,7 +1210,8 @@ impl World {
                         self.extend_poll_window_by(i, Duration::from_millis(15), now);
                     }
                 }
-                // 6LoWPAN reassembly.
+                // 6LoWPAN reassembly. The datagram buffer goes back to
+                // the reassembler once the packet has been handled.
                 let done = self.nodes[i]
                     .reassembler
                     .offer(frame.src, &frame.payload, now);
@@ -1169,6 +1223,7 @@ impl World {
                     } else {
                         self.nodes[i].counters.inc("decompress_errors");
                     }
+                    self.nodes[i].reassembler.recycle(packet);
                 }
                 self.kick_mac(i, now);
                 self.maybe_sleep(i, now);
@@ -1243,13 +1298,7 @@ impl World {
         self.nodes[i].transmitting = false;
         self.nodes[i].listen_since = now;
         self.nodes[i].meter.set_radio_state(RadioState::Rx, now);
-        let listeners = self.listeners_since(start, i);
-        let outcomes = self.medium.end_tx(handle, &listeners);
-        for (rx, ok) in outcomes {
-            if ok {
-                self.deliver_encoded(rx.0, ack.frame(), ack.encoded(), now);
-            }
-        }
+        self.resolve_tx(i, handle, start, &ack, now);
         self.pool.reclaim(ack);
     }
 
@@ -1272,7 +1321,10 @@ impl World {
         };
         let seq = self.nodes[i].next_seq();
         let id = self.nodes[i].id;
-        let req = self.pool.alloc(MacFrame::data_request(id, parent, seq));
+        let payload = self.pool.payload_buf();
+        let req = self
+            .pool
+            .alloc(MacFrame::data_request(id, parent, seq, payload));
         self.nodes[i].enqueue_ctrl(req);
         // Guard window in case the poll exchange stalls entirely.
         self.extend_poll_window(i, now);
@@ -1290,33 +1342,17 @@ impl World {
         // whole indirect queue. Every frame except those of the last
         // packet carries the pending bit, so the child keeps listening
         // for the burst.
-        let Some(queue) = self.nodes[i].indirect.get_mut(&child) else {
-            return;
-        };
-        let mut packets: Vec<OutPacket> = Vec::new();
-        while let Some(pkt) = queue.pop_front() {
-            packets.push(pkt);
-        }
-        if packets.is_empty() {
+        let queued = |n: &Node| n.indirect.get(&child).is_some_and(|q| !q.is_empty());
+        if !queued(&self.nodes[i]) {
             return;
         }
-        let src_l2 = self.nodes[i].id;
-        let last = packets.len() - 1;
-        for (k, pkt) in packets.into_iter().enumerate() {
-            let mut compressed = std::mem::take(&mut self.nodes[i].compress_buf);
-            self.nodes[i]
-                .iphc_cache
-                .compress_into(&pkt.hdr, src_l2, child, &pkt.payload, &mut compressed);
-            let tag = self.nodes[i].next_tag();
-            for frag in fragment(&compressed, tag, MAX_MAC_PAYLOAD) {
-                let seq = self.nodes[i].next_seq();
-                let mut f = MacFrame::data(src_l2, child, seq, frag.bytes);
-                f.pending = k < last;
-                let buf = self.pool.alloc(f);
-                self.nodes[i].enqueue_ctrl(buf);
-            }
-            self.nodes[i].compress_buf = compressed;
-            self.nodes[i].seg_bufs.put(pkt.payload);
+        while let Some(pkt) = self.nodes[i]
+            .indirect
+            .get_mut(&child)
+            .and_then(|q| q.pop_front())
+        {
+            let more = queued(&self.nodes[i]);
+            self.frame_packet(i, pkt, Some(more));
         }
         self.sync_governor(i);
         self.kick_mac(i, now);
@@ -1355,12 +1391,9 @@ impl World {
         } else {
             self.border.map(|b| NodeId(b as u16))
         };
-        let Some(dst_node) = dst_node else {
+        let Some(next_hop) = dst_node.and_then(|d| self.nodes[i].routes.lookup(d)) else {
             self.nodes[i].counters.inc("unroutable");
-            return;
-        };
-        let Some(next_hop) = self.nodes[i].routes.lookup(dst_node) else {
-            self.nodes[i].counters.inc("unroutable");
+            self.nodes[i].seg_bufs.put(payload);
             return;
         };
         let pkt = OutPacket {
@@ -1381,6 +1414,7 @@ impl World {
         if !self.nodes[i].governor.would_fit(MemClass::IpQueue, w) {
             self.nodes[i].governor.note_deny(MemClass::IpQueue);
             self.nodes[i].counters.inc("queue_byte_drops");
+            self.nodes[i].seg_bufs.put(pkt.payload);
             return;
         }
         let r = self.rng.gen_f64();
@@ -1392,12 +1426,14 @@ impl World {
         self.kick_mac(i, now);
     }
 
-    /// A full IP packet arrived at node `i` with an owned payload
-    /// (wired links and other already-materialized paths).
+    /// A full IP packet arrived at node `i` with an owned payload (the
+    /// wired link). A locally delivered payload returns to the node's
+    /// buffer pool; a forwarded one rides the IP queue.
     fn handle_ip_packet(&mut self, i: usize, hdr: Ipv6Header, payload: Vec<u8>, now: Instant) {
         if hdr.dst == self.nodes[i].ip_addr() {
             self.trace_deliver(i, &hdr, &payload, now);
             self.deliver_transport(i, hdr, &payload, now);
+            self.nodes[i].seg_bufs.put(payload);
             return;
         }
         self.forward_ip(i, hdr, payload, now);
@@ -1407,7 +1443,7 @@ impl World {
     /// the reassembled packet buffer. Local delivery consumes the
     /// borrowed slice directly — the per-segment copy the owned path
     /// would make never happens; only the forwarding path (which must
-    /// queue the bytes) materializes a `Vec`.
+    /// queue the bytes) copies them, into a buffer from the node's pool.
     fn handle_ip_view(
         &mut self,
         i: usize,
@@ -1420,7 +1456,15 @@ impl World {
             self.deliver_transport(i, hdr, payload.as_slice(), now);
             return;
         }
-        self.forward_ip(i, hdr, payload.into_vec(), now);
+        let bytes = match payload {
+            iphc::Payload::Owned(v) => v,
+            iphc::Payload::Borrowed(b) => {
+                let mut v = self.nodes[i].seg_bufs.take();
+                v.extend_from_slice(b);
+                v
+            }
+        };
+        self.forward_ip(i, hdr, bytes, now);
     }
 
     fn trace_deliver(&mut self, i: usize, hdr: &Ipv6Header, payload: &[u8], now: Instant) {
@@ -1438,6 +1482,7 @@ impl World {
     fn forward_ip(&mut self, i: usize, mut hdr: Ipv6Header, payload: Vec<u8>, now: Instant) {
         if hdr.hop_limit <= 1 {
             self.nodes[i].counters.inc("hop_limit_drops");
+            self.nodes[i].seg_bufs.put(payload);
             self.trace.record(
                 now,
                 self.nodes[i].id,
@@ -1450,6 +1495,7 @@ impl World {
         // Injected uniform loss (§9.4; configured on the border router).
         if self.nodes[i].inject_loss > 0.0 && self.rng.gen_bool(self.nodes[i].inject_loss) {
             self.nodes[i].counters.inc("injected_drops");
+            self.nodes[i].seg_bufs.put(payload);
             self.trace.record(
                 now,
                 self.nodes[i].id,
@@ -1645,7 +1691,8 @@ impl World {
                         NextHeader::Tcp,
                         reply.wire_len() as u16,
                     );
-                    let bytes = reply.encode(my_addr, hdr.src);
+                    let mut bytes = self.nodes[i].seg_bufs.take();
+                    reply.encode_into(my_addr, hdr.src, &mut bytes);
                     self.enqueue_ip(i, out_hdr, bytes, now);
                     self.sync_governor(i);
                     self.reschedule_transport_timer(i, now);
@@ -1689,7 +1736,8 @@ impl World {
                 NextHeader::Tcp,
                 rst.wire_len() as u16,
             );
-            let bytes = rst.encode(hdr.dst, hdr.src);
+            let mut bytes = self.nodes[i].seg_bufs.take();
+            rst.encode_into(hdr.dst, hdr.src, &mut bytes);
             self.enqueue_ip(i, out_hdr, bytes, now);
         }
     }
@@ -1808,9 +1856,10 @@ impl World {
 
         // TCP sockets. Segments encode (serialize + checksum in one
         // pass) into pooled buffers; the buffer returns to the pool
-        // when the 6LoWPAN layer frames the packet.
+        // when the 6LoWPAN layer frames the packet, and each segment's
+        // payload buffer goes back to its socket once encoded.
         let my_addr = self.nodes[i].ip_addr();
-        let mut out: Vec<(Ipv6Header, Vec<u8>)> = Vec::new();
+        let mut out = std::mem::take(&mut self.pumped);
         let mut seg_bufs = std::mem::take(&mut self.nodes[i].seg_bufs);
         for s in self.nodes[i].transport.tcp.iter_mut() {
             let ecn_data = s.ecn_active();
@@ -1824,6 +1873,7 @@ impl World {
                 let mut bytes = seg_bufs.take();
                 seg.encode_into(my_addr, raddr, &mut bytes);
                 out.push((hdr, bytes));
+                s.recycle(seg);
             }
         }
         // Listener: SYN-ACK retransmissions and half-open expiry.
@@ -1884,9 +1934,10 @@ impl World {
                 }
             }
         }
-        for (hdr, bytes) in out {
+        for (hdr, bytes) in out.drain(..) {
             self.enqueue_ip(i, hdr, bytes, now);
         }
+        self.pumped = out;
         self.sync_governor(i);
         self.reschedule_transport_timer(i, now);
         self.kick_mac(i, now);
@@ -2136,9 +2187,9 @@ impl World {
                     if want == 0 || !sup.can_accept(want) {
                         break;
                     }
-                    let chunk: Vec<u8> =
-                        (0..want).map(|k| (*pattern as usize + k) as u8).collect();
-                    sup.submit(&chunk);
+                    let mut chunk = [0u8; RECORD_PAYLOAD];
+                    fill_pattern(&mut chunk[..want], *pattern);
+                    sup.submit(&chunk[..want]);
                     *sent += want as u64;
                     *pattern = pattern.wrapping_add(want as u8);
                 }
@@ -2170,16 +2221,22 @@ impl World {
                         Some(l) => (*l - *sent).min(room as u64) as usize,
                         None => room,
                     };
-                    if want > 0 {
-                        let chunk: Vec<u8> = (0..want)
-                            .map(|k| {
-                                (*pattern as usize + k) as u8
-                            })
-                            .collect();
-                        let n = sock.send(&chunk);
-                        *sent += n as u64;
-                        *pattern = pattern.wrapping_add(n as u8);
+                    // The stream goes in through a stack chunk, one
+                    // piece at a time; `send` only appends to the send
+                    // buffer, so the pieces land exactly as one write.
+                    let mut chunk = [0u8; 256];
+                    let mut n = 0;
+                    while n < want {
+                        let k = (want - n).min(chunk.len());
+                        fill_pattern(&mut chunk[..k], pattern.wrapping_add(n as u8));
+                        let took = sock.send(&chunk[..k]);
+                        n += took;
+                        if took < k {
+                            break;
+                        }
                     }
+                    *sent += n as u64;
+                    *pattern = pattern.wrapping_add(n as u8);
                 }
                 if let Some(u) = node.transport.uip.as_mut() {
                     let chunk = [0x5au8; 256];
@@ -2306,5 +2363,15 @@ impl World {
         let gap = app.next_gap(now, &mut self.rng);
         self.queue
             .schedule(now + gap, Event::InterfererStart(i));
+    }
+}
+
+/// Fills `buf` with the bulk sender's byte pattern: consecutive byte
+/// values (wrapping) starting at `start`.
+fn fill_pattern(buf: &mut [u8], start: u8) {
+    let mut b = start;
+    for slot in buf {
+        *slot = b;
+        b = b.wrapping_add(1);
     }
 }

@@ -34,6 +34,8 @@ pub struct Medium {
     records: Vec<TxRecord>,
     next_id: u64,
     rng: Rng,
+    /// The last [`Medium::end_tx`] result, reused across transmissions.
+    outcomes: Vec<(RadioIdx, bool)>,
     /// Frame/collision counters ("frames_tx", "collisions", "prr_drops",
     /// "deliveries") feeding Figure 6(d).
     pub counters: Counters,
@@ -47,6 +49,7 @@ impl Medium {
             records: Vec::new(),
             next_id: 0,
             rng,
+            outcomes: Vec::new(),
             counters: Counters::new(),
         }
     }
@@ -103,18 +106,18 @@ impl Medium {
     /// - the receiver must not itself have transmitted during the frame
     ///   (half-duplex),
     /// - an independent Bernoulli(PRR) draw must succeed (fading etc.).
-    pub fn end_tx(
-        &mut self,
-        handle: TxHandle,
-        listeners: &[RadioIdx],
-    ) -> Vec<(RadioIdx, bool)> {
+    ///
+    /// The result borrows a buffer the medium reuses for every
+    /// transmission, so resolving a frame allocates nothing.
+    pub fn end_tx(&mut self, handle: TxHandle, listeners: &[RadioIdx]) -> &[(RadioIdx, bool)] {
         let rec_idx = self
             .records
             .iter()
             .position(|r| r.id == handle.0)
             .expect("unknown tx handle");
         let rec = self.records[rec_idx].clone();
-        let mut out = Vec::with_capacity(listeners.len());
+        let mut out = std::mem::take(&mut self.outcomes);
+        out.clear();
         for &rx in listeners {
             if rx == rec.src {
                 continue;
@@ -149,7 +152,8 @@ impl Medium {
         }
         self.records[rec_idx].done = true;
         self.gc(rec.end);
-        out
+        self.outcomes = out;
+        &self.outcomes
     }
 
     /// Drops finished records that can no longer overlap anything new.
@@ -196,10 +200,8 @@ mod tests {
         // 0 and 2 transmit overlapping frames; both are audible at 1.
         let h0 = m.begin_tx(RadioIdx(0), t0, t1);
         let h2 = m.begin_tx(RadioIdx(2), t0 + Duration::from_millis(1), t1);
-        let out0 = m.end_tx(h0, &[RadioIdx(1)]);
-        let out2 = m.end_tx(h2, &[RadioIdx(1)]);
-        assert_eq!(out0, vec![(RadioIdx(1), false)]);
-        assert_eq!(out2, vec![(RadioIdx(1), false)]);
+        assert_eq!(m.end_tx(h0, &[RadioIdx(1)]), [(RadioIdx(1), false)]);
+        assert_eq!(m.end_tx(h2, &[RadioIdx(1)]), [(RadioIdx(1), false)]);
         assert_eq!(m.counters.get("collisions"), 2);
     }
 
@@ -207,15 +209,25 @@ mod tests {
     fn non_overlapping_frames_do_not_collide() {
         let mut m = medium_chain3();
         let h0 = m.begin_tx(RadioIdx(0), Instant::ZERO, Instant::from_millis(4));
-        let out0 = m.end_tx(h0, &[RadioIdx(1)]);
+        assert_eq!(m.end_tx(h0, &[RadioIdx(1)]), [(RadioIdx(1), true)]);
         let h2 = m.begin_tx(
             RadioIdx(2),
             Instant::from_millis(5),
             Instant::from_millis(9),
         );
-        let out2 = m.end_tx(h2, &[RadioIdx(1)]);
-        assert_eq!(out0, vec![(RadioIdx(1), true)]);
-        assert_eq!(out2, vec![(RadioIdx(1), true)]);
+        assert_eq!(m.end_tx(h2, &[RadioIdx(1)]), [(RadioIdx(1), true)]);
+    }
+
+    #[test]
+    fn outcome_buffer_is_reused_and_reset() {
+        let mut m = medium_chain3();
+        let h = m.begin_tx(RadioIdx(1), Instant::ZERO, Instant::from_millis(4));
+        assert_eq!(m.end_tx(h, &[RadioIdx(0), RadioIdx(2)]).len(), 2);
+        // A later frame with fewer listeners sees only its own outcomes.
+        let h = m.begin_tx(RadioIdx(0), Instant::from_millis(5), Instant::from_millis(9));
+        assert_eq!(m.end_tx(h, &[RadioIdx(1)]), [(RadioIdx(1), true)]);
+        let h = m.begin_tx(RadioIdx(0), Instant::from_millis(10), Instant::from_millis(14));
+        assert!(m.end_tx(h, &[]).is_empty());
     }
 
     #[test]

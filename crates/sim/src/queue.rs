@@ -16,8 +16,12 @@
 //!   scheduled at or before it). `pop` and `peek_time` touch only this.
 //! - **near wheel** — [`WHEEL_SLOTS`] buckets of [`GRANULARITY`]
 //!   microseconds each (~262 ms horizon). Scheduling into the wheel is
-//!   O(1): push onto an unsorted per-bucket `Vec`. A bucket is sorted
-//!   (heapified) only when the cursor reaches it.
+//!   O(1): push onto the bucket's unsorted list. A bucket is sorted
+//!   (heapified) only when the cursor reaches it. The bucket lists are
+//!   threaded through one shared node pool, so the wheel's storage
+//!   grows only when the whole wheel holds more keys than ever before —
+//!   not each time one bucket sees a new peak — and a warmed-up queue
+//!   schedules without allocating.
 //! - **overflow heap** — events beyond the wheel horizon (TCP
 //!   retransmit timers, application ticks). They are touched twice —
 //!   once on insert, once when their bucket becomes due — instead of
@@ -79,6 +83,14 @@ impl Ord for Key {
     }
 }
 
+/// One key in a near-wheel bucket list (or, when free, in the node
+/// pool's free list).
+#[derive(Clone, Copy)]
+struct WheelNode {
+    key: Key,
+    next: u32,
+}
+
 /// One slab slot: either holds a live event or threads the free list.
 enum Slot<E> {
     Occupied { gen: u32, event: E },
@@ -102,7 +114,12 @@ pub struct EventQueue<E> {
     /// (restored by [`Self::fixup`] after every mutation): when any
     /// live event exists, the heap top is the earliest live event.
     cur: BinaryHeap<Reverse<Key>>,
-    wheel: Vec<Vec<Key>>,
+    /// Head node of each wheel slot's key list (`NO_SLOT` when empty).
+    wheel_heads: [u32; WHEEL_SLOTS],
+    /// Node pool every wheel list is threaded through.
+    wheel_nodes: Vec<WheelNode>,
+    /// Head of the pool's free list.
+    wheel_free: u32,
     /// One bit per wheel slot with at least one key.
     occupied: [u64; WHEEL_SLOTS / 64],
     wheel_len: usize,
@@ -130,7 +147,9 @@ impl<E> EventQueue<E> {
             now: Instant::ZERO,
             cursor: 0,
             cur: BinaryHeap::new(),
-            wheel: (0..WHEEL_SLOTS).map(|_| Vec::new()).collect(),
+            wheel_heads: [NO_SLOT; WHEEL_SLOTS],
+            wheel_nodes: Vec::new(),
+            wheel_free: NO_SLOT,
             occupied: [0; WHEEL_SLOTS / 64],
             wheel_len: 0,
             overflow: BinaryHeap::new(),
@@ -218,7 +237,19 @@ impl<E> EventQueue<E> {
             self.cur.push(Reverse(key));
         } else if b - self.cursor < WHEEL_SLOTS as u64 {
             let s = (b & SLOT_MASK) as usize;
-            self.wheel[s].push(key);
+            let node = WheelNode {
+                key,
+                next: self.wheel_heads[s],
+            };
+            self.wheel_heads[s] = if self.wheel_free == NO_SLOT {
+                self.wheel_nodes.push(node);
+                (self.wheel_nodes.len() - 1) as u32
+            } else {
+                let n = self.wheel_free;
+                self.wheel_free = self.wheel_nodes[n as usize].next;
+                self.wheel_nodes[n as usize] = node;
+                n
+            };
             self.occupied[s >> 6] |= 1 << (s & 63);
             self.wheel_len += 1;
         } else {
@@ -292,15 +323,18 @@ impl<E> EventQueue<E> {
             };
             if next_wheel == Some(target) {
                 let s = (target & SLOT_MASK) as usize;
-                self.wheel_len -= self.wheel[s].len();
                 self.occupied[s >> 6] &= !(1 << (s & 63));
-                // Split borrow: drain the bucket without touching the
-                // fields `cur` needs.
-                let mut bucket = std::mem::take(&mut self.wheel[s]);
-                for k in bucket.drain(..) {
-                    self.cur.push(Reverse(k));
+                // Move the bucket's keys into the run (the heap orders
+                // them, so list order is irrelevant) and free the nodes.
+                let mut n = std::mem::replace(&mut self.wheel_heads[s], NO_SLOT);
+                while n != NO_SLOT {
+                    let node = self.wheel_nodes[n as usize];
+                    self.cur.push(Reverse(node.key));
+                    self.wheel_nodes[n as usize].next = self.wheel_free;
+                    self.wheel_free = n;
+                    self.wheel_len -= 1;
+                    n = node.next;
                 }
-                self.wheel[s] = bucket; // keep the allocation
             }
             while let Some(Reverse(k)) = self.overflow.peek() {
                 if bucket_of(k.time) != target {

@@ -20,7 +20,7 @@
 pub mod frag;
 pub mod iphc;
 
-pub use frag::{fragment, Fragment, Reassembler, ReassemblyLimits};
+pub use frag::{fragment, Fragment, Fragments, Reassembler, ReassemblyLimits};
 pub use iphc::{compress, compress_into, decompress, decompress_view, IphcCache, Payload};
 
 /// Maximum 802.15.4 MAC payload available to 6LoWPAN with the paper's

@@ -161,8 +161,8 @@ fn corrupted_fragment_streams_never_panic() {
     for round in 0..400u64 {
         let mut reasm = Reassembler::default();
         let frags = fragment(&packet, round as u16, 96);
-        for (k, f) in frags.iter().enumerate() {
-            let mut bytes = f.bytes.clone();
+        for (k, f) in frags.enumerate() {
+            let mut bytes = f.to_vec();
             let bit = (rng.next_u64() % (bytes.len() as u64 * 8)) as usize;
             bytes[bit / 8] ^= 1 << (bit % 8);
             // Interleave corrupted and clean copies from two "sources".

@@ -266,14 +266,14 @@ fn six_lowpan_stack_roundtrip_through_real_frames() {
     let tcp_bytes = seg.encode(src, dst);
     let hdr = Ipv6Header::new(src, dst, NextHeader::Tcp, tcp_bytes.len() as u16);
     let packet = lowpan::compress(&hdr, NodeId(7), NodeId(8), &tcp_bytes);
-    let frags = lowpan::fragment(&packet, 42, lowpan::MAX_FRAME_PAYLOAD);
+    let frags: Vec<_> = lowpan::fragment(&packet, 42, lowpan::MAX_FRAME_PAYLOAD).collect();
     assert_eq!(frags.len(), 5, "five-frame segment");
 
     // Ship each fragment through a MAC frame codec pass.
     let mut reasm = lowpan::Reassembler::default();
     let mut done = None;
     for (k, f) in frags.iter().enumerate() {
-        let mf = MacFrame::data(NodeId(7), NodeId(8), k as u8, f.bytes.clone());
+        let mf = MacFrame::data(NodeId(7), NodeId(8), k as u8, f.to_vec());
         let decoded = MacFrame::decode(&mf.encode()).expect("mac codec");
         done = reasm.offer(decoded.src, &decoded.payload, Instant::ZERO);
     }
