@@ -300,21 +300,15 @@ impl MemGovernor {
     /// counters, in declaration order — same contract as
     /// [`crate::TcpStats::digest`]: two same-seed runs must match.
     pub fn digest(&self) -> u64 {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        let mut mix = |v: u64| {
-            for b in v.to_le_bytes() {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        };
+        let mut h = lln_sim::Fnv1a::new();
         for i in 0..6 {
-            mix(self.gauge[i]);
-            mix(self.high_water[i]);
-            mix(self.denies[i]);
-            mix(self.evictions[i]);
+            h.write_u64(self.gauge[i]);
+            h.write_u64(self.high_water[i]);
+            h.write_u64(self.denies[i]);
+            h.write_u64(self.evictions[i]);
         }
-        mix(self.total_high_water);
-        h
+        h.write_u64(self.total_high_water);
+        h.finish()
     }
 }
 

@@ -33,7 +33,7 @@ use crate::seq::TcpSeq;
 use crate::stats::{CwndTrace, RttTrace, TcpStats};
 use crate::wire::{Flags, SackBlock, Segment, SegmentView, Timestamps};
 use lln_netip::{Ecn, Ipv6Addr};
-use lln_sim::{Duration, Instant};
+use lln_sim::{Duration, Fnv1a, Instant};
 
 /// TCP connection states (RFC 793).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -277,13 +277,6 @@ impl TcpSocket {
     /// Negotiated send MSS.
     pub fn mss(&self) -> usize {
         self.snd_mss
-    }
-
-    /// Runtime toggle for header prediction (the taken fast path).
-    /// Exists for differential testing and benchmarking; prediction is
-    /// on by default and behaviorally identical to the general path.
-    pub fn set_header_prediction(&mut self, enabled: bool) {
-        self.cfg.header_prediction = enabled;
     }
 
     /// Remote endpoint.
@@ -1620,14 +1613,7 @@ impl ListenStats {
             self.rst_aborts,
             self.bad_acks,
         ];
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        for f in fields {
-            for b in f.to_le_bytes() {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        }
-        h
+        Fnv1a::digest_words(&fields)
     }
 }
 
@@ -2019,18 +2005,12 @@ impl ListenSocket {
 
     /// Keyed FNV-1a over the 4-tuple and the client ISN.
     fn cookie(&self, remote_addr: Ipv6Addr, remote_port: u16, irs: TcpSeq) -> u32 {
-        let mut h = 0xcbf2_9ce4_8422_2325u64 ^ self.scfg.cookie_secret;
-        let mut mix = |bytes: &[u8]| {
-            for &b in bytes {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        };
-        mix(&remote_addr.0);
-        mix(&remote_port.to_be_bytes());
-        mix(&self.local_port.to_be_bytes());
-        mix(&irs.0.to_be_bytes());
-        (h >> 16) as u32
+        let mut h = Fnv1a::keyed(self.scfg.cookie_secret);
+        h.write_bytes(&remote_addr.0);
+        h.write_bytes(&remote_port.to_be_bytes());
+        h.write_bytes(&self.local_port.to_be_bytes());
+        h.write_bytes(&irs.0.to_be_bytes());
+        (h.finish() >> 16) as u32
     }
 
     /// The listener's timestamp clock (same formula as

@@ -5,7 +5,7 @@
 //! (transport-layer retransmission counts under injected loss), and the
 //! cwnd trace drives Figure 7(a).
 
-use lln_sim::{Duration, Instant};
+use lln_sim::{Duration, Fnv1a, Instant};
 
 /// Counters kept by every [`crate::socket::TcpSocket`].
 #[derive(Clone, Debug, Default)]
@@ -96,14 +96,7 @@ impl TcpStats {
             self.dsack_rcvd,
             self.reassembly_conflicts,
         ];
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        for f in fields {
-            for b in f.to_le_bytes() {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        }
-        h
+        Fnv1a::digest_words(&fields)
     }
 }
 

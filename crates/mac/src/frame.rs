@@ -56,8 +56,8 @@ pub const BROADCAST: NodeId = NodeId(0xffff);
 
 /// Byte-wise lookup table for the reflected CRC-16 below, built at
 /// compile time. Every frame encode and every per-receiver decode pays
-/// one CRC pass, so the table (vs the bit-serial loop) is one of the
-/// simulator fast path's measurable wins (see `BENCH_sim.json`).
+/// one CRC pass, so the table replaces the bit-serial loop, which the
+/// tests keep as the reference the table is checked against.
 const FCS_TABLE: [u16; 256] = {
     let mut table = [0u16; 256];
     let mut i = 0;

@@ -25,9 +25,8 @@ impl Checksum {
     /// down to 16 bits, redistributes every lane shift as carries and
     /// lands on the same value as the serial byte-pair walk. Two
     /// independent accumulators break the add→carry dependency chain
-    /// so the CPU retires two 8-byte adds per cycle. The folded result
-    /// stays bit-identical to [`Checksum::add_bytes_bytewise`], the
-    /// retained reference implementation.
+    /// so the CPU retires two 8-byte adds per cycle. The tests check
+    /// the folded result against a serial byte-pair reference.
     pub fn add_bytes(&mut self, data: &[u8]) {
         #[inline(always)]
         fn add1c(acc: u64, w: u64) -> u64 {
@@ -60,19 +59,6 @@ impl Checksum {
             acc = (acc & 0xffff) + (acc >> 16);
         }
         self.sum += acc as u32;
-    }
-
-    /// Reference RFC 1071 implementation: serial byte-pair additions.
-    /// Kept (and equivalence-tested against [`Checksum::add_bytes`])
-    /// as the executable specification of the word-at-a-time fold.
-    pub fn add_bytes_bytewise(&mut self, data: &[u8]) {
-        let mut chunks = data.chunks_exact(2);
-        for c in &mut chunks {
-            self.sum += u32::from(u16::from_be_bytes([c[0], c[1]]));
-        }
-        if let [last] = chunks.remainder() {
-            self.sum += u32::from(u16::from_be_bytes([*last, 0]));
-        }
     }
 
     /// Folds a big-endian u16 into the checksum.
@@ -124,6 +110,21 @@ pub fn verify_upper_layer(src: Ipv6Addr, dst: Ipv6Addr, next_header: u8, payload
 mod tests {
     use super::*;
     use crate::addr::NodeId;
+
+    impl Checksum {
+        /// Reference RFC 1071 implementation: serial byte-pair
+        /// additions, the executable specification of the
+        /// word-at-a-time fold in [`Checksum::add_bytes`].
+        fn add_bytes_bytewise(&mut self, data: &[u8]) {
+            let mut chunks = data.chunks_exact(2);
+            for c in &mut chunks {
+                self.sum += u32::from(u16::from_be_bytes([c[0], c[1]]));
+            }
+            if let [last] = chunks.remainder() {
+                self.sum += u32::from(u16::from_be_bytes([*last, 0]));
+            }
+        }
+    }
 
     #[test]
     fn rfc1071_example() {

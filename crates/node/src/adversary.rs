@@ -27,7 +27,7 @@
 
 use lln_netip::checksum::Checksum;
 use lln_netip::Ipv6Addr;
-use lln_sim::{Duration, Rng};
+use lln_sim::{Duration, Fnv1a, Rng};
 use tcplp::{Flags, SackBlock, Segment, TcpSeq};
 
 /// Per-mangle probabilities. All rates are independent probabilities in
@@ -225,14 +225,7 @@ impl AdversaryStats {
             self.sack_lies,
             self.raw_junk,
         ];
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        for f in fields {
-            for b in f.to_le_bytes() {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        }
-        h
+        Fnv1a::digest_words(&fields)
     }
 
     /// Total forged/mangled emissions (everything beyond pass-through).

@@ -159,7 +159,7 @@ pub fn summarize_frame(frame: &lln_mac::frame::MacFrame) -> String {
 pub fn summarize_packet(hdr: &lln_netip::Ipv6Header, payload: &[u8]) -> String {
     match hdr.next_header {
         lln_netip::NextHeader::Tcp => {
-            match tcplp::Segment::decode(hdr.src, hdr.dst, payload) {
+            match tcplp::Segment::decode_view(hdr.src, hdr.dst, payload) {
                 Some(seg) => format!(
                     "TCP {}->{} {:?} seq={} ack={} len={} win={}",
                     seg.src_port,

@@ -1552,7 +1552,7 @@ impl World {
                 match d {
                     crate::adversary::Delivery::Seg(delay, mseg) => {
                         if delay == Duration::ZERO {
-                            self.dispatch_tcp_segment(i, hdr, &mseg, now);
+                            self.dispatch_tcp_view(i, hdr, mseg.view(), now);
                         } else {
                             let bytes = mseg.encode(hdr.src, hdr.dst);
                             let mut h = *hdr;
@@ -1578,9 +1578,10 @@ impl World {
         self.dispatch_tcp_view(i, hdr, view, now);
     }
 
-    /// View-based dispatch: segments for an established socket are
-    /// handed over without ever owning the payload; everything else
-    /// falls back to the owned slow path.
+    /// Hands a decoded segment to the owning socket (or the listener,
+    /// the uIP socket, or the RST generator). Segments for an
+    /// established socket are handed over without ever owning the
+    /// payload; everything else falls back to the owned slow path.
     fn dispatch_tcp_view(
         &mut self,
         i: usize,
@@ -1605,32 +1606,14 @@ impl World {
     /// Adversary-scheduled bytes arriving at the transport: decode and
     /// dispatch directly, never back through the adversary.
     fn deliver_mangled_tcp(&mut self, i: usize, hdr: &Ipv6Header, payload: &[u8], now: Instant) {
-        match Segment::decode(hdr.src, hdr.dst, payload) {
-            Some(seg) => self.dispatch_tcp_segment(i, hdr, &seg, now),
+        match Segment::decode_view(hdr.src, hdr.dst, payload) {
+            Some(seg) => self.dispatch_tcp_view(i, hdr, seg, now),
             None => {
                 // Deliberately malformed forgeries die in the parser,
                 // exactly like corrupted genuine traffic.
                 self.nodes[i].counters.inc("tcp_checksum_drops");
             }
         }
-    }
-
-    /// Hands a decoded segment to the owning socket (or the listener,
-    /// the uIP socket, or the RST generator). Owned-segment entry point
-    /// for the adversary and flooder paths.
-    fn dispatch_tcp_segment(&mut self, i: usize, hdr: &Ipv6Header, seg: &Segment, now: Instant) {
-        let ecn = hdr.ecn;
-        // Match an existing socket.
-        let found = self.nodes[i].transport.tcp.iter_mut().find(|s| {
-            let (raddr, rport) = s.remote();
-            raddr == hdr.src && rport == seg.src_port && s.local().1 == seg.dst_port
-        });
-        if let Some(sock) = found {
-            sock.tick(now);
-            sock.on_segment(seg, ecn, now);
-            return;
-        }
-        self.dispatch_tcp_slow(i, hdr, seg, now);
     }
 
     /// Non-socket TCP traffic: the listener (SYN cache), the uIP
@@ -1780,7 +1763,7 @@ impl World {
                 fl.stats.syns_sent += 1;
                 self.nodes[i].meter.add_cpu(self.cfg.cpu_per_segment);
                 self.nodes[i].counters.inc("flood_syns_rx");
-                self.dispatch_tcp_segment(i, &hdr, &seg, now);
+                self.dispatch_tcp_view(i, &hdr, seg.view(), now);
             }
             if fl.cfg.frag {
                 // Forged FRAG1 claiming a large datagram whose tail

@@ -20,7 +20,7 @@ use lln_node::flood::FloodConfig;
 use lln_node::route::Topology;
 use lln_node::stack::NodeKind;
 use lln_node::world::{World, WorldConfig};
-use lln_sim::{Duration, Instant};
+use lln_sim::{Duration, Fnv1a, Instant};
 use tcplp::{NodeBudget, TcpConfig};
 
 const SERVER: usize = 0;
@@ -54,18 +54,6 @@ fn chain_world(seed: u64, budget: NodeBudget) -> World {
     )
 }
 
-/// FNV-1a fold of a word sequence into one digest.
-fn fold(words: &[u64]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &w in words {
-        for b in w.to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    h
-}
-
 /// Everything observable about a finished chain world, as one digest:
 /// client + server socket stats, listener stats, per-node governor
 /// digests, delivered byte count, and the final simulated time (the
@@ -91,7 +79,7 @@ fn world_digest(world: &World) -> u64 {
     words.push(world.now().as_micros());
     words.push(world.medium.counters.get("frames_tx"));
     words.push(world.medium.counters.get("deliveries"));
-    fold(&words)
+    Fnv1a::digest_words(&words)
 }
 
 /// Clean pinned-seed bulk transfer over the 3-hop chain.

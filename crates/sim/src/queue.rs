@@ -34,10 +34,9 @@
 //! event, and no per-event hash-set traffic exists anywhere. Cancelled
 //! keys are purged lazily when the draining run reaches them.
 //!
-//! The original `BinaryHeap`+`HashSet` implementation survives as
-//! [`baseline::BaselineQueue`]: the property-test reference model and
-//! the microbench baseline that `BENCH_sim.json` regressions are
-//! measured against.
+//! The original `BinaryHeap`+`HashSet` implementation lives on only as
+//! the reference model in `tests/queue_props.rs`, which checks the
+//! wheel's pop order against it.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -373,128 +372,6 @@ impl<E> EventQueue<E> {
             remaining -= take;
         }
         None
-    }
-}
-
-/// The pre-timer-wheel event queue: a `BinaryHeap` with a `HashSet` of
-/// pending sequence numbers for cancellation.
-///
-/// Kept as (a) the executable reference model the timer wheel's
-/// property tests compare pop order against, and (b) the baseline the
-/// `queue` microbenches and `BENCH_sim.json` measure speedups from.
-/// Not used on any simulation path.
-pub mod baseline {
-    use super::{BinaryHeap, Instant, Reverse};
-
-    /// Token identifying a scheduled event, usable for cancellation.
-    #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
-    pub struct BaselineToken(u64);
-
-    struct Entry<E> {
-        time: Instant,
-        seq: u64,
-        event: E,
-    }
-
-    impl<E> PartialEq for Entry<E> {
-        fn eq(&self, other: &Self) -> bool {
-            self.time == other.time && self.seq == other.seq
-        }
-    }
-    impl<E> Eq for Entry<E> {}
-    impl<E> PartialOrd for Entry<E> {
-        fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-            Some(self.cmp(other))
-        }
-    }
-    impl<E> Ord for Entry<E> {
-        fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-            (self.time, self.seq).cmp(&(other.time, other.seq))
-        }
-    }
-
-    /// The `BinaryHeap`+`HashSet` reference event queue.
-    pub struct BaselineQueue<E> {
-        heap: BinaryHeap<Reverse<Entry<E>>>,
-        seq: u64,
-        now: Instant,
-        pending: std::collections::HashSet<u64>,
-    }
-
-    impl<E> Default for BaselineQueue<E> {
-        fn default() -> Self {
-            Self::new()
-        }
-    }
-
-    impl<E> BaselineQueue<E> {
-        /// Creates an empty queue with `now == Instant::ZERO`.
-        pub fn new() -> Self {
-            BaselineQueue {
-                heap: BinaryHeap::new(),
-                seq: 0,
-                now: Instant::ZERO,
-                pending: std::collections::HashSet::new(),
-            }
-        }
-
-        /// Current simulated time (time of the last popped event).
-        pub fn now(&self) -> Instant {
-            self.now
-        }
-
-        /// Number of pending (non-cancelled) events.
-        pub fn len(&self) -> usize {
-            self.pending.len()
-        }
-
-        /// True if no events are pending.
-        pub fn is_empty(&self) -> bool {
-            self.pending.is_empty()
-        }
-
-        /// Schedules `event` at absolute time `at` (clamped to `now`).
-        pub fn schedule(&mut self, at: Instant, event: E) -> BaselineToken {
-            let at = if at < self.now { self.now } else { at };
-            let seq = self.seq;
-            self.seq += 1;
-            self.heap.push(Reverse(Entry {
-                time: at,
-                seq,
-                event,
-            }));
-            self.pending.insert(seq);
-            BaselineToken(seq)
-        }
-
-        /// Cancels a previously scheduled event.
-        pub fn cancel(&mut self, token: BaselineToken) -> bool {
-            self.pending.remove(&token.0)
-        }
-
-        /// Pops the next pending event, advancing `now`.
-        pub fn pop(&mut self) -> Option<(Instant, E)> {
-            while let Some(Reverse(entry)) = self.heap.pop() {
-                if !self.pending.remove(&entry.seq) {
-                    continue; // cancelled
-                }
-                self.now = entry.time;
-                return Some((entry.time, entry.event));
-            }
-            None
-        }
-
-        /// Time of the next pending event, if any.
-        pub fn peek_time(&mut self) -> Option<Instant> {
-            while let Some(Reverse(entry)) = self.heap.peek() {
-                if !self.pending.contains(&entry.seq) {
-                    self.heap.pop();
-                    continue;
-                }
-                return Some(entry.time);
-            }
-            None
-        }
     }
 }
 

@@ -1,4 +1,5 @@
-//! Measurement utilities: summaries, percentiles and histograms.
+//! Measurement utilities: summaries, percentiles, histograms and the
+//! FNV-1a digest hash.
 //!
 //! Every experiment binary in `lln-bench` reports through these types so
 //! that the regenerated tables and figures are computed uniformly.
@@ -200,9 +201,82 @@ impl Counters {
     }
 }
 
+/// 64-bit FNV-1a: the one hash behind every stable digest in the
+/// workspace (stats digests, determinism pins, SYN cookies). Words are
+/// fed little-endian, so a digest is the same on every host.
+#[derive(Clone, Copy, Debug)]
+pub struct Fnv1a(u64);
+
+impl Fnv1a {
+    const OFFSET_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+    const PRIME: u64 = 0x0000_0100_0000_01b3;
+
+    /// A fresh hash at the standard offset basis.
+    pub fn new() -> Self {
+        Fnv1a(Self::OFFSET_BASIS)
+    }
+
+    /// A hash whose offset basis is XORed with `key` (a keyed
+    /// variant, e.g. for SYN cookies).
+    pub fn keyed(key: u64) -> Self {
+        Fnv1a(Self::OFFSET_BASIS ^ key)
+    }
+
+    /// Folds `bytes` in order.
+    pub fn write_bytes(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(Self::PRIME);
+        }
+    }
+
+    /// Folds `v` as its 8 little-endian bytes.
+    pub fn write_u64(&mut self, v: u64) {
+        self.write_bytes(&v.to_le_bytes());
+    }
+
+    /// The hash so far.
+    pub fn finish(&self) -> u64 {
+        self.0
+    }
+
+    /// Digest of a word sequence, each word folded with
+    /// [`Fnv1a::write_u64`].
+    pub fn digest_words(words: &[u64]) -> u64 {
+        let mut h = Self::new();
+        for &w in words {
+            h.write_u64(w);
+        }
+        h.finish()
+    }
+}
+
+impl Default for Fnv1a {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn fnv1a_matches_published_test_vectors() {
+        // FNV-1a 64-bit reference vectors (Fowler/Noll/Vo test suite).
+        let hash = |s: &str| {
+            let mut h = Fnv1a::new();
+            h.write_bytes(s.as_bytes());
+            h.finish()
+        };
+        assert_eq!(hash(""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(hash("a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(hash("foobar"), 0x8594_4171_f739_67e8);
+        // Words are their little-endian bytes; a zero key is unkeyed.
+        let mut w = Fnv1a::keyed(0);
+        w.write_bytes(&7u64.to_le_bytes());
+        assert_eq!(Fnv1a::digest_words(&[7]), w.finish());
+    }
 
     #[test]
     fn summary_basic_moments() {

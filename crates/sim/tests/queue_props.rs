@@ -1,11 +1,81 @@
 //! Property tests for the timer-wheel [`EventQueue`]: random
 //! schedule/cancel/pop interleavings, driven by a seeded [`Rng`], must
 //! produce pop sequences identical to the pre-wheel
-//! `BinaryHeap`+`HashSet` reference model ([`BaselineQueue`]), and
+//! `BinaryHeap` reference model ([`BaselineQueue`]), and
 //! generation-tagged tokens must never cancel across slot reuse.
 
-use lln_sim::queue::baseline::BaselineQueue;
-use lln_sim::{Duration, EventQueue, EventToken, Rng};
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap};
+
+use lln_sim::{Duration, EventQueue, EventToken, Instant, Rng};
+
+/// Token identifying an event in the reference model.
+#[derive(Clone, Copy)]
+struct BaselineToken(u64);
+
+/// The pre-timer-wheel event queue, kept as the executable reference
+/// model: a `BinaryHeap` of `(time, seq)` keys plus the pending events
+/// by sequence number, so cancellation is a map removal and cancelled
+/// keys are skipped when they surface.
+struct BaselineQueue<E> {
+    heap: BinaryHeap<Reverse<(Instant, u64)>>,
+    pending: HashMap<u64, E>,
+    seq: u64,
+    now: Instant,
+}
+
+impl<E> BaselineQueue<E> {
+    fn new() -> Self {
+        BaselineQueue {
+            heap: BinaryHeap::new(),
+            pending: HashMap::new(),
+            seq: 0,
+            now: Instant::ZERO,
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.pending.len()
+    }
+
+    fn is_empty(&self) -> bool {
+        self.pending.is_empty()
+    }
+
+    /// Schedules `event` at absolute time `at` (clamped to `now`).
+    fn schedule(&mut self, at: Instant, event: E) -> BaselineToken {
+        let at = at.max(self.now);
+        let seq = self.seq;
+        self.seq += 1;
+        self.heap.push(Reverse((at, seq)));
+        self.pending.insert(seq, event);
+        BaselineToken(seq)
+    }
+
+    fn cancel(&mut self, token: BaselineToken) -> bool {
+        self.pending.remove(&token.0).is_some()
+    }
+
+    fn pop(&mut self) -> Option<(Instant, E)> {
+        while let Some(Reverse((time, seq))) = self.heap.pop() {
+            if let Some(event) = self.pending.remove(&seq) {
+                self.now = time;
+                return Some((time, event));
+            }
+        }
+        None
+    }
+
+    fn peek_time(&mut self) -> Option<Instant> {
+        while let Some(&Reverse((time, seq))) = self.heap.peek() {
+            if self.pending.contains_key(&seq) {
+                return Some(time);
+            }
+            self.heap.pop();
+        }
+        None
+    }
+}
 
 /// One randomized interleaving: schedule (with a mix of near, far, and
 /// past times), cancel a random live token, or pop — mirrored on both
@@ -14,7 +84,7 @@ fn run_interleaving(seed: u64, ops: usize, horizon_us: u64) {
     let mut rng = Rng::new(seed);
     let mut wheel: EventQueue<u64> = EventQueue::new();
     let mut model: BaselineQueue<u64> = BaselineQueue::new();
-    let mut live: Vec<(EventToken, lln_sim::queue::baseline::BaselineToken)> = Vec::new();
+    let mut live: Vec<(EventToken, BaselineToken)> = Vec::new();
     let mut next_payload = 0u64;
 
     let mut pops = 0usize;
@@ -150,7 +220,7 @@ fn wheel_matches_model_under_mac_like_load() {
     let mut rng = Rng::new(8_675_309);
     let mut wheel: EventQueue<(u8, u64)> = EventQueue::new();
     let mut model: BaselineQueue<(u8, u64)> = BaselineQueue::new();
-    let mut ack_waits: Vec<(EventToken, lln_sim::queue::baseline::BaselineToken)> = Vec::new();
+    let mut ack_waits: Vec<(EventToken, BaselineToken)> = Vec::new();
     let mut n = 0u64;
     for _ in 0..3_000 {
         // Backoff/TX-done: fires within ~5 ms.
