@@ -9,7 +9,7 @@
 //! warmed up, then timed over a fixed iteration count; we report
 //! ns/iter and, where a byte count is meaningful, MB/s.
 
-use lln_mac::frame::MacFrame;
+use lln_mac::frame::{fcs16, MacFrame, MAX_MPDU};
 use lln_mac::pool::{FrameBuf, FramePool};
 use lln_netip::{Ecn, Ipv6Header, NextHeader, NodeId, RedConfig, RedQueue};
 use lln_sim::{Duration, EventQueue, Instant, Rng};
@@ -210,6 +210,10 @@ fn bench_frame_pool() {
     let mpdu = frame.mpdu_len() as u64;
     bench("frame/encode_104B_payload", Some(mpdu), 100_000, || {
         black_box(frame.encode());
+    });
+    let mpdu_bytes: Vec<u8> = (0..MAX_MPDU as u8).collect();
+    bench("frame/fcs16_127B", Some(MAX_MPDU as u64), 1_000_000, || {
+        black_box(fcs16(black_box(&mpdu_bytes)));
     });
     let buf = FrameBuf::new(frame.clone());
     bench("frame/framebuf_clone_fanout4", Some(4 * mpdu), 100_000, || {

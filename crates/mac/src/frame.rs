@@ -55,9 +55,7 @@ pub struct MacFrame {
 pub const BROADCAST: NodeId = NodeId(0xffff);
 
 /// Byte-wise lookup table for the reflected CRC-16 below, built at
-/// compile time. Every frame encode and every per-receiver decode pays
-/// one CRC pass, so the table replaces the bit-serial loop, which the
-/// tests keep as the reference the table is checked against.
+/// compile time; the tests check it against the bit-serial definition.
 const FCS_TABLE: [u16; 256] = {
     let mut table = [0u16; 256];
     let mut i = 0;
@@ -78,13 +76,50 @@ const FCS_TABLE: [u16; 256] = {
     table
 };
 
+/// Slicing-by-8 tables: `FCS_SLICES[k][x]` is the CRC of byte `x`
+/// followed by `k` zero bytes, so eight bytes fold into the CRC with
+/// eight independent loads instead of a chain of eight dependent ones.
+const FCS_SLICES: [[u16; 256]; 8] = {
+    let mut slices = [[0u16; 256]; 8];
+    slices[0] = FCS_TABLE;
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = slices[k - 1][i];
+            slices[k][i] = (prev >> 8) ^ FCS_TABLE[(prev & 0xff) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    slices
+};
+
 /// IEEE 802.15.4 FCS: ITU-T CRC-16 (poly x^16+x^12+x^5+1, reflected
 /// 0x8408, init 0), computed over the MHR + payload. Real radios drop
 /// frames whose FCS does not verify; the fault-injection layer's
 /// bit-error bursts exercise exactly this path.
+///
+/// Every frame encode and every per-receiver decode pays one pass, so
+/// it runs eight bytes at a time (slicing-by-8) and finishes the last
+/// `len % 8` bytes one table lookup each.
 pub fn fcs16(bytes: &[u8]) -> u16 {
+    let t = &FCS_SLICES;
     let mut crc: u16 = 0;
-    for &b in bytes {
+    let mut chunks = bytes.chunks_exact(8);
+    for c in &mut chunks {
+        // The 16-bit CRC state folds into the first two bytes only.
+        let [lo, hi] = crc.to_le_bytes();
+        crc = t[7][usize::from(c[0] ^ lo)]
+            ^ t[6][usize::from(c[1] ^ hi)]
+            ^ t[5][usize::from(c[2])]
+            ^ t[4][usize::from(c[3])]
+            ^ t[3][usize::from(c[4])]
+            ^ t[2][usize::from(c[5])]
+            ^ t[1][usize::from(c[6])]
+            ^ t[0][usize::from(c[7])];
+    }
+    for &b in chunks.remainder() {
         crc = (crc >> 8) ^ FCS_TABLE[usize::from((crc ^ u16::from(b)) & 0xff)];
     }
     crc
@@ -297,8 +332,9 @@ mod tests {
 
     #[test]
     fn table_crc_matches_bitwise_reference() {
-        // The shift-register definition of the FCS; the table above
-        // must reproduce it bit for bit on arbitrary inputs.
+        // The shift-register definition of the FCS; the sliced tables
+        // must reproduce it bit for bit at every frame length (the
+        // 8-byte path and every tail length) and at every alignment.
         fn bitwise(bytes: &[u8]) -> u16 {
             let mut crc: u16 = 0;
             for &b in bytes {
@@ -309,16 +345,18 @@ mod tests {
             }
             crc
         }
-        assert_eq!(fcs16(&[]), bitwise(&[]));
         let mut x: u64 = 0x1234_5678_9abc_def0;
-        for len in [1usize, 2, 5, 23, 104, 127] {
-            let data: Vec<u8> = (0..len)
-                .map(|_| {
-                    x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
-                    (x >> 33) as u8
-                })
-                .collect();
-            assert_eq!(fcs16(&data), bitwise(&data), "len {len}");
+        let buf: Vec<u8> = (0..MAX_MPDU + 8)
+            .map(|_| {
+                x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
+                (x >> 33) as u8
+            })
+            .collect();
+        for offset in 0..8 {
+            for len in 0..=MAX_MPDU {
+                let data = &buf[offset..offset + len];
+                assert_eq!(fcs16(data), bitwise(data), "offset {offset} len {len}");
+            }
         }
     }
 

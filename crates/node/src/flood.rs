@@ -93,16 +93,24 @@ impl Flooder {
         Duration::from_micros(1_000_000 / self.cfg.rate_hz)
     }
 
-    /// Encodes a forged FRAG1 header (RFC 4944 §5.3): claimed size
-    /// `claimed_frag_size`, the given tag, and `fill` bytes of junk
-    /// payload. The remaining fragments never arrive.
-    pub fn forge_frag1(&mut self, fill: usize) -> Vec<u8> {
+    /// Writes a forged FRAG1 (RFC 4944 §5.3) into `buf`: a header
+    /// claiming a datagram of `claimed_frag_size` bytes under a random
+    /// tag, then `buf.len() - 4` bytes of zero junk payload. The
+    /// remaining fragments never arrive.
+    pub fn forge_frag1_into(&mut self, buf: &mut [u8]) {
         let size = usize::from(self.cfg.claimed_frag_size).min((1 << 11) - 1);
         let tag = self.rng.next_u64() as u16;
+        buf[0] = 0b1100_0000 | ((size >> 8) as u8 & 0x07);
+        buf[1] = (size & 0xFF) as u8;
+        buf[2..4].copy_from_slice(&tag.to_be_bytes());
+        buf[4..].fill(0);
+    }
+
+    /// Like [`Flooder::forge_frag1_into`], into a new buffer of
+    /// `4 + fill` bytes.
+    pub fn forge_frag1(&mut self, fill: usize) -> Vec<u8> {
         let mut bytes = vec![0u8; 4 + fill];
-        bytes[0] = 0b1100_0000 | ((size >> 8) as u8 & 0x07);
-        bytes[1] = (size & 0xFF) as u8;
-        bytes[2..4].copy_from_slice(&tag.to_be_bytes());
+        self.forge_frag1_into(&mut bytes);
         bytes
     }
 }
@@ -119,6 +127,19 @@ mod tests {
         let size = ((usize::from(bytes[0] & 0x07)) << 8) | usize::from(bytes[1]);
         assert_eq!(size, 600);
         assert_eq!(bytes.len(), 68);
+    }
+
+    #[test]
+    fn forging_in_place_matches_the_owned_form() {
+        // Same RNG draws, same bytes, even over a dirty buffer.
+        let mut owned = Flooder::new(FloodConfig::default(), Rng::new(11));
+        let mut in_place = Flooder::new(FloodConfig::default(), Rng::new(11));
+        let mut buf = [0xEEu8; 68];
+        for _ in 0..16 {
+            in_place.forge_frag1_into(&mut buf);
+            assert_eq!(owned.forge_frag1(64), buf);
+        }
+        assert_eq!(owned.rng.next_u64(), in_place.rng.next_u64());
     }
 
     #[test]

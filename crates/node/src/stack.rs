@@ -212,8 +212,9 @@ pub struct Node {
     pub cur_tx: Option<CurrentTx>,
     /// MAC sequence counter.
     pub mac_seq: u8,
-    /// Duplicate detection: last seq seen per neighbour.
-    pub last_rx_seq: HashMap<NodeId, u8>,
+    /// Duplicate detection: last seq seen per neighbour. A node hears
+    /// only a few neighbours, so a linear scan beats hashing.
+    pub last_rx_seq: Vec<(NodeId, u8)>,
 
     // --- fault state ---
     /// True while the node is powered off (mid-reboot): it neither
@@ -324,7 +325,7 @@ impl Node {
             // De-correlate sequence counters across nodes so overheard
             // ACKs rarely carry a matching sequence number.
             mac_seq: (id.0 as u8).wrapping_mul(37),
-            last_rx_seq: HashMap::new(),
+            last_rx_seq: Vec::new(),
             down: false,
             ber: None,
             adversary: None,
@@ -500,9 +501,12 @@ impl Node {
 
     /// Is a duplicate of an already-processed frame? Updates the table.
     pub fn check_duplicate(&mut self, src: NodeId, seq: u8) -> bool {
-        match self.last_rx_seq.insert(src, seq) {
-            Some(prev) => prev == seq,
-            None => false,
+        match self.last_rx_seq.iter_mut().find(|(s, _)| *s == src) {
+            Some((_, last)) => std::mem::replace(last, seq) == seq,
+            None => {
+                self.last_rx_seq.push((src, seq));
+                false
+            }
         }
     }
 
@@ -559,6 +563,14 @@ mod tests {
         assert!(n.check_duplicate(NodeId(1), 5));
         assert!(!n.check_duplicate(NodeId(1), 6));
         assert!(!n.check_duplicate(NodeId(2), 6), "per-source tracking");
+        assert!(n.check_duplicate(NodeId(2), 6));
+        assert!(n.check_duplicate(NodeId(1), 6), "a second source leaves the first intact");
+        assert_eq!(n.last_rx_seq.len(), 2, "one entry per source");
+        // A reboot wipes the table (as `World` does on power loss): each
+        // source's last frame is accepted again.
+        n.last_rx_seq.clear();
+        assert!(!n.check_duplicate(NodeId(1), 6));
+        assert!(!n.check_duplicate(NodeId(2), 6));
     }
 
     #[test]

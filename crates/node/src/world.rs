@@ -21,7 +21,6 @@ use lln_phy::medium::TxHandle;
 use lln_phy::{Medium, PhyConfig, RadioIdx};
 use lln_sim::{Duration, EventQueue, Instant, Rng};
 use lln_sixlowpan::{fragment, iphc};
-use std::collections::HashMap;
 use tcplp::{ListenStats, ListenerResponse, MemClass, NodeBudget, Segment, TcpConfig, TcpSocket};
 
 /// CoAP's registered port.
@@ -134,8 +133,10 @@ pub struct World {
     pub border: Option<usize>,
     /// Cloud host index, if any.
     pub cloud: Option<usize>,
-    ack_handles: HashMap<usize, (TxHandle, FrameBuf, Instant)>,
-    interferer_handles: HashMap<usize, (TxHandle, Instant)>,
+    /// Per node: the link ACK it has on the air (handle, frame, start).
+    ack_handles: Vec<Option<(TxHandle, FrameBuf, Instant)>>,
+    /// Per node: the interference burst it has on the air.
+    interferer_handles: Vec<Option<(TxHandle, Instant)>>,
     /// Recycles frame-buffer allocations across transmissions.
     pub pool: FramePool,
     /// Optional tcpdump-style event log (see [`crate::trace`]).
@@ -209,8 +210,8 @@ impl World {
             rng,
             border,
             cloud,
-            ack_handles: HashMap::new(),
-            interferer_handles: HashMap::new(),
+            ack_handles: vec![None; kinds.len()],
+            interferer_handles: vec![None; kinds.len()],
             pool: FramePool::default(),
             trace: crate::trace::PacketTrace::new(),
             listeners: Vec::new(),
@@ -589,12 +590,12 @@ impl World {
                 }
             }
             Event::LinkAckDone(i) => {
-                if let Some((handle, _, _)) = self.ack_handles.remove(i) {
+                if let Some((handle, _, _)) = self.ack_handles[*i].take() {
                     self.medium.end_tx(handle, &[]);
                 }
             }
             Event::InterfererEnd(i) => {
-                if let Some((handle, _)) = self.interferer_handles.remove(i) {
+                if let Some((handle, _)) = self.interferer_handles[*i].take() {
                     self.medium.end_tx(handle, &[]);
                 }
             }
@@ -1287,12 +1288,12 @@ impl World {
         let handle = self.medium.begin_tx(RadioIdx(i), now, now + air);
         self.nodes[i].transmitting = true;
         self.nodes[i].meter.set_radio_state(RadioState::Tx, now);
-        self.ack_handles.insert(i, (handle, ack, now));
+        self.ack_handles[i] = Some((handle, ack, now));
         self.queue.schedule(now + air, Event::LinkAckDone(i));
     }
 
     fn on_link_ack_done(&mut self, i: usize, now: Instant) {
-        let Some((handle, ack, start)) = self.ack_handles.remove(&i) else {
+        let Some((handle, ack, start)) = self.ack_handles[i].take() else {
             return;
         };
         self.nodes[i].transmitting = false;
@@ -1771,7 +1772,8 @@ impl World {
                 // denial or timeout reclamation.
                 let k = (fl.stats.frags_sent % u64::from(fl.cfg.spoofed_sources)) as u16;
                 let src = NodeId(0xF800 + k);
-                let bytes = fl.forge_frag1(64);
+                let mut bytes = [0u8; 68];
+                fl.forge_frag1_into(&mut bytes);
                 fl.stats.frags_sent += 1;
                 self.nodes[i].meter.add_cpu(self.cfg.cpu_per_frame);
                 self.nodes[i].counters.inc("flood_frags_rx");
@@ -2331,12 +2333,12 @@ impl World {
         };
         let burst = app.burst;
         let handle = self.medium.begin_tx(RadioIdx(i), now, now + burst);
-        self.interferer_handles.insert(i, (handle, now));
+        self.interferer_handles[i] = Some((handle, now));
         self.queue.schedule(now + burst, Event::InterfererEnd(i));
     }
 
     fn on_interferer_end(&mut self, i: usize, now: Instant) {
-        if let Some((handle, _)) = self.interferer_handles.remove(&i) {
+        if let Some((handle, _)) = self.interferer_handles[i].take() {
             // Interference is noise: nobody decodes it.
             self.medium.end_tx(handle, &[]);
         }

@@ -7,14 +7,17 @@
 //! anemometer workloads and assert *byte-exact* end-to-end integrity
 //! after recovery, plus determinism of the whole fault schedule.
 
+use lln_netip::NodeId;
 use lln_node::app::App;
 use lln_node::fault::FaultPlan;
 use lln_node::route::Topology;
 use lln_node::stack::NodeKind;
 use lln_node::supervisor::{RecordAssembler, SupervisorConfig};
+use lln_node::trace::TraceDir;
 use lln_node::world::{World, WorldConfig};
 use lln_phy::{LinkMatrix, RadioIdx};
 use lln_sim::{Duration, Instant};
+use tcplp::TcpConfig;
 
 /// The supervised bulk sender emits records whose concatenated payload
 /// is the byte sequence `m % 256` (same pattern as the plain sender).
@@ -325,4 +328,68 @@ fn blackout_zeroes_and_restores_link_quality() {
         "blackout end must restore the saved PRR"
     );
     assert_eq!(world.nodes[1].counters.get("link_blackouts"), 1);
+}
+
+/// A reboot that lands while the node's link ACK is on the air cuts the
+/// ACK, but the ACK's medium record must still close when its air time
+/// ends (`World::guard_down_node`). The medium keeps a finished record
+/// only while a live one overlaps it, so a record left open would pin
+/// every later one for good and the medium would never drain again.
+#[test]
+fn link_ack_cut_by_reboot_still_closes_its_medium_record() {
+    // 0 streams to the sink at 1; 2 hears only 1, so its CCA sees 1's
+    // ACKs and nothing from 0.
+    let build = || {
+        let topo = Topology::chain(3, 1.0);
+        let mut world = World::new(&topo, &[NodeKind::Router; 3], WorldConfig::default());
+        world.add_tcp_listener(1, TcpConfig::default());
+        world.set_sink(1);
+        world.add_tcp_client(0, 1, TcpConfig::default(), Instant::from_millis(10));
+        world.set_bulk_sender(0, None);
+        world
+    };
+    // A probe run of the same world finds a data frame the sink decodes;
+    // its link ACK goes on the air one turnaround later.
+    let mut probe = build();
+    probe.enable_trace(100_000);
+    probe.run_until(Instant::from_secs(3));
+    let rx = probe
+        .trace
+        .entries()
+        .iter()
+        .find(|e| {
+            e.at >= Instant::from_secs(2)
+                && e.node == NodeId(1)
+                && e.dir == TraceDir::FrameRx
+                && e.summary.starts_with("802.15.4 DATA 0->1")
+        })
+        .expect("the sink decodes data frames")
+        .at;
+    let phy = &probe.cfg.phy;
+    let ack_start = rx + phy.turnaround;
+    let ack_end = ack_start + phy.ack_air_time();
+    let cut = ack_start + phy.ack_air_time() / 2;
+
+    let mut world = build();
+    world.apply_fault_plan(&FaultPlan::new().reboot(1, cut, Duration::from_secs(1)));
+    world.run_until(cut);
+    assert!(world.nodes[1].down, "the sink rebooted at {cut}");
+    assert!(
+        world.medium.cca_busy(RadioIdx(2), cut),
+        "the cut ACK is still on the air at {cut}"
+    );
+    // With the sink down, only the sender's retries reach the air, and
+    // between them the medium holds no record at all.
+    let mut t = ack_end;
+    world.run_until(t);
+    while world.medium.active_records() > 0 {
+        assert!(
+            t < cut + Duration::from_secs(1),
+            "{} medium records still open at {t}",
+            world.medium.active_records()
+        );
+        t += Duration::from_micros(100);
+        world.run_until(t);
+    }
+    assert_eq!(world.nodes[1].counters.get("reboots"), 1);
 }

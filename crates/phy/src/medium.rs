@@ -19,7 +19,7 @@ use lln_sim::{Instant, Rng};
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct TxHandle(u64);
 
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 struct TxRecord {
     id: u64,
     src: RadioIdx,
@@ -80,7 +80,12 @@ impl Medium {
         })
     }
 
-    /// Registers the start of a transmission of `air_time` duration.
+    /// Registers a transmission on the air from `now` until `end`.
+    ///
+    /// Calls must come in time order: a transmission starts no earlier
+    /// than the end of any transmission already closed by
+    /// [`Medium::end_tx`], which is what lets `end_tx` forget finished
+    /// records as soon as nothing live overlaps them.
     pub fn begin_tx(&mut self, src: RadioIdx, now: Instant, end: Instant) -> TxHandle {
         let id = self.next_id;
         self.next_id += 1;
@@ -108,14 +113,15 @@ impl Medium {
     /// - an independent Bernoulli(PRR) draw must succeed (fading etc.).
     ///
     /// The result borrows a buffer the medium reuses for every
-    /// transmission, so resolving a frame allocates nothing.
+    /// transmission, so resolving a frame allocates nothing. A
+    /// transmission is closed once, when its air time has elapsed.
     pub fn end_tx(&mut self, handle: TxHandle, listeners: &[RadioIdx]) -> &[(RadioIdx, bool)] {
         let rec_idx = self
             .records
             .iter()
             .position(|r| r.id == handle.0)
             .expect("unknown tx handle");
-        let rec = self.records[rec_idx].clone();
+        let rec = self.records[rec_idx];
         let mut out = std::mem::take(&mut self.outcomes);
         out.clear();
         for &rx in listeners {
@@ -151,18 +157,36 @@ impl Medium {
             out.push((rx, ok));
         }
         self.records[rec_idx].done = true;
-        self.gc(rec.end);
+        self.gc();
         self.outcomes = out;
         &self.outcomes
     }
 
-    /// Drops finished records that can no longer overlap anything new.
-    fn gc(&mut self, now: Instant) {
-        // A finished record only matters while a live record overlaps
-        // it. Keep anything ending within the last 100 ms (far beyond a
-        // frame time) and everything unfinished.
-        let horizon = now - lln_sim::Duration::from_millis(100);
-        self.records.retain(|r| !r.done || r.end >= horizon);
+    /// Drops finished records that can no longer collide with anything.
+    ///
+    /// A finished record only matters to the collision check of a live
+    /// record that overlaps it, i.e. one starting before it ended. Every
+    /// transmission registered later starts at or after the time it was
+    /// closed (see [`Medium::begin_tx`]), so it can never overlap again
+    /// once no live record does: dropping it changes no outcome, counter
+    /// or PRR draw, and the list stays as short as the live radio state.
+    fn gc(&mut self) {
+        let earliest_live = self
+            .records
+            .iter()
+            .filter(|r| !r.done)
+            .map(|r| r.start)
+            .min();
+        match earliest_live {
+            None => self.records.clear(),
+            Some(start) => self.records.retain(|r| !r.done || start < r.end),
+        }
+    }
+
+    /// The PRR random stream, read-only (differential tests compare the
+    /// next draw against a reference model's).
+    pub fn rng(&self) -> &Rng {
+        &self.rng
     }
 
     /// Number of transmission records currently tracked (test/telemetry).
@@ -294,11 +318,27 @@ mod tests {
             let t = Instant::from_millis(i * 10);
             let h = m.begin_tx(RadioIdx(0), t, t + Duration::from_millis(4));
             m.end_tx(h, &[RadioIdx(1)]);
+            assert_eq!(m.active_records(), 0, "frame {i} left a record behind");
         }
-        assert!(
-            m.active_records() < 30,
-            "old records must be GC'd, have {}",
-            m.active_records()
-        );
+    }
+
+    #[test]
+    fn finished_record_kept_while_an_overlapping_frame_is_live() {
+        let mut m = medium_chain3();
+        // 0 sends [0, 4) ms; 2 (hidden from 0) sends [3, 7) ms. When 0's
+        // frame ends, 2's is still on the air and overlaps it, so 0's
+        // record must stay for 2's collision check at node 1.
+        let h0 = m.begin_tx(RadioIdx(0), Instant::ZERO, Instant::from_millis(4));
+        let h2 = m.begin_tx(RadioIdx(2), Instant::from_millis(3), Instant::from_millis(7));
+        assert_eq!(m.end_tx(h0, &[RadioIdx(1)]), [(RadioIdx(1), false)]);
+        assert_eq!(m.active_records(), 2);
+        // 1 answers inside 2's frame: its record overlaps 2's as well,
+        // and 0's record still does.
+        let h1 = m.begin_tx(RadioIdx(1), Instant::from_millis(5), Instant::from_millis(6));
+        assert_eq!(m.end_tx(h1, &[]), []);
+        assert_eq!(m.active_records(), 3);
+        assert_eq!(m.end_tx(h2, &[RadioIdx(1)]), [(RadioIdx(1), false)]);
+        assert_eq!(m.counters.get("collisions"), 2);
+        assert_eq!(m.active_records(), 0, "nothing live: every record goes");
     }
 }
