@@ -1566,7 +1566,7 @@ impl Default for SynCacheConfig {
 
 /// Counters kept by a [`ListenSocket`], digestable like
 /// [`TcpStats`] so overload runs can be compared bit-for-bit.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct ListenStats {
     /// SYNs received (including retransmissions and floods).
     pub syns_rcvd: u64,

@@ -27,7 +27,7 @@ pub use adversary::{Adversary, AdversaryProfile, AdversaryStats, Delivery};
 pub use fault::{FaultEvent, FaultPlan};
 pub use flood::{FloodConfig, FloodStats, Flooder};
 pub use route::{RouteTable, Topology};
-pub use stack::{Node, NodeKind, TransportKind, TransportStack};
+pub use stack::{Node, NodeCounter, NodeKind, TransportKind, TransportStack};
 pub use supervisor::{RecordAssembler, SupervisedConnection, SupervisorConfig, SupervisorStats};
 pub use trace::{PacketTrace, TraceDir};
 pub use world::{World, WorldConfig};

@@ -22,6 +22,89 @@ use std::collections::{HashMap, HashSet, VecDeque};
 use tcplp::mem::{IP_OVERHEAD_BYTES, MAC_FRAME_BYTES};
 use tcplp::{ListenSocket, MemClass, MemGovernor, NodeBudget, TcpSocket};
 
+lln_sim::counter_keys! {
+    /// The per-node counters, in name order. Deltas marked "mirrored"
+    /// copy a subsystem's own stats (see [`crate::World`]).
+    pub enum NodeCounter {
+        /// Completed handshakes refused a socket by the memory budget.
+        AcceptBudgetDrops = "accept_budget_drops",
+        /// Bit-error bursts started by the fault plan.
+        BerBursts = "ber_bursts",
+        /// Received frames with bits flipped by a bit-error burst.
+        BerCorruptedFrames = "ber_corrupted_frames",
+        /// Node boots after a reboot fault.
+        Boots = "boots",
+        /// Control frames refused by the MAC queue budget.
+        CtrlQueueDrops = "ctrl_queue_drops",
+        /// Reassembled packets whose IPHC header failed to decompress.
+        DecompressErrors = "decompress_errors",
+        /// Wired or adversary deliveries to a node that is down.
+        DownDrops = "down_drops",
+        /// Link-layer duplicates (ACK lost, frame retried).
+        DupFrames = "dup_frames",
+        /// Corrupted frames rejected by the FCS check.
+        FcsDrops = "fcs_drops",
+        /// Forged FRAG1 fragments the flooder injected here.
+        FloodFragsRx = "flood_frags_rx",
+        /// Forged SYNs the flooder injected here.
+        FloodSynsRx = "flood_syns_rx",
+        /// Packets forwarded toward a next hop.
+        Forwarded = "forwarded",
+        /// Data frames acknowledged by the next hop.
+        FramesDelivered = "frames_delivered",
+        /// Data frames abandoned after the last link retry.
+        FramesDropped = "frames_dropped",
+        /// Frames (data and link ACKs) put on the air.
+        FramesTx = "frames_tx",
+        /// Packets dropped with the hop limit exhausted.
+        HopLimitDrops = "hop_limit_drops",
+        /// Packets refused by a sleepy child's indirect queue.
+        IndirectDrops = "indirect_drops",
+        /// Packets dropped by injected uniform loss (§9.4).
+        InjectedDrops = "injected_drops",
+        /// Link blackouts started by the fault plan.
+        LinkBlackouts = "link_blackouts",
+        /// Link-layer retransmissions after an ACK timeout.
+        LinkRetries = "link_retries",
+        /// IP packets fragmented onto the link.
+        PacketsTx = "packets_tx",
+        /// Packets refused by the IP-queue byte budget.
+        QueueByteDrops = "queue_byte_drops",
+        /// Packets refused by the IP queue itself.
+        QueueDrops = "queue_drops",
+        /// Reboot faults taking the node down.
+        Reboots = "reboots",
+        /// Route flaps started by the fault plan.
+        RouteFlaps = "route_flaps",
+        /// Supervisor connection attempts (mirrored).
+        SupConnectAttempts = "sup_connect_attempts",
+        /// Supervised connections that died (mirrored).
+        SupDeaths = "sup_deaths",
+        /// Supervised downtime in µs (mirrored).
+        SupDowntimeUs = "sup_downtime_us",
+        /// Supervisor reconnects (mirrored).
+        SupReconnects = "sup_reconnects",
+        /// Records the supervisor replayed (mirrored).
+        SupRecordsReplayed = "sup_records_replayed",
+        /// SYNs refused because their socket could never fit the budget.
+        SynBudgetDrops = "syn_budget_drops",
+        /// Duplicate SYNs seen by the listener (mirrored).
+        SynDups = "syn_dups",
+        /// SYNs received by the listener (mirrored).
+        SynsRcvd = "syns_rcvd",
+        /// Connections the listener spawned (mirrored).
+        TcpAccepts = "tcp_accepts",
+        /// TCP segments failing decode or checksum.
+        TcpChecksumDrops = "tcp_checksum_drops",
+        /// UDP datagrams failing decode or checksum.
+        UdpChecksumDrops = "udp_checksum_drops",
+        /// Packets for a next header with no handler.
+        UnknownProto = "unknown_proto",
+        /// Packets with no route to their destination.
+        Unroutable = "unroutable",
+    }
+}
+
 /// Role of a node in the network.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum NodeKind {
@@ -297,7 +380,7 @@ pub struct Node {
     /// Energy meter.
     pub meter: EnergyMeter,
     /// Per-node counters (frames sent, drops, forwards...).
-    pub counters: Counters,
+    pub counters: Counters<NodeCounter>,
     /// The memory budget every bounded structure above derives from.
     pub budget: NodeBudget,
     /// Cross-layer memory governor: per-class gauges, high-water marks
@@ -411,7 +494,7 @@ impl Node {
             true
         } else {
             self.governor.note_deny(MemClass::MacQueue);
-            self.counters.inc("ctrl_queue_drops");
+            self.counters.inc(NodeCounter::CtrlQueueDrops);
             false
         }
     }
@@ -430,7 +513,7 @@ impl Node {
             true
         } else {
             self.governor.note_deny(MemClass::MacQueue);
-            self.counters.inc("indirect_drops");
+            self.counters.inc(NodeCounter::IndirectDrops);
             false
         }
     }

@@ -9,7 +9,7 @@
 use crate::app::{AnemometerApp, App, InterfererApp, READING_BYTES};
 use crate::fault::{FaultEvent, FaultPlan};
 use crate::route::Topology;
-use crate::stack::{CurrentTx, Node, NodeKind, OutPacket, TransportKind};
+use crate::stack::{CurrentTx, Node, NodeCounter, NodeKind, OutPacket, TransportKind};
 use crate::supervisor::{SupervisedConnection, SupervisorConfig, SupervisorStats};
 use lln_coap::{CoapClient, CoapServer};
 use lln_energy::RadioState;
@@ -574,7 +574,7 @@ impl World {
                 }
             }
             Event::WiredDeliver(i, _, _) | Event::AdversaryDeliver(i, _, _) => {
-                self.nodes[*i].counters.inc("down_drops");
+                self.nodes[*i].counters.inc(NodeCounter::DownDrops);
             }
             Event::AirDone(i) => {
                 // Our own frame was mid-air when the power died: the
@@ -644,7 +644,7 @@ impl World {
         {
             let n = &mut self.nodes[i];
             n.down = true;
-            n.counters.inc("reboots");
+            n.counters.inc(NodeCounter::Reboots);
             n.transmitting = false;
             n.awake = false;
             // Volatile state dies with the power...
@@ -682,7 +682,7 @@ impl World {
         {
             let n = &mut self.nodes[i];
             n.down = false;
-            n.counters.inc("boots");
+            n.counters.inc(NodeCounter::Boots);
             n.listen_since = now;
         }
         match kind {
@@ -713,7 +713,7 @@ impl World {
         // detectable (CCA, collisions) — only reception dies.
         self.medium.links_mut().set_link(RadioIdx(a), RadioIdx(b), 0.0);
         self.medium.links_mut().set_link(RadioIdx(b), RadioIdx(a), 0.0);
-        self.nodes[a].counters.inc("link_blackouts");
+        self.nodes[a].counters.inc(NodeCounter::LinkBlackouts);
         self.queue
             .schedule(now + span, Event::FaultBlackoutEnd(a, b, pab, pba));
     }
@@ -724,7 +724,7 @@ impl World {
     }
 
     fn on_fault_route_flap(&mut self, i: usize, now: Instant) {
-        self.nodes[i].counters.inc("route_flaps");
+        self.nodes[i].counters.inc(NodeCounter::RouteFlaps);
         let anchor = self.border.unwrap_or(0);
         if i == anchor {
             return;
@@ -767,7 +767,7 @@ impl World {
 
     fn on_fault_ber_start(&mut self, i: usize, ber: f64, span: Duration, now: Instant) {
         self.nodes[i].ber = Some(ber);
-        self.nodes[i].counters.inc("ber_bursts");
+        self.nodes[i].counters.inc(NodeCounter::BerBursts);
         self.queue.schedule(now + span, Event::FaultBerEnd(i));
     }
 
@@ -798,7 +798,7 @@ impl World {
                 idx += 1;
             }
             if flipped {
-                self.nodes[rx].counters.inc("ber_corrupted_frames");
+                self.nodes[rx].counters.inc(NodeCounter::BerCorruptedFrames);
             }
         }
         MacFrame::decode(&bytes)
@@ -814,7 +814,7 @@ impl World {
         match self.ber_decode(rx, encoded) {
             Some(f) => self.deliver_frame(rx, &f, now),
             None => {
-                self.nodes[rx].counters.inc("fcs_drops");
+                self.nodes[rx].counters.inc(NodeCounter::FcsDrops);
                 self.trace.record(
                     now,
                     self.nodes[rx].id,
@@ -915,7 +915,7 @@ impl World {
     /// Fragments `pkt` into MAC frames bound for its next hop.
     fn fragment_packet(&mut self, i: usize, pkt: OutPacket) {
         self.frame_packet(i, pkt, None);
-        self.nodes[i].counters.inc("packets_tx");
+        self.nodes[i].counters.inc(NodeCounter::PacketsTx);
     }
 
     /// Compresses `pkt` and frames its 6LoWPAN fragments for
@@ -978,7 +978,7 @@ impl World {
                 }
                 self.nodes[i].transmitting = true;
                 self.nodes[i].meter.set_radio_state(RadioState::Tx, now);
-                self.nodes[i].counters.inc("frames_tx");
+                self.nodes[i].counters.inc(NodeCounter::FramesTx);
                 if self.trace.is_enabled() {
                     let summary = self.nodes[i]
                         .cur_tx
@@ -1113,7 +1113,7 @@ impl World {
             let tx = self.nodes[i].cur_tx.as_mut().unwrap();
             tx.process.on_ack_timeout(&mut self.rng)
         };
-        self.nodes[i].counters.inc("link_retries");
+        self.nodes[i].counters.inc(NodeCounter::LinkRetries);
         self.handle_step(i, step, now);
     }
 
@@ -1124,7 +1124,7 @@ impl World {
                 self.queue.cancel(tok);
             }
             if !ok {
-                self.nodes[i].counters.inc("frames_dropped");
+                self.nodes[i].counters.inc(NodeCounter::FramesDropped);
                 if self.trace.is_enabled() {
                     self.trace.record(
                         now,
@@ -1143,7 +1143,7 @@ impl World {
                     self.nodes[i].polling = false;
                 }
             } else {
-                self.nodes[i].counters.inc("frames_delivered");
+                self.nodes[i].counters.inc(NodeCounter::FramesDelivered);
             }
             self.pool.reclaim(tx.frame);
         }
@@ -1188,7 +1188,7 @@ impl World {
                     );
                 }
                 if dup {
-                    self.nodes[i].counters.inc("dup_frames");
+                    self.nodes[i].counters.inc(NodeCounter::DupFrames);
                     return;
                 }
                 if frame.is_data_request() {
@@ -1222,7 +1222,7 @@ impl World {
                     {
                         self.handle_ip_view(i, hdr, payload, now);
                     } else {
-                        self.nodes[i].counters.inc("decompress_errors");
+                        self.nodes[i].counters.inc(NodeCounter::DecompressErrors);
                     }
                     self.nodes[i].reassembler.recycle(packet);
                 }
@@ -1393,7 +1393,7 @@ impl World {
             self.border.map(|b| NodeId(b as u16))
         };
         let Some(next_hop) = dst_node.and_then(|d| self.nodes[i].routes.lookup(d)) else {
-            self.nodes[i].counters.inc("unroutable");
+            self.nodes[i].counters.inc(NodeCounter::Unroutable);
             self.nodes[i].seg_bufs.put(payload);
             return;
         };
@@ -1414,14 +1414,14 @@ impl World {
         let w = pkt.payload.len() + tcplp::mem::IP_OVERHEAD_BYTES;
         if !self.nodes[i].governor.would_fit(MemClass::IpQueue, w) {
             self.nodes[i].governor.note_deny(MemClass::IpQueue);
-            self.nodes[i].counters.inc("queue_byte_drops");
+            self.nodes[i].counters.inc(NodeCounter::QueueByteDrops);
             self.nodes[i].seg_bufs.put(pkt.payload);
             return;
         }
         let r = self.rng.gen_f64();
         if !self.nodes[i].ip_queue.offer(pkt, r) {
             self.nodes[i].governor.note_deny(MemClass::IpQueue);
-            self.nodes[i].counters.inc("queue_drops");
+            self.nodes[i].counters.inc(NodeCounter::QueueDrops);
         }
         self.sync_governor(i);
         self.kick_mac(i, now);
@@ -1482,7 +1482,7 @@ impl World {
     /// Forwards a non-local packet toward its next hop.
     fn forward_ip(&mut self, i: usize, mut hdr: Ipv6Header, payload: Vec<u8>, now: Instant) {
         if hdr.hop_limit <= 1 {
-            self.nodes[i].counters.inc("hop_limit_drops");
+            self.nodes[i].counters.inc(NodeCounter::HopLimitDrops);
             self.nodes[i].seg_bufs.put(payload);
             self.trace.record(
                 now,
@@ -1495,7 +1495,7 @@ impl World {
         hdr.hop_limit -= 1;
         // Injected uniform loss (§9.4; configured on the border router).
         if self.nodes[i].inject_loss > 0.0 && self.rng.gen_bool(self.nodes[i].inject_loss) {
-            self.nodes[i].counters.inc("injected_drops");
+            self.nodes[i].counters.inc(NodeCounter::InjectedDrops);
             self.nodes[i].seg_bufs.put(payload);
             self.trace.record(
                 now,
@@ -1505,7 +1505,7 @@ impl World {
             );
             return;
         }
-        self.nodes[i].counters.inc("forwarded");
+        self.nodes[i].counters.inc(NodeCounter::Forwarded);
         if self.trace.is_enabled() {
             self.trace.record(
                 now,
@@ -1527,7 +1527,7 @@ impl World {
             NextHeader::Tcp => self.deliver_tcp(i, &hdr, payload, now),
             NextHeader::Udp => self.deliver_udp(i, &hdr, payload, now),
             NextHeader::Other(_) => {
-                self.nodes[i].counters.inc("unknown_proto");
+                self.nodes[i].counters.inc(NodeCounter::UnknownProto);
             }
         }
         self.pump_transport(i, now);
@@ -1539,7 +1539,7 @@ impl World {
         // (adversary interposition, listener, uIP, RST) materialize an
         // owned segment.
         let Some(view) = Segment::decode_view(hdr.src, hdr.dst, payload) else {
-            self.nodes[i].counters.inc("tcp_checksum_drops");
+            self.nodes[i].counters.inc(NodeCounter::TcpChecksumDrops);
             return;
         };
         if self.nodes[i].adversary.is_some() {
@@ -1612,7 +1612,7 @@ impl World {
             None => {
                 // Deliberately malformed forgeries die in the parser,
                 // exactly like corrupted genuine traffic.
-                self.nodes[i].counters.inc("tcp_checksum_drops");
+                self.nodes[i].counters.inc(NodeCounter::TcpChecksumDrops);
             }
         }
     }
@@ -1653,19 +1653,14 @@ impl World {
             // denied before it costs even a cache slot.
             if is_syn && !self.nodes[i].governor.would_fit(MemClass::TcpBuffers, footprint) {
                 self.nodes[i].governor.note_deny(MemClass::TcpBuffers);
-                self.nodes[i].counters.inc("syn_budget_drops");
+                self.nodes[i].counters.inc(NodeCounter::SynBudgetDrops);
                 return;
             }
-            let before = self.nodes[i]
-                .transport
-                .tcp_listener
-                .as_ref()
-                .map(|l| l.stats.clone())
-                .unwrap_or_default();
             let l = self.nodes[i].transport.tcp_listener.as_mut().unwrap();
+            let before = l.stats;
             l.sync_backlog(live);
             let resp = l.on_segment(hdr.src, seg, iss, now);
-            self.mirror_listener_stats(i, &before);
+            self.mirror_listener_stats(i, before);
             match resp {
                 ListenerResponse::Reply(reply) => {
                     let my_addr = self.nodes[i].ip_addr();
@@ -1690,7 +1685,7 @@ impl World {
                         // Budget raced shut between SYN and ACK: the
                         // socket dies unborn; the peer retries or
                         // times out.
-                        self.nodes[i].counters.inc("accept_budget_drops");
+                        self.nodes[i].counters.inc(NodeCounter::AcceptBudgetDrops);
                     }
                     self.sync_governor(i);
                     self.reschedule_transport_timer(i, now);
@@ -1763,7 +1758,7 @@ impl World {
                 );
                 fl.stats.syns_sent += 1;
                 self.nodes[i].meter.add_cpu(self.cfg.cpu_per_segment);
-                self.nodes[i].counters.inc("flood_syns_rx");
+                self.nodes[i].counters.inc(NodeCounter::FloodSynsRx);
                 self.dispatch_tcp_view(i, &hdr, seg.view(), now);
             }
             if fl.cfg.frag {
@@ -1776,7 +1771,7 @@ impl World {
                 fl.forge_frag1_into(&mut bytes);
                 fl.stats.frags_sent += 1;
                 self.nodes[i].meter.add_cpu(self.cfg.cpu_per_frame);
-                self.nodes[i].counters.inc("flood_frags_rx");
+                self.nodes[i].counters.inc(NodeCounter::FloodFragsRx);
                 let _ = self.nodes[i].reassembler.offer(src, &bytes, now);
                 self.sync_governor(i);
                 self.reschedule_transport_timer(i, now);
@@ -1788,7 +1783,7 @@ impl World {
 
     fn deliver_udp(&mut self, i: usize, hdr: &Ipv6Header, payload: &[u8], now: Instant) {
         let Some((udp, body)) = UdpHeader::decode_datagram(hdr.src, hdr.dst, payload) else {
-            self.nodes[i].counters.inc("udp_checksum_drops");
+            self.nodes[i].counters.inc(NodeCounter::UdpChecksumDrops);
             return;
         };
         if udp.dst_port == COAP_PORT {
@@ -1862,11 +1857,7 @@ impl World {
             }
         }
         // Listener: SYN-ACK retransmissions and half-open expiry.
-        let listen_before = self.nodes[i]
-            .transport
-            .tcp_listener
-            .as_ref()
-            .map(|l| l.stats.clone());
+        let listen_before = self.nodes[i].transport.tcp_listener.as_ref().map(|l| l.stats);
         if let Some(l) = self.nodes[i].transport.tcp_listener.as_mut() {
             while let Some((peer, synack)) = l.poll_transmit(now) {
                 let hdr =
@@ -1877,7 +1868,7 @@ impl World {
             }
         }
         if let Some(before) = listen_before {
-            self.mirror_listener_stats(i, &before);
+            self.mirror_listener_stats(i, before);
         }
         // Reassembly: reclaim stale partial datagrams on the timer path.
         self.nodes[i].reassembler.reclaim(now);
@@ -1943,17 +1934,17 @@ impl World {
         let after = *sup.stats();
         {
             let n = &mut self.nodes[i];
-            n.counters.add("sup_reconnects", after.reconnects - before.reconnects);
-            n.counters.add("sup_deaths", after.deaths - before.deaths);
+            n.counters.add(NodeCounter::SupReconnects, after.reconnects - before.reconnects);
+            n.counters.add(NodeCounter::SupDeaths, after.deaths - before.deaths);
             n.counters.add(
-                "sup_records_replayed",
+                NodeCounter::SupRecordsReplayed,
                 after.records_replayed - before.records_replayed,
             );
             n.counters.add(
-                "sup_connect_attempts",
+                NodeCounter::SupConnectAttempts,
                 after.connect_attempts - before.connect_attempts,
             );
-            n.counters.add("sup_downtime_us", after.downtime_us - before.downtime_us);
+            n.counters.add(NodeCounter::SupDowntimeUs, after.downtime_us - before.downtime_us);
         }
         if res.died {
             self.trace.record(
@@ -2002,9 +1993,8 @@ impl World {
 
     /// Mirrors listener stat deltas (since `before`) into the governor's
     /// SYN-cache accounting and the node counters.
-    fn mirror_listener_stats(&mut self, i: usize, before: &ListenStats) {
-        let Some(after) = self.nodes[i].transport.tcp_listener.as_ref().map(|l| l.stats.clone())
-        else {
+    fn mirror_listener_stats(&mut self, i: usize, before: ListenStats) {
+        let Some(after) = self.nodes[i].transport.tcp_listener.as_ref().map(|l| l.stats) else {
             return;
         };
         let n = &mut self.nodes[i];
@@ -2014,9 +2004,9 @@ impl World {
             MemClass::SynCache,
             (after.evicted_oldest - before.evicted_oldest) + (after.expired - before.expired),
         );
-        n.counters.add("syns_rcvd", after.syns_rcvd - before.syns_rcvd);
-        n.counters.add("syn_dups", after.syn_dups - before.syn_dups);
-        n.counters.add("tcp_accepts", after.spawned - before.spawned);
+        n.counters.add(NodeCounter::SynsRcvd, after.syns_rcvd - before.syns_rcvd);
+        n.counters.add(NodeCounter::SynDups, after.syn_dups - before.syn_dups);
+        n.counters.add(NodeCounter::TcpAccepts, after.spawned - before.spawned);
     }
 
     /// Read access to node `i`'s memory governor (tests, benches).

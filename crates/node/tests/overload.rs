@@ -123,8 +123,7 @@ fn syn_flood_is_bounded_and_established_transfer_completes() {
         .tcp_listener
         .as_ref()
         .expect("listener")
-        .stats
-        .clone();
+        .stats;
     assert!(stats.syns_rcvd > 10_000, "cache must have seen the flood: {stats:?}");
     assert!(
         stats.evicted_oldest > 0,
@@ -400,8 +399,7 @@ fn flood_without_traffic_leaves_no_residue() {
         .tcp_listener
         .as_ref()
         .unwrap()
-        .stats
-        .clone();
+        .stats;
     assert!(stats.syns_rcvd > 5_000, "flood must have fired: {stats:?}");
     assert_eq!(stats.spawned, 0, "no forged handshake may complete");
     assert_eq!(

@@ -23,7 +23,7 @@ pub mod medium;
 
 pub use config::PhyConfig;
 pub use link::LinkMatrix;
-pub use medium::{Medium, TxHandle};
+pub use medium::{Medium, PhyCounter, TxHandle};
 
 /// Index of a radio in the medium (dense, assigned at registration).
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]

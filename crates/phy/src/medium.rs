@@ -15,6 +15,20 @@ use crate::RadioIdx;
 use lln_sim::stats::Counters;
 use lln_sim::{Instant, Rng};
 
+lln_sim::counter_keys! {
+    /// The medium's counters (Figure 6(d)).
+    pub enum PhyCounter {
+        /// Listener outcomes lost to an overlapping audible transmission.
+        Collisions = "collisions",
+        /// Listener outcomes that passed the PRR draw.
+        Deliveries = "deliveries",
+        /// Transmissions registered by [`Medium::begin_tx`].
+        FramesTx = "frames_tx",
+        /// Listener outcomes that failed the PRR draw.
+        PrrDrops = "prr_drops",
+    }
+}
+
 /// Handle to an in-progress transmission.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct TxHandle(u64);
@@ -36,9 +50,10 @@ pub struct Medium {
     rng: Rng,
     /// The last [`Medium::end_tx`] result, reused across transmissions.
     outcomes: Vec<(RadioIdx, bool)>,
-    /// Frame/collision counters ("frames_tx", "collisions", "prr_drops",
-    /// "deliveries") feeding Figure 6(d).
-    pub counters: Counters,
+    /// Frame/collision counters feeding Figure 6(d), keyed by
+    /// [`PhyCounter`]; read by name as "frames_tx", "collisions",
+    /// "prr_drops" and "deliveries".
+    pub counters: Counters<PhyCounter>,
 }
 
 impl Medium {
@@ -96,7 +111,7 @@ impl Medium {
             end,
             done: false,
         });
-        self.counters.inc("frames_tx");
+        self.counters.inc(PhyCounter::FramesTx);
         TxHandle(id)
     }
 
@@ -144,15 +159,15 @@ impl Medium {
                     && (o.src == rx || self.links.audible(o.src, rx))
             });
             if collided {
-                self.counters.inc("collisions");
+                self.counters.inc(PhyCounter::Collisions);
                 out.push((rx, false));
                 continue;
             }
             let ok = self.rng.gen_bool(prr);
             if ok {
-                self.counters.inc("deliveries");
+                self.counters.inc(PhyCounter::Deliveries);
             } else {
-                self.counters.inc("prr_drops");
+                self.counters.inc(PhyCounter::PrrDrops);
             }
             out.push((rx, ok));
         }

@@ -8,7 +8,7 @@
 //! on `cca_busy` at every radio, on every counter and on the next PRR
 //! draw. `MEDIUM_DIFF_CASES` sets the number of random schedules.
 
-use lln_phy::{LinkMatrix, Medium, RadioIdx, TxHandle};
+use lln_phy::{LinkMatrix, Medium, PhyCounter, RadioIdx, TxHandle};
 use lln_sim::stats::Counters;
 use lln_sim::{Duration, Instant, Rng};
 
@@ -28,7 +28,7 @@ struct HorizonMedium {
     records: Vec<Record>,
     next_id: u64,
     rng: Rng,
-    counters: Counters,
+    counters: Counters<PhyCounter>,
 }
 
 impl HorizonMedium {
@@ -61,7 +61,7 @@ impl HorizonMedium {
             end,
             done: false,
         });
-        self.counters.inc("frames_tx");
+        self.counters.inc(PhyCounter::FramesTx);
         id
     }
 
@@ -87,13 +87,16 @@ impl HorizonMedium {
                     && (o.src == rx || self.links.audible(o.src, rx))
             });
             if collided {
-                self.counters.inc("collisions");
+                self.counters.inc(PhyCounter::Collisions);
                 out.push((rx, false));
                 continue;
             }
             let ok = self.rng.gen_bool(prr);
-            self.counters
-                .inc(if ok { "deliveries" } else { "prr_drops" });
+            self.counters.inc(if ok {
+                PhyCounter::Deliveries
+            } else {
+                PhyCounter::PrrDrops
+            });
             out.push((rx, ok));
         }
         self.records[idx].done = true;
@@ -134,7 +137,7 @@ fn matrix(kind: u64, n: usize, prr: f64, rng: &mut Rng) -> LinkMatrix {
     }
 }
 
-fn counters(c: &Counters) -> Vec<(&'static str, u64)> {
+fn counters(c: &Counters<PhyCounter>) -> Vec<(&'static str, u64)> {
     c.iter().collect()
 }
 
@@ -161,7 +164,7 @@ fn assert_same(m: &Medium, r: &HorizonMedium, now: Instant, ctx: &str) {
 
 /// Drives both mediums through one random schedule of `ops` calls and
 /// returns the medium's counters.
-fn run_case(case: u64, ops: usize) -> Counters {
+fn run_case(case: u64, ops: usize) -> Counters<PhyCounter> {
     let mut rng = Rng::new(0x3ED1_0000 ^ case);
     let n = 2 + rng.gen_range(5) as usize;
     let prr = [1.0, 0.999, 0.7, 0.3][rng.gen_range(4) as usize];

@@ -13,7 +13,8 @@
 //! - [`queue`]: a generic monotonic event queue with deterministic
 //!   tie-breaking.
 //! - [`stats`]: running statistics, percentiles and fixed-bin histograms
-//!   used to report the paper's figures, plus the FNV-1a digest hash.
+//!   used to report the paper's figures, typed per-layer counters, and
+//!   the FNV-1a digest hash.
 //! - [`trace`]: time-series recording (e.g. the cwnd trace of Figure 7a).
 
 pub mod queue;
@@ -24,6 +25,6 @@ pub mod trace;
 
 pub use queue::{EventQueue, EventToken};
 pub use rng::Rng;
-pub use stats::{Counters, Fnv1a, Histogram, Summary};
+pub use stats::{CounterKey, Counters, Fnv1a, Histogram, Summary};
 pub use time::{Duration, Instant};
 pub use trace::Series;

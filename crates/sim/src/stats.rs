@@ -1,5 +1,5 @@
-//! Measurement utilities: summaries, percentiles, histograms and the
-//! FNV-1a digest hash.
+//! Measurement utilities: summaries, percentiles, histograms, typed
+//! per-layer counters and the FNV-1a digest hash.
 //!
 //! Every experiment binary in `lln-bench` reports through these types so
 //! that the regenerated tables and figures are computed uniformly.
@@ -160,44 +160,125 @@ impl Histogram {
     }
 }
 
-/// A monotonically accumulating counter set, keyed by static names.
-/// Layers use this for frame/segment/drop accounting (Figure 6d).
-#[derive(Clone, Debug, Default)]
-pub struct Counters {
-    inner: std::collections::BTreeMap<&'static str, u64>,
+/// A counter key: a `Copy` enum whose variants index a name table.
+///
+/// `NAMES` is in byte-wise sorted order (the order of `str`'s `Ord`),
+/// `NAMES[k.index()]` is `k`'s name, and `ALL` lists every variant in
+/// index order. Declare keys with [`counter_keys!`](crate::counter_keys),
+/// which derives all three from one list.
+pub trait CounterKey: Copy + 'static {
+    /// Counter names, sorted byte-wise, indexed by [`CounterKey::index`].
+    const NAMES: &'static [&'static str];
+    /// Every key, in index order.
+    const ALL: &'static [Self];
+    /// This key's slot in [`CounterKey::NAMES`].
+    fn index(self) -> usize;
 }
 
-impl Counters {
+/// Declares a [`CounterKey`](crate::stats::CounterKey) enum from
+/// `Variant = "name"` pairs, which must be listed in byte-wise name
+/// order.
+#[macro_export]
+macro_rules! counter_keys {
+    (
+        $(#[$meta:meta])*
+        $vis:vis enum $name:ident {
+            $($(#[$vmeta:meta])* $variant:ident = $label:literal),+ $(,)?
+        }
+    ) => {
+        $(#[$meta])*
+        #[derive(Clone, Copy, PartialEq, Eq, Debug)]
+        $vis enum $name {
+            $($(#[$vmeta])* $variant),+
+        }
+
+        impl $crate::stats::CounterKey for $name {
+            const NAMES: &'static [&'static str] = &[$($label),+];
+            const ALL: &'static [Self] = &[$(Self::$variant),+];
+            #[inline]
+            fn index(self) -> usize {
+                self as usize
+            }
+        }
+    };
+}
+
+/// Most keys one [`Counters`] set holds: its touched set is one `u64`.
+pub const MAX_COUNTER_KEYS: usize = 64;
+
+/// A monotonically accumulating counter set over one layer's keys `K`.
+/// Layers use this for frame/segment/drop accounting (Figure 6d).
+///
+/// Values sit in a fixed inline array indexed by key, beside a bit set of
+/// the keys ever added to, so an update is an index and a bit-or: no
+/// hashing, no string compare, no allocation. Readers see names:
+/// [`Counters::get`] looks one up in `K::NAMES`, and [`Counters::iter`]
+/// yields every key ever added to, adds of 0 included, in name order.
+/// Outcome digests fold that sequence, so both are part of the contract.
+#[derive(Clone)]
+pub struct Counters<K> {
+    values: [u64; MAX_COUNTER_KEYS],
+    touched: u64,
+    keys: std::marker::PhantomData<K>,
+}
+
+impl<K: CounterKey> Counters<K> {
     /// Creates an empty counter set.
     pub fn new() -> Self {
-        Self::default()
+        const { assert!(K::NAMES.len() <= MAX_COUNTER_KEYS) };
+        Counters {
+            values: [0; MAX_COUNTER_KEYS],
+            touched: 0,
+            keys: std::marker::PhantomData,
+        }
     }
 
-    /// Adds `n` to counter `name`.
-    pub fn add(&mut self, name: &'static str, n: u64) {
-        *self.inner.entry(name).or_insert(0) += n;
+    /// Adds `n` to counter `key`.
+    #[inline]
+    pub fn add(&mut self, key: K, n: u64) {
+        let i = key.index();
+        self.values[i] += n;
+        self.touched |= 1 << i;
     }
 
-    /// Increments counter `name` by one.
-    pub fn inc(&mut self, name: &'static str) {
-        self.add(name, 1);
+    /// Increments counter `key` by one.
+    #[inline]
+    pub fn inc(&mut self, key: K) {
+        self.add(key, 1);
     }
 
-    /// Reads counter `name` (0 if never touched).
+    /// Reads counter `name` (0 if unknown or never touched).
     pub fn get(&self, name: &str) -> u64 {
-        self.inner.get(name).copied().unwrap_or(0)
+        K::NAMES
+            .binary_search_by(|probe| (**probe).cmp(name))
+            .map_or(0, |i| self.values[i])
     }
 
-    /// Iterates counters in name order.
+    /// Iterates touched counters in name order.
     pub fn iter(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
-        self.inner.iter().map(|(k, v)| (*k, *v))
+        (0..K::NAMES.len())
+            .filter(|&i| self.touched >> i & 1 != 0)
+            .map(|i| (K::NAMES[i], self.values[i]))
     }
 
     /// Merges another counter set into this one.
-    pub fn merge(&mut self, other: &Counters) {
-        for (k, v) in other.iter() {
-            self.add(k, v);
+    pub fn merge(&mut self, other: &Self) {
+        for (v, o) in self.values.iter_mut().zip(other.values) {
+            *v += o;
         }
+        self.touched |= other.touched;
+    }
+}
+
+impl<K: CounterKey> Default for Counters<K> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl<K: CounterKey> std::fmt::Debug for Counters<K> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_map().entries(self.iter()).finish()
     }
 }
 
@@ -348,16 +429,23 @@ mod tests {
         assert!((h.cdf_at(10.0) - 1.0).abs() < 1e-12);
     }
 
+    crate::counter_keys! {
+        enum Key {
+            Drops = "drops",
+            FramesTx = "frames_tx",
+        }
+    }
+
     #[test]
     fn counters_accumulate_and_merge() {
         let mut a = Counters::new();
-        a.inc("frames_tx");
-        a.add("frames_tx", 2);
+        a.inc(Key::FramesTx);
+        a.add(Key::FramesTx, 2);
         assert_eq!(a.get("frames_tx"), 3);
         assert_eq!(a.get("unknown"), 0);
         let mut b = Counters::new();
-        b.add("frames_tx", 10);
-        b.inc("drops");
+        b.add(Key::FramesTx, 10);
+        b.inc(Key::Drops);
         a.merge(&b);
         assert_eq!(a.get("frames_tx"), 13);
         assert_eq!(a.get("drops"), 1);
