@@ -1537,10 +1537,6 @@ pub struct SynCacheConfig {
     /// Maximum accepted-and-live connections; SYNs beyond this are
     /// dropped silently so the client retries after the flood.
     pub accept_backlog: usize,
-    /// SYN-ACK retransmissions before a half-open entry is reclaimed.
-    pub synack_retries: u32,
-    /// Initial SYN-ACK retransmit timeout (doubles per retry).
-    pub synack_timeout: Duration,
     /// RFC 4987 §3.3: when the cache is full, answer with a stateless
     /// cookie SYN-ACK (ISS derived from a keyed hash of the 4-tuple)
     /// instead of evicting. Connections completed via cookie lose
@@ -1556,8 +1552,6 @@ impl Default for SynCacheConfig {
         SynCacheConfig {
             slots: 8,
             accept_backlog: 8,
-            synack_retries: 3,
-            synack_timeout: Duration::from_secs(1),
             stateless_fallback: false,
             cookie_secret: 0x6c6c_6e5f_7379_6e63, // "lln_sync"
         }
@@ -1846,7 +1840,7 @@ impl ListenSocket {
             ts_val: seg.timestamps.map(|t| t.value),
             ecn: seg.flags.contains(Flags::ECE) && seg.flags.contains(Flags::CWR),
             created: now,
-            rexmit_at: now + self.scfg.synack_timeout,
+            rexmit_at: now + self.cfg.initial_rto,
             rexmits: 0,
         });
         let reply = self.synack_for(self.entries.len() - 1, now);
@@ -1913,9 +1907,15 @@ impl ListenSocket {
         self.entries.iter().map(|e| e.rexmit_at).min()
     }
 
-    /// Timer service: retransmits due SYN-ACKs (with exponential
-    /// backoff) and reclaims entries whose retries are exhausted —
-    /// RFC 4987's timeout-based reclamation. Returns at most one
+    /// Timer service: retransmits due SYN-ACKs and reclaims entries
+    /// whose retries are exhausted — RFC 4987's timeout-based
+    /// reclamation. SYN-RECEIVED follows the same schedule a full
+    /// socket uses for its SYN: first retransmit at
+    /// [`TcpConfig::initial_rto`], doubling up to
+    /// [`TcpConfig::max_rto`], reclaimed after
+    /// [`TcpConfig::max_retransmits`]. A sleepy client whose handshake
+    /// ACK was lost may not speak again until its first batch is due,
+    /// and the entry must still be there. Returns at most one
     /// `(peer, SYN-ACK)` per call; drivers loop until `None`.
     pub fn poll_transmit(&mut self, now: Instant) -> Option<(Ipv6Addr, Segment)> {
         loop {
@@ -1923,7 +1923,7 @@ impl ListenSocket {
                 .entries
                 .iter()
                 .position(|e| e.rexmit_at <= now)?;
-            if self.entries[due].rexmits >= self.scfg.synack_retries {
+            if self.entries[due].rexmits >= self.cfg.max_retransmits {
                 self.entries.remove(due);
                 self.stats.expired += 1;
                 continue;
@@ -1931,7 +1931,10 @@ impl ListenSocket {
             let backoff = {
                 let e = &mut self.entries[due];
                 e.rexmits += 1;
-                self.scfg.synack_timeout.saturating_mul(1 << e.rexmits)
+                self.cfg
+                    .initial_rto
+                    .saturating_mul(1 << e.rexmits.min(63))
+                    .min(self.cfg.max_rto)
             };
             self.entries[due].rexmit_at = now + backoff;
             self.stats.synack_rexmits += 1;
@@ -1945,7 +1948,7 @@ impl ListenSocket {
     /// retry schedule as of `now` (explicit reclamation for owners
     /// that want to sweep without transmitting).
     pub fn reclaim(&mut self, now: Instant) {
-        let retries = self.scfg.synack_retries;
+        let retries = self.cfg.max_retransmits;
         let before = self.entries.len();
         self.entries
             .retain(|e| !(e.rexmit_at <= now && e.rexmits >= retries));
@@ -2398,34 +2401,69 @@ mod tests {
         assert_eq!(survivors, vec![1016, 1017, 1018, 1019]);
     }
 
-    /// SYN-ACKs retransmit with backoff and the entry is reclaimed
-    /// after the retry budget — RFC 4987 timeout reclamation.
+    /// SYN-ACKs retransmit on the listener's own RTO schedule (the one a
+    /// full socket uses for its SYN) and the entry is reclaimed after
+    /// `max_retransmits` — RFC 4987 timeout reclamation.
     #[test]
     fn half_open_entries_retransmit_then_expire() {
-        let scfg = SynCacheConfig {
-            synack_retries: 2,
-            synack_timeout: Duration::from_secs(1),
-            ..SynCacheConfig::default()
+        let cfg = TcpConfig {
+            max_retransmits: 4,
+            max_rto: Duration::from_secs(5),
+            ..TcpConfig::default()
         };
-        let mut l =
-            ListenSocket::with_syn_cache(TcpConfig::default(), NodeId(9).mesh_addr(), 80, scfg);
+        let mut l = ListenSocket::new(cfg, NodeId(9).mesh_addr(), 80);
         let t0 = Instant::ZERO;
         let syn = Segment::new(5, 80, TcpSeq(77), TcpSeq(0), Flags::SYN);
         let _ = l.on_segment(NodeId(1).mesh_addr(), &syn, 10, t0);
-        assert_eq!(l.poll_at(), Some(t0 + Duration::from_secs(1)));
-        // First retransmission at +1s, second at +1s+2s.
-        let (peer, s1) = l.poll_transmit(t0 + Duration::from_secs(1)).expect("rexmit 1");
-        assert_eq!(peer, NodeId(1).mesh_addr());
-        assert!(s1.flags.contains(Flags::SYN) && s1.flags.contains(Flags::ACK));
-        let t2 = t0 + Duration::from_secs(3);
-        assert!(l.poll_transmit(t2).is_some(), "rexmit 2");
-        assert_eq!(l.stats.synack_rexmits, 2);
-        // Retries exhausted: the next due poll reclaims instead.
-        let t3 = t0 + Duration::from_secs(8);
-        assert!(l.poll_transmit(t3).is_none());
+        // Retransmits at +1 s, +3 s, +7 s, then +12 s (the 8 s backoff
+        // capped at max_rto = 5 s).
+        let mut sent = Vec::new();
+        while let Some(at) = l.poll_at() {
+            match l.poll_transmit(at) {
+                Some((peer, s)) => {
+                    assert_eq!(peer, NodeId(1).mesh_addr());
+                    assert!(s.flags.contains(Flags::SYN) && s.flags.contains(Flags::ACK));
+                    sent.push(at.as_micros() / 1_000_000);
+                }
+                None => {
+                    // Retries exhausted: the next due poll reclaims.
+                    assert_eq!(at, t0 + Duration::from_secs(17));
+                }
+            }
+        }
+        assert_eq!(sent, vec![1, 3, 7, 12]);
+        assert_eq!(l.stats.synack_rexmits, 4);
         assert_eq!(l.half_open(), 0);
         assert_eq!(l.stats.expired, 1);
-        assert_eq!(l.poll_at(), None, "no timer left");
+    }
+
+    /// Fig. 9a silent-sensor regression. A sleepy client's handshake ACK
+    /// is lost, and the SYN-ACK retransmits go unanswered while the
+    /// client sleeps. Its first data segment leaves with the first
+    /// 64-reading batch, 64 s after the SYN. A cache entry on a private
+    /// 1+2+4+8 s schedule was gone by then: the segment counted as a
+    /// bad ACK, the client was reset, and the sensor went silent.
+    #[test]
+    fn sleepy_client_first_data_completes_handshake_after_64s() {
+        let mut l = ListenSocket::new(TcpConfig::default(), NodeId(9).mesh_addr(), 80);
+        let t0 = Instant::ZERO;
+        let peer = NodeId(1).mesh_addr();
+        let syn = Segment::new(5, 80, TcpSeq(77), TcpSeq(0), Flags::SYN);
+        let synack = l.on_segment(peer, &syn, 10, t0).into_reply().expect("SYN-ACK");
+        let wake = t0 + Duration::from_secs(64);
+        while let Some(at) = l.poll_at().filter(|&at| at <= wake) {
+            let _ = l.poll_transmit(at);
+        }
+        let mut data = Segment::new(5, 80, TcpSeq(78), synack.seq + 1, Flags::ACK | Flags::PSH);
+        data.payload = vec![0xAB; 82];
+        let s = l
+            .on_segment(peer, &data, 0, wake)
+            .into_spawn()
+            .expect("first data segment completes the handshake");
+        assert_eq!(s.state(), TcpState::Established);
+        assert_eq!(s.available(), 82);
+        assert_eq!(l.stats.bad_acks, 0);
+        assert_eq!(l.stats.expired, 0);
     }
 
     /// The accept-backlog limit drops SYNs while enough accepted

@@ -140,8 +140,8 @@ const TORTURE_PINS: [(u64, u64); 2] = [
     (77003, 0x1afa_e00d_f732_feaa),
 ];
 const FLOOD_PINS: [(u64, u64); 2] = [
-    (52001, 0x8ad6_d4c9_8be7_0082),
-    (90017, 0x2af0_75b5_c307_1e94),
+    (52001, 0x4404_5961_0b86_73ae),
+    (90017, 0x83b0_de4a_758e_9918),
 ];
 
 fn check(kind: &str, pins: &[(u64, u64)], run: fn(u64) -> u64) {
