@@ -253,7 +253,12 @@ fn socket_pair_variant(name: &str, fast_path: bool) {
         let a_addr = NodeId(1).mesh_addr();
         let b_addr = NodeId(2).mesh_addr();
         let mut client = TcpSocket::new(cfg.clone(), a_addr, 49152);
-        let mut listener = ListenSocket::new(cfg.clone(), b_addr, 80);
+        let mut listener = ListenSocket::new(
+            cfg.clone(),
+            b_addr,
+            80,
+            &tcplp::NodeBudget::default(),
+        );
         let mut t = Instant::ZERO;
         client.connect(b_addr, 80, 1, t);
         let syn = client.poll_transmit(t).unwrap();

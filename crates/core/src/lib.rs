@@ -18,14 +18,14 @@
 //! ## Quick tour
 //!
 //! ```
-//! use tcplp::{TcpConfig, TcpSocket, TcpState, ListenSocket};
+//! use tcplp::{ListenSocket, NodeBudget, TcpConfig, TcpSocket, TcpState};
 //! use lln_netip::{Ecn, NodeId};
 //! use lln_sim::Instant;
 //!
 //! let a_addr = NodeId(1).mesh_addr();
 //! let b_addr = NodeId(2).mesh_addr();
 //! let mut client = TcpSocket::new(TcpConfig::default(), a_addr, 49152);
-//! let mut listener = ListenSocket::new(TcpConfig::default(), b_addr, 80);
+//! let mut listener = ListenSocket::new(TcpConfig::default(), b_addr, 80, &NodeBudget::default());
 //!
 //! // RFC 4987-style passive open: the SYN parks in the listener's
 //! // bounded SYN cache (no socket yet); the SYN-ACK comes from the
@@ -69,8 +69,7 @@ pub use sack::{SackScoreboard, SackUpdate};
 pub use sendbuf::SendBuffer;
 pub use seq::TcpSeq;
 pub use socket::{
-    reset_for, CloseReason, ListenStats, ListenSocket, ListenerResponse, SynCacheConfig,
-    TcpSocket, TcpState,
+    reset_for, CloseReason, ListenStats, ListenSocket, ListenerResponse, TcpSocket, TcpState,
 };
 pub use stats::TcpStats;
 pub use wire::{Flags, SackBlock, Segment, SegmentView, Timestamps};

@@ -120,8 +120,6 @@ pub struct NodeBudget {
     /// Whole-node cap; the sum of gauges must stay under this even if
     /// individual classes have room.
     pub total: usize,
-    /// SYN-cache half-open slots (cap / [`SYN_ENTRY_BYTES`]).
-    pub syn_cache_slots: usize,
     /// Accepted-but-active connection backlog the listener enforces.
     pub accept_backlog: usize,
     /// 6LoWPAN reassembly slots.
@@ -155,7 +153,6 @@ impl Default for NodeBudget {
         NodeBudget {
             caps,
             total: 64 * 1024,
-            syn_cache_slots: 8,
             accept_backlog: 8,
             reassembly_slots: 8,
             reassembly_per_source: 2,
@@ -327,8 +324,8 @@ mod tests {
         );
         // Four default-config connections must fit the TCP class.
         assert!(4 * (1848 + 1848 + TCP_CB_BYTES) <= b.cap(MemClass::TcpBuffers));
-        // The SYN cache must be slot-for-byte consistent.
-        assert_eq!(b.syn_cache_slots * SYN_ENTRY_BYTES, b.cap(MemClass::SynCache));
+        // The SYN cache cap holds a whole number of entries.
+        assert_eq!(b.cap(MemClass::SynCache) % SYN_ENTRY_BYTES, 0);
     }
 
     #[test]

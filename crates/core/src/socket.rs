@@ -19,12 +19,12 @@
 //!
 //! Omitted, as in the paper: window scaling, urgent pointer, TCP-MD5.
 //! Passive opens go through a bounded RFC 4987-style SYN cache in
-//! [`ListenSocket`] (with an optional stateless cookie fallback), so a
-//! SYN flood costs slots and bytes the node has explicitly budgeted —
-//! never a full socket per forged SYN.
+//! [`ListenSocket`], so a SYN flood costs slots and bytes the node has
+//! explicitly budgeted — never a full socket per forged SYN.
 
 use crate::cc::{CcAction, NewReno};
 use crate::config::TcpConfig;
+use crate::mem::{MemClass, NodeBudget, SYN_ENTRY_BYTES};
 use crate::recvbuf::RecvBuffer;
 use crate::rtt::RttEstimator;
 use crate::sack::SackScoreboard;
@@ -1527,37 +1527,6 @@ fn ts_lt(a: u32, b: u32) -> bool {
     (b.wrapping_sub(a) as i32) > 0
 }
 
-/// SYN-cache parameters (RFC 4987 §3.2).
-#[derive(Clone, Debug)]
-pub struct SynCacheConfig {
-    /// Half-open table size. When full, the oldest entry is evicted
-    /// (or, with [`SynCacheConfig::stateless_fallback`], the SYN is
-    /// answered with a cookie instead of a slot).
-    pub slots: usize,
-    /// Maximum accepted-and-live connections; SYNs beyond this are
-    /// dropped silently so the client retries after the flood.
-    pub accept_backlog: usize,
-    /// RFC 4987 §3.3: when the cache is full, answer with a stateless
-    /// cookie SYN-ACK (ISS derived from a keyed hash of the 4-tuple)
-    /// instead of evicting. Connections completed via cookie lose
-    /// option negotiation, as real cookie implementations do.
-    pub stateless_fallback: bool,
-    /// Key for cookie generation (deterministic per listener; a real
-    /// stack would rotate this).
-    pub cookie_secret: u64,
-}
-
-impl Default for SynCacheConfig {
-    fn default() -> Self {
-        SynCacheConfig {
-            slots: 8,
-            accept_backlog: 8,
-            stateless_fallback: false,
-            cookie_secret: 0x6c6c_6e5f_7379_6e63, // "lln_sync"
-        }
-    }
-}
-
 /// Counters kept by a [`ListenSocket`], digestable like
 /// [`TcpStats`] so overload runs can be compared bit-for-bit.
 #[derive(Clone, Copy, Debug, Default)]
@@ -1577,12 +1546,6 @@ pub struct ListenStats {
     pub backlog_denied: u64,
     /// Timer-driven SYN-ACK retransmissions.
     pub synack_rexmits: u64,
-    /// Stateless cookie SYN-ACKs sent.
-    pub cookies_sent: u64,
-    /// Handshakes completed by a valid cookie ACK.
-    pub cookies_accepted: u64,
-    /// ACKs whose cookie failed validation.
-    pub cookies_rejected: u64,
     /// Half-open entries aborted by an in-window RST.
     pub rst_aborts: u64,
     /// Non-handshake ACKs that matched no entry (the caller answers
@@ -1601,9 +1564,6 @@ impl ListenStats {
             self.expired,
             self.backlog_denied,
             self.synack_rexmits,
-            self.cookies_sent,
-            self.cookies_accepted,
-            self.cookies_rejected,
             self.rst_aborts,
             self.bad_acks,
         ];
@@ -1613,7 +1573,7 @@ impl ListenStats {
 
 /// One half-open connection: everything needed to regenerate the
 /// SYN-ACK and to build the full socket if the handshake completes.
-/// Costs [`crate::mem::SYN_ENTRY_BYTES`] against the node budget — a
+/// Costs [`SYN_ENTRY_BYTES`] against the node budget — a
 /// fraction of the [`crate::mem::TCP_CB_BYTES`] + buffers a spawned
 /// socket would pin.
 #[derive(Clone, Debug)]
@@ -1639,7 +1599,7 @@ pub enum ListenerResponse {
     /// typically [`reset_for`]).
     None,
     /// Transmit this segment to the segment's source (a SYN-ACK from
-    /// the cache, or a cookie SYN-ACK).
+    /// the cache).
     Reply(Segment),
     /// The handshake-completing ACK validated: adopt this established
     /// socket.
@@ -1670,12 +1630,21 @@ impl ListenerResponse {
 /// *setup*: a SYN costs one fixed-size cache slot, never a full socket.
 /// The socket, with its §4.3 buffers, is allocated only when the
 /// handshake-completing ACK proves the peer is real.
+///
+/// The listener has no configuration of its own: the node's
+/// [`NodeBudget`] sizes the cache and the accept backlog, and the
+/// listener's [`TcpConfig`] sets the SYN-ACK retransmit schedule.
 #[derive(Clone, Debug)]
 pub struct ListenSocket {
     local_addr: Ipv6Addr,
     local_port: u16,
     cfg: TcpConfig,
-    scfg: SynCacheConfig,
+    /// Half-open table size: the SYN-cache byte cap over
+    /// [`SYN_ENTRY_BYTES`]. When full, the oldest entry is evicted.
+    slots: usize,
+    /// Maximum accepted-and-live connections; SYNs beyond this are
+    /// dropped silently so the client retries after the flood.
+    accept_backlog: usize,
     entries: Vec<SynEntry>,
     /// Live accepted connections, reported by the owner via
     /// [`ListenSocket::sync_backlog`]; enforces the accept backlog.
@@ -1685,25 +1654,17 @@ pub struct ListenSocket {
 }
 
 impl ListenSocket {
-    /// Creates a listener on `local_addr`:`port` with the default SYN
-    /// cache.
-    pub fn new(cfg: TcpConfig, local_addr: Ipv6Addr, port: u16) -> Self {
-        Self::with_syn_cache(cfg, local_addr, port, SynCacheConfig::default())
-    }
-
-    /// Creates a listener with an explicit SYN-cache configuration.
-    pub fn with_syn_cache(
-        cfg: TcpConfig,
-        local_addr: Ipv6Addr,
-        port: u16,
-        scfg: SynCacheConfig,
-    ) -> Self {
-        assert!(scfg.slots > 0, "a SYN cache needs at least one slot");
+    /// Creates a listener on `local_addr`:`port` whose SYN cache and
+    /// accept backlog are sized by `budget`.
+    pub fn new(cfg: TcpConfig, local_addr: Ipv6Addr, port: u16, budget: &NodeBudget) -> Self {
+        let slots = budget.cap(MemClass::SynCache) / SYN_ENTRY_BYTES;
+        assert!(slots > 0, "a SYN cache needs at least one slot");
         ListenSocket {
             local_addr,
             local_port: port,
             cfg,
-            scfg,
+            slots,
+            accept_backlog: budget.accept_backlog,
             entries: Vec::new(),
             backlog_used: 0,
             stats: ListenStats::default(),
@@ -1727,7 +1688,7 @@ impl ListenSocket {
 
     /// Bytes the SYN cache currently charges against the node budget.
     pub fn half_open_bytes(&self) -> usize {
-        self.entries.len() * crate::mem::SYN_ENTRY_BYTES
+        self.entries.len() * SYN_ENTRY_BYTES
     }
 
     /// The memory footprint a spawned connection will pin (buffers +
@@ -1751,7 +1712,7 @@ impl ListenSocket {
     ///   park a new entry, evicting the oldest half-open when full.
     ///   `iss` is the initial sequence number for a new entry (drawn by
     ///   the host's RNG).
-    /// - ACK: if it completes a cached (or cookie) handshake, the full
+    /// - ACK: if it completes a cached handshake, the full
     ///   socket is built and returned; otherwise `None` so the caller
     ///   can RST.
     /// - RST: aborts the matching half-open entry (RFC 793).
@@ -1808,15 +1769,11 @@ impl ListenSocket {
             // stale half-open with a fresh entry (same slot).
             self.entries.remove(i);
         }
-        if self.backlog_used >= self.scfg.accept_backlog {
+        if self.backlog_used >= self.accept_backlog {
             self.stats.backlog_denied += 1;
             return ListenerResponse::None;
         }
-        if self.entries.len() >= self.scfg.slots {
-            if self.scfg.stateless_fallback {
-                self.stats.cookies_sent += 1;
-                return ListenerResponse::Reply(self.cookie_synack(remote_addr, seg, now));
-            }
+        if self.entries.len() >= self.slots {
             // Eviction policy: oldest half-open first (ISSUE eviction
             // order; established sockets are never touched).
             let oldest = self
@@ -1868,36 +1825,6 @@ impl ListenSocket {
             self.stats.bad_acks += 1;
             return ListenerResponse::None;
         }
-        if self.scfg.stateless_fallback {
-            // No entry: maybe our state was the cookie. Reconstruct the
-            // ISS from the 4-tuple and the implied IRS (seq - 1).
-            let irs = seg.seq - 1;
-            let expected = TcpSeq(self.cookie(remote_addr, seg.src_port, irs));
-            if seg.ack == expected + 1 {
-                self.stats.cookies_accepted += 1;
-                let e = SynEntry {
-                    remote_addr,
-                    remote_port: seg.src_port,
-                    irs,
-                    iss: expected,
-                    peer_window: seg.window,
-                    // Cookie mode forgets the options the SYN offered
-                    // (they were never stored); fall back to a bare
-                    // connection, as real SYN-cookie stacks do.
-                    peer_mss: None,
-                    sack_permitted: false,
-                    ts_val: None,
-                    ecn: false,
-                    created: now,
-                    rexmit_at: now,
-                    rexmits: 0,
-                };
-                let sock = self.promote(&e, seg, now);
-                self.stats.spawned += 1;
-                return ListenerResponse::Spawn(Box::new(sock));
-            }
-            self.stats.cookies_rejected += 1;
-        }
         self.stats.bad_acks += 1;
         ListenerResponse::None
     }
@@ -1944,17 +1871,6 @@ impl ListenSocket {
         }
     }
 
-    /// Drops every half-open entry that has outlived its full
-    /// retry schedule as of `now` (explicit reclamation for owners
-    /// that want to sweep without transmitting).
-    pub fn reclaim(&mut self, now: Instant) {
-        let retries = self.cfg.max_retransmits;
-        let before = self.entries.len();
-        self.entries
-            .retain(|e| !(e.rexmit_at <= now && e.rexmits >= retries));
-        self.stats.expired += (before - self.entries.len()) as u64;
-    }
-
     fn find(&self, remote_addr: Ipv6Addr, remote_port: u16) -> Option<usize> {
         self.entries
             .iter()
@@ -1988,32 +1904,6 @@ impl ListenSocket {
             s.flags |= Flags::ECE;
         }
         s
-    }
-
-    /// A stateless SYN-ACK whose ISS *is* the cookie: no options
-    /// beyond MSS, no cache slot.
-    fn cookie_synack(&self, remote_addr: Ipv6Addr, syn: &Segment, _now: Instant) -> Segment {
-        let iss = self.cookie(remote_addr, syn.src_port, syn.seq);
-        let mut s = Segment::new(
-            self.local_port,
-            syn.src_port,
-            TcpSeq(iss),
-            syn.seq + 1,
-            Flags::SYN | Flags::ACK,
-        );
-        s.window = self.cfg.recv_buf.min(65535) as u16;
-        s.mss = Some(self.cfg.mss.min(65535) as u16);
-        s
-    }
-
-    /// Keyed FNV-1a over the 4-tuple and the client ISN.
-    fn cookie(&self, remote_addr: Ipv6Addr, remote_port: u16, irs: TcpSeq) -> u32 {
-        let mut h = Fnv1a::keyed(self.scfg.cookie_secret);
-        h.write_bytes(&remote_addr.0);
-        h.write_bytes(&remote_port.to_be_bytes());
-        h.write_bytes(&self.local_port.to_be_bytes());
-        h.write_bytes(&irs.0.to_be_bytes());
-        (h.finish() >> 16) as u32
     }
 
     /// The listener's timestamp clock (same formula as
@@ -2090,6 +1980,10 @@ mod tests {
         TcpSocket::new(TcpConfig::default(), NodeId(1).mesh_addr(), 49152)
     }
 
+    fn listener(cfg: TcpConfig) -> ListenSocket {
+        ListenSocket::new(cfg, NodeId(9).mesh_addr(), 80, &NodeBudget::default())
+    }
+
     fn handshake() -> (TcpSocket, TcpSocket) {
         let t = Instant::ZERO;
         let a_addr = NodeId(1).mesh_addr();
@@ -2097,7 +1991,7 @@ mod tests {
         let mut a = sock();
         a.connect(b_addr, 80, 100, t);
         let syn = a.poll_transmit(t).unwrap();
-        let mut l = ListenSocket::new(TcpConfig::default(), b_addr, 80);
+        let mut l = ListenSocket::new(TcpConfig::default(), b_addr, 80, &NodeBudget::default());
         let synack = l
             .on_segment(a_addr, &syn, 200, t)
             .into_reply()
@@ -2279,7 +2173,7 @@ mod tests {
 
     #[test]
     fn listener_caches_syn_and_spawns_on_completing_ack() {
-        let mut l = ListenSocket::new(TcpConfig::default(), NodeId(9).mesh_addr(), 80);
+        let mut l = listener(TcpConfig::default());
         assert_eq!(l.port(), 80);
         let t = Instant::ZERO;
         let peer = NodeId(1).mesh_addr();
@@ -2301,7 +2195,7 @@ mod tests {
         assert_eq!(synack.seq, TcpSeq(1));
         assert_eq!(synack.ack, TcpSeq(78));
         assert_eq!(l.half_open(), 1);
-        assert_eq!(l.half_open_bytes(), crate::mem::SYN_ENTRY_BYTES);
+        assert_eq!(l.half_open_bytes(), SYN_ENTRY_BYTES);
         // The completing ACK builds the socket with the SYN's options.
         let mut ack = Segment::new(5, 80, TcpSeq(78), TcpSeq(2), Flags::ACK);
         ack.window = 1000;
@@ -2321,7 +2215,7 @@ mod tests {
     /// exactly irs+1 strands the entry until it expires in a RST.
     #[test]
     fn lost_handshake_ack_completes_via_data_segment() {
-        let mut l = ListenSocket::new(TcpConfig::default(), NodeId(9).mesh_addr(), 80);
+        let mut l = listener(TcpConfig::default());
         let t = Instant::ZERO;
         let peer = NodeId(1).mesh_addr();
         let syn = Segment::new(5, 80, TcpSeq(77), TcpSeq(0), Flags::SYN);
@@ -2352,7 +2246,7 @@ mod tests {
     /// connection (the old listener spawned one socket per SYN copy).
     #[test]
     fn retransmitted_syn_deduplicates() {
-        let mut l = ListenSocket::new(TcpConfig::default(), NodeId(9).mesh_addr(), 80);
+        let mut l = listener(TcpConfig::default());
         let t = Instant::ZERO;
         let peer = NodeId(1).mesh_addr();
         let syn = Segment::new(5, 80, TcpSeq(77), TcpSeq(0), Flags::SYN);
@@ -2378,13 +2272,12 @@ mod tests {
     /// never grows past its slot budget.
     #[test]
     fn syn_flood_evicts_oldest_within_slot_budget() {
-        let scfg = SynCacheConfig {
-            slots: 4,
+        let mut budget = NodeBudget {
             accept_backlog: 64,
-            ..SynCacheConfig::default()
+            ..NodeBudget::default()
         };
-        let mut l =
-            ListenSocket::with_syn_cache(TcpConfig::default(), NodeId(9).mesh_addr(), 80, scfg);
+        budget.caps[MemClass::SynCache.idx()] = 4 * SYN_ENTRY_BYTES;
+        let mut l = ListenSocket::new(TcpConfig::default(), NodeId(9).mesh_addr(), 80, &budget);
         let mut t = Instant::ZERO;
         for i in 0..20u16 {
             let syn = Segment::new(1000 + i, 80, TcpSeq(u32::from(i)), TcpSeq(0), Flags::SYN);
@@ -2395,7 +2288,7 @@ mod tests {
         }
         assert_eq!(l.stats.syns_rcvd, 20);
         assert_eq!(l.stats.evicted_oldest, 16);
-        assert_eq!(l.half_open_bytes(), 4 * crate::mem::SYN_ENTRY_BYTES);
+        assert_eq!(l.half_open_bytes(), 4 * SYN_ENTRY_BYTES);
         // The four survivors are the newest four (oldest-first policy).
         let survivors: Vec<u16> = l.entries.iter().map(|e| e.remote_port).collect();
         assert_eq!(survivors, vec![1016, 1017, 1018, 1019]);
@@ -2411,7 +2304,7 @@ mod tests {
             max_rto: Duration::from_secs(5),
             ..TcpConfig::default()
         };
-        let mut l = ListenSocket::new(cfg, NodeId(9).mesh_addr(), 80);
+        let mut l = listener(cfg);
         let t0 = Instant::ZERO;
         let syn = Segment::new(5, 80, TcpSeq(77), TcpSeq(0), Flags::SYN);
         let _ = l.on_segment(NodeId(1).mesh_addr(), &syn, 10, t0);
@@ -2445,7 +2338,7 @@ mod tests {
     /// bad ACK, the client was reset, and the sensor went silent.
     #[test]
     fn sleepy_client_first_data_completes_handshake_after_64s() {
-        let mut l = ListenSocket::new(TcpConfig::default(), NodeId(9).mesh_addr(), 80);
+        let mut l = listener(TcpConfig::default());
         let t0 = Instant::ZERO;
         let peer = NodeId(1).mesh_addr();
         let syn = Segment::new(5, 80, TcpSeq(77), TcpSeq(0), Flags::SYN);
@@ -2470,12 +2363,11 @@ mod tests {
     /// children are alive, and admits again once they close.
     #[test]
     fn accept_backlog_limits_new_syns() {
-        let scfg = SynCacheConfig {
+        let budget = NodeBudget {
             accept_backlog: 2,
-            ..SynCacheConfig::default()
+            ..NodeBudget::default()
         };
-        let mut l =
-            ListenSocket::with_syn_cache(TcpConfig::default(), NodeId(9).mesh_addr(), 80, scfg);
+        let mut l = ListenSocket::new(TcpConfig::default(), NodeId(9).mesh_addr(), 80, &budget);
         let t = Instant::ZERO;
         l.sync_backlog(2);
         let syn = Segment::new(5, 80, TcpSeq(77), TcpSeq(0), Flags::SYN);
@@ -2491,7 +2383,7 @@ mod tests {
     /// An acceptable RST tears down the matching half-open entry.
     #[test]
     fn rst_aborts_half_open_entry() {
-        let mut l = ListenSocket::new(TcpConfig::default(), NodeId(9).mesh_addr(), 80);
+        let mut l = listener(TcpConfig::default());
         let t = Instant::ZERO;
         let peer = NodeId(1).mesh_addr();
         let syn = Segment::new(5, 80, TcpSeq(77), TcpSeq(0), Flags::SYN);
@@ -2505,44 +2397,6 @@ mod tests {
         let _ = l.on_segment(peer, &rst, 0, t);
         assert_eq!(l.half_open(), 0);
         assert_eq!(l.stats.rst_aborts, 1);
-    }
-
-    /// Stateless fallback: when the cache is full, a cookie SYN-ACK is
-    /// issued with no slot, and a valid cookie ACK still completes the
-    /// handshake (without the SYN's options, as real cookies do).
-    #[test]
-    fn cookie_fallback_completes_without_cache_slot() {
-        let scfg = SynCacheConfig {
-            slots: 1,
-            stateless_fallback: true,
-            ..SynCacheConfig::default()
-        };
-        let mut l =
-            ListenSocket::with_syn_cache(TcpConfig::default(), NodeId(9).mesh_addr(), 80, scfg);
-        let t = Instant::ZERO;
-        // Fill the single slot.
-        let filler = Segment::new(9, 80, TcpSeq(1), TcpSeq(0), Flags::SYN);
-        let _ = l.on_segment(NodeId(3).mesh_addr(), &filler, 10, t);
-        // Overflow SYN gets a stateless cookie reply.
-        let peer = NodeId(1).mesh_addr();
-        let mut syn = Segment::new(5, 80, TcpSeq(77), TcpSeq(0), Flags::SYN);
-        syn.sack_permitted = true;
-        syn.window = 2000;
-        let synack = l.on_segment(peer, &syn, 11, t).into_reply().expect("cookie SYN-ACK");
-        assert_eq!(l.half_open(), 1, "no extra slot consumed");
-        assert_eq!(l.stats.cookies_sent, 1);
-        assert!(!synack.sack_permitted, "cookie reply carries no options");
-        assert!(synack.timestamps.is_none());
-        // The honest client's ACK reconstructs the connection.
-        let mut ack = Segment::new(5, 80, TcpSeq(78), synack.seq + 1, Flags::ACK);
-        ack.window = 2000;
-        let s = l.on_segment(peer, &ack, 0, t).into_spawn().expect("cookie spawn");
-        assert_eq!(s.state(), TcpState::Established);
-        assert_eq!(l.stats.cookies_accepted, 1);
-        // A forged ACK with the wrong cookie is rejected.
-        let forged = Segment::new(6, 80, TcpSeq(78), TcpSeq(12345), Flags::ACK);
-        assert!(l.on_segment(peer, &forged, 0, t).into_spawn().is_none());
-        assert_eq!(l.stats.cookies_rejected, 1);
     }
 
     /// The promoted socket is fully functional: data flows both ways

@@ -33,7 +33,12 @@ fn mss_negotiated_to_minimum() {
     let a_addr = h.a.local().0;
     h.a.connect(b_addr, common::B_PORT, 1, h.now);
     let syn = h.a.poll_transmit(h.now).unwrap();
-    let mut listener = tcplp::ListenSocket::new(small, b_addr, common::B_PORT);
+    let mut listener = tcplp::ListenSocket::new(
+        small,
+        b_addr,
+        common::B_PORT,
+        &tcplp::NodeBudget::default(),
+    );
     h.b = common::accept_via_listener(&mut listener, &mut h.a, a_addr, &syn, 2, h.now, LAT);
     h.run_for(Duration::from_secs(2));
     assert_eq!(h.a.state(), TcpState::Established);
@@ -217,7 +222,12 @@ fn flow_control_window_respected() {
     let a_addr = h.a.local().0;
     h.a.connect(b_addr, common::B_PORT, 1, h.now);
     let syn = h.a.poll_transmit(h.now).unwrap();
-    let mut listener = tcplp::ListenSocket::new(small, b_addr, common::B_PORT);
+    let mut listener = tcplp::ListenSocket::new(
+        small,
+        b_addr,
+        common::B_PORT,
+        &tcplp::NodeBudget::default(),
+    );
     h.b = common::accept_via_listener(&mut listener, &mut h.a, a_addr, &syn, 2, h.now, LAT);
     h.run_for(Duration::from_secs(2));
     assert_eq!(h.a.state(), TcpState::Established);
@@ -256,7 +266,12 @@ fn zero_window_probe_reopens_stalled_flow() {
     let a_addr = h.a.local().0;
     h.a.connect(b_addr, common::B_PORT, 1, h.now);
     let syn = h.a.poll_transmit(h.now).unwrap();
-    let mut listener = tcplp::ListenSocket::new(small, b_addr, common::B_PORT);
+    let mut listener = tcplp::ListenSocket::new(
+        small,
+        b_addr,
+        common::B_PORT,
+        &tcplp::NodeBudget::default(),
+    );
     h.b = common::accept_via_listener(&mut listener, &mut h.a, a_addr, &syn, 2, h.now, LAT);
     h.run_for(Duration::from_secs(2));
 
@@ -372,7 +387,12 @@ fn syn_retransmission_on_lost_syn_ack() {
     });
     h.a.connect(b_addr, common::B_PORT, 1, h.now);
     let syn = h.a.poll_transmit(h.now).unwrap();
-    let mut listener = tcplp::ListenSocket::new(cfg, b_addr, common::B_PORT);
+    let mut listener = tcplp::ListenSocket::new(
+        cfg,
+        b_addr,
+        common::B_PORT,
+        &tcplp::NodeBudget::default(),
+    );
     h.b = common::accept_via_listener(&mut listener, &mut h.a, a_addr, &syn, 2, h.now, LAT);
     h.run_for(Duration::from_secs(10));
     assert_eq!(h.a.state(), TcpState::Established);

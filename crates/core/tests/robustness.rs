@@ -127,7 +127,12 @@ fn ecn_negotiation_and_ce_response() {
         syn.flags.contains(Flags::ECE) && syn.flags.contains(Flags::CWR),
         "ECN-setup SYN"
     );
-    let mut listener = tcplp::ListenSocket::new(ecn_cfg, b_addr, common::B_PORT);
+    let mut listener = tcplp::ListenSocket::new(
+        ecn_cfg,
+        b_addr,
+        common::B_PORT,
+        &tcplp::NodeBudget::default(),
+    );
     h.b = common::accept_via_listener(&mut listener, &mut h.a, a_addr, &syn, 2, h.now, LAT);
     h.run_for(Duration::from_secs(2));
     assert_eq!(h.a.state(), TcpState::Established);
@@ -158,7 +163,12 @@ fn persist_probes_back_off_exponentially() {
     let (b_addr, _) = h.b.local();
     h.a.connect(b_addr, common::B_PORT, 1, h.now);
     let syn = h.a.poll_transmit(h.now).unwrap();
-    let mut listener = tcplp::ListenSocket::new(small, b_addr, common::B_PORT);
+    let mut listener = tcplp::ListenSocket::new(
+        small,
+        b_addr,
+        common::B_PORT,
+        &tcplp::NodeBudget::default(),
+    );
     h.b = common::accept_via_listener(&mut listener, &mut h.a, a_addr, &syn, 2, h.now, LAT);
     h.run_for(Duration::from_secs(2));
     // Fill B and never drain: persist probes flow, spaced increasingly.
@@ -238,7 +248,12 @@ fn no_nagle_sends_immediately() {
     let (b_addr, _) = h.b.local();
     h.a.connect(b_addr, common::B_PORT, 1, h.now);
     let syn = h.a.poll_transmit(h.now).unwrap();
-    let mut listener = tcplp::ListenSocket::new(nodelay, b_addr, common::B_PORT);
+    let mut listener = tcplp::ListenSocket::new(
+        nodelay,
+        b_addr,
+        common::B_PORT,
+        &tcplp::NodeBudget::default(),
+    );
     h.b = common::accept_via_listener(&mut listener, &mut h.a, a_addr, &syn, 2, h.now, LAT);
     h.run_for(Duration::from_secs(2));
     // Two small writes with outstanding data: both go out immediately.
@@ -255,7 +270,12 @@ fn no_nagle_sends_immediately() {
 
 #[test]
 fn listener_ignores_non_syn_and_rst_generated() {
-    let mut l = tcplp::ListenSocket::new(cfg(), lln_netip::NodeId(9).mesh_addr(), 80);
+    let mut l = tcplp::ListenSocket::new(
+        cfg(),
+        lln_netip::NodeId(9).mesh_addr(),
+        80,
+        &tcplp::NodeBudget::default(),
+    );
     let bare_ack = Segment::new(5, 80, TcpSeq(1), TcpSeq(2), Flags::ACK);
     assert!(l
         .on_segment(lln_netip::NodeId(1).mesh_addr(), &bare_ack, 7, Instant::ZERO)

@@ -130,7 +130,12 @@ fn tiny_buffers_under_loss() {
         let (b_addr, _) = h.b.local();
         h.a.connect(b_addr, common::B_PORT, 1, h.now);
         let syn = h.a.poll_transmit(h.now).unwrap();
-        let mut listener = tcplp::ListenSocket::new(cfg, b_addr, common::B_PORT);
+        let mut listener = tcplp::ListenSocket::new(
+            cfg,
+            b_addr,
+            common::B_PORT,
+            &tcplp::NodeBudget::default(),
+        );
         h.b = common::accept_via_listener(
             &mut listener,
             &mut h.a,

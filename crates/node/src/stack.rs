@@ -88,12 +88,6 @@ lln_sim::counter_keys! {
         SupRecordsReplayed = "sup_records_replayed",
         /// SYNs refused because their socket could never fit the budget.
         SynBudgetDrops = "syn_budget_drops",
-        /// Duplicate SYNs seen by the listener (mirrored).
-        SynDups = "syn_dups",
-        /// SYNs received by the listener (mirrored).
-        SynsRcvd = "syns_rcvd",
-        /// Connections the listener spawned (mirrored).
-        TcpAccepts = "tcp_accepts",
         /// TCP segments failing decode or checksum.
         TcpChecksumDrops = "tcp_checksum_drops",
         /// UDP datagrams failing decode or checksum.

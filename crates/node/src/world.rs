@@ -249,15 +249,11 @@ impl World {
     /// Installs a TCPlp listener on `server` (port 80). The SYN cache
     /// is sized from the node's memory budget.
     pub fn add_tcp_listener(&mut self, server: usize, cfg: TcpConfig) {
-        let addr = self.nodes[server].ip_addr();
-        let scfg = tcplp::SynCacheConfig {
-            slots: self.nodes[server].budget.syn_cache_slots,
-            accept_backlog: self.nodes[server].budget.accept_backlog,
-            ..tcplp::SynCacheConfig::default()
-        };
-        self.nodes[server].transport.tcp_listener =
-            Some(tcplp::ListenSocket::with_syn_cache(cfg, addr, TCP_PORT, scfg));
-        self.nodes[server].transport_kind = TransportKind::Tcplp;
+        let n = &mut self.nodes[server];
+        let addr = n.ip_addr();
+        n.transport.tcp_listener =
+            Some(tcplp::ListenSocket::new(cfg, addr, TCP_PORT, &n.budget));
+        n.transport_kind = TransportKind::Tcplp;
     }
 
     /// Creates a TCPlp client socket on `client` targeting `server`,
@@ -1992,7 +1988,7 @@ impl World {
     }
 
     /// Mirrors listener stat deltas (since `before`) into the governor's
-    /// SYN-cache accounting and the node counters.
+    /// SYN-cache accounting.
     fn mirror_listener_stats(&mut self, i: usize, before: ListenStats) {
         let Some(after) = self.nodes[i].transport.tcp_listener.as_ref().map(|l| l.stats) else {
             return;
@@ -2004,9 +2000,6 @@ impl World {
             MemClass::SynCache,
             (after.evicted_oldest - before.evicted_oldest) + (after.expired - before.expired),
         );
-        n.counters.add(NodeCounter::SynsRcvd, after.syns_rcvd - before.syns_rcvd);
-        n.counters.add(NodeCounter::SynDups, after.syn_dups - before.syn_dups);
-        n.counters.add(NodeCounter::TcpAccepts, after.spawned - before.spawned);
     }
 
     /// Read access to node `i`'s memory governor (tests, benches).

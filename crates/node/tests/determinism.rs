@@ -132,16 +132,16 @@ fn flood_run_digest(seed: u64) -> u64 {
 
 /// (seed, pinned digest) pairs captured on the pre-fast-path build.
 const CLEAN_PINS: [(u64, u64); 2] = [
-    (24001, 0xe6d4_137e_3c7e_22b8),
-    (77003, 0x81a4_6762_4970_e34b),
+    (24001, 0x341b_1798_6cf0_02ee),
+    (77003, 0xb460_d440_63b1_7aad),
 ];
 const TORTURE_PINS: [(u64, u64); 2] = [
-    (24001, 0xec25_e951_8494_1fc1),
-    (77003, 0x1afa_e00d_f732_feaa),
+    (24001, 0x5f16_b003_5052_9c29),
+    (77003, 0xad84_4f2d_c5bb_d3bc),
 ];
 const FLOOD_PINS: [(u64, u64); 2] = [
-    (52001, 0x4404_5961_0b86_73ae),
-    (90017, 0x83b0_de4a_758e_9918),
+    (52001, 0xed87_5a1a_cbef_d78d),
+    (90017, 0x9fa6_b05e_e5a6_45bb),
 ];
 
 fn check(kind: &str, pins: &[(u64, u64)], run: fn(u64) -> u64) {

@@ -283,7 +283,7 @@ impl<K: CounterKey> std::fmt::Debug for Counters<K> {
 }
 
 /// 64-bit FNV-1a: the one hash behind every stable digest in the
-/// workspace (stats digests, determinism pins, SYN cookies). Words are
+/// workspace (stats digests, determinism pins). Words are
 /// fed little-endian, so a digest is the same on every host.
 #[derive(Clone, Copy, Debug)]
 pub struct Fnv1a(u64);
@@ -295,12 +295,6 @@ impl Fnv1a {
     /// A fresh hash at the standard offset basis.
     pub fn new() -> Self {
         Fnv1a(Self::OFFSET_BASIS)
-    }
-
-    /// A hash whose offset basis is XORed with `key` (a keyed
-    /// variant, e.g. for SYN cookies).
-    pub fn keyed(key: u64) -> Self {
-        Fnv1a(Self::OFFSET_BASIS ^ key)
     }
 
     /// Folds `bytes` in order.
@@ -353,8 +347,8 @@ mod tests {
         assert_eq!(hash(""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(hash("a"), 0xaf63_dc4c_8601_ec8c);
         assert_eq!(hash("foobar"), 0x8594_4171_f739_67e8);
-        // Words are their little-endian bytes; a zero key is unkeyed.
-        let mut w = Fnv1a::keyed(0);
+        // Words are their little-endian bytes.
+        let mut w = Fnv1a::new();
         w.write_bytes(&7u64.to_le_bytes());
         assert_eq!(Fnv1a::digest_words(&[7]), w.finish());
     }

@@ -158,17 +158,17 @@ fn touched_zero_entries_are_kept_in_name_order() {
     let mut c = Counters::new();
     c.add(NodeCounter::Unroutable, 0);
     c.inc(NodeCounter::AcceptBudgetDrops);
-    c.add(NodeCounter::SynsRcvd, 0);
+    c.add(NodeCounter::SynBudgetDrops, 0);
     assert_eq!(
         c.iter().collect::<Vec<_>>(),
         [
             ("accept_budget_drops", 1),
-            ("syns_rcvd", 0),
+            ("syn_budget_drops", 0),
             ("unroutable", 0)
         ]
     );
     assert_eq!(
         format!("{c:?}"),
-        r#"{"accept_budget_drops": 1, "syns_rcvd": 0, "unroutable": 0}"#
+        r#"{"accept_budget_drops": 1, "syn_budget_drops": 0, "unroutable": 0}"#
     );
 }

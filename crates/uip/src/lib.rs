@@ -458,7 +458,12 @@ mod tests {
         let a_addr = NodeId(1).mesh_addr();
         let b_addr = NodeId(2).mesh_addr();
         let mut c = UipSocket::new(UipConfig::default(), a_addr, 1000);
-        let mut listener = ListenSocket::new(TcpConfig::default(), b_addr, 80);
+        let mut listener = ListenSocket::new(
+            TcpConfig::default(),
+            b_addr,
+            80,
+            &tcplp::NodeBudget::default(),
+        );
         let t = Instant::ZERO;
         c.connect(b_addr, 80, 100, t);
         let syn = c.poll_transmit(t).expect("syn");
