@@ -50,6 +50,7 @@
 
 pub mod cc;
 pub mod config;
+pub mod listen;
 pub mod mem;
 pub mod recvbuf;
 pub mod rtt;
@@ -68,8 +69,7 @@ pub use rtt::RttEstimator;
 pub use sack::{SackScoreboard, SackUpdate};
 pub use sendbuf::SendBuffer;
 pub use seq::TcpSeq;
-pub use socket::{
-    reset_for, CloseReason, ListenStats, ListenSocket, ListenerResponse, TcpSocket, TcpState,
-};
+pub use listen::{reset_for, ListenStats, ListenSocket, ListenerResponse};
+pub use socket::{CloseReason, TcpSocket, TcpState};
 pub use stats::TcpStats;
 pub use wire::{Flags, SackBlock, Segment, SegmentView, Timestamps};

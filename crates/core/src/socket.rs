@@ -19,12 +19,11 @@
 //!
 //! Omitted, as in the paper: window scaling, urgent pointer, TCP-MD5.
 //! Passive opens go through a bounded RFC 4987-style SYN cache in
-//! [`ListenSocket`], so a SYN flood costs slots and bytes the node has
+//! [`ListenSocket`](crate::listen::ListenSocket), so a SYN flood costs slots and bytes the node has
 //! explicitly budgeted — never a full socket per forged SYN.
 
 use crate::cc::{CcAction, NewReno};
 use crate::config::TcpConfig;
-use crate::mem::{MemClass, NodeBudget, SYN_ENTRY_BYTES};
 use crate::recvbuf::RecvBuffer;
 use crate::rtt::RttEstimator;
 use crate::sack::SackScoreboard;
@@ -33,7 +32,7 @@ use crate::seq::TcpSeq;
 use crate::stats::{CwndTrace, RttTrace, TcpStats};
 use crate::wire::{Flags, SackBlock, Segment, SegmentView, Timestamps};
 use lln_netip::{Ecn, Ipv6Addr};
-use lln_sim::{Duration, Fnv1a, Instant};
+use lln_sim::{Duration, Instant};
 
 /// TCP connection states (RFC 793).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -108,10 +107,10 @@ pub struct TcpSocket {
     remote_port: u16,
 
     // --- send sequence space ---
-    iss: TcpSeq,
+    pub(crate) iss: TcpSeq,
     snd_una: TcpSeq,
-    snd_nxt: TcpSeq,
-    snd_max: TcpSeq,
+    pub(crate) snd_nxt: TcpSeq,
+    pub(crate) snd_max: TcpSeq,
     snd_wnd: u32,
     snd_wl1: TcpSeq,
     snd_wl2: TcpSeq,
@@ -373,9 +372,9 @@ impl TcpSocket {
     }
 
     /// Accepts a connection from a received SYN (passive open). Called
-    /// by [`ListenSocket`].
+    /// by [`ListenSocket`](crate::listen::ListenSocket).
     #[allow(clippy::too_many_arguments)]
-    fn accept(
+    pub(crate) fn accept(
         cfg: TcpConfig,
         local_addr: Ipv6Addr,
         local_port: u16,
@@ -1527,461 +1526,16 @@ fn ts_lt(a: u32, b: u32) -> bool {
     (b.wrapping_sub(a) as i32) > 0
 }
 
-/// Counters kept by a [`ListenSocket`], digestable like
-/// [`TcpStats`] so overload runs can be compared bit-for-bit.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct ListenStats {
-    /// SYNs received (including retransmissions and floods).
-    pub syns_rcvd: u64,
-    /// Retransmitted SYNs that matched an existing half-open entry
-    /// (deduplicated: SYN-ACK re-sent, **no** second socket spawned).
-    pub syn_dups: u64,
-    /// Connections promoted to full sockets on handshake completion.
-    pub spawned: u64,
-    /// Oldest-entry evictions under cache pressure.
-    pub evicted_oldest: u64,
-    /// Entries reclaimed after SYN-ACK retry exhaustion.
-    pub expired: u64,
-    /// SYNs dropped because the accept backlog was full.
-    pub backlog_denied: u64,
-    /// Timer-driven SYN-ACK retransmissions.
-    pub synack_rexmits: u64,
-    /// Half-open entries aborted by an in-window RST.
-    pub rst_aborts: u64,
-    /// Non-handshake ACKs that matched no entry (the caller answers
-    /// these with an RST, per RFC 4987 §3.6).
-    pub bad_acks: u64,
-}
-
-impl ListenStats {
-    /// Stable FNV-1a digest over every counter, in declaration order.
-    pub fn digest(&self) -> u64 {
-        let fields = [
-            self.syns_rcvd,
-            self.syn_dups,
-            self.spawned,
-            self.evicted_oldest,
-            self.expired,
-            self.backlog_denied,
-            self.synack_rexmits,
-            self.rst_aborts,
-            self.bad_acks,
-        ];
-        Fnv1a::digest_words(&fields)
-    }
-}
-
-/// One half-open connection: everything needed to regenerate the
-/// SYN-ACK and to build the full socket if the handshake completes.
-/// Costs [`SYN_ENTRY_BYTES`] against the node budget — a
-/// fraction of the [`crate::mem::TCP_CB_BYTES`] + buffers a spawned
-/// socket would pin.
-#[derive(Clone, Debug)]
-struct SynEntry {
-    remote_addr: Ipv6Addr,
-    remote_port: u16,
-    irs: TcpSeq,
-    iss: TcpSeq,
-    peer_window: u16,
-    peer_mss: Option<u16>,
-    sack_permitted: bool,
-    ts_val: Option<u32>,
-    ecn: bool,
-    created: Instant,
-    rexmit_at: Instant,
-    rexmits: u32,
-}
-
-/// What the listener decided about a segment.
-#[derive(Debug)]
-pub enum ListenerResponse {
-    /// Not listener-relevant (the caller applies its no-socket policy,
-    /// typically [`reset_for`]).
-    None,
-    /// Transmit this segment to the segment's source (a SYN-ACK from
-    /// the cache).
-    Reply(Segment),
-    /// The handshake-completing ACK validated: adopt this established
-    /// socket.
-    Spawn(Box<TcpSocket>),
-}
-
-impl ListenerResponse {
-    /// The reply segment, if that's what this is.
-    pub fn into_reply(self) -> Option<Segment> {
-        match self {
-            ListenerResponse::Reply(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The spawned socket, if that's what this is.
-    pub fn into_spawn(self) -> Option<TcpSocket> {
-        match self {
-            ListenerResponse::Spawn(s) => Some(*s),
-            _ => None,
-        }
-    }
-}
-
-/// A passive (listening) socket with a bounded RFC 4987-style SYN
-/// cache. The paper's §4.1 observation — passive sockets carry almost
-/// no state (Tables 3-4 report 12-16 B) — extends to connection
-/// *setup*: a SYN costs one fixed-size cache slot, never a full socket.
-/// The socket, with its §4.3 buffers, is allocated only when the
-/// handshake-completing ACK proves the peer is real.
-///
-/// The listener has no configuration of its own: the node's
-/// [`NodeBudget`] sizes the cache and the accept backlog, and the
-/// listener's [`TcpConfig`] sets the SYN-ACK retransmit schedule.
-#[derive(Clone, Debug)]
-pub struct ListenSocket {
-    local_addr: Ipv6Addr,
-    local_port: u16,
-    cfg: TcpConfig,
-    /// Half-open table size: the SYN-cache byte cap over
-    /// [`SYN_ENTRY_BYTES`]. When full, the oldest entry is evicted.
-    slots: usize,
-    /// Maximum accepted-and-live connections; SYNs beyond this are
-    /// dropped silently so the client retries after the flood.
-    accept_backlog: usize,
-    entries: Vec<SynEntry>,
-    /// Live accepted connections, reported by the owner via
-    /// [`ListenSocket::sync_backlog`]; enforces the accept backlog.
-    backlog_used: usize,
-    /// Counters (every deny/evict, RFC 4987 event, and dedup).
-    pub stats: ListenStats,
-}
-
-impl ListenSocket {
-    /// Creates a listener on `local_addr`:`port` whose SYN cache and
-    /// accept backlog are sized by `budget`.
-    pub fn new(cfg: TcpConfig, local_addr: Ipv6Addr, port: u16, budget: &NodeBudget) -> Self {
-        let slots = budget.cap(MemClass::SynCache) / SYN_ENTRY_BYTES;
-        assert!(slots > 0, "a SYN cache needs at least one slot");
-        ListenSocket {
-            local_addr,
-            local_port: port,
-            cfg,
-            slots,
-            accept_backlog: budget.accept_backlog,
-            entries: Vec::new(),
-            backlog_used: 0,
-            stats: ListenStats::default(),
-        }
-    }
-
-    /// The listening port.
-    pub fn port(&self) -> u16 {
-        self.local_port
-    }
-
-    /// The config spawned sockets inherit.
-    pub fn config(&self) -> &TcpConfig {
-        &self.cfg
-    }
-
-    /// Half-open connections currently cached.
-    pub fn half_open(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Bytes the SYN cache currently charges against the node budget.
-    pub fn half_open_bytes(&self) -> usize {
-        self.entries.len() * SYN_ENTRY_BYTES
-    }
-
-    /// The memory footprint a spawned connection will pin (buffers +
-    /// control block); owners check this against the budget *before*
-    /// letting a handshake complete.
-    pub fn child_footprint(&self) -> usize {
-        self.cfg.send_buf + self.cfg.recv_buf + crate::mem::TCP_CB_BYTES
-    }
-
-    /// Reports how many accepted connections are currently live so the
-    /// accept-backlog limit can be enforced (the listener cannot see
-    /// its children close).
-    pub fn sync_backlog(&mut self, used: usize) {
-        self.backlog_used = used;
-    }
-
-    /// Handles a segment addressed to the listening port.
-    ///
-    /// - SYN: dedup against the cache by 4-tuple (a retransmitted SYN
-    ///   re-answers with the *same* SYN-ACK — no duplicate state), or
-    ///   park a new entry, evicting the oldest half-open when full.
-    ///   `iss` is the initial sequence number for a new entry (drawn by
-    ///   the host's RNG).
-    /// - ACK: if it completes a cached handshake, the full
-    ///   socket is built and returned; otherwise `None` so the caller
-    ///   can RST.
-    /// - RST: aborts the matching half-open entry (RFC 793).
-    pub fn on_segment(
-        &mut self,
-        remote_addr: Ipv6Addr,
-        seg: &Segment,
-        iss: u32,
-        now: Instant,
-    ) -> ListenerResponse {
-        if seg.flags.contains(Flags::RST) {
-            if let Some(i) = self.find(remote_addr, seg.src_port) {
-                // Acceptable RST for SYN-RECEIVED state: its sequence
-                // number must be the entry's rcv_nxt (irs + 1).
-                if seg.seq == self.entries[i].irs + 1 {
-                    self.entries.remove(i);
-                    self.stats.rst_aborts += 1;
-                }
-            }
-            return ListenerResponse::None;
-        }
-        if seg.flags.contains(Flags::SYN) && !seg.flags.contains(Flags::ACK) {
-            return self.on_syn(remote_addr, seg, iss, now);
-        }
-        if seg.flags.contains(Flags::ACK) && !seg.flags.contains(Flags::SYN) {
-            return self.on_ack(remote_addr, seg, now);
-        }
-        ListenerResponse::None
-    }
-
-    fn on_syn(
-        &mut self,
-        remote_addr: Ipv6Addr,
-        seg: &Segment,
-        iss: u32,
-        now: Instant,
-    ) -> ListenerResponse {
-        self.stats.syns_rcvd += 1;
-        if let Some(i) = self.find(remote_addr, seg.src_port) {
-            if seg.seq == self.entries[i].irs {
-                // Satellite fix: a retransmitted SYN from the same
-                // 4-tuple refreshes the entry and re-answers — it must
-                // never mint an independent connection.
-                self.stats.syn_dups += 1;
-                let e = &mut self.entries[i];
-                e.peer_window = seg.window;
-                if let Some(ts) = seg.timestamps {
-                    e.ts_val = Some(ts.value);
-                }
-                let reply = self.synack_for(i, now);
-                return ListenerResponse::Reply(reply);
-            }
-            // Same 4-tuple, new ISN: the peer restarted. Replace the
-            // stale half-open with a fresh entry (same slot).
-            self.entries.remove(i);
-        }
-        if self.backlog_used >= self.accept_backlog {
-            self.stats.backlog_denied += 1;
-            return ListenerResponse::None;
-        }
-        if self.entries.len() >= self.slots {
-            // Eviction policy: oldest half-open first (ISSUE eviction
-            // order; established sockets are never touched).
-            let oldest = self
-                .entries
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, e)| e.created)
-                .map(|(i, _)| i)
-                .expect("cache full implies non-empty");
-            self.entries.remove(oldest);
-            self.stats.evicted_oldest += 1;
-        }
-        self.entries.push(SynEntry {
-            remote_addr,
-            remote_port: seg.src_port,
-            irs: seg.seq,
-            iss: TcpSeq(iss),
-            peer_window: seg.window,
-            peer_mss: seg.mss,
-            sack_permitted: seg.sack_permitted,
-            ts_val: seg.timestamps.map(|t| t.value),
-            ecn: seg.flags.contains(Flags::ECE) && seg.flags.contains(Flags::CWR),
-            created: now,
-            rexmit_at: now + self.cfg.initial_rto,
-            rexmits: 0,
-        });
-        let reply = self.synack_for(self.entries.len() - 1, now);
-        ListenerResponse::Reply(reply)
-    }
-
-    fn on_ack(&mut self, remote_addr: Ipv6Addr, seg: &Segment, now: Instant) -> ListenerResponse {
-        if let Some(i) = self.find(remote_addr, seg.src_port) {
-            // The completing ACK need not be the bare handshake ACK: if
-            // that ACK was lost, the client's first data segments still
-            // carry ack == iss+1 and an in-window seq, and must complete
-            // the handshake (RFC 793 SYN-RECEIVED processing). Requiring
-            // seq == irs+1 exactly made the cache reject them as bad
-            // ACKs until the entry timed out and the connection died.
-            let e = &self.entries[i];
-            let ok = seg.ack == e.iss + 1
-                && (seg.seq == e.irs + 1
-                    || seg.seq.in_window(e.irs + 1, self.cfg.recv_buf as u32));
-            if ok {
-                let e = self.entries.remove(i);
-                let sock = self.promote(&e, seg, now);
-                self.stats.spawned += 1;
-                return ListenerResponse::Spawn(Box::new(sock));
-            }
-            self.stats.bad_acks += 1;
-            return ListenerResponse::None;
-        }
-        self.stats.bad_acks += 1;
-        ListenerResponse::None
-    }
-
-    /// Earliest SYN-ACK retransmit deadline, for the owner's timer.
-    pub fn poll_at(&self) -> Option<Instant> {
-        self.entries.iter().map(|e| e.rexmit_at).min()
-    }
-
-    /// Timer service: retransmits due SYN-ACKs and reclaims entries
-    /// whose retries are exhausted — RFC 4987's timeout-based
-    /// reclamation. SYN-RECEIVED follows the same schedule a full
-    /// socket uses for its SYN: first retransmit at
-    /// [`TcpConfig::initial_rto`], doubling up to
-    /// [`TcpConfig::max_rto`], reclaimed after
-    /// [`TcpConfig::max_retransmits`]. A sleepy client whose handshake
-    /// ACK was lost may not speak again until its first batch is due,
-    /// and the entry must still be there. Returns at most one
-    /// `(peer, SYN-ACK)` per call; drivers loop until `None`.
-    pub fn poll_transmit(&mut self, now: Instant) -> Option<(Ipv6Addr, Segment)> {
-        loop {
-            let due = self
-                .entries
-                .iter()
-                .position(|e| e.rexmit_at <= now)?;
-            if self.entries[due].rexmits >= self.cfg.max_retransmits {
-                self.entries.remove(due);
-                self.stats.expired += 1;
-                continue;
-            }
-            let backoff = {
-                let e = &mut self.entries[due];
-                e.rexmits += 1;
-                self.cfg
-                    .initial_rto
-                    .saturating_mul(1 << e.rexmits.min(63))
-                    .min(self.cfg.max_rto)
-            };
-            self.entries[due].rexmit_at = now + backoff;
-            self.stats.synack_rexmits += 1;
-            let peer = self.entries[due].remote_addr;
-            let seg = self.synack_for(due, now);
-            return Some((peer, seg));
-        }
-    }
-
-    fn find(&self, remote_addr: Ipv6Addr, remote_port: u16) -> Option<usize> {
-        self.entries
-            .iter()
-            .position(|e| e.remote_addr == remote_addr && e.remote_port == remote_port)
-    }
-
-    /// Builds the SYN-ACK for entry `i` (also used verbatim for dedup
-    /// replies and timer retransmissions).
-    fn synack_for(&self, i: usize, now: Instant) -> Segment {
-        let e = &self.entries[i];
-        let mut s = Segment::new(
-            self.local_port,
-            e.remote_port,
-            e.iss,
-            e.irs + 1,
-            Flags::SYN | Flags::ACK,
-        );
-        s.window = self.cfg.recv_buf.min(65535) as u16;
-        s.mss = Some(self.cfg.mss.min(65535) as u16);
-        s.sack_permitted = self.cfg.use_sack && e.sack_permitted;
-        if self.cfg.use_timestamps {
-            if let Some(v) = e.ts_val {
-                s.timestamps = Some(Timestamps {
-                    value: self.ts_clock(now),
-                    echo: v,
-                });
-            }
-        }
-        // RFC 3168 §6.1.1: SYN-ACK answers ECE|CWR with ECE only.
-        if self.cfg.use_ecn && e.ecn {
-            s.flags |= Flags::ECE;
-        }
-        s
-    }
-
-    /// The listener's timestamp clock (same formula as
-    /// [`TcpSocket::ts_clock`], so a promoted socket's TSvals continue
-    /// the sequence the SYN-ACK started).
-    fn ts_clock(&self, now: Instant) -> u32 {
-        (now.as_micros() / self.cfg.ts_granularity.as_micros()).max(1) as u32
-    }
-
-    /// Builds the established socket from a cache entry plus the
-    /// handshake-completing ACK.
-    fn promote(&self, e: &SynEntry, ack: &Segment, now: Instant) -> TcpSocket {
-        // Reconstruct the SYN the entry summarised and run it through
-        // the normal passive-open negotiation.
-        let mut syn = Segment::new(e.remote_port, self.local_port, e.irs, TcpSeq(0), Flags::SYN);
-        syn.window = e.peer_window;
-        syn.mss = e.peer_mss;
-        syn.sack_permitted = e.sack_permitted;
-        syn.timestamps = e.ts_val.map(|v| Timestamps { value: v, echo: 0 });
-        if e.ecn {
-            syn.flags |= Flags::ECE | Flags::CWR;
-        }
-        let mut s = TcpSocket::accept(
-            self.cfg.clone(),
-            self.local_addr,
-            self.local_port,
-            e.remote_addr,
-            e.remote_port,
-            &syn,
-            e.iss.0,
-            now,
-        );
-        // The SYN-ACK already went out from the cache: advance the
-        // socket's send state past it (and account it) so the ACK we
-        // are about to feed lands in-window.
-        s.snd_nxt = s.iss + 1;
-        s.snd_max = s.snd_nxt;
-        s.stats.segs_sent += 1;
-        s.on_segment(ack, Ecn::NotCapable, now);
-        s
-    }
-}
-
-/// Builds the RST segment RFC 793 prescribes for a segment that matched
-/// no socket (used by the host dispatch layer).
-pub fn reset_for(seg: &Segment) -> Option<Segment> {
-    if seg.flags.contains(Flags::RST) {
-        return None;
-    }
-    let mut rst = if seg.flags.contains(Flags::ACK) {
-        Segment::new(seg.dst_port, seg.src_port, seg.ack, TcpSeq(0), Flags::RST)
-    } else {
-        let mut r = Segment::new(
-            seg.dst_port,
-            seg.src_port,
-            TcpSeq(0),
-            seg.seq + seg.seq_len(),
-            Flags::RST | Flags::ACK,
-        );
-        r.ack = seg.seq + seg.seq_len();
-        r
-    };
-    rst.window = 0;
-    Some(rst)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::TcpConfig;
+    use crate::listen::ListenSocket;
+    use crate::mem::NodeBudget;
     use lln_netip::NodeId;
 
     fn sock() -> TcpSocket {
         TcpSocket::new(TcpConfig::default(), NodeId(1).mesh_addr(), 49152)
-    }
-
-    fn listener(cfg: TcpConfig) -> ListenSocket {
-        ListenSocket::new(cfg, NodeId(9).mesh_addr(), 80, &NodeBudget::default())
     }
 
     fn handshake() -> (TcpSocket, TcpSocket) {
@@ -2171,234 +1725,6 @@ mod tests {
         assert!(!a.ecn_active(), "default config has ECN off");
     }
 
-    #[test]
-    fn listener_caches_syn_and_spawns_on_completing_ack() {
-        let mut l = listener(TcpConfig::default());
-        assert_eq!(l.port(), 80);
-        let t = Instant::ZERO;
-        let peer = NodeId(1).mesh_addr();
-        // A stray ACK matches no entry: nothing spawns, counter ticks.
-        let stray = Segment::new(5, 80, TcpSeq(0), TcpSeq(0), Flags::ACK);
-        assert!(l.on_segment(peer, &stray, 1, t).into_spawn().is_none());
-        assert_eq!(l.stats.bad_acks, 1);
-        // RST+SYN garbage is ignored.
-        let rst = Segment::new(5, 80, TcpSeq(0), TcpSeq(0), Flags::RST | Flags::SYN);
-        assert!(matches!(
-            l.on_segment(peer, &rst, 1, t),
-            ListenerResponse::None
-        ));
-        // A SYN parks in the cache and is answered — no socket yet.
-        let mut syn = Segment::new(5, 80, TcpSeq(77), TcpSeq(0), Flags::SYN);
-        syn.mss = Some(300);
-        let synack = l.on_segment(peer, &syn, 1, t).into_reply().expect("SYN-ACK");
-        assert!(synack.flags.contains(Flags::SYN) && synack.flags.contains(Flags::ACK));
-        assert_eq!(synack.seq, TcpSeq(1));
-        assert_eq!(synack.ack, TcpSeq(78));
-        assert_eq!(l.half_open(), 1);
-        assert_eq!(l.half_open_bytes(), SYN_ENTRY_BYTES);
-        // The completing ACK builds the socket with the SYN's options.
-        let mut ack = Segment::new(5, 80, TcpSeq(78), TcpSeq(2), Flags::ACK);
-        ack.window = 1000;
-        let s = l.on_segment(peer, &ack, 0, t).into_spawn().expect("spawn");
-        assert_eq!(s.state(), TcpState::Established);
-        assert_eq!(s.mss(), 300, "negotiated down to the peer's MSS");
-        assert_eq!(s.remote(), (peer, 5));
-        assert_eq!(l.half_open(), 0, "entry promoted and freed");
-        assert_eq!(l.stats.spawned, 1);
-        assert!(s.mem_footprint() > 0, "live socket pins its buffers");
-    }
-
-    /// The lost-handshake-ACK fix: when the bare completing ACK is
-    /// dropped in transit, the client (which moved to Established on
-    /// the SYN-ACK) sends data segments whose seq sits *past* irs+1.
-    /// Those must still complete the handshake — requiring seq to be
-    /// exactly irs+1 strands the entry until it expires in a RST.
-    #[test]
-    fn lost_handshake_ack_completes_via_data_segment() {
-        let mut l = listener(TcpConfig::default());
-        let t = Instant::ZERO;
-        let peer = NodeId(1).mesh_addr();
-        let syn = Segment::new(5, 80, TcpSeq(77), TcpSeq(0), Flags::SYN);
-        let _synack = l.on_segment(peer, &syn, 1, t).into_reply().expect("SYN-ACK");
-        // The bare ACK (seq 78) is lost. A later data segment arrives
-        // with an advanced seq but the right ack.
-        let mut data = Segment::new(5, 80, TcpSeq(78 + 462), TcpSeq(2), Flags::ACK);
-        data.payload = vec![0xCC; 100];
-        let s = l
-            .on_segment(peer, &data, 0, t + Duration::from_millis(800))
-            .into_spawn()
-            .expect("in-window data segment completes the handshake");
-        assert_eq!(s.state(), TcpState::Established);
-        assert_eq!(l.half_open(), 0);
-        // A wrong-ack or far-out-of-window segment still does not.
-        let syn2 = Segment::new(6, 80, TcpSeq(10), TcpSeq(0), Flags::SYN);
-        let _ = l.on_segment(peer, &syn2, 1, t).into_reply().expect("SYN-ACK");
-        let bad_before = l.stats.bad_acks;
-        let wrong_ack = Segment::new(6, 80, TcpSeq(11), TcpSeq(999), Flags::ACK);
-        assert!(l.on_segment(peer, &wrong_ack, 0, t).into_spawn().is_none());
-        let far_seq = Segment::new(6, 80, TcpSeq(11 + (1 << 20)), TcpSeq(2), Flags::ACK);
-        assert!(l.on_segment(peer, &far_seq, 0, t).into_spawn().is_none());
-        assert_eq!(l.stats.bad_acks, bad_before + 2);
-    }
-
-    /// The satellite fix: a retransmitted SYN from the same 4-tuple
-    /// must re-answer from the existing entry, never mint a second
-    /// connection (the old listener spawned one socket per SYN copy).
-    #[test]
-    fn retransmitted_syn_deduplicates() {
-        let mut l = listener(TcpConfig::default());
-        let t = Instant::ZERO;
-        let peer = NodeId(1).mesh_addr();
-        let syn = Segment::new(5, 80, TcpSeq(77), TcpSeq(0), Flags::SYN);
-        let first = l.on_segment(peer, &syn, 10, t).into_reply().unwrap();
-        // Same SYN again, with a *different* candidate ISS: the cached
-        // entry (and its ISS) must win.
-        let again = l
-            .on_segment(peer, &syn, 99, t + Duration::from_millis(500))
-            .into_reply()
-            .expect("dedup re-answers");
-        assert_eq!(l.half_open(), 1, "one entry, not two");
-        assert_eq!(l.stats.syn_dups, 1);
-        assert_eq!(again.seq, first.seq, "same ISS re-offered");
-        // A SYN with a new ISN from the same 4-tuple is a peer restart:
-        // the stale entry is replaced, still exactly one slot used.
-        let syn2 = Segment::new(5, 80, TcpSeq(500), TcpSeq(0), Flags::SYN);
-        let fresh = l.on_segment(peer, &syn2, 42, t).into_reply().unwrap();
-        assert_eq!(l.half_open(), 1);
-        assert_eq!(fresh.ack, TcpSeq(501));
-    }
-
-    /// Under flood the cache evicts its oldest half-open entry; it
-    /// never grows past its slot budget.
-    #[test]
-    fn syn_flood_evicts_oldest_within_slot_budget() {
-        let mut budget = NodeBudget {
-            accept_backlog: 64,
-            ..NodeBudget::default()
-        };
-        budget.caps[MemClass::SynCache.idx()] = 4 * SYN_ENTRY_BYTES;
-        let mut l = ListenSocket::new(TcpConfig::default(), NodeId(9).mesh_addr(), 80, &budget);
-        let mut t = Instant::ZERO;
-        for i in 0..20u16 {
-            let syn = Segment::new(1000 + i, 80, TcpSeq(u32::from(i)), TcpSeq(0), Flags::SYN);
-            let r = l.on_segment(NodeId(1).mesh_addr(), &syn, u32::from(i) * 7, t);
-            assert!(r.into_reply().is_some(), "every SYN still answered");
-            assert!(l.half_open() <= 4, "cache bounded at its slot count");
-            t += Duration::from_millis(10);
-        }
-        assert_eq!(l.stats.syns_rcvd, 20);
-        assert_eq!(l.stats.evicted_oldest, 16);
-        assert_eq!(l.half_open_bytes(), 4 * SYN_ENTRY_BYTES);
-        // The four survivors are the newest four (oldest-first policy).
-        let survivors: Vec<u16> = l.entries.iter().map(|e| e.remote_port).collect();
-        assert_eq!(survivors, vec![1016, 1017, 1018, 1019]);
-    }
-
-    /// SYN-ACKs retransmit on the listener's own RTO schedule (the one a
-    /// full socket uses for its SYN) and the entry is reclaimed after
-    /// `max_retransmits` — RFC 4987 timeout reclamation.
-    #[test]
-    fn half_open_entries_retransmit_then_expire() {
-        let cfg = TcpConfig {
-            max_retransmits: 4,
-            max_rto: Duration::from_secs(5),
-            ..TcpConfig::default()
-        };
-        let mut l = listener(cfg);
-        let t0 = Instant::ZERO;
-        let syn = Segment::new(5, 80, TcpSeq(77), TcpSeq(0), Flags::SYN);
-        let _ = l.on_segment(NodeId(1).mesh_addr(), &syn, 10, t0);
-        // Retransmits at +1 s, +3 s, +7 s, then +12 s (the 8 s backoff
-        // capped at max_rto = 5 s).
-        let mut sent = Vec::new();
-        while let Some(at) = l.poll_at() {
-            match l.poll_transmit(at) {
-                Some((peer, s)) => {
-                    assert_eq!(peer, NodeId(1).mesh_addr());
-                    assert!(s.flags.contains(Flags::SYN) && s.flags.contains(Flags::ACK));
-                    sent.push(at.as_micros() / 1_000_000);
-                }
-                None => {
-                    // Retries exhausted: the next due poll reclaims.
-                    assert_eq!(at, t0 + Duration::from_secs(17));
-                }
-            }
-        }
-        assert_eq!(sent, vec![1, 3, 7, 12]);
-        assert_eq!(l.stats.synack_rexmits, 4);
-        assert_eq!(l.half_open(), 0);
-        assert_eq!(l.stats.expired, 1);
-    }
-
-    /// Fig. 9a silent-sensor regression. A sleepy client's handshake ACK
-    /// is lost, and the SYN-ACK retransmits go unanswered while the
-    /// client sleeps. Its first data segment leaves with the first
-    /// 64-reading batch, 64 s after the SYN. A cache entry on a private
-    /// 1+2+4+8 s schedule was gone by then: the segment counted as a
-    /// bad ACK, the client was reset, and the sensor went silent.
-    #[test]
-    fn sleepy_client_first_data_completes_handshake_after_64s() {
-        let mut l = listener(TcpConfig::default());
-        let t0 = Instant::ZERO;
-        let peer = NodeId(1).mesh_addr();
-        let syn = Segment::new(5, 80, TcpSeq(77), TcpSeq(0), Flags::SYN);
-        let synack = l.on_segment(peer, &syn, 10, t0).into_reply().expect("SYN-ACK");
-        let wake = t0 + Duration::from_secs(64);
-        while let Some(at) = l.poll_at().filter(|&at| at <= wake) {
-            let _ = l.poll_transmit(at);
-        }
-        let mut data = Segment::new(5, 80, TcpSeq(78), synack.seq + 1, Flags::ACK | Flags::PSH);
-        data.payload = vec![0xAB; 82];
-        let s = l
-            .on_segment(peer, &data, 0, wake)
-            .into_spawn()
-            .expect("first data segment completes the handshake");
-        assert_eq!(s.state(), TcpState::Established);
-        assert_eq!(s.available(), 82);
-        assert_eq!(l.stats.bad_acks, 0);
-        assert_eq!(l.stats.expired, 0);
-    }
-
-    /// The accept-backlog limit drops SYNs while enough accepted
-    /// children are alive, and admits again once they close.
-    #[test]
-    fn accept_backlog_limits_new_syns() {
-        let budget = NodeBudget {
-            accept_backlog: 2,
-            ..NodeBudget::default()
-        };
-        let mut l = ListenSocket::new(TcpConfig::default(), NodeId(9).mesh_addr(), 80, &budget);
-        let t = Instant::ZERO;
-        l.sync_backlog(2);
-        let syn = Segment::new(5, 80, TcpSeq(77), TcpSeq(0), Flags::SYN);
-        assert!(matches!(
-            l.on_segment(NodeId(1).mesh_addr(), &syn, 10, t),
-            ListenerResponse::None
-        ));
-        assert_eq!(l.stats.backlog_denied, 1);
-        l.sync_backlog(1);
-        assert!(l.on_segment(NodeId(1).mesh_addr(), &syn, 10, t).into_reply().is_some());
-    }
-
-    /// An acceptable RST tears down the matching half-open entry.
-    #[test]
-    fn rst_aborts_half_open_entry() {
-        let mut l = listener(TcpConfig::default());
-        let t = Instant::ZERO;
-        let peer = NodeId(1).mesh_addr();
-        let syn = Segment::new(5, 80, TcpSeq(77), TcpSeq(0), Flags::SYN);
-        let _ = l.on_segment(peer, &syn, 10, t);
-        // Out-of-window RST ignored.
-        let bad = Segment::new(5, 80, TcpSeq(5000), TcpSeq(0), Flags::RST);
-        let _ = l.on_segment(peer, &bad, 0, t);
-        assert_eq!(l.half_open(), 1);
-        // RST at rcv_nxt (irs+1) aborts.
-        let rst = Segment::new(5, 80, TcpSeq(78), TcpSeq(0), Flags::RST);
-        let _ = l.on_segment(peer, &rst, 0, t);
-        assert_eq!(l.half_open(), 0);
-        assert_eq!(l.stats.rst_aborts, 1);
-    }
-
     /// The promoted socket is fully functional: data flows both ways
     /// with the options negotiated in the original SYN.
     #[test]
@@ -2416,17 +1742,6 @@ mod tests {
         a.on_segment(&back, Ecn::NotCapable, t);
         assert_eq!(a.recv(&mut buf), 4);
         assert_eq!(&buf[..4], b"pong");
-    }
-
-    /// Listener stats digest is stable and counter-sensitive, like
-    /// `TcpStats::digest`.
-    #[test]
-    fn listen_stats_digest_sensitivity() {
-        let a = ListenStats::default();
-        let mut b = ListenStats::default();
-        assert_eq!(a.digest(), b.digest());
-        b.syn_dups = 1;
-        assert_ne!(a.digest(), b.digest());
     }
 
     #[test]
