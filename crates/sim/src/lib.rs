@@ -15,16 +15,13 @@
 //! - [`stats`]: running statistics, percentiles and fixed-bin histograms
 //!   used to report the paper's figures, typed per-layer counters, and
 //!   the FNV-1a digest hash.
-//! - [`trace`]: time-series recording (e.g. the cwnd trace of Figure 7a).
 
 pub mod queue;
 pub mod rng;
 pub mod stats;
 pub mod time;
-pub mod trace;
 
 pub use queue::{EventQueue, EventToken};
 pub use rng::Rng;
 pub use stats::{CounterKey, Counters, Fnv1a, Histogram, Summary};
 pub use time::{Duration, Instant};
-pub use trace::Series;
