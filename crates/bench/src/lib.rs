@@ -244,7 +244,10 @@ pub fn run_app_study(p: &AppRun) -> AppResult {
     run_app_study_inner(p, false)
 }
 
-/// Like [`run_app_study`] but dumps per-node counters (debugging).
+/// Like [`run_app_study`] but dumps per-node counters and, one line
+/// each, every TCP connection's final state and close reason and every
+/// listener's [`tcplp::ListenStats`] (debugging: a sensor that went
+/// silent shows up as a client that is not `Established`).
 pub fn run_app_study_verbose(p: &AppRun) -> AppResult {
     run_app_study_inner(p, true)
 }
@@ -370,6 +373,20 @@ fn run_app_study_inner(p: &AppRun, verbose: bool) -> AppResult {
                 n.indirect.values().map(|q| q.len()).sum::<usize>(),
                 n.counters.iter().collect::<Vec<_>>()
             );
+        }
+        for (i, n) in world.nodes.iter().enumerate() {
+            for t in &n.transport.tcp {
+                let (addr, port) = t.remote();
+                println!(
+                    "tcp node{i}:{} -> [{addr}]:{port}: {:?}, close reason {:?}",
+                    t.local().1,
+                    t.state(),
+                    t.close_reason()
+                );
+            }
+            if let Some(l) = &n.transport.tcp_listener {
+                println!("listener node{i}:{}: {:?}", l.port(), l.stats);
+            }
         }
         if let Some(srv) = world.nodes[0].transport.coap_server.as_ref() {
             println!("server received {} posts, {} dups", srv.received_count(), srv.duplicates);

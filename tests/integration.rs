@@ -2,6 +2,8 @@
 //! checking that the reproduction's headline behaviours hold end to
 //! end.
 
+use lln_bench::sweep::sweep;
+use lln_bench::{run_app_study, AppProtocol, AppRun};
 use tcplp_repro::coap::{CoapClient, CoapClientConfig, Cocoa, RtoAlgorithm};
 use tcplp_repro::mac::MacConfig;
 use tcplp_repro::models;
@@ -217,6 +219,38 @@ fn tcp_and_coap_both_reliable_under_moderate_loss() {
         coap_readings as f64 >= 0.85 * denom as f64,
         "CoAP reliability under 9% loss: {coap_readings}/{denom}"
     );
+}
+
+/// Figure 9(a) on the full §9 app study: 4 sleepy sensors, batch 64,
+/// 9% injected loss at the border router, over several seeds. One
+/// silent sensor caps reliability near 75%, so ≥ 90% at every seed means
+/// every sensor kept delivering. The listener's SYN cache once reclaimed
+/// a half-open entry 15 s after the SYN; a sleepy leaf whose handshake
+/// ACK was lost speaks next with its first batch, about 64 s later, and
+/// was reset.
+#[test]
+fn app_study_keeps_every_sensor_reporting_at_9pct_loss() {
+    let seeds: Vec<u64> = (1..=4).map(|k| 7919 * k).collect();
+    let results = sweep(&seeds, |&seed| {
+        run_app_study(&AppRun {
+            protocol: AppProtocol::Tcplp,
+            batch: Some(64),
+            sensors: 4,
+            injected_loss: 0.09,
+            duration: Duration::from_secs(1500),
+            seed,
+            ..AppRun::default()
+        })
+    });
+    for (seed, r) in seeds.iter().zip(&results) {
+        assert!(
+            r.reliability >= 0.90,
+            "seed {seed}: reliability {:.1}% ({} of {} readings)",
+            r.reliability * 100.0,
+            r.delivered,
+            r.generated
+        );
+    }
 }
 
 #[test]
