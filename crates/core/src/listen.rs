@@ -640,7 +640,10 @@ mod tests {
         let t0 = Instant::ZERO;
         let peer = NodeId(1).mesh_addr();
         let syn = Segment::new(5, 80, TcpSeq(77), TcpSeq(0), Flags::SYN);
-        let synack = l.on_segment(peer, &syn, 10, t0).into_reply().expect("SYN-ACK");
+        let synack = l
+            .on_segment(peer, &syn, 10, t0)
+            .into_reply()
+            .expect("SYN-ACK");
         let wake = t0 + Duration::from_secs(64);
         while let Some(at) = l.poll_at().filter(|&at| at <= wake) {
             let _ = l.poll_transmit(at);

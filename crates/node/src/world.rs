@@ -251,8 +251,7 @@ impl World {
     pub fn add_tcp_listener(&mut self, server: usize, cfg: TcpConfig) {
         let n = &mut self.nodes[server];
         let addr = n.ip_addr();
-        n.transport.tcp_listener =
-            Some(tcplp::ListenSocket::new(cfg, addr, TCP_PORT, &n.budget));
+        n.transport.tcp_listener = Some(tcplp::ListenSocket::new(cfg, addr, TCP_PORT, &n.budget));
         n.transport_kind = TransportKind::Tcplp;
     }
 
