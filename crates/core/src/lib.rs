@@ -63,13 +63,13 @@ pub mod wire;
 
 pub use cc::NewReno;
 pub use config::TcpConfig;
+pub use listen::{reset_for, ListenStats, ListenSocket, ListenerResponse};
 pub use mem::{MemClass, MemGovernor, NodeBudget};
 pub use recvbuf::RecvBuffer;
 pub use rtt::RttEstimator;
 pub use sack::{SackScoreboard, SackUpdate};
 pub use sendbuf::SendBuffer;
 pub use seq::TcpSeq;
-pub use listen::{reset_for, ListenStats, ListenSocket, ListenerResponse};
 pub use socket::{CloseReason, TcpSocket, TcpState};
 pub use stats::TcpStats;
 pub use wire::{Flags, SackBlock, Segment, SegmentView, Timestamps};

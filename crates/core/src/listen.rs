@@ -631,9 +631,9 @@ mod tests {
     /// Fig. 9a silent-sensor regression. A sleepy client's handshake ACK
     /// is lost, and the SYN-ACK retransmits go unanswered while the
     /// client sleeps. Its first data segment leaves with the first
-    /// 64-reading batch, 64 s after the SYN. A cache entry on a private
-    /// 1+2+4+8 s schedule was gone by then: the segment counted as a
-    /// bad ACK, the client was reset, and the sensor went silent.
+    /// 64-reading batch, 64 s after the SYN, and must still find the
+    /// entry: otherwise it counts as a bad ACK, the client is reset, and
+    /// the sensor goes silent.
     #[test]
     fn sleepy_client_first_data_completes_handshake_after_64s() {
         let mut l = listener(TcpConfig::default());

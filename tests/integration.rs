@@ -224,10 +224,9 @@ fn tcp_and_coap_both_reliable_under_moderate_loss() {
 /// Figure 9(a) on the full §9 app study: 4 sleepy sensors, batch 64,
 /// 9% injected loss at the border router, over several seeds. One
 /// silent sensor caps reliability near 75%, so ≥ 90% at every seed means
-/// every sensor kept delivering. The listener's SYN cache once reclaimed
-/// a half-open entry 15 s after the SYN; a sleepy leaf whose handshake
-/// ACK was lost speaks next with its first batch, about 64 s later, and
-/// was reset.
+/// every sensor kept delivering. A sleepy leaf whose handshake ACK is
+/// lost speaks next with its first batch, about 64 s later, so the
+/// listener's half-open entry must outlive that.
 #[test]
 fn app_study_keeps_every_sensor_reporting_at_9pct_loss() {
     let seeds: Vec<u64> = (1..=4).map(|k| 7919 * k).collect();
