@@ -241,9 +241,9 @@ impl ListenSocket {
         self.stats.syns_rcvd += 1;
         if let Some(i) = self.find(remote_addr, seg.src_port) {
             if seg.seq == self.entries[i].irs {
-                // Satellite fix: a retransmitted SYN from the same
-                // 4-tuple refreshes the entry and re-answers — it must
-                // never mint an independent connection.
+                // A retransmitted SYN from the same 4-tuple refreshes
+                // the entry and re-answers — it must never mint an
+                // independent connection.
                 self.stats.syn_dups += 1;
                 let e = &mut self.entries[i];
                 e.peer_window = seg.window;
@@ -262,8 +262,8 @@ impl ListenSocket {
             return ListenerResponse::None;
         }
         if self.entries.len() >= self.slots {
-            // Eviction policy: oldest half-open first (ISSUE eviction
-            // order; established sockets are never touched).
+            // Eviction policy: oldest half-open first; established
+            // sockets are never touched.
             let oldest = self
                 .entries
                 .iter()
@@ -539,9 +539,8 @@ mod tests {
         assert_eq!(l.stats.bad_acks, bad_before + 2);
     }
 
-    /// The satellite fix: a retransmitted SYN from the same 4-tuple
-    /// must re-answer from the existing entry, never mint a second
-    /// connection (the old listener spawned one socket per SYN copy).
+    /// A retransmitted SYN from the same 4-tuple must re-answer from the
+    /// existing entry, never mint a second connection.
     #[test]
     fn retransmitted_syn_deduplicates() {
         let mut l = listener(TcpConfig::default());
