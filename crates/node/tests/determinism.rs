@@ -109,6 +109,24 @@ fn torture_run_digest(seed: u64) -> u64 {
 /// Overload-tier pinned-seed run: SYN+fragment flood at the server
 /// (the CI FLOOD_SEED scenario shape).
 fn flood_run_digest(seed: u64) -> u64 {
+    flood_digest(seed, true, true)
+}
+
+/// The flood run with forged FRAG1s only: no SYN half runs on a tick,
+/// so the listener never reschedules the transport timer between
+/// flood ticks and the reassembler is the only structure the flood
+/// touches.
+fn frag_flood_run_digest(seed: u64) -> u64 {
+    flood_digest(seed, false, true)
+}
+
+/// The flood run with forged SYNs only (the SYN cache under load, no
+/// reassembly pressure).
+fn syn_flood_run_digest(seed: u64) -> u64 {
+    flood_digest(seed, true, false)
+}
+
+fn flood_digest(seed: u64, syn: bool, frag: bool) -> u64 {
     let mut world = chain_world(seed, NodeBudget::default());
     world.add_tcp_listener(SERVER, hardened_cfg());
     world.set_sink_capture(SERVER);
@@ -118,8 +136,8 @@ fn flood_run_digest(seed: u64) -> u64 {
             start: Instant::from_millis(2_000),
             stop: Instant::from_millis(150_000),
             rate_hz: 80,
-            syn: true,
-            frag: true,
+            syn,
+            frag,
             spoofed_sources: 16,
             ..FloodConfig::default()
         },
@@ -142,6 +160,16 @@ const TORTURE_PINS: [(u64, u64); 2] = [
 const FLOOD_PINS: [(u64, u64); 2] = [
     (52001, 0xed87_5a1a_cbef_d78d),
     (90017, 0x9fa6_b05e_e5a6_45bb),
+];
+/// Single-half flood pins, captured before the flood ingress path was
+/// cut down; that change must leave them as they are.
+const FRAG_FLOOD_PINS: [(u64, u64); 2] = [
+    (52001, 0x69a2_a724_be31_29a5),
+    (90017, 0xd89f_0e4d_b85a_340b),
+];
+const SYN_FLOOD_PINS: [(u64, u64); 2] = [
+    (52001, 0x5603_696b_1fe5_47dc),
+    (90017, 0x8ee1_26c0_5583_0e53),
 ];
 
 fn check(kind: &str, pins: &[(u64, u64)], run: fn(u64) -> u64) {
@@ -174,4 +202,14 @@ fn torture_digests_are_pinned() {
 #[test]
 fn flood_digests_are_pinned() {
     check("flood", &FLOOD_PINS, flood_run_digest);
+}
+
+#[test]
+fn frag_only_flood_digests_are_pinned() {
+    check("frag-only flood", &FRAG_FLOOD_PINS, frag_flood_run_digest);
+}
+
+#[test]
+fn syn_only_flood_digests_are_pinned() {
+    check("syn-only flood", &SYN_FLOOD_PINS, syn_flood_run_digest);
 }
