@@ -11,9 +11,10 @@ use crate::config::TcpConfig;
 use crate::mem::{MemClass, NodeBudget, SYN_ENTRY_BYTES};
 use crate::seq::TcpSeq;
 use crate::socket::TcpSocket;
-use crate::wire::{Flags, Segment, Timestamps};
+use crate::wire::{Flags, Segment, SegmentView, Timestamps};
 use lln_netip::{Ecn, Ipv6Addr};
 use lln_sim::{Fnv1a, Instant};
+use std::collections::VecDeque;
 
 /// Counters kept by a [`ListenSocket`], digestable like
 /// [`TcpStats`](crate::TcpStats) so overload runs can be compared bit-for-bit.
@@ -133,7 +134,10 @@ pub struct ListenSocket {
     /// Maximum accepted-and-live connections; SYNs beyond this are
     /// dropped silently so the client retries after the flood.
     accept_backlog: usize,
-    entries: Vec<SynEntry>,
+    /// Half-open entries in creation order: each is pushed at the
+    /// back with the current time, which never goes backwards, so the
+    /// front is always the oldest.
+    entries: VecDeque<SynEntry>,
     /// Live accepted connections, reported by the owner via
     /// [`ListenSocket::sync_backlog`]; enforces the accept backlog.
     backlog_used: usize,
@@ -153,7 +157,7 @@ impl ListenSocket {
             cfg,
             slots,
             accept_backlog: budget.accept_backlog,
-            entries: Vec::new(),
+            entries: VecDeque::new(),
             backlog_used: 0,
             stats: ListenStats::default(),
         }
@@ -193,7 +197,20 @@ impl ListenSocket {
         self.backlog_used = used;
     }
 
-    /// Handles a segment addressed to the listening port.
+    /// Handles an owned segment addressed to the listening port; see
+    /// [`ListenSocket::on_segment_view`].
+    pub fn on_segment(
+        &mut self,
+        remote_addr: Ipv6Addr,
+        seg: &Segment,
+        iss: u32,
+        now: Instant,
+    ) -> ListenerResponse {
+        self.on_segment_view(remote_addr, seg.view(), iss, now)
+    }
+
+    /// Handles a segment addressed to the listening port, borrowed
+    /// from the wire buffer.
     ///
     /// - SYN: dedup against the cache by 4-tuple (a retransmitted SYN
     ///   re-answers with the *same* SYN-ACK — no duplicate state), or
@@ -204,10 +221,10 @@ impl ListenSocket {
     ///   socket is built and returned; otherwise `None` so the caller
     ///   can RST.
     /// - RST: aborts the matching half-open entry (RFC 793).
-    pub fn on_segment(
+    pub fn on_segment_view(
         &mut self,
         remote_addr: Ipv6Addr,
-        seg: &Segment,
+        seg: SegmentView<'_>,
         iss: u32,
         now: Instant,
     ) -> ListenerResponse {
@@ -234,7 +251,7 @@ impl ListenSocket {
     fn on_syn(
         &mut self,
         remote_addr: Ipv6Addr,
-        seg: &Segment,
+        seg: SegmentView<'_>,
         iss: u32,
         now: Instant,
     ) -> ListenerResponse {
@@ -253,8 +270,8 @@ impl ListenSocket {
                 let reply = self.synack_for(i, now);
                 return ListenerResponse::Reply(reply);
             }
-            // Same 4-tuple, new ISN: the peer restarted. Replace the
-            // stale half-open with a fresh entry (same slot).
+            // Same 4-tuple, new ISN: the peer restarted. Drop the
+            // stale half-open; the fresh entry goes to the back below.
             self.entries.remove(i);
         }
         if self.backlog_used >= self.accept_backlog {
@@ -262,19 +279,16 @@ impl ListenSocket {
             return ListenerResponse::None;
         }
         if self.entries.len() >= self.slots {
-            // Eviction policy: oldest half-open first; established
-            // sockets are never touched.
-            let oldest = self
-                .entries
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, e)| e.created)
-                .map(|(i, _)| i)
-                .expect("cache full implies non-empty");
-            self.entries.remove(oldest);
+            // Eviction policy: oldest half-open first, which is the
+            // front; established sockets are never touched.
+            self.entries.pop_front();
             self.stats.evicted_oldest += 1;
         }
-        self.entries.push(SynEntry {
+        debug_assert!(
+            self.entries.back().is_none_or(|e| e.created <= now),
+            "SYN-cache entries must stay in creation order"
+        );
+        self.entries.push_back(SynEntry {
             remote_addr,
             remote_port: seg.src_port,
             irs: seg.seq,
@@ -292,7 +306,12 @@ impl ListenSocket {
         ListenerResponse::Reply(reply)
     }
 
-    fn on_ack(&mut self, remote_addr: Ipv6Addr, seg: &Segment, now: Instant) -> ListenerResponse {
+    fn on_ack(
+        &mut self,
+        remote_addr: Ipv6Addr,
+        seg: SegmentView<'_>,
+        now: Instant,
+    ) -> ListenerResponse {
         if let Some(i) = self.find(remote_addr, seg.src_port) {
             // The completing ACK need not be the bare handshake ACK: if
             // that ACK was lost, the client's first data segments still
@@ -305,7 +324,7 @@ impl ListenSocket {
                 && (seg.seq == e.irs + 1
                     || seg.seq.in_window(e.irs + 1, self.cfg.recv_buf as u32));
             if ok {
-                let e = self.entries.remove(i);
+                let e = self.entries.remove(i).expect("found above");
                 let sock = self.promote(&e, seg, now);
                 self.stats.spawned += 1;
                 return ListenerResponse::Spawn(Box::new(sock));
@@ -362,7 +381,7 @@ impl ListenSocket {
     fn find(&self, remote_addr: Ipv6Addr, remote_port: u16) -> Option<usize> {
         self.entries
             .iter()
-            .position(|e| e.remote_addr == remote_addr && e.remote_port == remote_port)
+            .position(|e| e.remote_port == remote_port && e.remote_addr == remote_addr)
     }
 
     /// Builds the SYN-ACK for entry `i` (also used verbatim for dedup
@@ -403,7 +422,7 @@ impl ListenSocket {
 
     /// Builds the established socket from a cache entry plus the
     /// handshake-completing ACK.
-    fn promote(&self, e: &SynEntry, ack: &Segment, now: Instant) -> TcpSocket {
+    fn promote(&self, e: &SynEntry, ack: SegmentView<'_>, now: Instant) -> TcpSocket {
         // Reconstruct the SYN the entry summarised and run it through
         // the normal passive-open negotiation.
         let mut syn = Segment::new(e.remote_port, self.local_port, e.irs, TcpSeq(0), Flags::SYN);
@@ -430,14 +449,14 @@ impl ListenSocket {
         s.snd_nxt = s.iss + 1;
         s.snd_max = s.snd_nxt;
         s.stats.segs_sent += 1;
-        s.on_segment(ack, Ecn::NotCapable, now);
+        s.on_segment_view(ack, Ecn::NotCapable, now);
         s
     }
 }
 
 /// Builds the RST segment RFC 793 prescribes for a segment that matched
 /// no socket (used by the host dispatch layer).
-pub fn reset_for(seg: &Segment) -> Option<Segment> {
+pub fn reset_for(seg: &SegmentView<'_>) -> Option<Segment> {
     if seg.flags.contains(Flags::RST) {
         return None;
     }
@@ -589,6 +608,123 @@ mod tests {
         // The four survivors are the newest four (oldest-first policy).
         let survivors: Vec<u16> = l.entries.iter().map(|e| e.remote_port).collect();
         assert_eq!(survivors, vec![1016, 1017, 1018, 1019]);
+    }
+
+    /// A four-slot listener holding SYNs from ports 1000..1004, one
+    /// every 10 ms starting at zero.
+    fn full_cache() -> (ListenSocket, Instant) {
+        let mut budget = NodeBudget::default();
+        budget.caps[MemClass::SynCache.idx()] = 4 * SYN_ENTRY_BYTES;
+        let mut l = ListenSocket::new(TcpConfig::default(), NodeId(9).mesh_addr(), 80, &budget);
+        let mut t = Instant::ZERO;
+        for i in 0..4u16 {
+            let syn = Segment::new(1000 + i, 80, TcpSeq(u32::from(i)), TcpSeq(0), Flags::SYN);
+            let r = l.on_segment(NodeId(1).mesh_addr(), &syn, 7, t);
+            assert!(r.into_reply().is_some());
+            t += Duration::from_millis(10);
+        }
+        (l, t)
+    }
+
+    fn cached_ports(l: &ListenSocket) -> Vec<u16> {
+        l.entries.iter().map(|e| e.remote_port).collect()
+    }
+
+    /// A duplicate SYN refreshes its entry in place: the entry keeps
+    /// its age, so it is still the one a full cache evicts next.
+    #[test]
+    fn full_cache_evicts_oldest_after_duplicate_refresh() {
+        let (mut l, t) = full_cache();
+        let peer = NodeId(1).mesh_addr();
+        let dup = Segment::new(1000, 80, TcpSeq(0), TcpSeq(0), Flags::SYN);
+        assert!(l.on_segment(peer, &dup, 7, t).into_reply().is_some());
+        assert_eq!(l.stats.syn_dups, 1);
+        let syn = Segment::new(2000, 80, TcpSeq(50), TcpSeq(0), Flags::SYN);
+        let _ = l.on_segment(peer, &syn, 7, t + Duration::from_millis(10));
+        assert_eq!(l.stats.evicted_oldest, 1);
+        assert_eq!(cached_ports(&l), vec![1001, 1002, 1003, 2000]);
+    }
+
+    /// A same-tuple SYN with a new ISN is a fresh entry created now, so
+    /// it moves to the back and the next-oldest entry is evicted.
+    #[test]
+    fn full_cache_evicts_oldest_after_same_tuple_restart() {
+        let (mut l, t) = full_cache();
+        let peer = NodeId(1).mesh_addr();
+        let restart = Segment::new(1000, 80, TcpSeq(900), TcpSeq(0), Flags::SYN);
+        assert!(l.on_segment(peer, &restart, 7, t).into_reply().is_some());
+        assert_eq!(cached_ports(&l), vec![1001, 1002, 1003, 1000]);
+        let syn = Segment::new(2000, 80, TcpSeq(50), TcpSeq(0), Flags::SYN);
+        let _ = l.on_segment(peer, &syn, 7, t + Duration::from_millis(10));
+        assert_eq!(l.stats.evicted_oldest, 1);
+        assert_eq!(cached_ports(&l), vec![1002, 1003, 1000, 2000]);
+    }
+
+    /// The owned entry point and the view entry point agree on a seeded
+    /// mix of SYNs, retransmitted SYNs, ACKs (good and bad) and RSTs.
+    /// The view side decodes each segment from its wire bytes, as the
+    /// host does.
+    #[test]
+    fn owned_and_view_entry_points_agree() {
+        let mut budget = NodeBudget::default();
+        budget.caps[MemClass::SynCache.idx()] = 4 * SYN_ENTRY_BYTES;
+        let local = NodeId(9).mesh_addr();
+        let mut owned = ListenSocket::new(TcpConfig::default(), local, 80, &budget);
+        let mut viewed = owned.clone();
+        let mut rng = lln_sim::Rng::new(0x11_57e4);
+        let mut wire = Vec::new();
+        let mut t = Instant::ZERO;
+        // (peer, port, irs, iss) of SYNs sent so far.
+        let mut sent: Vec<(Ipv6Addr, u16, TcpSeq, TcpSeq)> = Vec::new();
+        for _ in 0..2000 {
+            t += Duration::from_millis(rng.gen_range(400));
+            let pick = (!sent.is_empty()).then(|| sent[rng.gen_range(sent.len() as u64) as usize]);
+            let (peer, seg) = match (rng.gen_range(5), pick) {
+                (0, Some((peer, port, irs, _))) => {
+                    (peer, Segment::new(port, 80, irs, TcpSeq(0), Flags::SYN))
+                }
+                (1, Some((peer, port, irs, iss))) => {
+                    let ack = if rng.gen_bool(0.7) { iss + 1 } else { iss + 9 };
+                    (peer, Segment::new(port, 80, irs + 1, ack, Flags::ACK))
+                }
+                (2, Some((peer, port, irs, _))) => {
+                    let seq = if rng.gen_bool(0.5) { irs + 1 } else { irs + 77 };
+                    (peer, Segment::new(port, 80, seq, TcpSeq(0), Flags::RST))
+                }
+                _ => {
+                    let peer = NodeId(rng.gen_range(3) as u16 + 1).mesh_addr();
+                    let port = 1000 + rng.gen_range(8) as u16;
+                    let irs = TcpSeq(rng.next_u64() as u32);
+                    let mut syn = Segment::new(port, 80, irs, TcpSeq(0), Flags::SYN);
+                    syn.mss = Some(300);
+                    (peer, syn)
+                }
+            };
+            let iss = rng.next_u64() as u32;
+            seg.encode_into(peer, local, &mut wire);
+            let view = Segment::decode_view(peer, local, &wire).expect("valid encoding");
+            let a = owned.on_segment(peer, &seg, iss, t);
+            let b = viewed.on_segment_view(peer, view, iss, t);
+            match (a, b) {
+                (ListenerResponse::None, ListenerResponse::None) => {}
+                (ListenerResponse::Reply(x), ListenerResponse::Reply(y)) => {
+                    assert_eq!(x, y);
+                    if seg.flags == Flags::SYN && !sent.iter().any(|s| s.2 == seg.seq) {
+                        sent.push((peer, seg.src_port, seg.seq, x.seq));
+                    }
+                }
+                (ListenerResponse::Spawn(x), ListenerResponse::Spawn(y)) => {
+                    assert_eq!(x.state(), y.state());
+                    assert_eq!(x.remote(), y.remote());
+                    assert_eq!(x.stats.digest(), y.stats.digest());
+                }
+                (x, y) => panic!("responses differ: {x:?} vs {y:?}"),
+            }
+            assert_eq!(owned.stats.digest(), viewed.stats.digest());
+        }
+        assert!(owned.stats.spawned > 0 && owned.stats.rst_aborts > 0);
+        assert!(owned.stats.syn_dups > 0 && owned.stats.evicted_oldest > 0);
+        assert!(owned.stats.bad_acks > 0);
     }
 
     /// SYN-ACKs retransmit on the listener's own RTO schedule (the one a

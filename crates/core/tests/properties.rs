@@ -14,9 +14,13 @@
 //! - [`RecvBuffer`]: first write wins — once a byte position has been
 //!   accepted, no later overlapping write (retransmission or forgery)
 //!   can change what the application will read.
+//!
+//! A third pins an equivalence the node's governor sync relies on:
+//! [`MemGovernor`] ends in the same state whether every class gauge is
+//! rewritten or only the gauges that moved.
 
 use lln_sim::Rng;
-use tcplp::{RecvBuffer, SackBlock, SackScoreboard, TcpSeq};
+use tcplp::{MemClass, MemGovernor, NodeBudget, RecvBuffer, SackBlock, SackScoreboard, TcpSeq};
 
 const EPISODES: u64 = 40;
 
@@ -214,5 +218,38 @@ fn recvbuf_delivered_bytes_never_change_after_first_write() {
             "episode {ep}: generators must actually produce conflicts"
         );
         assert!(read_pos > 0, "episode {ep}: something must get delivered");
+    }
+}
+
+#[test]
+fn governor_skipping_unmoved_gauges_changes_nothing() {
+    let mut root = Rng::new(0x6a09_e667);
+    for ep in 0..EPISODES {
+        let mut rng = root.fork(ep);
+        let mut every = MemGovernor::new(NodeBudget::default());
+        let mut moved = MemGovernor::new(NodeBudget::default());
+        let mut bytes = [0usize; 6];
+        for _ in 0..300 {
+            // An admission grows one gauge ahead of its structure, as
+            // the accept path does before the socket exists.
+            if rng.gen_bool(0.1) {
+                let class = MemClass::ALL[rng.gen_range(6) as usize];
+                let extra = rng.gen_range(4096) as usize;
+                assert_eq!(every.try_admit(class, extra), moved.try_admit(class, extra));
+            }
+            // Most classes hold still between syncs; a few move.
+            for b in bytes.iter_mut() {
+                if rng.gen_bool(0.3) {
+                    *b = rng.gen_range(12 * 1024) as usize;
+                }
+            }
+            for (class, &b) in MemClass::ALL.iter().zip(&bytes) {
+                every.set_gauge(*class, b);
+                if moved.gauge(*class) != b as u64 {
+                    moved.set_gauge(*class, b);
+                }
+            }
+            assert_eq!(every.digest(), moved.digest(), "episode {ep}");
+        }
     }
 }

@@ -283,12 +283,12 @@ fn listener_ignores_non_syn_and_rst_generated() {
         .is_none());
     assert_eq!(l.stats.bad_acks, 1, "stray ACK counted, not spawned");
     // The host layer answers with a RST derived from the segment.
-    let rst = tcplp::reset_for(&bare_ack).expect("rst for stray ack");
+    let rst = tcplp::reset_for(&bare_ack.view()).expect("rst for stray ack");
     assert!(rst.flags.contains(Flags::RST));
     assert_eq!(rst.seq, TcpSeq(2), "RST seq = offending ACK");
     // RSTs never answer RSTs.
     let rst_in = Segment::new(5, 80, TcpSeq(1), TcpSeq(0), Flags::RST);
-    assert!(tcplp::reset_for(&rst_in).is_none());
+    assert!(tcplp::reset_for(&rst_in.view()).is_none());
 }
 
 #[test]

@@ -546,13 +546,19 @@ impl Node {
         }
     }
 
-    /// Recomputes every class gauge from the owning structures. Cheap
-    /// (sums over short queues); called by the world after any step
-    /// that can change occupancy, so high-water marks are exact.
+    /// Recomputes every class gauge from the owning structures; called
+    /// by the world after any step that can change occupancy, so
+    /// high-water marks are exact. Only classes whose bytes moved are
+    /// written. Skipping the rest is exact: every gauge write goes
+    /// through [`MemGovernor::set_gauge`], which keeps each high-water
+    /// mark at or above its gauge and the total high-water mark at or
+    /// above the total, so rewriting an unchanged gauge changes nothing.
     pub fn sync_governor(&mut self) {
         for class in MemClass::ALL {
             let bytes = self.accounted_bytes(class);
-            self.governor.set_gauge(class, bytes);
+            if self.governor.gauge(class) != bytes as u64 {
+                self.governor.set_gauge(class, bytes);
+            }
         }
     }
 

@@ -16,7 +16,7 @@ use lln_energy::RadioState;
 use lln_mac::csma::{MacConfig, TxProcess, TxStep};
 use lln_mac::frame::{FrameType, MacFrame, MAX_MAC_PAYLOAD};
 use lln_mac::pool::{FrameBuf, FramePool};
-use lln_netip::{Ecn, Ipv6Header, NextHeader, NodeId, UdpHeader};
+use lln_netip::{Ecn, Ipv6Addr, Ipv6Header, NextHeader, NodeId, UdpHeader};
 use lln_phy::medium::TxHandle;
 use lln_phy::{Medium, PhyConfig, RadioIdx};
 use lln_sim::{Duration, EventQueue, Instant, Rng};
@@ -63,6 +63,19 @@ impl Default for WorldConfig {
             budget: NodeBudget::default(),
         }
     }
+}
+
+/// Where a node sends a packet (see `World::next_hop`).
+#[derive(Clone, Copy)]
+enum Hop {
+    /// Over the wired link to this node, if one is attached.
+    Wired(Option<usize>),
+    /// Into a sleepy child's indirect queue.
+    Indirect(NodeId),
+    /// Into the IP queue, toward this radio neighbour.
+    Radio(NodeId),
+    /// No route: the packet is counted and dropped.
+    Unroutable,
 }
 
 /// Events in the world.
@@ -1360,66 +1373,116 @@ impl World {
 
     /// Queues a locally-originated or forwarded packet.
     fn enqueue_ip(&mut self, i: usize, hdr: Ipv6Header, payload: Vec<u8>, now: Instant) {
-        // Cloud host: everything goes over the wire to the border.
-        if self.nodes[i].kind == NodeKind::CloudHost {
-            if let Some(b) = self.border {
-                self.queue.schedule(
-                    now + self.cfg.wired_latency,
-                    Event::WiredDeliver(b, hdr, payload),
-                );
-            }
+        let hop = self.next_hop(i, hdr.dst);
+        if self.admit(i, hop, payload.len()) {
+            self.push_ip(i, hop, hdr, payload, now);
+        } else {
+            self.nodes[i].seg_bufs.put(payload);
+        }
+    }
+
+    /// Sends a TCP segment from node `i`. Routing and admission run
+    /// before the segment is encoded, so a reply that can go nowhere
+    /// (a SYN-ACK to a spoofed source) never takes a buffer.
+    fn send_tcp(&mut self, i: usize, src: Ipv6Addr, dst: Ipv6Addr, seg: &Segment, now: Instant) {
+        let hop = self.next_hop(i, dst);
+        let len = seg.wire_len();
+        if !self.admit(i, hop, len) {
             return;
         }
+        let hdr = Ipv6Header::new(src, dst, NextHeader::Tcp, len as u16);
+        let mut bytes = self.nodes[i].seg_bufs.take();
+        seg.encode_into(src, dst, &mut bytes);
+        self.push_ip(i, hop, hdr, bytes, now);
+    }
+
+    /// Where node `i` sends a packet for `dst`.
+    fn next_hop(&self, i: usize, dst: Ipv6Addr) -> Hop {
+        let n = &self.nodes[i];
+        // Cloud host: everything goes over the wire to the border.
+        if n.kind == NodeKind::CloudHost {
+            return Hop::Wired(self.border);
+        }
         // Border router: cloud-prefix destinations go over the wire.
-        if self.nodes[i].kind == NodeKind::BorderRouter && !hdr.dst.is_mesh_local() {
-            if let Some(c) = self.cloud {
-                self.queue.schedule(
-                    now + self.cfg.wired_latency,
-                    Event::WiredDeliver(c, hdr, payload),
-                );
-            }
-            return;
+        if n.kind == NodeKind::BorderRouter && !dst.is_mesh_local() {
+            return Hop::Wired(self.cloud);
         }
         // Mesh: route by the destination's node id; off-mesh packets go
         // toward the border router.
-        let dst_node = if hdr.dst.is_mesh_local() {
-            hdr.dst.node_id()
+        let dst_node = if dst.is_mesh_local() {
+            dst.node_id()
         } else {
             self.border.map(|b| NodeId(b as u16))
         };
-        let Some(next_hop) = dst_node.and_then(|d| self.nodes[i].routes.lookup(d)) else {
-            self.nodes[i].counters.inc(NodeCounter::Unroutable);
-            self.nodes[i].seg_bufs.put(payload);
-            return;
-        };
-        let pkt = OutPacket {
-            hdr,
-            payload,
-            next_hop,
-        };
-        // Indirect queueing for sleepy children (bounded per child by
-        // the node budget).
-        if self.nodes[i].sleepy_children.contains(&next_hop) {
-            self.nodes[i].enqueue_indirect(next_hop, pkt);
-            self.sync_governor(i);
-            return;
+        match dst_node.and_then(|d| n.routes.lookup(d)) {
+            None => Hop::Unroutable,
+            // Indirect queueing for sleepy children (bounded per child
+            // by the node budget).
+            Some(next) if n.sleepy_children.contains(&next) => Hop::Indirect(next),
+            Some(next) => Hop::Radio(next),
         }
-        // Governor admission: the IP-queue class must have room for
-        // the packet's bytes before the queue even sees it.
-        let w = pkt.payload.len() + tcplp::mem::IP_OVERHEAD_BYTES;
-        if !self.nodes[i].governor.would_fit(MemClass::IpQueue, w) {
-            self.nodes[i].governor.note_deny(MemClass::IpQueue);
-            self.nodes[i].counters.inc(NodeCounter::QueueByteDrops);
-            self.nodes[i].seg_bufs.put(pkt.payload);
-            return;
+    }
+
+    /// Whether a packet with `len` transport bytes may take `hop`;
+    /// counts the refusal when it may not.
+    fn admit(&mut self, i: usize, hop: Hop, len: usize) -> bool {
+        let n = &mut self.nodes[i];
+        match hop {
+            Hop::Wired(peer) => peer.is_some(),
+            Hop::Indirect(_) => true,
+            Hop::Unroutable => {
+                n.counters.inc(NodeCounter::Unroutable);
+                false
+            }
+            // Governor admission: the IP-queue class must have room for
+            // the packet's bytes before the queue even sees it.
+            Hop::Radio(_) => {
+                let fits = n
+                    .governor
+                    .would_fit(MemClass::IpQueue, len + tcplp::mem::IP_OVERHEAD_BYTES);
+                if !fits {
+                    n.governor.note_deny(MemClass::IpQueue);
+                    n.counters.inc(NodeCounter::QueueByteDrops);
+                }
+                fits
+            }
         }
-        let r = self.rng.gen_f64();
-        if !self.nodes[i].ip_queue.offer(pkt, r) {
-            self.nodes[i].governor.note_deny(MemClass::IpQueue);
-            self.nodes[i].counters.inc(NodeCounter::QueueDrops);
+    }
+
+    /// Hands an admitted packet to `hop`.
+    fn push_ip(&mut self, i: usize, hop: Hop, hdr: Ipv6Header, payload: Vec<u8>, now: Instant) {
+        match hop {
+            Hop::Wired(Some(peer)) => {
+                self.queue.schedule(
+                    now + self.cfg.wired_latency,
+                    Event::WiredDeliver(peer, hdr, payload),
+                );
+            }
+            Hop::Indirect(next_hop) => {
+                let pkt = OutPacket {
+                    hdr,
+                    payload,
+                    next_hop,
+                };
+                self.nodes[i].enqueue_indirect(next_hop, pkt);
+                self.sync_governor(i);
+            }
+            Hop::Radio(next_hop) => {
+                let pkt = OutPacket {
+                    hdr,
+                    payload,
+                    next_hop,
+                };
+                let r = self.rng.gen_f64();
+                if !self.nodes[i].ip_queue.offer(pkt, r) {
+                    self.nodes[i].governor.note_deny(MemClass::IpQueue);
+                    self.nodes[i].counters.inc(NodeCounter::QueueDrops);
+                }
+                self.sync_governor(i);
+                self.kick_mac(i, now);
+            }
+            Hop::Wired(None) | Hop::Unroutable => unreachable!("refused by admit"),
         }
-        self.sync_governor(i);
-        self.kick_mac(i, now);
     }
 
     /// A full IP packet arrived at node `i` with an owned payload (the
@@ -1530,9 +1593,9 @@ impl World {
 
     fn deliver_tcp(&mut self, i: usize, hdr: &Ipv6Header, payload: &[u8], now: Instant) {
         // Copy-free decode: the parsed view borrows `payload` and the
-        // socket ingests straight from the slice. Only the rare paths
-        // (adversary interposition, listener, uIP, RST) materialize an
-        // owned segment.
+        // socket or listener ingests straight from the slice. Only the
+        // rare paths (adversary interposition, uIP) materialize an owned
+        // segment.
         let Some(view) = Segment::decode_view(hdr.src, hdr.dst, payload) else {
             self.nodes[i].counters.inc(NodeCounter::TcpChecksumDrops);
             return;
@@ -1575,9 +1638,9 @@ impl World {
     }
 
     /// Hands a decoded segment to the owning socket (or the listener,
-    /// the uIP socket, or the RST generator). Segments for an
-    /// established socket are handed over without ever owning the
-    /// payload; everything else falls back to the owned slow path.
+    /// the uIP socket, or the RST generator). The segment stays a
+    /// borrowed view on every path but the uIP socket's, which copies
+    /// it into an owned segment.
     fn dispatch_tcp_view(
         &mut self,
         i: usize,
@@ -1595,8 +1658,7 @@ impl World {
             sock.on_segment_view(seg, ecn, now);
             return;
         }
-        let owned = seg.to_owned();
-        self.dispatch_tcp_slow(i, hdr, &owned, now);
+        self.dispatch_tcp_slow(i, hdr, seg, now);
     }
 
     /// Adversary-scheduled bytes arriving at the transport: decode and
@@ -1614,7 +1676,13 @@ impl World {
 
     /// Non-socket TCP traffic: the listener (SYN cache), the uIP
     /// socket, or the RST generator.
-    fn dispatch_tcp_slow(&mut self, i: usize, hdr: &Ipv6Header, seg: &Segment, now: Instant) {
+    fn dispatch_tcp_slow(
+        &mut self,
+        i: usize,
+        hdr: &Ipv6Header,
+        seg: tcplp::SegmentView<'_>,
+        now: Instant,
+    ) {
         // Listener? All passive-open traffic goes through the bounded
         // SYN cache; the full socket exists only after the completing
         // ACK — and only if the TCP-buffer budget admits it.
@@ -1654,20 +1722,12 @@ impl World {
             let l = self.nodes[i].transport.tcp_listener.as_mut().unwrap();
             let before = l.stats;
             l.sync_backlog(live);
-            let resp = l.on_segment(hdr.src, seg, iss, now);
+            let resp = l.on_segment_view(hdr.src, seg, iss, now);
             self.mirror_listener_stats(i, before);
             match resp {
                 ListenerResponse::Reply(reply) => {
                     let my_addr = self.nodes[i].ip_addr();
-                    let out_hdr = Ipv6Header::new(
-                        my_addr,
-                        hdr.src,
-                        NextHeader::Tcp,
-                        reply.wire_len() as u16,
-                    );
-                    let mut bytes = self.nodes[i].seg_bufs.take();
-                    reply.encode_into(my_addr, hdr.src, &mut bytes);
-                    self.enqueue_ip(i, out_hdr, bytes, now);
+                    self.send_tcp(i, my_addr, hdr.src, &reply, now);
                     self.sync_governor(i);
                     self.reschedule_transport_timer(i, now);
                     return;
@@ -1698,21 +1758,13 @@ impl World {
         if let Some(u) = self.nodes[i].transport.uip.as_mut() {
             let (raddr, rport) = u.remote();
             if raddr == hdr.src && rport == seg.src_port && u.local().1 == seg.dst_port {
-                u.on_segment(seg, now);
+                u.on_segment(&seg.to_owned(), now);
                 return;
             }
         }
         // No socket: RST.
-        if let Some(rst) = tcplp::reset_for(seg) {
-            let out_hdr = Ipv6Header::new(
-                hdr.dst,
-                hdr.src,
-                NextHeader::Tcp,
-                rst.wire_len() as u16,
-            );
-            let mut bytes = self.nodes[i].seg_bufs.take();
-            rst.encode_into(hdr.dst, hdr.src, &mut bytes);
-            self.enqueue_ip(i, out_hdr, bytes, now);
+        if let Some(rst) = tcplp::reset_for(&seg) {
+            self.send_tcp(i, hdr.dst, hdr.src, &rst, now);
         }
     }
 
@@ -1768,8 +1820,9 @@ impl World {
                 self.nodes[i].meter.add_cpu(self.cfg.cpu_per_frame);
                 self.nodes[i].counters.inc(NodeCounter::FloodFragsRx);
                 let _ = self.nodes[i].reassembler.offer(src, &bytes, now);
+                // No transport-timer reschedule: the reassembler is not
+                // a wake source (see `reschedule_transport_timer`).
                 self.sync_governor(i);
-                self.reschedule_transport_timer(i, now);
             }
         }
         self.nodes[i].flooder = Some(fl);

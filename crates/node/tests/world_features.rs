@@ -233,3 +233,143 @@ fn packet_trace_captures_a_transfer() {
         .count();
     assert!(relay_tx > 0, "relay transmitted frames");
 }
+
+/// Hands `seg` from `src` to node `to`'s IP input at `at`, as if it
+/// came over the wire.
+fn inject(
+    world: &mut World,
+    at: Instant,
+    to: usize,
+    src: lln_netip::Ipv6Addr,
+    seg: &tcplp::Segment,
+) {
+    let dst = world.nodes[to].ip_addr();
+    let bytes = seg.encode(src, dst);
+    let hdr = lln_netip::Ipv6Header::new(src, dst, lln_netip::NextHeader::Tcp, bytes.len() as u16);
+    world
+        .queue
+        .schedule(at, lln_node::world::Event::WiredDeliver(to, hdr, bytes));
+}
+
+/// The `key=` field of a traced TCP summary, e.g. `ack=` of
+/// `TCP 80->5000 SYN | ACK seq=1 ack=2 len=0 win=1848`.
+fn trace_field(summary: &str, key: &str) -> u32 {
+    let at = summary.find(key).expect("field present") + key.len();
+    let digits: String = summary[at..]
+        .chars()
+        .take_while(char::is_ascii_digit)
+        .collect();
+    digits.parse().expect("numeric field")
+}
+
+/// The TCP summaries node `n` delivered to its transport.
+fn delivered_tcp(world: &World, n: u16) -> Vec<String> {
+    world
+        .trace
+        .for_node(lln_netip::NodeId(n))
+        .filter(|e| e.dir == lln_node::trace::TraceDir::Deliver && e.summary.starts_with("TCP"))
+        .map(|e| e.summary.clone())
+        .collect()
+}
+
+#[test]
+fn synack_to_unroutable_source_is_counted_not_sent() {
+    let topo = Topology::pair(0.999);
+    let mut world = World::new(
+        &topo,
+        &[NodeKind::Router, NodeKind::Router],
+        WorldConfig::default(),
+    );
+    world.add_tcp_listener(0, TcpConfig::default());
+    let spoofed = lln_netip::NodeId(0xF000).mesh_addr();
+    let syn = tcplp::Segment::new(
+        40_000,
+        80,
+        tcplp::TcpSeq(777),
+        tcplp::TcpSeq(0),
+        tcplp::Flags::SYN,
+    );
+    inject(&mut world, Instant::from_millis(100), 0, spoofed, &syn);
+    // Stop before the first SYN-ACK retransmission is due.
+    world.run_until(Instant::from_millis(500));
+    let n = &world.nodes[0];
+    assert_eq!(n.counters.get("unroutable"), 1);
+    assert!(n.ip_queue.is_empty());
+    assert_eq!(
+        world.medium.counters.get("frames_tx"),
+        0,
+        "nothing on the air"
+    );
+    let l = n.transport.tcp_listener.as_ref().unwrap();
+    assert_eq!(
+        (l.stats.syns_rcvd, l.half_open()),
+        (1, 1),
+        "the SYN is still cached"
+    );
+}
+
+#[test]
+fn synack_reaches_a_routable_peer_without_a_socket() {
+    let topo = Topology::pair(0.999);
+    let mut world = World::new(
+        &topo,
+        &[NodeKind::Router, NodeKind::Router],
+        WorldConfig::default(),
+    );
+    world.enable_trace(1_000);
+    world.add_tcp_listener(0, TcpConfig::default());
+    // Node 1 has no socket: it only answers the SYN-ACK with an RST.
+    let peer = world.nodes[1].ip_addr();
+    let syn = tcplp::Segment::new(
+        5_000,
+        80,
+        tcplp::TcpSeq(12_345),
+        tcplp::TcpSeq(0),
+        tcplp::Flags::SYN,
+    );
+    inject(&mut world, Instant::from_millis(100), 0, peer, &syn);
+    world.run_until(Instant::from_millis(500));
+    let got = delivered_tcp(&world, 1);
+    let synack = got
+        .iter()
+        .find(|s| s.starts_with("TCP 80->5000") && s.contains("SYN") && s.contains("ACK"))
+        .unwrap_or_else(|| panic!("no SYN-ACK delivered to node 1: {got:?}"));
+    assert_eq!(trace_field(synack, " ack="), 12_346, "{synack}");
+    assert_eq!(world.nodes[0].counters.get("unroutable"), 0);
+}
+
+#[test]
+fn segment_to_closed_port_gets_rst() {
+    let topo = Topology::pair(0.999);
+    let mut world = World::new(
+        &topo,
+        &[NodeKind::Router, NodeKind::Router],
+        WorldConfig::default(),
+    );
+    world.enable_trace(1_000);
+    world.add_tcp_listener(0, TcpConfig::default());
+    let peer = world.nodes[1].ip_addr();
+    // An ACK to port 81, where nothing listens: RFC 793 answers with an
+    // RST whose seq is the segment's ack.
+    let ack = tcplp::Segment::new(
+        5_000,
+        81,
+        tcplp::TcpSeq(1),
+        tcplp::TcpSeq(4_242),
+        tcplp::Flags::ACK,
+    );
+    inject(&mut world, Instant::from_millis(100), 0, peer, &ack);
+    world.run_until(Instant::from_millis(500));
+    let got = delivered_tcp(&world, 1);
+    let rst = got
+        .iter()
+        .find(|s| s.starts_with("TCP 81->5000") && s.contains("RST"))
+        .unwrap_or_else(|| panic!("no RST delivered to node 1: {got:?}"));
+    assert_eq!(trace_field(rst, " seq="), 4_242, "{rst}");
+    let l = world.nodes[0].transport.tcp_listener.as_ref().unwrap();
+    assert_eq!(
+        l.stats.syns_rcvd + l.stats.bad_acks,
+        0,
+        "the listener never saw it"
+    );
+}
