@@ -14,7 +14,6 @@ use crate::socket::TcpSocket;
 use crate::wire::{Flags, Segment, SegmentView, Timestamps};
 use lln_netip::{Ecn, Ipv6Addr};
 use lln_sim::{Fnv1a, Instant};
-use std::collections::VecDeque;
 
 /// Counters kept by a [`ListenSocket`], digestable like
 /// [`TcpStats`](crate::TcpStats) so overload runs can be compared bit-for-bit.
@@ -137,7 +136,7 @@ pub struct ListenSocket {
     /// Half-open entries in creation order: each is pushed at the
     /// back with the current time, which never goes backwards, so the
     /// front is always the oldest.
-    entries: VecDeque<SynEntry>,
+    entries: Vec<SynEntry>,
     /// Live accepted connections, reported by the owner via
     /// [`ListenSocket::sync_backlog`]; enforces the accept backlog.
     backlog_used: usize,
@@ -157,7 +156,7 @@ impl ListenSocket {
             cfg,
             slots,
             accept_backlog: budget.accept_backlog,
-            entries: VecDeque::new(),
+            entries: Vec::new(),
             backlog_used: 0,
             stats: ListenStats::default(),
         }
@@ -281,14 +280,14 @@ impl ListenSocket {
         if self.entries.len() >= self.slots {
             // Eviction policy: oldest half-open first, which is the
             // front; established sockets are never touched.
-            self.entries.pop_front();
+            self.entries.remove(0);
             self.stats.evicted_oldest += 1;
         }
         debug_assert!(
-            self.entries.back().is_none_or(|e| e.created <= now),
+            self.entries.last().is_none_or(|e| e.created <= now),
             "SYN-cache entries must stay in creation order"
         );
-        self.entries.push_back(SynEntry {
+        self.entries.push(SynEntry {
             remote_addr,
             remote_port: seg.src_port,
             irs: seg.seq,
@@ -324,7 +323,7 @@ impl ListenSocket {
                 && (seg.seq == e.irs + 1
                     || seg.seq.in_window(e.irs + 1, self.cfg.recv_buf as u32));
             if ok {
-                let e = self.entries.remove(i).expect("found above");
+                let e = self.entries.remove(i);
                 let sock = self.promote(&e, seg, now);
                 self.stats.spawned += 1;
                 return ListenerResponse::Spawn(Box::new(sock));
