@@ -13,8 +13,7 @@
 //!   so the returned `Vec` is in input order regardless of which thread
 //!   finished first;
 //! - seeds come from the *parameters*, never from thread identity or
-//!   scheduling (use [`fork_seeds`] to derive per-run seeds from a base
-//!   seed).
+//!   scheduling.
 //!
 //! Set `LLN_SWEEP_THREADS=1` to force serial execution (or any explicit
 //! thread count); the default is the number of available cores.
@@ -66,14 +65,6 @@ where
         .collect()
 }
 
-/// Derives `n` independent per-run seeds from a base seed using the
-/// simulator RNG's stream-forking. The result depends only on
-/// `(base, n)`, so serial and parallel sweeps see identical seeds.
-pub fn fork_seeds(base: u64, n: usize) -> Vec<u64> {
-    let mut rng = lln_sim::Rng::new(base);
-    (0..n).map(|i| rng.fork(i as u64).next_u64()).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -94,23 +85,11 @@ mod tests {
             let mut rng = lln_sim::Rng::new(seed);
             (0..1000).fold(0u64, |acc, _| acc.wrapping_add(rng.next_u64()))
         };
-        let params = fork_seeds(0x5eed, 41);
+        let mut base = lln_sim::Rng::new(0x5eed);
+        let params: Vec<u64> = (0..41).map(|_| base.next_u64()).collect();
         let serial: Vec<u64> = params.iter().map(run).collect();
         let parallel = sweep(&params, run);
         assert_eq!(serial, parallel);
-    }
-
-    #[test]
-    fn fork_seeds_deterministic_and_distinct() {
-        let a = fork_seeds(7, 16);
-        let b = fork_seeds(7, 16);
-        assert_eq!(a, b);
-        let mut uniq = a.clone();
-        uniq.sort_unstable();
-        uniq.dedup();
-        assert_eq!(uniq.len(), a.len(), "forked seeds must be distinct");
-        // A different base gives a different schedule.
-        assert_ne!(fork_seeds(8, 16), a);
     }
 
     #[test]

@@ -80,16 +80,6 @@ impl CoapOption {
             CoapOption::Other(n) => n,
         }
     }
-
-    /// From an option number.
-    pub fn from_number(n: u16) -> Self {
-        match n {
-            11 => CoapOption::UriPath,
-            23 => CoapOption::Block2,
-            27 => CoapOption::Block1,
-            other => CoapOption::Other(other),
-        }
-    }
 }
 
 /// Block1/Block2 option value (RFC 7959): block number, more flag, and

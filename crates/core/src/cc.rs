@@ -158,11 +158,6 @@ impl NewReno {
             }
         }
     }
-
-    /// Resets dup-ACK counting (e.g. when an ACK advances the window).
-    pub fn reset_dup_acks(&mut self) {
-        self.dup_acks = 0;
-    }
 }
 
 #[cfg(test)]

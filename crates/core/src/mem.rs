@@ -278,11 +278,6 @@ impl MemGovernor {
         self.denies[class.idx()] += 1;
     }
 
-    /// Counts an eviction performed to make room in `class`.
-    pub fn note_eviction(&mut self, class: MemClass) {
-        self.evictions[class.idx()] += 1;
-    }
-
     /// Counts `n` evictions at once (for mirroring subsystem counters).
     pub fn note_evictions(&mut self, class: MemClass, n: u64) {
         self.evictions[class.idx()] += n;
@@ -379,7 +374,7 @@ mod tests {
     #[test]
     fn eviction_counters_accumulate() {
         let mut g = MemGovernor::default();
-        g.note_eviction(MemClass::SynCache);
+        g.note_evictions(MemClass::SynCache, 1);
         g.note_evictions(MemClass::SynCache, 3);
         assert_eq!(g.evictions(MemClass::SynCache), 4);
     }

@@ -13,18 +13,19 @@
 //! - [`csma`]: unslotted CSMA-CA backoff plus the link-retry policy
 //!   (the [`csma::TxProcess`] state machine);
 //! - [`poll`]: listen-after-send data polling with fixed (§9.2) or
-//!   adaptive Trickle-based (Appendix C) sleep intervals;
-//! - [`indirect`]: the parent-side indirect-message queue, with the
-//!   §9.5 improvements (prioritised, retried indirect delivery).
+//!   adaptive Trickle-based (Appendix C) sleep intervals.
+//!
+//! The parent side of polling, the per-child indirect queue, lives with
+//! the node that owns it: `lln_node::stack::Node::enqueue_indirect`
+//! queues a packet for a sleepy child under the node's memory budget,
+//! and the world's `handle_data_request` answers a child's poll from it.
 
 pub mod csma;
 pub mod frame;
-pub mod indirect;
 pub mod poll;
 pub mod pool;
 
 pub use csma::{MacConfig, TxProcess, TxStep};
 pub use frame::{FrameType, MacFrame};
 pub use pool::{FrameBuf, FramePool};
-pub use indirect::IndirectQueue;
 pub use poll::{PollMode, PollScheduler};

@@ -104,11 +104,6 @@ impl PollScheduler {
             }
         }
     }
-
-    /// Current adaptive interval (telemetry).
-    pub fn current_interval(&self) -> Duration {
-        self.current
-    }
 }
 
 #[cfg(test)]

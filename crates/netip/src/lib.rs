@@ -14,5 +14,5 @@ pub mod udp;
 
 pub use addr::{Ipv6Addr, NodeId};
 pub use ipv6::{Ecn, Ipv6Header, NextHeader};
-pub use queue::{BoundedDeque, FifoQueue, QueueOutcome, RedConfig, RedQueue};
+pub use queue::{FifoQueue, QueueOutcome, RedConfig, RedQueue};
 pub use udp::UdpHeader;

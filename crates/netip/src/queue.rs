@@ -24,8 +24,9 @@ pub enum QueueOutcome {
 /// Besides the packet-count bound, an optional byte bound
 /// ([`FifoQueue::with_byte_bound`]) caps the *weighed* size of the
 /// queue: each packet is offered with a byte weight and the running
-/// total never exceeds the bound — overload hardening for ingress
-/// queues that must fit a fixed memory budget.
+/// total never exceeds the bound — overload hardening for queues that
+/// must fit a fixed memory budget (a node's IP queue, MAC control queue
+/// and per-child indirect queues).
 #[derive(Clone, Debug)]
 pub struct FifoQueue<T> {
     items: std::collections::VecDeque<(T, usize)>,
@@ -100,83 +101,7 @@ impl<T> FifoQueue<T> {
         self.drops
     }
 
-    /// Iterate queued items front to back.
-    pub fn iter(&self) -> impl Iterator<Item = &T> {
-        self.items.iter().map(|(item, _)| item)
-    }
-}
-
-/// A slot- and byte-bounded deque with drop-tail accounting.
-///
-/// Replaces the unbounded `VecDeque`s that backed per-node control and
-/// indirect (pending-downlink) frame queues: `push_back` refuses — and
-/// counts — anything that would exceed either bound, so a flood can
-/// pressure the queue but never grow it past its budget.
-#[derive(Clone, Debug)]
-pub struct BoundedDeque<T> {
-    items: std::collections::VecDeque<(T, usize)>,
-    max_items: usize,
-    max_bytes: usize,
-    bytes: usize,
-    drops: u64,
-}
-
-impl<T> BoundedDeque<T> {
-    /// Creates a deque bounded at `max_items` entries and `max_bytes`
-    /// weighed bytes.
-    pub fn new(max_items: usize, max_bytes: usize) -> Self {
-        assert!(max_items > 0);
-        BoundedDeque {
-            items: std::collections::VecDeque::new(),
-            max_items,
-            max_bytes,
-            bytes: 0,
-            drops: 0,
-        }
-    }
-
-    /// Appends `item` charging `weight` bytes; returns `false` (and
-    /// counts a drop) when either bound would be exceeded.
-    pub fn push_back(&mut self, item: T, weight: usize) -> bool {
-        if self.items.len() >= self.max_items || self.bytes.saturating_add(weight) > self.max_bytes
-        {
-            self.drops += 1;
-            false
-        } else {
-            self.bytes += weight;
-            self.items.push_back((item, weight));
-            true
-        }
-    }
-
-    /// Removes and returns the front item.
-    pub fn pop_front(&mut self) -> Option<T> {
-        let (item, w) = self.items.pop_front()?;
-        self.bytes -= w;
-        Some(item)
-    }
-
-    /// Entries currently queued.
-    pub fn len(&self) -> usize {
-        self.items.len()
-    }
-
-    /// True when empty.
-    pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
-    }
-
-    /// Weighed bytes currently queued.
-    pub fn bytes(&self) -> usize {
-        self.bytes
-    }
-
-    /// Refused pushes so far.
-    pub fn drops(&self) -> u64 {
-        self.drops
-    }
-
-    /// Drops every queued entry (reboot path).
+    /// Drops every queued packet (reboot path); the drop count stays.
     pub fn clear(&mut self) {
         self.items.clear();
         self.bytes = 0;
@@ -351,14 +276,22 @@ mod tests {
 
     #[test]
     fn fifo_orders_and_bounds() {
-        let mut q = FifoQueue::new(2);
-        assert_eq!(q.offer(1), QueueOutcome::Enqueued);
-        assert_eq!(q.offer(2), QueueOutcome::Enqueued);
-        assert_eq!(q.offer(3), QueueOutcome::Dropped);
-        assert_eq!(q.drops(), 1);
-        assert_eq!(q.pop(), Some(1));
-        assert_eq!(q.pop(), Some(2));
-        assert_eq!(q.pop(), None);
+        // The slot bound alone, and the slot bound binding first under a
+        // byte bound with room to spare.
+        for (mut q, w) in [(FifoQueue::new(2), 0), (FifoQueue::with_byte_bound(2, 100), 40)] {
+            assert_eq!(q.offer_weighed(1, w), QueueOutcome::Enqueued);
+            assert_eq!(q.offer_weighed(2, w), QueueOutcome::Enqueued);
+            assert_eq!(q.offer_weighed(3, 1), QueueOutcome::Dropped, "slot bound");
+            assert_eq!(q.drops(), 1);
+            assert_eq!(q.pop(), Some(1));
+            assert_eq!(q.pop(), Some(2));
+            assert_eq!(q.pop(), None);
+            assert_eq!(q.offer_weighed(4, w), QueueOutcome::Enqueued);
+            q.clear();
+            assert!(q.is_empty());
+            assert_eq!(q.bytes(), 0, "clear releases the weight");
+            assert_eq!(q.drops(), 1, "clear keeps the drop count");
+        }
     }
 
     #[test]
@@ -372,23 +305,11 @@ mod tests {
         assert_eq!(q.bytes(), 100);
         assert_eq!(q.pop(), Some("a"));
         assert_eq!(q.bytes(), 40, "pop releases the weight");
-    }
-
-    #[test]
-    fn bounded_deque_enforces_both_bounds() {
-        let mut q = BoundedDeque::new(2, 100);
-        assert!(q.push_back(1, 40));
-        assert!(q.push_back(2, 40));
-        assert!(!q.push_back(3, 1), "slot bound");
-        assert_eq!(q.pop_front(), Some(1));
-        assert!(!q.push_back(4, 70), "byte bound");
-        assert!(q.push_back(5, 60));
+        assert_eq!(q.offer_weighed("d", 70), QueueOutcome::Dropped, "byte bound after pop");
+        assert_eq!(q.offer_weighed("e", 60), QueueOutcome::Enqueued);
         assert_eq!(q.drops(), 2);
         assert_eq!(q.bytes(), 100);
         assert_eq!(q.len(), 2);
-        q.clear();
-        assert!(q.is_empty());
-        assert_eq!(q.bytes(), 0);
     }
 
     #[test]

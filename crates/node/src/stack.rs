@@ -12,7 +12,7 @@ use lln_coap::{CoapClient, CoapServer};
 use lln_energy::EnergyMeter;
 use lln_mac::csma::{MacConfig, TxProcess};
 use lln_mac::pool::FrameBuf;
-use lln_netip::{BoundedDeque, Ecn, FifoQueue, Ipv6Addr, Ipv6Header, NodeId, RedConfig, RedQueue};
+use lln_netip::{Ecn, FifoQueue, Ipv6Addr, Ipv6Header, NodeId, QueueOutcome, RedConfig, RedQueue};
 use lln_phy::medium::TxHandle;
 use lln_sim::stats::Counters;
 use lln_sim::{Duration, EventToken, Instant};
@@ -23,8 +23,9 @@ use tcplp::mem::{IP_OVERHEAD_BYTES, MAC_FRAME_BYTES};
 use tcplp::{ListenSocket, MemClass, MemGovernor, NodeBudget, TcpSocket};
 
 lln_sim::counter_keys! {
-    /// The per-node counters, in name order. Deltas marked "mirrored"
-    /// copy a subsystem's own stats (see [`crate::World`]).
+    /// The per-node counters, in name order. Each counts an event the
+    /// node layer itself sees; subsystems that keep their own stats
+    /// (the supervisor, the listener, the reassembler) are read there.
     pub enum NodeCounter {
         /// Completed handshakes refused a socket by the memory budget.
         AcceptBudgetDrops = "accept_budget_drops",
@@ -76,16 +77,6 @@ lln_sim::counter_keys! {
         Reboots = "reboots",
         /// Route flaps started by the fault plan.
         RouteFlaps = "route_flaps",
-        /// Supervisor connection attempts (mirrored).
-        SupConnectAttempts = "sup_connect_attempts",
-        /// Supervised connections that died (mirrored).
-        SupDeaths = "sup_deaths",
-        /// Supervised downtime in µs (mirrored).
-        SupDowntimeUs = "sup_downtime_us",
-        /// Supervisor reconnects (mirrored).
-        SupReconnects = "sup_reconnects",
-        /// Records the supervisor replayed (mirrored).
-        SupRecordsReplayed = "sup_records_replayed",
         /// SYNs refused because their socket could never fit the budget.
         SynBudgetDrops = "syn_budget_drops",
         /// TCP segments failing decode or checksum.
@@ -207,13 +198,13 @@ impl IpQueue {
         let w = Self::weight(&pkt);
         match self {
             IpQueue::Fifo(q) => {
-                matches!(q.offer_weighed(pkt, w), lln_netip::QueueOutcome::Enqueued)
+                matches!(q.offer_weighed(pkt, w), QueueOutcome::Enqueued)
             }
             IpQueue::Red(q) => {
                 let ecn = pkt.hdr.ecn;
                 !matches!(
                     q.offer_with(pkt, ecn, rand01, |p| p.hdr.ecn = Ecn::Ce),
-                    lln_netip::QueueOutcome::Dropped
+                    QueueOutcome::Dropped
                 )
             }
         }
@@ -282,7 +273,7 @@ pub struct Node {
     // --- MAC state ---
     /// Control frames (data requests, indirect data) — priority queue,
     /// bounded in frames and bytes by the node budget.
-    pub ctrl_queue: BoundedDeque<FrameBuf>,
+    pub ctrl_queue: FifoQueue<FrameBuf>,
     /// Frames of the packet currently being sent.
     pub cur_packet_frames: VecDeque<FrameBuf>,
     /// The transmission in progress.
@@ -334,7 +325,7 @@ pub struct Node {
     /// Children that sleep; packets for them go to the indirect queue.
     pub sleepy_children: HashSet<NodeId>,
     /// Indirect packet queue per sleepy child, bounded per child.
-    pub indirect: HashMap<NodeId, BoundedDeque<OutPacket>>,
+    pub indirect: HashMap<NodeId, FifoQueue<OutPacket>>,
 
     // --- sleepy leaf state ---
     /// Poll scheduler (leaf).
@@ -438,8 +429,8 @@ impl Node {
     }
 
     /// The budget-derived control queue (frames + bytes bounded).
-    fn ctrl_queue_for(budget: &NodeBudget) -> BoundedDeque<FrameBuf> {
-        BoundedDeque::new(budget.ctrl_queue_frames, budget.cap(MemClass::MacQueue))
+    fn ctrl_queue_for(budget: &NodeBudget) -> FifoQueue<FrameBuf> {
+        FifoQueue::with_byte_bound(budget.ctrl_queue_frames, budget.cap(MemClass::MacQueue))
     }
 
     /// The budget-derived FIFO IP queue (packets + bytes bounded).
@@ -484,7 +475,7 @@ impl Node {
     /// class; counts (and reports) a drop when the budget refuses.
     pub fn enqueue_ctrl(&mut self, frame: FrameBuf) -> bool {
         let w = frame.frame().payload.len() + MAC_FRAME_BYTES;
-        if self.ctrl_queue.push_back(frame, w) {
+        if self.ctrl_queue.offer_weighed(frame, w) == QueueOutcome::Enqueued {
             true
         } else {
             self.governor.note_deny(MemClass::MacQueue);
@@ -502,8 +493,8 @@ impl Node {
         let q = self
             .indirect
             .entry(child)
-            .or_insert_with(|| BoundedDeque::new(slots, cap));
-        if q.push_back(pkt, w) {
+            .or_insert_with(|| FifoQueue::with_byte_bound(slots, cap));
+        if q.offer_weighed(pkt, w) == QueueOutcome::Enqueued {
             true
         } else {
             self.governor.note_deny(MemClass::MacQueue);
@@ -535,7 +526,7 @@ impl Node {
                     .iter()
                     .map(|f| f.frame().payload.len() + MAC_FRAME_BYTES)
                     .sum();
-                let ind: usize = self.indirect.values().map(BoundedDeque::bytes).sum();
+                let ind: usize = self.indirect.values().map(FifoQueue::bytes).sum();
                 self.ctrl_queue.bytes() + cur + ind
             }
             MemClass::CoapRetx => self
@@ -546,14 +537,38 @@ impl Node {
         }
     }
 
-    /// Recomputes every class gauge from the owning structures; called
-    /// by the world after any step that can change occupancy, so
-    /// high-water marks are exact. Only classes whose bytes moved are
-    /// written. Skipping the rest is exact: every gauge write goes
-    /// through [`MemGovernor::set_gauge`], which keeps each high-water
-    /// mark at or above its gauge and the total high-water mark at or
-    /// above the total, so rewriting an unchanged gauge changes nothing.
+    /// The governor's upkeep; called by the world after any step that
+    /// can change occupancy, so high-water marks are exact.
+    ///
+    /// Recomputes every class gauge from the owning structures. Only
+    /// classes whose bytes moved are written. Skipping the rest is
+    /// exact: every gauge write goes through [`MemGovernor::set_gauge`],
+    /// which keeps each high-water mark at or above its gauge and the
+    /// total high-water mark at or above the total, so rewriting an
+    /// unchanged gauge changes nothing.
+    ///
+    /// The reassembler and the listener decide their own denies and
+    /// evictions and count them cumulatively; the governor's Reassembly
+    /// and SynCache counts are raised to those totals. Both owners live
+    /// as long as the node (a reboot clears the reassembler in place),
+    /// so the totals never fall below what the governor has seen.
     pub fn sync_governor(&mut self) {
+        let r = &self.reassembler;
+        catch_up(
+            &mut self.governor,
+            MemClass::Reassembly,
+            r.denied_slots + r.denied_bytes,
+            r.timeouts + r.evicted_source,
+        );
+        if let Some(l) = &self.transport.tcp_listener {
+            let s = &l.stats;
+            catch_up(
+                &mut self.governor,
+                MemClass::SynCache,
+                s.backlog_denied,
+                s.evicted_oldest + s.expired,
+            );
+        }
         for class in MemClass::ALL {
             let bytes = self.accounted_bytes(class);
             if self.governor.gauge(class) != bytes as u64 {
@@ -615,6 +630,17 @@ impl Node {
             .as_ref()
             .is_some_and(CoapClient::expecting_response);
         tcp_waiting || coap_waiting
+    }
+}
+
+/// Raises the governor's deny and eviction counts for `class` to an
+/// owner's cumulative totals.
+fn catch_up(governor: &mut MemGovernor, class: MemClass, denies: u64, evictions: u64) {
+    if denies > governor.denies(class) {
+        governor.note_denies(class, denies - governor.denies(class));
+    }
+    if evictions > governor.evictions(class) {
+        governor.note_evictions(class, evictions - governor.evictions(class));
     }
 }
 
@@ -691,6 +717,44 @@ mod tests {
         assert!(!n.enqueue_ctrl(FrameBuf::new(MacFrame::data(NodeId(3), NodeId(1), 0, vec![0; 8]))));
         assert_eq!(n.counters.get("ctrl_queue_drops"), 1);
         assert_eq!(n.governor.denies(MemClass::MacQueue), 1);
+    }
+
+    #[test]
+    fn indirect_queue_bounded_by_budget() {
+        let mut n = node(NodeKind::Router);
+        let pkt = |payload: usize| OutPacket {
+            hdr: Ipv6Header::new(
+                NodeId(3).mesh_addr(),
+                NodeId(7).mesh_addr(),
+                lln_netip::NextHeader::Udp,
+                payload as u16,
+            ),
+            payload: vec![0; payload],
+            next_hop: NodeId(7),
+        };
+        let refused = |n: &Node| {
+            (n.counters.get("indirect_drops"), n.governor.denies(MemClass::MacQueue))
+        };
+
+        // Small packets: the per-child packet quota binds.
+        let slots = n.budget.indirect_packets;
+        for k in 0..slots {
+            assert!(n.enqueue_indirect(NodeId(7), pkt(8)), "packet {k} fits");
+        }
+        assert!(!n.enqueue_indirect(NodeId(7), pkt(8)), "packet quota");
+        assert_eq!(refused(&n), (1, 1));
+
+        // Large packets to another child: the MAC byte cap binds first.
+        let payload = 2000;
+        let fit = n.budget.cap(MemClass::MacQueue) / (payload + IP_OVERHEAD_BYTES);
+        assert!(fit < slots, "the byte cap binds before the quota");
+        for k in 0..fit {
+            assert!(n.enqueue_indirect(NodeId(8), pkt(payload)), "packet {k} fits");
+        }
+        assert!(!n.enqueue_indirect(NodeId(8), pkt(payload)), "byte cap");
+        assert_eq!(refused(&n), (2, 2));
+        assert_eq!(n.indirect[&NodeId(7)].len(), slots);
+        assert_eq!(n.indirect[&NodeId(8)].len(), fit);
     }
 
     #[test]

@@ -196,11 +196,6 @@ impl SupervisedConnection {
         self.next_record_seq
     }
 
-    /// True when the connection is currently established.
-    pub fn is_established(&self) -> bool {
-        matches!(self.state, SupState::Established)
-    }
-
     /// When the supervisor next needs a poll regardless of socket
     /// activity (backoff expiry).
     pub fn wake_at(&self) -> Option<Instant> {

@@ -21,7 +21,7 @@ use lln_phy::medium::TxHandle;
 use lln_phy::{Medium, PhyConfig, RadioIdx};
 use lln_sim::{Duration, EventQueue, Instant, Rng};
 use lln_sixlowpan::{fragment, iphc};
-use tcplp::{ListenStats, ListenerResponse, MemClass, NodeBudget, Segment, TcpConfig, TcpSocket};
+use tcplp::{ListenerResponse, MemClass, NodeBudget, Segment, TcpConfig, TcpSocket};
 
 /// CoAP's registered port.
 pub const COAP_PORT: u16 = 5683;
@@ -659,7 +659,7 @@ impl World {
             n.ctrl_queue.clear();
             n.cur_packet_frames.clear();
             while n.ip_queue.pop().is_some() {}
-            n.reassembler = Node::reassembler_for(&n.budget);
+            n.reassembler.clear();
             n.last_rx_seq.clear();
             n.indirect.clear();
             n.polling = false;
@@ -670,7 +670,7 @@ impl World {
             // with the radio accounted as asleep while down.
             n.meter.set_radio_state(RadioState::Sleep, now);
         }
-        self.sync_governor(i);
+        self.nodes[i].sync_governor();
         if self.trace.is_enabled() {
             self.trace.record(
                 now,
@@ -887,7 +887,7 @@ impl World {
         }
         // Pick the next frame: control first, then current packet,
         // then fragment the next IP packet.
-        let frame = if let Some(f) = self.nodes[i].ctrl_queue.pop_front() {
+        let frame = if let Some(f) = self.nodes[i].ctrl_queue.pop() {
             Some(f)
         } else if let Some(f) = self.nodes[i].cur_packet_frames.pop_front() {
             Some(f)
@@ -1358,12 +1358,12 @@ impl World {
         while let Some(pkt) = self.nodes[i]
             .indirect
             .get_mut(&child)
-            .and_then(|q| q.pop_front())
+            .and_then(|q| q.pop())
         {
             let more = queued(&self.nodes[i]);
             self.frame_packet(i, pkt, Some(more));
         }
-        self.sync_governor(i);
+        self.nodes[i].sync_governor();
         self.kick_mac(i, now);
     }
 
@@ -1465,7 +1465,7 @@ impl World {
                     next_hop,
                 };
                 self.nodes[i].enqueue_indirect(next_hop, pkt);
-                self.sync_governor(i);
+                self.nodes[i].sync_governor();
             }
             Hop::Radio(next_hop) => {
                 let pkt = OutPacket {
@@ -1478,7 +1478,7 @@ impl World {
                     self.nodes[i].governor.note_deny(MemClass::IpQueue);
                     self.nodes[i].counters.inc(NodeCounter::QueueDrops);
                 }
-                self.sync_governor(i);
+                self.nodes[i].sync_governor();
                 self.kick_mac(i, now);
             }
             Hop::Wired(None) | Hop::Unroutable => unreachable!("refused by admit"),
@@ -1720,15 +1720,13 @@ impl World {
                 return;
             }
             let l = self.nodes[i].transport.tcp_listener.as_mut().unwrap();
-            let before = l.stats;
             l.sync_backlog(live);
             let resp = l.on_segment_view(hdr.src, seg, iss, now);
-            self.mirror_listener_stats(i, before);
             match resp {
                 ListenerResponse::Reply(reply) => {
                     let my_addr = self.nodes[i].ip_addr();
                     self.send_tcp(i, my_addr, hdr.src, &reply, now);
-                    self.sync_governor(i);
+                    self.nodes[i].sync_governor();
                     self.reschedule_transport_timer(i, now);
                     return;
                 }
@@ -1742,14 +1740,14 @@ impl World {
                         // times out.
                         self.nodes[i].counters.inc(NodeCounter::AcceptBudgetDrops);
                     }
-                    self.sync_governor(i);
+                    self.nodes[i].sync_governor();
                     self.reschedule_transport_timer(i, now);
                     return;
                 }
                 // Not listener business (stray ACK, RST): fall through
                 // to the uIP socket or the RST generator.
                 ListenerResponse::None => {
-                    self.sync_governor(i);
+                    self.nodes[i].sync_governor();
                     self.reschedule_transport_timer(i, now);
                 }
             }
@@ -1822,7 +1820,7 @@ impl World {
                 let _ = self.nodes[i].reassembler.offer(src, &bytes, now);
                 // No transport-timer reschedule: the reassembler is not
                 // a wake source (see `reschedule_transport_timer`).
-                self.sync_governor(i);
+                self.nodes[i].sync_governor();
             }
         }
         self.nodes[i].flooder = Some(fl);
@@ -1905,7 +1903,6 @@ impl World {
             }
         }
         // Listener: SYN-ACK retransmissions and half-open expiry.
-        let listen_before = self.nodes[i].transport.tcp_listener.as_ref().map(|l| l.stats);
         if let Some(l) = self.nodes[i].transport.tcp_listener.as_mut() {
             while let Some((peer, synack)) = l.poll_transmit(now) {
                 let hdr =
@@ -1914,9 +1911,6 @@ impl World {
                 synack.encode_into(my_addr, peer, &mut bytes);
                 out.push((hdr, bytes));
             }
-        }
-        if let Some(before) = listen_before {
-            self.mirror_listener_stats(i, before);
         }
         // Reassembly: reclaim stale partial datagrams on the timer path.
         self.nodes[i].reassembler.reclaim(now);
@@ -1962,7 +1956,7 @@ impl World {
             self.enqueue_ip(i, hdr, bytes, now);
         }
         self.pumped = out;
-        self.sync_governor(i);
+        self.nodes[i].sync_governor();
         self.reschedule_transport_timer(i, now);
         self.kick_mac(i, now);
         // Sleepy leaves expecting a response poll fast (§9.2).
@@ -1971,29 +1965,13 @@ impl World {
     }
 
     /// Runs the node's connection supervisor (if any): one poll step,
-    /// with its counter deltas mirrored into the node's `Counters` and
-    /// lifecycle transitions logged to the trace.
+    /// with lifecycle transitions logged to the trace. Its counters stay
+    /// in its own [`SupervisorStats`] (see [`World::supervisor_stats`]).
     fn supervise(&mut self, i: usize, now: Instant) {
         let Some(mut sup) = self.nodes[i].supervisor.take() else {
             return;
         };
-        let before = *sup.stats();
         let res = sup.poll(self.nodes[i].transport.tcp.first_mut(), now);
-        let after = *sup.stats();
-        {
-            let n = &mut self.nodes[i];
-            n.counters.add(NodeCounter::SupReconnects, after.reconnects - before.reconnects);
-            n.counters.add(NodeCounter::SupDeaths, after.deaths - before.deaths);
-            n.counters.add(
-                NodeCounter::SupRecordsReplayed,
-                after.records_replayed - before.records_replayed,
-            );
-            n.counters.add(
-                NodeCounter::SupConnectAttempts,
-                after.connect_attempts - before.connect_attempts,
-            );
-            n.counters.add(NodeCounter::SupDowntimeUs, after.downtime_us - before.downtime_us);
-        }
         if res.died {
             self.trace.record(
                 now,
@@ -2021,39 +1999,6 @@ impl World {
         self.nodes[i].supervisor = Some(sup);
     }
 
-    /// Recomputes node `i`'s governor gauges from the owning structures
-    /// and mirrors the reassembler's cumulative deny/timeout counters
-    /// into the governor's per-class accounting.
-    fn sync_governor(&mut self, i: usize) {
-        let n = &mut self.nodes[i];
-        let denied = n.reassembler.denied_slots + n.reassembler.denied_bytes;
-        let seen = n.governor.denies(MemClass::Reassembly);
-        if denied > seen {
-            n.governor.note_denies(MemClass::Reassembly, denied - seen);
-        }
-        let evicted = n.reassembler.timeouts + n.reassembler.evicted_source;
-        let seen = n.governor.evictions(MemClass::Reassembly);
-        if evicted > seen {
-            n.governor.note_evictions(MemClass::Reassembly, evicted - seen);
-        }
-        n.sync_governor();
-    }
-
-    /// Mirrors listener stat deltas (since `before`) into the governor's
-    /// SYN-cache accounting.
-    fn mirror_listener_stats(&mut self, i: usize, before: ListenStats) {
-        let Some(after) = self.nodes[i].transport.tcp_listener.as_ref().map(|l| l.stats) else {
-            return;
-        };
-        let n = &mut self.nodes[i];
-        n.governor
-            .note_denies(MemClass::SynCache, after.backlog_denied - before.backlog_denied);
-        n.governor.note_evictions(
-            MemClass::SynCache,
-            (after.evicted_oldest - before.evicted_oldest) + (after.expired - before.expired),
-        );
-    }
-
     /// Read access to node `i`'s memory governor (tests, benches).
     pub fn governor(&self, i: usize) -> &tcplp::MemGovernor {
         &self.nodes[i].governor
@@ -2068,7 +2013,7 @@ impl World {
         let now = self.now();
         for i in 0..self.nodes.len() {
             self.nodes[i].reassembler.reclaim(now + Duration::from_secs(60));
-            self.sync_governor(i);
+            self.nodes[i].sync_governor();
             let n = &self.nodes[i];
             for class in [
                 MemClass::SynCache,
@@ -2092,7 +2037,7 @@ impl World {
     /// applications never fully drain).
     pub fn assert_governor_bounded(&mut self) {
         for i in 0..self.nodes.len() {
-            self.sync_governor(i);
+            self.nodes[i].sync_governor();
             self.assert_node_bounded(i);
         }
     }

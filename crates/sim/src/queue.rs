@@ -14,8 +14,8 @@
 //! - **current run** — a small binary heap keyed `(time, seq)` holding
 //!   only the events of the bucket being drained (plus anything newly
 //!   scheduled at or before it). `pop` and `peek_time` touch only this.
-//! - **near wheel** — [`WHEEL_SLOTS`] buckets of [`GRANULARITY`]
-//!   microseconds each (~262 ms horizon). Scheduling into the wheel is
+//! - **near wheel** — 256 buckets (`WHEEL_SLOTS`) of 1024 µs each
+//!   (`1 << GRANULARITY_SHIFT`), a ~262 ms horizon. Scheduling into the wheel is
 //!   O(1): push onto the bucket's unsorted list. A bucket is sorted
 //!   (heapified) only when the cursor reaches it. The bucket lists are
 //!   threaded through one shared node pool, so the wheel's storage

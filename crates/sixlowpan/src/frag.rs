@@ -395,6 +395,12 @@ impl Reassembler {
         }
     }
 
+    /// Drops every partial datagram (a reboot loses them). The
+    /// cumulative counters stay, like a node's own counters do.
+    pub fn clear(&mut self) {
+        self.partials.clear();
+    }
+
     /// Timeout-based reclamation, callable without offering a frame —
     /// idle nodes sweep stale slots from a timer so a one-shot flood
     /// cannot pin buffers until the next genuine reception.
@@ -631,6 +637,20 @@ mod tests {
         assert_eq!(r.pending_bytes(), 0);
         assert_eq!(r.timeouts, 1);
         assert_eq!(r.next_expiry(), None);
+    }
+
+    #[test]
+    fn clear_drops_partials_and_keeps_counters() {
+        let mut r = Reassembler::new(Duration::from_secs(2));
+        let frags = frag_vecs(&pkt(300), 5, 104);
+        r.offer(NodeId(3), &frags[0], Instant::ZERO);
+        r.reclaim(Instant::from_secs(3));
+        r.offer(NodeId(3), &frags[0], Instant::from_secs(3));
+        assert_eq!((r.pending(), r.timeouts), (1, 1));
+        r.clear();
+        assert_eq!((r.pending(), r.pending_bytes()), (0, 0));
+        assert_eq!(r.next_expiry(), None);
+        assert_eq!(r.timeouts, 1, "cumulative counters survive a clear");
     }
 
     #[test]
