@@ -26,8 +26,6 @@ fn run_uip(hops: usize, mss_frames: usize) -> f64 {
     world.set_sink(0);
     let cfg = UipConfig {
         mss: mss_for_frames(mss_frames),
-        recv_buf: mss_for_frames(mss_frames),
-        ..UipConfig::default()
     };
     world.add_uip_client(hops, 0, cfg, Instant::from_millis(10));
     world.set_bulk_sender(hops, Some(400_000));

@@ -324,7 +324,6 @@ fn run_app_study_inner(p: &AppRun, verbose: bool) -> AppResult {
             AppProtocol::Coap | AppProtocol::Cocoa | AppProtocol::CoapNon => {
                 let cfg = CoapClientConfig {
                     non_confirmable: p.protocol == AppProtocol::CoapNon,
-                    ..CoapClientConfig::default()
                 };
                 let rto = if p.protocol == AppProtocol::Cocoa {
                     RtoAlgorithm::Cocoa(Cocoa::new())

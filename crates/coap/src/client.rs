@@ -22,31 +22,18 @@ pub enum RtoAlgorithm {
     Cocoa(Cocoa),
 }
 
+/// RFC 7252 §4.8 ACK_TIMEOUT (2 s).
+pub const ACK_TIMEOUT: Duration = Duration::from_secs(2);
+/// RFC 7252 §4.8 ACK_RANDOM_FACTOR (1.5).
+pub const ACK_RANDOM_FACTOR: f64 = 1.5;
+/// RFC 7252 §4.8 MAX_RETRANSMIT (4; §9.4).
+pub const MAX_RETRANSMIT: u32 = 4;
+
 /// Client configuration.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct CoapClientConfig {
-    /// RFC 7252 ACK_TIMEOUT (2 s).
-    pub ack_timeout: Duration,
-    /// ACK_RANDOM_FACTOR (1.5).
-    pub ack_random_factor: f64,
-    /// MAX_RETRANSMIT (4).
-    pub max_retransmit: u32,
     /// Send non-confirmable messages instead (no reliability).
     pub non_confirmable: bool,
-    /// The RTO after giving up (the paper's observed 3 s reset).
-    pub giveup_reset: Duration,
-}
-
-impl Default for CoapClientConfig {
-    fn default() -> Self {
-        CoapClientConfig {
-            ack_timeout: Duration::from_secs(2),
-            ack_random_factor: 1.5,
-            max_retransmit: 4,
-            non_confirmable: false,
-            giveup_reset: Duration::from_secs(3),
-        }
-    }
 }
 
 #[derive(Clone, Debug)]
@@ -76,7 +63,7 @@ pub struct CoapStats {
     pub retransmissions: u64,
     /// Exchanges completed (response received).
     pub delivered: u64,
-    /// Exchanges abandoned after MAX_RETRANSMIT.
+    /// Exchanges abandoned after [`MAX_RETRANSMIT`].
     pub gave_up: u64,
 }
 
@@ -189,8 +176,8 @@ impl CoapClient {
     fn initial_timeout(&mut self, rng: &mut Rng) -> Duration {
         match &self.rto {
             RtoAlgorithm::Default => {
-                let base = self.cfg.ack_timeout.as_secs_f64();
-                let f = 1.0 + rng.gen_f64() * (self.cfg.ack_random_factor - 1.0);
+                let base = ACK_TIMEOUT.as_secs_f64();
+                let f = 1.0 + rng.gen_f64() * (ACK_RANDOM_FACTOR - 1.0);
                 Duration::from_secs_f64(base * f)
             }
             RtoAlgorithm::Cocoa(c) => c.rto(),
@@ -252,8 +239,9 @@ impl CoapClient {
             return None;
         }
         o.retransmits += 1;
-        if o.retransmits > self.cfg.max_retransmit {
-            // Give up: drop the exchange, reset the RTO (§9.4).
+        if o.retransmits > MAX_RETRANSMIT {
+            // Give up: drop the exchange, reset the RTO (§9.4). The
+            // next exchange draws a fresh 2-3 s initial RTO.
             let token = o.token;
             self.outstanding = None;
             self.stats.gave_up += 1;
@@ -394,7 +382,6 @@ mod tests {
     fn non_confirmable_never_retransmits() {
         let cfg = CoapClientConfig {
             non_confirmable: true,
-            ..CoapClientConfig::default()
         };
         let mut c = CoapClient::new(cfg, RtoAlgorithm::Default, &["s"]);
         let mut r = rng();

@@ -3,8 +3,12 @@
 //! Defaults follow the paper's experimental configuration: an MSS of
 //! five 802.15.4 frames (~460 B of payload), send/receive buffers of
 //! four segments (1848 B, §7.3), SACK + timestamps + delayed ACKs on,
-//! a minimum RTO suited to LLN RTTs, and up to 12 retransmissions with
-//! exponential backoff (§9.4).
+//! and up to 12 retransmissions with exponential backoff (§9.4).
+//!
+//! Only what a caller varies is a field: the fixed timers and limits
+//! (RTO floor and initial RTO, delayed ACK, persist, TIME_WAIT, the
+//! challenge-ACK budget) are constants in [`crate::rtt`] and
+//! [`crate::socket`].
 
 use lln_sim::Duration;
 
@@ -29,24 +33,14 @@ pub struct TcpConfig {
     pub use_ecn: bool,
     /// Delay pure ACKs (ack every 2nd full segment or on timer).
     pub delayed_ack: bool,
-    /// Delayed-ACK timeout.
-    pub delack_timeout: Duration,
     /// Nagle's algorithm (coalesce sub-MSS writes).
     pub nagle: bool,
-    /// Lower bound for the retransmission timeout.
-    pub min_rto: Duration,
     /// Upper bound for the retransmission timeout.
     pub max_rto: Duration,
-    /// RTO before any RTT sample exists (RFC 6298 says 1 s).
-    pub initial_rto: Duration,
     /// Maximum consecutive retransmissions of one segment before the
     /// connection is dropped (paper: "TCP performs up to 12
     /// retransmissions with exponential backoff", §9.4).
     pub max_retransmits: u32,
-    /// Base interval for zero-window probes (persist timer).
-    pub persist_base: Duration,
-    /// TIME_WAIT duration (2×MSL; shortened for simulation).
-    pub time_wait: Duration,
     /// Granularity of the timestamp clock.
     pub ts_granularity: Duration,
     /// Keepalive: probe an idle established connection after this long
@@ -57,13 +51,6 @@ pub struct TcpConfig {
     pub keepalive_interval: Duration,
     /// Unanswered probes before the connection is dropped.
     pub keepalive_probes: u32,
-    /// RFC 5961 §5: maximum challenge ACKs sent per
-    /// [`TcpConfig::challenge_ack_window`]. Forged in-window RST/SYN
-    /// floods beyond this budget are dropped silently, bounding the
-    /// ACK-reflection work (and radio energy) an attacker can induce.
-    pub challenge_ack_limit: u32,
-    /// The window over which the challenge-ACK budget refills.
-    pub challenge_ack_window: Duration,
     /// Header prediction (FreeBSD fast path): steady-state pure ACKs
     /// and in-order data bypass the general segment machine. The two
     /// paths are behaviorally identical by construction (see the
@@ -84,20 +71,13 @@ impl Default for TcpConfig {
             use_timestamps: true,
             use_ecn: false,
             delayed_ack: true,
-            delack_timeout: Duration::from_millis(100),
             nagle: true,
-            min_rto: Duration::from_millis(300),
             max_rto: Duration::from_secs(60),
-            initial_rto: Duration::from_secs(1),
             max_retransmits: 12,
-            persist_base: Duration::from_millis(500),
-            time_wait: Duration::from_secs(2),
             ts_granularity: Duration::from_millis(1),
             keepalive_idle: None,
             keepalive_interval: Duration::from_secs(10),
             keepalive_probes: 4,
-            challenge_ack_limit: 10,
-            challenge_ack_window: Duration::from_secs(1),
             header_prediction: true,
         }
     }

@@ -9,6 +9,7 @@
 
 use crate::config::TcpConfig;
 use crate::mem::{MemClass, NodeBudget, SYN_ENTRY_BYTES};
+use crate::rtt::INITIAL_RTO;
 use crate::seq::TcpSeq;
 use crate::socket::TcpSocket;
 use crate::wire::{Flags, Segment, SegmentView, Timestamps};
@@ -298,7 +299,7 @@ impl ListenSocket {
             ts_val: seg.timestamps.map(|t| t.value),
             ecn: seg.flags.contains(Flags::ECE) && seg.flags.contains(Flags::CWR),
             created: now,
-            rexmit_at: now + self.cfg.initial_rto,
+            rexmit_at: now + INITIAL_RTO,
             rexmits: 0,
         });
         let reply = self.synack_for(self.entries.len() - 1, now);
@@ -344,7 +345,7 @@ impl ListenSocket {
     /// whose retries are exhausted — RFC 4987's timeout-based
     /// reclamation. SYN-RECEIVED follows the same schedule a full
     /// socket uses for its SYN: first retransmit at
-    /// [`TcpConfig::initial_rto`], doubling up to
+    /// [`INITIAL_RTO`], doubling up to
     /// [`TcpConfig::max_rto`], reclaimed after
     /// [`TcpConfig::max_retransmits`]. A sleepy client whose handshake
     /// ACK was lost may not speak again until its first batch is due,
@@ -364,8 +365,7 @@ impl ListenSocket {
             let backoff = {
                 let e = &mut self.entries[due];
                 e.rexmits += 1;
-                self.cfg
-                    .initial_rto
+                INITIAL_RTO
                     .saturating_mul(1 << e.rexmits.min(63))
                     .min(self.cfg.max_rto)
             };

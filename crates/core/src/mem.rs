@@ -105,8 +105,10 @@ pub const REASM_SLOT_BYTES: usize = 64;
 /// driver descriptor).
 pub const MAC_FRAME_BYTES: usize = 24;
 
-/// Per-node budget: byte caps per class plus derived structural limits
-/// the subsystems are built with.
+/// Per-node budget: byte caps per class, the accept backlog and the IP
+/// queue depth. The node layer's fixed slot and depth limits
+/// (reassembly, control and indirect queues) are constants beside
+/// their reader in `lln_node::stack`.
 ///
 /// Defaults model a 64 KiB-SRAM mote (the paper's Firestorm class;
 /// its Hamilton runs half of this with halved buffers). The class caps
@@ -122,17 +124,8 @@ pub struct NodeBudget {
     pub total: usize,
     /// Accepted-but-active connection backlog the listener enforces.
     pub accept_backlog: usize,
-    /// 6LoWPAN reassembly slots.
-    pub reassembly_slots: usize,
-    /// Reassembly slots any single source may hold (fragment-flood
-    /// isolation; Hummen et al.'s split-buffer defence).
-    pub reassembly_per_source: usize,
     /// IP queue depth in packets (byte cap rides on top).
     pub ip_queue_packets: usize,
-    /// MAC control-queue depth in frames.
-    pub ctrl_queue_frames: usize,
-    /// Indirect (sleepy-child) queue depth in packets, per child.
-    pub indirect_packets: usize,
 }
 
 impl Default for NodeBudget {
@@ -154,11 +147,7 @@ impl Default for NodeBudget {
             caps,
             total: 64 * 1024,
             accept_backlog: 8,
-            reassembly_slots: 8,
-            reassembly_per_source: 2,
             ip_queue_packets: 24,
-            ctrl_queue_frames: 96,
-            indirect_packets: 16,
         }
     }
 }

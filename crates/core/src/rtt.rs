@@ -9,28 +9,29 @@
 
 use lln_sim::{Duration, Instant};
 
+/// RTO floor, FreeBSD-style, scaled for LLN round trips (DESIGN.md §5).
+pub const MIN_RTO: Duration = Duration::from_millis(300);
+/// RTO before any RTT sample exists (RFC 6298 §2.1).
+pub const INITIAL_RTO: Duration = Duration::from_secs(1);
+
 /// RTT estimator state.
 #[derive(Clone, Debug)]
 pub struct RttEstimator {
     srtt: Option<Duration>,
     rttvar: Duration,
-    min_rto: Duration,
     max_rto: Duration,
-    initial_rto: Duration,
     /// Current backoff shift (number of consecutive timeouts).
     backoff: u32,
     samples: u64,
 }
 
 impl RttEstimator {
-    /// Creates an estimator with the given RTO bounds.
-    pub fn new(min_rto: Duration, max_rto: Duration, initial_rto: Duration) -> Self {
+    /// Creates an estimator whose RTO is capped at `max_rto`.
+    pub fn new(max_rto: Duration) -> Self {
         RttEstimator {
             srtt: None,
             rttvar: Duration::ZERO,
-            min_rto,
             max_rto,
-            initial_rto,
             backoff: 0,
             samples: 0,
         }
@@ -66,15 +67,15 @@ impl RttEstimator {
         self.samples
     }
 
-    /// The base RTO (before backoff), clamped to `[min_rto, max_rto]`.
+    /// The base RTO (before backoff), clamped to `[MIN_RTO, max_rto]`.
     pub fn base_rto(&self) -> Duration {
         match self.srtt {
-            None => self.initial_rto,
+            None => INITIAL_RTO,
             Some(srtt) => {
                 // RTO = SRTT + max(G, 4*RTTVAR); G (clock granularity)
-                // is 1ms here and folded into min_rto.
+                // is 1ms here and folded into MIN_RTO.
                 let rto = srtt + (self.rttvar * 4).max(Duration::from_millis(1));
-                rto.max(self.min_rto).min(self.max_rto)
+                rto.max(MIN_RTO).min(self.max_rto)
             }
         }
     }
@@ -109,11 +110,7 @@ mod tests {
     use super::*;
 
     fn est() -> RttEstimator {
-        RttEstimator::new(
-            Duration::from_millis(300),
-            Duration::from_secs(60),
-            Duration::from_secs(1),
-        )
+        RttEstimator::new(Duration::from_secs(60))
     }
 
     #[test]
@@ -143,7 +140,7 @@ mod tests {
             (srtt.as_millis() as i64 - 150).abs() <= 2,
             "srtt {srtt:?} should converge to 150ms"
         );
-        // Variance decays, so RTO approaches min_rto floor.
+        // Variance decays, so RTO approaches the MIN_RTO floor.
         assert_eq!(e.base_rto(), Duration::from_millis(300));
     }
 

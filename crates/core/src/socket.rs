@@ -34,6 +34,19 @@ use crate::wire::{Flags, SackBlock, Segment, SegmentView, Timestamps};
 use lln_netip::{Ecn, Ipv6Addr};
 use lln_sim::{Duration, Instant};
 
+/// Delayed-ACK timeout (DESIGN.md §5).
+pub const DELACK_TIMEOUT: Duration = Duration::from_millis(100);
+/// Base interval of zero-window probes (persist timer), doubling per probe.
+pub const PERSIST_BASE: Duration = Duration::from_millis(500);
+/// TIME_WAIT duration (2×MSL, shortened for simulation).
+pub const TIME_WAIT: Duration = Duration::from_secs(2);
+/// RFC 5961 §5: challenge ACKs sent per [`CHALLENGE_ACK_WINDOW`] at most,
+/// bounding the ACK-reflection work a forged RST/SYN flood can induce
+/// (DESIGN.md §9).
+pub const CHALLENGE_ACK_LIMIT: u32 = 10;
+/// The window over which the challenge-ACK budget refills.
+pub const CHALLENGE_ACK_WINDOW: Duration = Duration::from_secs(1);
+
 /// TCP connection states (RFC 793).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum TcpState {
@@ -197,7 +210,7 @@ impl TcpSocket {
         let sndbuf = SendBuffer::new(cfg.send_buf);
         let rcvbuf = RecvBuffer::new(cfg.recv_buf);
         let cc = NewReno::new(cfg.mss);
-        let rtt = RttEstimator::new(cfg.min_rto, cfg.max_rto, cfg.initial_rto);
+        let rtt = RttEstimator::new(cfg.max_rto);
         let mss = cfg.mss;
         TcpSocket {
             cfg,
@@ -474,20 +487,19 @@ impl TcpSocket {
     }
 
     /// Queues a challenge ACK (RFC 5961), subject to the §5 rate limit:
-    /// at most `challenge_ack_limit` per `challenge_ack_window`. A
+    /// at most [`CHALLENGE_ACK_LIMIT`] per [`CHALLENGE_ACK_WINDOW`]. A
     /// blind attacker flooding in-window RSTs/SYNs earns a bounded
     /// number of responses per second; excess triggers are counted and
     /// dropped silently.
     fn send_challenge_ack(&mut self, now: Instant) {
         match self.chack_window_start {
-            Some(start) if now.saturating_duration_since(start) < self.cfg.challenge_ack_window => {
-            }
+            Some(start) if now.saturating_duration_since(start) < CHALLENGE_ACK_WINDOW => {}
             _ => {
                 self.chack_window_start = Some(now);
                 self.chack_sent = 0;
             }
         }
-        if self.chack_sent < self.cfg.challenge_ack_limit {
+        if self.chack_sent < CHALLENGE_ACK_LIMIT {
             self.chack_sent += 1;
             self.stats.challenge_acks += 1;
             self.ack_now = true;
@@ -555,10 +567,7 @@ impl TcpSocket {
                     return;
                 }
                 self.persist_backoff = (self.persist_backoff + 1).min(10);
-                let next = self
-                    .cfg
-                    .persist_base
-                    .saturating_mul(1 << self.persist_backoff.min(6));
+                let next = PERSIST_BASE.saturating_mul(1 << self.persist_backoff.min(6));
                 self.persist_deadline = Some(now + next.min(Duration::from_secs(60)));
                 self.probe_now = true;
             }
@@ -870,7 +879,7 @@ impl TcpSocket {
                     }
                     TcpState::FinWait2 => {
                         self.state = TcpState::TimeWait;
-                        self.timewait_deadline = Some(now + self.cfg.time_wait);
+                        self.timewait_deadline = Some(now + TIME_WAIT);
                     }
                     _ => {}
                 }
@@ -974,7 +983,7 @@ impl TcpSocket {
                 if self.persist_deadline.is_none() {
                     self.persist_backoff = 0;
                     self.persist_probes = 0;
-                    self.persist_deadline = Some(now + self.cfg.persist_base);
+                    self.persist_deadline = Some(now + PERSIST_BASE);
                 }
             } else {
                 self.persist_deadline = None;
@@ -1097,7 +1106,7 @@ impl TcpSocket {
                     TcpState::FinWait1 => self.state = TcpState::FinWait2,
                     TcpState::Closing => {
                         self.state = TcpState::TimeWait;
-                        self.timewait_deadline = Some(now + self.cfg.time_wait);
+                        self.timewait_deadline = Some(now + TIME_WAIT);
                     }
                     TcpState::LastAck => self.enter_closed(CloseReason::Normal),
                     _ => {}
@@ -1170,7 +1179,7 @@ impl TcpSocket {
             if self.delack_segs >= 2 {
                 self.ack_now = true;
             } else if self.delack_deadline.is_none() {
-                self.delack_deadline = Some(now + self.cfg.delack_timeout);
+                self.delack_deadline = Some(now + DELACK_TIMEOUT);
             }
         }
     }
@@ -1342,7 +1351,7 @@ impl TcpSocket {
         {
             self.persist_backoff = 0;
             self.persist_probes = 0;
-            self.persist_deadline = Some(now + self.cfg.persist_base);
+            self.persist_deadline = Some(now + PERSIST_BASE);
         }
 
         if len > 0 {
@@ -1832,7 +1841,7 @@ mod tests {
     }
 
     /// RFC 5961 §5: a blind RST flood earns at most
-    /// `challenge_ack_limit` challenge ACKs per window; the budget
+    /// [`CHALLENGE_ACK_LIMIT`] challenge ACKs per window; the budget
     /// refills in the next window.
     #[test]
     fn challenge_acks_rate_limited_per_window() {

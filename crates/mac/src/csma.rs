@@ -14,17 +14,18 @@
 
 use lln_sim::{Duration, Rng};
 
+/// 802.15.4 macMinBE: initial backoff exponent (DESIGN.md §5).
+pub const MIN_BE: u32 = 3;
+/// 802.15.4 macMaxBE: maximum backoff exponent.
+pub const MAX_BE: u32 = 5;
+/// 802.15.4 macMaxCSMABackoffs: CCA attempts per transmission attempt.
+pub const MAX_CSMA_BACKOFFS: u32 = 4;
+/// 802.15.4 aUnitBackoffPeriod: 20 symbols = 320 µs.
+pub const BACKOFF_UNIT: Duration = Duration::from_micros(320);
+
 /// MAC-layer configuration.
 #[derive(Clone, Debug)]
 pub struct MacConfig {
-    /// macMinBE: initial backoff exponent.
-    pub min_be: u32,
-    /// macMaxBE: maximum backoff exponent.
-    pub max_be: u32,
-    /// macMaxCSMABackoffs: CCA attempts per transmission attempt.
-    pub max_csma_backoffs: u32,
-    /// aUnitBackoffPeriod: 20 symbols = 320 µs.
-    pub backoff_unit: Duration,
     /// Maximum link-layer retransmissions of one frame.
     pub max_frame_retries: u32,
     /// The paper's `d`: maximum random delay between link retries
@@ -35,10 +36,6 @@ pub struct MacConfig {
 impl Default for MacConfig {
     fn default() -> Self {
         MacConfig {
-            min_be: 3,
-            max_be: 5,
-            max_csma_backoffs: 4,
-            backoff_unit: Duration::from_micros(320),
             max_frame_retries: 8,
             retry_delay_max: Duration::from_millis(40),
         }
@@ -101,14 +98,14 @@ impl TxProcess {
     /// Begins the first attempt; returns the initial backoff step.
     pub fn start(&mut self, rng: &mut Rng) -> TxStep {
         self.phase = Phase::Csma;
-        self.be = self.cfg.min_be;
+        self.be = MIN_BE;
         self.csma_attempts = 0;
         self.backoff(rng)
     }
 
     fn backoff(&mut self, rng: &mut Rng) -> TxStep {
         let slots = rng.gen_range(1u64 << self.be); // [0, 2^BE - 1]
-        TxStep::BackoffThenCca(self.cfg.backoff_unit * slots)
+        TxStep::BackoffThenCca(BACKOFF_UNIT * slots)
     }
 
     /// Feeds the CCA outcome.
@@ -121,12 +118,12 @@ impl TxProcess {
         }
         self.cca_failures += 1;
         self.csma_attempts += 1;
-        if self.csma_attempts > self.cfg.max_csma_backoffs {
+        if self.csma_attempts > MAX_CSMA_BACKOFFS {
             // Channel-access failure counts as a failed attempt;
             // fall into the link-retry path.
             return self.retry_or_fail(rng);
         }
-        self.be = (self.be + 1).min(self.cfg.max_be);
+        self.be = (self.be + 1).min(MAX_BE);
         self.backoff(rng)
     }
 
@@ -163,11 +160,11 @@ impl TxProcess {
         // The paper's mechanism: uniform random delay in [0, d] before
         // the retry, *then* a fresh CSMA round.
         self.phase = Phase::Csma;
-        self.be = self.cfg.min_be;
+        self.be = MIN_BE;
         self.csma_attempts = 0;
         let jitter = rng.gen_duration(self.cfg.retry_delay_max);
         let slots = rng.gen_range(1u64 << self.be);
-        TxStep::BackoffThenCca(jitter + self.cfg.backoff_unit * slots)
+        TxStep::BackoffThenCca(jitter + BACKOFF_UNIT * slots)
     }
 
     /// Link retries performed so far.
@@ -211,20 +208,19 @@ mod tests {
 
     #[test]
     fn busy_channel_escalates_backoff() {
-        let cfg = MacConfig::default();
-        let mut p = TxProcess::new(cfg.clone(), true);
+        let mut p = TxProcess::new(MacConfig::default(), true);
         let mut r = rng();
         p.start(&mut r);
         // Keep reporting busy: BE grows 3→4→5→5, then channel-access
         // failure counts as a retry.
         let mut max_seen = Duration::ZERO;
-        for _ in 0..cfg.max_csma_backoffs {
+        for _ in 0..MAX_CSMA_BACKOFFS {
             match p.on_cca(true, &mut r) {
                 TxStep::BackoffThenCca(d) => max_seen = max_seen.max(d),
                 other => panic!("unexpected {other:?}"),
             }
         }
-        assert_eq!(p.cca_failures, cfg.max_csma_backoffs);
+        assert_eq!(p.cca_failures, MAX_CSMA_BACKOFFS);
         // One more busy CCA exhausts CSMA and triggers a retry delay.
         match p.on_cca(true, &mut r) {
             TxStep::BackoffThenCca(_) => assert_eq!(p.retries(), 1),
@@ -311,7 +307,6 @@ mod tests {
         let cfg = MacConfig {
             retry_delay_max: Duration::from_millis(40),
             max_frame_retries: 10_000,
-            ..MacConfig::default()
         };
         let mut r = rng();
         let mut lo = 0usize;

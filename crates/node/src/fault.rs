@@ -40,7 +40,10 @@ pub enum FaultEvent {
     /// `duration`, then restore the original reception rates. The link
     /// stays *audible* — energy is still detectable on the channel, so
     /// CCA and hidden-terminal behaviour are unaffected — but no frame
-    /// gets through, like deep fading or blockage.
+    /// gets through, like deep fading or blockage. Overlapping
+    /// blackouts of one edge, named either way round, keep it dark
+    /// until the last one ends; then the PRRs from before the first
+    /// come back.
     LinkBlackout {
         /// One endpoint (world index).
         a: usize,
@@ -67,6 +70,7 @@ pub enum FaultEvent {
     /// are not clean drops: they reach the MAC decoder and must be
     /// rejected by the FCS (or, for the rare burst that passes CRC-16,
     /// by upper-layer checksums) — exercising the full rejection path.
+    /// While bursts on one node overlap, the highest BER applies.
     BitErrorBurst {
         /// World index of the afflicted receiver.
         node: usize,

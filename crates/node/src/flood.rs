@@ -19,6 +19,10 @@
 
 use lln_sim::{Duration, Instant, Rng};
 
+/// Claimed datagram size in forged FRAG1 headers: each pins that many
+/// accounted bytes per reassembly slot until timeout (DESIGN.md §10).
+pub const CLAIMED_FRAG_SIZE: u16 = 600;
+
 /// What the attacker sends, how fast, and for how long.
 #[derive(Clone, Debug)]
 pub struct FloodConfig {
@@ -37,9 +41,6 @@ pub struct FloodConfig {
     pub spoofed_sources: u16,
     /// Destination port for forged SYNs (the victim's listen port).
     pub target_port: u16,
-    /// Claimed datagram size in forged FRAG1 headers (pins that many
-    /// accounted bytes per slot until timeout).
-    pub claimed_frag_size: u16,
 }
 
 impl Default for FloodConfig {
@@ -52,7 +53,6 @@ impl Default for FloodConfig {
             frag: false,
             spoofed_sources: 16,
             target_port: 80,
-            claimed_frag_size: 600,
         }
     }
 }
@@ -94,11 +94,11 @@ impl Flooder {
     }
 
     /// Writes a forged FRAG1 (RFC 4944 §5.3) into `buf`: a header
-    /// claiming a datagram of `claimed_frag_size` bytes under a random
+    /// claiming a datagram of [`CLAIMED_FRAG_SIZE`] bytes under a random
     /// tag, then `buf.len() - 4` bytes of zero junk payload. The
     /// remaining fragments never arrive.
     pub fn forge_frag1_into(&mut self, buf: &mut [u8]) {
-        let size = usize::from(self.cfg.claimed_frag_size).min((1 << 11) - 1);
+        let size = usize::from(CLAIMED_FRAG_SIZE).min((1 << 11) - 1);
         let tag = self.rng.next_u64() as u16;
         buf[0] = 0b1100_0000 | ((size >> 8) as u8 & 0x07);
         buf[1] = (size & 0xFF) as u8;

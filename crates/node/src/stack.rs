@@ -22,6 +22,17 @@ use std::collections::{HashMap, HashSet, VecDeque};
 use tcplp::mem::{IP_OVERHEAD_BYTES, MAC_FRAME_BYTES};
 use tcplp::{ListenSocket, MemClass, MemGovernor, NodeBudget, TcpSocket};
 
+/// 6LoWPAN reassembly slots per node (DESIGN.md §10).
+pub const REASSEMBLY_SLOTS: usize = 8;
+/// Reassembly slots any single source may hold (fragment-flood
+/// isolation; Hummen et al.'s split-buffer defence, DESIGN.md §10).
+pub const REASSEMBLY_PER_SOURCE: usize = 2;
+/// MAC control-queue depth in frames (byte cap rides on top).
+pub const CTRL_QUEUE_FRAMES: usize = 96;
+/// Indirect (sleepy-child) queue depth in packets, per child (byte cap
+/// rides on top).
+pub const INDIRECT_PACKETS: usize = 16;
+
 lln_sim::counter_keys! {
     /// The per-node counters, in name order. Each counts an event the
     /// node layer itself sees; subsystems that keep their own stats
@@ -430,7 +441,7 @@ impl Node {
 
     /// The budget-derived control queue (frames + bytes bounded).
     fn ctrl_queue_for(budget: &NodeBudget) -> FifoQueue<FrameBuf> {
-        FifoQueue::with_byte_bound(budget.ctrl_queue_frames, budget.cap(MemClass::MacQueue))
+        FifoQueue::with_byte_bound(CTRL_QUEUE_FRAMES, budget.cap(MemClass::MacQueue))
     }
 
     /// The budget-derived FIFO IP queue (packets + bytes bounded).
@@ -445,8 +456,8 @@ impl Node {
     /// reassembly class).
     pub fn reassembler_for(budget: &NodeBudget) -> Reassembler {
         Reassembler::with_limits(ReassemblyLimits {
-            max_slots: budget.reassembly_slots,
-            per_source_slots: budget.reassembly_per_source,
+            max_slots: REASSEMBLY_SLOTS,
+            per_source_slots: REASSEMBLY_PER_SOURCE,
             max_bytes: budget.cap(MemClass::Reassembly),
             timeout: Duration::from_secs(4),
         })
@@ -488,12 +499,11 @@ impl Node {
     /// the budget's per-child packet quota and the MAC byte class.
     pub fn enqueue_indirect(&mut self, child: NodeId, pkt: OutPacket) -> bool {
         let w = pkt.payload.len() + IP_OVERHEAD_BYTES;
-        let slots = self.budget.indirect_packets;
         let cap = self.budget.cap(MemClass::MacQueue);
         let q = self
             .indirect
             .entry(child)
-            .or_insert_with(|| FifoQueue::with_byte_bound(slots, cap));
+            .or_insert_with(|| FifoQueue::with_byte_bound(INDIRECT_PACKETS, cap));
         if q.offer_weighed(pkt, w) == QueueOutcome::Enqueued {
             true
         } else {
@@ -702,8 +712,7 @@ mod tests {
     #[test]
     fn ctrl_queue_bounded_by_budget() {
         let mut n = node(NodeKind::Router);
-        let frames = n.budget.ctrl_queue_frames;
-        for k in 0..frames {
+        for k in 0..CTRL_QUEUE_FRAMES {
             assert!(
                 n.enqueue_ctrl(FrameBuf::new(MacFrame::data(
                     NodeId(3),
@@ -737,8 +746,7 @@ mod tests {
         };
 
         // Small packets: the per-child packet quota binds.
-        let slots = n.budget.indirect_packets;
-        for k in 0..slots {
+        for k in 0..INDIRECT_PACKETS {
             assert!(n.enqueue_indirect(NodeId(7), pkt(8)), "packet {k} fits");
         }
         assert!(!n.enqueue_indirect(NodeId(7), pkt(8)), "packet quota");
@@ -747,13 +755,13 @@ mod tests {
         // Large packets to another child: the MAC byte cap binds first.
         let payload = 2000;
         let fit = n.budget.cap(MemClass::MacQueue) / (payload + IP_OVERHEAD_BYTES);
-        assert!(fit < slots, "the byte cap binds before the quota");
+        assert!(fit < INDIRECT_PACKETS, "the byte cap binds before the quota");
         for k in 0..fit {
             assert!(n.enqueue_indirect(NodeId(8), pkt(payload)), "packet {k} fits");
         }
         assert!(!n.enqueue_indirect(NodeId(8), pkt(payload)), "byte cap");
         assert_eq!(refused(&n), (2, 2));
-        assert_eq!(n.indirect[&NodeId(7)].len(), slots);
+        assert_eq!(n.indirect[&NodeId(7)].len(), INDIRECT_PACKETS);
         assert_eq!(n.indirect[&NodeId(8)].len(), fit);
     }
 

@@ -28,23 +28,25 @@ use tcplp::{CloseReason, TcpConfig, TcpSocket, TcpState};
 /// Per-record framing overhead (length + sequence).
 pub const RECORD_HEADER: usize = 10;
 
-/// Supervisor tuning.
+/// First reconnect backoff, doubling per consecutive failure (DESIGN.md §8).
+pub const BACKOFF_BASE: Duration = Duration::from_secs(1);
+/// Reconnect backoff ceiling.
+pub const BACKOFF_MAX: Duration = Duration::from_secs(32);
+/// Multiplicative jitter: the delay is scaled by a factor drawn
+/// uniformly from `[1, 1 + BACKOFF_JITTER]` (sim RNG, deterministic).
+pub const BACKOFF_JITTER: f64 = 0.25;
+/// Retained-record buffer capacity in framed bytes (the "flash
+/// queue"); `submit` refuses records past this.
+pub const BUFFER_CAP: usize = 8192;
+
+/// Supervisor configuration. The reconnect schedule and the retention
+/// buffer are the constants above.
 #[derive(Clone, Debug)]
 pub struct SupervisorConfig {
     /// TCP configuration for every (re)connection. Enable
     /// `keepalive_idle` here so silently-dead peers are detected even
     /// when the sender is idle.
     pub tcp: TcpConfig,
-    /// First reconnect backoff (doubles per consecutive failure).
-    pub backoff_base: Duration,
-    /// Backoff ceiling.
-    pub backoff_max: Duration,
-    /// Multiplicative jitter: the delay is scaled by a factor drawn
-    /// uniformly from `[1, 1 + jitter]` (sim RNG, deterministic).
-    pub jitter: f64,
-    /// Retained-record buffer capacity in framed bytes (the "flash
-    /// queue"); `submit` refuses records past this.
-    pub buffer_cap: usize,
 }
 
 impl Default for SupervisorConfig {
@@ -58,18 +60,12 @@ impl Default for SupervisorConfig {
             max_retransmits: 8,
             ..TcpConfig::default()
         };
-        SupervisorConfig {
-            tcp,
-            backoff_base: Duration::from_secs(1),
-            backoff_max: Duration::from_secs(32),
-            jitter: 0.25,
-            buffer_cap: 8192,
-        }
+        SupervisorConfig { tcp }
     }
 }
 
-/// Per-connection counters, mirrored into the node's `Counters` by the
-/// world.
+/// Per-connection counters: the one record of reconnect activity,
+/// read through [`World::supervisor_stats`](crate::world::World::supervisor_stats).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SupervisorStats {
     /// Successful re-establishments after a detected death.
@@ -209,7 +205,7 @@ impl SupervisedConnection {
     /// buffer right now.
     pub fn can_accept(&self, payload_len: usize) -> bool {
         payload_len <= u16::MAX as usize
-            && self.buffer.len() + RECORD_HEADER + payload_len <= self.cfg.buffer_cap
+            && self.buffer.len() + RECORD_HEADER + payload_len <= BUFFER_CAP
     }
 
     /// Accepts one application record for (eventual, reliable)
@@ -327,12 +323,8 @@ impl SupervisedConnection {
         };
         self.consecutive_failures += 1;
         let exp = (self.consecutive_failures - 1).min(16);
-        let base = self
-            .cfg
-            .backoff_base
-            .saturating_mul(1u64 << exp)
-            .min(self.cfg.backoff_max);
-        let scaled = base.as_micros() as f64 * (1.0 + self.cfg.jitter * self.rng.gen_f64());
+        let base = BACKOFF_BASE.saturating_mul(1u64 << exp).min(BACKOFF_MAX);
+        let scaled = base.as_micros() as f64 * (1.0 + BACKOFF_JITTER * self.rng.gen_f64());
         let delay = Duration::from_micros(scaled as u64);
         self.state = SupState::WaitingConnect {
             since_down,

@@ -28,6 +28,15 @@ pub const COAP_PORT: u16 = 5683;
 /// The cloud TCP service port.
 pub const TCP_PORT: u16 = 80;
 
+/// One-way wired latency border↔cloud (paper: ~12 ms RTT, DESIGN.md §5).
+pub const WIRED_LATENCY: Duration = Duration::from_millis(6);
+/// CPU time charged per MAC frame handled, tx or rx (DESIGN.md §5 energy).
+pub const CPU_PER_FRAME: Duration = Duration::from_micros(800);
+/// CPU time charged per transport segment or message processed.
+pub const CPU_PER_SEGMENT: Duration = Duration::from_micros(600);
+/// Listen window after a data-request poll: §9.2's 100 ms (DESIGN.md §5).
+pub const POLL_WINDOW: Duration = Duration::from_millis(100);
+
 /// World-level configuration.
 #[derive(Clone, Debug)]
 pub struct WorldConfig {
@@ -37,14 +46,6 @@ pub struct WorldConfig {
     pub mac: MacConfig,
     /// RNG seed.
     pub seed: u64,
-    /// One-way wired latency border↔cloud (paper: ~12 ms RTT).
-    pub wired_latency: Duration,
-    /// CPU charge per MAC frame handled (tx or rx).
-    pub cpu_per_frame: Duration,
-    /// CPU charge per transport segment/message processed.
-    pub cpu_per_segment: Duration,
-    /// Listen window after a data-request poll (sleepy leaves).
-    pub poll_window: Duration,
     /// Per-node memory budget (TCP buffers, SYN cache, reassembly,
     /// queues). Applied to every node at world construction.
     pub budget: NodeBudget,
@@ -56,10 +57,6 @@ impl Default for WorldConfig {
             phy: PhyConfig::default(),
             mac: MacConfig::default(),
             seed: 0x5eed,
-            wired_latency: Duration::from_millis(6),
-            cpu_per_frame: Duration::from_micros(800),
-            cpu_per_segment: Duration::from_micros(600),
-            poll_window: Duration::from_millis(100),
             budget: NodeBudget::default(),
         }
     }
@@ -118,14 +115,14 @@ pub enum Event {
     FaultRebootUp(usize),
     /// Fault: link a↔b goes dark for the given span.
     FaultBlackoutStart(usize, usize, Duration),
-    /// Fault: blackout over; restore the saved PRRs (a→b, b→a).
-    FaultBlackoutEnd(usize, usize, f64, f64),
+    /// Fault: one blackout of the (low, high) edge is over.
+    FaultBlackoutEnd(usize, usize),
     /// Fault: node reselects its routing parent.
     FaultRouteFlap(usize),
     /// Fault: receiver-side bit errors at the given BER for the span.
     FaultBerStart(usize, f64, Duration),
-    /// Fault: bit-error burst over.
-    FaultBerEnd(usize),
+    /// Fault: the node's bit-error burst at the given BER is over.
+    FaultBerEnd(usize, f64),
     /// Flooder tick: the attacker injects forged traffic at the node.
     FloodTick(usize),
 }
@@ -160,6 +157,11 @@ pub struct World {
     outcomes: Vec<(RadioIdx, bool)>,
     /// Scratch: packets a transport pump emits, before IP queueing.
     pumped: Vec<(Ipv6Header, Vec<u8>)>,
+    /// Blackouts in force, one entry each: the (low, high) edge and
+    /// its PRRs (low→high, high→low) from before the first that overlaps.
+    blackouts: Vec<((usize, usize), (f64, f64))>,
+    /// Bit-error bursts in force, as (node, BER).
+    ber_bursts: Vec<(usize, f64)>,
 }
 
 impl World {
@@ -230,6 +232,8 @@ impl World {
             listeners: Vec::new(),
             outcomes: Vec::new(),
             pumped: Vec::new(),
+            blackouts: Vec::new(),
+            ber_bursts: Vec::new(),
         };
         // Sleepy leaves begin their poll schedule immediately (spread
         // out to avoid synchronised polls).
@@ -522,7 +526,7 @@ impl World {
                 self.handle_ip_packet(i, hdr, payload, now);
             }
             Event::AdversaryDeliver(i, hdr, payload) => {
-                self.nodes[i].meter.add_cpu(self.cfg.cpu_per_segment);
+                self.nodes[i].meter.add_cpu(CPU_PER_SEGMENT);
                 self.deliver_mangled_tcp(i, &hdr, &payload, now);
                 self.pump_transport(i, now);
             }
@@ -533,13 +537,14 @@ impl World {
             Event::FaultBlackoutStart(a, b, span) => {
                 self.on_fault_blackout_start(a, b, span, now);
             }
-            Event::FaultBlackoutEnd(a, b, pab, pba) => {
-                self.on_fault_blackout_end(a, b, pab, pba, now);
-            }
+            Event::FaultBlackoutEnd(lo, hi) => self.on_fault_blackout_end((lo, hi)),
             Event::FaultRouteFlap(i) => self.on_fault_route_flap(i, now),
             Event::FaultBerStart(i, ber, span) => self.on_fault_ber_start(i, ber, span, now),
-            Event::FaultBerEnd(i) => {
-                self.nodes[i].ber = None;
+            Event::FaultBerEnd(i, ber) => {
+                let k = self.ber_bursts.iter().position(|&x| x == (i, ber));
+                self.ber_bursts
+                    .swap_remove(k.expect("burst end without start"));
+                self.refresh_ber(i);
             }
             Event::FloodTick(i) => self.on_flood_tick(i, now),
         }
@@ -714,21 +719,33 @@ impl World {
     }
 
     fn on_fault_blackout_start(&mut self, a: usize, b: usize, span: Duration, now: Instant) {
+        let edge = (a.min(b), a.max(b));
+        let (lo, hi) = (RadioIdx(edge.0), RadioIdx(edge.1));
         let links = self.medium.links();
-        let pab = links.prr(RadioIdx(a), RadioIdx(b));
-        let pba = links.prr(RadioIdx(b), RadioIdx(a));
+        let saved = match self.blackouts.iter().find(|x| x.0 == edge) {
+            Some(&(_, saved)) => saved,
+            None => (links.prr(lo, hi), links.prr(hi, lo)),
+        };
+        self.blackouts.push((edge, saved));
         // PRR to zero but still audible: energy on the channel remains
         // detectable (CCA, collisions) — only reception dies.
-        self.medium.links_mut().set_link(RadioIdx(a), RadioIdx(b), 0.0);
-        self.medium.links_mut().set_link(RadioIdx(b), RadioIdx(a), 0.0);
+        self.medium.links_mut().set_symmetric(lo, hi, 0.0);
         self.nodes[a].counters.inc(NodeCounter::LinkBlackouts);
         self.queue
-            .schedule(now + span, Event::FaultBlackoutEnd(a, b, pab, pba));
+            .schedule(now + span, Event::FaultBlackoutEnd(edge.0, edge.1));
     }
 
-    fn on_fault_blackout_end(&mut self, a: usize, b: usize, pab: f64, pba: f64, _now: Instant) {
-        self.medium.links_mut().set_link(RadioIdx(a), RadioIdx(b), pab);
-        self.medium.links_mut().set_link(RadioIdx(b), RadioIdx(a), pba);
+    /// Restores the saved PRRs when the edge's last blackout ends.
+    fn on_fault_blackout_end(&mut self, edge: (usize, usize)) {
+        let k = self.blackouts.iter().position(|x| x.0 == edge);
+        let (_, (up, down)) = self
+            .blackouts
+            .swap_remove(k.expect("blackout end without start"));
+        if self.blackouts.iter().all(|x| x.0 != edge) {
+            let (lo, hi) = (RadioIdx(edge.0), RadioIdx(edge.1));
+            self.medium.links_mut().set_link(lo, hi, up);
+            self.medium.links_mut().set_link(hi, lo, down);
+        }
     }
 
     fn on_fault_route_flap(&mut self, i: usize, now: Instant) {
@@ -774,9 +791,21 @@ impl World {
     }
 
     fn on_fault_ber_start(&mut self, i: usize, ber: f64, span: Duration, now: Instant) {
-        self.nodes[i].ber = Some(ber);
+        self.ber_bursts.push((i, ber));
+        self.refresh_ber(i);
         self.nodes[i].counters.inc(NodeCounter::BerBursts);
-        self.queue.schedule(now + span, Event::FaultBerEnd(i));
+        self.queue.schedule(now + span, Event::FaultBerEnd(i, ber));
+    }
+
+    /// Sets node `i`'s BER to the highest among its bursts in force,
+    /// or clears it when none is left.
+    fn refresh_ber(&mut self, i: usize) {
+        self.nodes[i].ber = self
+            .ber_bursts
+            .iter()
+            .filter(|&&(n, _)| n == i)
+            .map(|&(_, ber)| ber)
+            .reduce(f64::max);
     }
 
     /// Decodes `encoded` as received by `rx` during a bit-error burst:
@@ -1164,7 +1193,7 @@ impl World {
     // ------------------------------------------------------------------
 
     fn deliver_frame(&mut self, i: usize, frame: &MacFrame, now: Instant) {
-        self.nodes[i].meter.add_cpu(self.cfg.cpu_per_frame);
+        self.nodes[i].meter.add_cpu(CPU_PER_FRAME);
         if self.trace.is_enabled()
             && (frame.dst == self.nodes[i].id || frame.frame_type == FrameType::Ack)
         {
@@ -1211,12 +1240,12 @@ impl World {
                         // More frames are on their way (the parent
                         // drains its queue after one data request):
                         // keep the radio on.
-                        self.extend_poll_window(i, now);
+                        self.extend_poll_window(i, POLL_WINDOW, now);
                     } else {
                         // Last queued packet: keep listening only long
                         // enough for any remaining fragments (each
                         // arrival refreshes this grace period).
-                        self.extend_poll_window_by(i, Duration::from_millis(15), now);
+                        self.extend_poll_window(i, Duration::from_millis(15), now);
                     }
                 }
                 // 6LoWPAN reassembly. The datagram buffer goes back to
@@ -1259,7 +1288,7 @@ impl World {
             self.nodes[i].polling = false;
             if ack.pending {
                 // Stay awake to receive the indirect frame(s).
-                self.extend_poll_window(i, now);
+                self.extend_poll_window(i, POLL_WINDOW, now);
             } else {
                 // Nothing queued: close the listen window right away
                 // (keeps the poll exchange to a few milliseconds, the
@@ -1272,12 +1301,7 @@ impl World {
         self.handle_step(i, step, now);
     }
 
-    fn extend_poll_window(&mut self, i: usize, now: Instant) {
-        let w = self.cfg.poll_window;
-        self.extend_poll_window_by(i, w, now);
-    }
-
-    fn extend_poll_window_by(&mut self, i: usize, span: Duration, now: Instant) {
+    fn extend_poll_window(&mut self, i: usize, span: Duration, now: Instant) {
         if let Some(tok) = self.nodes[i].poll_window.take() {
             self.queue.cancel(tok);
         }
@@ -1336,7 +1360,7 @@ impl World {
             .alloc(MacFrame::data_request(id, parent, seq, payload));
         self.nodes[i].enqueue_ctrl(req);
         // Guard window in case the poll exchange stalls entirely.
-        self.extend_poll_window(i, now);
+        self.extend_poll_window(i, POLL_WINDOW, now);
         self.kick_mac(i, now);
     }
 
@@ -1454,7 +1478,7 @@ impl World {
         match hop {
             Hop::Wired(Some(peer)) => {
                 self.queue.schedule(
-                    now + self.cfg.wired_latency,
+                    now + WIRED_LATENCY,
                     Event::WiredDeliver(peer, hdr, payload),
                 );
             }
@@ -1580,7 +1604,7 @@ impl World {
     // ------------------------------------------------------------------
 
     fn deliver_transport(&mut self, i: usize, hdr: Ipv6Header, payload: &[u8], now: Instant) {
-        self.nodes[i].meter.add_cpu(self.cfg.cpu_per_segment);
+        self.nodes[i].meter.add_cpu(CPU_PER_SEGMENT);
         match hdr.next_header {
             NextHeader::Tcp => self.deliver_tcp(i, &hdr, payload, now),
             NextHeader::Udp => self.deliver_udp(i, &hdr, payload, now),
@@ -1802,7 +1826,7 @@ impl World {
                     seg.wire_len() as u16,
                 );
                 fl.stats.syns_sent += 1;
-                self.nodes[i].meter.add_cpu(self.cfg.cpu_per_segment);
+                self.nodes[i].meter.add_cpu(CPU_PER_SEGMENT);
                 self.nodes[i].counters.inc(NodeCounter::FloodSynsRx);
                 self.dispatch_tcp_view(i, &hdr, seg.view(), now);
             }
@@ -1815,7 +1839,7 @@ impl World {
                 let mut bytes = [0u8; 68];
                 fl.forge_frag1_into(&mut bytes);
                 fl.stats.frags_sent += 1;
-                self.nodes[i].meter.add_cpu(self.cfg.cpu_per_frame);
+                self.nodes[i].meter.add_cpu(CPU_PER_FRAME);
                 self.nodes[i].counters.inc(NodeCounter::FloodFragsRx);
                 let _ = self.nodes[i].reassembler.offer(src, &bytes, now);
                 // No transport-timer reschedule: the reassembler is not

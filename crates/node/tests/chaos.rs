@@ -453,3 +453,79 @@ fn reassembly_governor_counts_survive_reboot() {
         "governor (denies, evictions) = pre-reboot totals {before:?} + post-reboot events {post:?}"
     );
 }
+
+/// Overlapping faults on one target: the edge stays dark, and the
+/// node's bit errors stay on, until the last overlapping fault ends;
+/// then the original PRRs come back and the BER clears. The second
+/// blackout names the edge either way round.
+#[test]
+fn overlapping_faults_end_with_the_last_one() {
+    for second_edge in [(0, 1), (1, 0)] {
+        let topo = Topology::chain(3, 0.999);
+        let mut world = World::new(
+            &topo,
+            &[NodeKind::Router, NodeKind::Router, NodeKind::Router],
+            WorldConfig::default(),
+        );
+        let before = (
+            world.medium.links().prr(RadioIdx(0), RadioIdx(1)),
+            world.medium.links().prr(RadioIdx(1), RadioIdx(0)),
+        );
+        assert!(before.0 > 0.0 && before.1 > 0.0);
+        let span = Duration::from_secs(30);
+        let plan = FaultPlan::new()
+            .blackout(0, 1, Instant::from_secs(10), span)
+            .blackout(second_edge.0, second_edge.1, Instant::from_secs(20), span)
+            .bit_error_burst(2, Instant::from_secs(10), span, 1e-3)
+            .bit_error_burst(2, Instant::from_secs(20), span, 1e-3);
+        world.apply_fault_plan(&plan);
+        let edge = |w: &World| {
+            (
+                w.medium.links().prr(RadioIdx(0), RadioIdx(1)),
+                w.medium.links().prr(RadioIdx(1), RadioIdx(0)),
+            )
+        };
+
+        world.run_until(Instant::from_secs(45));
+        assert_eq!(
+            edge(&world),
+            (0.0, 0.0),
+            "second blackout {second_edge:?} runs to 50 s"
+        );
+        assert_eq!(world.nodes[2].ber, Some(1e-3), "second burst runs to 50 s");
+
+        world.run_until(Instant::from_secs(100));
+        assert_eq!(edge(&world), before, "the original PRRs come back at 50 s");
+        assert_eq!(world.nodes[2].ber, None, "the last burst ended at 50 s");
+    }
+
+    // While bursts overlap the highest BER applies, whichever came first.
+    let topo = Topology::chain(3, 0.999);
+    let mut world = World::new(
+        &topo,
+        &[NodeKind::Router, NodeKind::Router, NodeKind::Router],
+        WorldConfig::default(),
+    );
+    let plan = FaultPlan::new()
+        .bit_error_burst(2, Instant::from_secs(10), Duration::from_secs(30), 1e-2)
+        .bit_error_burst(2, Instant::from_secs(20), Duration::from_secs(30), 1e-3)
+        .bit_error_burst(2, Instant::from_secs(30), Duration::from_secs(5), 1e-1);
+    world.apply_fault_plan(&plan);
+    for (t, want) in [
+        (15, Some(1e-2)),
+        (25, Some(1e-2)),
+        (32, Some(1e-1)),
+        (38, Some(1e-2)),
+    ] {
+        world.run_until(Instant::from_secs(t));
+        assert_eq!(world.nodes[2].ber, want, "at {t} s");
+    }
+    world.run_until(Instant::from_secs(45));
+    assert_eq!(
+        world.nodes[2].ber,
+        Some(1e-3),
+        "only the 1e-3 burst is left"
+    );
+    world.run_until(Instant::from_secs(55));
+    assert_eq!(world.nodes[2].ber, None);
+}

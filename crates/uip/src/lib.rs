@@ -20,18 +20,19 @@ use lln_sim::{Duration, Instant};
 use tcplp::wire::{Flags, Segment};
 use tcplp::TcpSeq;
 
+/// Initial/retransmission timeout (uIP: 3 s, doubling).
+pub const INITIAL_RTO: Duration = Duration::from_secs(3);
+/// Maximum retransmissions before aborting (uIP: 8).
+pub const MAX_RETRANSMITS: u32 = 8;
+
 /// Configuration for the simplified stack.
 #[derive(Clone, Debug)]
 pub struct UipConfig {
     /// Maximum segment size. uIP's default is one frame of payload
     /// (Table 7 row: "1 Frame"); the stacks of the paper's reference \[50\] use up to 4 frames.
+    /// The receive buffer is one segment of this size — no reassembly
+    /// beyond it.
     pub mss: usize,
-    /// Receive buffer (one segment — no reassembly beyond it).
-    pub recv_buf: usize,
-    /// Initial/retransmission timeout (uIP: 3 s, doubling).
-    pub initial_rto: Duration,
-    /// Maximum retransmissions before aborting (uIP: 8).
-    pub max_retransmits: u32,
 }
 
 impl Default for UipConfig {
@@ -41,9 +42,6 @@ impl Default for UipConfig {
             // paper's uIP rows use ~50-80 B; we use 78 B (104 B MAC
             // payload - 4 B 6LoWPAN/IPHC - 22 B TCP header headroom).
             mss: 78,
-            recv_buf: 78,
-            initial_rto: Duration::from_secs(3),
-            max_retransmits: 8,
         }
     }
 }
@@ -106,7 +104,6 @@ pub struct UipSocket {
 impl UipSocket {
     /// Creates a closed socket.
     pub fn new(cfg: UipConfig, local_addr: Ipv6Addr, local_port: u16) -> Self {
-        let rto = cfg.initial_rto;
         UipSocket {
             cfg,
             state: UipState::Closed,
@@ -124,7 +121,7 @@ impl UipSocket {
             rx: Vec::new(),
             fin_queued: false,
             fin_sent: false,
-            rto,
+            rto: INITIAL_RTO,
             rexmit_deadline: None,
             retries: 0,
             ack_now: false,
@@ -216,7 +213,7 @@ impl UipSocket {
             return;
         }
         self.retries += 1;
-        if self.retries > self.cfg.max_retransmits {
+        if self.retries > MAX_RETRANSMITS {
             self.state = UipState::Closed;
             self.rexmit_deadline = None;
             return;
@@ -259,7 +256,7 @@ impl UipSocket {
                     self.snd_nxt = seg.ack;
                     self.state = UipState::Established;
                     self.retries = 0;
-                    self.rto = self.cfg.initial_rto;
+                    self.rto = INITIAL_RTO;
                     self.rexmit_deadline = None;
                     self.ack_now = true;
                 }
@@ -297,7 +294,7 @@ impl UipSocket {
             self.retries = 0;
             self.rto = self
                 .srtt
-                .map_or(self.cfg.initial_rto, |s| (s * 2).max(Duration::from_millis(500)));
+                .map_or(INITIAL_RTO, |s| (s * 2).max(Duration::from_millis(500)));
             self.rexmit_deadline = if self.snd_una == self.snd_nxt {
                 None
             } else {
@@ -314,8 +311,7 @@ impl UipSocket {
         // Data: strict in-order only; anything else is dropped and
         // re-ACKed (no reassembly queue — the uIP limitation).
         if !seg.payload.is_empty() {
-            if seg.seq == self.rcv_nxt && self.rx.len() + seg.payload.len() <= self.cfg.recv_buf * 4
-            {
+            if seg.seq == self.rcv_nxt && self.rx.len() + seg.payload.len() <= self.cfg.mss * 4 {
                 self.rx.extend_from_slice(&seg.payload);
                 self.rcv_nxt += seg.payload.len() as u32;
                 self.bytes_rcvd += seg.payload.len() as u64;
@@ -345,7 +341,7 @@ impl UipSocket {
                 Flags::SYN,
             );
             seg.mss = Some(self.cfg.mss as u16);
-            seg.window = self.cfg.recv_buf as u16;
+            seg.window = self.cfg.mss as u16;
             self.snd_nxt = self.iss + 1;
             self.segs_sent += 1;
             if self.rexmit_deadline.is_none() {
@@ -435,9 +431,7 @@ impl UipSocket {
     }
 
     fn window(&self) -> u16 {
-        (self.cfg.recv_buf * 4)
-            .saturating_sub(self.rx.len())
-            .min(65535) as u16
+        (self.cfg.mss * 4).saturating_sub(self.rx.len()).min(65535) as u16
     }
 
     /// Smoothed RTT estimate.
