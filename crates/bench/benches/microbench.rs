@@ -184,11 +184,11 @@ fn bench_sim_primitives() {
         }
         black_box(n);
     });
-    // The wheel under the MAC-like mix (schedule backoff + ACK timer,
+    // The queue under the MAC-like mix (schedule backoff + ACK timer,
     // cancel 80% of ACK timers, drain): the simulator's actual event
     // profile, where cancels dominate. perfbench's traced mode reports
     // the same cost in the real worlds as `sim.queue_ns_per_op`.
-    bench("sim/timer_wheel_mac_mix_1k", None, 5_000, || {
+    bench("sim/event_queue_mac_mix_1k", None, 5_000, || {
         let mut q = EventQueue::<u32>::new();
         let mut rng = Rng::new(3);
         for i in 0..500u32 {

@@ -139,13 +139,25 @@ struct TreeOutcome {
 const TREE_ROUTERS: usize = 4;
 const TREE_LEAVES: usize = 4;
 
+/// The border router's listener probes idle connections, so the socket
+/// of a leaf that rebooted (and reconnects from a new port) is freed
+/// instead of holding a slot of the TCP buffer class forever. Healthy
+/// unbatched leaves send every 1 s, so live connections are never
+/// probed.
+fn listener_cfg() -> tcplp::TcpConfig {
+    tcplp::TcpConfig {
+        keepalive_idle: Some(Duration::from_secs(30)),
+        ..tcplp::TcpConfig::default()
+    }
+}
+
 fn tree_under_plan(plan: &FaultPlan) -> TreeOutcome {
     let topo = Topology::office_tree(TREE_ROUTERS, TREE_LEAVES, 0.999);
     let mut kinds = vec![NodeKind::BorderRouter];
     kinds.extend(std::iter::repeat_n(NodeKind::Router, TREE_ROUTERS));
     kinds.extend(std::iter::repeat_n(NodeKind::SleepyLeaf, TREE_LEAVES));
     let mut world = World::new(&topo, &kinds, WorldConfig::default());
-    world.add_tcp_listener(0, tcplp::TcpConfig::default());
+    world.add_tcp_listener(0, listener_cfg());
     world.set_sink_capture(0);
     let first_leaf = 1 + TREE_ROUTERS;
     for l in 0..TREE_LEAVES {

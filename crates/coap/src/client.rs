@@ -81,10 +81,6 @@ pub struct CoapClient {
     pub queue_capacity: usize,
     /// Statistics.
     pub stats: CoapStats,
-    /// Tokens of completed exchanges, drained by the application.
-    completed: Vec<u64>,
-    /// Tokens of failed (given-up) exchanges.
-    failed: Vec<u64>,
     uri_path: Vec<Vec<u8>>,
 }
 
@@ -100,8 +96,6 @@ impl CoapClient {
             next_token: 1,
             queue_capacity: 1024,
             stats: CoapStats::default(),
-            completed: Vec::new(),
-            failed: Vec::new(),
             uri_path: path.iter().map(|s| s.as_bytes().to_vec()).collect(),
         }
     }
@@ -157,16 +151,6 @@ impl CoapClient {
         in_flight + self.queue.iter().map(|q| q.payload.len()).sum::<usize>()
     }
 
-    /// Drains tokens of exchanges that completed since the last call.
-    pub fn take_completed(&mut self) -> Vec<u64> {
-        std::mem::take(&mut self.completed)
-    }
-
-    /// Drains tokens of exchanges that were abandoned.
-    pub fn take_failed(&mut self) -> Vec<u64> {
-        std::mem::take(&mut self.failed)
-    }
-
     /// True when a response is expected (drives the §9.2 fast-poll
     /// hint for sleepy devices).
     pub fn expecting_response(&self) -> bool {
@@ -209,9 +193,8 @@ impl CoapClient {
         let encoded = msg.encode();
         self.stats.msgs_sent += 1;
         if self.cfg.non_confirmable {
-            // Fire and forget: count as "delivered" from the client's
-            // perspective; actual reliability measured at the server.
-            self.completed.push(req.token);
+            // Fire and forget: the exchange ends here; reliability is
+            // measured at the server.
             return Some(encoded);
         }
         let timeout = self.initial_timeout(rng);
@@ -242,10 +225,8 @@ impl CoapClient {
         if o.retransmits > MAX_RETRANSMIT {
             // Give up: drop the exchange, reset the RTO (§9.4). The
             // next exchange draws a fresh 2-3 s initial RTO.
-            let token = o.token;
             self.outstanding = None;
             self.stats.gave_up += 1;
-            self.failed.push(token);
             if let RtoAlgorithm::Cocoa(ref mut c) = self.rto {
                 c.age();
             }
@@ -279,17 +260,13 @@ impl CoapClient {
             return;
         }
         if msg.mtype == MsgType::Rst {
-            let token = o.token;
             self.outstanding = None;
-            self.failed.push(token);
             return;
         }
         let rtt = now.saturating_duration_since(o.first_sent);
         let retransmitted = o.retransmits > 0;
-        let token = o.token;
         self.outstanding = None;
         self.stats.delivered += 1;
-        self.completed.push(token);
         if let RtoAlgorithm::Cocoa(ref mut c) = self.rto {
             // CoCoA measures from the FIRST transmission — the §9.4
             // ambiguity, faithfully reproduced.
@@ -373,7 +350,7 @@ mod tests {
         t = deadline;
         assert!(c.on_timer(t).is_none());
         assert_eq!(c.stats.gave_up, 1);
-        assert_eq!(c.take_failed().len(), 1);
+        assert_eq!(c.backlog(), 0, "the abandoned exchange is dropped");
         assert!(!c.expecting_response());
         assert_eq!(c.stats.retransmissions, 4);
     }
@@ -390,7 +367,7 @@ mod tests {
         let msg = CoapMessage::decode(&dg).unwrap();
         assert_eq!(msg.mtype, MsgType::Non);
         assert!(c.poll_at().is_none(), "no timer for NON");
-        assert_eq!(c.take_completed().len(), 1);
+        assert_eq!(c.backlog(), 0, "a NON exchange ends once sent");
     }
 
     #[test]

@@ -22,7 +22,6 @@ pub struct RttEstimator {
     max_rto: Duration,
     /// Current backoff shift (number of consecutive timeouts).
     backoff: u32,
-    samples: u64,
 }
 
 impl RttEstimator {
@@ -33,13 +32,11 @@ impl RttEstimator {
             rttvar: Duration::ZERO,
             max_rto,
             backoff: 0,
-            samples: 0,
         }
     }
 
     /// Records a measured round-trip sample and clears backoff.
     pub fn sample(&mut self, rtt: Duration) {
-        self.samples += 1;
         match self.srtt {
             None => {
                 // First measurement (RFC 6298 2.2).
@@ -60,11 +57,6 @@ impl RttEstimator {
     /// Smoothed RTT, if any sample has been taken.
     pub fn srtt(&self) -> Option<Duration> {
         self.srtt
-    }
-
-    /// Number of samples taken.
-    pub fn sample_count(&self) -> u64 {
-        self.samples
     }
 
     /// The base RTO (before backoff), clamped to `[MIN_RTO, max_rto]`.
@@ -92,11 +84,6 @@ impl RttEstimator {
     /// Doubles the RTO (called on retransmission timeout).
     pub fn back_off(&mut self) {
         self.backoff = self.backoff.saturating_add(1);
-    }
-
-    /// Current backoff count.
-    pub fn backoff_count(&self) -> u32 {
-        self.backoff
     }
 
     /// Deadline for a retransmission scheduled at `now`.
@@ -174,9 +161,9 @@ mod tests {
         e.sample(Duration::from_millis(300));
         e.back_off();
         e.back_off();
-        assert!(e.backoff_count() == 2);
+        assert_eq!(e.rto(), e.base_rto() * 4);
         e.sample(Duration::from_millis(300));
-        assert_eq!(e.backoff_count(), 0);
+        assert_eq!(e.rto(), e.base_rto());
     }
 
     #[test]

@@ -61,12 +61,6 @@ pub struct TcpStats {
 }
 
 impl TcpStats {
-    /// Total transport-layer retransmissions (the quantity Figure 9b
-    /// reports).
-    pub fn total_retransmissions(&self) -> u64 {
-        self.segs_retransmitted
-    }
-
     /// Stable FNV-1a digest over every counter, in declaration order.
     /// Two runs of the same seeded simulation must produce identical
     /// digests — the torture tier and CI assert exactly this.
@@ -237,15 +231,6 @@ mod tests {
         t.enable();
         t.record(Instant::ZERO, Duration::from_millis(100));
         assert_eq!(t.samples().len(), 1);
-    }
-
-    #[test]
-    fn total_retransmissions_sums() {
-        let s = TcpStats {
-            segs_retransmitted: 7,
-            ..TcpStats::default()
-        };
-        assert_eq!(s.total_retransmissions(), 7);
     }
 
     #[test]

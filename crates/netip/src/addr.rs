@@ -87,11 +87,6 @@ impl Ipv6Addr {
             None
         }
     }
-
-    /// True for the unspecified address.
-    pub fn is_unspecified(&self) -> bool {
-        self.0 == [0; 16]
-    }
 }
 
 impl fmt::Debug for Ipv6Addr {
@@ -135,12 +130,6 @@ mod tests {
     fn non_derived_iid_has_no_node_id() {
         let a = Ipv6Addr::from_parts(MESH_PREFIX, [1, 2, 3, 4, 5, 6, 7, 8]);
         assert_eq!(a.node_id(), None);
-    }
-
-    #[test]
-    fn unspecified() {
-        assert!(Ipv6Addr::UNSPECIFIED.is_unspecified());
-        assert!(!NodeId(1).mesh_addr().is_unspecified());
     }
 
     #[test]

@@ -618,14 +618,6 @@ impl Node {
         }
     }
 
-    /// True when the MAC has nothing to send.
-    pub fn mac_idle(&self) -> bool {
-        self.cur_tx.is_none()
-            && self.ctrl_queue.is_empty()
-            && self.cur_packet_frames.is_empty()
-            && self.ip_queue.is_empty()
-    }
-
     /// Whether the transport expects inbound traffic soon (drives the
     /// §9.2 fast-poll behaviour on sleepy leaves).
     pub fn expecting_response(&self) -> bool {
@@ -702,11 +694,11 @@ mod tests {
     }
 
     #[test]
-    fn mac_idle_accounting() {
+    fn enqueue_ctrl_queues_the_frame() {
         let mut n = node(NodeKind::Router);
-        assert!(n.mac_idle());
+        assert!(n.ctrl_queue.is_empty());
         assert!(n.enqueue_ctrl(FrameBuf::new(MacFrame::data(NodeId(3), NodeId(1), 0, vec![]))));
-        assert!(!n.mac_idle());
+        assert_eq!(n.ctrl_queue.len(), 1);
     }
 
     #[test]

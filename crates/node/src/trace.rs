@@ -113,14 +113,6 @@ impl PacketTrace {
     pub fn for_node(&self, node: NodeId) -> impl Iterator<Item = &TraceEntry> {
         self.entries.iter().filter(move |e| e.node == node)
     }
-
-    /// Count of drop events.
-    pub fn drop_count(&self) -> usize {
-        self.entries
-            .iter()
-            .filter(|e| e.dir == TraceDir::Drop)
-            .count()
-    }
 }
 
 /// Builds the one-line summary for a MAC frame.
@@ -203,7 +195,7 @@ mod tests {
         t.record(Instant::from_millis(5), NodeId(1), TraceDir::FrameTx, "hello");
         t.record(Instant::from_millis(6), NodeId(2), TraceDir::Drop, "bad");
         assert_eq!(t.entries().len(), 2);
-        assert_eq!(t.drop_count(), 1);
+        assert_eq!(t.entries()[1].dir, TraceDir::Drop);
         let dump = t.dump();
         assert!(dump.contains("node1"));
         assert!(dump.contains("DROP"));

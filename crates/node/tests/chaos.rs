@@ -529,3 +529,76 @@ fn overlapping_faults_end_with_the_last_one() {
     world.run_until(Instant::from_secs(55));
     assert_eq!(world.nodes[2].ber, None);
 }
+
+/// Leaves that reboot must get back in even when the border router's
+/// TCP buffer class is full. Four supervised unbatched leaves hold the
+/// four sockets the class has room for; then two of them reboot. Each
+/// rebooted leaf reconnects from a new port, and its SYNs are refused
+/// until the listener's keepalive frees the socket of its old
+/// connection. Every record still reassembles with no gaps or
+/// duplicates.
+#[test]
+fn rebooted_leaves_reconnect_through_a_full_tcp_class() {
+    const ROUTERS: usize = 4;
+    const LEAVES: usize = 4;
+    let topo = Topology::office_tree(ROUTERS, LEAVES, 0.999);
+    let mut kinds = vec![NodeKind::BorderRouter];
+    kinds.extend(std::iter::repeat_n(NodeKind::Router, ROUTERS));
+    kinds.extend(std::iter::repeat_n(NodeKind::SleepyLeaf, LEAVES));
+    let mut world = World::new(&topo, &kinds, WorldConfig::default());
+    world.add_tcp_listener(
+        0,
+        TcpConfig {
+            keepalive_idle: Some(Duration::from_secs(30)),
+            ..TcpConfig::default()
+        },
+    );
+    world.set_sink_capture(0);
+    let first_leaf = 1 + ROUTERS;
+    for l in 0..LEAVES {
+        let leaf = first_leaf + l;
+        let start = Instant::from_millis(100 + 40 * l as u64);
+        world.add_supervised_client(leaf, 0, chaos_supervisor_cfg(), start);
+        world.set_anemometer(leaf, 64, None, Instant::from_secs(1));
+    }
+    let rebooted = [first_leaf, first_leaf + 1];
+    world.apply_fault_plan(
+        &FaultPlan::new()
+            .reboot(rebooted[0], Instant::from_secs(30), Duration::from_secs(10))
+            .reboot(rebooted[1], Instant::from_secs(60), Duration::from_secs(10)),
+    );
+    world.run_until(Instant::from_secs(29));
+    let established = world.nodes[0]
+        .transport
+        .tcp
+        .iter()
+        .filter(|s| s.state() == tcplp::TcpState::Established)
+        .count();
+    assert_eq!(established, LEAVES, "every leaf holds a connection");
+
+    world.run_until(Instant::from_secs(300));
+    assert!(
+        world.nodes[0].counters.get("syn_budget_drops") > 0,
+        "the rebooted leaves must find the TCP class full"
+    );
+    for leaf in rebooted {
+        assert_eq!(world.nodes[leaf].counters.get("reboots"), 1);
+        let stats = world.supervisor_stats(leaf).expect("supervised leaf");
+        assert!(
+            stats.reconnects >= 1,
+            "leaf {leaf} must get back in: {stats:?}"
+        );
+    }
+    let capture = world.nodes[0].app.sink_capture();
+    for leaf in first_leaf..first_leaf + LEAVES {
+        let addr = world.nodes[leaf].ip_addr();
+        let mut asm = RecordAssembler::new();
+        for (_, bytes) in capture.iter().filter(|((a, _), _)| *a == addr) {
+            asm.ingest_connection(bytes);
+        }
+        assert!(asm.record_count() > 0, "leaf {leaf} delivered nothing");
+        assert_eq!(asm.missing(), Vec::<u64>::new(), "leaf {leaf} lost records");
+        assert_eq!(asm.duplicates(), 0, "leaf {leaf} duplicated records");
+        assert_eq!(asm.truncated_tails(), 0, "leaf {leaf} tore a record");
+    }
+}

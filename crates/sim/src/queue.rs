@@ -1,4 +1,4 @@
-//! A deterministic discrete-event queue on a hierarchical timer wheel.
+//! A deterministic discrete-event queue: one binary heap over a slab.
 //!
 //! Events are ordered by `(time, insertion sequence)`: ties in simulated
 //! time are broken by insertion order, which keeps runs reproducible
@@ -7,47 +7,31 @@
 //!
 //! # Layout
 //!
-//! The queue is the simulator's hottest structure (every MAC backoff,
-//! frame air time, ACK wait, and TCP timer passes through it), so it is
-//! built as a three-level hierarchy instead of one big binary heap:
+//! Event payloads live in a slab indexed by the 32-bit token index; the
+//! heap holds small `Copy` keys. Cancellation marks the slab slot vacant
+//! and bumps its **generation**, so a stale token (from a previous
+//! occupant of the same slot) can never cancel a newer event, and no
+//! per-event hash-set traffic exists anywhere.
 //!
-//! - **current run** — a small binary heap keyed `(time, seq)` holding
-//!   only the events of the bucket being drained (plus anything newly
-//!   scheduled at or before it). `pop` and `peek_time` touch only this.
-//! - **near wheel** — 256 buckets (`WHEEL_SLOTS`) of 1024 µs each
-//!   (`1 << GRANULARITY_SHIFT`), a ~262 ms horizon. Scheduling into the wheel is
-//!   O(1): push onto the bucket's unsorted list. A bucket is sorted
-//!   (heapified) only when the cursor reaches it. The bucket lists are
-//!   threaded through one shared node pool, so the wheel's storage
-//!   grows only when the whole wheel holds more keys than ever before —
-//!   not each time one bucket sees a new peak — and a warmed-up queue
-//!   schedules without allocating.
-//! - **overflow heap** — events beyond the wheel horizon (TCP
-//!   retransmit timers, application ticks). They are touched twice —
-//!   once on insert, once when their bucket becomes due — instead of
-//!   filtering through every intermediate heap operation.
-//!
-//! Event payloads live in a slab indexed by the 32-bit token index;
-//! wheel/heap entries are small `Copy` keys. Cancellation marks the
-//! slab slot vacant and bumps its **generation**, so a stale token
-//! (from a previous occupant of the same slot) can never cancel a newer
-//! event, and no per-event hash-set traffic exists anywhere. Cancelled
-//! keys are purged lazily when the draining run reaches them.
+//! A cancelled key stays in the heap until it surfaces: after every
+//! `cancel` and `pop`, cancelled keys are popped off the top, so the
+//! top is always live and [`EventQueue::peek_time`] is read-only. A
+//! timer that is cancelled and rescheduled on every step (the transport
+//! timer) would still pile keys up beneath the top, so once the heap
+//! holds more than `2 × live + 8` keys one `retain` pass drops every
+//! cancelled key. The heap therefore stays within a small multiple of
+//! the live population, and a warmed-up queue schedules without
+//! allocating.
 //!
 //! The original `BinaryHeap`+`HashSet` implementation lives on only as
-//! the reference model in `tests/queue_props.rs`, which checks the
-//! wheel's pop order against it.
+//! the reference model in `tests/queue_props.rs`, which checks this
+//! queue's pop order against it.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use crate::time::Instant;
 
-/// Bucket width in microseconds, as a shift (2^10 = 1.024 ms).
-const GRANULARITY_SHIFT: u32 = 10;
-/// Near-wheel size; must be a power of two. Horizon = slots × 2^shift.
-const WHEEL_SLOTS: usize = 256;
-const SLOT_MASK: u64 = WHEEL_SLOTS as u64 - 1;
 const NO_SLOT: u32 = u32::MAX;
 
 /// Token identifying a scheduled event, usable for cancellation.
@@ -62,7 +46,7 @@ pub struct EventToken {
 }
 
 /// Ordering key for one scheduled event. Payloads stay in the slab;
-/// every container moves only these 24-byte `Copy` keys around.
+/// the heap moves only these 24-byte `Copy` keys around.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 struct Key {
     time: Instant,
@@ -82,18 +66,18 @@ impl Ord for Key {
     }
 }
 
-/// One key in a near-wheel bucket list (or, when free, in the node
-/// pool's free list).
-#[derive(Clone, Copy)]
-struct WheelNode {
-    key: Key,
-    next: u32,
-}
-
 /// One slab slot: either holds a live event or threads the free list.
 enum Slot<E> {
     Occupied { gen: u32, event: E },
     Vacant { gen: u32, next_free: u32 },
+}
+
+/// True if `(idx, gen)` still names the event occupying its slab slot.
+fn is_live<E>(slots: &[Slot<E>], idx: u32, gen: u32) -> bool {
+    matches!(
+        slots.get(idx as usize),
+        Some(Slot::Occupied { gen: g, .. }) if *g == gen
+    )
 }
 
 /// A monotonic event queue: events may only be scheduled at or after the
@@ -105,34 +89,17 @@ pub struct EventQueue<E> {
     live: usize,
     seq: u64,
     now: Instant,
-    /// Absolute index of the bucket currently being drained. All keys
-    /// in `cur` have bucket ≤ cursor; all wheel keys have bucket in
-    /// `(cursor, cursor + WHEEL_SLOTS)`; overflow keys lie beyond.
-    cursor: u64,
-    /// The draining run: a heap over the due bucket's keys. Invariant
-    /// (restored by [`Self::fixup`] after every mutation): when any
-    /// live event exists, the heap top is the earliest live event.
-    cur: BinaryHeap<Reverse<Key>>,
-    /// Head node of each wheel slot's key list (`NO_SLOT` when empty).
-    wheel_heads: [u32; WHEEL_SLOTS],
-    /// Node pool every wheel list is threaded through.
-    wheel_nodes: Vec<WheelNode>,
-    /// Head of the pool's free list.
-    wheel_free: u32,
-    /// One bit per wheel slot with at least one key.
-    occupied: [u64; WHEEL_SLOTS / 64],
-    wheel_len: usize,
-    overflow: BinaryHeap<Reverse<Key>>,
+    /// Every live key plus cancelled keys not yet purged. Invariant
+    /// (restored by [`Self::purge`] after every cancel and pop): the
+    /// top is live whenever any event is, and the heap holds at most
+    /// `2 × live + 8` keys.
+    heap: BinaryHeap<Reverse<Key>>,
 }
 
 impl<E> Default for EventQueue<E> {
     fn default() -> Self {
         Self::new()
     }
-}
-
-const fn bucket_of(t: Instant) -> u64 {
-    t.as_micros() >> GRANULARITY_SHIFT
 }
 
 impl<E> EventQueue<E> {
@@ -144,14 +111,7 @@ impl<E> EventQueue<E> {
             live: 0,
             seq: 0,
             now: Instant::ZERO,
-            cursor: 0,
-            cur: BinaryHeap::new(),
-            wheel_heads: [NO_SLOT; WHEEL_SLOTS],
-            wheel_nodes: Vec::new(),
-            wheel_free: NO_SLOT,
-            occupied: [0; WHEEL_SLOTS / 64],
-            wheel_len: 0,
-            overflow: BinaryHeap::new(),
+            heap: BinaryHeap::new(),
         }
     }
 
@@ -211,13 +171,6 @@ impl<E> EventQueue<E> {
         }
     }
 
-    fn is_live(&self, key: &Key) -> bool {
-        matches!(
-            self.slots.get(key.idx as usize),
-            Some(Slot::Occupied { gen, .. }) if *gen == key.gen
-        )
-    }
-
     /// Schedules `event` at absolute time `at` (clamped to `now`).
     /// Returns a token that can later cancel the event.
     pub fn schedule(&mut self, at: Instant, event: E) -> EventToken {
@@ -225,37 +178,14 @@ impl<E> EventQueue<E> {
         let seq = self.seq;
         self.seq += 1;
         let (idx, gen) = self.alloc(event);
-        let key = Key {
+        // A live key on top stays live, so no purge is needed here.
+        self.heap.push(Reverse(Key {
             time: at,
             seq,
             idx,
             gen,
-        };
-        let b = bucket_of(at);
-        if b <= self.cursor {
-            self.cur.push(Reverse(key));
-        } else if b - self.cursor < WHEEL_SLOTS as u64 {
-            let s = (b & SLOT_MASK) as usize;
-            let node = WheelNode {
-                key,
-                next: self.wheel_heads[s],
-            };
-            self.wheel_heads[s] = if self.wheel_free == NO_SLOT {
-                self.wheel_nodes.push(node);
-                (self.wheel_nodes.len() - 1) as u32
-            } else {
-                let n = self.wheel_free;
-                self.wheel_free = self.wheel_nodes[n as usize].next;
-                self.wheel_nodes[n as usize] = node;
-                n
-            };
-            self.occupied[s >> 6] |= 1 << (s & 63);
-            self.wheel_len += 1;
-        } else {
-            self.overflow.push(Reverse(key));
-        }
+        }));
         self.live += 1;
-        self.fixup();
         EventToken { idx, gen }
     }
 
@@ -265,113 +195,46 @@ impl<E> EventQueue<E> {
     /// cancelled, or whose slot was since reused by a newer event —
     /// returns false and touches nothing.
     pub fn cancel(&mut self, token: EventToken) -> bool {
-        let live = matches!(
-            self.slots.get(token.idx as usize),
-            Some(Slot::Occupied { gen, .. }) if *gen == token.gen
-        );
-        if !live {
+        if !is_live(&self.slots, token.idx, token.gen) {
             return false;
         }
         drop(self.release(token.idx));
         self.live -= 1;
-        self.fixup();
+        self.purge();
         true
     }
 
     /// Pops the next pending event, advancing `now`.
     pub fn pop(&mut self) -> Option<(Instant, E)> {
-        // `fixup` keeps the heap top live whenever live > 0.
-        let Reverse(key) = self.cur.pop()?;
-        debug_assert!(matches!(
-            self.slots.get(key.idx as usize),
-            Some(Slot::Occupied { gen, .. }) if *gen == key.gen
-        ));
+        // `purge` keeps the heap top live whenever live > 0.
+        let Reverse(key) = self.heap.pop()?;
+        debug_assert!(is_live(&self.slots, key.idx, key.gen));
         let event = self.release(key.idx);
         self.live -= 1;
         self.now = key.time;
-        self.fixup();
+        self.purge();
         Some((key.time, event))
     }
 
     /// Time of the next pending event, if any. Read-only: cancelled
-    /// entries were already purged when the mutation happened.
+    /// keys were already purged off the top when the mutation happened.
     pub fn peek_time(&self) -> Option<Instant> {
-        self.cur.peek().map(|Reverse(k)| k.time)
+        self.heap.peek().map(|Reverse(k)| k.time)
     }
 
-    /// Restores the invariant that `cur`'s top is the earliest live
-    /// event: purges cancelled keys off the top of the run, and when
-    /// the run empties, advances the cursor to the next occupied
-    /// bucket (wheel or overflow) and loads it. Amortized O(1) per
-    /// event over a run's lifetime.
-    fn fixup(&mut self) {
-        loop {
-            while let Some(Reverse(k)) = self.cur.peek() {
-                if self.is_live(k) {
-                    return;
-                }
-                self.cur.pop();
-            }
-            let next_wheel = self.next_occupied_bucket();
-            let next_over = self.overflow.peek().map(|Reverse(k)| bucket_of(k.time));
-            let target = match (next_wheel, next_over) {
-                (Some(a), Some(b)) => a.min(b),
-                (Some(a), None) => a,
-                (None, Some(b)) => b,
-                (None, None) => return,
-            };
-            if next_wheel == Some(target) {
-                let s = (target & SLOT_MASK) as usize;
-                self.occupied[s >> 6] &= !(1 << (s & 63));
-                // Move the bucket's keys into the run (the heap orders
-                // them, so list order is irrelevant) and free the nodes.
-                let mut n = std::mem::replace(&mut self.wheel_heads[s], NO_SLOT);
-                while n != NO_SLOT {
-                    let node = self.wheel_nodes[n as usize];
-                    self.cur.push(Reverse(node.key));
-                    self.wheel_nodes[n as usize].next = self.wheel_free;
-                    self.wheel_free = n;
-                    self.wheel_len -= 1;
-                    n = node.next;
-                }
-            }
-            while let Some(Reverse(k)) = self.overflow.peek() {
-                if bucket_of(k.time) != target {
-                    break;
-                }
-                let Reverse(k) = self.overflow.pop().expect("peeked");
-                self.cur.push(Reverse(k));
-            }
-            self.cursor = target;
+    /// Restores the heap invariant: drops every cancelled key once they
+    /// outnumber the bound, then pops cancelled keys off the top.
+    fn purge(&mut self) {
+        if self.heap.len() > 2 * self.live + 8 {
+            let slots = &self.slots;
+            self.heap.retain(|Reverse(k)| is_live(slots, k.idx, k.gen));
         }
-    }
-
-    /// Absolute index of the first occupied wheel bucket after the
-    /// cursor, scanning the occupancy bitmap a word at a time.
-    fn next_occupied_bucket(&self) -> Option<u64> {
-        if self.wheel_len == 0 {
-            return None;
-        }
-        let base = (self.cursor & SLOT_MASK) as usize;
-        let mut s = (base + 1) & (WHEEL_SLOTS - 1);
-        let mut remaining = WHEEL_SLOTS - 1;
-        while remaining > 0 {
-            let word = s >> 6;
-            let bit = s & 63;
-            let take = (64 - bit).min(remaining);
-            let mut chunk = self.occupied[word] >> bit;
-            if take < 64 {
-                chunk &= (1u64 << take) - 1;
+        while let Some(Reverse(k)) = self.heap.peek() {
+            if is_live(&self.slots, k.idx, k.gen) {
+                return;
             }
-            if chunk != 0 {
-                let slot = s + chunk.trailing_zeros() as usize;
-                let dist = ((slot as u64).wrapping_sub(base as u64) & SLOT_MASK).max(1);
-                return Some(self.cursor + dist);
-            }
-            s = (s + take) & (WHEEL_SLOTS - 1);
-            remaining -= take;
+            self.heap.pop();
         }
-        None
     }
 }
 
@@ -477,9 +340,9 @@ mod tests {
     }
 
     #[test]
-    fn far_future_events_route_through_overflow() {
+    fn far_future_events_pop_in_order() {
         let mut q = EventQueue::new();
-        // Far beyond the wheel horizon (~262 ms): hours apart.
+        // Hours apart.
         q.schedule(Instant::from_secs(7200), "late");
         q.schedule(Instant::from_secs(3600), "mid");
         q.schedule(Instant::from_millis(1), "soon");
@@ -491,12 +354,10 @@ mod tests {
     }
 
     #[test]
-    fn overflow_and_wheel_interleave_in_time_order() {
+    fn far_and_near_events_interleave_in_time_order() {
         let mut q = EventQueue::new();
-        // One far event first, so it parks in overflow…
+        // One far event first, then nearer ones queued after it.
         q.schedule(Instant::from_secs(10), "far");
-        // …then nearer events landing in wheel buckets after the far
-        // event was already queued.
         q.schedule(Instant::from_millis(100), "near");
         q.schedule(Instant::from_secs(9), "far-but-earlier");
         let order: Vec<&str> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
@@ -526,9 +387,9 @@ mod tests {
     }
 
     #[test]
-    fn dense_same_bucket_events_stay_seq_ordered() {
+    fn dense_events_stay_seq_ordered() {
         let mut q = EventQueue::new();
-        // All land in the same 1.024 ms bucket at distinct times.
+        // All within one millisecond, many at the same time.
         for k in 0..50u64 {
             q.schedule(Instant::from_micros(500 + (k * 7) % 400), k);
         }
@@ -557,5 +418,43 @@ mod tests {
         q.schedule(Instant::from_secs(100), 2);
         assert_eq!(q.peek_time(), Some(Instant::from_secs(100)));
         assert_eq!(q.pop().unwrap().1, 2);
+    }
+
+    #[test]
+    fn rescheduled_far_timer_keeps_heap_bounded() {
+        // The transport-timer pattern: a far timer cancelled and
+        // rescheduled on every step, beside a standing population of
+        // nearer events that fire and are replaced.
+        let mut q = EventQueue::new();
+        let mut next = 0u64;
+        let mut sched = |q: &mut EventQueue<u64>, at: Instant| {
+            next += 1;
+            q.schedule(at, next - 1)
+        };
+        for k in 0..9u64 {
+            sched(&mut q, Instant::from_millis(1 + k * 3));
+        }
+        let mut far = sched(&mut q, Instant::from_secs(60));
+        for step in 0..100_000u64 {
+            assert!(q.cancel(far));
+            let at = q.now() + Duration::from_millis(1_000 + step % 500);
+            far = sched(&mut q, at);
+            if step % 4 == 0 {
+                let (t, _) = q.pop().expect("ten events live");
+                sched(&mut q, t + Duration::from_micros(2_000 + step % 7_000));
+            }
+            assert_eq!(q.len(), 10);
+            assert!(
+                q.heap.len() <= 2 * q.len() + 8,
+                "step {step}: {} keys for {} live events",
+                q.heap.len(),
+                q.len()
+            );
+        }
+        // Payloads are insertion sequence numbers, so the drain must be
+        // strictly increasing in `(time, payload)`.
+        let drained: Vec<(Instant, u64)> = std::iter::from_fn(|| q.pop()).collect();
+        assert_eq!(drained.len(), 10);
+        assert!(drained.windows(2).all(|w| w[0] < w[1]));
     }
 }

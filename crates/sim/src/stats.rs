@@ -36,17 +36,6 @@ impl Summary {
         self.samples.iter().sum::<f64>() / self.samples.len() as f64
     }
 
-    /// Sample standard deviation; 0 with fewer than two samples.
-    pub fn stddev(&self) -> f64 {
-        let n = self.samples.len();
-        if n < 2 {
-            return 0.0;
-        }
-        let m = self.mean();
-        let var = self.samples.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / (n - 1) as f64;
-        var.sqrt()
-    }
-
     /// Smallest sample; 0 if empty.
     pub fn min(&self) -> f64 {
         self.samples.iter().copied().fold(f64::INFINITY, f64::min).min(f64::INFINITY).pipe_finite()
@@ -143,20 +132,6 @@ impl Histogram {
             .iter()
             .enumerate()
             .map(move |(i, &c)| (self.lo + width * (i as f64 + 0.5), c))
-    }
-
-    /// Fraction of samples at or below `v`.
-    pub fn cdf_at(&self, v: f64) -> f64 {
-        if self.count == 0 {
-            return 0.0;
-        }
-        let mut acc = 0u64;
-        for (center, c) in self.iter() {
-            if center <= v {
-                acc += c;
-            }
-        }
-        acc as f64 / self.count as f64
     }
 }
 
@@ -361,7 +336,6 @@ mod tests {
         }
         assert_eq!(s.count(), 4);
         assert!((s.mean() - 2.5).abs() < 1e-12);
-        assert!((s.stddev() - 1.2909944).abs() < 1e-6);
         assert_eq!(s.min(), 1.0);
         assert_eq!(s.max(), 4.0);
     }
@@ -370,7 +344,6 @@ mod tests {
     fn empty_summary_is_safe() {
         let mut s = Summary::new();
         assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.stddev(), 0.0);
         assert_eq!(s.median(), 0.0);
         assert_eq!(s.min(), 0.0);
         assert_eq!(s.max(), 0.0);
@@ -411,16 +384,6 @@ mod tests {
         assert_eq!(bins[0].1, 2);
         assert_eq!(bins[9].1, 2);
         assert!((bins[0].0 - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn histogram_cdf() {
-        let mut h = Histogram::new(0.0, 10.0, 10);
-        for v in [1.0, 2.0, 3.0, 8.0] {
-            h.add(v);
-        }
-        assert!((h.cdf_at(3.6) - 0.75).abs() < 1e-12);
-        assert!((h.cdf_at(10.0) - 1.0).abs() < 1e-12);
     }
 
     crate::counter_keys! {

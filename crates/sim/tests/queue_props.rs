@@ -1,8 +1,9 @@
-//! Property tests for the timer-wheel [`EventQueue`]: random
+//! Property tests for the heap-backed [`EventQueue`]: random
 //! schedule/cancel/pop interleavings, driven by a seeded [`Rng`], must
-//! produce pop sequences identical to the pre-wheel
-//! `BinaryHeap` reference model ([`BaselineQueue`]), and
-//! generation-tagged tokens must never cancel across slot reuse.
+//! produce pop sequences identical to the `BinaryHeap`+`HashMap`
+//! reference model ([`BaselineQueue`]), and generation-tagged tokens
+//! must never cancel across slot reuse. `QUEUE_PROPS_CASES` sets the
+//! number of seeds per interleaving profile (default: the pinned ones).
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
@@ -13,8 +14,7 @@ use lln_sim::{Duration, EventQueue, EventToken, Instant, Rng};
 #[derive(Clone, Copy)]
 struct BaselineToken(u64);
 
-/// The pre-timer-wheel event queue, kept as the executable reference
-/// model: a `BinaryHeap` of `(time, seq)` keys plus the pending events
+/// The original event queue, kept as the executable reference model: a `BinaryHeap` of `(time, seq)` keys plus the pending events
 /// by sequence number, so cancellation is a map removal and cancelled
 /// keys are skipped when they surface.
 struct BaselineQueue<E> {
@@ -77,90 +77,130 @@ impl<E> BaselineQueue<E> {
     }
 }
 
+/// The pinned seeds, extended with seeds drawn from the first one up
+/// to `QUEUE_PROPS_CASES` when that is set.
+fn seeds(pinned: &[u64]) -> impl Iterator<Item = u64> + '_ {
+    let cases = std::env::var("QUEUE_PROPS_CASES")
+        .ok()
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(pinned.len());
+    let mut rng = Rng::new(pinned[0]);
+    pinned
+        .iter()
+        .copied()
+        .chain(std::iter::repeat_with(move || rng.next_u64()))
+        .take(cases)
+}
+
 /// One randomized interleaving: schedule (with a mix of near, far, and
 /// past times), cancel a random live token, or pop — mirrored on both
 /// queues — then drain. Every pop must agree on `(time, payload)`.
-fn run_interleaving(seed: u64, ops: usize, horizon_us: u64) {
+/// With `far_timer_us`, every step first cancels and reschedules one
+/// far timer that far ahead, as the transport timer is on every pump,
+/// so cancelled keys pile up and the queue must compact them.
+fn run_interleaving(seed: u64, ops: usize, horizon_us: u64, far_timer_us: Option<u64>) {
     let mut rng = Rng::new(seed);
-    let mut wheel: EventQueue<u64> = EventQueue::new();
+    let mut queue: EventQueue<u64> = EventQueue::new();
     let mut model: BaselineQueue<u64> = BaselineQueue::new();
     let mut live: Vec<(EventToken, BaselineToken)> = Vec::new();
+    let mut far: Option<(EventToken, BaselineToken)> = None;
     let mut next_payload = 0u64;
 
     let mut pops = 0usize;
     for _ in 0..ops {
+        if let Some(far_us) = far_timer_us {
+            if let Some((tq, tb)) = far {
+                assert_eq!(
+                    queue.cancel(tq),
+                    model.cancel(tb),
+                    "far cancel disagreement"
+                );
+            }
+            let at = queue.now() + Duration::from_micros(far_us + rng.gen_range(far_us));
+            let payload = next_payload;
+            next_payload += 1;
+            far = Some((queue.schedule(at, payload), model.schedule(at, payload)));
+        }
         match rng.gen_range(10) {
             // 0..=5: schedule
             0..=5 => {
                 let offset = rng.gen_range(horizon_us);
-                let at = wheel.now() + Duration::from_micros(offset);
+                let at = queue.now() + Duration::from_micros(offset);
                 let payload = next_payload;
                 next_payload += 1;
-                let tw = wheel.schedule(at, payload);
+                let tq = queue.schedule(at, payload);
                 let tb = model.schedule(at, payload);
-                live.push((tw, tb));
+                live.push((tq, tb));
             }
             // 6..=7: cancel a random outstanding token pair
             6..=7 => {
                 if !live.is_empty() {
                     let i = rng.gen_range(live.len() as u64) as usize;
-                    let (tw, tb) = live.swap_remove(i);
+                    let (tq, tb) = live.swap_remove(i);
                     // Both must agree on whether the event was still
                     // pending (it may have been popped already).
-                    assert_eq!(wheel.cancel(tw), model.cancel(tb), "cancel disagreement");
+                    assert_eq!(queue.cancel(tq), model.cancel(tb), "cancel disagreement");
                 }
             }
             // 8..=9: pop
             _ => {
-                let a = wheel.pop();
+                let a = queue.pop();
                 let b = model.pop();
                 assert_eq!(a, b, "pop #{pops} diverged from reference model");
                 pops += 1;
             }
         }
-        assert_eq!(wheel.len(), model.len(), "len diverged");
+        assert_eq!(queue.len(), model.len(), "len diverged");
         assert_eq!(
-            wheel.peek_time(),
+            queue.peek_time(),
             model.peek_time(),
             "peek_time diverged after {pops} pops"
         );
     }
     // Drain both completely.
     loop {
-        let a = wheel.pop();
+        let a = queue.pop();
         let b = model.pop();
         assert_eq!(a, b, "drain diverged");
         if a.is_none() {
             break;
         }
     }
-    assert!(wheel.is_empty() && model.is_empty());
+    assert!(queue.is_empty() && model.is_empty());
 }
 
 #[test]
 fn interleavings_match_reference_model_near_horizon() {
-    // All times inside the wheel horizon (~262 ms): exercises bucket
-    // routing and the current-run heap.
-    for seed in [1, 42, 24001, 77003] {
-        run_interleaving(seed, 4_000, 250_000);
+    // All times within 250 ms: the MAC's backoffs, air times and ACK
+    // waits.
+    for seed in seeds(&[1, 42, 24001, 77003]) {
+        run_interleaving(seed, 4_000, 250_000, None);
     }
 }
 
 #[test]
 fn interleavings_match_reference_model_far_horizon() {
-    // Times up to 10 s: most events route through the overflow heap
-    // and re-enter the wheel as the cursor advances.
-    for seed in [7, 99, 52001, 90017] {
-        run_interleaving(seed, 4_000, 10_000_000);
+    // Times up to 10 s: retransmit and application timers.
+    for seed in seeds(&[7, 99, 52001, 90017]) {
+        run_interleaving(seed, 4_000, 10_000_000, None);
     }
 }
 
 #[test]
 fn interleavings_match_reference_model_mixed_dense() {
-    // 1 ms horizon: heavy same-bucket collisions, so the insertion-seq
+    // 1 ms horizon: heavy same-time collisions, so the insertion-seq
     // tie-break does all the ordering work.
-    for seed in [3, 1234] {
-        run_interleaving(seed, 4_000, 1_000);
+    for seed in seeds(&[3, 1234]) {
+        run_interleaving(seed, 4_000, 1_000, None);
+    }
+}
+
+#[test]
+fn interleavings_match_reference_model_reschedule_heavy() {
+    // Short timers beside a far timer rescheduled on every step: the
+    // cancelled far keys sink below the top and trigger compaction.
+    for seed in seeds(&[11, 31337]) {
+        run_interleaving(seed, 4_000, 5_000, Some(1_000_000));
     }
 }
 
@@ -213,48 +253,48 @@ fn token_reuse_across_generations_cannot_cancel_newer_event() {
 }
 
 #[test]
-fn wheel_matches_model_under_mac_like_load() {
+fn queue_matches_model_under_mac_like_load() {
     // Shape the op mix like the simulator's MAC layer: short timers
     // (CSMA backoffs, ACK waits) that are usually cancelled before
     // firing, over long-lived RTO timers that usually fire.
     let mut rng = Rng::new(8_675_309);
-    let mut wheel: EventQueue<(u8, u64)> = EventQueue::new();
+    let mut queue: EventQueue<(u8, u64)> = EventQueue::new();
     let mut model: BaselineQueue<(u8, u64)> = BaselineQueue::new();
     let mut ack_waits: Vec<(EventToken, BaselineToken)> = Vec::new();
     let mut n = 0u64;
     for _ in 0..3_000 {
         // Backoff/TX-done: fires within ~5 ms.
-        let t1 = wheel.now() + Duration::from_micros(rng.gen_range_inclusive(128, 4_999));
-        wheel.schedule(t1, (0, n));
+        let t1 = queue.now() + Duration::from_micros(rng.gen_range_inclusive(128, 4_999));
+        queue.schedule(t1, (0, n));
         model.schedule(t1, (0, n));
         n += 1;
         // ACK wait: ~864 µs, cancelled 80% of the time (ACK arrived).
-        let t2 = wheel.now() + Duration::from_micros(864);
-        let pair = (wheel.schedule(t2, (1, n)), model.schedule(t2, (1, n)));
+        let t2 = queue.now() + Duration::from_micros(864);
+        let pair = (queue.schedule(t2, (1, n)), model.schedule(t2, (1, n)));
         n += 1;
         if rng.gen_range(10) < 8 {
-            assert_eq!(wheel.cancel(pair.0), model.cancel(pair.1));
+            assert_eq!(queue.cancel(pair.0), model.cancel(pair.1));
         } else {
             ack_waits.push(pair);
         }
-        // Occasional RTO far beyond the wheel horizon.
+        // Occasional RTO, seconds out.
         if rng.gen_range(20) == 0 {
-            let t3 = wheel.now() + Duration::from_millis(rng.gen_range_inclusive(500, 3_999));
-            wheel.schedule(t3, (2, n));
+            let t3 = queue.now() + Duration::from_millis(rng.gen_range_inclusive(500, 3_999));
+            queue.schedule(t3, (2, n));
             model.schedule(t3, (2, n));
             n += 1;
         }
         // Advance: pop a couple of events.
         for _ in 0..2 {
-            assert_eq!(wheel.pop(), model.pop());
+            assert_eq!(queue.pop(), model.pop());
         }
     }
     // Cancel the leftover ACK waits (some already fired).
-    for (tw, tb) in ack_waits {
-        assert_eq!(wheel.cancel(tw), model.cancel(tb));
+    for (tq, tb) in ack_waits {
+        assert_eq!(queue.cancel(tq), model.cancel(tb));
     }
     loop {
-        let a = wheel.pop();
+        let a = queue.pop();
         assert_eq!(a, model.pop());
         if a.is_none() {
             break;

@@ -421,15 +421,6 @@ impl Reassembler {
             .map(|p| p.size + SLOT_OVERHEAD_BYTES)
             .sum()
     }
-
-    /// The earliest instant at which a held partial expires, for
-    /// scheduling a [`Reassembler::reclaim`] sweep.
-    pub fn next_expiry(&self) -> Option<Instant> {
-        self.partials
-            .iter()
-            .map(|p| p.started + self.limits.timeout)
-            .min()
-    }
 }
 
 #[cfg(test)]
@@ -624,19 +615,14 @@ mod tests {
         r.offer(NodeId(3), &frags[0], Instant::ZERO);
         assert_eq!(r.pending(), 1);
         assert!(r.pending_bytes() > 0);
-        assert_eq!(
-            r.next_expiry(),
-            Some(Instant::ZERO + Duration::from_secs(2))
-        );
         // An idle sweep before the deadline keeps the slot...
         r.reclaim(Instant::from_secs(1));
         assert_eq!(r.pending(), 1);
-        // ...and one after it reclaims slot, bytes, and schedule.
+        // ...and one after it reclaims slot and bytes.
         r.reclaim(Instant::from_secs(3));
         assert_eq!(r.pending(), 0);
         assert_eq!(r.pending_bytes(), 0);
         assert_eq!(r.timeouts, 1);
-        assert_eq!(r.next_expiry(), None);
     }
 
     #[test]
@@ -649,7 +635,6 @@ mod tests {
         assert_eq!((r.pending(), r.timeouts), (1, 1));
         r.clear();
         assert_eq!((r.pending(), r.pending_bytes()), (0, 0));
-        assert_eq!(r.next_expiry(), None);
         assert_eq!(r.timeouts, 1, "cumulative counters survive a clear");
     }
 

@@ -158,15 +158,6 @@ pub fn compress_into(
     }
 }
 
-/// Encodes a packet without compression (dispatch + raw IPv6 header).
-pub fn encode_uncompressed(hdr: &Ipv6Header, payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(41 + payload.len());
-    out.push(DISPATCH_IPV6);
-    out.extend_from_slice(&hdr.encode());
-    out.extend_from_slice(payload);
-    out
-}
-
 fn decompress_addr(
     ac: u8,
     am: u8,
@@ -479,19 +470,6 @@ impl IphcCache {
     }
 }
 
-/// Size in bytes of the compressed IPv6(+NHC) header that [`compress`]
-/// would produce — used for Table 6 overhead accounting.
-pub fn compressed_header_len(hdr: &Ipv6Header, src_l2: NodeId, dst_l2: NodeId) -> usize {
-    let with_payload = compress(hdr, src_l2, dst_l2, &[0u8; 8]);
-    // For UDP the NHC consumed the 8 payload bytes into 1-7 header
-    // bytes; reconstruct by comparing against the payload length.
-    if hdr.next_header == NextHeader::Udp {
-        with_payload.len() // all 8 "payload" bytes were UDP header
-    } else {
-        with_payload.len() - 8
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -523,8 +501,9 @@ mod tests {
     #[test]
     fn table6_header_range() {
         // The compressed IPv6 header must fall in the paper's 2-28 B
-        // range (Table 6). Fully-compressible case:
-        let len = compressed_header_len(&mesh_hdr(), NodeId(3), NodeId(4));
+        // range (Table 6). A TCP packet with no payload is all header.
+        // Fully-compressible case:
+        let len = compress(&mesh_hdr(), NodeId(3), NodeId(4), &[]).len();
         assert!(len <= 6, "near-best case still tiny, got {len}");
         // Worst case: unknown prefixes, odd hop limit.
         let mut h = Ipv6Header::new(
@@ -534,7 +513,7 @@ mod tests {
             0,
         );
         h.hop_limit = 37;
-        let worst = compressed_header_len(&h, NodeId(3), NodeId(4));
+        let worst = compress(&h, NodeId(3), NodeId(4), &[]).len();
         assert!(worst >= 28, "full addresses inline, got {worst}");
         assert!(worst <= 40, "still beats the raw 40 B header: {worst}");
     }
@@ -628,7 +607,9 @@ mod tests {
     #[test]
     fn uncompressed_fallback_roundtrip() {
         let hdr = mesh_hdr();
-        let pkt = encode_uncompressed(&hdr, b"payload");
+        let mut pkt = vec![DISPATCH_IPV6];
+        pkt.extend_from_slice(&hdr.encode());
+        pkt.extend_from_slice(b"payload");
         let (back, pl) = decompress(&pkt, NodeId(3), NodeId(4)).unwrap();
         assert_eq!(back.src, hdr.src);
         assert_eq!(pl, b"payload");
