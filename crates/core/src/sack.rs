@@ -47,6 +47,12 @@ impl SackScoreboard {
         self.ranges.is_empty()
     }
 
+    /// The SACKed ranges `(start, end)`, sorted and disjoint, all above
+    /// `snd_una`.
+    pub fn ranges(&self) -> &[(TcpSeq, TcpSeq)] {
+        &self.ranges
+    }
+
     /// Highest SACKed sequence, if any.
     pub fn highest_sacked(&self) -> Option<TcpSeq> {
         self.ranges.last().map(|&(_, e)| e)
@@ -130,27 +136,30 @@ impl SackScoreboard {
         out
     }
 
+    /// Merges `start..end` into the ranges in place: the ranges it
+    /// overlaps or touches collapse into one. Allocates only when the
+    /// list outgrows its largest size so far.
     fn insert(&mut self, start: TcpSeq, end: TcpSeq) {
+        let lo = self
+            .ranges
+            .iter()
+            .position(|r| !r.1.lt(start))
+            .unwrap_or(self.ranges.len());
         let mut new = (start, end);
-        let mut out = Vec::with_capacity(self.ranges.len() + 1);
-        let mut inserted = false;
-        for &r in &self.ranges {
-            if r.1.lt(new.0) {
-                out.push(r);
-            } else if new.1.lt(r.0) {
-                if !inserted {
-                    out.push(new);
-                    inserted = true;
-                }
-                out.push(r);
-            } else {
-                new = (new.0.min(r.0), new.1.max(r.1));
+        let mut hi = lo;
+        while let Some(&(s, e)) = self.ranges.get(hi) {
+            if new.1.lt(s) {
+                break;
             }
+            new = (new.0.min(s), new.1.max(e));
+            hi += 1;
         }
-        if !inserted {
-            out.push(new);
+        if lo == hi {
+            self.ranges.insert(lo, new);
+        } else {
+            self.ranges[lo] = new;
+            self.ranges.drain(lo + 1..hi);
         }
-        self.ranges = out;
     }
 
     /// Discards ranges at or below the new `snd_una` (cumulative ACK).

@@ -131,6 +131,9 @@ pub struct TcpSocket {
     /// Payload buffer lent to the last emitted data segment; the stack
     /// hands it back through [`TcpSocket::recycle`] once encoded.
     tx_payload: Vec<u8>,
+    /// SACK-block list lent to the last emitted ACK, handed back the
+    /// same way as `tx_payload`.
+    tx_sack_blocks: Vec<SackBlock>,
     snd_mss: usize,
     fin_queued: bool,
     /// Sequence number consumed by our FIN, once transmitted.
@@ -229,6 +232,7 @@ impl TcpSocket {
             snd_wl2: TcpSeq(0),
             sndbuf,
             tx_payload: Vec::new(),
+            tx_sack_blocks: Vec::new(),
             snd_mss: mss,
             fin_queued: false,
             fin_seq: None,
@@ -1220,12 +1224,17 @@ impl TcpSocket {
     }
 
     /// Takes back a segment produced by [`TcpSocket::poll_transmit`]
-    /// after the stack has encoded it, keeping its payload allocation
-    /// for the next data segment. Optional: dropping the segment instead
-    /// is always correct, it only costs the next segment an allocation.
+    /// after the stack has encoded it, keeping its payload and SACK-block
+    /// allocations for the next segments. Optional: dropping the segment
+    /// instead is always correct, it only costs the next segment an
+    /// allocation.
     pub fn recycle(&mut self, seg: Segment) {
         if seg.payload.capacity() > self.tx_payload.capacity() {
             self.tx_payload = seg.payload;
+        }
+        if seg.sack_blocks.capacity() > self.tx_sack_blocks.capacity() {
+            self.tx_sack_blocks = seg.sack_blocks;
+            self.tx_sack_blocks.clear();
         }
     }
 
@@ -1503,12 +1512,13 @@ impl TcpSocket {
         self.attach_sack_blocks(seg);
     }
 
-    fn attach_sack_blocks(&self, seg: &mut Segment) {
+    fn attach_sack_blocks(&mut self, seg: &mut Segment) {
         if !self.sack_enabled || !self.rcvbuf.has_out_of_order() {
             return;
         }
         // Most recent ranges first per RFC 2018; we report up to 3 in
         // ascending order (sufficient for a correct sender scoreboard).
+        seg.sack_blocks = std::mem::take(&mut self.tx_sack_blocks);
         for &(s, e) in self.rcvbuf.out_of_order_ranges().iter().take(3) {
             seg.sack_blocks.push(SackBlock {
                 start: self.rcv_nxt + s as u32,

@@ -27,7 +27,7 @@
 //!   `FrameBuf` is always correct, and `reclaim` quietly declines
 //!   buffers that still have other holders.
 
-use crate::frame::{MacFrame, MAX_MAC_PAYLOAD};
+use crate::frame::{MacFrame, MAX_MAC_PAYLOAD, MAX_MPDU};
 use std::sync::Arc;
 
 /// An immutable MAC frame plus its cached wire encoding.
@@ -41,9 +41,11 @@ struct FrameData {
 }
 
 impl FrameBuf {
-    /// Builds a buffer for `frame`, encoding it eagerly.
+    /// Builds a buffer for `frame`, encoding it eagerly. The encoding
+    /// has room for a full [`MAX_MPDU`], so a pooled block built for a
+    /// short link ACK takes a full data frame later without growing.
     pub fn new(frame: MacFrame) -> Self {
-        let mut encoded = Vec::with_capacity(frame.mpdu_len());
+        let mut encoded = Vec::with_capacity(frame.mpdu_len().max(MAX_MPDU));
         frame.encode_into(&mut encoded);
         FrameBuf(Arc::new(FrameData { frame, encoded }))
     }
@@ -194,6 +196,22 @@ mod tests {
         // The recycled buffer re-encodes the NEW frame correctly.
         assert_eq!(b.encoded(), b.frame().encode().as_slice());
         assert_eq!(b.frame().payload.len(), 90);
+    }
+
+    #[test]
+    fn ack_block_takes_a_full_data_frame_without_growing() {
+        let mut pool = FramePool::new(8);
+        let ack = pool.alloc(MacFrame::ack(3, false));
+        let (ptr, cap) = (ack.encoded().as_ptr(), ack.0.encoded.capacity());
+        pool.reclaim(ack);
+        let mut p = pool.payload_buf();
+        p.resize(MAX_MAC_PAYLOAD, 0x5A);
+        let data = pool.alloc(MacFrame::data(NodeId(1), NodeId(2), 4, p));
+        assert_eq!(pool.reused, 1, "the ACK's block is reused");
+        assert_eq!(data.mpdu_len(), MAX_MPDU);
+        assert_eq!(data.encoded().as_ptr(), ptr, "encoding not reallocated");
+        assert_eq!(data.0.encoded.capacity(), cap);
+        assert_eq!(data.encoded(), data.frame().encode().as_slice());
     }
 
     #[test]

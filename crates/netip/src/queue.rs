@@ -101,12 +101,6 @@ impl<T> FifoQueue<T> {
         self.drops
     }
 
-    /// Drops every queued packet (reboot path); the drop count stays.
-    pub fn clear(&mut self) {
-        self.items.clear();
-        self.bytes = 0;
-    }
-
     /// Iterate queued items front to back.
     pub fn iter(&self) -> impl Iterator<Item = &T> {
         self.items.iter().map(|(item, _)| item)
@@ -287,10 +281,9 @@ mod tests {
             assert_eq!(q.pop(), Some(2));
             assert_eq!(q.pop(), None);
             assert_eq!(q.offer_weighed(4, w), QueueOutcome::Enqueued);
-            q.clear();
-            assert!(q.is_empty());
-            assert_eq!(q.bytes(), 0, "clear releases the weight");
-            assert_eq!(q.drops(), 1, "clear keeps the drop count");
+            assert_eq!(q.pop(), Some(4));
+            assert_eq!(q.bytes(), 0, "pop releases the weight");
+            assert_eq!(q.drops(), 1, "pop keeps the drop count");
         }
     }
 

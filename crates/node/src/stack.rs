@@ -144,11 +144,15 @@ pub struct TransportStack {
     pub coap_server: Option<CoapServer>,
 }
 
-/// Free-list of reusable byte buffers for the per-segment datapath:
-/// TCP segments encode into a pooled buffer, the buffer rides the IP
-/// queue as the packet payload, and [`BufPool::put`] recycles it after
-/// the 6LoWPAN layer compresses it into a frame. Steady-state transfers
-/// therefore stop allocating per segment.
+/// Free-list of reusable byte buffers for the per-packet datapath, one
+/// per world: a TCP segment encodes into a pooled buffer, the buffer
+/// rides the IP queue or the wired link as the packet payload, and
+/// [`BufPool::put`] recycles it wherever the packet ends (framed by
+/// 6LoWPAN, delivered, or dropped). Packets cross nodes, so a pool per
+/// node would run dry at a forwarder and overflow at the sink; one pool
+/// gets every buffer back, and steady-state transfers stop allocating
+/// per segment. The bytes are host memory: the simulated memory a
+/// packet holds is what each node's governor accounts.
 #[derive(Debug, Default)]
 pub struct BufPool {
     free: Vec<Vec<u8>>,
@@ -365,8 +369,6 @@ pub struct Node {
     pub app: App,
 
     // --- datapath fast path ---
-    /// Reusable segment/packet buffers (see [`BufPool`]).
-    pub seg_bufs: BufPool,
     /// Per-neighbor IPHC compressed-header cache (tx fast path).
     pub iphc_cache: IphcCache,
     /// Scratch the IPHC compressor writes into, reused per packet.
@@ -429,7 +431,6 @@ impl Node {
             transport_timer: None,
             supervisor: None,
             app: App::None,
-            seg_bufs: BufPool::default(),
             iphc_cache: IphcCache::new(),
             compress_buf: Vec::new(),
             meter,

@@ -9,7 +9,7 @@
 use crate::app::{AnemometerApp, App, InterfererApp, READING_BYTES};
 use crate::fault::{FaultEvent, FaultPlan};
 use crate::route::Topology;
-use crate::stack::{CurrentTx, Node, NodeCounter, NodeKind, OutPacket, TransportKind};
+use crate::stack::{BufPool, CurrentTx, Node, NodeCounter, NodeKind, OutPacket, TransportKind};
 use crate::supervisor::{SupervisedConnection, SupervisorConfig, SupervisorStats};
 use lln_coap::{CoapClient, CoapServer};
 use lln_energy::RadioState;
@@ -149,6 +149,8 @@ pub struct World {
     interferer_handles: Vec<Option<(TxHandle, Instant)>>,
     /// Recycles frame-buffer allocations across transmissions.
     pub pool: FramePool,
+    /// Recycles packet-byte buffers across every node (see [`BufPool`]).
+    seg_bufs: BufPool,
     /// Optional tcpdump-style event log (see [`crate::trace`]).
     pub trace: crate::trace::PacketTrace,
     /// Scratch: radios listening to the frame being resolved.
@@ -228,6 +230,7 @@ impl World {
             ack_handles: vec![None; kinds.len()],
             interferer_handles: vec![None; kinds.len()],
             pool: FramePool::default(),
+            seg_bufs: BufPool::default(),
             trace: crate::trace::PacketTrace::new(),
             listeners: Vec::new(),
             outcomes: Vec::new(),
@@ -506,8 +509,8 @@ impl World {
         self.run_until(deadline);
     }
 
-    fn dispatch(&mut self, now: Instant, ev: Event) {
-        if self.guard_down_node(&ev, now) {
+    fn dispatch(&mut self, now: Instant, mut ev: Event) {
+        if self.guard_down_node(&mut ev, now) {
             return;
         }
         match ev {
@@ -528,6 +531,7 @@ impl World {
             Event::AdversaryDeliver(i, hdr, payload) => {
                 self.nodes[i].meter.add_cpu(CPU_PER_SEGMENT);
                 self.deliver_mangled_tcp(i, &hdr, &payload, now);
+                self.seg_bufs.put(payload);
                 self.pump_transport(i, now);
             }
             Event::InterfererStart(i) => self.on_interferer_start(i, now),
@@ -552,9 +556,10 @@ impl World {
 
     /// Swallows events addressed to a powered-off node, preserving the
     /// medium invariant (every `begin_tx` is matched by one `end_tx`)
-    /// for transmissions the reboot cut mid-air. Returns true when the
-    /// event was consumed.
-    fn guard_down_node(&mut self, ev: &Event, now: Instant) -> bool {
+    /// for transmissions the reboot cut mid-air, and handing a swallowed
+    /// packet's bytes back to the pool. Returns true when the event was
+    /// consumed.
+    fn guard_down_node(&mut self, ev: &mut Event, now: Instant) -> bool {
         let target = match ev {
             Event::MacTimer(i)
             | Event::CcaDone(i)
@@ -586,8 +591,9 @@ impl World {
                     self.queue.schedule(now + iv, Event::AppTick(*i));
                 }
             }
-            Event::WiredDeliver(i, _, _) | Event::AdversaryDeliver(i, _, _) => {
+            Event::WiredDeliver(i, _, payload) | Event::AdversaryDeliver(i, _, payload) => {
                 self.nodes[*i].counters.inc(NodeCounter::DownDrops);
+                self.seg_bufs.put(std::mem::take(payload));
             }
             Event::AirDone(i) => {
                 // Our own frame was mid-air when the power died: the
@@ -600,6 +606,7 @@ impl World {
                     if let Some(tok) = tx.timer {
                         self.queue.cancel(tok);
                     }
+                    self.pool.reclaim(tx.frame);
                 }
             }
             Event::LinkAckDone(i) => {
@@ -638,6 +645,7 @@ impl World {
                 if let Some(tok) = tx.timer {
                     self.queue.cancel(tok);
                 }
+                self.pool.reclaim(tx.frame);
             }
         }
         let tokens: Vec<_> = {
@@ -660,13 +668,24 @@ impl World {
             n.counters.inc(NodeCounter::Reboots);
             n.transmitting = false;
             n.awake = false;
-            // Volatile state dies with the power...
-            n.ctrl_queue.clear();
-            n.cur_packet_frames.clear();
-            while n.ip_queue.pop().is_some() {}
+            // Volatile state dies with the power (its buffers go back
+            // to the world's pools)...
+            while let Some(f) = n.ctrl_queue.pop() {
+                self.pool.reclaim(f);
+            }
+            for f in n.cur_packet_frames.drain(..) {
+                self.pool.reclaim(f);
+            }
+            while let Some(pkt) = n.ip_queue.pop() {
+                self.seg_bufs.put(pkt.payload);
+            }
+            for (_, mut q) in n.indirect.drain() {
+                while let Some(pkt) = q.pop() {
+                    self.seg_bufs.put(pkt.payload);
+                }
+            }
             n.reassembler.clear();
             n.last_rx_seq.clear();
-            n.indirect.clear();
             n.polling = false;
             n.poll_got_frame = false;
             n.transport.tcp.clear();
@@ -963,8 +982,8 @@ impl World {
     /// Nothing here allocates in steady state: the packet is compressed
     /// in the node's scratch buffer via the per-neighbor IPHC header
     /// cache, each fragment is written into a payload buffer the frame
-    /// pool recycles, and the packet's payload returns to the node's
-    /// [`crate::stack::BufPool`] once framed.
+    /// pool recycles, and the packet's payload returns to the world's
+    /// [`BufPool`] once framed.
     fn frame_packet(&mut self, i: usize, pkt: OutPacket, indirect: Option<bool>) {
         let src_l2 = self.nodes[i].id;
         let dst_l2 = pkt.next_hop;
@@ -987,7 +1006,7 @@ impl World {
             }
         }
         self.nodes[i].compress_buf = compressed;
-        self.nodes[i].seg_bufs.put(pkt.payload);
+        self.seg_bufs.put(pkt.payload);
     }
 
     fn handle_step(&mut self, i: usize, step: TxStep, now: Instant) {
@@ -1174,7 +1193,9 @@ impl World {
                     );
                 }
                 // Losing one fragment loses the packet: discard the rest.
-                self.nodes[i].cur_packet_frames.clear();
+                for f in self.nodes[i].cur_packet_frames.drain(..) {
+                    self.pool.reclaim(f);
+                }
                 if tx.frame.frame().is_data_request() {
                     // Poll failed; go back to sleep and retry later.
                     self.nodes[i].polling = false;
@@ -1401,7 +1422,7 @@ impl World {
         if self.admit(i, hop, payload.len()) {
             self.push_ip(i, hop, hdr, payload, now);
         } else {
-            self.nodes[i].seg_bufs.put(payload);
+            self.seg_bufs.put(payload);
         }
     }
 
@@ -1415,7 +1436,7 @@ impl World {
             return;
         }
         let hdr = Ipv6Header::new(src, dst, NextHeader::Tcp, len as u16);
-        let mut bytes = self.nodes[i].seg_bufs.take();
+        let mut bytes = self.seg_bufs.take();
         seg.encode_into(src, dst, &mut bytes);
         self.push_ip(i, hop, hdr, bytes, now);
     }
@@ -1510,13 +1531,13 @@ impl World {
     }
 
     /// A full IP packet arrived at node `i` with an owned payload (the
-    /// wired link). A locally delivered payload returns to the node's
+    /// wired link). A locally delivered payload returns to the world's
     /// buffer pool; a forwarded one rides the IP queue.
     fn handle_ip_packet(&mut self, i: usize, hdr: Ipv6Header, payload: Vec<u8>, now: Instant) {
         if hdr.dst == self.nodes[i].ip_addr() {
             self.trace_deliver(i, &hdr, &payload, now);
             self.deliver_transport(i, hdr, &payload, now);
-            self.nodes[i].seg_bufs.put(payload);
+            self.seg_bufs.put(payload);
             return;
         }
         self.forward_ip(i, hdr, payload, now);
@@ -1526,7 +1547,7 @@ impl World {
     /// the reassembled packet buffer. Local delivery consumes the
     /// borrowed slice directly — the per-segment copy the owned path
     /// would make never happens; only the forwarding path (which must
-    /// queue the bytes) copies them, into a buffer from the node's pool.
+    /// queue the bytes) copies them, into a buffer from the world's pool.
     fn handle_ip_view(
         &mut self,
         i: usize,
@@ -1542,7 +1563,7 @@ impl World {
         let bytes = match payload {
             iphc::Payload::Owned(v) => v,
             iphc::Payload::Borrowed(b) => {
-                let mut v = self.nodes[i].seg_bufs.take();
+                let mut v = self.seg_bufs.take();
                 v.extend_from_slice(b);
                 v
             }
@@ -1565,7 +1586,7 @@ impl World {
     fn forward_ip(&mut self, i: usize, mut hdr: Ipv6Header, payload: Vec<u8>, now: Instant) {
         if hdr.hop_limit <= 1 {
             self.nodes[i].counters.inc(NodeCounter::HopLimitDrops);
-            self.nodes[i].seg_bufs.put(payload);
+            self.seg_bufs.put(payload);
             self.trace.record(
                 now,
                 self.nodes[i].id,
@@ -1578,7 +1599,7 @@ impl World {
         // Injected uniform loss (§9.4; configured on the border router).
         if self.nodes[i].inject_loss > 0.0 && self.rng.gen_bool(self.nodes[i].inject_loss) {
             self.nodes[i].counters.inc(NodeCounter::InjectedDrops);
-            self.nodes[i].seg_bufs.put(payload);
+            self.seg_bufs.put(payload);
             self.trace.record(
                 now,
                 self.nodes[i].id,
@@ -1910,7 +1931,6 @@ impl World {
         // payload buffer goes back to its socket once encoded.
         let my_addr = self.nodes[i].ip_addr();
         let mut out = std::mem::take(&mut self.pumped);
-        let mut seg_bufs = std::mem::take(&mut self.nodes[i].seg_bufs);
         for s in self.nodes[i].transport.tcp.iter_mut() {
             let ecn_data = s.ecn_active();
             while let Some(seg) = s.poll_transmit(now) {
@@ -1920,7 +1940,7 @@ impl World {
                 if ecn_data && !seg.payload.is_empty() {
                     hdr.ecn = Ecn::Ect0;
                 }
-                let mut bytes = seg_bufs.take();
+                let mut bytes = self.seg_bufs.take();
                 seg.encode_into(my_addr, raddr, &mut bytes);
                 out.push((hdr, bytes));
                 s.recycle(seg);
@@ -1931,7 +1951,7 @@ impl World {
             while let Some((peer, synack)) = l.poll_transmit(now) {
                 let hdr =
                     Ipv6Header::new(my_addr, peer, NextHeader::Tcp, synack.wire_len() as u16);
-                let mut bytes = seg_bufs.take();
+                let mut bytes = self.seg_bufs.take();
                 synack.encode_into(my_addr, peer, &mut bytes);
                 out.push((hdr, bytes));
             }
@@ -1947,12 +1967,11 @@ impl World {
                 let (raddr, _) = u.remote();
                 let hdr =
                     Ipv6Header::new(my_addr, raddr, NextHeader::Tcp, seg.wire_len() as u16);
-                let mut bytes = seg_bufs.take();
+                let mut bytes = self.seg_bufs.take();
                 seg.encode_into(my_addr, raddr, &mut bytes);
                 out.push((hdr, bytes));
             }
         }
-        self.nodes[i].seg_bufs = seg_bufs;
         // CoAP client.
         if self.nodes[i].transport.coap_client.is_some() {
             let cloud_addr = self.cloud.map(|c| self.nodes[c].ip_addr());

@@ -3,8 +3,9 @@
 //! and energy accounting sanity.
 
 use lln_node::app::InterfererApp;
+use lln_node::fault::FaultPlan;
 use lln_node::route::Topology;
-use lln_node::stack::{IpQueue, NodeKind};
+use lln_node::stack::{IpQueue, Node, NodeKind};
 use lln_node::world::{World, WorldConfig};
 use lln_phy::{LinkMatrix, RadioIdx};
 use lln_sim::{Duration, Instant};
@@ -371,5 +372,49 @@ fn segment_to_closed_port_gets_rst() {
         l.stats.syns_rcvd + l.stats.bad_acks,
         0,
         "the listener never saw it"
+    );
+}
+
+#[test]
+fn dropped_fragments_return_to_the_frame_pool() {
+    // A blackout mid-transfer exhausts link retries on the first
+    // fragment of several packets, so the rest of each packet's
+    // fragments are discarded unsent. Every frame block must still come
+    // back: once the transfer is over and nothing is on the air or
+    // queued, each block the pool ever built is a spare again.
+    let topo = Topology::pair(0.999);
+    let mut world = World::new(
+        &topo,
+        &[NodeKind::Router, NodeKind::Router],
+        WorldConfig::default(),
+    );
+    world.add_tcp_listener(0, TcpConfig::default());
+    world.set_sink(0);
+    world.add_tcp_client(1, 0, TcpConfig::default(), Instant::from_millis(10));
+    world.set_bulk_sender(1, Some(50_000));
+    world.apply_fault_plan(&FaultPlan::new().blackout(
+        0,
+        1,
+        Instant::from_secs(3),
+        Duration::from_secs(10),
+    ));
+    world.run_for(Duration::from_secs(120));
+
+    assert_eq!(
+        world.nodes[0].app.sink_received(),
+        50_000,
+        "transfer completes"
+    );
+    assert!(
+        world.nodes[1].counters.get("frames_dropped") >= 2,
+        "the blackout must exhaust link retries"
+    );
+    let idle =
+        |n: &Node| n.cur_tx.is_none() && n.ctrl_queue.is_empty() && n.cur_packet_frames.is_empty();
+    assert!(world.nodes.iter().all(idle), "nothing on the air or queued");
+    assert_eq!(
+        world.pool.spares() as u64,
+        world.pool.fresh,
+        "every frame block the pool built is back"
     );
 }

@@ -165,14 +165,6 @@ fn decompress_addr(
     l2: Option<NodeId>,
     bytes: &mut &[u8],
 ) -> Option<Ipv6Addr> {
-    let take = |bytes: &mut &[u8], n: usize| -> Option<Vec<u8>> {
-        if bytes.len() < n {
-            return None;
-        }
-        let (head, rest) = bytes.split_at(n);
-        *bytes = rest;
-        Some(head.to_vec())
-    };
     if ac == 1 {
         let prefix = prefix_for_context(cid.unwrap_or(0))?;
         match am {
@@ -180,21 +172,22 @@ fn decompress_addr(
                 let iid = l2?.iid();
                 Some(Ipv6Addr::from_parts(prefix, iid))
             }
-            0b01 => {
-                let iid = take(bytes, 8)?;
-                Some(Ipv6Addr::from_parts(prefix, iid.try_into().ok()?))
-            }
+            0b01 => Some(Ipv6Addr::from_parts(prefix, take_inline(bytes)?)),
             _ => None,
         }
     } else {
         match am {
-            0b00 => {
-                let raw = take(bytes, 16)?;
-                Some(Ipv6Addr(raw.try_into().ok()?))
-            }
+            0b00 => Some(Ipv6Addr(take_inline(bytes)?)),
             _ => None,
         }
     }
+}
+
+/// Splits the next `N` inline bytes off the front of `bytes`.
+fn take_inline<const N: usize>(bytes: &mut &[u8]) -> Option<[u8; N]> {
+    let (head, rest) = bytes.split_first_chunk::<N>()?;
+    *bytes = rest;
+    Some(*head)
 }
 
 /// Decompressed transport payload: borrowed straight out of the packet
