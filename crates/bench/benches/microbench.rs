@@ -173,6 +173,36 @@ fn bench_sim_primitives() {
     bench("sim/rng_next_u64", None, 1_000_000, || {
         black_box(rng.next_u64());
     });
+    // The queue at the populations the worlds keep (the §9 tree peaks
+    // at 21 pending events), with the worlds' 80-byte `Event` size and
+    // their shape: each step fires the next event and schedules a
+    // replacement, half the time within 50 µs (in the worlds, 50-78 %
+    // of schedules are due before everything else pending), and every
+    // fourth step cancels and reschedules a far timer, as the transport
+    // timer is on every pump. 1000 steps per iteration.
+    for live in [8u32, 32] {
+        let mut q = EventQueue::<[u64; 10]>::new();
+        let mut rng = Rng::new(5);
+        for i in 1..live {
+            q.schedule(Instant::from_micros(rng.gen_range(5_000)), [u64::from(i); 10]);
+        }
+        let mut far = q.schedule(Instant::from_secs(1), [0; 10]);
+        bench(&format!("sim/event_queue_steady_{live}_live"), None, 5_000, || {
+            for i in 0..1000u64 {
+                let (now, _) = q.pop().expect("steady population");
+                let horizon = if rng.gen_range(2) == 0 { 50 } else { 5_000 };
+                q.schedule(now + Duration::from_micros(1 + rng.gen_range(horizon)), [i; 10]);
+                if i % 4 == 0 {
+                    q.cancel(far);
+                    far = q.schedule(now + Duration::from_secs(1), [i; 10]);
+                }
+            }
+            black_box(q.len());
+        });
+    }
+    // The large-population tradeoff: 1000 live events, far beyond any
+    // world. Each insert shifts up to the whole vector here, so this
+    // case is slower than a heap would be.
     bench("sim/event_queue_schedule_pop_1k", None, 5_000, || {
         let mut q = EventQueue::<u32>::new();
         for i in 0..1000u32 {
@@ -184,10 +214,8 @@ fn bench_sim_primitives() {
         }
         black_box(n);
     });
-    // The queue under the MAC-like mix (schedule backoff + ACK timer,
-    // cancel 80% of ACK timers, drain): the simulator's actual event
-    // profile, where cancels dominate. perfbench's traced mode reports
-    // the same cost in the real worlds as `sim.queue_ns_per_op`.
+    // The queue under a MAC-like mix: schedule a backoff and an ACK
+    // timer, cancel 80% of ACK timers, pop one; then drain.
     bench("sim/event_queue_mac_mix_1k", None, 5_000, || {
         let mut q = EventQueue::<u32>::new();
         let mut rng = Rng::new(3);

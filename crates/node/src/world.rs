@@ -1658,7 +1658,8 @@ impl World {
                         if delay == Duration::ZERO {
                             self.dispatch_tcp_view(i, hdr, mseg.view(), now);
                         } else {
-                            let bytes = mseg.encode(hdr.src, hdr.dst);
+                            let mut bytes = self.seg_bufs.take();
+                            mseg.encode_into(hdr.src, hdr.dst, &mut bytes);
                             let mut h = *hdr;
                             h.payload_len = bytes.len() as u16;
                             self.queue

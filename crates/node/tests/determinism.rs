@@ -1,6 +1,6 @@
 //! Determinism regression tier: pinned-seed worlds must reproduce the
 //! exact `TcpStats` FNV digests recorded before the simulator fast
-//! path landed (slab-backed event queue + pooled zero-copy frames).
+//! path landed (reworked event queue + pooled zero-copy frames).
 //!
 //! The constants below were captured on the `BinaryHeap`+`HashSet`
 //! event queue and the per-hop `Vec<u8>` frame-clone delivery path.

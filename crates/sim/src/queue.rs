@@ -1,99 +1,56 @@
-//! A deterministic discrete-event queue: one binary heap over a slab.
+//! A deterministic discrete-event queue: one sorted vector.
 //!
 //! Events are ordered by `(time, insertion sequence)`: ties in simulated
 //! time are broken by insertion order, which keeps runs reproducible
-//! regardless of container internals. Events can be cancelled by token
-//! in O(1).
+//! regardless of container internals.
 //!
 //! # Layout
 //!
-//! Event payloads live in a slab indexed by the 32-bit token index; the
-//! heap holds small `Copy` keys. Cancellation marks the slab slot vacant
-//! and bumps its **generation**, so a stale token (from a previous
-//! occupant of the same slot) can never cancel a newer event, and no
-//! per-event hash-set traffic exists anywhere.
-//!
-//! A cancelled key stays in the heap until it surfaces: after every
-//! `cancel` and `pop`, cancelled keys are popped off the top, so the
-//! top is always live and [`EventQueue::peek_time`] is read-only. A
-//! timer that is cancelled and rescheduled on every step (the transport
-//! timer) would still pile keys up beneath the top, so once the heap
-//! holds more than `2 × live + 8` keys one `retain` pass drops every
-//! cancelled key. The heap therefore stays within a small multiple of
-//! the live population, and a warmed-up queue schedules without
-//! allocating.
+//! Entries `(time, seq, event)` sit in one `Vec` sorted in *descending*
+//! key order, so the next event is at the back: [`EventQueue::pop`] is a
+//! `Vec::pop` and [`EventQueue::peek_time`] reads the last entry.
+//! [`EventQueue::schedule`] inserts at the `partition_point` on time
+//! (a fresh seq is larger than every stored one, so time alone decides
+//! the slot); the insert shifts only the entries due at or before it,
+//! which for the simulator's near timers is a handful.
+//! [`EventQueue::cancel`] binary-searches the token's key and removes
+//! the entry, so cancelled events never linger in storage and the
+//! vector always holds exactly the live events. A simulator world keeps
+//! at most a few dozen events pending, where this beats a heap; the
+//! `sim/event_queue_steady_*_live` and `sim/event_queue_schedule_pop_1k`
+//! microbenches show where a heap would win instead.
 //!
 //! The original `BinaryHeap`+`HashSet` implementation lives on only as
 //! the reference model in `tests/queue_props.rs`, which checks this
 //! queue's pop order against it.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-
 use crate::time::Instant;
-
-const NO_SLOT: u32 = u32::MAX;
 
 /// Token identifying a scheduled event, usable for cancellation.
 ///
-/// Tokens are generation-tagged: after the event fires or is
-/// cancelled, the token goes stale and can never affect a later event
-/// that happens to reuse the same internal slot.
+/// A token is the event's `(time, insertion seq)` key. No two events
+/// ever share a key, so once the event fires or is cancelled the token
+/// matches nothing and cancelling it is a no-op. The derived `Ord`
+/// compares `time`, then `seq`: the pop order.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct EventToken {
-    idx: u32,
-    gen: u32,
-}
-
-/// Ordering key for one scheduled event. Payloads stay in the slab;
-/// the heap moves only these 24-byte `Copy` keys around.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-struct Key {
     time: Instant,
     seq: u64,
-    idx: u32,
-    gen: u32,
 }
 
-impl PartialOrd for Key {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Key {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.time, self.seq).cmp(&(other.time, other.seq))
-    }
-}
-
-/// One slab slot: either holds a live event or threads the free list.
-enum Slot<E> {
-    Occupied { gen: u32, event: E },
-    Vacant { gen: u32, next_free: u32 },
-}
-
-/// True if `(idx, gen)` still names the event occupying its slab slot.
-fn is_live<E>(slots: &[Slot<E>], idx: u32, gen: u32) -> bool {
-    matches!(
-        slots.get(idx as usize),
-        Some(Slot::Occupied { gen: g, .. }) if *g == gen
-    )
+/// One pending event and its ordering key.
+struct Entry<E> {
+    key: EventToken,
+    event: E,
 }
 
 /// A monotonic event queue: events may only be scheduled at or after the
 /// time of the most recently popped event.
 pub struct EventQueue<E> {
-    slots: Vec<Slot<E>>,
-    free_head: u32,
-    /// Live (scheduled, not yet fired or cancelled) event count.
-    live: usize,
+    /// Pending events, sorted by descending key: the next is last.
+    entries: Vec<Entry<E>>,
     seq: u64,
     now: Instant,
-    /// Every live key plus cancelled keys not yet purged. Invariant
-    /// (restored by [`Self::purge`] after every cancel and pop): the
-    /// top is live whenever any event is, and the heap holds at most
-    /// `2 × live + 8` keys.
-    heap: BinaryHeap<Reverse<Key>>,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -106,12 +63,9 @@ impl<E> EventQueue<E> {
     /// Creates an empty queue with `now == Instant::ZERO`.
     pub fn new() -> Self {
         EventQueue {
-            slots: Vec::new(),
-            free_head: NO_SLOT,
-            live: 0,
+            entries: Vec::new(),
             seq: 0,
             now: Instant::ZERO,
-            heap: BinaryHeap::new(),
         }
     }
 
@@ -122,119 +76,53 @@ impl<E> EventQueue<E> {
 
     /// Number of pending (non-cancelled) events.
     pub fn len(&self) -> usize {
-        self.live
+        self.entries.len()
     }
 
     /// True if no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.live == 0
-    }
-
-    fn alloc(&mut self, event: E) -> (u32, u32) {
-        if self.free_head != NO_SLOT {
-            let idx = self.free_head;
-            let slot = &mut self.slots[idx as usize];
-            let gen = match *slot {
-                Slot::Vacant { gen, next_free } => {
-                    self.free_head = next_free;
-                    gen
-                }
-                Slot::Occupied { .. } => unreachable!("free list points at live slot"),
-            };
-            *slot = Slot::Occupied { gen, event };
-            (idx, gen)
-        } else {
-            let idx = u32::try_from(self.slots.len()).expect("event slab exhausted");
-            self.slots.push(Slot::Occupied { gen: 0, event });
-            (idx, 0)
-        }
-    }
-
-    /// Vacates `idx`, bumping its generation, and returns the event.
-    fn release(&mut self, idx: u32) -> E {
-        let slot = &mut self.slots[idx as usize];
-        let gen = match slot {
-            Slot::Occupied { gen, .. } => gen.wrapping_add(1),
-            Slot::Vacant { .. } => unreachable!("releasing vacant slot"),
-        };
-        let prev = std::mem::replace(
-            slot,
-            Slot::Vacant {
-                gen,
-                next_free: self.free_head,
-            },
-        );
-        self.free_head = idx;
-        match prev {
-            Slot::Occupied { event, .. } => event,
-            Slot::Vacant { .. } => unreachable!(),
-        }
+        self.entries.is_empty()
     }
 
     /// Schedules `event` at absolute time `at` (clamped to `now`).
     /// Returns a token that can later cancel the event.
     pub fn schedule(&mut self, at: Instant, event: E) -> EventToken {
-        let at = if at < self.now { self.now } else { at };
-        let seq = self.seq;
+        let key = EventToken {
+            time: at.max(self.now),
+            seq: self.seq,
+        };
         self.seq += 1;
-        let (idx, gen) = self.alloc(event);
-        // A live key on top stays live, so no purge is needed here.
-        self.heap.push(Reverse(Key {
-            time: at,
-            seq,
-            idx,
-            gen,
-        }));
-        self.live += 1;
-        EventToken { idx, gen }
+        // Every stored seq is smaller, so the new entry goes after all
+        // entries due later and before all due at the same time or
+        // earlier.
+        let i = self.entries.partition_point(|e| e.key.time > key.time);
+        self.entries.insert(i, Entry { key, event });
+        key
     }
 
-    /// Cancels a previously scheduled event in O(1). Returns true if
-    /// the event was still pending (not yet fired and not already
-    /// cancelled). A stale token — one whose event already fired, was
-    /// cancelled, or whose slot was since reused by a newer event —
-    /// returns false and touches nothing.
+    /// Cancels a previously scheduled event. Returns true if the event
+    /// was still pending (not yet fired and not already cancelled). A
+    /// stale token returns false and touches nothing.
     pub fn cancel(&mut self, token: EventToken) -> bool {
-        if !is_live(&self.slots, token.idx, token.gen) {
-            return false;
+        match self.entries.binary_search_by(|e| token.cmp(&e.key)) {
+            Ok(i) => {
+                self.entries.remove(i);
+                true
+            }
+            Err(_) => false,
         }
-        drop(self.release(token.idx));
-        self.live -= 1;
-        self.purge();
-        true
     }
 
     /// Pops the next pending event, advancing `now`.
     pub fn pop(&mut self) -> Option<(Instant, E)> {
-        // `purge` keeps the heap top live whenever live > 0.
-        let Reverse(key) = self.heap.pop()?;
-        debug_assert!(is_live(&self.slots, key.idx, key.gen));
-        let event = self.release(key.idx);
-        self.live -= 1;
+        let Entry { key, event } = self.entries.pop()?;
         self.now = key.time;
-        self.purge();
         Some((key.time, event))
     }
 
-    /// Time of the next pending event, if any. Read-only: cancelled
-    /// keys were already purged off the top when the mutation happened.
+    /// Time of the next pending event, if any.
     pub fn peek_time(&self) -> Option<Instant> {
-        self.heap.peek().map(|Reverse(k)| k.time)
-    }
-
-    /// Restores the heap invariant: drops every cancelled key once they
-    /// outnumber the bound, then pops cancelled keys off the top.
-    fn purge(&mut self) {
-        if self.heap.len() > 2 * self.live + 8 {
-            let slots = &self.slots;
-            self.heap.retain(|Reverse(k)| is_live(slots, k.idx, k.gen));
-        }
-        while let Some(Reverse(k)) = self.heap.peek() {
-            if is_live(&self.slots, k.idx, k.gen) {
-                return;
-            }
-            self.heap.pop();
-        }
+        self.entries.last().map(|e| e.key.time)
     }
 }
 
@@ -365,25 +253,39 @@ mod tests {
     }
 
     #[test]
-    fn stale_token_cannot_cancel_slot_reuser() {
+    fn stale_token_cannot_cancel_later_event() {
         let mut q = EventQueue::new();
         let old = q.schedule(Instant::from_millis(1), "a");
         assert_eq!(q.pop().unwrap().1, "a");
-        // The new event reuses the slab slot the popped one vacated.
         q.schedule(Instant::from_millis(2), "b");
-        assert!(!q.cancel(old), "stale token must not cancel the reuser");
+        assert!(!q.cancel(old), "stale token must not cancel a later event");
         assert_eq!(q.len(), 1);
         assert_eq!(q.pop().unwrap().1, "b");
     }
 
     #[test]
-    fn stale_token_after_cancel_cannot_cancel_reuser() {
+    fn stale_token_after_cancel_cannot_cancel_later_event() {
         let mut q = EventQueue::new();
         let old = q.schedule(Instant::from_millis(1), "a");
         assert!(q.cancel(old));
         q.schedule(Instant::from_millis(2), "b");
         assert!(!q.cancel(old));
         assert_eq!(q.pop().unwrap().1, "b");
+    }
+
+    #[test]
+    fn fired_token_cannot_cancel_later_event_at_same_time() {
+        let mut q = EventQueue::new();
+        let t = Instant::from_millis(4);
+        let fired = q.schedule(t, "a");
+        assert_eq!(q.pop(), Some((t, "a")));
+        // `now == t`, so both of these land at exactly `t` again.
+        q.schedule(t, "b");
+        q.schedule(Instant::ZERO, "c");
+        assert!(!q.cancel(fired), "fired token matched a same-time event");
+        assert_eq!(q.len(), 2);
+        assert_eq!(q.pop(), Some((t, "b")));
+        assert_eq!(q.pop(), Some((t, "c")));
     }
 
     #[test]
@@ -421,10 +323,12 @@ mod tests {
     }
 
     #[test]
-    fn rescheduled_far_timer_keeps_heap_bounded() {
+    fn rescheduled_far_timer_keeps_storage_at_len() {
         // The transport-timer pattern: a far timer cancelled and
         // rescheduled on every step, beside a standing population of
-        // nearer events that fire and are replaced.
+        // nearer events that fire and are replaced. A cancelled event
+        // leaves storage at once, so storage holds exactly the ten live
+        // events after every call and never regrows once warm.
         let mut q = EventQueue::new();
         let mut next = 0u64;
         let mut sched = |q: &mut EventQueue<u64>, at: Instant| {
@@ -435,21 +339,24 @@ mod tests {
             sched(&mut q, Instant::from_millis(1 + k * 3));
         }
         let mut far = sched(&mut q, Instant::from_secs(60));
+        let cap = q.entries.capacity();
+        let check = |q: &EventQueue<u64>, live: usize, step: u64| {
+            assert_eq!(q.len(), live, "step {step}");
+            assert_eq!(q.entries.len(), live, "step {step}: stale entries kept");
+            assert_eq!(q.entries.capacity(), cap, "step {step}: storage regrew");
+        };
         for step in 0..100_000u64 {
             assert!(q.cancel(far));
+            check(&q, 9, step);
             let at = q.now() + Duration::from_millis(1_000 + step % 500);
             far = sched(&mut q, at);
+            check(&q, 10, step);
             if step % 4 == 0 {
                 let (t, _) = q.pop().expect("ten events live");
+                check(&q, 9, step);
                 sched(&mut q, t + Duration::from_micros(2_000 + step % 7_000));
+                check(&q, 10, step);
             }
-            assert_eq!(q.len(), 10);
-            assert!(
-                q.heap.len() <= 2 * q.len() + 8,
-                "step {step}: {} keys for {} live events",
-                q.heap.len(),
-                q.len()
-            );
         }
         // Payloads are insertion sequence numbers, so the drain must be
         // strictly increasing in `(time, payload)`.

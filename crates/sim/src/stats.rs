@@ -38,12 +38,21 @@ impl Summary {
 
     /// Smallest sample; 0 if empty.
     pub fn min(&self) -> f64 {
-        self.samples.iter().copied().fold(f64::INFINITY, f64::min).min(f64::INFINITY).pipe_finite()
+        self.samples
+            .iter()
+            .copied()
+            .fold(f64::INFINITY, f64::min)
+            .min(f64::INFINITY)
+            .pipe_finite()
     }
 
     /// Largest sample; 0 if empty.
     pub fn max(&self) -> f64 {
-        self.samples.iter().copied().fold(f64::NEG_INFINITY, f64::max).pipe_finite()
+        self.samples
+            .iter()
+            .copied()
+            .fold(f64::NEG_INFINITY, f64::max)
+            .pipe_finite()
     }
 
     fn ensure_sorted(&mut self) {
@@ -114,8 +123,8 @@ impl Histogram {
     /// Adds a sample (clamped into range).
     pub fn add(&mut self, v: f64) {
         let frac = (v - self.lo) / (self.hi - self.lo);
-        let idx = ((frac * self.bins.len() as f64) as isize)
-            .clamp(0, self.bins.len() as isize - 1) as usize;
+        let idx = ((frac * self.bins.len() as f64) as isize).clamp(0, self.bins.len() as isize - 1)
+            as usize;
         self.bins[idx] += 1;
         self.count += 1;
     }

@@ -1,9 +1,10 @@
-//! Property tests for the heap-backed [`EventQueue`]: random
+//! Property tests for the sorted-vector [`EventQueue`]: random
 //! schedule/cancel/pop interleavings, driven by a seeded [`Rng`], must
 //! produce pop sequences identical to the `BinaryHeap`+`HashMap`
-//! reference model ([`BaselineQueue`]), and generation-tagged tokens
-//! must never cancel across slot reuse. `QUEUE_PROPS_CASES` sets the
-//! number of seeds per interleaving profile (default: the pinned ones).
+//! reference model ([`BaselineQueue`]), and a token whose event already
+//! fired or was cancelled must never cancel a later event.
+//! `QUEUE_PROPS_CASES` sets the number of seeds per interleaving
+//! profile (default: the pinned ones).
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
@@ -96,8 +97,7 @@ fn seeds(pinned: &[u64]) -> impl Iterator<Item = u64> + '_ {
 /// past times), cancel a random live token, or pop — mirrored on both
 /// queues — then drain. Every pop must agree on `(time, payload)`.
 /// With `far_timer_us`, every step first cancels and reschedules one
-/// far timer that far ahead, as the transport timer is on every pump,
-/// so cancelled keys pile up and the queue must compact them.
+/// far timer that far ahead, as the transport timer is on every pump.
 fn run_interleaving(seed: u64, ops: usize, horizon_us: u64, far_timer_us: Option<u64>) {
     let mut rng = Rng::new(seed);
     let mut queue: EventQueue<u64> = EventQueue::new();
@@ -197,18 +197,100 @@ fn interleavings_match_reference_model_mixed_dense() {
 
 #[test]
 fn interleavings_match_reference_model_reschedule_heavy() {
-    // Short timers beside a far timer rescheduled on every step: the
-    // cancelled far keys sink below the top and trigger compaction.
+    // Short timers beside a far timer rescheduled on every step, so
+    // most cancels remove an entry far from the next one.
     for seed in seeds(&[11, 31337]) {
         run_interleaving(seed, 4_000, 5_000, Some(1_000_000));
     }
 }
 
+/// A steady population of `population` events, the shape of a running
+/// world: every step cancels and reschedules one far timer (the
+/// transport timer), then either fires the next event or cancels a
+/// random live one, and schedules a replacement within `horizon_us`,
+/// sometimes at exactly `now`. Every pop, cancel, `len` and `peek_time`
+/// must agree with the reference model.
+fn run_steady_population(seed: u64, steps: usize, population: usize, horizon_us: u64) {
+    let mut rng = Rng::new(seed);
+    let mut queue: EventQueue<u64> = EventQueue::new();
+    let mut model: BaselineQueue<u64> = BaselineQueue::new();
+    // (payload, tokens) of every live event except the far timer.
+    let mut live: Vec<(u64, EventToken, BaselineToken)> = Vec::new();
+    let mut far: Option<(u64, EventToken, BaselineToken)> = None;
+    let mut next_payload = 0u64;
+    let mut schedule = |queue: &mut EventQueue<u64>, model: &mut BaselineQueue<u64>, at| {
+        let payload = next_payload;
+        next_payload += 1;
+        (
+            payload,
+            queue.schedule(at, payload),
+            model.schedule(at, payload),
+        )
+    };
+    let near = |rng: &mut Rng, now: Instant| match rng.gen_range(8) {
+        0 => now,
+        _ => now + Duration::from_micros(rng.gen_range(horizon_us)),
+    };
+
+    while live.len() + 1 < population {
+        let at = near(&mut rng, queue.now());
+        live.push(schedule(&mut queue, &mut model, at));
+    }
+    for step in 0..steps {
+        if let Some((_, tq, tb)) = far.take() {
+            assert_eq!(
+                queue.cancel(tq),
+                model.cancel(tb),
+                "step {step}: far cancel"
+            );
+        }
+        let at = queue.now() + Duration::from_micros(1_000_000 + rng.gen_range(500_000));
+        far = Some(schedule(&mut queue, &mut model, at));
+
+        if rng.gen_range(4) == 0 {
+            let i = rng.gen_range(live.len() as u64) as usize;
+            let (_, tq, tb) = live.swap_remove(i);
+            assert!(queue.cancel(tq), "step {step}: live event not cancelled");
+            assert!(model.cancel(tb));
+        } else {
+            let popped = queue.pop();
+            assert_eq!(popped, model.pop(), "step {step}: pop diverged");
+            let (_, payload) = popped.expect("population is never empty");
+            if far.is_some_and(|(p, ..)| p == payload) {
+                far = None;
+            } else {
+                live.retain(|&(p, ..)| p != payload);
+            }
+        }
+        let at = near(&mut rng, queue.now());
+        live.push(schedule(&mut queue, &mut model, at));
+
+        assert_eq!(queue.len(), model.len(), "step {step}: len diverged");
+        assert_eq!(queue.len(), live.len() + usize::from(far.is_some()));
+        assert_eq!(queue.peek_time(), model.peek_time(), "step {step}: peek");
+    }
+    loop {
+        let a = queue.pop();
+        assert_eq!(a, model.pop(), "drain diverged");
+        if a.is_none() {
+            break;
+        }
+    }
+}
+
 #[test]
-fn token_reuse_across_generations_cannot_cancel_newer_event() {
-    // Churn the queue hard so slab slots are reused constantly, while
-    // holding on to every expired token. No stale token may ever
-    // cancel (or otherwise perturb) a later occupant of its slot.
+fn steady_population_matches_reference_model() {
+    // About 32 live events, as a busy world keeps, with the transport
+    // timer cancelled and rescheduled on every step.
+    for seed in seeds(&[5, 2024]) {
+        run_steady_population(seed, 4_000, 32, 50_000);
+    }
+}
+
+#[test]
+fn stale_tokens_never_cancel_newer_events() {
+    // Churn the queue hard while holding on to every expired token. No
+    // stale token may ever cancel (or otherwise perturb) a later event.
     let mut rng = Rng::new(0xFEED);
     let mut q: EventQueue<u64> = EventQueue::new();
     let mut dead_tokens: Vec<EventToken> = Vec::new();
@@ -223,7 +305,7 @@ fn token_reuse_across_generations_cannot_cancel_newer_event() {
         live_tokens.insert(payload, tok);
         scheduled += 1;
         if round % 3 == 0 {
-            // Cancel immediately: the slot is freed and will be reused.
+            // Cancel immediately: the token goes stale at once.
             assert!(q.cancel(tok));
             cancelled += 1;
             live_tokens.remove(&payload);
