@@ -159,7 +159,7 @@ fn bench_red_queue() {
         let mut q = RedQueue::<u32>::new(RedConfig::default());
         let mut rng = Rng::new(7);
         for i in 0..32u32 {
-            q.offer(i, Ecn::Ect0, rng.gen_f64());
+            let _ = q.offer(i, Ecn::Ect0, rng.gen_f64());
             if i % 2 == 0 {
                 black_box(q.pop());
             }

@@ -30,12 +30,7 @@ fn main() {
         "receive buffer (configured)",
         cfg.recv_buf
     );
-    println!(
-        "{:<38} {:>10}",
-        "reassembly bitmap (1 bit/byte)",
-        cfg.recv_buf / 8
-    );
-    let total = size_of::<TcpSocket>() + cfg.send_buf + cfg.recv_buf + cfg.recv_buf / 8;
+    let total = size_of::<TcpSocket>() + cfg.send_buf + cfg.recv_buf;
     println!("{:-<50}", "");
     println!("{:<38} {:>10}", "total per active connection", total);
     println!();

@@ -52,6 +52,7 @@ pub mod cc;
 pub mod config;
 pub mod listen;
 pub mod mem;
+mod rangeset;
 pub mod recvbuf;
 pub mod rtt;
 pub mod sack;

@@ -1,34 +1,34 @@
 //! The TCPlp receive buffer with **in-place reassembly queue**
 //! (paper §4.3.2, Figure 1b).
 //!
-//! A flat circular buffer holds both in-sequence data (ready for the
-//! application) and out-of-order segments, which are written into the
-//! same buffer at their stream position past the in-sequence region. A
-//! bitmap records which of those bytes hold valid out-of-order data;
-//! when the hole before them fills, they are "absorbed" into the
-//! in-sequence region by just advancing a pointer and clearing bits —
-//! no copying, no separate mbuf-chain reassembly queue, and memory use
-//! is deterministic (fixed at construction), which is the paper's
-//! motivation versus FreeBSD's dynamic mbuf approach.
+//! One circular buffer holds both the in-sequence data waiting for the
+//! application and out-of-order segments, which are written straight
+//! into the buffer at their stream position past the in-sequence
+//! region. There is no separate reassembly queue and no copy when a
+//! hole fills: held bytes are already in place, so they join the
+//! in-sequence region by moving a counter. The data buffer is
+//! allocated once, at construction.
 //!
-//! Alongside the bitmap we track the out-of-order ranges as stream
-//! offsets, which is exactly what the SACK option needs to advertise.
+//! Which out-of-order bytes are held is a `RangeSet` of offsets from
+//! `rcv_nxt`: exactly the ranges the SACK option advertises. It costs
+//! 8 B per held range and grows only past its largest size so far; the
+//! paper records the same fact in a bitmap of one bit per buffer byte.
+
+use crate::rangeset::RangeSet;
+use std::ops::Range;
 
 /// Fixed-capacity circular receive buffer with in-place reassembly.
 #[derive(Clone, Debug)]
 pub struct RecvBuffer {
     buf: Vec<u8>,
-    /// Bitmap, one bit per buffer byte: set when the byte holds valid
-    /// out-of-order data (relative to buffer positions, not stream).
-    bitmap: Vec<u8>,
     /// Buffer index of the next in-sequence byte to deliver to the app.
     head: usize,
     /// Bytes of contiguous in-sequence data available to the app.
     avail: usize,
-    /// Out-of-order ranges as (start, end) offsets from the current
-    /// stream head (i.e. offset 0 == first undelivered byte... measured
-    /// from `rcv_nxt`), kept sorted and disjoint. Used for SACK blocks.
-    ranges: Vec<(usize, usize)>,
+    /// Held out-of-order ranges as offsets from `rcv_nxt` (buffer index
+    /// `head + avail`). None starts at offset 0: such a range is
+    /// absorbed into `avail` as soon as it forms.
+    ranges: RangeSet,
     /// Overlap-policy violations refused: a later write carried a byte
     /// that *differed* from one already held at the same stream
     /// position (first write wins; see [`RecvBuffer::write`]).
@@ -38,13 +38,15 @@ pub struct RecvBuffer {
 impl RecvBuffer {
     /// Creates a buffer of fixed `capacity` bytes.
     pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0);
+        assert!(
+            (1..=u32::MAX as usize).contains(&capacity),
+            "capacity {capacity} must be non-zero and fit the u32 range offsets"
+        );
         RecvBuffer {
             buf: vec![0; capacity],
-            bitmap: vec![0; capacity.div_ceil(8)],
             head: 0,
             avail: 0,
-            ranges: Vec::new(),
+            ranges: RangeSet::default(),
             conflicts: 0,
         }
     }
@@ -79,20 +81,8 @@ impl RecvBuffer {
     /// Current out-of-order ranges as offsets from `rcv_nxt`
     /// (start, end), sorted ascending. The socket converts these to
     /// SACK blocks.
-    pub fn out_of_order_ranges(&self) -> &[(usize, usize)] {
-        &self.ranges
-    }
-
-    fn bit(&self, idx: usize) -> bool {
-        self.bitmap[idx / 8] & (1 << (idx % 8)) != 0
-    }
-
-    fn set_bit(&mut self, idx: usize, v: bool) {
-        if v {
-            self.bitmap[idx / 8] |= 1 << (idx % 8);
-        } else {
-            self.bitmap[idx / 8] &= !(1 << (idx % 8));
-        }
+    pub fn out_of_order_ranges(&self) -> &[(u32, u32)] {
+        self.ranges.as_slice()
     }
 
     /// Writes segment payload whose first byte is `offset` bytes past
@@ -108,109 +98,41 @@ impl RecvBuffer {
     /// since `offset` counts from `rcv_nxt`. Conflicting rewrites are
     /// tallied in [`RecvBuffer::conflicts`].
     pub fn write(&mut self, offset: usize, data: &[u8]) -> usize {
-        let cap = self.capacity();
-        // The valid stream span we may hold is [avail, window) for new
-        // data; in-order data lands exactly at `avail` when offset==avail
-        // relative to rcv_nxt==head+... — note: `offset` is relative to
-        // rcv_nxt, and rcv_nxt corresponds to stream position `avail`
-        // from the app's head. Buffer position of stream offset k (from
-        // rcv_nxt) is (head + avail + k) % cap.
-        let window = self.window();
-        // Bulk in-order ingest: with no out-of-order data held, an
-        // offset-0 write is a plain append — every target bit is clear
-        // (the bitmap only covers `ranges`), so the per-byte
-        // first-write-wins walk below would copy every byte anyway and
-        // absorb the whole range immediately. Two slice copies (split
-        // at the wrap point) replace bitmap churn and range merging.
-        // This is the path header-predicted data takes.
-        if offset == 0 && self.ranges.is_empty() {
-            let wrote = data.len().min(window);
-            if wrote == 0 {
-                return 0;
-            }
-            let start = (self.head + self.avail) % cap;
-            let first = wrote.min(cap - start);
-            self.buf[start..start + first].copy_from_slice(&data[..first]);
-            self.buf[..wrote - first].copy_from_slice(&data[first..wrote]);
-            self.avail += wrote;
-            return wrote;
-        }
-        let before_avail = self.avail;
-        for (i, &b) in data.iter().enumerate() {
-            let k = offset + i;
-            if k >= window {
-                break; // beyond advertised window: drop
-            }
-            let pos = (self.head + self.avail + k) % cap;
-            // k counts from rcv_nxt; k < 0 impossible (caller trims).
-            if self.bit(pos) {
-                // First write wins: position already holds data.
-                if self.buf[pos] != b {
-                    self.conflicts += 1;
-                }
-            } else {
-                self.buf[pos] = b;
-                // Provisionally mark; absorbed below if contiguous.
-                self.set_bit(pos, true);
-            }
-        }
-        let wrote = data.len().min(window.saturating_sub(offset));
-        if wrote == 0 {
+        let end = self.window().min(offset.saturating_add(data.len()));
+        if end <= offset {
             return 0;
         }
-        self.insert_range(offset, offset + wrote);
-        // Absorb: while the first range starts at 0, extend avail.
-        if let Some(&(start, end)) = self.ranges.first() {
-            if start == 0 {
-                let n = end;
-                let pos = (self.head + self.avail) % cap;
-                let first = n.min(cap - pos);
-                self.clear_bits(pos, pos + first);
-                self.clear_bits(0, n - first);
-                self.avail += n;
-                self.ranges.remove(0);
-                // Shift remaining ranges down by n.
-                for r in &mut self.ranges {
-                    r.0 -= n;
-                    r.1 -= n;
-                }
-            }
+        let data = &data[..end - offset];
+        let (cap, rcv_nxt) = (self.capacity(), self.head + self.avail);
+        // Walk the held ranges: copy the gap before each one and compare
+        // the overlap with it, each clipped to `at..end`; then copy what
+        // lies past the last one.
+        let mut at = offset;
+        for &(s, e) in self.ranges.as_slice() {
+            let (s, e) = ((s as usize).clamp(at, end), (e as usize).clamp(at, end));
+            put(&mut self.buf, rcv_nxt + at, &data[at - offset..s - offset]);
+            let src = &data[s - offset..e - offset];
+            let (a, b) = span(cap, rcv_nxt + s, src.len());
+            let held = self.buf[a].iter().chain(&self.buf[b]);
+            self.conflicts += held.zip(src).filter(|(h, n)| h != n).count() as u64;
+            at = e;
         }
-        self.avail - before_avail
-    }
-
-    /// Clears the bitmap bits for buffer positions `lo..hi` (no wrap),
-    /// a whole byte at a time where the span covers one.
-    fn clear_bits(&mut self, lo: usize, hi: usize) {
-        let mut k = lo;
-        while k < hi && !k.is_multiple_of(8) {
-            self.set_bit(k, false);
-            k += 1;
+        put(&mut self.buf, rcv_nxt + at, &data[at - offset..]);
+        if offset > 0 {
+            self.ranges.insert(offset as u32, end as u32);
+            return 0;
         }
-        let whole_end = hi - hi % 8;
-        if k < whole_end {
-            self.bitmap[k / 8..whole_end / 8].fill(0);
-            k = whole_end;
+        // In sequence: moving `rcv_nxt` to `end` drops the held ranges
+        // the write covered and clips one it reaches to start at offset
+        // 0; that one is in sequence too, and is absorbed the same way.
+        self.ranges.advance(end as u32);
+        let mut n = end;
+        if let Some(&(0, e)) = self.ranges.as_slice().first() {
+            self.ranges.advance(e);
+            n += e as usize;
         }
-        while k < hi {
-            self.set_bit(k, false);
-            k += 1;
-        }
-    }
-
-    /// Merges `[start, end)` into the sorted, disjoint `ranges` in
-    /// place; ranges it overlaps or touches collapse into one.
-    fn insert_range(&mut self, start: usize, end: usize) {
-        debug_assert!(start < end);
-        // `ranges[i..j]` are exactly the ranges that overlap or touch.
-        let i = self.ranges.partition_point(|r| r.1 < start);
-        let j = i + self.ranges[i..].partition_point(|r| r.0 <= end);
-        if i == j {
-            self.ranges.insert(i, (start, end));
-            return;
-        }
-        self.ranges[i] = (start.min(self.ranges[i].0), end.max(self.ranges[j - 1].1));
-        self.ranges.drain(i + 1..j);
+        self.avail += n;
+        n
     }
 
     /// Reads up to `out.len()` in-sequence bytes into `out`, consuming
@@ -225,36 +147,41 @@ impl RecvBuffer {
     /// Peeks at in-sequence bytes without consuming.
     pub fn peek(&self, out: &mut [u8]) -> usize {
         let n = out.len().min(self.avail);
-        // Two bulk copies, split at the wrap point.
-        let first = n.min(self.capacity() - self.head);
-        out[..first].copy_from_slice(&self.buf[self.head..self.head + first]);
-        out[first..n].copy_from_slice(&self.buf[..n - first]);
+        let (a, b) = span(self.capacity(), self.head, n);
+        out[..a.len()].copy_from_slice(&self.buf[a.clone()]);
+        out[a.len()..n].copy_from_slice(&self.buf[b]);
         n
     }
 
     /// Internal consistency check used by tests and property tests:
-    /// bitmap bits must exactly cover the out-of-order ranges.
+    /// held ranges are non-empty, sorted, separated by a gap, none
+    /// starts at offset 0 (it would have been absorbed) and all lie
+    /// inside the window.
     pub fn check_invariants(&self) {
-        let cap = self.capacity();
-        // Ranges sorted, disjoint, within window, non-empty.
-        let mut prev_end = 0usize;
-        for &(s, e) in &self.ranges {
-            assert!(s < e, "empty range");
-            assert!(s > prev_end || (prev_end == 0 && s > 0), "ranges must be disjoint, non-adjacent to head: ({s},{e}) after {prev_end}");
-            assert!(e <= self.window(), "range beyond window");
+        let mut prev_end = 0;
+        for &(s, e) in self.ranges.as_slice() {
+            assert!(s < e, "empty range ({s},{e})");
+            assert!(s > prev_end, "range ({s},{e}) touches offset {prev_end}");
+            assert!(e as usize <= self.window(), "range ({s},{e}) beyond window");
             prev_end = e;
         }
-        // Bitmap matches ranges.
-        for k in 0..self.window() {
-            let pos = (self.head + self.avail + k) % cap;
-            let in_range = self.ranges.iter().any(|&(s, e)| k >= s && k < e);
-            assert_eq!(
-                self.bit(pos),
-                in_range,
-                "bitmap/range mismatch at stream offset {k}"
-            );
-        }
     }
+}
+
+/// The index ranges of the `len` bytes starting at index `at` (taken
+/// modulo `cap`) of a circular buffer of `cap` bytes: the run up to
+/// the buffer's end, then the part that wraps to its start.
+fn span(cap: usize, at: usize, len: usize) -> (Range<usize>, Range<usize>) {
+    let at = at % cap;
+    let first = len.min(cap - at);
+    (at..at + first, 0..len - first)
+}
+
+/// Copies `src` into the circular buffer `buf` from index `at` on.
+fn put(buf: &mut [u8], at: usize, src: &[u8]) {
+    let (a, b) = span(buf.len(), at, src.len());
+    buf[a.clone()].copy_from_slice(&src[..a.len()]);
+    buf[b].copy_from_slice(&src[a.len()..]);
 }
 
 #[cfg(test)]
@@ -340,8 +267,8 @@ mod tests {
         let mut rb = RecvBuffer::new(8);
         rb.write(0, b"abcdef");
         let mut out = [0u8; 6];
-        rb.read(&mut out); // head now 6
-        // Write 7 bytes with a hole: [2..7) first, then [0..2).
+        rb.read(&mut out);
+        // Head now 6. Write 7 bytes with a hole: [2..7) first, then [0..2).
         rb.write(2, b"CDEFG");
         assert_eq!(rb.available(), 0);
         rb.check_invariants();
@@ -477,10 +404,10 @@ mod tests {
     }
 
     #[test]
-    fn absorb_clears_bitmap_across_wrap_and_whole_bytes() {
-        // A 40-byte out-of-order run that wraps the buffer end: its
-        // absorb clears a partial byte, whole bytes, and the wrapped
-        // head of the bitmap.
+    fn out_of_order_run_across_the_wrap_point() {
+        // A 40-byte out-of-order run that wraps the buffer end is
+        // copied in two slices, compared in two slices when a
+        // retransmission overlaps it, and absorbed whole.
         let mut rb = RecvBuffer::new(64);
         rb.write(0, &[1; 50]);
         let mut out = [0u8; 50];
@@ -488,6 +415,11 @@ mod tests {
         let run: Vec<u8> = (0..40).collect();
         assert_eq!(rb.write(3, &run), 0);
         rb.check_invariants();
+        let mut forged = run.clone();
+        forged[10] ^= 1; // before the wrap point
+        forged[20] ^= 1; // after it
+        assert_eq!(rb.write(3, &forged), 0);
+        assert_eq!(rb.conflicts(), 2);
         assert_eq!(rb.write(0, b"abc"), 43);
         assert!(!rb.has_out_of_order());
         rb.check_invariants();
@@ -519,10 +451,7 @@ mod tests {
         rb.write(10, b"aaaaa");
         rb.write(20, b"bbbbb");
         rb.write(30, b"ccccc");
-        assert_eq!(
-            rb.out_of_order_ranges(),
-            &[(10, 15), (20, 25), (30, 35)]
-        );
+        assert_eq!(rb.out_of_order_ranges(), &[(10, 15), (20, 25), (30, 35)]);
         rb.check_invariants();
         // Fill the first hole; second and third shift down by 15.
         rb.write(0, &[b'x'; 10]);

@@ -8,6 +8,7 @@
 //! "retransmissions ... based on duplicate ACKs and Selective ACKs"
 //! (§9.4) without waiting for timeouts.
 
+use crate::rangeset::RangeSet;
 use crate::seq::TcpSeq;
 use crate::wire::SackBlock;
 
@@ -29,8 +30,11 @@ pub struct SackUpdate {
 /// Sender-side record of SACKed ranges.
 #[derive(Clone, Debug, Default)]
 pub struct SackScoreboard {
-    /// SACKed ranges (start, end), sorted, disjoint, all above snd_una.
-    ranges: Vec<(TcpSeq, TcpSeq)>,
+    /// `snd_una` as of the last [`SackScoreboard::update`] or
+    /// [`SackScoreboard::advance`]: the left edge `ranges` count from.
+    base: TcpSeq,
+    /// SACKed ranges as offsets from `base`.
+    ranges: RangeSet,
     /// Retransmission cursor: everything below this (within holes) has
     /// been retransmitted this recovery episode.
     rexmit_cursor: Option<TcpSeq>,
@@ -47,31 +51,19 @@ impl SackScoreboard {
         self.ranges.is_empty()
     }
 
-    /// The SACKed ranges `(start, end)`, sorted and disjoint, all above
-    /// `snd_una`.
-    pub fn ranges(&self) -> &[(TcpSeq, TcpSeq)] {
-        &self.ranges
-    }
-
-    /// Highest SACKed sequence, if any.
-    pub fn highest_sacked(&self) -> Option<TcpSeq> {
-        self.ranges.last().map(|&(_, e)| e)
+    /// The SACKed ranges `(start, end)`, ascending and disjoint, all at
+    /// or above the last `snd_una` the scoreboard was given.
+    pub fn ranges(&self) -> impl Iterator<Item = (TcpSeq, TcpSeq)> + '_ {
+        let base = self.base;
+        self.ranges
+            .as_slice()
+            .iter()
+            .map(move |&(s, e)| (base + s, base + e))
     }
 
     /// Total SACKed bytes (above snd_una).
     pub fn sacked_bytes(&self) -> u32 {
-        self.ranges
-            .iter()
-            .map(|&(s, e)| e.distance_from(s))
-            .sum()
-    }
-
-    /// True when `seq..seq+len` is fully covered by SACKed ranges.
-    pub fn is_sacked(&self, seq: TcpSeq, len: u32) -> bool {
-        let end = seq + len;
-        self.ranges
-            .iter()
-            .any(|&(s, e)| s.le(seq) && end.le(e))
+        self.ranges.as_slice().iter().map(|&(s, e)| e - s).sum()
     }
 
     /// Ingests SACK blocks from an ACK, validating every block against
@@ -88,12 +80,8 @@ impl SackScoreboard {
     ///   comparisons look in-range only because they wrapped (a forged
     ///   block marking un-SACKed data as received would suppress
     ///   legitimate retransmissions until an RTO rescue).
-    pub fn update(
-        &mut self,
-        blocks: &[SackBlock],
-        snd_una: TcpSeq,
-        snd_max: TcpSeq,
-    ) -> SackUpdate {
+    pub fn update(&mut self, blocks: &[SackBlock], snd_una: TcpSeq, snd_max: TcpSeq) -> SackUpdate {
+        self.advance(snd_una);
         let mut out = SackUpdate::default();
         let sendable = snd_max.distance_from(snd_una);
         for b in blocks {
@@ -121,7 +109,7 @@ impl SackScoreboard {
                 // Partial duplicate: clamp to snd_una, keep the tail.
                 out.dsack += 1;
                 out.accepted += 1;
-                self.insert(snd_una, b.end);
+                self.ranges.insert(0, d_end);
                 continue;
             }
             let d_start = b.start.distance_from(snd_una);
@@ -130,50 +118,16 @@ impl SackScoreboard {
                 continue;
             }
             out.accepted += 1;
-            self.insert(b.start, b.end);
+            self.ranges.insert(d_start, d_end);
         }
-        self.advance(snd_una);
         out
     }
 
-    /// Merges `start..end` into the ranges in place: the ranges it
-    /// overlaps or touches collapse into one. Allocates only when the
-    /// list outgrows its largest size so far.
-    fn insert(&mut self, start: TcpSeq, end: TcpSeq) {
-        let lo = self
-            .ranges
-            .iter()
-            .position(|r| !r.1.lt(start))
-            .unwrap_or(self.ranges.len());
-        let mut new = (start, end);
-        let mut hi = lo;
-        while let Some(&(s, e)) = self.ranges.get(hi) {
-            if new.1.lt(s) {
-                break;
-            }
-            new = (new.0.min(s), new.1.max(e));
-            hi += 1;
-        }
-        if lo == hi {
-            self.ranges.insert(lo, new);
-        } else {
-            self.ranges[lo] = new;
-            self.ranges.drain(lo + 1..hi);
-        }
-    }
-
     /// Discards ranges at or below the new `snd_una` (cumulative ACK).
+    /// `snd_una` never moves backwards.
     pub fn advance(&mut self, snd_una: TcpSeq) {
-        self.ranges.retain_mut(|r| {
-            if r.1.le(snd_una) {
-                false
-            } else {
-                if r.0.lt(snd_una) {
-                    r.0 = snd_una;
-                }
-                true
-            }
-        });
+        self.ranges.advance(snd_una.distance_from(self.base));
+        self.base = snd_una;
         if let Some(c) = self.rexmit_cursor {
             if c.lt(snd_una) {
                 self.rexmit_cursor = Some(snd_una);
@@ -203,32 +157,19 @@ impl SackScoreboard {
     /// above the cursor and strictly below the highest SACKed byte.
     /// Returns `(start, max_len)` and advances the cursor past it.
     pub fn next_hole(&mut self, snd_una: TcpSeq, mss: u32) -> Option<(TcpSeq, u32)> {
-        let highest = self.highest_sacked()?;
-        let mut cursor = self.rexmit_cursor.unwrap_or(snd_una).max(snd_una);
-        // Skip cursor past any SACKed range containing it.
-        loop {
-            if cursor.ge(highest) {
-                return None;
+        let cursor = self.rexmit_cursor.unwrap_or(snd_una).max(snd_una);
+        let mut at = cursor.distance_from(self.base);
+        // The first gap at or above `at` that a SACKed range closes.
+        for &(s, e) in self.ranges.as_slice() {
+            if at < s {
+                let len = (s - at).min(mss);
+                let start = self.base + at;
+                self.rexmit_cursor = Some(start + len);
+                return Some((start, len));
             }
-            match self
-                .ranges
-                .iter()
-                .find(|&&(s, e)| s.le(cursor) && cursor.lt(e))
-            {
-                Some(&(_, e)) => cursor = e,
-                None => break,
-            }
+            at = at.max(e);
         }
-        // Hole extends to the next SACKed range start (or `highest`).
-        let hole_end = self
-            .ranges
-            .iter()
-            .map(|&(s, _)| s)
-            .filter(|s| s.gt(cursor))
-            .fold(highest, |acc, s| if s.lt(acc) { s } else { acc });
-        let len = hole_end.distance_from(cursor).min(mss);
-        self.rexmit_cursor = Some(cursor + len);
-        Some((cursor, len))
+        None
     }
 
     /// Asserts the scoreboard invariants the property tests rely on:
@@ -242,7 +183,7 @@ impl SackScoreboard {
     pub fn check_invariants(&self, snd_una: TcpSeq, snd_max: TcpSeq) {
         let span = snd_max.distance_from(snd_una);
         let mut prev_end: Option<u32> = None;
-        for &(s, e) in &self.ranges {
+        for (s, e) in self.ranges() {
             let ds = s.distance_from(snd_una);
             let de = e.distance_from(snd_una);
             assert!(ds < de, "empty/inverted range ({s:?},{e:?})");
@@ -266,14 +207,17 @@ mod tests {
         }
     }
 
+    /// The scoreboard's ranges as raw sequence numbers.
+    fn held(sb: &SackScoreboard) -> Vec<(u32, u32)> {
+        sb.ranges().map(|(s, e)| (s.0, e.0)).collect()
+    }
+
     #[test]
     fn update_records_valid_blocks() {
         let mut sb = SackScoreboard::new();
         sb.update(&[blk(1000, 1462)], TcpSeq(538), TcpSeq(2000));
-        assert_eq!(sb.highest_sacked(), Some(TcpSeq(1462)));
+        assert_eq!(held(&sb), [(1000, 1462)]);
         assert_eq!(sb.sacked_bytes(), 462);
-        assert!(sb.is_sacked(TcpSeq(1000), 462));
-        assert!(!sb.is_sacked(TcpSeq(538), 462));
     }
 
     #[test]
@@ -342,7 +286,7 @@ mod tests {
         assert_eq!(sb.sacked_bytes(), 200);
         sb.update(&[blk(300, 400)], TcpSeq(0), TcpSeq(1000));
         assert_eq!(sb.sacked_bytes(), 300, "adjacent ranges merge");
-        assert_eq!(sb.highest_sacked(), Some(TcpSeq(400)));
+        assert_eq!(held(&sb), [(100, 400)]);
     }
 
     #[test]
@@ -350,7 +294,7 @@ mod tests {
         let mut sb = SackScoreboard::new();
         sb.update(&[blk(100, 200), blk(300, 400)], TcpSeq(0), TcpSeq(1000));
         sb.advance(TcpSeq(150));
-        assert_eq!(sb.sacked_bytes(), 150);
+        assert_eq!(held(&sb), [(150, 200), (300, 400)]);
         sb.advance(TcpSeq(400));
         assert!(sb.is_empty());
     }

@@ -1521,8 +1521,8 @@ impl TcpSocket {
         seg.sack_blocks = std::mem::take(&mut self.tx_sack_blocks);
         for &(s, e) in self.rcvbuf.out_of_order_ranges().iter().take(3) {
             seg.sack_blocks.push(SackBlock {
-                start: self.rcv_nxt + s as u32,
-                end: self.rcv_nxt + e as u32,
+                start: self.rcv_nxt + s,
+                end: self.rcv_nxt + e,
             });
         }
     }

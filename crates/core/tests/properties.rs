@@ -137,6 +137,22 @@ fn sack_rexmit_cursor_never_escapes_the_window() {
     }
 }
 
+/// The runs of written positions at or past `rcv_nxt`, as `(start,
+/// end)` offsets from it: what the buffer holds out of order.
+fn held_runs(first_write: &[Option<u8>], rcv_nxt: usize) -> Vec<(u32, u32)> {
+    let mut runs: Vec<(u32, u32)> = Vec::new();
+    for (p, v) in first_write.iter().enumerate().skip(rcv_nxt) {
+        if v.is_some() {
+            let k = (p - rcv_nxt) as u32;
+            match runs.last_mut() {
+                Some(r) if r.1 == k => r.1 += 1,
+                _ => runs.push((k, k + 1)),
+            }
+        }
+    }
+    runs
+}
+
 /// Ground-truth stream byte for absolute position `p`.
 fn truth(p: usize) -> u8 {
     (p % 251) as u8 // prime modulus: no alignment with segment sizes
@@ -154,8 +170,7 @@ fn recvbuf_delivered_bytes_never_change_after_first_write() {
         let mut first_write: Vec<Option<u8>> = Vec::new();
         let mut rcv_nxt = 0usize; // absolute stream position of offset 0
         let mut read_pos = 0usize; // absolute position of next app read
-        let mut conflicts_prev = 0u64;
-        for _ in 0..400 {
+        for step in 0..400 {
             let window = rb.window();
             // Offset may poke past the window; such bytes must vanish.
             // Biased toward the head so in-order delivery actually
@@ -177,7 +192,9 @@ fn recvbuf_delivered_bytes_never_change_after_first_write() {
                     }
                 })
                 .collect();
-            // Mirror the first-write-wins contract in the model.
+            // Mirror the first-write-wins contract in the model: a byte
+            // for a held position that differs from it is a conflict.
+            let mut want_conflicts = rb.conflicts();
             for (i, &b) in data.iter().enumerate() {
                 let k = offset + i;
                 if k >= window {
@@ -187,15 +204,20 @@ fn recvbuf_delivered_bytes_never_change_after_first_write() {
                 if first_write.len() <= p {
                     first_write.resize(p + 1, None);
                 }
-                if first_write[p].is_none() {
-                    first_write[p] = Some(b);
+                match first_write[p] {
+                    None => first_write[p] = Some(b),
+                    Some(held) => want_conflicts += u64::from(held != b),
                 }
             }
             rcv_nxt += rb.write(offset, &data);
             rb.check_invariants();
-            let c = rb.conflicts();
-            assert!(c >= conflicts_prev, "conflict counter must be monotone");
-            conflicts_prev = c;
+            let at = format!("episode {ep} step {step}");
+            assert_eq!(rb.conflicts(), want_conflicts, "conflicts at {at}");
+            assert_eq!(
+                rb.out_of_order_ranges(),
+                held_runs(&first_write, rcv_nxt),
+                "held ranges at {at}"
+            );
             // Drain some delivered bytes and compare against the model:
             // whatever is read must be the first value ever accepted for
             // that position, regardless of later conflicting writes.

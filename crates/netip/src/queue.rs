@@ -8,15 +8,15 @@
 
 use crate::ipv6::Ecn;
 
-/// What the queue did with an offered packet.
+/// How a RED queue accepted an offered packet. A refused packet comes
+/// back to the caller as the `Err` of the offer, so its buffers can be
+/// recycled.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum QueueOutcome {
     /// Packet accepted unchanged.
     Enqueued,
     /// Packet accepted and its ECN codepoint set to CE (RED + ECT).
     EnqueuedMarked,
-    /// Packet dropped (tail drop or RED early drop).
-    Dropped,
 }
 
 /// A bounded FIFO with tail-drop. `T` is the queued packet type.
@@ -56,21 +56,22 @@ impl<T> FifoQueue<T> {
     }
 
     /// Offers a packet with byte weight 0; tail-drops when full.
-    pub fn offer(&mut self, item: T) -> QueueOutcome {
+    pub fn offer(&mut self, item: T) -> Result<(), T> {
         self.offer_weighed(item, 0)
     }
 
-    /// Offers a packet charging `weight` bytes against the byte bound;
-    /// tail-drops (and counts) when either bound would be exceeded.
-    pub fn offer_weighed(&mut self, item: T, weight: usize) -> QueueOutcome {
+    /// Offers a packet charging `weight` bytes against the byte bound.
+    /// When either bound would be exceeded it tail-drops: the drop is
+    /// counted and the packet handed back as `Err`.
+    pub fn offer_weighed(&mut self, item: T, weight: usize) -> Result<(), T> {
         if self.items.len() >= self.capacity || self.bytes.saturating_add(weight) > self.max_bytes
         {
             self.drops += 1;
-            QueueOutcome::Dropped
+            Err(item)
         } else {
             self.bytes += weight;
             self.items.push_back((item, weight));
-            QueueOutcome::Enqueued
+            Ok(())
         }
     }
 
@@ -167,11 +168,12 @@ impl<T> RedQueue<T> {
     }
 
     /// Offers a packet. `ecn` is the packet's codepoint; `rand01` a
-    /// uniform draw. On `EnqueuedMarked` the stored packet has been
-    /// CE-marked via [`Self::offer_with`]'s callback (this plain
-    /// `offer` stores it unmodified — callers that carry the codepoint
-    /// inside the packet should use `offer_with`).
-    pub fn offer(&mut self, item: T, ecn: Ecn, rand01: f64) -> QueueOutcome {
+    /// uniform draw. A dropped packet comes back as `Err`. On
+    /// `EnqueuedMarked` the stored packet has been CE-marked via
+    /// [`Self::offer_with`]'s callback (this plain `offer` stores it
+    /// unmodified — callers that carry the codepoint inside the packet
+    /// should use `offer_with`).
+    pub fn offer(&mut self, item: T, ecn: Ecn, rand01: f64) -> Result<QueueOutcome, T> {
         self.offer_with(item, ecn, rand01, |_| {})
     }
 
@@ -183,14 +185,14 @@ impl<T> RedQueue<T> {
         ecn: Ecn,
         rand01: f64,
         mark: impl FnOnce(&mut T),
-    ) -> QueueOutcome {
+    ) -> Result<QueueOutcome, T> {
         // EWMA update (instantaneous sample; idle decay is negligible at
         // the event rates of an LLN relay and omitted for determinism).
         self.avg = (1.0 - self.cfg.weight) * self.avg + self.cfg.weight * self.fifo.len() as f64;
 
         if self.fifo.len() >= self.cfg.capacity {
             self.early_drops += 1;
-            return QueueOutcome::Dropped;
+            return Err(item);
         }
 
         let congested = if self.avg >= self.cfg.max_th {
@@ -214,17 +216,13 @@ impl<T> RedQueue<T> {
             if self.cfg.ecn && ecn.is_capable() {
                 self.marks += 1;
                 mark(&mut item);
-                self.fifo.offer(item);
-                QueueOutcome::EnqueuedMarked
+                self.fifo.offer(item).map(|()| QueueOutcome::EnqueuedMarked)
             } else {
                 self.early_drops += 1;
-                QueueOutcome::Dropped
+                Err(item)
             }
         } else {
-            match self.fifo.offer(item) {
-                QueueOutcome::Enqueued => QueueOutcome::Enqueued,
-                _ => QueueOutcome::Dropped,
-            }
+            self.fifo.offer(item).map(|()| QueueOutcome::Enqueued)
         }
     }
 
@@ -273,14 +271,14 @@ mod tests {
         // The slot bound alone, and the slot bound binding first under a
         // byte bound with room to spare.
         for (mut q, w) in [(FifoQueue::new(2), 0), (FifoQueue::with_byte_bound(2, 100), 40)] {
-            assert_eq!(q.offer_weighed(1, w), QueueOutcome::Enqueued);
-            assert_eq!(q.offer_weighed(2, w), QueueOutcome::Enqueued);
-            assert_eq!(q.offer_weighed(3, 1), QueueOutcome::Dropped, "slot bound");
+            assert_eq!(q.offer_weighed(1, w), Ok(()));
+            assert_eq!(q.offer_weighed(2, w), Ok(()));
+            assert_eq!(q.offer_weighed(3, 1), Err(3), "slot bound hands it back");
             assert_eq!(q.drops(), 1);
             assert_eq!(q.pop(), Some(1));
             assert_eq!(q.pop(), Some(2));
             assert_eq!(q.pop(), None);
-            assert_eq!(q.offer_weighed(4, w), QueueOutcome::Enqueued);
+            assert_eq!(q.offer_weighed(4, w), Ok(()));
             assert_eq!(q.pop(), Some(4));
             assert_eq!(q.bytes(), 0, "pop releases the weight");
             assert_eq!(q.drops(), 1, "pop keeps the drop count");
@@ -290,16 +288,16 @@ mod tests {
     #[test]
     fn fifo_byte_bound_tail_drops() {
         let mut q = FifoQueue::with_byte_bound(10, 100);
-        assert_eq!(q.offer_weighed("a", 60), QueueOutcome::Enqueued);
+        assert_eq!(q.offer_weighed("a", 60), Ok(()));
         assert_eq!(q.bytes(), 60);
-        assert_eq!(q.offer_weighed("b", 60), QueueOutcome::Dropped, "byte bound binds");
+        assert_eq!(q.offer_weighed("b", 60), Err("b"), "byte bound binds");
         assert_eq!(q.drops(), 1);
-        assert_eq!(q.offer_weighed("c", 40), QueueOutcome::Enqueued);
+        assert_eq!(q.offer_weighed("c", 40), Ok(()));
         assert_eq!(q.bytes(), 100);
         assert_eq!(q.pop(), Some("a"));
         assert_eq!(q.bytes(), 40, "pop releases the weight");
-        assert_eq!(q.offer_weighed("d", 70), QueueOutcome::Dropped, "byte bound after pop");
-        assert_eq!(q.offer_weighed("e", 60), QueueOutcome::Enqueued);
+        assert_eq!(q.offer_weighed("d", 70), Err("d"), "byte bound after pop");
+        assert_eq!(q.offer_weighed("e", 60), Ok(()));
         assert_eq!(q.drops(), 2);
         assert_eq!(q.bytes(), 100);
         assert_eq!(q.len(), 2);
@@ -308,7 +306,7 @@ mod tests {
     #[test]
     fn red_passes_when_idle() {
         let mut q = RedQueue::new(RedConfig::default());
-        assert_eq!(q.offer("a", Ecn::Ect0, 0.0), QueueOutcome::Enqueued);
+        assert_eq!(q.offer("a", Ecn::Ect0, 0.0), Ok(QueueOutcome::Enqueued));
         assert_eq!(q.len(), 1);
         assert_eq!(q.marks(), 0);
     }
@@ -322,11 +320,11 @@ mod tests {
             ..RedConfig::default()
         };
         let mut q = RedQueue::new(cfg);
-        assert_eq!(q.offer(0, Ecn::Ect0, 0.99), QueueOutcome::Enqueued);
+        assert_eq!(q.offer(0, Ecn::Ect0, 0.99), Ok(QueueOutcome::Enqueued));
         // With weight 1.0 the average jumps straight to the depth (1.0),
         // which is >= max_th, so the next ECT packet must be CE-marked.
         let out = q.offer(1, Ecn::Ect0, 0.0);
-        assert_eq!(out, QueueOutcome::EnqueuedMarked);
+        assert_eq!(out, Ok(QueueOutcome::EnqueuedMarked));
         assert_eq!(q.marks(), 1);
     }
 
@@ -339,9 +337,12 @@ mod tests {
             ..RedConfig::default()
         };
         let mut q = RedQueue::new(cfg);
-        q.offer(0, Ecn::NotCapable, 0.99);
-        q.offer(1, Ecn::NotCapable, 0.99);
-        assert_eq!(q.offer(2, Ecn::NotCapable, 0.0), QueueOutcome::Dropped);
+        q.offer(0, Ecn::NotCapable, 0.99).unwrap();
+        // The average is now at max_th: every non-ECN packet is dropped
+        // early and handed back.
+        assert_eq!(q.offer(1, Ecn::NotCapable, 0.99), Err(1));
+        assert_eq!(q.offer(2, Ecn::NotCapable, 0.0), Err(2));
+        assert_eq!(q.drops(), 2);
         assert!(q.drops() >= 1);
     }
 
@@ -354,9 +355,9 @@ mod tests {
             ..RedConfig::default()
         };
         let mut q = RedQueue::new(cfg);
-        q.offer(0, Ecn::Ect0, 0.5);
-        q.offer(1, Ecn::Ect0, 0.5);
-        assert_eq!(q.offer(2, Ecn::Ect0, 0.5), QueueOutcome::Dropped);
+        q.offer(0, Ecn::Ect0, 0.5).unwrap();
+        q.offer(1, Ecn::Ect0, 0.5).unwrap();
+        assert_eq!(q.offer(2, Ecn::Ect0, 0.5), Err(2), "overflow hands it back");
         assert_eq!(q.len(), 2);
     }
 
@@ -374,15 +375,13 @@ mod tests {
         // Fill to depth 5 so avg sits mid-ramp, then offer many packets
         // with alternating random draws.
         for i in 0..5 {
-            q.offer(i, Ecn::Ect0, 0.999);
+            q.offer(i, Ecn::Ect0, 0.999).unwrap();
         }
         let mut marked = 0;
         for i in 0..100 {
             let r = (i as f64 % 10.0) / 10.0;
-            match q.offer(i, Ecn::Ect0, r) {
-                QueueOutcome::EnqueuedMarked => marked += 1,
-                QueueOutcome::Enqueued => {}
-                QueueOutcome::Dropped => {}
+            if q.offer(i, Ecn::Ect0, r) == Ok(QueueOutcome::EnqueuedMarked) {
+                marked += 1;
             }
             q.pop(); // keep depth roughly constant
         }
@@ -397,9 +396,9 @@ mod tests {
             ..RedConfig::default()
         };
         let mut q = RedQueue::new(cfg);
-        q.offer(0, Ecn::Ect0, 0.5);
-        q.offer(1, Ecn::Ect0, 0.5);
-        q.offer(2, Ecn::Ect0, 0.5);
+        for i in 0..3 {
+            q.offer(i, Ecn::Ect0, 0.5).unwrap();
+        }
         assert!(q.avg() > 0.0);
     }
 }

@@ -12,7 +12,7 @@ use lln_coap::{CoapClient, CoapServer};
 use lln_energy::EnergyMeter;
 use lln_mac::csma::{MacConfig, TxProcess};
 use lln_mac::pool::FrameBuf;
-use lln_netip::{Ecn, FifoQueue, Ipv6Addr, Ipv6Header, NodeId, QueueOutcome, RedConfig, RedQueue};
+use lln_netip::{Ecn, FifoQueue, Ipv6Addr, Ipv6Header, NodeId, RedConfig, RedQueue};
 use lln_phy::medium::TxHandle;
 use lln_sim::stats::Counters;
 use lln_sim::{Duration, EventToken, Instant};
@@ -206,21 +206,17 @@ impl IpQueue {
         pkt.payload.len() + IP_OVERHEAD_BYTES
     }
 
-    /// Offers a packet; RED may CE-mark the stored copy. Returns false
-    /// on drop (tail drop on packets *or* bytes for FIFO; RED policy
-    /// for RED).
-    pub fn offer(&mut self, pkt: OutPacket, rand01: f64) -> bool {
+    /// Offers a packet; RED may CE-mark the stored copy. A dropped
+    /// packet (tail drop on packets *or* bytes for FIFO; RED policy for
+    /// RED) comes back as `Err`.
+    pub fn offer(&mut self, pkt: OutPacket, rand01: f64) -> Result<(), OutPacket> {
         let w = Self::weight(&pkt);
         match self {
-            IpQueue::Fifo(q) => {
-                matches!(q.offer_weighed(pkt, w), QueueOutcome::Enqueued)
-            }
+            IpQueue::Fifo(q) => q.offer_weighed(pkt, w),
             IpQueue::Red(q) => {
                 let ecn = pkt.hdr.ecn;
-                !matches!(
-                    q.offer_with(pkt, ecn, rand01, |p| p.hdr.ecn = Ecn::Ce),
-                    QueueOutcome::Dropped
-                )
+                q.offer_with(pkt, ecn, rand01, |p| p.hdr.ecn = Ecn::Ce)
+                    .map(|_| ())
             }
         }
     }
@@ -484,34 +480,30 @@ impl Node {
     }
 
     /// Appends a control frame, charging its bytes against the MAC
-    /// class; counts (and reports) a drop when the budget refuses.
-    pub fn enqueue_ctrl(&mut self, frame: FrameBuf) -> bool {
+    /// class. When the budget refuses, the drop is counted and the
+    /// frame handed back as `Err`.
+    pub fn enqueue_ctrl(&mut self, frame: FrameBuf) -> Result<(), FrameBuf> {
         let w = frame.frame().payload.len() + MAC_FRAME_BYTES;
-        if self.ctrl_queue.offer_weighed(frame, w) == QueueOutcome::Enqueued {
-            true
-        } else {
+        self.ctrl_queue.offer_weighed(frame, w).inspect_err(|_| {
             self.governor.note_deny(MemClass::MacQueue);
             self.counters.inc(NodeCounter::CtrlQueueDrops);
-            false
-        }
+        })
     }
 
     /// Appends a packet to a sleepy child's indirect queue, bounded by
-    /// the budget's per-child packet quota and the MAC byte class.
-    pub fn enqueue_indirect(&mut self, child: NodeId, pkt: OutPacket) -> bool {
+    /// the budget's per-child packet quota and the MAC byte class. A
+    /// refused packet is counted and handed back as `Err`.
+    pub fn enqueue_indirect(&mut self, child: NodeId, pkt: OutPacket) -> Result<(), OutPacket> {
         let w = pkt.payload.len() + IP_OVERHEAD_BYTES;
         let cap = self.budget.cap(MemClass::MacQueue);
         let q = self
             .indirect
             .entry(child)
             .or_insert_with(|| FifoQueue::with_byte_bound(INDIRECT_PACKETS, cap));
-        if q.offer_weighed(pkt, w) == QueueOutcome::Enqueued {
-            true
-        } else {
+        q.offer_weighed(pkt, w).inspect_err(|_| {
             self.governor.note_deny(MemClass::MacQueue);
             self.counters.inc(NodeCounter::IndirectDrops);
-            false
-        }
+        })
     }
 
     /// Bytes currently accounted to `class` by walking the owning
@@ -698,7 +690,7 @@ mod tests {
     fn enqueue_ctrl_queues_the_frame() {
         let mut n = node(NodeKind::Router);
         assert!(n.ctrl_queue.is_empty());
-        assert!(n.enqueue_ctrl(FrameBuf::new(MacFrame::data(NodeId(3), NodeId(1), 0, vec![]))));
+        assert!(n.enqueue_ctrl(FrameBuf::new(MacFrame::data(NodeId(3), NodeId(1), 0, vec![]))).is_ok());
         assert_eq!(n.ctrl_queue.len(), 1);
     }
 
@@ -712,11 +704,19 @@ mod tests {
                     NodeId(1),
                     k as u8,
                     vec![0; 8]
-                ))),
+                )))
+                .is_ok(),
                 "frame {k} fits"
             );
         }
-        assert!(!n.enqueue_ctrl(FrameBuf::new(MacFrame::data(NodeId(3), NodeId(1), 0, vec![0; 8]))));
+        let refused = n
+            .enqueue_ctrl(FrameBuf::new(MacFrame::data(NodeId(3), NodeId(1), 0xAB, vec![7; 8])))
+            .expect_err("the queue is full");
+        assert_eq!(
+            (refused.frame().seq, &refused.frame().payload[..]),
+            (0xAB, &[7; 8][..]),
+            "the refused frame comes back"
+        );
         assert_eq!(n.counters.get("ctrl_queue_drops"), 1);
         assert_eq!(n.governor.denies(MemClass::MacQueue), 1);
     }
@@ -740,9 +740,10 @@ mod tests {
 
         // Small packets: the per-child packet quota binds.
         for k in 0..INDIRECT_PACKETS {
-            assert!(n.enqueue_indirect(NodeId(7), pkt(8)), "packet {k} fits");
+            assert!(n.enqueue_indirect(NodeId(7), pkt(8)).is_ok(), "packet {k} fits");
         }
-        assert!(!n.enqueue_indirect(NodeId(7), pkt(8)), "packet quota");
+        let back = n.enqueue_indirect(NodeId(7), pkt(9)).expect_err("packet quota");
+        assert_eq!(back.payload.len(), 9, "the refused packet comes back");
         assert_eq!(refused(&n), (1, 1));
 
         // Large packets to another child: the MAC byte cap binds first.
@@ -750,9 +751,10 @@ mod tests {
         let fit = n.budget.cap(MemClass::MacQueue) / (payload + IP_OVERHEAD_BYTES);
         assert!(fit < INDIRECT_PACKETS, "the byte cap binds before the quota");
         for k in 0..fit {
-            assert!(n.enqueue_indirect(NodeId(8), pkt(payload)), "packet {k} fits");
+            assert!(n.enqueue_indirect(NodeId(8), pkt(payload)).is_ok(), "packet {k} fits");
         }
-        assert!(!n.enqueue_indirect(NodeId(8), pkt(payload)), "byte cap");
+        let back = n.enqueue_indirect(NodeId(8), pkt(payload)).expect_err("byte cap");
+        assert_eq!(back.payload.len(), payload, "the refused packet comes back");
         assert_eq!(refused(&n), (2, 2));
         assert_eq!(n.indirect[&NodeId(7)].len(), INDIRECT_PACKETS);
         assert_eq!(n.indirect[&NodeId(8)].len(), fit);
@@ -773,7 +775,7 @@ mod tests {
             payload: vec![0; 100],
             next_hop: NodeId(1),
         };
-        assert!(n.ip_queue.offer(pkt, 0.5));
+        assert!(n.ip_queue.offer(pkt, 0.5).is_ok());
         n.sync_governor();
         assert_eq!(
             n.governor.gauge(MemClass::IpQueue),
@@ -803,9 +805,10 @@ mod tests {
             next_hop: NodeId(1),
         };
         for _ in 0..24 {
-            assert!(n.ip_queue.offer(pkt.clone(), 0.5));
+            assert!(n.ip_queue.offer(pkt.clone(), 0.5).is_ok());
         }
-        assert!(!n.ip_queue.offer(pkt, 0.5));
+        let back = n.ip_queue.offer(pkt, 0.5).expect_err("the queue is full");
+        assert_eq!(back.next_hop, NodeId(1), "the refused packet comes back");
         assert_eq!(n.ip_queue.drops(), 1);
         assert_eq!(n.ip_queue.len(), 24);
     }

@@ -982,7 +982,8 @@ impl World {
     /// Nothing here allocates in steady state: the packet is compressed
     /// in the node's scratch buffer via the per-neighbor IPHC header
     /// cache, each fragment is written into a payload buffer the frame
-    /// pool recycles, and the packet's payload returns to the world's
+    /// pool recycles (a frame the control queue refuses goes straight
+    /// back to it), and the packet's payload returns to the world's
     /// [`BufPool`] once framed.
     fn frame_packet(&mut self, i: usize, pkt: OutPacket, indirect: Option<bool>) {
         let src_l2 = self.nodes[i].id;
@@ -1000,7 +1001,9 @@ impl World {
             f.pending = indirect == Some(true);
             let buf = self.pool.alloc(f);
             if indirect.is_some() {
-                self.nodes[i].enqueue_ctrl(buf);
+                if let Err(buf) = self.nodes[i].enqueue_ctrl(buf) {
+                    self.pool.reclaim(buf);
+                }
             } else {
                 self.nodes[i].cur_packet_frames.push_back(buf);
             }
@@ -1379,7 +1382,9 @@ impl World {
         let req = self
             .pool
             .alloc(MacFrame::data_request(id, parent, seq, payload));
-        self.nodes[i].enqueue_ctrl(req);
+        if let Err(req) = self.nodes[i].enqueue_ctrl(req) {
+            self.pool.reclaim(req);
+        }
         // Guard window in case the poll exchange stalls entirely.
         self.extend_poll_window(i, POLL_WINDOW, now);
         self.kick_mac(i, now);
@@ -1509,7 +1514,9 @@ impl World {
                     payload,
                     next_hop,
                 };
-                self.nodes[i].enqueue_indirect(next_hop, pkt);
+                if let Err(pkt) = self.nodes[i].enqueue_indirect(next_hop, pkt) {
+                    self.seg_bufs.put(pkt.payload);
+                }
                 self.nodes[i].sync_governor();
             }
             Hop::Radio(next_hop) => {
@@ -1519,9 +1526,10 @@ impl World {
                     next_hop,
                 };
                 let r = self.rng.gen_f64();
-                if !self.nodes[i].ip_queue.offer(pkt, r) {
+                if let Err(pkt) = self.nodes[i].ip_queue.offer(pkt, r) {
                     self.nodes[i].governor.note_deny(MemClass::IpQueue);
                     self.nodes[i].counters.inc(NodeCounter::QueueDrops);
+                    self.seg_bufs.put(pkt.payload);
                 }
                 self.nodes[i].sync_governor();
                 self.kick_mac(i, now);

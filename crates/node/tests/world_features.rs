@@ -418,3 +418,37 @@ fn dropped_fragments_return_to_the_frame_pool() {
         "every frame block the pool built is back"
     );
 }
+
+#[test]
+fn refused_control_frames_return_to_the_frame_pool() {
+    // A sleepy leaf with no MAC-queue budget cannot queue even its
+    // data-request polls: the control queue tail-drops every one. Each
+    // refused frame goes back to the frame pool, so one pooled block
+    // serves every poll.
+    let topo = Topology::pair(0.999);
+    let mut world = World::new(
+        &topo,
+        &[NodeKind::Router, NodeKind::SleepyLeaf],
+        WorldConfig::default(),
+    );
+    let mut budget = world.nodes[1].budget.clone();
+    budget.caps[tcplp::MemClass::MacQueue.idx()] = 0;
+    world.nodes[1].apply_budget(budget);
+    world.set_poll_mode(
+        1,
+        lln_mac::poll::PollMode::Adaptive {
+            smin: Duration::from_millis(100),
+            smax: Duration::from_millis(100),
+        },
+    );
+    world.schedule_poll(1, Instant::from_millis(5));
+    world.run_for(Duration::from_secs(5));
+
+    let leaf = &world.nodes[1];
+    let drops = leaf.counters.get("ctrl_queue_drops");
+    assert!(drops >= 10, "only {drops} polls refused");
+    assert_eq!(leaf.governor.denies(tcplp::MemClass::MacQueue), drops);
+    assert!(leaf.ctrl_queue.is_empty());
+    assert_eq!(world.pool.fresh, 1, "every refused frame was recycled");
+    assert_eq!(world.pool.spares(), 1, "and is a spare again");
+}
