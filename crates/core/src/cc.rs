@@ -199,7 +199,7 @@ mod tests {
     fn congestion_avoidance_grows_linearly() {
         let mut r = reno();
         r.on_timeout(10 * MSS as u32); // forces ssthresh = 5*MSS, cwnd = MSS
-        // Grow back to ssthresh via slow start.
+                                       // Grow back to ssthresh via slow start.
         while r.cwnd() < r.ssthresh() {
             r.on_new_ack(TcpSeq(0), MSS as u32, r.cwnd());
         }
@@ -218,8 +218,14 @@ mod tests {
     fn three_dup_acks_trigger_fast_retransmit() {
         let mut r = reno();
         let flight = 4 * MSS as u32;
-        assert_eq!(r.on_dup_ack(TcpSeq(0), TcpSeq(flight), flight), CcAction::None);
-        assert_eq!(r.on_dup_ack(TcpSeq(0), TcpSeq(flight), flight), CcAction::None);
+        assert_eq!(
+            r.on_dup_ack(TcpSeq(0), TcpSeq(flight), flight),
+            CcAction::None
+        );
+        assert_eq!(
+            r.on_dup_ack(TcpSeq(0), TcpSeq(flight), flight),
+            CcAction::None
+        );
         assert_eq!(
             r.on_dup_ack(TcpSeq(0), TcpSeq(flight), flight),
             CcAction::FastRetransmit

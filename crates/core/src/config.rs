@@ -52,10 +52,10 @@ pub struct TcpConfig {
     /// Unanswered probes before the connection is dropped.
     pub keepalive_probes: u32,
     /// Header prediction (FreeBSD fast path): steady-state pure ACKs
-    /// and in-order data bypass the general segment machine. The two
-    /// paths are behaviorally identical by construction (see the
-    /// differential test); this switch exists for that comparison and
-    /// for benchmarking, not as a feature knob.
+    /// and in-order data skip the classifier's acceptability and RST/SYN
+    /// checks, which they always pass. Behaviour is identical either
+    /// way (see the differential test); this switch exists for that
+    /// comparison and for benchmarking, not as a feature knob.
     pub header_prediction: bool,
 }
 

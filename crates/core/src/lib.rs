@@ -14,6 +14,9 @@
 //! ECN. Memory behaviour follows §4.3: fixed buffers allocated once,
 //! a zero-copy send path ([`sendbuf::SendBuffer::view`]) and the
 //! in-place reassembly queue ([`recvbuf::RecvBuffer`], Figure 1b).
+//! Segment input is staged: the pure [`classify`] decides every
+//! segment's fate from the RFC 9293 variables in a [`Tcb`], and
+//! the socket runs one step sequence for each accepted segment.
 //!
 //! ## Quick tour
 //!
@@ -50,6 +53,7 @@
 
 pub mod cc;
 pub mod config;
+pub mod input;
 pub mod listen;
 pub mod mem;
 mod rangeset;
@@ -64,7 +68,8 @@ pub mod wire;
 
 pub use cc::NewReno;
 pub use config::TcpConfig;
-pub use listen::{reset_for, ListenStats, ListenSocket, ListenerResponse};
+pub use input::{classify, Predicted, Tcb, Verdict};
+pub use listen::{reset_for, ListenSocket, ListenStats, ListenerResponse};
 pub use mem::{MemClass, MemGovernor, NodeBudget};
 pub use recvbuf::RecvBuffer;
 pub use rtt::RttEstimator;

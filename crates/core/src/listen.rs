@@ -8,10 +8,11 @@
 //! takes.
 
 use crate::config::TcpConfig;
+use crate::input::{classify, Tcb, Verdict};
 use crate::mem::{MemClass, NodeBudget, SYN_ENTRY_BYTES};
 use crate::rtt::INITIAL_RTO;
 use crate::seq::TcpSeq;
-use crate::socket::TcpSocket;
+use crate::socket::{TcpSocket, TcpState};
 use crate::wire::{Flags, Segment, SegmentView, Timestamps};
 use lln_netip::{Ecn, Ipv6Addr};
 use lln_sim::{Fnv1a, Instant};
@@ -230,9 +231,7 @@ impl ListenSocket {
     ) -> ListenerResponse {
         if seg.flags.contains(Flags::RST) {
             if let Some(i) = self.find(remote_addr, seg.src_port) {
-                // Acceptable RST for SYN-RECEIVED state: its sequence
-                // number must be the entry's rcv_nxt (irs + 1).
-                if seg.seq == self.entries[i].irs + 1 {
+                if classify(&seg, &self.tcb(&self.entries[i])) == Verdict::Reset {
                     self.entries.remove(i);
                     self.stats.rst_aborts += 1;
                 }
@@ -312,28 +311,36 @@ impl ListenSocket {
         seg: SegmentView<'_>,
         now: Instant,
     ) -> ListenerResponse {
-        if let Some(i) = self.find(remote_addr, seg.src_port) {
-            // The completing ACK need not be the bare handshake ACK: if
-            // that ACK was lost, the client's first data segments still
-            // carry ack == iss+1 and an in-window seq, and must complete
-            // the handshake (RFC 793 SYN-RECEIVED processing). Requiring
-            // seq == irs+1 exactly made the cache reject them as bad
-            // ACKs until the entry timed out and the connection died.
-            let e = &self.entries[i];
-            let ok = seg.ack == e.iss + 1
-                && (seg.seq == e.irs + 1
-                    || seg.seq.in_window(e.irs + 1, self.cfg.recv_buf as u32));
-            if ok {
-                let e = self.entries.remove(i);
-                let sock = self.promote(&e, seg, now);
-                self.stats.spawned += 1;
-                return ListenerResponse::Spawn(Box::new(sock));
-            }
+        let Some(i) = self.find(remote_addr, seg.src_port) else {
+            self.stats.bad_acks += 1;
+            return ListenerResponse::None;
+        };
+        // The completing ACK need not be the bare handshake ACK: if
+        // that ACK was lost, the client's first data segments still
+        // carry ack == iss+1 and an in-window seq, and complete the
+        // handshake (RFC 9293 SYN-RECEIVED processing). The cache cannot
+        // acknowledge, so PAWS is left to the spawned socket.
+        let tcb = self.tcb(&self.entries[i]);
+        let paws_off = Tcb {
+            ts_enabled: false,
+            ..tcb
+        };
+        if !matches!(classify(&seg, &paws_off), Verdict::Accept { .. }) {
             self.stats.bad_acks += 1;
             return ListenerResponse::None;
         }
-        self.stats.bad_acks += 1;
-        ListenerResponse::None
+        let e = self.entries.remove(i);
+        let mut sock = TcpSocket::accept(
+            self.cfg.clone(),
+            (self.local_addr, self.local_port),
+            (e.remote_addr, e.remote_port),
+            tcb,
+            e.peer_mss,
+            now,
+        );
+        sock.on_segment_view(seg, Ecn::NotCapable, now);
+        self.stats.spawned += 1;
+        ListenerResponse::Spawn(Box::new(sock))
     }
 
     /// Earliest SYN-ACK retransmit deadline, for the owner's timer.
@@ -353,10 +360,7 @@ impl ListenSocket {
     /// `(peer, SYN-ACK)` per call; drivers loop until `None`.
     pub fn poll_transmit(&mut self, now: Instant) -> Option<(Ipv6Addr, Segment)> {
         loop {
-            let due = self
-                .entries
-                .iter()
-                .position(|e| e.rexmit_at <= now)?;
+            let due = self.entries.iter().position(|e| e.rexmit_at <= now)?;
             if self.entries[due].rexmits >= self.cfg.max_retransmits {
                 self.entries.remove(due);
                 self.stats.expired += 1;
@@ -384,29 +388,24 @@ impl ListenSocket {
     }
 
     /// Builds the SYN-ACK for entry `i` (also used verbatim for dedup
-    /// replies and timer retransmissions).
+    /// replies and timer retransmissions). It offers the options
+    /// [`ListenSocket::tcb`] negotiated, which the promoted socket uses.
     fn synack_for(&self, i: usize, now: Instant) -> Segment {
         let e = &self.entries[i];
-        let mut s = Segment::new(
-            self.local_port,
-            e.remote_port,
-            e.iss,
-            e.irs + 1,
-            Flags::SYN | Flags::ACK,
-        );
+        let t = self.tcb(e);
+        let flags = Flags::SYN | Flags::ACK;
+        let mut s = Segment::new(self.local_port, e.remote_port, t.iss, t.rcv_nxt, flags);
         s.window = self.cfg.recv_buf.min(65535) as u16;
         s.mss = Some(self.cfg.mss.min(65535) as u16);
-        s.sack_permitted = self.cfg.use_sack && e.sack_permitted;
-        if self.cfg.use_timestamps {
-            if let Some(v) = e.ts_val {
-                s.timestamps = Some(Timestamps {
-                    value: self.ts_clock(now),
-                    echo: v,
-                });
-            }
+        s.sack_permitted = t.sack_enabled;
+        if t.ts_enabled {
+            s.timestamps = Some(Timestamps {
+                value: self.ts_clock(now),
+                echo: t.ts_recent,
+            });
         }
         // RFC 3168 §6.1.1: SYN-ACK answers ECE|CWR with ECE only.
-        if self.cfg.use_ecn && e.ecn {
+        if t.ecn_enabled {
             s.flags |= Flags::ECE;
         }
         s
@@ -419,37 +418,27 @@ impl ListenSocket {
         (now.as_micros() / self.cfg.ts_granularity.as_micros()).max(1) as u32
     }
 
-    /// Builds the established socket from a cache entry plus the
-    /// handshake-completing ACK.
-    fn promote(&self, e: &SynEntry, ack: SegmentView<'_>, now: Instant) -> TcpSocket {
-        // Reconstruct the SYN the entry summarised and run it through
-        // the normal passive-open negotiation.
-        let mut syn = Segment::new(e.remote_port, self.local_port, e.irs, TcpSeq(0), Flags::SYN);
-        syn.window = e.peer_window;
-        syn.mss = e.peer_mss;
-        syn.sack_permitted = e.sack_permitted;
-        syn.timestamps = e.ts_val.map(|v| Timestamps { value: v, echo: 0 });
-        if e.ecn {
-            syn.flags |= Flags::ECE | Flags::CWR;
+    /// The SYN-RECEIVED variables of entry `e`, as a socket holds them
+    /// once its SYN-ACK is out.
+    fn tcb(&self, e: &SynEntry) -> Tcb {
+        Tcb {
+            state: TcpState::SynReceived,
+            iss: e.iss,
+            irs: e.irs,
+            snd_una: e.iss,
+            snd_nxt: e.iss + 1,
+            snd_max: e.iss + 1,
+            snd_wnd: u32::from(e.peer_window),
+            snd_wl1: e.irs,
+            snd_wl2: TcpSeq(0),
+            rcv_nxt: e.irs + 1,
+            rcv_wnd: self.cfg.recv_buf as u32,
+            ts_recent: e.ts_val.unwrap_or(0),
+            ts_enabled: self.cfg.use_timestamps && e.ts_val.is_some(),
+            sack_enabled: self.cfg.use_sack && e.sack_permitted,
+            ecn_enabled: self.cfg.use_ecn && e.ecn,
+            header_prediction: self.cfg.header_prediction,
         }
-        let mut s = TcpSocket::accept(
-            self.cfg.clone(),
-            self.local_addr,
-            self.local_port,
-            e.remote_addr,
-            e.remote_port,
-            &syn,
-            e.iss.0,
-            now,
-        );
-        // The SYN-ACK already went out from the cache: advance the
-        // socket's send state past it (and account it) so the ACK we
-        // are about to feed lands in-window.
-        s.snd_nxt = s.iss + 1;
-        s.snd_max = s.snd_nxt;
-        s.stats.segs_sent += 1;
-        s.on_segment_view(ack, Ecn::NotCapable, now);
-        s
     }
 }
 
@@ -479,7 +468,6 @@ pub fn reset_for(seg: &SegmentView<'_>) -> Option<Segment> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::socket::TcpState;
     use lln_netip::NodeId;
     use lln_sim::Duration;
 
@@ -506,7 +494,10 @@ mod tests {
         // A SYN parks in the cache and is answered — no socket yet.
         let mut syn = Segment::new(5, 80, TcpSeq(77), TcpSeq(0), Flags::SYN);
         syn.mss = Some(300);
-        let synack = l.on_segment(peer, &syn, 1, t).into_reply().expect("SYN-ACK");
+        let synack = l
+            .on_segment(peer, &syn, 1, t)
+            .into_reply()
+            .expect("SYN-ACK");
         assert!(synack.flags.contains(Flags::SYN) && synack.flags.contains(Flags::ACK));
         assert_eq!(synack.seq, TcpSeq(1));
         assert_eq!(synack.ack, TcpSeq(78));
@@ -524,6 +515,56 @@ mod tests {
         assert!(s.mem_footprint() > 0, "live socket pins its buffers");
     }
 
+    /// A promoted socket carries every option negotiated from the cached
+    /// SYN: timestamps (and the SYN's TSval as TS.Recent), SACK, ECN and
+    /// the peer's MSS; a SYN without options leaves them all off.
+    #[test]
+    fn promoted_socket_carries_every_negotiated_option() {
+        let cfg = TcpConfig {
+            use_ecn: true,
+            ..TcpConfig::default()
+        };
+        let peer = NodeId(1).mesh_addr();
+        let promote = |syn: &Segment| {
+            let mut l = listener(cfg.clone());
+            let t = Instant::ZERO;
+            let synack = l
+                .on_segment(peer, syn, 300, t)
+                .into_reply()
+                .expect("SYN-ACK");
+            // No timestamp on the ACK, so TS.Recent stays the SYN's.
+            let mut ack = Segment::new(5, 80, syn.seq + 1, synack.seq + 1, Flags::ACK);
+            ack.window = 1000;
+            l.on_segment(peer, &ack, 0, t).into_spawn().expect("spawn")
+        };
+
+        let mut syn = Segment::new(5, 80, TcpSeq(77), TcpSeq(0), Flags::SYN);
+        syn.flags |= Flags::ECE | Flags::CWR;
+        syn.mss = Some(300);
+        syn.sack_permitted = true;
+        syn.timestamps = Some(Timestamps {
+            value: 4242,
+            echo: 0,
+        });
+        let mut s = promote(&syn);
+        let tcb = *s.tcb();
+        assert_eq!(s.state(), TcpState::Established);
+        assert!(tcb.ts_enabled && tcb.sack_enabled && tcb.ecn_enabled);
+        assert!(s.ecn_active());
+        assert_eq!(tcb.ts_recent, 4242);
+        assert_eq!(s.mss(), 300);
+        s.send(&[1; 400]);
+        let data = s.poll_transmit(Instant::ZERO).expect("data");
+        assert_eq!(data.payload.len(), 300, "segments sized to the peer's MSS");
+        assert_eq!(data.timestamps.map(|ts| ts.echo), Some(4242));
+
+        let bare = Segment::new(5, 80, TcpSeq(77), TcpSeq(0), Flags::SYN);
+        let s = promote(&bare);
+        let tcb = *s.tcb();
+        assert!(!tcb.ts_enabled && !tcb.sack_enabled && !tcb.ecn_enabled);
+        assert_eq!(s.mss(), cfg.mss);
+    }
+
     /// The lost-handshake-ACK fix: when the bare completing ACK is
     /// dropped in transit, the client (which moved to Established on
     /// the SYN-ACK) sends data segments whose seq sits *past* irs+1.
@@ -535,7 +576,10 @@ mod tests {
         let t = Instant::ZERO;
         let peer = NodeId(1).mesh_addr();
         let syn = Segment::new(5, 80, TcpSeq(77), TcpSeq(0), Flags::SYN);
-        let _synack = l.on_segment(peer, &syn, 1, t).into_reply().expect("SYN-ACK");
+        let _synack = l
+            .on_segment(peer, &syn, 1, t)
+            .into_reply()
+            .expect("SYN-ACK");
         // The bare ACK (seq 78) is lost. A later data segment arrives
         // with an advanced seq but the right ack.
         let mut data = Segment::new(5, 80, TcpSeq(78 + 462), TcpSeq(2), Flags::ACK);
@@ -548,7 +592,10 @@ mod tests {
         assert_eq!(l.half_open(), 0);
         // A wrong-ack or far-out-of-window segment still does not.
         let syn2 = Segment::new(6, 80, TcpSeq(10), TcpSeq(0), Flags::SYN);
-        let _ = l.on_segment(peer, &syn2, 1, t).into_reply().expect("SYN-ACK");
+        let _ = l
+            .on_segment(peer, &syn2, 1, t)
+            .into_reply()
+            .expect("SYN-ACK");
         let bad_before = l.stats.bad_acks;
         let wrong_ack = Segment::new(6, 80, TcpSeq(11), TcpSeq(999), Flags::ACK);
         assert!(l.on_segment(peer, &wrong_ack, 0, t).into_spawn().is_none());
@@ -812,7 +859,10 @@ mod tests {
         ));
         assert_eq!(l.stats.backlog_denied, 1);
         l.sync_backlog(1);
-        assert!(l.on_segment(NodeId(1).mesh_addr(), &syn, 10, t).into_reply().is_some());
+        assert!(l
+            .on_segment(NodeId(1).mesh_addr(), &syn, 10, t)
+            .into_reply()
+            .is_some());
     }
 
     /// An acceptable RST tears down the matching half-open entry.

@@ -178,10 +178,12 @@ mod tests {
         let mut expect: Vec<u8> = Vec::new();
         let mut next: u8 = 0;
         for _ in 0..50 {
-            let chunk: Vec<u8> = (0..3).map(|_| {
-                next = next.wrapping_add(1);
-                next
-            }).collect();
+            let chunk: Vec<u8> = (0..3)
+                .map(|_| {
+                    next = next.wrapping_add(1);
+                    next
+                })
+                .collect();
             let taken = b.push(&chunk);
             expect.extend_from_slice(&chunk[..taken]);
             // Ack two bytes when we have them.

@@ -5,8 +5,8 @@
 //! a caller-supplied clock, and produces segments via
 //! [`TcpSocket::poll_transmit`]. It implements:
 //!
-//! - the full RFC 793 state machine (active/passive open, simultaneous
-//!   open, orderly close, TIME_WAIT),
+//! - the full RFC 9293 state machine (active/passive open, simultaneous
+//!   open, orderly and simultaneous close, TIME_WAIT),
 //! - sliding-window send/receive over the fixed-size buffers of §4.3,
 //!   including the in-place reassembly queue,
 //! - New Reno congestion control with fast retransmit/fast recovery
@@ -17,13 +17,23 @@
 //!   (RFC 5961), header prediction (FreeBSD's fast path), and optional
 //!   ECN (RFC 3168) for the RED/ECN experiments of Appendix A.
 //!
+//! Segment input is staged. [`classify`] decides
+//! from the segment and the socket's [`Tcb`] alone whether a segment is
+//! dropped, acknowledged, challenged, reset or accepted; header
+//! prediction is a shortcut inside it. Every accepted segment then takes
+//! one step sequence (`TcpSocket::step`): ACK, SACK and window
+//! processing, payload, FIN. Its effects on buffers, timers and output
+//! flags are what [`TcpSocket::poll_transmit`] turns into segments.
+//!
 //! Omitted, as in the paper: window scaling, urgent pointer, TCP-MD5.
 //! Passive opens go through a bounded RFC 4987-style SYN cache in
-//! [`ListenSocket`](crate::listen::ListenSocket), so a SYN flood costs slots and bytes the node has
-//! explicitly budgeted — never a full socket per forged SYN.
+//! [`ListenSocket`](crate::listen::ListenSocket), so a SYN flood costs
+//! slots and bytes the node has explicitly budgeted — never a full
+//! socket per forged SYN.
 
 use crate::cc::{CcAction, NewReno};
 use crate::config::TcpConfig;
+use crate::input::{classify, ts_lt, Predicted, Tcb, Verdict};
 use crate::recvbuf::RecvBuffer;
 use crate::rtt::RttEstimator;
 use crate::sack::SackScoreboard;
@@ -48,9 +58,10 @@ pub const CHALLENGE_ACK_LIMIT: u32 = 10;
 pub const CHALLENGE_ACK_WINDOW: Duration = Duration::from_secs(1);
 
 /// TCP connection states (RFC 793).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum TcpState {
     /// No connection.
+    #[default]
     Closed,
     /// Active open in progress; SYN sent or queued.
     SynSent,
@@ -111,7 +122,8 @@ impl CloseReason {
 #[derive(Clone, Debug)]
 pub struct TcpSocket {
     cfg: TcpConfig,
-    state: TcpState,
+    /// The RFC 9293 variables [`classify`] reads.
+    tcb: Tcb,
     close_reason: Option<CloseReason>,
 
     local_addr: Ipv6Addr,
@@ -119,14 +131,6 @@ pub struct TcpSocket {
     remote_addr: Ipv6Addr,
     remote_port: u16,
 
-    // --- send sequence space ---
-    pub(crate) iss: TcpSeq,
-    snd_una: TcpSeq,
-    pub(crate) snd_nxt: TcpSeq,
-    pub(crate) snd_max: TcpSeq,
-    snd_wnd: u32,
-    snd_wl1: TcpSeq,
-    snd_wl2: TcpSeq,
     sndbuf: SendBuffer,
     /// Payload buffer lent to the last emitted data segment; the stack
     /// hands it back through [`TcpSocket::recycle`] once encoded.
@@ -139,17 +143,9 @@ pub struct TcpSocket {
     /// Sequence number consumed by our FIN, once transmitted.
     fin_seq: Option<TcpSeq>,
 
-    // --- receive sequence space ---
-    irs: TcpSeq,
-    rcv_nxt: TcpSeq,
     rcvbuf: RecvBuffer,
     fin_received: bool,
-
-    // --- negotiated options ---
-    ts_enabled: bool,
-    sack_enabled: bool,
-    ecn_enabled: bool,
-    ts_recent: u32,
+    /// RFC 7323's Last.ACK.sent.
     last_ack_sent: TcpSeq,
 
     // --- ECN signalling state ---
@@ -216,34 +212,25 @@ impl TcpSocket {
         let rtt = RttEstimator::new(cfg.max_rto);
         let mss = cfg.mss;
         TcpSocket {
+            tcb: Tcb {
+                rcv_wnd: cfg.recv_buf as u32,
+                header_prediction: cfg.header_prediction,
+                ..Tcb::default()
+            },
             cfg,
-            state: TcpState::Closed,
             close_reason: None,
             local_addr,
             local_port,
             remote_addr: Ipv6Addr::UNSPECIFIED,
             remote_port: 0,
-            iss: TcpSeq(0),
-            snd_una: TcpSeq(0),
-            snd_nxt: TcpSeq(0),
-            snd_max: TcpSeq(0),
-            snd_wnd: 0,
-            snd_wl1: TcpSeq(0),
-            snd_wl2: TcpSeq(0),
             sndbuf,
             tx_payload: Vec::new(),
             tx_sack_blocks: Vec::new(),
             snd_mss: mss,
             fin_queued: false,
             fin_seq: None,
-            irs: TcpSeq(0),
-            rcv_nxt: TcpSeq(0),
             rcvbuf,
             fin_received: false,
-            ts_enabled: false,
-            sack_enabled: false,
-            ecn_enabled: false,
-            ts_recent: 0,
             last_ack_sent: TcpSeq(0),
             ecn_send_ece: false,
             ecn_send_cwr: false,
@@ -282,7 +269,7 @@ impl TcpSocket {
 
     /// Current connection state.
     pub fn state(&self) -> TcpState {
-        self.state
+        self.tcb.state
     }
 
     /// Why the socket closed, if it did.
@@ -309,7 +296,7 @@ impl TcpSocket {
     /// send + receive buffers plus the control block (§4.3 / Table 3).
     /// A closed socket pins nothing — its buffers are reclaimable.
     pub fn mem_footprint(&self) -> usize {
-        if self.state == TcpState::Closed {
+        if self.tcb.state == TcpState::Closed {
             0
         } else {
             self.cfg.send_buf + self.cfg.recv_buf + crate::mem::TCP_CB_BYTES
@@ -339,7 +326,7 @@ impl TcpSocket {
     /// True while the socket can accept data from the application.
     pub fn may_send(&self) -> bool {
         matches!(
-            self.state,
+            self.tcb.state,
             TcpState::Established | TcpState::CloseWait | TcpState::SynSent | TcpState::SynReceived
         ) && !self.fin_queued
     }
@@ -356,13 +343,18 @@ impl TcpSocket {
 
     /// Bytes in flight (sent but unacknowledged).
     pub fn flight_size(&self) -> u32 {
-        self.snd_max.distance_from(self.snd_una)
+        self.tcb.snd_max.distance_from(self.tcb.snd_una)
     }
 
     /// True when ECN was negotiated on this connection: the IP layer
     /// should then send data packets with the ECT(0) codepoint.
     pub fn ecn_active(&self) -> bool {
-        self.ecn_enabled
+        self.tcb.ecn_enabled
+    }
+
+    /// The connection variables segment input classifies against.
+    pub fn tcb(&self) -> &Tcb {
+        &self.tcb
     }
 
     // ------------------------------------------------------------------
@@ -372,62 +364,48 @@ impl TcpSocket {
     /// Begins an active open toward `remote`; `iss` is the initial send
     /// sequence number (drawn by the host's RNG).
     pub fn connect(&mut self, remote_addr: Ipv6Addr, remote_port: u16, iss: u32, now: Instant) {
-        assert_eq!(self.state, TcpState::Closed, "connect on non-closed socket");
+        assert_eq!(
+            self.tcb.state,
+            TcpState::Closed,
+            "connect on non-closed socket"
+        );
         self.remote_addr = remote_addr;
         self.remote_port = remote_port;
-        self.iss = TcpSeq(iss);
-        self.snd_una = self.iss;
-        self.snd_nxt = self.iss;
-        self.snd_max = self.iss;
-        self.state = TcpState::SynSent;
+        self.tcb.iss = TcpSeq(iss);
+        self.tcb.snd_una = self.tcb.iss;
+        self.tcb.snd_nxt = self.tcb.iss;
+        self.tcb.snd_max = self.tcb.iss;
+        self.tcb.state = TcpState::SynSent;
         self.close_reason = None;
         // Offer everything we support; negotiation trims on SYN-ACK.
-        self.ts_enabled = self.cfg.use_timestamps;
-        self.sack_enabled = self.cfg.use_sack;
-        self.ecn_enabled = self.cfg.use_ecn;
+        self.tcb.ts_enabled = self.cfg.use_timestamps;
+        self.tcb.sack_enabled = self.cfg.use_sack;
+        self.tcb.ecn_enabled = self.cfg.use_ecn;
         self.rexmit_deadline = Some(now + self.rtt.rto());
     }
 
-    /// Accepts a connection from a received SYN (passive open). Called
-    /// by [`ListenSocket`](crate::listen::ListenSocket).
-    #[allow(clippy::too_many_arguments)]
+    /// Adopts a passive open from the SYN cache of a
+    /// [`ListenSocket`](crate::listen::ListenSocket): `tcb` holds the
+    /// SYN-RECEIVED state the cache negotiated, and its SYN-ACK has
+    /// already gone out.
     pub(crate) fn accept(
         cfg: TcpConfig,
-        local_addr: Ipv6Addr,
-        local_port: u16,
-        remote_addr: Ipv6Addr,
-        remote_port: u16,
-        syn: &Segment,
-        iss: u32,
+        local: (Ipv6Addr, u16),
+        remote: (Ipv6Addr, u16),
+        tcb: Tcb,
+        peer_mss: Option<u16>,
         now: Instant,
     ) -> TcpSocket {
-        let mut s = TcpSocket::new(cfg, local_addr, local_port);
-        s.remote_addr = remote_addr;
-        s.remote_port = remote_port;
-        s.state = TcpState::SynReceived;
-        s.iss = TcpSeq(iss);
-        s.snd_una = s.iss;
-        s.snd_nxt = s.iss;
-        s.snd_max = s.iss;
-        s.snd_wnd = u32::from(syn.window);
-        s.snd_wl1 = syn.seq;
-        s.irs = syn.seq;
-        s.rcv_nxt = syn.seq + 1;
-        s.last_ack_sent = s.rcv_nxt;
-        // Option negotiation.
-        s.ts_enabled = s.cfg.use_timestamps && syn.timestamps.is_some();
-        if let Some(ts) = syn.timestamps {
-            s.ts_recent = ts.value;
-        }
-        s.sack_enabled = s.cfg.use_sack && syn.sack_permitted;
-        s.ecn_enabled = s.cfg.use_ecn
-            && syn.flags.contains(Flags::ECE)
-            && syn.flags.contains(Flags::CWR);
-        if let Some(mss) = syn.mss {
+        let mut s = TcpSocket::new(cfg, local.0, local.1);
+        (s.remote_addr, s.remote_port) = remote;
+        s.tcb = tcb;
+        s.last_ack_sent = tcb.rcv_nxt;
+        if let Some(mss) = peer_mss {
             s.snd_mss = s.cfg.mss.min(usize::from(mss));
         }
         s.cc.set_mss(s.snd_mss);
         s.rexmit_deadline = Some(now + s.rtt.rto());
+        s.stats.segs_sent += 1;
         s
     }
 
@@ -443,9 +421,11 @@ impl TcpSocket {
     pub fn recv(&mut self, out: &mut [u8]) -> usize {
         let had = self.rcvbuf.available();
         let n = self.rcvbuf.read(out);
+        self.tcb.rcv_wnd = self.rcvbuf.window() as u32;
         // Opening the window after the app drains data may warrant a
         // window-update ACK (avoid silly-window: only when substantial).
-        if n > 0 && had >= self.rcvbuf.capacity() / 2 && !matches!(self.state, TcpState::Closed) {
+        if n > 0 && had >= self.rcvbuf.capacity() / 2 && !matches!(self.tcb.state, TcpState::Closed)
+        {
             self.ack_now = true;
         }
         n
@@ -453,17 +433,17 @@ impl TcpSocket {
 
     /// Initiates an orderly close (half-close of our direction).
     pub fn close(&mut self) {
-        match self.state {
+        match self.tcb.state {
             TcpState::Closed | TcpState::SynSent => {
                 self.enter_closed(CloseReason::Normal);
             }
             TcpState::SynReceived | TcpState::Established => {
                 self.fin_queued = true;
-                self.state = TcpState::FinWait1;
+                self.tcb.state = TcpState::FinWait1;
             }
             TcpState::CloseWait => {
                 self.fin_queued = true;
-                self.state = TcpState::LastAck;
+                self.tcb.state = TcpState::LastAck;
             }
             _ => {}
         }
@@ -471,14 +451,14 @@ impl TcpSocket {
 
     /// Hard abort: queue a RST and drop the connection.
     pub fn abort(&mut self) {
-        if !matches!(self.state, TcpState::Closed | TcpState::TimeWait) {
+        if !matches!(self.tcb.state, TcpState::Closed | TcpState::TimeWait) {
             self.send_rst = true;
         }
         self.enter_closed(CloseReason::Aborted);
     }
 
     fn enter_closed(&mut self, reason: CloseReason) {
-        self.state = TcpState::Closed;
+        self.tcb.state = TcpState::Closed;
         if self.close_reason.is_none() {
             self.close_reason = Some(reason);
         }
@@ -515,7 +495,7 @@ impl TcpSocket {
     /// (Re-)arms the keepalive idle timer, if keepalive is enabled.
     fn rearm_keepalive(&mut self, now: Instant) {
         if let Some(idle) = self.cfg.keepalive_idle {
-            if self.state == TcpState::Established {
+            if self.tcb.state == TcpState::Established {
                 self.keep_deadline = Some(now + idle);
                 self.keep_probes_sent = 0;
             }
@@ -577,7 +557,7 @@ impl TcpSocket {
             }
         }
         if let Some(d) = self.keep_deadline {
-            if now >= d && self.state == TcpState::Established {
+            if now >= d && self.tcb.state == TcpState::Established {
                 self.keep_probes_sent += 1;
                 if self.keep_probes_sent > self.cfg.keepalive_probes {
                     self.enter_closed(CloseReason::KeepaliveTimeout);
@@ -612,7 +592,7 @@ impl TcpSocket {
         self.sack_rexmit_budget = 0;
         // Go-back-N: rewind snd_nxt so output resends from snd_una
         // (covers SYN, data, and FIN uniformly).
-        self.snd_nxt = self.snd_una;
+        self.tcb.snd_nxt = self.tcb.snd_una;
         if self.fin_seq.is_some() {
             // FIN will be re-emitted when data drains again.
             self.fin_seq = None;
@@ -641,194 +621,93 @@ impl TcpSocket {
     /// is read straight into the receive buffer, never copied into an
     /// intermediate allocation.
     pub fn on_segment_view(&mut self, seg: SegmentView<'_>, ecn: Ecn, now: Instant) {
-        if matches!(self.state, TcpState::Closed) {
+        if self.tcb.state == TcpState::Closed {
             return;
         }
         self.stats.segs_rcvd += 1;
         self.rearm_keepalive(now);
-
-        match self.state {
-            TcpState::SynSent => self.input_syn_sent(seg, now),
-            _ => self.input_general(seg, ecn, now),
+        match classify(&seg, &self.tcb) {
+            Verdict::Drop => {}
+            Verdict::DropAck => self.ack_now = true,
+            Verdict::Paws => {
+                self.stats.paws_drops += 1;
+                self.ack_now = true;
+            }
+            Verdict::Challenge => self.send_challenge_ack(now),
+            Verdict::Reset => self.enter_closed(CloseReason::Reset),
+            Verdict::SendRst => {
+                self.update_ts_recent(seg);
+                self.send_rst = true;
+            }
+            Verdict::AckUnsent => {
+                self.update_ts_recent(seg);
+                self.ack_now = true;
+            }
+            Verdict::Open { simultaneous } => self.open(seg, simultaneous, now),
+            Verdict::Accept { predicted } => {
+                match predicted {
+                    Some(Predicted::Ack) => self.stats.predicted_acks += 1,
+                    Some(Predicted::Data) => self.stats.predicted_data += 1,
+                    None => {}
+                }
+                self.update_ts_recent(seg);
+                self.step(seg, ecn, now);
+            }
         }
     }
 
-    fn input_syn_sent(&mut self, seg: SegmentView<'_>, now: Instant) {
-        let has_ack = seg.flags.contains(Flags::ACK);
-        if has_ack && (seg.ack.le(self.iss) || seg.ack.gt(self.snd_max)) {
-            // Unacceptable ACK; RFC 793 says send RST unless RST set.
-            if !seg.flags.contains(Flags::RST) {
-                self.send_rst = true;
-            }
-            return;
+    /// SYN-SENT's answer to the peer's SYN: negotiate options, then go
+    /// to ESTABLISHED on a SYN-ACK, or to SYN-RECEIVED on a bare SYN.
+    fn open(&mut self, seg: SegmentView<'_>, simultaneous: bool, now: Instant) {
+        self.tcb.irs = seg.seq;
+        self.tcb.rcv_nxt = seg.seq + 1;
+        self.last_ack_sent = self.tcb.rcv_nxt;
+        match seg.timestamps {
+            Some(ts) if self.tcb.ts_enabled => self.tcb.ts_recent = ts.value,
+            _ => self.tcb.ts_enabled = false,
         }
-        if seg.flags.contains(Flags::RST) {
-            if has_ack {
-                self.enter_closed(CloseReason::Reset);
-            }
-            return;
-        }
-        if !seg.flags.contains(Flags::SYN) {
-            return;
-        }
-        // SYN (and possibly ACK) received.
-        self.irs = seg.seq;
-        self.rcv_nxt = seg.seq + 1;
-        self.last_ack_sent = self.rcv_nxt;
-        // Option negotiation.
-        self.ts_enabled = self.ts_enabled && seg.timestamps.is_some();
-        if let Some(ts) = seg.timestamps {
-            if self.ts_enabled {
-                self.ts_recent = ts.value;
-            }
-        }
-        self.sack_enabled = self.sack_enabled && seg.sack_permitted;
+        self.tcb.sack_enabled = self.tcb.sack_enabled && seg.sack_permitted;
         if let Some(m) = seg.mss {
             self.snd_mss = self.cfg.mss.min(usize::from(m));
             self.cc.set_mss(self.snd_mss);
         }
-        if has_ack {
-            // Standard open: SYN-ACK. ECN negotiation: SYN-ACK carries
-            // ECE (without CWR) when the passive side agreed.
-            self.ecn_enabled = self.ecn_enabled
-                && seg.flags.contains(Flags::ECE)
-                && !seg.flags.contains(Flags::CWR);
-            self.snd_una = seg.ack;
-            self.snd_wnd = u32::from(seg.window);
-            self.snd_wl1 = seg.seq;
-            self.snd_wl2 = seg.ack;
-            self.consecutive_rexmits = 0;
-            self.rexmit_deadline = None;
-            // RTT from the handshake.
-            if let Some(ts) = seg.timestamps {
-                if self.ts_enabled {
-                    self.take_ts_rtt_sample(ts.echo, now);
-                }
-            }
-            self.state = TcpState::Established;
-            self.rearm_keepalive(now);
-            self.ack_now = true;
-        } else {
-            // Simultaneous open: become SYN-RECEIVED and re-emit our SYN
-            // as SYN-ACK.
-            self.state = TcpState::SynReceived;
-            self.snd_nxt = self.iss;
-            self.ecn_enabled = false; // keep the rare path simple
+        if simultaneous {
+            // Re-emit our SYN as a SYN-ACK.
+            self.tcb.state = TcpState::SynReceived;
+            self.tcb.snd_nxt = self.tcb.iss;
+            self.tcb.ecn_enabled = false; // keep the rare path simple
+            return;
         }
+        // ECN negotiation: the SYN-ACK carries ECE without CWR when
+        // the passive side agreed.
+        self.tcb.ecn_enabled = self.tcb.ecn_enabled
+            && seg.flags.contains(Flags::ECE)
+            && !seg.flags.contains(Flags::CWR);
+        self.tcb.snd_una = seg.ack;
+        self.rexmit_deadline = None;
+        // RTT from the handshake.
+        if let (true, Some(ts)) = (self.tcb.ts_enabled, seg.timestamps) {
+            self.take_ts_rtt_sample(ts.echo, now);
+        }
+        self.establish(seg, now);
+        self.ack_now = true;
     }
 
-    #[allow(clippy::too_many_lines)]
-    fn input_general(&mut self, seg: SegmentView<'_>, ecn: Ecn, now: Instant) {
-        let rcv_wnd = self.rcvbuf.window() as u32;
-        let seg_len = seg.seq_len();
+    /// ESTABLISHED on `seg`, which acknowledges our SYN.
+    fn establish(&mut self, seg: SegmentView<'_>, now: Instant) {
+        self.tcb.state = TcpState::Established;
+        self.rearm_keepalive(now);
+        self.tcb.snd_wnd = u32::from(seg.window);
+        self.tcb.snd_wl1 = seg.seq;
+        self.tcb.snd_wl2 = seg.ack;
+        self.consecutive_rexmits = 0;
+    }
 
-        // --- PAWS (RFC 7323 §5.3) ---
-        if self.ts_enabled {
-            if let Some(ts) = seg.timestamps {
-                if ts_lt(ts.value, self.ts_recent) && !seg.flags.contains(Flags::RST) {
-                    self.stats.paws_drops += 1;
-                    self.ack_now = true;
-                    return;
-                }
-            }
-        }
-
-        // --- Header prediction (FreeBSD's fast path, taken) ---
-        // In the established steady state almost every segment is
-        // either the next pure ACK or the next in-order data segment;
-        // both classes skip the general machine below entirely. The
-        // predicate is conservative: any miss (window change, SYN/FIN/
-        // RST/URG, out-of-order seq, old or too-new ack) falls through
-        // unchanged. A predicted pure ACK is always acceptable by the
-        // RFC 793 test (seq == rcv_nxt), and predicted data requires
-        // rcv_wnd > 0 so it is too — the short paths therefore start
-        // exactly where the general path would for these segments.
-        if self.cfg.header_prediction
-            && self.state == TcpState::Established
-            && seg.seq == self.rcv_nxt
-            && !seg.flags.intersects(Flags::FIN | Flags::SYN | Flags::RST | Flags::URG)
-            && seg.flags.contains(Flags::ACK)
-        {
-            if seg.payload.is_empty()
-                && seg.ack.gt(self.snd_una)
-                && seg.ack.le(self.snd_max)
-                && u32::from(seg.window) == self.snd_wnd
-            {
-                self.update_ts_recent(seg, seg_len);
-                self.fast_path_ack(seg, ecn, now);
-                return;
-            }
-            if !seg.payload.is_empty() && seg.ack == self.snd_una && rcv_wnd > 0 {
-                self.update_ts_recent(seg, seg_len);
-                self.fast_path_data(seg, seg_len, ecn, now);
-                return;
-            }
-        }
-
-        // --- Sequence acceptability (RFC 793 p.26) ---
-        let acceptable = if seg_len == 0 {
-            if rcv_wnd == 0 {
-                seg.seq == self.rcv_nxt
-            } else {
-                seg.seq.in_window(self.rcv_nxt, rcv_wnd) || seg.seq == self.rcv_nxt
-            }
-        } else if rcv_wnd == 0 {
-            false
-        } else {
-            seg.seq.in_window(self.rcv_nxt, rcv_wnd)
-                || (seg.seq + (seg_len - 1)).in_window(self.rcv_nxt, rcv_wnd)
-                || self.rcv_nxt.in_window(seg.seq, seg_len)
-        };
-        if !acceptable {
-            if !seg.flags.contains(Flags::RST) {
-                self.ack_now = true; // dup/old segment: re-ACK
-            }
-            return;
-        }
-
-        // --- RST (RFC 5961 §3) ---
-        if seg.flags.contains(Flags::RST) {
-            if seg.seq == self.rcv_nxt {
-                self.enter_closed(CloseReason::Reset);
-            } else {
-                // In-window but not exact: challenge ACK.
-                self.send_challenge_ack(now);
-            }
-            return;
-        }
-
-        // --- SYN in window (RFC 5961 §4): challenge ACK ---
-        if seg.flags.contains(Flags::SYN) {
-            self.send_challenge_ack(now);
-            return;
-        }
-
-        if !seg.flags.contains(Flags::ACK) {
-            return;
-        }
-
-        self.update_ts_recent(seg, seg_len);
-
-        // --- SYN-RECEIVED: does this ACK complete the handshake? ---
-        if self.state == TcpState::SynReceived {
-            if seg.ack.gt(self.snd_una) && seg.ack.le(self.snd_max) {
-                self.state = TcpState::Established;
-                self.rearm_keepalive(now);
-                self.snd_wnd = u32::from(seg.window);
-                self.snd_wl1 = seg.seq;
-                self.snd_wl2 = seg.ack;
-                self.consecutive_rexmits = 0;
-            } else {
-                self.send_rst = true;
-                return;
-            }
-        }
-
-        // --- ACK processing ---
-        if seg.ack.gt(self.snd_max) {
-            // ACK for data we never sent.
-            self.ack_now = true;
-            return;
+    /// Stage 2: the one step sequence every accepted segment takes.
+    fn step(&mut self, seg: SegmentView<'_>, ecn: Ecn, now: Instant) {
+        if self.tcb.state == TcpState::SynReceived {
+            // `classify` accepted this ACK of our SYN.
+            self.establish(seg, now);
         }
 
         // RFC 1122 §4.2.2.17: a peer that keeps acknowledging our
@@ -840,80 +719,68 @@ impl TcpSocket {
 
         let had_sack_news = self.ingest_sack(seg);
         self.note_ecn_echo(seg, now);
-
-        if seg.ack.gt(self.snd_una) {
+        if seg.ack.gt(self.tcb.snd_una) {
             self.process_new_ack(seg, now);
-        } else if seg.ack == self.snd_una {
-            self.same_ack_dup_check(seg, seg_len, had_sack_news, now);
+        } else if seg.ack == self.tcb.snd_una {
+            self.same_ack_dup_check(seg, had_sack_news, now);
         }
-
         self.update_send_window(seg, now);
 
-        // --- Payload processing ---
         if !seg.payload.is_empty()
             && matches!(
-                self.state,
+                self.tcb.state,
                 TcpState::Established | TcpState::FinWait1 | TcpState::FinWait2
             )
         {
             self.process_payload(seg, ecn, now);
-        } else if ecn == Ecn::Ce && self.ecn_enabled {
+        } else if ecn == Ecn::Ce && self.tcb.ecn_enabled {
             self.ecn_send_ece = true;
             self.ack_now = true;
         }
-
         // Receiver side of CWR: peer says it reduced; stop echoing.
-        if self.ecn_enabled && seg.flags.contains(Flags::CWR) {
+        if self.tcb.ecn_enabled && seg.flags.contains(Flags::CWR) {
             self.ecn_send_ece = false;
         }
 
-        // --- FIN processing ---
-        if seg.flags.contains(Flags::FIN) {
-            let fin_seq = seg.seq + seg.payload.len() as u32;
-            if fin_seq == self.rcv_nxt && !self.fin_received {
-                self.rcv_nxt += 1;
-                self.fin_received = true;
-                self.ack_now = true;
-                match self.state {
-                    TcpState::Established => self.state = TcpState::CloseWait,
-                    TcpState::FinWait1 => {
-                        // Our FIN not yet acked -> Closing; the ACK case
-                        // is handled in process_new_ack.
-                        self.state = TcpState::Closing;
-                    }
-                    TcpState::FinWait2 => {
-                        self.state = TcpState::TimeWait;
-                        self.timewait_deadline = Some(now + TIME_WAIT);
-                    }
-                    _ => {}
+        // An in-order FIN; a FIN beyond a hole waits for the data
+        // before it to be retransmitted.
+        let fin_in_order = seg.seq + seg.payload.len() as u32 == self.tcb.rcv_nxt;
+        if seg.flags.contains(Flags::FIN) && fin_in_order && !self.fin_received {
+            self.tcb.rcv_nxt += 1;
+            self.fin_received = true;
+            self.ack_now = true;
+            match self.tcb.state {
+                TcpState::Established => self.tcb.state = TcpState::CloseWait,
+                // Our FIN not yet acked (process_new_ack handles the
+                // acked case).
+                TcpState::FinWait1 => self.tcb.state = TcpState::Closing,
+                TcpState::FinWait2 => {
+                    self.tcb.state = TcpState::TimeWait;
+                    self.timewait_deadline = Some(now + TIME_WAIT);
                 }
-            } else if fin_seq.gt(self.rcv_nxt) {
-                // FIN beyond a hole; ignore until data arrives.
+                _ => {}
             }
         }
     }
 
     /// RFC 7323 §4.3: remember the peer's timestamp for segments that
-    /// cover `last_ack_sent`. Shared by the fast paths and the general
-    /// machine — both call it at the same point relative to PAWS.
-    fn update_ts_recent(&mut self, seg: SegmentView<'_>, seg_len: u32) {
-        if self.ts_enabled {
-            if let Some(ts) = seg.timestamps {
-                if seg.seq.le(self.last_ack_sent)
-                    && self.last_ack_sent.lt(seg.seq + seg_len.max(1))
-                {
-                    self.ts_recent = ts.value;
-                }
-            }
+    /// cover `last_ack_sent`.
+    fn update_ts_recent(&mut self, seg: SegmentView<'_>) {
+        let covers =
+            seg.seq.le(self.last_ack_sent) && self.last_ack_sent.lt(seg.seq + seg.seq_len().max(1));
+        if let (true, Some(ts)) = (self.tcb.ts_enabled && covers, seg.timestamps) {
+            self.tcb.ts_recent = ts.value;
         }
     }
 
     /// Ingest SACK blocks (and note whether they carried news, which
     /// makes a same-ack segment count as a dup ACK for recovery).
     fn ingest_sack(&mut self, seg: SegmentView<'_>) -> bool {
-        if self.sack_enabled && !seg.sack_blocks().is_empty() {
+        if self.tcb.sack_enabled && !seg.sack_blocks().is_empty() {
             let before = self.sack.sacked_bytes();
-            let res = self.sack.update(seg.sack_blocks(), self.snd_una, self.snd_max);
+            let res = self
+                .sack
+                .update(seg.sack_blocks(), self.tcb.snd_una, self.tcb.snd_max);
             self.stats.sack_blocks_rejected += u64::from(res.rejected);
             self.stats.dsack_rcvd += u64::from(res.dsack);
             self.sack.sacked_bytes() != before
@@ -924,36 +791,33 @@ impl TcpSocket {
 
     /// ECN echo from the receiver: reduce once per window.
     fn note_ecn_echo(&mut self, seg: SegmentView<'_>, now: Instant) {
-        if self.ecn_enabled && seg.flags.contains(Flags::ECE)
-            && self.cc.on_ecn_echo(self.snd_una, self.snd_max) {
-                self.stats.ecn_reductions += 1;
-                self.ecn_send_cwr = true;
-                self.trace_cwnd(now);
-            }
+        if self.tcb.ecn_enabled
+            && seg.flags.contains(Flags::ECE)
+            && self.cc.on_ecn_echo(self.tcb.snd_una, self.tcb.snd_max)
+        {
+            self.stats.ecn_reductions += 1;
+            self.ecn_send_cwr = true;
+            self.trace_cwnd(now);
+        }
     }
 
     /// Same-ack handling: classify dup ACKs (RFC 5681 §3.2) and drive
     /// fast retransmit / SACK-based recovery.
-    fn same_ack_dup_check(
-        &mut self,
-        seg: SegmentView<'_>,
-        seg_len: u32,
-        had_sack_news: bool,
-        now: Instant,
-    ) {
-        let is_window_update = self.snd_wnd != u32::from(seg.window);
-        let is_dup = seg.payload.is_empty()
-            && seg_len == 0
-            && !is_window_update
-            && self.snd_max.gt(self.snd_una);
-        if is_dup || (had_sack_news && self.snd_max.gt(self.snd_una)) {
+    fn same_ack_dup_check(&mut self, seg: SegmentView<'_>, had_sack_news: bool, now: Instant) {
+        let is_window_update = self.tcb.snd_wnd != u32::from(seg.window);
+        let is_dup =
+            seg.seq_len() == 0 && !is_window_update && self.tcb.snd_max.gt(self.tcb.snd_una);
+        if is_dup || (had_sack_news && self.tcb.snd_max.gt(self.tcb.snd_una)) {
             self.stats.dup_acks_rcvd += 1;
             let flight = self.flight_size();
-            match self.cc.on_dup_ack(self.snd_una, self.snd_max, flight) {
+            match self
+                .cc
+                .on_dup_ack(self.tcb.snd_una, self.tcb.snd_max, flight)
+            {
                 CcAction::FastRetransmit => {
                     self.stats.fast_rexmits += 1;
                     self.rexmit_now = true;
-                    self.sack.start_recovery(self.snd_una);
+                    self.sack.start_recovery(self.tcb.snd_una);
                     self.sack_rexmit_budget = 1;
                     self.trace_cwnd(now);
                 }
@@ -974,16 +838,16 @@ impl TcpSocket {
     /// believed. Without it a single forged zero-window ACK turns
     /// into a silent permanent stall.
     fn update_send_window(&mut self, seg: SegmentView<'_>, now: Instant) {
-        let wl_ok = seg.seq.gt(self.snd_wl1)
-            || (seg.seq == self.snd_wl1 && seg.ack.ge(self.snd_wl2));
+        let wl_ok = seg.seq.gt(self.tcb.snd_wl1)
+            || (seg.seq == self.tcb.snd_wl1 && seg.ack.ge(self.tcb.snd_wl2));
         let persist_recover = self.persist_deadline.is_some()
-            && seg.ack == self.snd_una
+            && seg.ack == self.tcb.snd_una
             && u32::from(seg.window) > 0;
         if wl_ok || persist_recover {
-            self.snd_wnd = u32::from(seg.window);
-            self.snd_wl1 = seg.seq;
-            self.snd_wl2 = seg.ack;
-            if self.snd_wnd == 0 && !self.sndbuf.is_empty() {
+            self.tcb.snd_wnd = u32::from(seg.window);
+            self.tcb.snd_wl1 = seg.seq;
+            self.tcb.snd_wl2 = seg.ack;
+            if self.tcb.snd_wnd == 0 && !self.sndbuf.is_empty() {
                 if self.persist_deadline.is_none() {
                     self.persist_backoff = 0;
                     self.persist_probes = 0;
@@ -997,59 +861,14 @@ impl TcpSocket {
         }
     }
 
-    /// Fast path for a predicted pure ACK: the next in-sequence ACK of
-    /// new data with no payload, no special flags, and an unchanged
-    /// window. Runs exactly the sender-side steps the general machine
-    /// would for this segment class — persist reset, SACK ingest, ECN
-    /// echo, new-ACK processing, window bookkeeping, CE/CWR — and
-    /// skips everything else (RST/SYN/FIN handling, receive side).
-    fn fast_path_ack(&mut self, seg: SegmentView<'_>, ecn: Ecn, now: Instant) {
-        self.stats.predicted_acks += 1;
-        if self.persist_deadline.is_some() {
-            self.persist_probes = 0;
-        }
-        // The dup-ACK branch is unreachable here (ack > snd_una), but
-        // the scoreboard side effects and stats must still happen.
-        let _ = self.ingest_sack(seg);
-        self.note_ecn_echo(seg, now);
-        self.process_new_ack(seg, now);
-        self.update_send_window(seg, now);
-        if ecn == Ecn::Ce && self.ecn_enabled {
-            self.ecn_send_ece = true;
-            self.ack_now = true;
-        }
-        if self.ecn_enabled && seg.flags.contains(Flags::CWR) {
-            self.ecn_send_ece = false;
-        }
-    }
-
-    /// Fast path for predicted in-order data: the next expected segment
-    /// carrying payload with `ack == snd_una` and room in the receive
-    /// window. Appends straight to the receive buffer (bulk in-order
-    /// ingest) and schedules a delayed ACK via the normal ACK policy.
-    fn fast_path_data(&mut self, seg: SegmentView<'_>, seg_len: u32, ecn: Ecn, now: Instant) {
-        self.stats.predicted_data += 1;
-        if self.persist_deadline.is_some() {
-            self.persist_probes = 0;
-        }
-        let had_sack_news = self.ingest_sack(seg);
-        self.note_ecn_echo(seg, now);
-        self.same_ack_dup_check(seg, seg_len, had_sack_news, now);
-        self.update_send_window(seg, now);
-        self.process_payload(seg, ecn, now);
-        if self.ecn_enabled && seg.flags.contains(Flags::CWR) {
-            self.ecn_send_ece = false;
-        }
-    }
-
     fn process_new_ack(&mut self, seg: SegmentView<'_>, now: Instant) {
         let flight_before = self.flight_size();
-        let acked = seg.ack.distance_from(self.snd_una);
+        let acked = seg.ack.distance_from(self.tcb.snd_una);
 
         // RTT sampling: timestamps make retransmitted segments safe to
         // time (§9.4); otherwise Karn's algorithm via rtt_timing.
         let mut sampled = false;
-        if self.ts_enabled {
+        if self.tcb.ts_enabled {
             if let Some(ts) = seg.timestamps {
                 if ts.echo != 0 {
                     sampled = self.take_ts_rtt_sample(ts.echo, now);
@@ -1069,16 +888,16 @@ impl TcpSocket {
         }
 
         // Advance send buffer: data bytes acked excludes SYN/FIN seqs.
-        let syn_in_flight = u32::from(self.snd_una == self.iss);
+        let syn_in_flight = u32::from(self.tcb.snd_una == self.tcb.iss);
         let data_acked = (acked - syn_in_flight.min(acked)).min(self.sndbuf.len() as u32);
         if data_acked > 0 {
             self.sndbuf.advance(data_acked as usize);
         }
-        self.snd_una = seg.ack;
-        if self.snd_nxt.lt(self.snd_una) {
-            self.snd_nxt = self.snd_una;
+        self.tcb.snd_una = seg.ack;
+        if self.tcb.snd_nxt.lt(self.tcb.snd_una) {
+            self.tcb.snd_nxt = self.tcb.snd_una;
         }
-        self.sack.advance(self.snd_una);
+        self.sack.advance(self.tcb.snd_una);
         self.consecutive_rexmits = 0;
 
         // Congestion control.
@@ -1097,7 +916,7 @@ impl TcpSocket {
         self.trace_cwnd(now);
 
         // Retransmission timer: stop if everything acked, else restart.
-        if self.snd_una == self.snd_max {
+        if self.tcb.snd_una == self.tcb.snd_max {
             self.rexmit_deadline = None;
         } else {
             self.rexmit_deadline = Some(now + self.rtt.rto());
@@ -1106,10 +925,10 @@ impl TcpSocket {
         // Did this ACK cover our FIN?
         if let Some(fin) = self.fin_seq {
             if seg.ack.gt(fin) {
-                match self.state {
-                    TcpState::FinWait1 => self.state = TcpState::FinWait2,
+                match self.tcb.state {
+                    TcpState::FinWait1 => self.tcb.state = TcpState::FinWait2,
                     TcpState::Closing => {
-                        self.state = TcpState::TimeWait;
+                        self.tcb.state = TcpState::TimeWait;
                         self.timewait_deadline = Some(now + TIME_WAIT);
                     }
                     TcpState::LastAck => self.enter_closed(CloseReason::Normal),
@@ -1129,9 +948,8 @@ impl TcpSocket {
         if delta_ticks > 1 << 28 {
             return false;
         }
-        let rtt = Duration::from_micros(
-            u64::from(delta_ticks) * self.cfg.ts_granularity.as_micros(),
-        );
+        let rtt =
+            Duration::from_micros(u64::from(delta_ticks) * self.cfg.ts_granularity.as_micros());
         self.rtt.sample(rtt);
         self.stats.rtt_samples += 1;
         self.rtt_trace.record(now, rtt);
@@ -1142,29 +960,30 @@ impl TcpSocket {
         // Trim data before rcv_nxt.
         let mut offset_in_seg = 0usize;
         let mut stream_off = 0usize;
-        if seg.seq.lt(self.rcv_nxt) {
-            offset_in_seg = self.rcv_nxt.distance_from(seg.seq) as usize;
+        if seg.seq.lt(self.tcb.rcv_nxt) {
+            offset_in_seg = self.tcb.rcv_nxt.distance_from(seg.seq) as usize;
             if offset_in_seg >= seg.payload.len() {
                 // Entirely duplicate data.
                 self.ack_now = true;
                 return;
             }
         } else {
-            stream_off = seg.seq.distance_from(self.rcv_nxt) as usize;
+            stream_off = seg.seq.distance_from(self.tcb.rcv_nxt) as usize;
         }
         let data = &seg.payload[offset_in_seg..];
         let was_ooo = stream_off > 0;
         let conflicts_before = self.rcvbuf.conflicts();
         let newly = self.rcvbuf.write(stream_off, data);
+        self.tcb.rcv_wnd = self.rcvbuf.window() as u32;
         self.stats.reassembly_conflicts += self.rcvbuf.conflicts() - conflicts_before;
-        self.rcv_nxt += newly as u32;
+        self.tcb.rcv_nxt += newly as u32;
         self.stats.bytes_rcvd += newly as u64;
         if was_ooo {
             self.stats.ooo_segments += 1;
         }
 
         // CE mark on a data packet: echo congestion to the sender.
-        if ecn == Ecn::Ce && self.ecn_enabled {
+        if ecn == Ecn::Ce && self.tcb.ecn_enabled {
             self.ecn_send_ece = true;
         }
 
@@ -1172,10 +991,7 @@ impl TcpSocket {
         // was just filled (so the sender's SACK view updates promptly),
         // or with delayed ACKs disabled; otherwise delayed ACK every
         // second full segment.
-        if was_ooo
-            || self.rcvbuf.has_out_of_order()
-            || newly > data.len()
-            || !self.cfg.delayed_ack
+        if was_ooo || self.rcvbuf.has_out_of_order() || newly > data.len() || !self.cfg.delayed_ack
         {
             self.ack_now = true;
         } else {
@@ -1205,12 +1021,12 @@ impl TcpSocket {
             self.delack_segs = 0;
             self.delack_deadline = None;
             let mut seg = self.make_segment(Flags::RST | Flags::ACK);
-            seg.seq = self.snd_nxt;
-            seg.ack = self.rcv_nxt;
+            seg.seq = self.tcb.snd_nxt;
+            seg.ack = self.tcb.rcv_nxt;
             self.stats.segs_sent += 1;
             return Some(seg);
         }
-        match self.state {
+        match self.tcb.state {
             TcpState::Closed | TcpState::TimeWait => self.poll_ack_only(now),
             TcpState::SynSent => self.poll_syn(false, now),
             TcpState::SynReceived => self.poll_syn(true, now),
@@ -1239,7 +1055,7 @@ impl TcpSocket {
     }
 
     fn poll_ack_only(&mut self, now: Instant) -> Option<Segment> {
-        if self.ack_now && !matches!(self.state, TcpState::Closed) {
+        if self.ack_now && !matches!(self.tcb.state, TcpState::Closed) {
             Some(self.emit_ack(now))
         } else {
             None
@@ -1247,7 +1063,7 @@ impl TcpSocket {
     }
 
     fn poll_syn(&mut self, with_ack: bool, now: Instant) -> Option<Segment> {
-        if self.snd_nxt != self.iss {
+        if self.tcb.snd_nxt != self.tcb.iss {
             // SYN already in flight. A pending pure ACK must still go
             // out (e.g. re-ACKing the peer's retransmitted or crossed
             // SYN-ACK during simultaneous open).
@@ -1262,7 +1078,7 @@ impl TcpSocket {
         }
         // ECN setup handshake (RFC 3168 §6.1.1): SYN carries ECE|CWR,
         // SYN-ACK carries ECE only.
-        if self.ecn_enabled {
+        if self.tcb.ecn_enabled {
             if with_ack {
                 flags |= Flags::ECE;
             } else {
@@ -1270,24 +1086,28 @@ impl TcpSocket {
             }
         }
         let mut seg = self.make_segment(flags);
-        seg.seq = self.iss;
-        seg.ack = if with_ack { self.rcv_nxt } else { TcpSeq(0) };
+        seg.seq = self.tcb.iss;
+        seg.ack = if with_ack {
+            self.tcb.rcv_nxt
+        } else {
+            TcpSeq(0)
+        };
         seg.window = self.rcvbuf.window().min(65535) as u16;
         seg.mss = Some(self.cfg.mss.min(65535) as u16);
-        seg.sack_permitted = self.sack_enabled;
-        if self.ts_enabled {
+        seg.sack_permitted = self.tcb.sack_enabled;
+        if self.tcb.ts_enabled {
             seg.timestamps = Some(Timestamps {
                 value: self.ts_clock(now),
-                echo: if with_ack { self.ts_recent } else { 0 },
+                echo: if with_ack { self.tcb.ts_recent } else { 0 },
             });
         }
-        self.snd_nxt = self.iss + 1;
-        self.snd_max = self.snd_max.max(self.snd_nxt);
+        self.tcb.snd_nxt = self.tcb.iss + 1;
+        self.tcb.snd_max = self.tcb.snd_max.max(self.tcb.snd_nxt);
         if self.rexmit_deadline.is_none() {
             self.rexmit_deadline = Some(now + self.rtt.rto());
         }
         if self.rtt_timing.is_none() {
-            self.rtt_timing = Some((self.iss, now));
+            self.rtt_timing = Some((self.tcb.iss, now));
         }
         self.stats.segs_sent += 1;
         self.ack_now = false;
@@ -1298,16 +1118,16 @@ impl TcpSocket {
         // 1. Fast retransmit of the first unacked segment.
         if self.rexmit_now {
             self.rexmit_now = false;
-            if self.snd_max.gt(self.snd_una) {
-                return Some(self.emit_retransmission(self.snd_una, now));
+            if self.tcb.snd_max.gt(self.tcb.snd_una) {
+                return Some(self.emit_retransmission(self.tcb.snd_una, now));
             }
         }
 
         // 2. SACK-driven hole retransmissions (budgeted by ACK clock).
-        if self.cc.in_recovery() && self.sack_enabled && self.sack_rexmit_budget > 0 {
-            if let Some((start, len)) = self.sack.next_hole(self.snd_una, self.snd_mss as u32) {
+        if self.cc.in_recovery() && self.tcb.sack_enabled && self.sack_rexmit_budget > 0 {
+            if let Some((start, len)) = self.sack.next_hole(self.tcb.snd_una, self.snd_mss as u32) {
                 // Only data bytes can be retransmitted from the buffer.
-                let off = start.distance_from(self.snd_una) as usize;
+                let off = start.distance_from(self.tcb.snd_una) as usize;
                 if off < self.sndbuf.len() && len > 0 {
                     self.sack_rexmit_budget -= 1;
                     self.stats.sack_rexmits += 1;
@@ -1320,31 +1140,33 @@ impl TcpSocket {
         // 3. New data within min(cwnd, peer window).
         let probing = self.probe_now;
         self.probe_now = false;
-        let in_flight = self.snd_nxt.distance_from(self.snd_una) as usize;
+        let in_flight = self.tcb.snd_nxt.distance_from(self.tcb.snd_una) as usize;
         let buffered = self.sndbuf.len();
         let unsent = buffered.saturating_sub(in_flight.min(buffered));
-        let wnd =
-            (self.cc.cwnd().min(self.snd_wnd.max(u32::from(probing)))) as usize;
+        let wnd = (self.cc.cwnd().min(self.tcb.snd_wnd.max(u32::from(probing)))) as usize;
         let usable = wnd.saturating_sub(in_flight);
         let mut len = unsent.min(usable).min(self.snd_mss);
 
         // Nagle: hold sub-MSS segments while data is outstanding.
-        if len > 0
-            && len < self.snd_mss
-            && len < unsent.min(self.snd_mss)
-        {
+        if len > 0 && len < self.snd_mss && len < unsent.min(self.snd_mss) {
             // len limited by window, not by data: allow (window-limited
             // senders must still fill the window).
-        } else if len > 0 && len == unsent && len < self.snd_mss && in_flight > 0 && self.cfg.nagle
-            && !self.fin_queued && !probing {
-                len = 0;
-            }
+        } else if len > 0
+            && len == unsent
+            && len < self.snd_mss
+            && in_flight > 0
+            && self.cfg.nagle
+            && !self.fin_queued
+            && !probing
+        {
+            len = 0;
+        }
 
         // Zero-window probe: force out one byte.
         if probing && len == 0 && unsent > 0 {
             len = 1;
         }
-        if probing && len > 0 && self.snd_wnd == 0 {
+        if probing && len > 0 && self.tcb.snd_wnd == 0 {
             self.stats.zero_window_probes += 1;
         }
 
@@ -1353,7 +1175,7 @@ impl TcpSocket {
         // is closed, and nothing is in flight to trigger an ACK.
         if len == 0
             && unsent > 0
-            && self.snd_wnd == 0
+            && self.tcb.snd_wnd == 0
             && in_flight == 0
             && self.persist_deadline.is_none()
             && self.rexmit_deadline.is_none()
@@ -1364,12 +1186,12 @@ impl TcpSocket {
         }
 
         if len > 0 {
-            let seq = self.snd_nxt;
+            let seq = self.tcb.snd_nxt;
             let seg = self.emit_range(seq, len, now, false);
-            self.snd_nxt += len as u32;
-            let was_new = self.snd_nxt.gt(self.snd_max);
+            self.tcb.snd_nxt += len as u32;
+            let was_new = self.tcb.snd_nxt.gt(self.tcb.snd_max);
             if was_new {
-                self.snd_max = self.snd_nxt;
+                self.tcb.snd_max = self.tcb.snd_nxt;
                 self.stats.bytes_sent += len as u64;
             } else {
                 self.stats.segs_retransmitted += 1;
@@ -1388,17 +1210,17 @@ impl TcpSocket {
             && self.fin_seq.is_none()
             && in_flight >= buffered
             && matches!(
-                self.state,
+                self.tcb.state,
                 TcpState::FinWait1 | TcpState::Closing | TcpState::LastAck
             )
         {
             let mut seg = self.make_segment(Flags::FIN | Flags::ACK);
-            seg.seq = self.snd_nxt;
-            seg.ack = self.rcv_nxt;
+            seg.seq = self.tcb.snd_nxt;
+            seg.ack = self.tcb.rcv_nxt;
             self.fill_common(&mut seg, now);
-            self.fin_seq = Some(self.snd_nxt);
-            self.snd_nxt += 1;
-            self.snd_max = self.snd_max.max(self.snd_nxt);
+            self.fin_seq = Some(self.tcb.snd_nxt);
+            self.tcb.snd_nxt += 1;
+            self.tcb.snd_max = self.tcb.snd_max.max(self.tcb.snd_nxt);
             if self.rexmit_deadline.is_none() {
                 self.rexmit_deadline = Some(now + self.rtt.rto());
             }
@@ -1414,8 +1236,8 @@ impl TcpSocket {
         if self.keep_probe_now {
             self.keep_probe_now = false;
             let mut seg = self.make_segment(Flags::ACK);
-            seg.seq = self.snd_nxt - 1;
-            seg.ack = self.rcv_nxt;
+            seg.seq = self.tcb.snd_nxt - 1;
+            seg.ack = self.tcb.rcv_nxt;
             self.fill_common(&mut seg, now);
             self.stats.segs_sent += 1;
             self.stats.keepalive_probes += 1;
@@ -1430,16 +1252,14 @@ impl TcpSocket {
     }
 
     fn emit_retransmission(&mut self, seq: TcpSeq, now: Instant) -> Segment {
-        let len = self
-            .sndbuf
-            .len()
-            .min(self.snd_mss)
-            .max(usize::from(self.sndbuf.is_empty() && self.fin_seq.is_some()));
+        let len = self.sndbuf.len().min(self.snd_mss).max(usize::from(
+            self.sndbuf.is_empty() && self.fin_seq.is_some(),
+        ));
         if len == 0 || self.sndbuf.is_empty() {
             // Only a FIN (or SYN edge) is outstanding; re-emit FIN.
             let mut seg = self.make_segment(Flags::FIN | Flags::ACK);
             seg.seq = seq;
-            seg.ack = self.rcv_nxt;
+            seg.ack = self.tcb.rcv_nxt;
             self.fill_common(&mut seg, now);
             self.stats.segs_sent += 1;
             self.stats.segs_retransmitted += 1;
@@ -1449,7 +1269,7 @@ impl TcpSocket {
     }
 
     fn emit_range(&mut self, seq: TcpSeq, len: usize, now: Instant, is_rexmit: bool) -> Segment {
-        let off = seq.distance_from(self.snd_una) as usize;
+        let off = seq.distance_from(self.tcb.snd_una) as usize;
         let mut payload = std::mem::take(&mut self.tx_payload);
         self.sndbuf.copy_into(off, len, &mut payload);
         let mut flags = Flags::ACK;
@@ -1463,7 +1283,7 @@ impl TcpSocket {
         }
         let mut seg = self.make_segment(flags);
         seg.seq = seq;
-        seg.ack = self.rcv_nxt;
+        seg.ack = self.tcb.rcv_nxt;
         seg.payload = payload;
         self.fill_common(&mut seg, now);
         self.stats.segs_sent += 1;
@@ -1482,8 +1302,8 @@ impl TcpSocket {
 
     fn emit_ack(&mut self, now: Instant) -> Segment {
         let mut seg = self.make_segment(Flags::ACK);
-        seg.seq = self.snd_nxt;
-        seg.ack = self.rcv_nxt;
+        seg.seq = self.tcb.snd_nxt;
+        seg.ack = self.tcb.rcv_nxt;
         self.fill_common(&mut seg, now);
         self.stats.segs_sent += 1;
         self.stats.acks_sent += 1;
@@ -1494,16 +1314,22 @@ impl TcpSocket {
     }
 
     fn make_segment(&self, flags: Flags) -> Segment {
-        Segment::new(self.local_port, self.remote_port, TcpSeq(0), TcpSeq(0), flags)
+        Segment::new(
+            self.local_port,
+            self.remote_port,
+            TcpSeq(0),
+            TcpSeq(0),
+            flags,
+        )
     }
 
     fn fill_common(&mut self, seg: &mut Segment, now: Instant) {
         seg.window = self.rcvbuf.window().min(65535) as u16;
-        self.last_ack_sent = self.rcv_nxt;
-        if self.ts_enabled {
+        self.last_ack_sent = self.tcb.rcv_nxt;
+        if self.tcb.ts_enabled {
             seg.timestamps = Some(Timestamps {
                 value: self.ts_clock(now),
-                echo: self.ts_recent,
+                echo: self.tcb.ts_recent,
             });
         }
         if self.ecn_send_ece {
@@ -1513,7 +1339,7 @@ impl TcpSocket {
     }
 
     fn attach_sack_blocks(&mut self, seg: &mut Segment) {
-        if !self.sack_enabled || !self.rcvbuf.has_out_of_order() {
+        if !self.tcb.sack_enabled || !self.rcvbuf.has_out_of_order() {
             return;
         }
         // Most recent ranges first per RFC 2018; we report up to 3 in
@@ -1521,8 +1347,8 @@ impl TcpSocket {
         seg.sack_blocks = std::mem::take(&mut self.tx_sack_blocks);
         for &(s, e) in self.rcvbuf.out_of_order_ranges().iter().take(3) {
             seg.sack_blocks.push(SackBlock {
-                start: self.rcv_nxt + s,
-                end: self.rcv_nxt + e,
+                start: self.tcb.rcv_nxt + s,
+                end: self.tcb.rcv_nxt + e,
             });
         }
     }
@@ -1538,11 +1364,6 @@ impl TcpSocket {
     pub fn tick(&mut self, now: Instant) {
         let _ = self.ts_clock(now);
     }
-}
-
-/// Modular "less than" for 32-bit timestamps (RFC 7323).
-fn ts_lt(a: u32, b: u32) -> bool {
-    (b.wrapping_sub(a) as i32) > 0
 }
 
 #[cfg(test)]
@@ -1619,7 +1440,10 @@ mod tests {
         a.on_segment(&synack, Ecn::NotCapable, t);
         assert_eq!(a.state(), TcpState::Established);
         let ack = a.poll_transmit(t).expect("handshake ACK");
-        assert!(ack.timestamps.is_none(), "timestamps off when peer lacks them");
+        assert!(
+            ack.timestamps.is_none(),
+            "timestamps off when peer lacks them"
+        );
         a.send(b"x");
         let data = a.poll_transmit(t).expect("data");
         assert!(data.timestamps.is_none());
@@ -1804,17 +1628,19 @@ mod tests {
     fn rst_subsumes_pending_ack_in_syn_received() {
         let t = Instant::ZERO;
         let syn = Segment::new(5, 80, TcpSeq(77), TcpSeq(0), Flags::SYN);
-        let mut s = TcpSocket::accept(
-            TcpConfig::default(),
-            NodeId(9).mesh_addr(),
-            80,
-            NodeId(1).mesh_addr(),
-            5,
-            &syn,
-            300,
-            t,
-        );
-        let _synack = s.poll_transmit(t).unwrap();
+        let tcb = Tcb {
+            state: TcpState::SynReceived,
+            iss: TcpSeq(300),
+            irs: TcpSeq(77),
+            snd_una: TcpSeq(300),
+            snd_nxt: TcpSeq(301),
+            snd_max: TcpSeq(301),
+            rcv_nxt: TcpSeq(78),
+            ..Tcb::default()
+        };
+        let local = (NodeId(9).mesh_addr(), 80);
+        let remote = (NodeId(1).mesh_addr(), 5);
+        let mut s = TcpSocket::accept(TcpConfig::default(), local, remote, tcb, None, t);
         // Duplicate SYN: queues a re-ACK/challenge.
         s.on_segment(&syn, Ecn::NotCapable, t);
         // Forged ACK for data we never sent: queues a RST.

@@ -376,7 +376,9 @@ impl Segment {
             src_port: u16::from_be_bytes([bytes[0], bytes[1]]),
             dst_port: u16::from_be_bytes([bytes[2], bytes[3]]),
             seq: TcpSeq(u32::from_be_bytes([bytes[4], bytes[5], bytes[6], bytes[7]])),
-            ack: TcpSeq(u32::from_be_bytes([bytes[8], bytes[9], bytes[10], bytes[11]])),
+            ack: TcpSeq(u32::from_be_bytes([
+                bytes[8], bytes[9], bytes[10], bytes[11],
+            ])),
             flags: Flags(bytes[13]),
             window: u16::from_be_bytes([bytes[14], bytes[15]]),
             mss: None,
@@ -393,7 +395,7 @@ impl Segment {
         let mut opts = &bytes[TCP_HEADER_LEN..data_off];
         while let Some(&kind) = opts.first() {
             match kind {
-                0 => break,      // end of options
+                0 => break,             // end of options
                 1 => opts = &opts[1..], // NOP
                 _ => {
                     if opts.len() < 2 {
@@ -460,7 +462,13 @@ mod tests {
     }
 
     fn full_segment() -> Segment {
-        let mut s = Segment::new(100, 200, TcpSeq(1000), TcpSeq(2000), Flags::ACK | Flags::PSH);
+        let mut s = Segment::new(
+            100,
+            200,
+            TcpSeq(1000),
+            TcpSeq(2000),
+            Flags::ACK | Flags::PSH,
+        );
         s.window = 1848;
         s.timestamps = Some(Timestamps {
             value: 111,

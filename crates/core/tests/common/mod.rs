@@ -119,7 +119,15 @@ impl Harness {
         // manually (the pipe only joins established endpoints).
         let syn = h.a.poll_transmit(h.now).expect("SYN");
         let mut listener = ListenSocket::new(cfg, b_addr, B_PORT, &tcplp::NodeBudget::default());
-        h.b = accept_via_listener(&mut listener, &mut h.a, a_addr, &syn, 20_000, h.now, latency);
+        h.b = accept_via_listener(
+            &mut listener,
+            &mut h.a,
+            a_addr,
+            &syn,
+            20_000,
+            h.now,
+            latency,
+        );
         h.run_for(Duration::from_secs(5));
         assert_eq!(h.a.state(), TcpState::Established, "client established");
         assert_eq!(h.b.state(), TcpState::Established, "server established");

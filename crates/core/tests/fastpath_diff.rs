@@ -263,12 +263,8 @@ fn predicate_boundaries_match() {
         let a_addr = NodeId(1).mesh_addr();
         let b_addr = NodeId(2).mesh_addr();
         let mut client = TcpSocket::new(cfg.clone(), a_addr, CLIENT_PORT);
-        let mut listener = ListenSocket::new(
-            cfg,
-            b_addr,
-            SERVER_PORT,
-            &tcplp::NodeBudget::default(),
-        );
+        let mut listener =
+            ListenSocket::new(cfg, b_addr, SERVER_PORT, &tcplp::NodeBudget::default());
         let now = Instant::ZERO;
         client.connect(b_addr, SERVER_PORT, 1000, now);
         let syn = client.poll_transmit(now).expect("SYN");

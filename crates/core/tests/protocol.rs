@@ -33,12 +33,8 @@ fn mss_negotiated_to_minimum() {
     let a_addr = h.a.local().0;
     h.a.connect(b_addr, common::B_PORT, 1, h.now);
     let syn = h.a.poll_transmit(h.now).unwrap();
-    let mut listener = tcplp::ListenSocket::new(
-        small,
-        b_addr,
-        common::B_PORT,
-        &tcplp::NodeBudget::default(),
-    );
+    let mut listener =
+        tcplp::ListenSocket::new(small, b_addr, common::B_PORT, &tcplp::NodeBudget::default());
     h.b = common::accept_via_listener(&mut listener, &mut h.a, a_addr, &syn, 2, h.now, LAT);
     h.run_for(Duration::from_secs(2));
     assert_eq!(h.a.state(), TcpState::Established);
@@ -222,12 +218,8 @@ fn flow_control_window_respected() {
     let a_addr = h.a.local().0;
     h.a.connect(b_addr, common::B_PORT, 1, h.now);
     let syn = h.a.poll_transmit(h.now).unwrap();
-    let mut listener = tcplp::ListenSocket::new(
-        small,
-        b_addr,
-        common::B_PORT,
-        &tcplp::NodeBudget::default(),
-    );
+    let mut listener =
+        tcplp::ListenSocket::new(small, b_addr, common::B_PORT, &tcplp::NodeBudget::default());
     h.b = common::accept_via_listener(&mut listener, &mut h.a, a_addr, &syn, 2, h.now, LAT);
     h.run_for(Duration::from_secs(2));
     assert_eq!(h.a.state(), TcpState::Established);
@@ -266,12 +258,8 @@ fn zero_window_probe_reopens_stalled_flow() {
     let a_addr = h.a.local().0;
     h.a.connect(b_addr, common::B_PORT, 1, h.now);
     let syn = h.a.poll_transmit(h.now).unwrap();
-    let mut listener = tcplp::ListenSocket::new(
-        small,
-        b_addr,
-        common::B_PORT,
-        &tcplp::NodeBudget::default(),
-    );
+    let mut listener =
+        tcplp::ListenSocket::new(small, b_addr, common::B_PORT, &tcplp::NodeBudget::default());
     h.b = common::accept_via_listener(&mut listener, &mut h.a, a_addr, &syn, 2, h.now, LAT);
     h.run_for(Duration::from_secs(2));
 
@@ -376,10 +364,7 @@ fn syn_retransmission_on_lost_syn_ack() {
     let mut dropped = false;
     h.set_fault(move |dir, seg, _| {
         let mut f = Fault::default();
-        if dir == Dir::BtoA
-            && seg.flags.contains(Flags::SYN)
-            && !dropped
-        {
+        if dir == Dir::BtoA && seg.flags.contains(Flags::SYN) && !dropped {
             dropped = true;
             f.drop = true;
         }
@@ -387,12 +372,8 @@ fn syn_retransmission_on_lost_syn_ack() {
     });
     h.a.connect(b_addr, common::B_PORT, 1, h.now);
     let syn = h.a.poll_transmit(h.now).unwrap();
-    let mut listener = tcplp::ListenSocket::new(
-        cfg,
-        b_addr,
-        common::B_PORT,
-        &tcplp::NodeBudget::default(),
-    );
+    let mut listener =
+        tcplp::ListenSocket::new(cfg, b_addr, common::B_PORT, &tcplp::NodeBudget::default());
     h.b = common::accept_via_listener(&mut listener, &mut h.a, a_addr, &syn, 2, h.now, LAT);
     h.run_for(Duration::from_secs(10));
     assert_eq!(h.a.state(), TcpState::Established);
@@ -491,7 +472,7 @@ fn goodput_close_to_window_over_rtt() {
     assert_eq!(got.len(), data.len());
     let elapsed = (h.now - start).as_secs_f64();
     let goodput = 50_000.0 * 8.0 / elapsed; // bits/s
-    // window 1848 B, RTT ~40-90ms (delack) -> expect 150-400 kb/s.
+                                            // window 1848 B, RTT ~40-90ms (delack) -> expect 150-400 kb/s.
     assert!(
         goodput > 100_000.0,
         "goodput {goodput:.0} b/s too low for a 40ms pipe"

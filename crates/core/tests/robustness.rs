@@ -163,12 +163,8 @@ fn persist_probes_back_off_exponentially() {
     let (b_addr, _) = h.b.local();
     h.a.connect(b_addr, common::B_PORT, 1, h.now);
     let syn = h.a.poll_transmit(h.now).unwrap();
-    let mut listener = tcplp::ListenSocket::new(
-        small,
-        b_addr,
-        common::B_PORT,
-        &tcplp::NodeBudget::default(),
-    );
+    let mut listener =
+        tcplp::ListenSocket::new(small, b_addr, common::B_PORT, &tcplp::NodeBudget::default());
     h.b = common::accept_via_listener(&mut listener, &mut h.a, a_addr, &syn, 2, h.now, LAT);
     h.run_for(Duration::from_secs(2));
     // Fill B and never drain: persist probes flow, spaced increasingly.
@@ -200,7 +196,13 @@ fn time_wait_absorbs_retransmitted_fin() {
         // Replay a FIN (duplicate): must be re-ACKed, not crash/reopen.
         let (_, b_port) = h.b.local();
         let (_, a_port) = h.a.local();
-        let mut fin = Segment::new(b_port, a_port, TcpSeq(20_001), TcpSeq(10_002), Flags::FIN | Flags::ACK);
+        let mut fin = Segment::new(
+            b_port,
+            a_port,
+            TcpSeq(20_001),
+            TcpSeq(10_002),
+            Flags::FIN | Flags::ACK,
+        );
         fin.timestamps = Some(Timestamps {
             value: u32::MAX / 2,
             echo: 0,
@@ -278,7 +280,12 @@ fn listener_ignores_non_syn_and_rst_generated() {
     );
     let bare_ack = Segment::new(5, 80, TcpSeq(1), TcpSeq(2), Flags::ACK);
     assert!(l
-        .on_segment(lln_netip::NodeId(1).mesh_addr(), &bare_ack, 7, Instant::ZERO)
+        .on_segment(
+            lln_netip::NodeId(1).mesh_addr(),
+            &bare_ack,
+            7,
+            Instant::ZERO
+        )
         .into_spawn()
         .is_none());
     assert_eq!(l.stats.bad_acks, 1, "stray ACK counted, not spawned");

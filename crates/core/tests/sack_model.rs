@@ -227,7 +227,11 @@ fn in_place_merge_matches_the_reference() {
             let want = model.update(&blocks, snd_una, snd_max);
             let at = format!("episode {ep} step {step} blocks {blocks:?}");
             assert_eq!(got, want, "tallies at {at}");
-            assert_eq!(sb.ranges().collect::<Vec<_>>(), model.ranges, "ranges at {at}");
+            assert_eq!(
+                sb.ranges().collect::<Vec<_>>(),
+                model.ranges,
+                "ranges at {at}"
+            );
             assert_eq!(sb.sacked_bytes(), model.sacked_bytes(), "bytes at {at}");
             sb.check_invariants(snd_una, snd_max);
             match rng.gen_range(6) {
@@ -253,7 +257,11 @@ fn in_place_merge_matches_the_reference() {
                 snd_una += rng.gen_range(u64::from(snd_max.distance_from(snd_una)) + 1) as u32;
                 sb.advance(snd_una);
                 model.advance(snd_una);
-                assert_eq!(sb.ranges().collect::<Vec<_>>(), model.ranges, "advance at {at}");
+                assert_eq!(
+                    sb.ranges().collect::<Vec<_>>(),
+                    model.ranges,
+                    "advance at {at}"
+                );
             }
             if rng.gen_bool(0.5) {
                 snd_max += rng.gen_range(1_000) as u32;

@@ -28,7 +28,9 @@ fn adversarial_transfer(seed: u64, loss: f64, reorder: f64, dup: f64, bytes: usi
         }
         f
     });
-    let data: Vec<u8> = (0..bytes).map(|i| (i.wrapping_mul(2654435761) >> 7) as u8).collect();
+    let data: Vec<u8> = (0..bytes)
+        .map(|i| (i.wrapping_mul(2654435761) >> 7) as u8)
+        .collect();
     let got = h.transfer_a_to_b(&data, Duration::from_secs(600));
     got == data
 }
@@ -130,12 +132,8 @@ fn tiny_buffers_under_loss() {
         let (b_addr, _) = h.b.local();
         h.a.connect(b_addr, common::B_PORT, 1, h.now);
         let syn = h.a.poll_transmit(h.now).unwrap();
-        let mut listener = tcplp::ListenSocket::new(
-            cfg,
-            b_addr,
-            common::B_PORT,
-            &tcplp::NodeBudget::default(),
-        );
+        let mut listener =
+            tcplp::ListenSocket::new(cfg, b_addr, common::B_PORT, &tcplp::NodeBudget::default());
         h.b = common::accept_via_listener(
             &mut listener,
             &mut h.a,
