@@ -204,8 +204,10 @@ fn bench_sim_primitives() {
         });
     }
     // The large-population tradeoff: 1000 live events, far beyond any
-    // world. Each insert shifts up to the whole vector here, so this
-    // case is slower than a heap would be.
+    // world (none keeps more than 21 live). Each insert walks from the
+    // back and shifts up to the whole vector here, so this case is
+    // slower than a heap would be, and slower than a binary search by
+    // a constant factor.
     bench("sim/event_queue_schedule_pop_1k", None, 5_000, || {
         let mut q = EventQueue::<u32>::new();
         for i in 0..1000u32 {
@@ -250,7 +252,7 @@ fn bench_frame_pool() {
     bench("frame/framebuf_clone_fanout4", Some(4 * mpdu), 100_000, || {
         for _ in 0..4 {
             let rx = buf.clone();
-            black_box(rx.encoded().len());
+            black_box(rx.mpdu_len());
         }
     });
     bench("frame/pool_alloc_reclaim", Some(mpdu), 100_000, || {
@@ -259,7 +261,7 @@ fn bench_frame_pool() {
             let mut f = frame.clone();
             f.seq = seq;
             let b = pool.alloc(f);
-            black_box(b.encoded().len());
+            black_box(b.mpdu_len());
             pool.reclaim(b);
         }
         black_box(pool.spares());

@@ -171,8 +171,7 @@ impl MacFrame {
 
     /// True when this is a data-request command.
     pub fn is_data_request(&self) -> bool {
-        self.frame_type == FrameType::Command
-            && self.payload.first() == Some(&CMD_DATA_REQUEST)
+        self.frame_type == FrameType::Command && self.payload.first() == Some(&CMD_DATA_REQUEST)
     }
 
     /// Encoded MPDU length in bytes (drives air-time computation).
@@ -340,7 +339,11 @@ mod tests {
             for &b in bytes {
                 crc ^= u16::from(b);
                 for _ in 0..8 {
-                    crc = if crc & 1 != 0 { (crc >> 1) ^ 0x8408 } else { crc >> 1 };
+                    crc = if crc & 1 != 0 {
+                        (crc >> 1) ^ 0x8408
+                    } else {
+                        crc >> 1
+                    };
                 }
             }
             crc

@@ -27,5 +27,5 @@ pub mod pool;
 
 pub use csma::{MacConfig, TxProcess, TxStep};
 pub use frame::{FrameType, MacFrame};
-pub use pool::{FrameBuf, FramePool};
 pub use poll::{PollMode, PollScheduler};
+pub use pool::{FrameBuf, FramePool};

@@ -1,22 +1,26 @@
 //! Pooled, reference-counted frame buffers.
 //!
-//! A [`FrameBuf`] pairs a decoded [`MacFrame`] with its wire encoding,
-//! computed exactly once at construction. Cloning is a reference-count
-//! bump, so a frame can sit in the MAC queue, ride the medium, fan out
-//! to several receivers, and wait in the retransmit path without its
-//! payload or encoding ever being copied or re-derived — the same
-//! zero-copy buffering discipline TCPlp applies to its send buffer
-//! on-mote (§5 of the paper).
+//! A [`FrameBuf`] wraps a decoded [`MacFrame`]. Cloning is a
+//! reference-count bump, so a frame can sit in the MAC queue, ride the
+//! medium, fan out to several receivers, and wait in the retransmit
+//! path without its payload ever being copied — the same zero-copy
+//! buffering discipline TCPlp applies to its send buffer on-mote (§5 of
+//! the paper).
+//!
+//! No wire encoding is kept. Air time and platform overhead need only
+//! the MPDU length, which [`MacFrame::mpdu_len`] computes from the
+//! header layout, and a receiver needs the bytes (with their FCS) only
+//! while a bit-error burst is on at it, when the world encodes the
+//! frame for that one reception.
 //!
 //! A [`FramePool`] recycles the underlying allocations: when the last
 //! reference to a buffer is handed back via [`FramePool::reclaim`], its
-//! heap storage (the `Arc` block, the encoding `Vec` and the payload
-//! `Vec`) is reused for later frames instead of going back to the
-//! allocator. Payloads are built in buffers from
-//! [`FramePool::payload_buf`]; when a recycled block takes a new frame,
-//! the old frame's payload returns to that list. The steady state of a
-//! busy node — one frame in flight, a handful queued — runs entirely
-//! out of the pool.
+//! heap storage (the `Arc` block and the payload `Vec`) is reused for
+//! later frames instead of going back to the allocator. Payloads are
+//! built in buffers from [`FramePool::payload_buf`]; when a recycled
+//! block takes a new frame, the old frame's payload returns to that
+//! list. The steady state of a busy node — one frame in flight, a
+//! handful queued — runs entirely out of the pool.
 //!
 //! # Ownership rules
 //!
@@ -27,48 +31,39 @@
 //!   `FrameBuf` is always correct, and `reclaim` quietly declines
 //!   buffers that still have other holders.
 
-use crate::frame::{MacFrame, MAX_MAC_PAYLOAD, MAX_MPDU};
+use crate::frame::{MacFrame, MAX_MAC_PAYLOAD};
 use std::sync::Arc;
 
-/// An immutable MAC frame plus its cached wire encoding.
+/// An immutable, shared MAC frame.
 #[derive(Clone, Debug)]
-pub struct FrameBuf(Arc<FrameData>);
-
-#[derive(Debug)]
-struct FrameData {
-    frame: MacFrame,
-    encoded: Vec<u8>,
-}
+pub struct FrameBuf(Arc<MacFrame>);
 
 impl FrameBuf {
-    /// Builds a buffer for `frame`, encoding it eagerly. The encoding
-    /// has room for a full [`MAX_MPDU`], so a pooled block built for a
-    /// short link ACK takes a full data frame later without growing.
+    /// Builds a buffer for `frame`.
     pub fn new(frame: MacFrame) -> Self {
-        let mut encoded = Vec::with_capacity(frame.mpdu_len().max(MAX_MPDU));
-        frame.encode_into(&mut encoded);
-        FrameBuf(Arc::new(FrameData { frame, encoded }))
+        FrameBuf(Arc::new(frame))
     }
 
     /// The decoded frame.
     pub fn frame(&self) -> &MacFrame {
-        &self.0.frame
+        &self.0
     }
 
-    /// The cached wire bytes (identical to `self.frame().encode()`).
-    pub fn encoded(&self) -> &[u8] {
-        &self.0.encoded
+    /// The wire bytes, encoded afresh on every call (nothing is
+    /// cached): one allocation and an FCS pass each time.
+    pub fn encoded(&self) -> Vec<u8> {
+        self.0.encode()
     }
 
     /// Encoded MPDU length in bytes (drives air-time computation).
     pub fn mpdu_len(&self) -> usize {
-        self.0.encoded.len()
+        self.0.mpdu_len()
     }
 }
 
 /// A free list of uniquely-owned frame buffers awaiting reuse.
 pub struct FramePool {
-    spares: Vec<Arc<FrameData>>,
+    spares: Vec<Arc<MacFrame>>,
     /// Cleared payload buffers, lent out by [`FramePool::payload_buf`].
     payloads: Vec<Vec<u8>>,
     max_spares: usize,
@@ -101,9 +96,8 @@ impl FramePool {
     pub fn alloc(&mut self, frame: MacFrame) -> FrameBuf {
         match self.spares.pop() {
             Some(mut arc) => {
-                let d = Arc::get_mut(&mut arc).expect("spares are uniquely owned");
-                let old = std::mem::replace(&mut d.frame, frame);
-                d.frame.encode_into(&mut d.encoded);
+                let slot = Arc::get_mut(&mut arc).expect("spares are uniquely owned");
+                let old = std::mem::replace(slot, frame);
                 self.keep_payload(old.payload);
                 self.reused += 1;
                 FrameBuf(arc)
@@ -151,7 +145,7 @@ impl FramePool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::frame::{FrameType, MAC_OVERHEAD};
+    use crate::frame::{FrameType, ACK_MPDU_LEN, MAC_OVERHEAD, MAX_MPDU};
     use lln_netip::NodeId;
 
     fn data(payload: usize) -> MacFrame {
@@ -159,7 +153,7 @@ mod tests {
     }
 
     #[test]
-    fn cached_encoding_matches_encode() {
+    fn encoding_matches_encode() {
         let f = data(40);
         let buf = FrameBuf::new(f.clone());
         assert_eq!(buf.encoded(), f.encode().as_slice());
@@ -171,14 +165,14 @@ mod tests {
     fn clone_shares_storage() {
         let buf = FrameBuf::new(data(10));
         let other = buf.clone();
-        assert!(std::ptr::eq(buf.encoded(), other.encoded()));
+        assert!(std::ptr::eq(buf.frame(), other.frame()));
     }
 
     #[test]
     fn ack_buffer_encodes_ack() {
         let buf = FrameBuf::new(MacFrame::ack(9, true));
-        assert_eq!(buf.mpdu_len(), crate::frame::ACK_MPDU_LEN);
-        let dec = MacFrame::decode(buf.encoded()).unwrap();
+        assert_eq!(buf.mpdu_len(), ACK_MPDU_LEN);
+        let dec = MacFrame::decode(&buf.encoded()).unwrap();
         assert_eq!(dec.frame_type, FrameType::Ack);
         assert!(dec.pending);
     }
@@ -193,25 +187,41 @@ mod tests {
         let b = pool.alloc(data(90));
         assert_eq!(pool.reused, 1);
         assert_eq!(pool.spares(), 0);
-        // The recycled buffer re-encodes the NEW frame correctly.
+        // The recycled buffer encodes the NEW frame correctly.
         assert_eq!(b.encoded(), b.frame().encode().as_slice());
         assert_eq!(b.frame().payload.len(), 90);
     }
 
     #[test]
-    fn ack_block_takes_a_full_data_frame_without_growing() {
+    fn reused_block_encodes_only_its_new_frame() {
+        // One block cycles through an ACK, an empty data frame and a
+        // full MAX_MPDU data frame, then an ACK again, so every kind
+        // follows a different one and the ACK follows the longest.
         let mut pool = FramePool::new(8);
-        let ack = pool.alloc(MacFrame::ack(3, false));
-        let (ptr, cap) = (ack.encoded().as_ptr(), ack.0.encoded.capacity());
-        pool.reclaim(ack);
-        let mut p = pool.payload_buf();
-        p.resize(MAX_MAC_PAYLOAD, 0x5A);
-        let data = pool.alloc(MacFrame::data(NodeId(1), NodeId(2), 4, p));
-        assert_eq!(pool.reused, 1, "the ACK's block is reused");
-        assert_eq!(data.mpdu_len(), MAX_MPDU);
-        assert_eq!(data.encoded().as_ptr(), ptr, "encoding not reallocated");
-        assert_eq!(data.0.encoded.capacity(), cap);
-        assert_eq!(data.encoded(), data.frame().encode().as_slice());
+        let mut full = pool.payload_buf();
+        full.resize(MAX_MAC_PAYLOAD, 0x5A);
+        let frames = [
+            MacFrame::ack(3, true),
+            MacFrame::data(NodeId(1), NodeId(2), 4, pool.payload_buf()),
+            MacFrame::data(NodeId(2), NodeId(1), 5, full),
+            MacFrame::ack(6, false),
+        ];
+        let mut lens = Vec::new();
+        for f in frames {
+            let buf = pool.alloc(f.clone());
+            assert_eq!(buf.frame(), &f, "nothing of the block's last frame stays");
+            let wire = buf.encoded();
+            assert_eq!(wire, buf.frame().encode());
+            assert_eq!(buf.mpdu_len(), wire.len());
+            lens.push(wire.len());
+            pool.reclaim(buf);
+        }
+        assert_eq!(lens, [ACK_MPDU_LEN, MAC_OVERHEAD, MAX_MPDU, ACK_MPDU_LEN]);
+        assert_eq!(
+            (pool.fresh, pool.reused),
+            (1, 3),
+            "one block served all four"
+        );
     }
 
     #[test]

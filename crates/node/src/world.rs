@@ -164,6 +164,8 @@ pub struct World {
     blackouts: Vec<((usize, usize), (f64, f64))>,
     /// Bit-error bursts in force, as (node, BER).
     ber_bursts: Vec<(usize, f64)>,
+    /// Events popped and dispatched so far (see [`World::events`]).
+    events: u64,
 }
 
 impl World {
@@ -237,6 +239,7 @@ impl World {
             pumped: Vec::new(),
             blackouts: Vec::new(),
             ber_bursts: Vec::new(),
+            events: 0,
         };
         // Sleepy leaves begin their poll schedule immediately (spread
         // out to avoid synchronised polls).
@@ -255,6 +258,12 @@ impl World {
     /// Current simulated time.
     pub fn now(&self) -> Instant {
         self.queue.now()
+    }
+
+    /// Events dispatched since the world was built. A cost count, not an
+    /// outcome: it is exact for a seed, and no digest includes it.
+    pub fn events(&self) -> u64 {
+        self.events
     }
 
     /// Enables the packet trace (bounded at `capacity` entries).
@@ -499,6 +508,7 @@ impl World {
                 break;
             }
             let (now, ev) = self.queue.pop().expect("peeked");
+            self.events += 1;
             self.dispatch(now, ev);
         }
     }
@@ -827,13 +837,13 @@ impl World {
             .reduce(f64::max);
     }
 
-    /// Decodes `encoded` as received by `rx` during a bit-error burst:
-    /// each bit flips independently at the node's BER (sampled by
-    /// geometric skips from the world RNG), then the frame goes through
+    /// Receives `frame` at `rx` during a bit-error burst: the frame is
+    /// encoded, each bit flips independently at the node's BER (sampled
+    /// by geometric skips from the world RNG), then the bytes go through
     /// the real decoder, whose FCS check rejects nearly all corruption.
-    fn ber_decode(&mut self, rx: usize, encoded: &[u8]) -> Option<MacFrame> {
+    fn ber_decode(&mut self, rx: usize, frame: &MacFrame) -> Option<MacFrame> {
         let ber = self.nodes[rx].ber.unwrap_or(0.0);
-        let mut bytes = encoded.to_vec();
+        let mut bytes = frame.encode();
         let nbits = (bytes.len() * 8) as u64;
         if ber > 0.0 {
             let mut idx: u64 = 0;
@@ -862,12 +872,12 @@ impl World {
 
     /// Delivers a received transmission to `rx`, applying bit errors
     /// when a burst is active there.
-    fn deliver_encoded(&mut self, rx: usize, frame: &MacFrame, encoded: &[u8], now: Instant) {
+    fn deliver_with_ber(&mut self, rx: usize, frame: &MacFrame, now: Instant) {
         if self.nodes[rx].ber.is_none() {
             self.deliver_frame(rx, frame, now);
             return;
         }
-        match self.ber_decode(rx, encoded) {
+        match self.ber_decode(rx, frame) {
             Some(f) => self.deliver_frame(rx, &f, now),
             None => {
                 self.nodes[rx].counters.inc(NodeCounter::FcsDrops);
@@ -955,9 +965,8 @@ impl World {
         // Load the frame into the radio (SPI + driver cost) BEFORE
         // CSMA: the radio then transmits immediately after a clear CCA,
         // as real 802.15.4 hardware does. Retries re-use the loaded
-        // frame and skip this cost. The encoding was cached when the
-        // buffer was built, so nothing is re-encoded here either.
-        let overhead = self.cfg.phy.platform_overhead(frame.encoded().len());
+        // frame and skip this cost.
+        let overhead = self.cfg.phy.platform_overhead(frame.mpdu_len());
         self.nodes[i].meter.add_cpu(overhead);
         let tok = self.queue.schedule(now + overhead, Event::SpiDone(i));
         self.nodes[i].cur_tx = Some(CurrentTx {
@@ -1027,7 +1036,7 @@ impl World {
                     .nodes[i]
                     .cur_tx
                     .as_ref()
-                    .map_or(0, |t| t.frame.encoded().len());
+                    .map_or(0, |t| t.frame.mpdu_len());
                 let start = now + self.cfg.phy.turnaround;
                 let air = self.cfg.phy.air_time(len);
                 let handle = self.medium.begin_tx(RadioIdx(i), start, start + air);
@@ -1136,7 +1145,7 @@ impl World {
         self.listeners = listeners;
         for &(rx, ok) in &outcomes {
             if ok {
-                self.deliver_encoded(rx.0, buf.frame(), buf.encoded(), now);
+                self.deliver_with_ber(rx.0, buf.frame(), now);
             }
         }
         self.outcomes = outcomes;
@@ -1148,7 +1157,7 @@ impl World {
         };
         let Some(handle) = tx.handle else { return };
         let buf = tx.frame.clone(); // refcount bump, not a copy
-        let air = self.cfg.phy.air_time(buf.encoded().len());
+        let air = self.cfg.phy.air_time(buf.mpdu_len());
         let start = now - air;
         // Sender returns to listening.
         self.nodes[i].transmitting = false;
@@ -1708,7 +1717,6 @@ impl World {
             raddr == hdr.src && rport == seg.src_port && s.local().1 == seg.dst_port
         });
         if let Some(sock) = found {
-            sock.tick(now);
             sock.on_segment_view(seg, ecn, now);
             return;
         }
@@ -1925,7 +1933,6 @@ impl World {
         // must be seen by the supervisor in the same pump, or nothing
         // ever reschedules this node's transport timer again.
         for s in self.nodes[i].transport.tcp.iter_mut() {
-            s.tick(now);
             if s.poll_at().is_some_and(|t| t <= now) {
                 s.on_timer(now);
             }
