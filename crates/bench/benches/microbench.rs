@@ -310,7 +310,6 @@ fn socket_pair_variant(name: &str, fast_path: bool) {
             guard += 1;
             t += Duration::from_millis(1);
             client.send(&data);
-            client.tick(t);
             if client.poll_at().is_some_and(|d| d <= t) {
                 client.on_timer(t);
             }
@@ -324,7 +323,6 @@ fn socket_pair_variant(name: &str, fast_path: bool) {
                 }
                 received += n;
             }
-            server.tick(t);
             if server.poll_at().is_some_and(|d| d <= t) {
                 server.on_timer(t);
             }

@@ -12,8 +12,8 @@ use crate::input::{classify, Tcb, Verdict};
 use crate::mem::{MemClass, NodeBudget, SYN_ENTRY_BYTES};
 use crate::rtt::INITIAL_RTO;
 use crate::seq::TcpSeq;
-use crate::socket::{TcpSocket, TcpState};
-use crate::wire::{Flags, Segment, SegmentView, Timestamps};
+use crate::socket::{syn_segment, TcpSocket, TcpState};
+use crate::wire::{Flags, Segment, SegmentView};
 use lln_netip::{Ecn, Ipv6Addr};
 use lln_sim::{Fnv1a, Instant};
 
@@ -389,33 +389,13 @@ impl ListenSocket {
 
     /// Builds the SYN-ACK for entry `i` (also used verbatim for dedup
     /// replies and timer retransmissions). It offers the options
-    /// [`ListenSocket::tcb`] negotiated, which the promoted socket uses.
+    /// [`ListenSocket::tcb`] negotiated, which the promoted socket uses,
+    /// and is built by the same code as a socket's own SYN-ACK, so a
+    /// promoted socket's TSvals continue the sequence it started.
     fn synack_for(&self, i: usize, now: Instant) -> Segment {
         let e = &self.entries[i];
-        let t = self.tcb(e);
-        let flags = Flags::SYN | Flags::ACK;
-        let mut s = Segment::new(self.local_port, e.remote_port, t.iss, t.rcv_nxt, flags);
-        s.window = self.cfg.recv_buf.min(65535) as u16;
-        s.mss = Some(self.cfg.mss.min(65535) as u16);
-        s.sack_permitted = t.sack_enabled;
-        if t.ts_enabled {
-            s.timestamps = Some(Timestamps {
-                value: self.ts_clock(now),
-                echo: t.ts_recent,
-            });
-        }
-        // RFC 3168 §6.1.1: SYN-ACK answers ECE|CWR with ECE only.
-        if t.ecn_enabled {
-            s.flags |= Flags::ECE;
-        }
-        s
-    }
-
-    /// The listener's timestamp clock (same formula as
-    /// [`TcpSocket::ts_clock`], so a promoted socket's TSvals continue
-    /// the sequence the SYN-ACK started).
-    fn ts_clock(&self, now: Instant) -> u32 {
-        (now.as_micros() / self.cfg.ts_granularity.as_micros()).max(1) as u32
+        let ports = (self.local_port, e.remote_port);
+        syn_segment(&self.tcb(e), &self.cfg, ports, true, now)
     }
 
     /// The SYN-RECEIVED variables of entry `e`, as a socket holds them
@@ -468,6 +448,7 @@ pub fn reset_for(seg: &SegmentView<'_>) -> Option<Segment> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire::Timestamps;
     use lln_netip::NodeId;
     use lln_sim::Duration;
 

@@ -157,15 +157,20 @@ impl SackScoreboard {
     /// above the cursor and strictly below the highest SACKed byte.
     /// Returns `(start, max_len)` and advances the cursor past it.
     pub fn next_hole(&mut self, snd_una: TcpSeq, mss: u32) -> Option<(TcpSeq, u32)> {
+        let (start, len) = self.peek_hole(snd_una, mss)?;
+        self.rexmit_cursor = Some(start + len);
+        Some((start, len))
+    }
+
+    /// The hole [`SackScoreboard::next_hole`] would return, without
+    /// moving the cursor.
+    pub fn peek_hole(&self, snd_una: TcpSeq, mss: u32) -> Option<(TcpSeq, u32)> {
         let cursor = self.rexmit_cursor.unwrap_or(snd_una).max(snd_una);
         let mut at = cursor.distance_from(self.base);
         // The first gap at or above `at` that a SACKed range closes.
         for &(s, e) in self.ranges.as_slice() {
             if at < s {
-                let len = (s - at).min(mss);
-                let start = self.base + at;
-                self.rexmit_cursor = Some(start + len);
-                return Some((start, len));
+                return Some((self.base + at, (s - at).min(mss)));
             }
             at = at.max(e);
         }

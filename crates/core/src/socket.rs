@@ -17,13 +17,16 @@
 //!   (RFC 5961), header prediction (FreeBSD's fast path), and optional
 //!   ECN (RFC 3168) for the RED/ECN experiments of Appendix A.
 //!
-//! Segment input is staged. [`classify`] decides
+//! Input and output are both staged. On input, [`classify`] decides
 //! from the segment and the socket's [`Tcb`] alone whether a segment is
-//! dropped, acknowledged, challenged, reset or accepted; header
-//! prediction is a shortcut inside it. Every accepted segment then takes
-//! one step sequence (`TcpSocket::step`): ACK, SACK and window
-//! processing, payload, FIN. Its effects on buffers, timers and output
-//! flags are what [`TcpSocket::poll_transmit`] turns into segments.
+//! dropped, acknowledged, challenged, reset or accepted (header
+//! prediction is a shortcut inside it), and every accepted segment takes
+//! one step sequence (`TcpSocket::step`). On output, `TcpSocket::plan`
+//! reads the socket, writes nothing and names the next segment's kind
+//! (`Tx`) by a fixed priority list; `TcpSocket::emit` builds it and
+//! applies its effects. The five timers share one table, which
+//! [`TcpSocket::on_timer`] fires in the order TIME-WAIT, delayed ACK,
+//! persist, keepalive, retransmission.
 //!
 //! Omitted, as in the paper: window scaling, urgent pointer, TCP-MD5.
 //! Passive opens go through a bounded RFC 4987-style SYN cache in
@@ -162,16 +165,13 @@ pub struct TcpSocket {
     /// Budget of SACK-driven retransmissions unlocked by received ACKs.
     sack_rexmit_budget: u32,
 
-    // --- timers (absolute deadlines) ---
-    rexmit_deadline: Option<Instant>,
-    persist_deadline: Option<Instant>,
+    /// Absolute deadlines, indexed by [`Timer`].
+    timers: [Option<Instant>; Timer::COUNT],
     persist_backoff: u32,
     /// Zero-window probes sent since the window last opened; bounded by
     /// `max_retransmits` so a permanently closed (possibly forged)
     /// window kills the connection instead of stalling it forever.
     persist_probes: u32,
-    delack_deadline: Option<Instant>,
-    timewait_deadline: Option<Instant>,
     consecutive_rexmits: u32,
 
     // --- output triggers ---
@@ -189,11 +189,7 @@ pub struct TcpSocket {
     chack_sent: u32,
 
     // --- keepalive (RFC 1122 §4.2.3.6; optional) ---
-    keep_deadline: Option<Instant>,
     keep_probes_sent: u32,
-
-    /// Timestamp clock cache (last TSval generated).
-    last_ts_value: u32,
 
     /// Statistics.
     pub stats: TcpStats,
@@ -239,12 +235,9 @@ impl TcpSocket {
             sack: SackScoreboard::new(),
             rtt_timing: None,
             sack_rexmit_budget: 0,
-            rexmit_deadline: None,
-            persist_deadline: None,
+            timers: [None; Timer::COUNT],
             persist_backoff: 0,
             persist_probes: 0,
-            delack_deadline: None,
-            timewait_deadline: None,
             consecutive_rexmits: 0,
             ack_now: false,
             delack_segs: 0,
@@ -254,9 +247,7 @@ impl TcpSocket {
             send_rst: false,
             chack_window_start: None,
             chack_sent: 0,
-            keep_deadline: None,
             keep_probes_sent: 0,
-            last_ts_value: 1,
             stats: TcpStats::default(),
             cwnd_trace: CwndTrace::new(),
             rtt_trace: RttTrace::new(),
@@ -381,7 +372,7 @@ impl TcpSocket {
         self.tcb.ts_enabled = self.cfg.use_timestamps;
         self.tcb.sack_enabled = self.cfg.use_sack;
         self.tcb.ecn_enabled = self.cfg.use_ecn;
-        self.rexmit_deadline = Some(now + self.rtt.rto());
+        self.timers[Timer::Rexmit] = Some(now + self.rtt.rto());
     }
 
     /// Adopts a passive open from the SYN cache of a
@@ -404,7 +395,7 @@ impl TcpSocket {
             s.snd_mss = s.cfg.mss.min(usize::from(mss));
         }
         s.cc.set_mss(s.snd_mss);
-        s.rexmit_deadline = Some(now + s.rtt.rto());
+        s.timers[Timer::Rexmit] = Some(now + s.rtt.rto());
         s.stats.segs_sent += 1;
         s
     }
@@ -462,11 +453,7 @@ impl TcpSocket {
         if self.close_reason.is_none() {
             self.close_reason = Some(reason);
         }
-        self.rexmit_deadline = None;
-        self.persist_deadline = None;
-        self.delack_deadline = None;
-        self.timewait_deadline = None;
-        self.keep_deadline = None;
+        self.timers = [None; Timer::COUNT];
         self.sack.clear();
     }
 
@@ -496,7 +483,7 @@ impl TcpSocket {
     fn rearm_keepalive(&mut self, now: Instant) {
         if let Some(idle) = self.cfg.keepalive_idle {
             if self.tcb.state == TcpState::Established {
-                self.keep_deadline = Some(now + idle);
+                self.timers[Timer::Keepalive] = Some(now + idle);
                 self.keep_probes_sent = 0;
             }
         }
@@ -508,43 +495,29 @@ impl TcpSocket {
 
     /// Earliest instant at which [`Self::on_timer`] must be called.
     pub fn poll_at(&self) -> Option<Instant> {
-        let mut t: Option<Instant> = None;
-        for d in [
-            self.rexmit_deadline,
-            self.persist_deadline,
-            self.delack_deadline,
-            self.timewait_deadline,
-            self.keep_deadline,
-        ]
-        .into_iter()
-        .flatten()
-        {
-            t = Some(match t {
-                None => d,
-                Some(cur) => cur.min(d),
-            });
-        }
-        t
+        self.timers.iter().flatten().min().copied()
     }
 
-    /// Fires any timers whose deadlines have passed.
+    /// Fires every timer whose deadline has passed, in the order
+    /// TIME-WAIT, delayed ACK, persist, keepalive, retransmission. Each
+    /// due deadline is consumed; only its handler may re-arm it.
     pub fn on_timer(&mut self, now: Instant) {
-        if let Some(d) = self.timewait_deadline {
-            if now >= d {
-                self.timewait_deadline = None;
-                self.enter_closed(CloseReason::Normal);
+        for timer in Timer::ALL {
+            if self.timers[timer].take_if(|d| *d <= now).is_some() {
+                self.fire(timer, now);
             }
         }
-        if let Some(d) = self.delack_deadline {
-            if now >= d {
-                self.delack_deadline = None;
+    }
+
+    fn fire(&mut self, timer: Timer, now: Instant) {
+        match timer {
+            Timer::TimeWait => self.enter_closed(CloseReason::Normal),
+            Timer::Delack => {
                 if self.delack_segs > 0 || self.rcvbuf.has_out_of_order() {
                     self.ack_now = true;
                 }
             }
-        }
-        if let Some(d) = self.persist_deadline {
-            if now >= d {
+            Timer::Persist => {
                 self.persist_probes += 1;
                 if self.persist_probes > self.cfg.max_retransmits {
                     self.enter_closed(CloseReason::PersistTimeout);
@@ -552,30 +525,26 @@ impl TcpSocket {
                 }
                 self.persist_backoff = (self.persist_backoff + 1).min(10);
                 let next = PERSIST_BASE.saturating_mul(1 << self.persist_backoff.min(6));
-                self.persist_deadline = Some(now + next.min(Duration::from_secs(60)));
+                self.timers[Timer::Persist] = Some(now + next.min(Duration::from_secs(60)));
                 self.probe_now = true;
             }
-        }
-        if let Some(d) = self.keep_deadline {
-            if now >= d && self.tcb.state == TcpState::Established {
+            // Probes only in ESTABLISHED; a deadline left over from it
+            // is dropped.
+            Timer::Keepalive if self.tcb.state == TcpState::Established => {
                 self.keep_probes_sent += 1;
                 if self.keep_probes_sent > self.cfg.keepalive_probes {
                     self.enter_closed(CloseReason::KeepaliveTimeout);
                     return;
                 }
                 self.keep_probe_now = true;
-                self.keep_deadline = Some(now + self.cfg.keepalive_interval);
+                self.timers[Timer::Keepalive] = Some(now + self.cfg.keepalive_interval);
             }
-        }
-        if let Some(d) = self.rexmit_deadline {
-            if now >= d {
-                self.on_rexmit_timeout(now);
-            }
+            Timer::Keepalive => {}
+            Timer::Rexmit => self.on_rexmit_timeout(now),
         }
     }
 
     fn on_rexmit_timeout(&mut self, now: Instant) {
-        self.rexmit_deadline = None;
         self.consecutive_rexmits += 1;
         if self.consecutive_rexmits > self.cfg.max_retransmits {
             self.enter_closed(CloseReason::TooManyRetransmits);
@@ -684,10 +653,10 @@ impl TcpSocket {
             && seg.flags.contains(Flags::ECE)
             && !seg.flags.contains(Flags::CWR);
         self.tcb.snd_una = seg.ack;
-        self.rexmit_deadline = None;
+        self.timers[Timer::Rexmit] = None;
         // RTT from the handshake.
-        if let (true, Some(ts)) = (self.tcb.ts_enabled, seg.timestamps) {
-            self.take_ts_rtt_sample(ts.echo, now);
+        if let Some(rtt) = self.ts_rtt(seg, now) {
+            self.record_rtt(rtt, now);
         }
         self.establish(seg, now);
         self.ack_now = true;
@@ -713,7 +682,7 @@ impl TcpSocket {
         // RFC 1122 §4.2.2.17: a peer that keeps acknowledging our
         // zero-window probes keeps the connection alive; only
         // *unanswered* probes advance toward PersistTimeout.
-        if self.persist_deadline.is_some() {
+        if self.timers[Timer::Persist].is_some() {
             self.persist_probes = 0;
         }
 
@@ -756,7 +725,7 @@ impl TcpSocket {
                 TcpState::FinWait1 => self.tcb.state = TcpState::Closing,
                 TcpState::FinWait2 => {
                     self.tcb.state = TcpState::TimeWait;
-                    self.timewait_deadline = Some(now + TIME_WAIT);
+                    self.timers[Timer::TimeWait] = Some(now + TIME_WAIT);
                 }
                 _ => {}
             }
@@ -840,7 +809,7 @@ impl TcpSocket {
     fn update_send_window(&mut self, seg: SegmentView<'_>, now: Instant) {
         let wl_ok = seg.seq.gt(self.tcb.snd_wl1)
             || (seg.seq == self.tcb.snd_wl1 && seg.ack.ge(self.tcb.snd_wl2));
-        let persist_recover = self.persist_deadline.is_some()
+        let persist_recover = self.timers[Timer::Persist].is_some()
             && seg.ack == self.tcb.snd_una
             && u32::from(seg.window) > 0;
         if wl_ok || persist_recover {
@@ -848,13 +817,11 @@ impl TcpSocket {
             self.tcb.snd_wl1 = seg.seq;
             self.tcb.snd_wl2 = seg.ack;
             if self.tcb.snd_wnd == 0 && !self.sndbuf.is_empty() {
-                if self.persist_deadline.is_none() {
-                    self.persist_backoff = 0;
-                    self.persist_probes = 0;
-                    self.persist_deadline = Some(now + PERSIST_BASE);
+                if self.timers[Timer::Persist].is_none() {
+                    self.arm_persist(now);
                 }
             } else {
-                self.persist_deadline = None;
+                self.timers[Timer::Persist] = None;
                 self.persist_backoff = 0;
                 self.persist_probes = 0;
             }
@@ -867,24 +834,11 @@ impl TcpSocket {
 
         // RTT sampling: timestamps make retransmitted segments safe to
         // time (§9.4); otherwise Karn's algorithm via rtt_timing.
-        let mut sampled = false;
-        if self.tcb.ts_enabled {
-            if let Some(ts) = seg.timestamps {
-                if ts.echo != 0 {
-                    sampled = self.take_ts_rtt_sample(ts.echo, now);
-                }
-            }
-        }
-        if !sampled {
-            if let Some((timed_seq, sent_at)) = self.rtt_timing {
-                if seg.ack.gt(timed_seq) {
-                    let rtt = now.saturating_duration_since(sent_at);
-                    self.rtt.sample(rtt);
-                    self.stats.rtt_samples += 1;
-                    self.rtt_trace.record(now, rtt);
-                    self.rtt_timing = None;
-                }
-            }
+        if let Some(rtt) = self.ts_rtt(seg, now) {
+            self.record_rtt(rtt, now);
+        } else if let Some((_, sent_at)) = self.rtt_timing.filter(|&(s, _)| seg.ack.gt(s)) {
+            self.record_rtt(now.saturating_duration_since(sent_at), now);
+            self.rtt_timing = None;
         }
 
         // Advance send buffer: data bytes acked excludes SYN/FIN seqs.
@@ -916,44 +870,41 @@ impl TcpSocket {
         self.trace_cwnd(now);
 
         // Retransmission timer: stop if everything acked, else restart.
-        if self.tcb.snd_una == self.tcb.snd_max {
-            self.rexmit_deadline = None;
-        } else {
-            self.rexmit_deadline = Some(now + self.rtt.rto());
-        }
+        let outstanding = self.tcb.snd_una != self.tcb.snd_max;
+        self.timers[Timer::Rexmit] = outstanding.then(|| now + self.rtt.rto());
 
         // Did this ACK cover our FIN?
-        if let Some(fin) = self.fin_seq {
-            if seg.ack.gt(fin) {
-                match self.tcb.state {
-                    TcpState::FinWait1 => self.tcb.state = TcpState::FinWait2,
-                    TcpState::Closing => {
-                        self.tcb.state = TcpState::TimeWait;
-                        self.timewait_deadline = Some(now + TIME_WAIT);
-                    }
-                    TcpState::LastAck => self.enter_closed(CloseReason::Normal),
-                    _ => {}
+        if self.fin_seq.is_some_and(|fin| seg.ack.gt(fin)) {
+            match self.tcb.state {
+                TcpState::FinWait1 => self.tcb.state = TcpState::FinWait2,
+                TcpState::Closing => {
+                    self.tcb.state = TcpState::TimeWait;
+                    self.timers[Timer::TimeWait] = Some(now + TIME_WAIT);
                 }
+                TcpState::LastAck => self.enter_closed(CloseReason::Normal),
+                _ => {}
             }
         }
     }
 
-    fn take_ts_rtt_sample(&mut self, echo: u32, now: Instant) -> bool {
-        let now_ts = self.ts_clock(now);
-        if echo == 0 || ts_lt(now_ts, echo) {
-            return false;
-        }
+    /// The RTT that `seg`'s timestamp echo measures, when timestamps
+    /// are on and the echo is usable (RFC 7323 §4.1).
+    fn ts_rtt(&self, seg: SegmentView<'_>, now: Instant) -> Option<Duration> {
+        let echo = seg.timestamps.filter(|_| self.tcb.ts_enabled)?.echo;
+        let now_ts = ts_value(now, self.cfg.ts_granularity);
         let delta_ticks = now_ts.wrapping_sub(echo);
         // Discard absurd samples (e.g. echo from before a clock wrap).
-        if delta_ticks > 1 << 28 {
-            return false;
+        if echo == 0 || ts_lt(now_ts, echo) || delta_ticks > 1 << 28 {
+            return None;
         }
-        let rtt =
-            Duration::from_micros(u64::from(delta_ticks) * self.cfg.ts_granularity.as_micros());
+        let granularity = self.cfg.ts_granularity.as_micros();
+        Some(Duration::from_micros(u64::from(delta_ticks) * granularity))
+    }
+
+    fn record_rtt(&mut self, rtt: Duration, now: Instant) {
         self.rtt.sample(rtt);
         self.stats.rtt_samples += 1;
         self.rtt_trace.record(now, rtt);
-        true
     }
 
     fn process_payload(&mut self, seg: SegmentView<'_>, ecn: Ecn, now: Instant) {
@@ -998,8 +949,8 @@ impl TcpSocket {
             self.delack_segs += 1;
             if self.delack_segs >= 2 {
                 self.ack_now = true;
-            } else if self.delack_deadline.is_none() {
-                self.delack_deadline = Some(now + DELACK_TIMEOUT);
+            } else if self.timers[Timer::Delack].is_none() {
+                self.timers[Timer::Delack] = Some(now + DELACK_TIMEOUT);
             }
         }
     }
@@ -1011,32 +962,8 @@ impl TcpSocket {
     /// Produces the next segment to transmit, if any. Callers loop until
     /// `None`. The segment is fully formed except IP encapsulation.
     pub fn poll_transmit(&mut self, now: Instant) -> Option<Segment> {
-        // RST takes priority and is valid even when Closed. It also
-        // subsumes any pending pure ACK: emitting an ACK after our own
-        // RST would both waste a frame and re-open the peer's view of
-        // the connection we just tore down.
-        if self.send_rst {
-            self.send_rst = false;
-            self.ack_now = false;
-            self.delack_segs = 0;
-            self.delack_deadline = None;
-            let mut seg = self.make_segment(Flags::RST | Flags::ACK);
-            seg.seq = self.tcb.snd_nxt;
-            seg.ack = self.tcb.rcv_nxt;
-            self.stats.segs_sent += 1;
-            return Some(seg);
-        }
-        match self.tcb.state {
-            TcpState::Closed | TcpState::TimeWait => self.poll_ack_only(now),
-            TcpState::SynSent => self.poll_syn(false, now),
-            TcpState::SynReceived => self.poll_syn(true, now),
-            TcpState::Established
-            | TcpState::FinWait1
-            | TcpState::FinWait2
-            | TcpState::CloseWait
-            | TcpState::Closing
-            | TcpState::LastAck => self.poll_data(now),
-        }
+        let tx = self.plan();
+        self.emit(tx, now)
     }
 
     /// Takes back a segment produced by [`TcpSocket::poll_transmit`]
@@ -1054,288 +981,279 @@ impl TcpSocket {
         }
     }
 
-    fn poll_ack_only(&mut self, now: Instant) -> Option<Segment> {
-        if self.ack_now && !matches!(self.tcb.state, TcpState::Closed) {
-            Some(self.emit_ack(now))
-        } else {
-            None
+    /// True in the states that exchange data, where [`TcpSocket::plan`]
+    /// runs its full priority list.
+    fn in_data_state(&self) -> bool {
+        matches!(
+            self.tcb.state,
+            TcpState::Established
+                | TcpState::FinWait1
+                | TcpState::FinWait2
+                | TcpState::CloseWait
+                | TcpState::Closing
+                | TcpState::LastAck
+        )
+    }
+
+    /// Stage 1 of output: what the next segment is. Reads the socket
+    /// and writes nothing; [`TcpSocket::emit`] applies the effects.
+    fn plan(&self) -> Tx {
+        let t = &self.tcb;
+        // RST first, in any state (even Closed, after an abort).
+        if self.send_rst {
+            return Tx::Rst;
+        }
+        if self.in_data_state() {
+            return self.plan_data();
+        }
+        let syn_rcvd = t.state == TcpState::SynReceived;
+        match t.state {
+            TcpState::SynSent | TcpState::SynReceived if t.snd_nxt == t.iss => {
+                Tx::Syn { ack: syn_rcvd }
+            }
+            // Once the SYN is out, SYN-RECEIVED still sends a pending
+            // ACK (re-ACKing a crossed SYN-ACK in simultaneous open),
+            // and so does TIME-WAIT.
+            TcpState::SynReceived | TcpState::TimeWait if self.ack_now => Tx::PureAck,
+            _ => Tx::None,
         }
     }
 
-    fn poll_syn(&mut self, with_ack: bool, now: Instant) -> Option<Segment> {
-        if self.tcb.snd_nxt != self.tcb.iss {
-            // SYN already in flight. A pending pure ACK must still go
-            // out (e.g. re-ACKing the peer's retransmitted or crossed
-            // SYN-ACK during simultaneous open).
-            if with_ack && self.ack_now {
-                return Some(self.emit_ack(now));
-            }
-            return None;
-        }
-        let mut flags = Flags::SYN;
-        if with_ack {
-            flags |= Flags::ACK;
-        }
-        // ECN setup handshake (RFC 3168 §6.1.1): SYN carries ECE|CWR,
-        // SYN-ACK carries ECE only.
-        if self.tcb.ecn_enabled {
-            if with_ack {
-                flags |= Flags::ECE;
+    /// The data states' priority list.
+    fn plan_data(&self) -> Tx {
+        let t = &self.tcb;
+        if self.rexmit_now && t.snd_max.gt(t.snd_una) {
+            // With no data left, only the FIN is outstanding.
+            return if self.sndbuf.is_empty() {
+                Tx::FinRexmit
             } else {
-                flags |= Flags::ECE | Flags::CWR;
-            }
+                Tx::FastRexmit
+            };
         }
-        let mut seg = self.make_segment(flags);
-        seg.seq = self.tcb.iss;
-        seg.ack = if with_ack {
-            self.tcb.rcv_nxt
-        } else {
-            TcpSeq(0)
-        };
-        seg.window = self.rcvbuf.window().min(65535) as u16;
-        seg.mss = Some(self.cfg.mss.min(65535) as u16);
-        seg.sack_permitted = self.tcb.sack_enabled;
-        if self.tcb.ts_enabled {
-            seg.timestamps = Some(Timestamps {
-                value: self.ts_clock(now),
-                echo: if with_ack { self.tcb.ts_recent } else { 0 },
-            });
+        if let Some((start, len)) = self.usable_hole() {
+            return Tx::SackHole { start, len };
         }
-        self.tcb.snd_nxt = self.tcb.iss + 1;
-        self.tcb.snd_max = self.tcb.snd_max.max(self.tcb.snd_nxt);
-        if self.rexmit_deadline.is_none() {
-            self.rexmit_deadline = Some(now + self.rtt.rto());
-        }
-        if self.rtt_timing.is_none() {
-            self.rtt_timing = Some((self.tcb.iss, now));
-        }
-        self.stats.segs_sent += 1;
-        self.ack_now = false;
-        Some(seg)
-    }
-
-    fn poll_data(&mut self, now: Instant) -> Option<Segment> {
-        // 1. Fast retransmit of the first unacked segment.
-        if self.rexmit_now {
-            self.rexmit_now = false;
-            if self.tcb.snd_max.gt(self.tcb.snd_una) {
-                return Some(self.emit_retransmission(self.tcb.snd_una, now));
-            }
-        }
-
-        // 2. SACK-driven hole retransmissions (budgeted by ACK clock).
-        if self.cc.in_recovery() && self.tcb.sack_enabled && self.sack_rexmit_budget > 0 {
-            if let Some((start, len)) = self.sack.next_hole(self.tcb.snd_una, self.snd_mss as u32) {
-                // Only data bytes can be retransmitted from the buffer.
-                let off = start.distance_from(self.tcb.snd_una) as usize;
-                if off < self.sndbuf.len() && len > 0 {
-                    self.sack_rexmit_budget -= 1;
-                    self.stats.sack_rexmits += 1;
-                    return Some(self.emit_range(start, len as usize, now, true));
-                }
-            }
-            self.sack_rexmit_budget = 0;
-        }
-
-        // 3. New data within min(cwnd, peer window).
-        let probing = self.probe_now;
-        self.probe_now = false;
-        let in_flight = self.tcb.snd_nxt.distance_from(self.tcb.snd_una) as usize;
+        let probe = self.probe_now;
+        let in_flight = t.snd_nxt.distance_from(t.snd_una) as usize;
         let buffered = self.sndbuf.len();
         let unsent = buffered.saturating_sub(in_flight.min(buffered));
-        let wnd = (self.cc.cwnd().min(self.tcb.snd_wnd.max(u32::from(probing)))) as usize;
-        let usable = wnd.saturating_sub(in_flight);
-        let mut len = unsent.min(usable).min(self.snd_mss);
-
-        // Nagle: hold sub-MSS segments while data is outstanding.
-        if len > 0 && len < self.snd_mss && len < unsent.min(self.snd_mss) {
-            // len limited by window, not by data: allow (window-limited
-            // senders must still fill the window).
-        } else if len > 0
-            && len == unsent
+        let wnd = self.cc.cwnd().min(t.snd_wnd.max(u32::from(probe))) as usize;
+        let len = unsent.min(wnd.saturating_sub(in_flight)).min(self.snd_mss);
+        // Nagle holds a sub-MSS segment that the data (not the window)
+        // cuts short while data is outstanding; a zero-window probe
+        // forces out one byte.
+        let nagle_hold = len == unsent
             && len < self.snd_mss
             && in_flight > 0
             && self.cfg.nagle
             && !self.fin_queued
-            && !probing
-        {
-            len = 0;
-        }
-
-        // Zero-window probe: force out one byte.
-        if probing && len == 0 && unsent > 0 {
-            len = 1;
-        }
-        if probing && len > 0 && self.tcb.snd_wnd == 0 {
-            self.stats.zero_window_probes += 1;
-        }
-
-        // Arm the persist timer from the output path too (FreeBSD's
-        // tcp_output does the same): data is waiting, the peer window
-        // is closed, and nothing is in flight to trigger an ACK.
-        if len == 0
-            && unsent > 0
-            && self.tcb.snd_wnd == 0
-            && in_flight == 0
-            && self.persist_deadline.is_none()
-            && self.rexmit_deadline.is_none()
-        {
-            self.persist_backoff = 0;
-            self.persist_probes = 0;
-            self.persist_deadline = Some(now + PERSIST_BASE);
-        }
-
-        if len > 0 {
-            let seq = self.tcb.snd_nxt;
-            let seg = self.emit_range(seq, len, now, false);
-            self.tcb.snd_nxt += len as u32;
-            let was_new = self.tcb.snd_nxt.gt(self.tcb.snd_max);
-            if was_new {
-                self.tcb.snd_max = self.tcb.snd_nxt;
-                self.stats.bytes_sent += len as u64;
-            } else {
-                self.stats.segs_retransmitted += 1;
+            && !probe;
+        if (len > 0 && !nagle_hold) || (probe && unsent > 0) {
+            Tx::NewData {
+                len: len.max(1),
+                probe,
             }
-            if self.rexmit_deadline.is_none() {
-                self.rexmit_deadline = Some(now + self.rtt.rto());
-            }
-            if self.rtt_timing.is_none() && was_new {
-                self.rtt_timing = Some((seq, now));
-            }
-            return Some(seg);
-        }
-
-        // 4. FIN, once all buffered data has been transmitted.
-        if self.fin_queued
+        } else if self.fin_queued
             && self.fin_seq.is_none()
             && in_flight >= buffered
             && matches!(
-                self.tcb.state,
+                t.state,
                 TcpState::FinWait1 | TcpState::Closing | TcpState::LastAck
             )
         {
-            let mut seg = self.make_segment(Flags::FIN | Flags::ACK);
-            seg.seq = self.tcb.snd_nxt;
-            seg.ack = self.tcb.rcv_nxt;
-            self.fill_common(&mut seg, now);
-            self.fin_seq = Some(self.tcb.snd_nxt);
-            self.tcb.snd_nxt += 1;
-            self.tcb.snd_max = self.tcb.snd_max.max(self.tcb.snd_nxt);
-            if self.rexmit_deadline.is_none() {
-                self.rexmit_deadline = Some(now + self.rtt.rto());
+            Tx::Fin
+        } else if self.keep_probe_now {
+            Tx::KeepaliveProbe
+        } else if self.ack_now {
+            Tx::PureAck
+        } else {
+            Tx::None
+        }
+    }
+
+    /// True while SACK recovery has retransmissions budgeted.
+    fn sack_budget_open(&self) -> bool {
+        self.cc.in_recovery() && self.tcb.sack_enabled && self.sack_rexmit_budget > 0
+    }
+
+    /// The next SACK hole, if the budget allows one and it holds data
+    /// (a hole over the FIN alone cannot be sent from the buffer).
+    fn usable_hole(&self) -> Option<(TcpSeq, usize)> {
+        if !self.sack_budget_open() {
+            return None;
+        }
+        let (start, len) = self.sack.peek_hole(self.tcb.snd_una, self.snd_mss as u32)?;
+        let off = start.distance_from(self.tcb.snd_una) as usize;
+        (off < self.sndbuf.len() && len > 0).then_some((start, len as usize))
+    }
+
+    /// Stage 2 of output: builds the segment `plan` chose and applies
+    /// its effects.
+    fn emit(&mut self, tx: Tx, now: Instant) -> Option<Segment> {
+        let t = self.tcb;
+        if tx != Tx::Rst && self.in_data_state() {
+            self.pass_over(tx, now);
+        }
+        let (seq, flags, len) = match tx {
+            Tx::None => return None,
+            // Built like the SYN cache's SYN-ACK. It does not carry the
+            // delayed-ACK state: only `ack_now` is answered by it.
+            Tx::Syn { ack } => {
+                let ports = (self.local_port, self.remote_port);
+                let seg = syn_segment(&t, &self.cfg, ports, ack, now);
+                self.tcb.snd_nxt = t.iss + 1;
+                self.tcb.snd_max = t.snd_max.max(self.tcb.snd_nxt);
+                self.arm_rexmit(now);
+                self.rtt_timing.get_or_insert((t.iss, now));
+                self.ack_now = false;
+                self.stats.segs_sent += 1;
+                return Some(seg);
             }
-            self.stats.segs_sent += 1;
-            self.ack_now = false;
-            self.delack_segs = 0;
-            self.delack_deadline = None;
-            return Some(seg);
-        }
-
-        // 5. Keepalive probe: a bare ACK with seq = snd_nxt - 1 forces
-        // the peer to respond (RFC 1122's garbage-less probe).
-        if self.keep_probe_now {
-            self.keep_probe_now = false;
-            let mut seg = self.make_segment(Flags::ACK);
-            seg.seq = self.tcb.snd_nxt - 1;
-            seg.ack = self.tcb.rcv_nxt;
-            self.fill_common(&mut seg, now);
-            self.stats.segs_sent += 1;
-            self.stats.keepalive_probes += 1;
-            return Some(seg);
-        }
-
-        // 6. Pure ACK.
-        if self.ack_now {
-            return Some(self.emit_ack(now));
-        }
-        None
-    }
-
-    fn emit_retransmission(&mut self, seq: TcpSeq, now: Instant) -> Segment {
-        let len = self.sndbuf.len().min(self.snd_mss).max(usize::from(
-            self.sndbuf.is_empty() && self.fin_seq.is_some(),
-        ));
-        if len == 0 || self.sndbuf.is_empty() {
-            // Only a FIN (or SYN edge) is outstanding; re-emit FIN.
-            let mut seg = self.make_segment(Flags::FIN | Flags::ACK);
-            seg.seq = seq;
-            seg.ack = self.tcb.rcv_nxt;
-            self.fill_common(&mut seg, now);
-            self.stats.segs_sent += 1;
-            self.stats.segs_retransmitted += 1;
-            return seg;
-        }
-        self.emit_range(seq, len, now, true)
-    }
-
-    fn emit_range(&mut self, seq: TcpSeq, len: usize, now: Instant, is_rexmit: bool) -> Segment {
-        let off = seq.distance_from(self.tcb.snd_una) as usize;
-        let mut payload = std::mem::take(&mut self.tx_payload);
-        self.sndbuf.copy_into(off, len, &mut payload);
-        let mut flags = Flags::ACK;
-        // PSH when this segment drains the currently buffered data.
-        if off + payload.len() >= self.sndbuf.len() {
-            flags |= Flags::PSH;
-        }
-        if self.ecn_send_cwr && !is_rexmit {
-            flags |= Flags::CWR;
-            self.ecn_send_cwr = false;
-        }
-        let mut seg = self.make_segment(flags);
-        seg.seq = seq;
-        seg.ack = self.tcb.rcv_nxt;
-        seg.payload = payload;
-        self.fill_common(&mut seg, now);
+            Tx::Rst => (t.snd_nxt, Flags::RST | Flags::ACK, 0),
+            Tx::FastRexmit => (t.snd_una, Flags::ACK, self.sndbuf.len().min(self.snd_mss)),
+            Tx::SackHole { start, len } => (start, Flags::ACK, len),
+            Tx::NewData { len, .. } => (t.snd_nxt, Flags::ACK, len),
+            Tx::Fin => (t.snd_nxt, Flags::FIN | Flags::ACK, 0),
+            Tx::FinRexmit => (t.snd_una, Flags::FIN | Flags::ACK, 0),
+            // RFC 1122's garbage-less probe: a byte the peer has
+            // already acknowledged forces it to answer.
+            Tx::KeepaliveProbe => (t.snd_nxt - 1, Flags::ACK, 0),
+            Tx::PureAck => (t.snd_nxt, Flags::ACK, 0),
+        };
+        let mut seg = Segment::new(self.local_port, self.remote_port, seq, t.rcv_nxt, flags);
         self.stats.segs_sent += 1;
-        if is_rexmit {
-            self.stats.segs_retransmitted += 1;
-            self.rtt_timing = None; // Karn
-            if self.rexmit_deadline.is_none() {
-                self.rexmit_deadline = Some(now + self.rtt.rto());
+        if len > 0 {
+            let off = seq.distance_from(t.snd_una) as usize;
+            seg.payload = std::mem::take(&mut self.tx_payload);
+            self.sndbuf.copy_into(off, len, &mut seg.payload);
+            // PSH when this segment drains the buffered data.
+            if off + seg.payload.len() >= self.sndbuf.len() {
+                seg.flags |= Flags::PSH;
             }
         }
-        self.ack_now = false;
-        self.delack_segs = 0;
-        self.delack_deadline = None;
-        seg
-    }
-
-    fn emit_ack(&mut self, now: Instant) -> Segment {
-        let mut seg = self.make_segment(Flags::ACK);
-        seg.seq = self.tcb.snd_nxt;
-        seg.ack = self.tcb.rcv_nxt;
-        self.fill_common(&mut seg, now);
-        self.stats.segs_sent += 1;
-        self.stats.acks_sent += 1;
-        self.ack_now = false;
-        self.delack_segs = 0;
-        self.delack_deadline = None;
-        seg
-    }
-
-    fn make_segment(&self, flags: Flags) -> Segment {
-        Segment::new(
-            self.local_port,
-            self.remote_port,
-            TcpSeq(0),
-            TcpSeq(0),
-            flags,
-        )
-    }
-
-    fn fill_common(&mut self, seg: &mut Segment, now: Instant) {
-        seg.window = self.rcvbuf.window().min(65535) as u16;
-        self.last_ack_sent = self.tcb.rcv_nxt;
-        if self.tcb.ts_enabled {
+        match tx {
+            // No window, timestamps or SACK; it ends the conversation,
+            // so it also takes any pending ACK with it.
+            Tx::Rst => {
+                self.send_rst = false;
+                self.clear_pending_ack();
+                return Some(seg);
+            }
+            // Karn: a retransmitted segment is not timed.
+            Tx::FastRexmit | Tx::SackHole { .. } => {
+                self.stats.segs_retransmitted += 1;
+                self.rtt_timing = None;
+                self.arm_rexmit(now);
+                self.clear_pending_ack();
+            }
+            Tx::NewData { len, probe } => {
+                if probe && t.snd_wnd == 0 {
+                    self.stats.zero_window_probes += 1;
+                }
+                // CWR rides on new data only (RFC 3168 §6.1.2).
+                if self.ecn_send_cwr {
+                    seg.flags |= Flags::CWR;
+                    self.ecn_send_cwr = false;
+                }
+                self.tcb.snd_nxt += len as u32;
+                if self.tcb.snd_nxt.gt(t.snd_max) {
+                    self.tcb.snd_max = self.tcb.snd_nxt;
+                    self.stats.bytes_sent += len as u64;
+                    self.rtt_timing.get_or_insert((seq, now));
+                } else {
+                    self.stats.segs_retransmitted += 1;
+                }
+                self.arm_rexmit(now);
+                self.clear_pending_ack();
+            }
+            Tx::Fin => {
+                self.fin_seq = Some(seq);
+                self.tcb.snd_nxt += 1;
+                self.tcb.snd_max = t.snd_max.max(self.tcb.snd_nxt);
+                self.arm_rexmit(now);
+                self.clear_pending_ack();
+            }
+            // A retransmitted FIN leaves a pending ACK pending.
+            Tx::FinRexmit => self.stats.segs_retransmitted += 1,
+            // So does the keepalive probe.
+            Tx::KeepaliveProbe => {
+                self.keep_probe_now = false;
+                self.stats.keepalive_probes += 1;
+            }
+            Tx::PureAck => {
+                self.stats.acks_sent += 1;
+                self.clear_pending_ack();
+            }
+            Tx::None | Tx::Syn { .. } => unreachable!("returned above"),
+        }
+        // The tail every synchronized segment shares.
+        seg.window = t.rcv_wnd.min(65535) as u16;
+        self.last_ack_sent = t.rcv_nxt;
+        if t.ts_enabled {
             seg.timestamps = Some(Timestamps {
-                value: self.ts_clock(now),
-                echo: self.tcb.ts_recent,
+                value: ts_value(now, self.cfg.ts_granularity),
+                echo: t.ts_recent,
             });
         }
         if self.ecn_send_ece {
             seg.flags |= Flags::ECE;
         }
-        self.attach_sack_blocks(seg);
+        self.attach_sack_blocks(&mut seg);
+        Some(seg)
+    }
+
+    /// The effects of the data states' priority list on the triggers
+    /// it tried on the way to `tx`. They apply even when nothing is sent.
+    fn pass_over(&mut self, tx: Tx, now: Instant) {
+        // Fast retransmit is tried first and always consumes its
+        // trigger, even with nothing outstanding.
+        self.rexmit_now = false;
+        match tx {
+            Tx::FastRexmit | Tx::FinRexmit => return,
+            Tx::SackHole { .. } => {
+                self.sack.next_hole(self.tcb.snd_una, self.snd_mss as u32);
+                self.sack_rexmit_budget -= 1;
+                self.stats.sack_rexmits += 1;
+                return;
+            }
+            // A budget that found no usable hole is spent (and the
+            // hole cursor still moves past an unusable one).
+            _ if self.sack_budget_open() => {
+                self.sack.next_hole(self.tcb.snd_una, self.snd_mss as u32);
+                self.sack_rexmit_budget = 0;
+            }
+            _ => {}
+        }
+        // A probe request is answered by this poll or not at all.
+        self.probe_now = false;
+        // FreeBSD's tcp_output also arms the persist timer: data waits,
+        // the peer's window is closed and nothing in flight will draw
+        // an ACK.
+        if !matches!(tx, Tx::NewData { .. })
+            && !self.sndbuf.is_empty()
+            && self.tcb.snd_wnd == 0
+            && self.tcb.snd_nxt == self.tcb.snd_una
+            && self.timers[Timer::Persist].is_none()
+            && self.timers[Timer::Rexmit].is_none()
+        {
+            self.arm_persist(now);
+        }
+    }
+
+    fn arm_persist(&mut self, now: Instant) {
+        self.persist_backoff = 0;
+        self.persist_probes = 0;
+        self.timers[Timer::Persist] = Some(now + PERSIST_BASE);
+    }
+
+    fn arm_rexmit(&mut self, now: Instant) {
+        self.timers[Timer::Rexmit].get_or_insert(now + self.rtt.rto());
+    }
+
+    fn clear_pending_ack(&mut self) {
+        self.ack_now = false;
+        self.delack_segs = 0;
+        self.timers[Timer::Delack] = None;
     }
 
     fn attach_sack_blocks(&mut self, seg: &mut Segment) {
@@ -1353,17 +1271,110 @@ impl TcpSocket {
         }
     }
 
-    fn ts_clock(&mut self, now: Instant) -> u32 {
-        let v = (now.as_micros() / self.cfg.ts_granularity.as_micros()).max(1) as u32;
-        self.last_ts_value = v;
-        v
-    }
+    /// Does nothing: the timestamp clock is a pure function of the
+    /// time. Kept only because the benchmark's per-layer replay
+    /// (`perfbench/src/trace.rs`) still calls it.
+    #[doc(hidden)]
+    pub fn tick(&mut self, _now: Instant) {}
+}
 
-    /// Updates the cached timestamp clock; drivers call this once per
-    /// event-loop iteration so pure ACKs carry a fresh TSval.
-    pub fn tick(&mut self, now: Instant) {
-        let _ = self.ts_clock(now);
+/// The five timers, declared in the order [`TcpSocket::on_timer`]
+/// fires them when several are due at once.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+enum Timer {
+    TimeWait,
+    Delack,
+    Persist,
+    Keepalive,
+    Rexmit,
+}
+
+impl Timer {
+    const COUNT: usize = 5;
+    const ALL: [Timer; Timer::COUNT] = [
+        Timer::TimeWait,
+        Timer::Delack,
+        Timer::Persist,
+        Timer::Keepalive,
+        Timer::Rexmit,
+    ];
+}
+
+impl std::ops::Index<Timer> for [Option<Instant>; Timer::COUNT] {
+    type Output = Option<Instant>;
+    fn index(&self, t: Timer) -> &Option<Instant> {
+        &self[t as usize]
     }
+}
+
+impl std::ops::IndexMut<Timer> for [Option<Instant>; Timer::COUNT] {
+    fn index_mut(&mut self, t: Timer) -> &mut Option<Instant> {
+        &mut self[t as usize]
+    }
+}
+
+/// What [`TcpSocket::plan`] chose to send, in priority order.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+enum Tx {
+    /// RST|ACK at SND.NXT.
+    Rst,
+    /// Our SYN, or the SYN-ACK once the peer's SYN is in.
+    Syn { ack: bool },
+    /// Data from SND.UNA, on a duplicate-ACK or partial-ACK trigger.
+    FastRexmit,
+    /// A SACK hole's bytes (RFC 6675).
+    SackHole { start: TcpSeq, len: usize },
+    /// `len` bytes at SND.NXT; `probe` when the persist timer asked.
+    NewData { len: usize, probe: bool },
+    /// Our FIN at SND.NXT.
+    Fin,
+    /// The FIN again, from SND.UNA, when only it is outstanding.
+    FinRexmit,
+    /// A bare ACK at SND.NXT − 1.
+    KeepaliveProbe,
+    /// A bare ACK at SND.NXT.
+    PureAck,
+    /// Nothing.
+    None,
+}
+
+/// The timestamp clock: TSval for `now` at `granularity`. Never 0,
+/// which RFC 7323 reserves for "no echo".
+pub(crate) fn ts_value(now: Instant, granularity: Duration) -> u32 {
+    (now.as_micros() / granularity.as_micros()).max(1) as u32
+}
+
+/// The SYN for a connection in `tcb`, or with `ack` the SYN-ACK: the
+/// one builder behind a socket's SYN and the SYN cache's SYN-ACK.
+pub(crate) fn syn_segment(
+    tcb: &Tcb,
+    cfg: &TcpConfig,
+    (local_port, remote_port): (u16, u16),
+    ack: bool,
+    now: Instant,
+) -> Segment {
+    let (flags, ack_seq, echo) = match ack {
+        true => (Flags::SYN | Flags::ACK, tcb.rcv_nxt, tcb.ts_recent),
+        false => (Flags::SYN, TcpSeq(0), 0),
+    };
+    let mut seg = Segment::new(local_port, remote_port, tcb.iss, ack_seq, flags);
+    // RFC 3168 §6.1.1: the SYN offers ECE|CWR, the SYN-ACK answers ECE.
+    if tcb.ecn_enabled {
+        seg.flags |= Flags::ECE;
+        if !ack {
+            seg.flags |= Flags::CWR;
+        }
+    }
+    seg.window = tcb.rcv_wnd.min(65535) as u16;
+    seg.mss = Some(cfg.mss.min(65535) as u16);
+    seg.sack_permitted = tcb.sack_enabled;
+    if tcb.ts_enabled {
+        seg.timestamps = Some(Timestamps {
+            value: ts_value(now, cfg.ts_granularity),
+            echo,
+        });
+    }
+    seg
 }
 
 #[cfg(test)]

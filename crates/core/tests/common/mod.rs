@@ -137,12 +137,10 @@ impl Harness {
     fn drain_transmissions(&mut self) {
         loop {
             let mut sent_any = false;
-            self.a.tick(self.now);
             while let Some(seg) = self.a.poll_transmit(self.now) {
                 self.enqueue(Dir::AtoB, seg);
                 sent_any = true;
             }
-            self.b.tick(self.now);
             while let Some(seg) = self.b.poll_transmit(self.now) {
                 self.enqueue(Dir::BtoA, seg);
                 sent_any = true;
@@ -198,22 +196,22 @@ impl Harness {
                 let (_, (dir, seg, ce)) = self.queue.pop().unwrap();
                 let ecn = if ce { Ecn::Ce } else { Ecn::Ect0 };
                 match dir {
-                    Dir::AtoB => {
-                        self.b.tick(self.now);
-                        self.b.on_segment(&seg, ecn, self.now);
-                    }
-                    Dir::BtoA => {
-                        self.a.tick(self.now);
-                        self.a.on_segment(&seg, ecn, self.now);
-                    }
+                    Dir::AtoB => self.b.on_segment(&seg, ecn, self.now),
+                    Dir::BtoA => self.a.on_segment(&seg, ecn, self.now),
                 }
             }
-            // Fire timers.
-            if self.a.poll_at().is_some_and(|t| t <= self.now) {
-                self.a.on_timer(self.now);
-            }
-            if self.b.poll_at().is_some_and(|t| t <= self.now) {
-                self.b.on_timer(self.now);
+            // Fire timers. A timer still due after `on_timer` would
+            // spin this loop at one instant, so fail instead.
+            for s in [&mut self.a, &mut self.b] {
+                if s.poll_at().is_some_and(|t| t <= self.now) {
+                    s.on_timer(self.now);
+                    let stale = s.poll_at().filter(|&t| t <= self.now);
+                    assert!(
+                        stale.is_none(),
+                        "timer at {stale:?} still due at {:?}",
+                        self.now
+                    );
+                }
             }
         }
     }

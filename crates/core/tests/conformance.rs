@@ -9,6 +9,9 @@
 //!   the public API and check `(state × segment) → (verdict, next
 //!   state, what goes out)`, including simultaneous open and
 //!   simultaneous close.
+//! - **Output rows** check what a real socket chooses to send: Nagle,
+//!   a window-limited send, the zero-window probe, the SACK-hole budget,
+//!   the FIN and its retransmission, the RST and the keepalive probe.
 //!
 //! Rows marked `DEVIATION` pin what the code does today where it
 //! differs from the cited RFC clause; EXPERIMENTS.md "Known deviations"
@@ -17,8 +20,8 @@
 use lln_netip::{Ecn, NodeId};
 use lln_sim::{Duration, Instant};
 use tcplp::{
-    classify, Flags, ListenSocket, ListenerResponse, NodeBudget, Predicted, Segment, Tcb,
-    TcpConfig, TcpSeq, TcpSocket, TcpState, Timestamps, Verdict,
+    classify, Flags, ListenSocket, ListenerResponse, NodeBudget, Predicted, SackBlock, Segment,
+    Tcb, TcpConfig, TcpSeq, TcpSocket, TcpState, Timestamps, Verdict,
 };
 
 use TcpState::*;
@@ -41,6 +44,7 @@ const ACK: Flags = Flags::ACK;
 const RST_ACK: Flags = Flags::RST.union(Flags::ACK);
 const SYN_ACK: Flags = Flags::SYN.union(Flags::ACK);
 const FIN_ACK: Flags = Flags::FIN.union(Flags::ACK);
+const PSH_ACK: Flags = Flags::PSH.union(Flags::ACK);
 
 // ----------------------------------------------------------------------
 // Classifier rows
@@ -353,9 +357,14 @@ fn syn_sent() -> TcpSocket {
 
 /// An established (client, server) pair from a cached handshake.
 fn established() -> (TcpSocket, TcpSocket) {
+    established_with(cfg())
+}
+
+/// [`established`] with both ends configured by `cfg`.
+fn established_with(cfg: TcpConfig) -> (TcpSocket, TcpSocket) {
     let (a_addr, b_addr) = (NodeId(1).mesh_addr(), NodeId(2).mesh_addr());
-    let mut a = TcpSocket::new(cfg(), a_addr, CLIENT);
-    let mut l = ListenSocket::new(cfg(), b_addr, SERVER, &NodeBudget::default());
+    let mut a = TcpSocket::new(cfg.clone(), a_addr, CLIENT);
+    let mut l = ListenSocket::new(cfg, b_addr, SERVER, &NodeBudget::default());
     a.connect(b_addr, SERVER, 1000, t0());
     let syn = a.poll_transmit(t0()).expect("SYN");
     let synack = l
@@ -651,4 +660,269 @@ fn transitions_closing_states() {
     // it, RFC 1337; this code does not).
     let rst = from_peer(&a, TcpSeq(0), Flags::RST);
     row("a: exact RST", &mut a, &rst, Verdict::Reset, Closed, &[]);
+}
+
+// ----------------------------------------------------------------------
+// Output rows
+// ----------------------------------------------------------------------
+
+/// The `(SEG.SEQ, SEG.LEN, flags)` of each segment in `segs`.
+fn shape(segs: &[Segment]) -> Vec<(TcpSeq, usize, Flags)> {
+    segs.iter()
+        .map(|x| (x.seq, x.payload.len(), x.flags))
+        .collect()
+}
+
+/// An ACK from the peer of `s` acknowledging `ack` and advertising
+/// `wnd`.
+fn ack_with_window(s: &TcpSocket, ack: TcpSeq, wnd: u16) -> Segment {
+    let mut seg = from_peer(s, ack, ACK);
+    seg.window = wnd;
+    seg
+}
+
+/// A duplicate ACK of `una` from the peer of `s`, SACKing each
+/// `(start, end)` offset range from `una`.
+fn sack_dup(s: &TcpSocket, una: TcpSeq, blocks: &[(u32, u32)]) -> Segment {
+    let mut seg = from_peer(s, una, ACK);
+    seg.sack_blocks = blocks
+        .iter()
+        .map(|&(s, e)| SackBlock {
+            start: una + s,
+            end: una + e,
+        })
+        .collect();
+    seg
+}
+
+/// Nagle (RFC 9293 §3.7.4): a sub-MSS write waits while data is
+/// unacknowledged, and goes out once SND.UNA catches up with SND.NXT.
+#[test]
+fn output_nagle_holds_a_small_write_behind_unacked_data() {
+    let (mut a, _) = established();
+    let una = a.tcb().snd_una;
+    a.send(&[1; 100]);
+    assert_eq!(
+        shape(&drain(&mut a)),
+        [(una, 100, PSH_ACK)],
+        "nothing in flight: sent"
+    );
+    a.send(&[2; 50]);
+    assert!(
+        drain(&mut a).is_empty(),
+        "SND.NXT > SND.UNA: the 50 bytes wait"
+    );
+    let ack = from_peer(&a, una + 100, ACK);
+    a.on_segment(&ack, Ecn::NotCapable, t0());
+    assert_eq!(
+        shape(&drain(&mut a)),
+        [(una + 100, 50, PSH_ACK)],
+        "released by the ACK"
+    );
+}
+
+/// A send limited by SND.WND, not by the data, fills the window with a
+/// sub-MSS segment: Nagle holds only segments the data itself cuts
+/// short.
+#[test]
+fn output_window_limited_send_fills_the_window() {
+    let (mut a, _) = established();
+    let una = a.tcb().snd_una;
+    let ack = ack_with_window(&a, una, 300);
+    a.on_segment(&ack, Ecn::NotCapable, t0());
+    assert_eq!(a.tcb().snd_wnd, 300);
+    a.send(&[3; 1000]);
+    assert_eq!(
+        shape(&drain(&mut a)),
+        [(una, 300, ACK)],
+        "SND.WND bytes, no PSH"
+    );
+    assert_eq!(a.tcb().snd_nxt, una + 300);
+}
+
+/// A zero SND.WND with data waiting arms the persist timer on output;
+/// when it fires, one byte at SND.NXT probes the window (RFC 9293
+/// §3.8.6.1).
+#[test]
+fn output_zero_window_probe_is_one_byte() {
+    let (mut a, _) = established();
+    let una = a.tcb().snd_una;
+    let ack = ack_with_window(&a, una, 0);
+    a.on_segment(&ack, Ecn::NotCapable, t0());
+    a.send(&[4; 200]);
+    assert!(drain(&mut a).is_empty(), "SND.WND = 0: nothing goes out");
+    let due = a
+        .poll_at()
+        .expect("the output path armed the persist timer");
+    assert_eq!(due, t0() + tcplp::socket::PERSIST_BASE);
+    a.on_timer(due);
+    let probe: Vec<Segment> = std::iter::from_fn(|| a.poll_transmit(due)).collect();
+    assert_eq!(
+        shape(&probe),
+        [(una, 1, ACK)],
+        "one byte at SND.NXT = SND.UNA"
+    );
+    assert_eq!(a.stats.zero_window_probes, 1);
+    assert!(
+        a.poll_at().is_some_and(|t| t > due),
+        "persist re-armed, backed off"
+    );
+}
+
+/// SACK recovery (RFC 6675): the third duplicate ACK starts recovery
+/// with a budget of one hole; after that each duplicate ACK unlocks one
+/// more hole, and an ACK that finds no hole left spends nothing.
+///
+/// DEVIATION (RFC 6675 §5, NextSeg): the fast retransmission of
+/// SND.UNA does not move the hole cursor, so the first budgeted hole is
+/// the same segment again.
+#[test]
+fn output_sack_holes_one_per_unlocking_ack() {
+    let (mut a, _) = established();
+    let una = a.tcb().snd_una;
+    a.send(&[5; 1848]);
+    assert_eq!(drain(&mut a).len(), 4, "four MSS segments fill SND.WND");
+    // The peer holds segments 1 and 3; 0 and 2 are holes.
+    let dup = |a: &TcpSocket, blocks| sack_dup(a, una, blocks);
+    let both = [(462, 924), (1386, 1848)];
+    for (i, blocks) in [&both[..1], &both[..]].into_iter().enumerate() {
+        a.on_segment(&dup(&a, blocks), Ecn::NotCapable, t0());
+        assert!(
+            drain(&mut a).is_empty(),
+            "dup ACK {}: no retransmission yet",
+            i + 1
+        );
+    }
+    a.on_segment(&dup(&a, &both), Ecn::NotCapable, t0());
+    assert_eq!(
+        shape(&drain(&mut a)),
+        [(una, 462, ACK), (una, 462, ACK)],
+        "third dup ACK: fast retransmit, then the one budgeted hole"
+    );
+    a.on_segment(&dup(&a, &both), Ecn::NotCapable, t0());
+    assert_eq!(shape(&drain(&mut a)), [(una + 924, 462, ACK)], "next hole");
+    a.on_segment(&dup(&a, &both), Ecn::NotCapable, t0());
+    assert!(
+        drain(&mut a).is_empty(),
+        "no hole left below the highest SACK"
+    );
+    assert_eq!((a.stats.fast_rexmits, a.stats.sack_rexmits), (1, 2));
+}
+
+/// The FIN follows the last data byte: it waits while SND.WND holds
+/// data back, and rides behind the data once the window opens.
+#[test]
+fn output_fin_only_after_the_send_buffer_drains() {
+    let (mut a, _) = established();
+    let una = a.tcb().snd_una;
+    let ack = ack_with_window(&a, una, 300);
+    a.on_segment(&ack, Ecn::NotCapable, t0());
+    a.send(&[6; 600]);
+    a.close();
+    assert_eq!(a.state(), FinWait1);
+    assert_eq!(
+        shape(&drain(&mut a)),
+        [(una, 300, ACK)],
+        "no FIN while data waits"
+    );
+    let ack = ack_with_window(&a, una + 300, 1848);
+    a.on_segment(&ack, Ecn::NotCapable, t0());
+    assert_eq!(
+        shape(&drain(&mut a)),
+        [(una + 300, 300, PSH_ACK), (una + 600, 0, FIN_ACK)],
+        "the last data, then the FIN at SND.NXT"
+    );
+}
+
+/// An abort's RST subsumes a pending ACK. It carries SEQ = SND.NXT and
+/// ACK = RCV.NXT, and no window, timestamps or SACK blocks.
+#[test]
+fn output_rst_subsumes_a_pending_ack() {
+    let (mut a, _) = established();
+    let (nxt, rcv_nxt) = (a.tcb().snd_nxt, a.tcb().rcv_nxt);
+    // Out-of-order data queues an immediate ACK with a SACK block.
+    let mut ooo = from_peer(&a, a.tcb().snd_una, ACK | Flags::PSH);
+    ooo.seq = rcv_nxt + 100;
+    ooo.payload = vec![8; 10];
+    a.on_segment(&ooo, Ecn::NotCapable, t0());
+    a.abort();
+    let sent = drain(&mut a);
+    assert_eq!(shape(&sent), [(nxt, 0, RST_ACK)], "the RST alone");
+    let rst = &sent[0];
+    assert_eq!(rst.ack, rcv_nxt);
+    assert_eq!(rst.window, 0);
+    assert!(rst.timestamps.is_none() && rst.sack_blocks.is_empty());
+}
+
+/// The keepalive probe (RFC 9293 §3.8.4) is a bare ACK at SND.NXT − 1,
+/// a sequence number the peer has acknowledged, so it must answer.
+#[test]
+fn output_keepalive_probe_sits_one_below_snd_nxt() {
+    let idle = Duration::from_secs(5);
+    let (mut a, _) = established_with(TcpConfig {
+        keepalive_idle: Some(idle),
+        ..cfg()
+    });
+    let (nxt, rcv_nxt) = (a.tcb().snd_nxt, a.tcb().rcv_nxt);
+    assert_eq!(a.poll_at(), Some(t0() + idle));
+    a.on_timer(t0() + idle);
+    let sent: Vec<Segment> = std::iter::from_fn(|| a.poll_transmit(t0() + idle)).collect();
+    assert_eq!(shape(&sent), [(nxt - 1, 0, ACK)]);
+    assert_eq!(sent[0].ack, rcv_nxt);
+    assert_eq!(a.stats.keepalive_probes, 1);
+}
+
+/// A SACK budget that finds no usable hole is spent, not saved: the
+/// duplicate ACK that later reveals two new holes unlocks only one.
+#[test]
+fn output_sack_budget_is_spent_when_no_hole_is_usable() {
+    let (mut a, _) = established_with(TcpConfig::with_window_segments(462, 8));
+    // Slow start to an eight-segment cwnd: four segments, each ACKed.
+    let una = a.tcb().snd_una;
+    a.send(&[5; 1848]);
+    assert_eq!(drain(&mut a).len(), 4);
+    for k in 1..=4 {
+        a.on_segment(&from_peer(&a, una + 462 * k, ACK), Ecn::NotCapable, t0());
+    }
+    let una = a.tcb().snd_una;
+    a.send(&[6; 3696]);
+    assert_eq!(drain(&mut a).len(), 8, "eight segments fill cwnd");
+    let dup = |a: &TcpSocket, blocks| sack_dup(a, una, blocks);
+    let one = [(462, 924)];
+    for _ in 0..3 {
+        a.on_segment(&dup(&a, &one), Ecn::NotCapable, t0());
+    }
+    assert_eq!(drain(&mut a).len(), 2, "fast retransmit and one hole");
+    a.on_segment(&dup(&a, &one), Ecn::NotCapable, t0());
+    assert!(drain(&mut a).is_empty(), "no hole below the highest SACK");
+    let three = [(462, 924), (1386, 1848), (2310, 2772)];
+    a.on_segment(&dup(&a, &three), Ecn::NotCapable, t0());
+    assert_eq!(
+        shape(&drain(&mut a)),
+        [(una + 924, 462, ACK)],
+        "two holes, one unit of budget"
+    );
+}
+
+/// Fast retransmit with only the FIN outstanding resends the FIN from
+/// SND.UNA and leaves a pending ACK pending, so a pure ACK follows it.
+/// That ACK is redundant; dropping it is a behaviour change.
+#[test]
+fn output_fin_retransmission_leaves_a_pending_ack() {
+    let (mut a, _) = established();
+    a.close();
+    let una = a.tcb().snd_una;
+    assert_eq!(shape(&drain(&mut a)), [(una, 0, FIN_ACK)]);
+    for _ in 0..3 {
+        a.on_segment(&from_peer(&a, una, ACK), Ecn::NotCapable, t0());
+    }
+    // An ACK of nothing sent queues an ACK in reply.
+    let unsent = from_peer(&a, una + 100, ACK);
+    a.on_segment(&unsent, Ecn::NotCapable, t0());
+    assert_eq!(
+        shape(&drain(&mut a)),
+        [(una, 0, FIN_ACK), (una + 1, 0, ACK)],
+        "the FIN again, then the pending ACK"
+    );
+    assert_eq!(a.stats.fast_rexmits, 1);
 }

@@ -4,8 +4,9 @@
 mod common;
 
 use common::{Dir, Fault, Harness};
-use lln_sim::Duration;
-use tcplp::{CloseReason, TcpConfig, TcpState};
+use lln_netip::{Ecn, NodeId};
+use lln_sim::{Duration, Instant};
+use tcplp::{CloseReason, ListenSocket, NodeBudget, TcpConfig, TcpSocket, TcpState};
 
 fn ka_cfg() -> TcpConfig {
     TcpConfig {
@@ -140,5 +141,55 @@ fn probe_drops_only_after_configured_count() {
         h.a.state(),
         TcpState::Established,
         "two lost probes of three allowed must not kill the connection"
+    );
+}
+
+/// Delivers everything `from` sends at `now` to `to`.
+fn relay(from: &mut TcpSocket, to: &mut TcpSocket, now: Instant) {
+    while let Some(seg) = from.poll_transmit(now) {
+        to.on_segment(&seg, Ecn::NotCapable, now);
+    }
+}
+
+/// A keepalive deadline that falls due after the socket has left
+/// ESTABLISHED is consumed, not left in the past: otherwise `poll_at()`
+/// names an instant that `on_timer` never clears, and a driver that
+/// waits for it spins at one instant forever. Driven by direct calls,
+/// since a stale deadline hangs `Harness::run_for`.
+#[test]
+fn keepalive_deadline_is_consumed_after_leaving_established() {
+    let (a_addr, b_addr) = (NodeId(1).mesh_addr(), NodeId(2).mesh_addr());
+    let t = Instant::ZERO;
+    let mut a = TcpSocket::new(ka_cfg(), a_addr, common::A_PORT);
+    let mut l = ListenSocket::new(ka_cfg(), b_addr, common::B_PORT, &NodeBudget::default());
+    a.connect(b_addr, common::B_PORT, 10_000, t);
+    let syn = a.poll_transmit(t).expect("SYN");
+    let mut b =
+        common::accept_via_listener(&mut l, &mut a, a_addr, &syn, 20_000, t, Duration::ZERO);
+    // b closes first: a goes to CLOSE-WAIT, b to FIN-WAIT-2, and both
+    // keep the keepalive deadline they armed while ESTABLISHED.
+    b.close();
+    relay(&mut b, &mut a, t);
+    relay(&mut a, &mut b, t);
+    assert_eq!(
+        (a.state(), b.state()),
+        (TcpState::CloseWait, TcpState::FinWait2)
+    );
+    let late = Instant::from_secs(35);
+    for s in [&mut a, &mut b] {
+        for _ in 0..3 {
+            s.on_timer(late);
+            assert!(
+                s.poll_at().is_none_or(|d| d > late),
+                "{:?}: poll_at {:?} is still due at {late:?}",
+                s.state(),
+                s.poll_at()
+            );
+        }
+    }
+    assert_eq!(
+        a.stats.keepalive_probes + b.stats.keepalive_probes,
+        0,
+        "no probe outside ESTABLISHED"
     );
 }

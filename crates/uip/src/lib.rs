@@ -220,7 +220,8 @@ impl UipSocket {
         }
         self.retransmissions += 1;
         self.rto = (self.rto * 2).min(Duration::from_secs(48));
-        self.timed = None; // Karn
+        // Karn: a retransmitted segment is not timed.
+        self.timed = None;
         // Re-arm: the retransmission happens on the next poll.
         match self.state {
             UipState::SynSent => self.send_syn = true,
@@ -491,7 +492,6 @@ mod tests {
                 s.on_segment(&seg, Ecn::NotCapable, t);
                 quiet = false;
             }
-            s.tick(t);
             while let Some(seg) = s.poll_transmit(t) {
                 c.on_segment(&seg, t);
                 quiet = false;
