@@ -516,7 +516,13 @@ mod tests {
     }
 
     fn data_seg() -> Segment {
-        let mut s = Segment::new(49152, 80, TcpSeq(1000), TcpSeq(2000), Flags::ACK | Flags::PSH);
+        let mut s = Segment::new(
+            49152,
+            80,
+            TcpSeq(1000),
+            TcpSeq(2000),
+            Flags::ACK | Flags::PSH,
+        );
         s.window = 1848;
         s.payload = b"the genuine payload".to_vec();
         s
@@ -569,10 +575,7 @@ mod tests {
     fn conflicting_copy_only_after_inline_genuine() {
         let (src, dst) = addrs();
         let seg = data_seg();
-        let mut adv = Adversary::new(
-            AdversaryProfile::full(0.4),
-            Rng::new(0xC0FFEE),
-        );
+        let mut adv = Adversary::new(AdversaryProfile::full(0.4), Rng::new(0xC0FFEE));
         let mut saw_conflict = false;
         for _ in 0..400 {
             let before = adv.stats.conflicts_injected;
@@ -661,6 +664,9 @@ mod tests {
             }
         }
         assert!(decoded > 0, "some junk parses (capped SACK, NOP runs)");
-        assert!(rejected > 0, "some junk must be rejected (bad len/checksum)");
+        assert!(
+            rejected > 0,
+            "some junk must be rejected (bad len/checksum)"
+        );
     }
 }

@@ -668,7 +668,10 @@ mod tests {
         assert!(!n.check_duplicate(NodeId(1), 6));
         assert!(!n.check_duplicate(NodeId(2), 6), "per-source tracking");
         assert!(n.check_duplicate(NodeId(2), 6));
-        assert!(n.check_duplicate(NodeId(1), 6), "a second source leaves the first intact");
+        assert!(
+            n.check_duplicate(NodeId(1), 6),
+            "a second source leaves the first intact"
+        );
         assert_eq!(n.last_rx_seq.len(), 2, "one entry per source");
         // A reboot wipes the table (as `World` does on power loss): each
         // source's last frame is accepted again.
@@ -690,7 +693,14 @@ mod tests {
     fn enqueue_ctrl_queues_the_frame() {
         let mut n = node(NodeKind::Router);
         assert!(n.ctrl_queue.is_empty());
-        assert!(n.enqueue_ctrl(FrameBuf::new(MacFrame::data(NodeId(3), NodeId(1), 0, vec![]))).is_ok());
+        assert!(n
+            .enqueue_ctrl(FrameBuf::new(MacFrame::data(
+                NodeId(3),
+                NodeId(1),
+                0,
+                vec![]
+            )))
+            .is_ok());
         assert_eq!(n.ctrl_queue.len(), 1);
     }
 
@@ -710,7 +720,12 @@ mod tests {
             );
         }
         let refused = n
-            .enqueue_ctrl(FrameBuf::new(MacFrame::data(NodeId(3), NodeId(1), 0xAB, vec![7; 8])))
+            .enqueue_ctrl(FrameBuf::new(MacFrame::data(
+                NodeId(3),
+                NodeId(1),
+                0xAB,
+                vec![7; 8],
+            )))
             .expect_err("the queue is full");
         assert_eq!(
             (refused.frame().seq, &refused.frame().payload[..]),
@@ -735,25 +750,41 @@ mod tests {
             next_hop: NodeId(7),
         };
         let refused = |n: &Node| {
-            (n.counters.get("indirect_drops"), n.governor.denies(MemClass::MacQueue))
+            (
+                n.counters.get("indirect_drops"),
+                n.governor.denies(MemClass::MacQueue),
+            )
         };
 
         // Small packets: the per-child packet quota binds.
         for k in 0..INDIRECT_PACKETS {
-            assert!(n.enqueue_indirect(NodeId(7), pkt(8)).is_ok(), "packet {k} fits");
+            assert!(
+                n.enqueue_indirect(NodeId(7), pkt(8)).is_ok(),
+                "packet {k} fits"
+            );
         }
-        let back = n.enqueue_indirect(NodeId(7), pkt(9)).expect_err("packet quota");
+        let back = n
+            .enqueue_indirect(NodeId(7), pkt(9))
+            .expect_err("packet quota");
         assert_eq!(back.payload.len(), 9, "the refused packet comes back");
         assert_eq!(refused(&n), (1, 1));
 
         // Large packets to another child: the MAC byte cap binds first.
         let payload = 2000;
         let fit = n.budget.cap(MemClass::MacQueue) / (payload + IP_OVERHEAD_BYTES);
-        assert!(fit < INDIRECT_PACKETS, "the byte cap binds before the quota");
+        assert!(
+            fit < INDIRECT_PACKETS,
+            "the byte cap binds before the quota"
+        );
         for k in 0..fit {
-            assert!(n.enqueue_indirect(NodeId(8), pkt(payload)).is_ok(), "packet {k} fits");
+            assert!(
+                n.enqueue_indirect(NodeId(8), pkt(payload)).is_ok(),
+                "packet {k} fits"
+            );
         }
-        let back = n.enqueue_indirect(NodeId(8), pkt(payload)).expect_err("byte cap");
+        let back = n
+            .enqueue_indirect(NodeId(8), pkt(payload))
+            .expect_err("byte cap");
         assert_eq!(back.payload.len(), payload, "the refused packet comes back");
         assert_eq!(refused(&n), (2, 2));
         assert_eq!(n.indirect[&NodeId(7)].len(), INDIRECT_PACKETS);

@@ -372,9 +372,8 @@ impl RecordAssembler {
             if off + RECORD_HEADER + len > bytes.len() {
                 break;
             }
-            let seq = u64::from_be_bytes(
-                bytes[off + 2..off + RECORD_HEADER].try_into().expect("8B"),
-            );
+            let seq =
+                u64::from_be_bytes(bytes[off + 2..off + RECORD_HEADER].try_into().expect("8B"));
             let payload = bytes[off + RECORD_HEADER..off + RECORD_HEADER + len].to_vec();
             if self.records.insert(seq, payload).is_some() {
                 self.duplicates += 1;
@@ -407,7 +406,9 @@ impl RecordAssembler {
         let Some((&max, _)) = self.records.iter().next_back() else {
             return Vec::new();
         };
-        (0..=max).filter(|s| !self.records.contains_key(s)).collect()
+        (0..=max)
+            .filter(|s| !self.records.contains_key(s))
+            .collect()
     }
 
     /// Concatenated payloads of records 0..n, or `None` if any sequence
@@ -482,7 +483,10 @@ mod tests {
             s.poll(None, now);
             let until = s.wake_at().expect("backing off");
             let delay = until.duration_since(now);
-            assert!(delay > last_delay, "backoff grows: {delay:?} vs {last_delay:?}");
+            assert!(
+                delay > last_delay,
+                "backoff grows: {delay:?} vs {last_delay:?}"
+            );
             last_delay = delay;
             now = until;
         }

@@ -192,7 +192,12 @@ mod tests {
     fn enabled_trace_records_and_dumps() {
         let mut t = PacketTrace::new();
         t.enable(10);
-        t.record(Instant::from_millis(5), NodeId(1), TraceDir::FrameTx, "hello");
+        t.record(
+            Instant::from_millis(5),
+            NodeId(1),
+            TraceDir::FrameTx,
+            "hello",
+        );
         t.record(Instant::from_millis(6), NodeId(2), TraceDir::Drop, "bad");
         assert_eq!(t.entries().len(), 2);
         assert_eq!(t.entries()[1].dir, TraceDir::Drop);

@@ -202,7 +202,9 @@ impl World {
             if nodes[i].kind == NodeKind::SleepyLeaf && i != anchor {
                 if let Some(parent) = nodes[i].routes.lookup(NodeId(anchor as u16)) {
                     nodes[i].routes.default_route = Some(parent);
-                    nodes[parent.0 as usize].sleepy_children.insert(NodeId(i as u16));
+                    nodes[parent.0 as usize]
+                        .sleepy_children
+                        .insert(NodeId(i as u16));
                     nodes[i].poll = Some(lln_mac::poll::PollScheduler::new(
                         lln_mac::poll::PollMode::paper_fixed(),
                     ));
@@ -408,10 +410,12 @@ impl World {
         for ev in plan.events() {
             match *ev {
                 FaultEvent::NodeReboot { node, at, down_for } => {
-                    self.queue.schedule(at, Event::FaultRebootDown(node, down_for));
+                    self.queue
+                        .schedule(at, Event::FaultRebootDown(node, down_for));
                 }
                 FaultEvent::LinkBlackout { a, b, at, duration } => {
-                    self.queue.schedule(at, Event::FaultBlackoutStart(a, b, duration));
+                    self.queue
+                        .schedule(at, Event::FaultBlackoutStart(a, b, duration));
                 }
                 FaultEvent::RouteFlap { node, at } => {
                     self.queue.schedule(at, Event::FaultRouteFlap(node));
@@ -422,7 +426,8 @@ impl World {
                     duration,
                     ber,
                 } => {
-                    self.queue.schedule(at, Event::FaultBerStart(node, ber, duration));
+                    self.queue
+                        .schedule(at, Event::FaultBerStart(node, ber, duration));
                 }
             }
         }
@@ -783,8 +788,7 @@ impl World {
         if i == anchor {
             return;
         }
-        let old_parent = self
-            .nodes[i]
+        let old_parent = self.nodes[i]
             .routes
             .default_route
             .or_else(|| self.nodes[i].routes.lookup(NodeId(anchor as u16)));
@@ -806,7 +810,9 @@ impl World {
         self.nodes[i].routes = new_rt;
         if self.nodes[i].kind == NodeKind::SleepyLeaf {
             let id = self.nodes[i].id;
-            self.nodes[old_parent.0 as usize].sleepy_children.remove(&id);
+            self.nodes[old_parent.0 as usize]
+                .sleepy_children
+                .remove(&id);
             self.nodes[new_parent.0 as usize].sleepy_children.insert(id);
         }
         if self.trace.is_enabled() {
@@ -814,7 +820,10 @@ impl World {
                 now,
                 self.nodes[i].id,
                 crate::trace::TraceDir::Forward,
-                format!("fault: route flap, parent {} -> {}", old_parent.0, new_parent.0),
+                format!(
+                    "fault: route flap, parent {} -> {}",
+                    old_parent.0, new_parent.0
+                ),
             );
         }
     }
@@ -998,9 +1007,13 @@ impl World {
         let src_l2 = self.nodes[i].id;
         let dst_l2 = pkt.next_hop;
         let mut compressed = std::mem::take(&mut self.nodes[i].compress_buf);
-        self.nodes[i]
-            .iphc_cache
-            .compress_into(&pkt.hdr, src_l2, dst_l2, &pkt.payload, &mut compressed);
+        self.nodes[i].iphc_cache.compress_into(
+            &pkt.hdr,
+            src_l2,
+            dst_l2,
+            &pkt.payload,
+            &mut compressed,
+        );
         let tag = self.nodes[i].next_tag();
         for frag in fragment(&compressed, tag, MAX_MAC_PAYLOAD) {
             let seq = self.nodes[i].next_seq();
@@ -1032,8 +1045,7 @@ impl World {
             TxStep::Transmit => {
                 // Channel clear and the frame is already loaded: it
                 // goes on the air after the rx/tx turnaround.
-                let len = self
-                    .nodes[i]
+                let len = self.nodes[i]
                     .cur_tx
                     .as_ref()
                     .map_or(0, |t| t.frame.mpdu_len());
@@ -1414,11 +1426,7 @@ impl World {
         if !queued(&self.nodes[i]) {
             return;
         }
-        while let Some(pkt) = self.nodes[i]
-            .indirect
-            .get_mut(&child)
-            .and_then(|q| q.pop())
-        {
+        while let Some(pkt) = self.nodes[i].indirect.get_mut(&child).and_then(|q| q.pop()) {
             let more = queued(&self.nodes[i]);
             self.frame_packet(i, pkt, Some(more));
         }
@@ -1512,10 +1520,8 @@ impl World {
     fn push_ip(&mut self, i: usize, hop: Hop, hdr: Ipv6Header, payload: Vec<u8>, now: Instant) {
         match hop {
             Hop::Wired(Some(peer)) => {
-                self.queue.schedule(
-                    now + WIRED_LATENCY,
-                    Event::WiredDeliver(peer, hdr, payload),
-                );
+                self.queue
+                    .schedule(now + WIRED_LATENCY, Event::WiredDeliver(peer, hdr, payload));
             }
             Hop::Indirect(next_hop) => {
                 let pkt = OutPacket {
@@ -1760,14 +1766,16 @@ impl World {
             // entry; drawing it unconditionally would burn an extra rng
             // value on the completing ACK and shift every later seeded
             // decision (loss, RED) in the world.
-            let iss = if is_syn { self.rng.next_u64() as u32 } else { 0 };
+            let iss = if is_syn {
+                self.rng.next_u64() as u32
+            } else {
+                0
+            };
             let live = self.nodes[i]
                 .transport
                 .tcp
                 .iter()
-                .filter(|s| {
-                    s.local().1 == seg.dst_port && s.state() != tcplp::TcpState::Closed
-                })
+                .filter(|s| s.local().1 == seg.dst_port && s.state() != tcplp::TcpState::Closed)
                 .count();
             let footprint = self.nodes[i]
                 .transport
@@ -1776,7 +1784,11 @@ impl World {
                 .map_or(0, |l| l.child_footprint());
             // A SYN whose eventual socket could never fit the budget is
             // denied before it costs even a cache slot.
-            if is_syn && !self.nodes[i].governor.would_fit(MemClass::TcpBuffers, footprint) {
+            if is_syn
+                && !self.nodes[i]
+                    .governor
+                    .would_fit(MemClass::TcpBuffers, footprint)
+            {
                 self.nodes[i].governor.note_deny(MemClass::TcpBuffers);
                 self.nodes[i].counters.inc(NodeCounter::SynBudgetDrops);
                 return;
@@ -1793,7 +1805,10 @@ impl World {
                     return;
                 }
                 ListenerResponse::Spawn(sock) => {
-                    if self.nodes[i].governor.try_admit(MemClass::TcpBuffers, footprint) {
+                    if self.nodes[i]
+                        .governor
+                        .try_admit(MemClass::TcpBuffers, footprint)
+                    {
                         self.nodes[i].transport.tcp.push(*sock);
                         self.pump_transport(i, now);
                     } else {
@@ -1902,15 +1917,9 @@ impl World {
                 .as_mut()
                 .and_then(|s| s.on_datagram_from(hdr.src, body, now));
             if let Some(resp) = response {
-                let dg = UdpHeader::encode_datagram(
-                    hdr.dst,
-                    hdr.src,
-                    COAP_PORT,
-                    udp.src_port,
-                    &resp,
-                );
-                let out_hdr =
-                    Ipv6Header::new(hdr.dst, hdr.src, NextHeader::Udp, dg.len() as u16);
+                let dg =
+                    UdpHeader::encode_datagram(hdr.dst, hdr.src, COAP_PORT, udp.src_port, &resp);
+                let out_hdr = Ipv6Header::new(hdr.dst, hdr.src, NextHeader::Udp, dg.len() as u16);
                 self.enqueue_ip(i, out_hdr, dg, now);
             }
         } else if let Some(c) = self.nodes[i].transport.coap_client.as_mut() {
@@ -1965,8 +1974,7 @@ impl World {
         // Listener: SYN-ACK retransmissions and half-open expiry.
         if let Some(l) = self.nodes[i].transport.tcp_listener.as_mut() {
             while let Some((peer, synack)) = l.poll_transmit(now) {
-                let hdr =
-                    Ipv6Header::new(my_addr, peer, NextHeader::Tcp, synack.wire_len() as u16);
+                let hdr = Ipv6Header::new(my_addr, peer, NextHeader::Tcp, synack.wire_len() as u16);
                 let mut bytes = self.seg_bufs.take();
                 synack.encode_into(my_addr, peer, &mut bytes);
                 out.push((hdr, bytes));
@@ -1981,8 +1989,7 @@ impl World {
             }
             while let Some(seg) = u.poll_transmit(now) {
                 let (raddr, _) = u.remote();
-                let hdr =
-                    Ipv6Header::new(my_addr, raddr, NextHeader::Tcp, seg.wire_len() as u16);
+                let hdr = Ipv6Header::new(my_addr, raddr, NextHeader::Tcp, seg.wire_len() as u16);
                 let mut bytes = self.seg_bufs.take();
                 seg.encode_into(my_addr, raddr, &mut bytes);
                 out.push((hdr, bytes));
@@ -1995,10 +2002,8 @@ impl World {
             if c.poll_at().is_some_and(|t| t <= now) {
                 if let Some(re) = c.on_timer(now) {
                     if let Some(dst) = cloud_addr {
-                        let dg =
-                            UdpHeader::encode_datagram(my_addr, dst, 49001, COAP_PORT, &re);
-                        let hdr =
-                            Ipv6Header::new(my_addr, dst, NextHeader::Udp, dg.len() as u16);
+                        let dg = UdpHeader::encode_datagram(my_addr, dst, 49001, COAP_PORT, &re);
+                        let hdr = Ipv6Header::new(my_addr, dst, NextHeader::Udp, dg.len() as u16);
                         out.push((hdr, dg));
                     }
                 }
@@ -2071,7 +2076,9 @@ impl World {
     pub fn assert_governor_drained(&mut self) {
         let now = self.now();
         for i in 0..self.nodes.len() {
-            self.nodes[i].reassembler.reclaim(now + Duration::from_secs(60));
+            self.nodes[i]
+                .reassembler
+                .reclaim(now + Duration::from_secs(60));
             self.nodes[i].sync_governor();
             let n = &self.nodes[i];
             for class in [
@@ -2276,39 +2283,38 @@ impl World {
                     }
                 }
             }
-            App::Anemometer(app)
-                if app.draining_allowed(app.draining) => {
-                    app.draining = true;
-                    // TCP path: push readings into the stream.
-                    if let Some(sock) = node.transport.tcp.first_mut() {
-                        while sock.send_capacity() >= READING_BYTES {
-                            let Some(r) = app.pop_reading() else { break };
-                            sock.send(&r);
-                        }
-                    }
-                    // CoAP path: pack ~5 readings per message (five
-                    // frames, like TCP segments, §9.3).
-                    if let Some(c) = node.transport.coap_client.as_mut() {
-                        let per_msg = if app.batch.is_some() { 5 } else { 1 };
-                        while app.queue.len() >= per_msg
-                            || (!app.queue.is_empty() && app.batch.is_none())
-                        {
-                            if c.backlog() >= 24 {
-                                break;
-                            }
-                            let mut payload = Vec::new();
-                            for _ in 0..per_msg.min(app.queue.len()) {
-                                payload.extend_from_slice(&app.pop_reading().unwrap());
-                            }
-                            let more = !app.queue.is_empty();
-                            let n = (app.submitted / per_msg as u64) as u32;
-                            c.post_block(payload, n, more);
-                        }
-                    }
-                    if app.queue.is_empty() {
-                        app.draining = false;
+            App::Anemometer(app) if app.draining_allowed(app.draining) => {
+                app.draining = true;
+                // TCP path: push readings into the stream.
+                if let Some(sock) = node.transport.tcp.first_mut() {
+                    while sock.send_capacity() >= READING_BYTES {
+                        let Some(r) = app.pop_reading() else { break };
+                        sock.send(&r);
                     }
                 }
+                // CoAP path: pack ~5 readings per message (five
+                // frames, like TCP segments, §9.3).
+                if let Some(c) = node.transport.coap_client.as_mut() {
+                    let per_msg = if app.batch.is_some() { 5 } else { 1 };
+                    while app.queue.len() >= per_msg
+                        || (!app.queue.is_empty() && app.batch.is_none())
+                    {
+                        if c.backlog() >= 24 {
+                            break;
+                        }
+                        let mut payload = Vec::new();
+                        for _ in 0..per_msg.min(app.queue.len()) {
+                            payload.extend_from_slice(&app.pop_reading().unwrap());
+                        }
+                        let more = !app.queue.is_empty();
+                        let n = (app.submitted / per_msg as u64) as u32;
+                        c.post_block(payload, n, more);
+                    }
+                }
+                if app.queue.is_empty() {
+                    app.draining = false;
+                }
+            }
             _ => {}
         }
     }
@@ -2385,8 +2391,7 @@ impl World {
             return;
         };
         let gap = app.next_gap(now, &mut self.rng);
-        self.queue
-            .schedule(now + gap, Event::InterfererStart(i));
+        self.queue.schedule(now + gap, Event::InterfererStart(i));
     }
 }
 

@@ -75,12 +75,7 @@ fn run_chain_chaos(seed: u64) -> World {
     world.set_bulk_sender(3, Some(BULK_BYTES as u64));
     let plan = FaultPlan::new()
         .reboot(2, Instant::from_secs(8), Duration::from_secs(5))
-        .blackout(
-            1,
-            2,
-            Instant::from_secs(15),
-            Duration::from_secs(30),
-        );
+        .blackout(1, 2, Instant::from_secs(15), Duration::from_secs(30));
     world.apply_fault_plan(&plan);
     world.run_for(Duration::from_secs(240));
     // The supervised connection stays live past the horizon, so assert
@@ -99,10 +94,7 @@ fn chain_bulk_survives_relay_reboot_and_blackout() {
     assert_eq!(asm.missing(), Vec::<u64>::new(), "no records may be lost");
     let got = asm.assembled().expect("gap-free");
     let want = expected_pattern(BULK_BYTES);
-    let first_diff = got
-        .iter()
-        .zip(want.iter())
-        .position(|(a, b)| a != b);
+    let first_diff = got.iter().zip(want.iter()).position(|(a, b)| a != b);
     assert_eq!(
         got,
         want,
@@ -154,7 +146,13 @@ fn chaos_run_is_deterministic() {
             .trace
             .entries()
             .iter()
-            .map(|e| (e.at.as_micros(), e.node.0, format!("{:?} {}", e.dir, e.summary)))
+            .map(|e| {
+                (
+                    e.at.as_micros(),
+                    e.node.0,
+                    format!("{:?} {}", e.dir, e.summary),
+                )
+            })
             .collect();
         (
             counters,
@@ -428,17 +426,26 @@ fn reassembly_governor_counts_survive_reboot() {
     // (denies, evictions) as the governor and as the reassembler count them.
     let governor = |w: &World| {
         let g = w.governor(0);
-        (g.denies(MemClass::Reassembly), g.evictions(MemClass::Reassembly))
+        (
+            g.denies(MemClass::Reassembly),
+            g.evictions(MemClass::Reassembly),
+        )
     };
     let reassembler = |w: &World| {
         let r = &w.nodes[0].reassembler;
-        (r.denied_slots + r.denied_bytes, r.timeouts + r.evicted_source)
+        (
+            r.denied_slots + r.denied_bytes,
+            r.timeouts + r.evicted_source,
+        )
     };
 
     world.run_until(reboot_at - Duration::from_micros(1));
     assert!(!world.nodes[0].down);
     let before = governor(&world);
-    assert!(before.0 > 0 && before.1 > 0, "the flood must load the reassembler: {before:?}");
+    assert!(
+        before.0 > 0 && before.1 > 0,
+        "the flood must load the reassembler: {before:?}"
+    );
     world.run_until(reboot_at);
     assert!(world.nodes[0].down, "the server rebooted at {reboot_at}");
     let at_reboot = reassembler(&world);
@@ -446,7 +453,10 @@ fn reassembly_governor_counts_survive_reboot() {
     world.run_until(Instant::from_secs(90));
     let after = reassembler(&world);
     let post = (after.0 - at_reboot.0, after.1 - at_reboot.1);
-    assert!(post.0 > 0 && post.1 > 0, "the flood must go on after the reboot: {post:?}");
+    assert!(
+        post.0 > 0 && post.1 > 0,
+        "the flood must go on after the reboot: {post:?}"
+    );
     assert_eq!(
         governor(&world),
         (before.0 + post.0, before.1 + post.1),

@@ -124,7 +124,10 @@ fn syn_flood_is_bounded_and_established_transfer_completes() {
         .as_ref()
         .expect("listener")
         .stats;
-    assert!(stats.syns_rcvd > 10_000, "cache must have seen the flood: {stats:?}");
+    assert!(
+        stats.syns_rcvd > 10_000,
+        "cache must have seen the flood: {stats:?}"
+    );
     assert!(
         stats.evicted_oldest > 0,
         "a sustained flood over 8 slots must evict: {stats:?}"
@@ -132,7 +135,10 @@ fn syn_flood_is_bounded_and_established_transfer_completes() {
     // No forged handshake ever completes: the only spawned socket is
     // the real client's (the duplicate-spawn regression at world
     // level).
-    assert_eq!(stats.spawned, 1, "only the real handshake completes: {stats:?}");
+    assert_eq!(
+        stats.spawned, 1,
+        "only the real handshake completes: {stats:?}"
+    );
     assert_eq!(
         world.nodes[SERVER].transport.tcp.len(),
         1,
@@ -274,7 +280,12 @@ fn tcp_buffer_starvation_sheds_new_syns_not_established_state() {
     );
     // The pre-check runs before the cache: the flood never occupies a
     // half-open slot, so the cache holds nothing at the end.
-    let stats = &world.nodes[SERVER].transport.tcp_listener.as_ref().unwrap().stats;
+    let stats = &world.nodes[SERVER]
+        .transport
+        .tcp_listener
+        .as_ref()
+        .unwrap()
+        .stats;
     assert_eq!(
         stats.spawned, 1,
         "only the pre-flood client was admitted: {stats:?}"

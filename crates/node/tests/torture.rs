@@ -99,7 +99,8 @@ fn assert_integrity(world: &World, label: &str) -> usize {
     );
     let first_diff = got.iter().zip(want.iter()).position(|(a, b)| a != b);
     assert_eq!(
-        first_diff, None,
+        first_diff,
+        None,
         "{label}: delivered stream corrupt at byte {first_diff:?} \
          ({} bytes delivered)",
         got.len()
@@ -141,7 +142,10 @@ fn reordering_and_duplication_complete_byte_exact() {
     let n = assert_integrity(&world, "reordering");
     assert_eq!(n, BULK_BYTES, "10% reordering must not prevent completion");
     let adv = world.adversary_stats(SERVER).expect("attached");
-    assert!(adv.total_mangles() > 0, "adversary must have acted: {adv:?}");
+    assert!(
+        adv.total_mangles() > 0,
+        "adversary must have acted: {adv:?}"
+    );
 }
 
 #[test]
@@ -153,7 +157,10 @@ fn truncation_and_splitting_complete_byte_exact() {
         Duration::from_secs(300),
     );
     let n = assert_integrity(&world, "fragmenting");
-    assert_eq!(n, BULK_BYTES, "10% truncate/split must not prevent completion");
+    assert_eq!(
+        n, BULK_BYTES,
+        "10% truncate/split must not prevent completion"
+    );
     let adv = world.adversary_stats(SERVER).expect("attached");
     assert!(
         adv.truncated + adv.split > 0,
@@ -247,7 +254,10 @@ fn malformed_sack_and_raw_junk_are_contained() {
     let n = assert_integrity(&world, "sack_lying");
     assert_eq!(n, BULK_BYTES, "SACK lies must not prevent completion");
     let adv = world.adversary_stats(CLIENT).expect("attached");
-    assert!(adv.sack_lies + adv.raw_junk > 0, "lies must have fired: {adv:?}");
+    assert!(
+        adv.sack_lies + adv.raw_junk > 0,
+        "lies must have fired: {adv:?}"
+    );
     let client = world.nodes[CLIENT].transport.tcp.first().expect("client");
     assert!(
         client.stats.sack_blocks_rejected > 0,

@@ -149,7 +149,10 @@ fn adaptive_poll_mode_duty_cycle_profile() {
         adaptive < fast_fixed / 5.0,
         "adaptive idle ({adaptive:.4}) must be far below 100ms fixed ({fast_fixed:.4})"
     );
-    assert!(adaptive < 0.005, "idle adaptive duty cycle ~0.1%: {adaptive:.4}");
+    assert!(
+        adaptive < 0.005,
+        "idle adaptive duty cycle ~0.1%: {adaptive:.4}"
+    );
 }
 
 #[test]
@@ -219,14 +222,18 @@ fn packet_trace_captures_a_transfer() {
     let dump = world.trace.dump();
     // The trace must show the handshake, data, forwarding at the relay
     // and link-layer activity.
-    assert!(dump.contains("SYN"), "handshake visible:\n{}", &dump[..800.min(dump.len())]);
+    assert!(
+        dump.contains("SYN"),
+        "handshake visible:\n{}",
+        &dump[..800.min(dump.len())]
+    );
     assert!(dump.contains("802.15.4 DATA"), "frames visible");
     assert!(dump.contains("forward"), "relay forwarding visible");
     assert!(dump.contains("deliver"), "final delivery visible");
     assert!(dump.contains("ACK seq="), "link ACKs visible");
     // The relay (node 1) both receives and transmits.
-    use lln_node::trace::TraceDir;
     use lln_netip::NodeId;
+    use lln_node::trace::TraceDir;
     let relay_tx = world
         .trace
         .for_node(NodeId(1))
