@@ -14,6 +14,13 @@ pub(crate) struct RangeSet {
 }
 
 impl RangeSet {
+    /// An empty set with room for `n` ranges before it allocates again.
+    pub(crate) fn with_capacity(n: usize) -> Self {
+        RangeSet {
+            ranges: Vec::with_capacity(n),
+        }
+    }
+
     /// The ranges `(start, end)`, ascending.
     pub(crate) fn as_slice(&self) -> &[(u32, u32)] {
         &self.ranges

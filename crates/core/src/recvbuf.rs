@@ -38,6 +38,13 @@ pub struct RecvBuffer {
 impl RecvBuffer {
     /// Creates a buffer of fixed `capacity` bytes.
     pub fn new(capacity: usize) -> Self {
+        Self::with_range_capacity(capacity, 0)
+    }
+
+    /// Creates a buffer of fixed `capacity` bytes whose record of
+    /// out-of-order data holds `ranges` disjoint ranges before it
+    /// allocates.
+    pub fn with_range_capacity(capacity: usize, ranges: usize) -> Self {
         assert!(
             (1..=u32::MAX as usize).contains(&capacity),
             "capacity {capacity} must be non-zero and fit the u32 range offsets"
@@ -46,7 +53,7 @@ impl RecvBuffer {
             buf: vec![0; capacity],
             head: 0,
             avail: 0,
-            ranges: RangeSet::default(),
+            ranges: RangeSet::with_capacity(ranges),
             conflicts: 0,
         }
     }

@@ -46,6 +46,15 @@ impl SackScoreboard {
         Self::default()
     }
 
+    /// Creates an empty scoreboard with room for `ranges` disjoint
+    /// SACKed ranges before it allocates.
+    pub fn with_capacity(ranges: usize) -> Self {
+        SackScoreboard {
+            ranges: RangeSet::with_capacity(ranges),
+            ..Self::default()
+        }
+    }
+
     /// True when no SACK information is held.
     pub fn is_empty(&self) -> bool {
         self.ranges.is_empty()

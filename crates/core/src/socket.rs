@@ -43,7 +43,7 @@ use crate::sack::SackScoreboard;
 use crate::sendbuf::SendBuffer;
 use crate::seq::TcpSeq;
 use crate::stats::{CwndTrace, RttTrace, TcpStats};
-use crate::wire::{Flags, SackBlock, Segment, SegmentView, Timestamps};
+use crate::wire::{Flags, SackBlock, Segment, SegmentView, Timestamps, MAX_SACK_BLOCKS};
 use lln_netip::{Ecn, Ipv6Addr};
 use lln_sim::{Duration, Instant};
 
@@ -203,7 +203,11 @@ impl TcpSocket {
     /// Creates a closed socket bound to `local_addr`:`local_port`.
     pub fn new(cfg: TcpConfig, local_addr: Ipv6Addr, local_port: u16) -> Self {
         let sndbuf = SendBuffer::new(cfg.send_buf);
-        let rcvbuf = RecvBuffer::new(cfg.recv_buf);
+        // A peer sending whole segments leaves at most one out-of-order
+        // range per MSS of window, on either side. No hard bound holds
+        // under adversarial input, where the range lists may still grow.
+        let rcvbuf = RecvBuffer::with_range_capacity(cfg.recv_buf, cfg.recv_buf.div_ceil(cfg.mss));
+        let sack = SackScoreboard::with_capacity(cfg.send_buf.div_ceil(cfg.mss));
         let cc = NewReno::new(cfg.mss);
         let rtt = RttEstimator::new(cfg.max_rto);
         let mss = cfg.mss;
@@ -221,7 +225,7 @@ impl TcpSocket {
             remote_port: 0,
             sndbuf,
             tx_payload: Vec::new(),
-            tx_sack_blocks: Vec::new(),
+            tx_sack_blocks: Vec::with_capacity(MAX_SACK_BLOCKS),
             snd_mss: mss,
             fin_queued: false,
             fin_seq: None,
@@ -232,7 +236,7 @@ impl TcpSocket {
             ecn_send_cwr: false,
             cc,
             rtt,
-            sack: SackScoreboard::new(),
+            sack,
             rtt_timing: None,
             sack_rexmit_budget: 0,
             timers: [None; Timer::COUNT],
@@ -1263,7 +1267,12 @@ impl TcpSocket {
         // Most recent ranges first per RFC 2018; we report up to 3 in
         // ascending order (sufficient for a correct sender scoreboard).
         seg.sack_blocks = std::mem::take(&mut self.tx_sack_blocks);
-        for &(s, e) in self.rcvbuf.out_of_order_ranges().iter().take(3) {
+        for &(s, e) in self
+            .rcvbuf
+            .out_of_order_ranges()
+            .iter()
+            .take(MAX_SACK_BLOCKS)
+        {
             seg.sack_blocks.push(SackBlock {
                 start: self.tcb.rcv_nxt + s,
                 end: self.tcb.rcv_nxt + e,

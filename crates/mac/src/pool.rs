@@ -83,8 +83,8 @@ impl FramePool {
     /// Creates a pool retaining at most `max_spares` idle buffers.
     pub fn new(max_spares: usize) -> Self {
         FramePool {
-            spares: Vec::new(),
-            payloads: Vec::new(),
+            spares: Vec::with_capacity(max_spares),
+            payloads: Vec::with_capacity(max_spares),
             max_spares,
             reused: 0,
             fresh: 0,
@@ -119,12 +119,22 @@ impl FramePool {
     }
 
     /// An empty payload buffer for the next frame, reused from an
-    /// earlier frame's payload when one is spare. It always has room for
-    /// a full [`MAX_MAC_PAYLOAD`], so a recycled short payload never has
-    /// to grow mid-write. Build the payload in it, then pass the frame
-    /// to [`FramePool::alloc`].
+    /// earlier frame's payload when one is spare: from the payload list,
+    /// or else out of a spare block that still holds its last frame's.
+    /// It always has room for a full [`MAX_MAC_PAYLOAD`], so a recycled
+    /// short payload never has to grow mid-write. Build the payload in
+    /// it, then pass the frame to [`FramePool::alloc`].
     pub fn payload_buf(&mut self) -> Vec<u8> {
-        let mut payload = self.payloads.pop().unwrap_or_default();
+        let mut payload = self.payloads.pop().unwrap_or_else(|| {
+            self.spares
+                .iter_mut()
+                .rev()
+                .filter_map(Arc::get_mut)
+                .find(|f| f.payload.capacity() > 0)
+                .map(|f| std::mem::take(&mut f.payload))
+                .unwrap_or_default()
+        });
+        payload.clear();
         payload.reserve(MAX_MAC_PAYLOAD);
         payload
     }
@@ -258,6 +268,21 @@ mod tests {
         }
         // Fresh blocks: the warm-up data frame's and one ACK's.
         assert_eq!(pool.fresh, 2);
+    }
+
+    #[test]
+    fn payload_buf_takes_a_spare_blocks_payload() {
+        let mut pool = FramePool::new(8);
+        let mut p = pool.payload_buf();
+        p.extend_from_slice(&[0x22; 100]);
+        let d = pool.alloc(MacFrame::data(NodeId(1), NodeId(2), 1, p));
+        pool.reclaim(d);
+        // The payload list is empty; the spare block's payload serves.
+        let p = pool.payload_buf();
+        assert!(p.is_empty() && p.capacity() >= MAX_MAC_PAYLOAD);
+        let d = pool.alloc(MacFrame::data(NodeId(1), NodeId(2), 2, p));
+        assert_eq!(d.frame().payload.len(), 0);
+        assert_eq!((pool.fresh, pool.reused), (1, 1));
     }
 
     #[test]

@@ -383,10 +383,15 @@ pub struct Node {
 }
 
 impl Node {
-    /// Creates a node with the given role and the default memory
-    /// budget (use [`Node::apply_budget`] to change it before traffic).
-    pub fn new(id: NodeId, kind: NodeKind, mac_cfg: MacConfig, now: Instant) -> Self {
-        let budget = NodeBudget::default();
+    /// Creates a node with the given role and memory budget (use
+    /// [`Node::apply_budget`] to change it before traffic).
+    pub fn new(
+        id: NodeId,
+        kind: NodeKind,
+        mac_cfg: MacConfig,
+        budget: NodeBudget,
+        now: Instant,
+    ) -> Self {
         let awake = kind != NodeKind::SleepyLeaf;
         let mut meter = EnergyMeter::new(now);
         if awake && kind != NodeKind::CloudHost && kind != NodeKind::Interferer {
@@ -645,7 +650,13 @@ mod tests {
     use lln_mac::frame::MacFrame;
 
     fn node(kind: NodeKind) -> Node {
-        Node::new(NodeId(3), kind, MacConfig::default(), Instant::ZERO)
+        Node::new(
+            NodeId(3),
+            kind,
+            MacConfig::default(),
+            NodeBudget::default(),
+            Instant::ZERO,
+        )
     }
 
     #[test]

@@ -15,7 +15,7 @@ use lln_coap::{CoapClient, CoapServer};
 use lln_energy::RadioState;
 use lln_mac::csma::{MacConfig, TxProcess, TxStep};
 use lln_mac::frame::{FrameType, MacFrame, MAX_MAC_PAYLOAD};
-use lln_mac::pool::{FrameBuf, FramePool};
+use lln_mac::pool::FramePool;
 use lln_netip::{Ecn, Ipv6Addr, Ipv6Header, NextHeader, NodeId, UdpHeader};
 use lln_phy::medium::TxHandle;
 use lln_phy::{Medium, PhyConfig, RadioIdx};
@@ -144,7 +144,7 @@ pub struct World {
     /// Cloud host index, if any.
     pub cloud: Option<usize>,
     /// Per node: the link ACK it has on the air (handle, frame, start).
-    ack_handles: Vec<Option<(TxHandle, FrameBuf, Instant)>>,
+    ack_handles: Vec<Option<(TxHandle, MacFrame, Instant)>>,
     /// Per node: the interference burst it has on the air.
     interferer_handles: Vec<Option<(TxHandle, Instant)>>,
     /// Recycles frame-buffer allocations across transmissions.
@@ -179,9 +179,13 @@ impl World {
             .iter()
             .enumerate()
             .map(|(i, &k)| {
-                let mut n = Node::new(NodeId(i as u16), k, cfg.mac.clone(), now);
-                n.apply_budget(cfg.budget.clone());
-                n
+                Node::new(
+                    NodeId(i as u16),
+                    k,
+                    cfg.mac.clone(),
+                    cfg.budget.clone(),
+                    now,
+                )
             })
             .collect();
         let mut border = None;
@@ -1122,7 +1126,7 @@ impl World {
         self.handle_step(i, step, now);
     }
 
-    /// Closes the medium record of `handle` — `buf`, sent by `i` and on
+    /// Closes the medium record of `handle` — `frame`, sent by `i` and on
     /// the air since `start` — and delivers the frame to every radio
     /// that decoded it. Only radios awake, not transmitting, and
     /// listening since the frame began can receive it. The listener list
@@ -1133,7 +1137,7 @@ impl World {
         i: usize,
         handle: TxHandle,
         start: Instant,
-        buf: &FrameBuf,
+        frame: &MacFrame,
         now: Instant,
     ) {
         let mut listeners = std::mem::take(&mut self.listeners);
@@ -1157,7 +1161,7 @@ impl World {
         self.listeners = listeners;
         for &(rx, ok) in &outcomes {
             if ok {
-                self.deliver_with_ber(rx.0, buf.frame(), now);
+                self.deliver_with_ber(rx.0, frame, now);
             }
         }
         self.outcomes = outcomes;
@@ -1175,7 +1179,7 @@ impl World {
         self.nodes[i].transmitting = false;
         self.nodes[i].listen_since = now;
         self.nodes[i].meter.set_radio_state(RadioState::Rx, now);
-        self.resolve_tx(i, handle, start, &buf, now);
+        self.resolve_tx(i, handle, start, buf.frame(), now);
         // Advance the transmit state machine.
         let step = {
             let tx = self.nodes[i].cur_tx.as_mut().unwrap();
@@ -1293,20 +1297,23 @@ impl World {
                         self.extend_poll_window(i, Duration::from_millis(15), now);
                     }
                 }
-                // 6LoWPAN reassembly. The datagram buffer goes back to
-                // the reassembler once the packet has been handled.
+                // 6LoWPAN reassembly. An unfragmented packet is read in
+                // place; a reassembled datagram's buffer goes back to the
+                // reassembler once the packet has been handled.
                 let done = self.nodes[i]
                     .reassembler
-                    .offer(frame.src, &frame.payload, now);
+                    .offer_view(frame.src, &frame.payload, now);
                 if let Some(packet) = done {
                     if let Some((hdr, payload)) =
-                        iphc::decompress_view(&packet, frame.src, frame.dst)
+                        iphc::decompress_view(packet.as_slice(), frame.src, frame.dst)
                     {
                         self.handle_ip_view(i, hdr, payload, now);
                     } else {
                         self.nodes[i].counters.inc(NodeCounter::DecompressErrors);
                     }
-                    self.nodes[i].reassembler.recycle(packet);
+                    if let iphc::Payload::Owned(buf) = packet {
+                        self.nodes[i].reassembler.recycle(buf);
+                    }
                 }
                 self.kick_mac(i, now);
                 self.maybe_sleep(i, now);
@@ -1360,7 +1367,8 @@ impl World {
         if self.nodes[i].transmitting || !self.nodes[i].awake {
             return;
         }
-        let ack = self.pool.alloc(MacFrame::ack(seq, pending));
+        // An ACK frame has no payload, so it needs no pooled buffer.
+        let ack = MacFrame::ack(seq, pending);
         let air = self.cfg.phy.ack_air_time();
         let handle = self.medium.begin_tx(RadioIdx(i), now, now + air);
         self.nodes[i].transmitting = true;
@@ -1377,7 +1385,6 @@ impl World {
         self.nodes[i].listen_since = now;
         self.nodes[i].meter.set_radio_state(RadioState::Rx, now);
         self.resolve_tx(i, handle, start, &ack, now);
-        self.pool.reclaim(ack);
     }
 
     // ------------------------------------------------------------------

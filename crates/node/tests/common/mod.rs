@@ -21,11 +21,15 @@ const TREE_SENSORS: usize = 4;
 /// Cloud, border router and three routers of [`app_study_tree`].
 const TREE_MESH: usize = 5;
 
-/// A chain of `hops` hops at PRR 0.999 and d = 40 ms: the far end
-/// streams to node 0 over default TCPlp. With `flood`, node 0 is the
-/// border router and takes 320/s forged SYNs and 320/s forged FRAG1s
-/// from 5 s on.
-fn chain(hops: usize, flood: bool) -> World {
+/// The seed of every benchmark world but the tree
+/// (`WorldConfig::default()`'s).
+pub const CHAIN_SEED: u64 = 0x5eed;
+
+/// A chain of `hops` hops at PRR 0.999 and d = 40 ms, seeded with
+/// `seed`: the far end streams to node 0 over default TCPlp. With
+/// `flood`, node 0 is the border router and takes 320/s forged SYNs and
+/// 320/s forged FRAG1s from 5 s on.
+pub fn chain(hops: usize, flood: bool, seed: u64) -> World {
     let topo = Topology::chain(hops + 1, 0.999);
     let mut kinds = vec![NodeKind::Router; hops + 1];
     if flood {
@@ -36,6 +40,7 @@ fn chain(hops: usize, flood: bool) -> World {
             retry_delay_max: Duration::from_millis(40),
             ..MacConfig::default()
         },
+        seed,
         ..WorldConfig::default()
     };
     let mut world = World::new(&topo, &kinds, wc);
@@ -62,20 +67,20 @@ fn chain(hops: usize, flood: bool) -> World {
 
 /// The benchmark's `bulk-1hop` world: node 1 streams to node 0.
 pub fn bulk_one_hop() -> World {
-    chain(1, false)
+    chain(1, false, CHAIN_SEED)
 }
 
 /// The benchmark's `chain-3hop` world: node 3 streams to node 0
 /// through link retries and hidden-terminal collisions.
 pub fn chain_three_hop() -> World {
-    chain(3, false)
+    chain(3, false, CHAIN_SEED)
 }
 
 /// The benchmark's `syn-frag-flood` world: the 3-hop stream while the
 /// SYN cache, the reassembly quotas and the memory governor of node 0
 /// sit at their limits.
 pub fn syn_frag_flood() -> World {
-    chain(3, true)
+    chain(3, true, CHAIN_SEED)
 }
 
 /// The benchmark's `anemometer-tree` world (the §9 app study): cloud

@@ -4,7 +4,10 @@
 //! one hop, three hops under a SYN + FRAG1 flood, and the §9 tree of
 //! sleepy sensors streaming across the border router's wire to the
 //! cloud. Every per-frame and per-segment buffer comes from an owner
-//! that reuses it (see DESIGN.md §11 for the ownership table).
+//! that reuses it (see DESIGN.md §11 for the ownership table), and every
+//! structure that could grow is sized from a bound when it is made, so
+//! the chain worlds hold this on every seed of a sweep, not only on the
+//! pinned one.
 //!
 //! A counting global allocator tallies allocations per thread, so tests
 //! running on other threads of this binary are not counted.
@@ -110,6 +113,37 @@ fn flood_steady_state_allocates_nothing() {
         during, 0,
         "{during} allocations over {syns} SYNs, {frags} FRAG1s and {segs} segments"
     );
+}
+
+#[test]
+fn chain_worlds_allocate_nothing_on_any_seed() {
+    // Nothing on the datapath may grow to a new high-water mark once the
+    // world is warm, whatever the seed: each structure is sized from a
+    // bound when it is made. The pinned seed and eight more, for each of
+    // the three chain worlds: 60 s of warm-up, then 60 s that must not
+    // allocate.
+    let seeds = std::iter::once(common::CHAIN_SEED).chain((1..=8).map(|k| 7919 * k));
+    let mut failures = Vec::new();
+    for seed in seeds {
+        for (name, hops, flood) in [
+            ("bulk-1hop", 1, false),
+            ("chain-3hop", 3, false),
+            ("syn-frag-flood", 3, true),
+        ] {
+            let mut world = common::chain(hops, flood, seed);
+            world.run_for(Duration::from_secs(60));
+            let segs_before = segs_sent(&world);
+            let before = allocs();
+            world.run_for(Duration::from_secs(60));
+            let during = allocs() - before;
+            let segs = segs_sent(&world) - segs_before;
+            assert!(segs > 500, "{name}, seed {seed}: only {segs} segments");
+            if during != 0 {
+                failures.push(format!("{name}, seed {seed}: {during} allocations"));
+            }
+        }
+    }
+    assert!(failures.is_empty(), "{failures:#?}");
 }
 
 #[test]

@@ -45,6 +45,8 @@ struct TxRecord {
 /// The shared radio medium.
 pub struct Medium {
     links: LinkMatrix,
+    /// Live transmissions (at most one per radio) and the finished ones
+    /// a live one still overlaps; sized for one of each per radio.
     records: Vec<TxRecord>,
     next_id: u64,
     rng: Rng,
@@ -59,12 +61,13 @@ pub struct Medium {
 impl Medium {
     /// Creates a medium over `links`, drawing PRR randomness from `rng`.
     pub fn new(links: LinkMatrix, rng: Rng) -> Self {
+        let radios = links.len();
         Medium {
             links,
-            records: Vec::new(),
+            records: Vec::with_capacity(2 * radios),
             next_id: 0,
             rng,
-            outcomes: Vec::new(),
+            outcomes: Vec::with_capacity(radios),
             counters: Counters::new(),
         }
     }

@@ -12,6 +12,7 @@
 //! given to [`fragment`], we carry the compressed length instead; the
 //! semantics are equivalent inside one network.
 
+use crate::iphc::Payload;
 use lln_netip::NodeId;
 use lln_sim::{Duration, Instant};
 
@@ -145,12 +146,14 @@ pub fn is_fragment(bytes: &[u8]) -> bool {
 /// datagram is under 2048 bytes (the 11-bit size field), so 256 units.
 const UNIT_WORDS: usize = 4;
 
+/// Largest datagram the 11-bit size field can announce.
+const MAX_DATAGRAM: usize = (1 << 11) - 1;
+
 #[derive(Clone, Debug)]
 struct PartialDatagram {
     src: NodeId,
     tag: u16,
     size: usize,
-    buf: Vec<u8>,
     have: [u64; UNIT_WORDS], // per 8-byte unit
     started: Instant,
 }
@@ -175,6 +178,13 @@ impl PartialDatagram {
         })
     }
 }
+
+/// Room the buffer of a datagram handed out is created with: the IPv6
+/// minimum MTU, which RFC 4944 requires 6LoWPAN to carry. Every
+/// datagram this stack sends is smaller, so a recycled buffer never
+/// grows; a larger one (the size field allows up to 2047 bytes) grows
+/// it once.
+pub const DATAGRAM_CAPACITY: usize = 1280;
 
 /// Fixed overhead charged per reassembly slot on top of the datagram
 /// buffer (bitmap, bookkeeping) — mirrors `tcplp::mem::REASM_SLOT_BYTES`
@@ -211,15 +221,33 @@ impl Default for ReassemblyLimits {
     }
 }
 
+impl ReassemblyLimits {
+    /// Bytes every partial datagram held at once can occupy: the byte
+    /// budget, or `max_slots` datagrams of the largest size if that is
+    /// less.
+    fn arena_bytes(&self) -> usize {
+        self.max_bytes.min(self.max_slots * MAX_DATAGRAM)
+    }
+}
+
 /// Per-neighbour reassembly buffers with timeout-based reclamation and
 /// per-source/total slot and byte quotas.
+///
+/// Nothing grows in steady state. The partial datagrams' bytes lie
+/// packed, in slot order, in one arena created (at the first fragment)
+/// with room for all the byte budget admits. The datagram handed out
+/// comes in a buffer the caller gives back through
+/// [`Reassembler::recycle`].
 #[derive(Clone, Debug)]
 pub struct Reassembler {
+    /// At most `limits.max_slots`, so it never outgrows its capacity.
     partials: Vec<PartialDatagram>,
+    /// The bytes of `partials[k]` are `arena[start(k)..start(k) + size]`,
+    /// where `start(k)` sums the sizes of the slots before it.
+    arena: Vec<u8>,
     limits: ReassemblyLimits,
-    /// Datagram buffers handed back through [`Reassembler::recycle`] or
-    /// freed by expired and evicted partials, reused by later datagrams
-    /// (at most `limits.max_slots` are kept).
+    /// Buffers of datagrams handed out and given back, reused by later
+    /// ones (at most `limits.max_slots` are kept).
     spares: Vec<Vec<u8>>,
     /// Datagrams abandoned due to timeout (one lost frame kills the
     /// whole packet — the §6.1 reliability cost of a large MSS).
@@ -255,7 +283,8 @@ impl Reassembler {
     pub fn with_limits(limits: ReassemblyLimits) -> Self {
         assert!(limits.max_slots > 0 && limits.per_source_slots > 0);
         Reassembler {
-            partials: Vec::new(),
+            partials: Vec::with_capacity(limits.max_slots),
+            arena: Vec::new(),
             limits,
             spares: Vec::new(),
             timeouts: 0,
@@ -267,21 +296,37 @@ impl Reassembler {
 
     /// Offers a received MAC payload from `src`. Returns the full
     /// datagram when this fragment completes one. Non-fragment payloads
-    /// are returned immediately.
+    /// are returned immediately, copied into a buffer.
     ///
     /// The returned buffer comes from the reassembler's spare list when
     /// one is free. Hand it back with [`Reassembler::recycle`] once its
-    /// bytes are consumed, and steady reassembly allocates nothing;
-    /// dropping it instead is always correct.
+    /// bytes are consumed; dropping it instead is always correct.
     pub fn offer(&mut self, src: NodeId, bytes: &[u8], now: Instant) -> Option<Vec<u8>> {
+        match self.offer_view(src, bytes, now)? {
+            Payload::Borrowed(whole) => Some(self.copy_out(whole)),
+            Payload::Owned(datagram) => Some(datagram),
+        }
+    }
+
+    /// Like [`Reassembler::offer`], but a non-fragment payload comes
+    /// back as `bytes` itself, uncopied. A completed datagram comes back
+    /// owned; a caller that hands each one back through
+    /// [`Reassembler::recycle`] before offering the next frame keeps the
+    /// reassembler to two allocations in all: the arena and that buffer.
+    pub fn offer_view<'a>(
+        &mut self,
+        src: NodeId,
+        bytes: &'a [u8],
+        now: Instant,
+    ) -> Option<Payload<'a>> {
         self.expire(now);
         if bytes.len() < FRAG1_HDR || bytes[0] & 0b1100_0000 != 0b1100_0000 {
-            return Some(self.spare_copy(bytes));
+            return Some(Payload::Borrowed(bytes));
         }
         let is_first = bytes[0] >> 3 == 0b11000;
         let is_subseq = bytes[0] >> 3 == 0b11100;
         if !is_first && !is_subseq {
-            return Some(self.spare_copy(bytes));
+            return Some(Payload::Borrowed(bytes));
         }
         let size = ((usize::from(bytes[0] & 0x07)) << 8) | usize::from(bytes[1]);
         let tag = u16::from_be_bytes([bytes[2], bytes[3]]);
@@ -321,8 +366,7 @@ impl Reassembler {
                         .min_by_key(|(_, p)| p.started)
                         .map(|(i, _)| i)
                         .expect("quota reached implies partials from src");
-                    let evicted = self.partials.remove(oldest);
-                    self.spare(evicted.buf);
+                    self.remove(oldest);
                     self.evicted_source += 1;
                 } else if self.partials.len() >= self.limits.max_slots {
                     self.denied_slots += 1;
@@ -332,53 +376,73 @@ impl Reassembler {
                     self.denied_bytes += 1;
                     return None;
                 }
-                // Zero-filled, so a reused buffer never shows bytes of
-                // an earlier datagram.
-                let mut buf = self.spares.pop().unwrap_or_default();
-                buf.clear();
-                buf.resize(size, 0);
+                // The budget check above keeps every slot inside the
+                // arena's room. Zero-filled, so a slot never shows bytes
+                // of an earlier datagram.
+                if self.arena.capacity() == 0 {
+                    self.arena = Vec::with_capacity(self.limits.arena_bytes());
+                }
+                self.arena.resize(self.arena.len() + size, 0);
                 self.partials.push(PartialDatagram {
                     src,
                     tag,
                     size,
-                    buf,
                     have: [0; UNIT_WORDS],
                     started: now,
                 });
                 self.partials.len() - 1
             }
         };
-        {
-            let p = &mut self.partials[idx];
-            p.buf[offset..offset + data.len()].copy_from_slice(data);
-            p.mark(offset / 8, data.len().div_ceil(8));
+        let start = self.start(idx);
+        self.arena[start + offset..start + offset + data.len()].copy_from_slice(data);
+        self.partials[idx].mark(offset / 8, data.len().div_ceil(8));
+        if !self.partials[idx].complete() {
+            return None;
         }
-        if self.partials[idx].complete() {
-            Some(self.partials.remove(idx).buf)
-        } else {
-            None
-        }
+        let size = self.partials[idx].size;
+        let mut datagram = self.spare_buf();
+        datagram.extend_from_slice(&self.arena[start..start + size]);
+        self.remove(idx);
+        Some(Payload::Owned(datagram))
     }
 
-    /// Takes back a datagram returned by [`Reassembler::offer`], keeping
-    /// its allocation for a later one.
+    /// Takes back a datagram returned by [`Reassembler::offer`] or
+    /// [`Reassembler::offer_view`], keeping its allocation for a later
+    /// one.
     pub fn recycle(&mut self, datagram: Vec<u8>) {
-        self.spare(datagram);
+        if datagram.capacity() >= DATAGRAM_CAPACITY && self.spares.len() < self.limits.max_slots {
+            self.spares.push(datagram);
+        }
     }
 
     /// `bytes` in a spare buffer (unfragmented payloads).
-    fn spare_copy(&mut self, bytes: &[u8]) -> Vec<u8> {
-        let mut buf = self.spares.pop().unwrap_or_default();
-        buf.clear();
+    fn copy_out(&mut self, bytes: &[u8]) -> Vec<u8> {
+        let mut buf = self.spare_buf();
         buf.extend_from_slice(bytes);
         buf
     }
 
-    /// Keeps `buf` for a later datagram, up to one per slot.
-    fn spare(&mut self, buf: Vec<u8>) {
-        if buf.capacity() > 0 && self.spares.len() < self.limits.max_slots {
-            self.spares.push(buf);
-        }
+    /// An empty buffer with room for [`DATAGRAM_CAPACITY`] bytes, from
+    /// the spare list when one is there.
+    fn spare_buf(&mut self) -> Vec<u8> {
+        let mut buf = self
+            .spares
+            .pop()
+            .unwrap_or_else(|| Vec::with_capacity(DATAGRAM_CAPACITY));
+        buf.clear();
+        buf
+    }
+
+    /// Where slot `idx`'s bytes begin in the arena.
+    fn start(&self, idx: usize) -> usize {
+        self.partials[..idx].iter().map(|p| p.size).sum()
+    }
+
+    /// Frees slot `idx` and closes its gap in the arena.
+    fn remove(&mut self, idx: usize) {
+        let start = self.start(idx);
+        let p = self.partials.remove(idx);
+        self.arena.drain(start..start + p.size);
     }
 
     fn expire(&mut self, now: Instant) {
@@ -388,8 +452,7 @@ impl Reassembler {
             if now.saturating_duration_since(self.partials[k].started) < timeout {
                 k += 1;
             } else {
-                let stale = self.partials.remove(k);
-                self.spare(stale.buf);
+                self.remove(k);
                 self.timeouts += 1;
             }
         }
@@ -399,6 +462,7 @@ impl Reassembler {
     /// cumulative counters stay, like a node's own counters do.
     pub fn clear(&mut self) {
         self.partials.clear();
+        self.arena.clear();
     }
 
     /// Timeout-based reclamation, callable without offering a frame —
@@ -750,7 +814,7 @@ mod tests {
     }
 
     #[test]
-    fn reused_buffer_never_leaks_an_earlier_datagram() {
+    fn reused_arena_never_leaks_an_earlier_datagram() {
         // Largest datagram the 11-bit size field allows: all 256 bitmap
         // units are in play.
         let a = vec![0xAA; 2047];
@@ -763,26 +827,57 @@ mod tests {
         let done = done.unwrap();
         assert_eq!(done, a);
         r.recycle(done);
-        assert_eq!(r.spares.len(), 1);
-        // `b` arrives back to front, last fragment held back: its
-        // partial takes `a`'s old buffer.
+        assert!(r.arena.is_empty());
+        // `b` arrives back to front, last fragment held back: its slot
+        // takes the arena bytes `a` left.
         let fb = frag_vecs(&b, 3, 104);
         assert!(fb.len() > 20);
         for f in fb[1..].iter().rev() {
             assert!(r.offer(NodeId(3), f, Instant::ZERO).is_none());
         }
-        assert!(r.spares.is_empty(), "the partial took the spare buffer");
-        let partial = &r.partials[0];
-        assert!(!partial.complete(), "FRAG1's units still missing");
+        assert!(!r.partials[0].complete(), "FRAG1's units still missing");
         let first_room = (104 - FRAG1_HDR) & !7;
         assert!(
-            partial.buf[..first_room].iter().all(|&x| x == 0),
+            r.arena[..first_room].iter().all(|&x| x == 0),
             "unreceived bytes read as zero, not as the earlier datagram"
         );
-        assert_eq!(partial.buf[first_room..], b[first_room..]);
+        assert_eq!(r.arena[first_room..], b[first_room..]);
         let out = r.offer(NodeId(3), &fb[0], Instant::ZERO).expect("complete");
         assert_eq!(out, b);
         assert_eq!(r.pending(), 0);
+    }
+
+    #[test]
+    fn slots_keep_their_bytes_as_earlier_ones_leave() {
+        // Slots 0, 1 and 2 fill from three sources. Slot 1 completes and
+        // then slot 0 expires, so slot 2's bytes move down twice before
+        // its last fragment lands.
+        let p: Vec<Vec<u8>> = (0..3u8)
+            .map(|k| (0..700).map(|i| (i as u8).wrapping_mul(3) ^ k).collect())
+            .collect();
+        let frags: Vec<_> = (0..3).map(|k| frag_vecs(&p[k], k as u16, 104)).collect();
+        let n = frags[0].len();
+        let mut r = Reassembler::default();
+        let (t0, t1) = (Instant::ZERO, Instant::from_secs(1));
+        for f in &frags[0][..n - 1] {
+            assert!(r.offer(NodeId(1), f, t0).is_none());
+        }
+        for f in &frags[1][..n - 1] {
+            assert!(r.offer(NodeId(2), f, t1).is_none());
+        }
+        for f in &frags[2][..n - 1] {
+            assert!(r.offer(NodeId(3), f, t1).is_none());
+        }
+        let room = r.arena.capacity();
+        let mid = r.offer(NodeId(2), &frags[1][n - 1], t1);
+        assert_eq!(mid.as_ref(), Some(&p[1]));
+        assert_eq!(r.pending(), 2);
+        // Slot 0 times out on this offer, before the fragment lands.
+        let last = r.offer(NodeId(3), &frags[2][n - 1], Instant::from_millis(4_500));
+        assert_eq!(last.as_ref(), Some(&p[2]));
+        assert_eq!((r.pending(), r.timeouts), (0, 1));
+        assert!(r.arena.is_empty());
+        assert_eq!(r.arena.capacity(), room, "the arena never reallocates");
     }
 
     #[test]
@@ -799,7 +894,7 @@ mod tests {
     }
 
     #[test]
-    fn spare_list_stays_bounded_after_a_frag1_flood() {
+    fn flood_leaves_the_arena_and_spare_list_bounded() {
         let limits = ReassemblyLimits {
             max_slots: 4,
             per_source_slots: 2,
@@ -808,22 +903,22 @@ mod tests {
         };
         let mut r = Reassembler::with_limits(limits);
         // FRAG1s from rotating sources that never complete: each slot
-        // is evicted or expires, returning its buffer to the spare list.
+        // is evicted or expires, handing its bytes back to the arena.
         for k in 0..500u16 {
             let frags = frag_vecs(&pkt(1500), k, 104);
             let t = Instant::from_millis(u64::from(k) * 50);
             r.offer(NodeId(200 + k % 7), &frags[0], t);
             assert!(r.pending() <= limits.max_slots);
-            assert!(
-                r.spares.len() <= limits.max_slots,
-                "spares: {}",
-                r.spares.len()
-            );
+            assert!(r.arena.len() <= limits.arena_bytes());
         }
+        assert_eq!(r.arena.capacity(), limits.arena_bytes());
         for _ in 0..10 {
-            r.recycle(vec![0; 64]);
+            r.recycle(Vec::with_capacity(DATAGRAM_CAPACITY));
         }
-        assert_eq!(r.spares.len(), limits.max_slots, "recycling is bounded too");
+        assert_eq!(r.spares.len(), limits.max_slots, "recycling is bounded");
+        r.spares.clear();
+        r.recycle(vec![0; 64]);
+        assert!(r.spares.is_empty(), "a buffer too small to reuse is dropped");
         assert!(r.evicted_source + r.timeouts + r.denied_slots > 400);
         // Genuine traffic still reassembles through the recycled buffers.
         let p = pkt(900);
