@@ -172,6 +172,11 @@ impl TxProcess {
         self.retries
     }
 
+    /// True during a CSMA round: a backoff, or the CCA that ends it.
+    pub fn in_csma(&self) -> bool {
+        self.phase == Phase::Csma
+    }
+
     /// True while the process is waiting for a link ACK. Drivers must
     /// check this before feeding [`Self::on_ack`]: an overheard ACK
     /// with a coincidentally matching sequence number must not complete

@@ -19,8 +19,9 @@
 use lln_sim::{Duration, Instant};
 
 /// One scheduled fault event. Node indices are `World` node indices
-/// (positions in the `nodes` vec), not `NodeId`s.
-#[derive(Clone, Debug, PartialEq)]
+/// (positions in the `nodes` vec), not `NodeId`s. The world's event
+/// queue carries it as is, when it takes effect and when its span ends.
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum FaultEvent {
     /// Power-cycle a node: at `at` the node goes dark (radio off, MAC /
     /// 6LoWPAN / IP / transport state wiped, indirect queues dropped),

@@ -109,20 +109,11 @@ pub enum Event {
     InterfererStart(usize),
     /// Interferer burst ends.
     InterfererEnd(usize),
-    /// Fault: node loses power for the given span.
-    FaultRebootDown(usize, Duration),
-    /// Fault: node cold-boots after a reboot.
-    FaultRebootUp(usize),
-    /// Fault: link a↔b goes dark for the given span.
-    FaultBlackoutStart(usize, usize, Duration),
-    /// Fault: one blackout of the (low, high) edge is over.
-    FaultBlackoutEnd(usize, usize),
-    /// Fault: node reselects its routing parent.
-    FaultRouteFlap(usize),
-    /// Fault: receiver-side bit errors at the given BER for the span.
-    FaultBerStart(usize, f64, Duration),
-    /// Fault: the node's bit-error burst at the given BER is over.
-    FaultBerEnd(usize, f64),
+    /// A fault of the plan takes effect (see [`World::apply_fault_plan`]).
+    Fault(FaultEvent),
+    /// A fault's span is over: the node boots, the link comes back, the
+    /// bit-error burst ends.
+    FaultEnd(FaultEvent),
     /// Flooder tick: the attacker injects forged traffic at the node.
     FloodTick(usize),
 }
@@ -411,29 +402,8 @@ impl World {
     /// execute in deterministic order with everything else, so a run
     /// with a fixed seed and a fixed plan replays bit-identically.
     pub fn apply_fault_plan(&mut self, plan: &FaultPlan) {
-        for ev in plan.events() {
-            match *ev {
-                FaultEvent::NodeReboot { node, at, down_for } => {
-                    self.queue
-                        .schedule(at, Event::FaultRebootDown(node, down_for));
-                }
-                FaultEvent::LinkBlackout { a, b, at, duration } => {
-                    self.queue
-                        .schedule(at, Event::FaultBlackoutStart(a, b, duration));
-                }
-                FaultEvent::RouteFlap { node, at } => {
-                    self.queue.schedule(at, Event::FaultRouteFlap(node));
-                }
-                FaultEvent::BitErrorBurst {
-                    node,
-                    at,
-                    duration,
-                    ber,
-                } => {
-                    self.queue
-                        .schedule(at, Event::FaultBerStart(node, ber, duration));
-                }
-            }
+        for &ev in plan.events() {
+            self.queue.schedule(ev.at(), Event::Fault(ev));
         }
     }
 
@@ -545,7 +515,7 @@ impl World {
             Event::PollWindowEnd(i) => self.on_poll_window_end(i, now),
             Event::AppTick(i) => self.on_app_tick(i, now),
             Event::WiredDeliver(i, hdr, payload) => {
-                self.handle_ip_packet(i, hdr, payload, now);
+                self.handle_ip(i, hdr, iphc::Payload::Owned(payload), now);
             }
             Event::AdversaryDeliver(i, hdr, payload) => {
                 self.nodes[i].meter.add_cpu(CPU_PER_SEGMENT);
@@ -555,20 +525,12 @@ impl World {
             }
             Event::InterfererStart(i) => self.on_interferer_start(i, now),
             Event::InterfererEnd(i) => self.on_interferer_end(i, now),
-            Event::FaultRebootDown(i, span) => self.on_fault_reboot_down(i, span, now),
-            Event::FaultRebootUp(i) => self.on_fault_reboot_up(i, now),
-            Event::FaultBlackoutStart(a, b, span) => {
-                self.on_fault_blackout_start(a, b, span, now);
+            Event::Fault(f) => {
+                if let Some(span) = self.start_fault(f, now) {
+                    self.queue.schedule(now + span, Event::FaultEnd(f));
+                }
             }
-            Event::FaultBlackoutEnd(lo, hi) => self.on_fault_blackout_end((lo, hi)),
-            Event::FaultRouteFlap(i) => self.on_fault_route_flap(i, now),
-            Event::FaultBerStart(i, ber, span) => self.on_fault_ber_start(i, ber, span, now),
-            Event::FaultBerEnd(i, ber) => {
-                let k = self.ber_bursts.iter().position(|&x| x == (i, ber));
-                self.ber_bursts
-                    .swap_remove(k.expect("burst end without start"));
-                self.refresh_ber(i);
-            }
+            Event::FaultEnd(f) => self.end_fault(f, now),
             Event::FloodTick(i) => self.on_flood_tick(i, now),
         }
     }
@@ -579,7 +541,11 @@ impl World {
     /// packet's bytes back to the pool. Returns true when the event was
     /// consumed.
     fn guard_down_node(&mut self, ev: &mut Event, now: Instant) -> bool {
-        let target = match ev {
+        let i = match ev {
+            // These act on a down node: a fault and its end (the end of
+            // a reboot is the boot), and the flooder, which keeps
+            // ticking so the attack resumes after the boot.
+            Event::Fault(_) | Event::FaultEnd(_) | Event::FloodTick(_) => return false,
             Event::MacTimer(i)
             | Event::CcaDone(i)
             | Event::SpiDone(i)
@@ -595,30 +561,29 @@ impl World {
             | Event::AdversaryDeliver(i, _, _)
             | Event::InterfererStart(i)
             | Event::InterfererEnd(i) => *i,
-            _ => return false,
         };
-        if !self.nodes[target].down {
+        if !self.nodes[i].down {
             return false;
         }
         match ev {
-            Event::AppTick(i) => {
+            Event::AppTick(_) => {
                 // The sensing schedule resumes after boot; readings
                 // that would have been taken while down are lost at
                 // the source (the mote was off).
-                if let App::Anemometer(app) = &self.nodes[*i].app {
+                if let App::Anemometer(app) = &self.nodes[i].app {
                     let iv = app.interval;
-                    self.queue.schedule(now + iv, Event::AppTick(*i));
+                    self.queue.schedule(now + iv, Event::AppTick(i));
                 }
             }
-            Event::WiredDeliver(i, _, payload) | Event::AdversaryDeliver(i, _, payload) => {
-                self.nodes[*i].counters.inc(NodeCounter::DownDrops);
+            Event::WiredDeliver(_, _, payload) | Event::AdversaryDeliver(_, _, payload) => {
+                self.nodes[i].counters.inc(NodeCounter::DownDrops);
                 self.seg_bufs.put(std::mem::take(payload));
             }
-            Event::AirDone(i) => {
+            Event::AirDone(_) => {
                 // Our own frame was mid-air when the power died: the
                 // transmission is cut, nobody decodes it, but the
                 // medium record must still close.
-                if let Some(tx) = self.nodes[*i].cur_tx.take() {
+                if let Some(tx) = self.nodes[i].cur_tx.take() {
                     if let Some(handle) = tx.handle {
                         self.medium.end_tx(handle, &[]);
                     }
@@ -628,17 +593,29 @@ impl World {
                     self.pool.reclaim(tx.frame);
                 }
             }
-            Event::LinkAckDone(i) => {
-                if let Some((handle, _, _)) = self.ack_handles[*i].take() {
+            Event::LinkAckDone(_) => {
+                if let Some((handle, _, _)) = self.ack_handles[i].take() {
                     self.medium.end_tx(handle, &[]);
                 }
             }
-            Event::InterfererEnd(i) => {
-                if let Some((handle, _)) = self.interferer_handles[*i].take() {
+            Event::InterfererEnd(_) => {
+                if let Some((handle, _)) = self.interferer_handles[i].take() {
                     self.medium.end_tx(handle, &[]);
                 }
             }
-            _ => {}
+            // The rest hold nothing: they die with the power.
+            Event::MacTimer(_)
+            | Event::CcaDone(_)
+            | Event::SpiDone(_)
+            | Event::AckTimeout(_)
+            | Event::TransportTimer(_)
+            | Event::PollWake(_)
+            | Event::PollWindowEnd(_)
+            | Event::LinkAckStart(..)
+            | Event::InterfererStart(_)
+            | Event::Fault(_)
+            | Event::FaultEnd(_)
+            | Event::FloodTick(_) => {}
         }
         true
     }
@@ -647,10 +624,57 @@ impl World {
     // Fault injection
     // ------------------------------------------------------------------
 
-    fn on_fault_reboot_down(&mut self, i: usize, down_for: Duration, now: Instant) {
-        if self.nodes[i].down {
-            return;
+    /// Puts fault `f` into effect. Returns its span when its end must be
+    /// scheduled: not for a route flap, which has none, nor for a reboot
+    /// of a node that is already down.
+    fn start_fault(&mut self, f: FaultEvent, now: Instant) -> Option<Duration> {
+        match f {
+            FaultEvent::NodeReboot { node, down_for, .. } => {
+                if self.nodes[node].down {
+                    return None;
+                }
+                self.power_down(node, down_for, now);
+                Some(down_for)
+            }
+            FaultEvent::LinkBlackout { a, b, duration, .. } => {
+                self.black_out(a, b);
+                Some(duration)
+            }
+            FaultEvent::RouteFlap { node, .. } => {
+                self.flap_route(node, now);
+                None
+            }
+            FaultEvent::BitErrorBurst {
+                node,
+                ber,
+                duration,
+                ..
+            } => {
+                self.ber_bursts.push((node, ber));
+                self.refresh_ber(node);
+                self.nodes[node].counters.inc(NodeCounter::BerBursts);
+                Some(duration)
+            }
         }
+    }
+
+    /// Ends fault `f` when its span is over.
+    fn end_fault(&mut self, f: FaultEvent, now: Instant) {
+        match f {
+            FaultEvent::NodeReboot { node, .. } => self.power_up(node, now),
+            FaultEvent::LinkBlackout { a, b, .. } => self.restore_link(a, b),
+            FaultEvent::BitErrorBurst { node, ber, .. } => {
+                let k = self.ber_bursts.iter().position(|&x| x == (node, ber));
+                self.ber_bursts
+                    .swap_remove(k.expect("burst end without start"));
+                self.refresh_ber(node);
+            }
+            FaultEvent::RouteFlap { .. } => unreachable!("a route flap has no span"),
+        }
+    }
+
+    /// Powers node `i` off: everything volatile is lost.
+    fn power_down(&mut self, i: usize, down_for: Duration, now: Instant) {
         // A frame already on the air is cut but its medium record stays
         // open until the scheduled AirDone performs cleanup (see
         // `guard_down_node`); anything earlier in the tx pipeline is
@@ -722,10 +746,10 @@ impl World {
                 format!("fault: reboot (down {down_for})"),
             );
         }
-        self.queue.schedule(now + down_for, Event::FaultRebootUp(i));
     }
 
-    fn on_fault_reboot_up(&mut self, i: usize, now: Instant) {
+    /// Cold-boots node `i` after a reboot.
+    fn power_up(&mut self, i: usize, now: Instant) {
         if !self.nodes[i].down {
             return;
         }
@@ -756,7 +780,9 @@ impl World {
         self.queue.schedule(now, Event::TransportTimer(i));
     }
 
-    fn on_fault_blackout_start(&mut self, a: usize, b: usize, span: Duration, now: Instant) {
+    /// Darkens the a↔b edge, saving its PRRs if no other blackout of
+    /// the edge is in force.
+    fn black_out(&mut self, a: usize, b: usize) {
         let edge = (a.min(b), a.max(b));
         let (lo, hi) = (RadioIdx(edge.0), RadioIdx(edge.1));
         let links = self.medium.links();
@@ -769,12 +795,12 @@ impl World {
         // detectable (CCA, collisions) — only reception dies.
         self.medium.links_mut().set_symmetric(lo, hi, 0.0);
         self.nodes[a].counters.inc(NodeCounter::LinkBlackouts);
-        self.queue
-            .schedule(now + span, Event::FaultBlackoutEnd(edge.0, edge.1));
     }
 
-    /// Restores the saved PRRs when the edge's last blackout ends.
-    fn on_fault_blackout_end(&mut self, edge: (usize, usize)) {
+    /// Ends one blackout of the a↔b edge, restoring the saved PRRs when
+    /// it was the edge's last.
+    fn restore_link(&mut self, a: usize, b: usize) {
+        let edge = (a.min(b), a.max(b));
         let k = self.blackouts.iter().position(|x| x.0 == edge);
         let (_, (up, down)) = self
             .blackouts
@@ -786,7 +812,8 @@ impl World {
         }
     }
 
-    fn on_fault_route_flap(&mut self, i: usize, now: Instant) {
+    /// Makes node `i` reselect its routing parent.
+    fn flap_route(&mut self, i: usize, now: Instant) {
         self.nodes[i].counters.inc(NodeCounter::RouteFlaps);
         let anchor = self.border.unwrap_or(0);
         if i == anchor {
@@ -830,13 +857,6 @@ impl World {
                 ),
             );
         }
-    }
-
-    fn on_fault_ber_start(&mut self, i: usize, ber: f64, span: Duration, now: Instant) {
-        self.ber_bursts.push((i, ber));
-        self.refresh_ber(i);
-        self.nodes[i].counters.inc(NodeCounter::BerBursts);
-        self.queue.schedule(now + span, Event::FaultBerEnd(i, ber));
     }
 
     /// Sets node `i`'s BER to the highest among its bursts in force,
@@ -1307,7 +1327,7 @@ impl World {
                     if let Some((hdr, payload)) =
                         iphc::decompress_view(packet.as_slice(), frame.src, frame.dst)
                     {
-                        self.handle_ip_view(i, hdr, payload, now);
+                        self.handle_ip(i, hdr, payload, now);
                     } else {
                         self.nodes[i].counters.inc(NodeCounter::DecompressErrors);
                     }
@@ -1560,34 +1580,19 @@ impl World {
         }
     }
 
-    /// A full IP packet arrived at node `i` with an owned payload (the
-    /// wired link). A locally delivered payload returns to the world's
-    /// buffer pool; a forwarded one rides the IP queue.
-    fn handle_ip_packet(&mut self, i: usize, hdr: Ipv6Header, payload: Vec<u8>, now: Instant) {
-        if hdr.dst == self.nodes[i].ip_addr() {
-            self.trace_deliver(i, &hdr, &payload, now);
-            self.deliver_transport(i, hdr, &payload, now);
-            self.seg_bufs.put(payload);
-            return;
-        }
-        self.forward_ip(i, hdr, payload, now);
-    }
-
-    /// A full IP packet arrived over the radio: the payload may borrow
-    /// the reassembled packet buffer. Local delivery consumes the
-    /// borrowed slice directly — the per-segment copy the owned path
-    /// would make never happens; only the forwarding path (which must
-    /// queue the bytes) copies them, into a buffer from the world's pool.
-    fn handle_ip_view(
-        &mut self,
-        i: usize,
-        hdr: Ipv6Header,
-        payload: iphc::Payload<'_>,
-        now: Instant,
-    ) {
+    /// A full IP packet arrived at node `i`. Its payload is owned when it
+    /// came over the wire, and over the radio it may borrow the frame or
+    /// the reassembled datagram. Local delivery reads it in place, then
+    /// an owned payload goes back to the world's buffer pool; only
+    /// forwarding (which must queue the bytes) copies a borrowed one,
+    /// into a buffer from that pool.
+    fn handle_ip(&mut self, i: usize, hdr: Ipv6Header, payload: iphc::Payload<'_>, now: Instant) {
         if hdr.dst == self.nodes[i].ip_addr() {
             self.trace_deliver(i, &hdr, payload.as_slice(), now);
             self.deliver_transport(i, hdr, payload.as_slice(), now);
+            if let iphc::Payload::Owned(v) = payload {
+                self.seg_bufs.put(v);
+            }
             return;
         }
         let bytes = match payload {
@@ -1963,28 +1968,29 @@ impl World {
         // payload buffer goes back to its socket once encoded.
         let my_addr = self.nodes[i].ip_addr();
         let mut out = std::mem::take(&mut self.pumped);
+        let bufs = &mut self.seg_bufs;
         for s in self.nodes[i].transport.tcp.iter_mut() {
             let ecn_data = s.ecn_active();
             while let Some(seg) = s.poll_transmit(now) {
-                let (raddr, _) = s.remote();
-                let mut hdr =
-                    Ipv6Header::new(my_addr, raddr, NextHeader::Tcp, seg.wire_len() as u16);
-                if ecn_data && !seg.payload.is_empty() {
-                    hdr.ecn = Ecn::Ect0;
-                }
-                let mut bytes = self.seg_bufs.take();
-                seg.encode_into(my_addr, raddr, &mut bytes);
-                out.push((hdr, bytes));
+                let ecn = if ecn_data && !seg.payload.is_empty() {
+                    Ecn::Ect0
+                } else {
+                    Ecn::NotCapable
+                };
+                out.push(encode_segment(bufs, &seg, my_addr, s.remote().0, ecn));
                 s.recycle(seg);
             }
         }
         // Listener: SYN-ACK retransmissions and half-open expiry.
         if let Some(l) = self.nodes[i].transport.tcp_listener.as_mut() {
             while let Some((peer, synack)) = l.poll_transmit(now) {
-                let hdr = Ipv6Header::new(my_addr, peer, NextHeader::Tcp, synack.wire_len() as u16);
-                let mut bytes = self.seg_bufs.take();
-                synack.encode_into(my_addr, peer, &mut bytes);
-                out.push((hdr, bytes));
+                out.push(encode_segment(
+                    bufs,
+                    &synack,
+                    my_addr,
+                    peer,
+                    Ecn::NotCapable,
+                ));
             }
         }
         // Reassembly: reclaim stale partial datagrams on the timer path.
@@ -1995,11 +2001,8 @@ impl World {
                 u.on_timer(now);
             }
             while let Some(seg) = u.poll_transmit(now) {
-                let (raddr, _) = u.remote();
-                let hdr = Ipv6Header::new(my_addr, raddr, NextHeader::Tcp, seg.wire_len() as u16);
-                let mut bytes = self.seg_bufs.take();
-                seg.encode_into(my_addr, raddr, &mut bytes);
-                out.push((hdr, bytes));
+                let raddr = u.remote().0;
+                out.push(encode_segment(bufs, &seg, my_addr, raddr, Ecn::NotCapable));
             }
         }
         // CoAP client.
@@ -2153,32 +2156,25 @@ impl World {
     }
 
     fn reschedule_transport_timer(&mut self, i: usize, now: Instant) {
-        let mut next: Option<Instant> = None;
-        for s in &self.nodes[i].transport.tcp {
-            if let Some(t) = s.poll_at() {
-                next = Some(next.map_or(t, |cur: Instant| cur.min(t)));
-            }
-        }
-        if let Some(u) = &self.nodes[i].transport.uip {
-            if let Some(t) = u.poll_at() {
-                next = Some(next.map_or(t, |cur: Instant| cur.min(t)));
-            }
-        }
-        if let Some(c) = &self.nodes[i].transport.coap_client {
-            if let Some(t) = c.poll_at() {
-                next = Some(next.map_or(t, |cur: Instant| cur.min(t)));
-            }
-        }
-        if let Some(sup) = &self.nodes[i].supervisor {
-            if let Some(t) = sup.wake_at() {
-                next = Some(next.map_or(t, |cur: Instant| cur.min(t)));
-            }
-        }
-        if let Some(l) = &self.nodes[i].transport.tcp_listener {
-            if let Some(t) = l.poll_at() {
-                next = Some(next.map_or(t, |cur: Instant| cur.min(t)));
-            }
-        }
+        let n = &self.nodes[i];
+        let t = &n.transport;
+        let next = t
+            .tcp
+            .iter()
+            .filter_map(TcpSocket::poll_at)
+            .chain(t.uip.as_ref().and_then(lln_uip::UipSocket::poll_at))
+            .chain(t.coap_client.as_ref().and_then(CoapClient::poll_at))
+            .chain(
+                n.supervisor
+                    .as_ref()
+                    .and_then(SupervisedConnection::wake_at),
+            )
+            .chain(
+                t.tcp_listener
+                    .as_ref()
+                    .and_then(tcplp::ListenSocket::poll_at),
+            )
+            .min();
         // Reassembly expiry is deliberately NOT a wakeup source: stale
         // partials are reclaimed lazily on the next inbound frame
         // (`Reassembler::offer` expires first) and on every transport
@@ -2400,6 +2396,22 @@ impl World {
         let gap = app.next_gap(now, &mut self.rng);
         self.queue.schedule(now + gap, Event::InterfererStart(i));
     }
+}
+
+/// Encodes `seg` from `src` to `dst` into a buffer from `bufs` (one pass
+/// that also sums the checksum) and returns it with its IPv6 header.
+fn encode_segment(
+    bufs: &mut BufPool,
+    seg: &Segment,
+    src: Ipv6Addr,
+    dst: Ipv6Addr,
+    ecn: Ecn,
+) -> (Ipv6Header, Vec<u8>) {
+    let mut hdr = Ipv6Header::new(src, dst, NextHeader::Tcp, seg.wire_len() as u16);
+    hdr.ecn = ecn;
+    let mut bytes = bufs.take();
+    seg.encode_into(src, dst, &mut bytes);
+    (hdr, bytes)
 }
 
 /// Fills `buf` with the bulk sender's byte pattern: consecutive byte

@@ -459,3 +459,53 @@ fn refused_control_frames_return_to_the_frame_pool() {
     assert_eq!(world.pool.fresh, 1, "every refused frame was recycled");
     assert_eq!(world.pool.spares(), 1, "and is a spare again");
 }
+
+#[test]
+fn reboot_in_csma_backoff_drops_the_frame_before_its_cca() {
+    // Node 1 streams 20 kB to node 0 over one perfect hop. The world
+    // steps 1 µs at a time until node 1's first frame is loaded and in
+    // its CSMA backoff (SpiDone handled, the CCA still ahead), then node
+    // 1 loses power for 5 ms, longer than any backoff plus CCA.
+    let topo = Topology::chain(2, 1.0);
+    let mut world = World::new(&topo, &[NodeKind::Router; 2], WorldConfig::default());
+    world.add_tcp_listener(0, TcpConfig::default());
+    world.set_sink(0);
+    world.add_tcp_client(1, 0, TcpConfig::default(), Instant::from_millis(10));
+    world.set_bulk_sender(1, Some(20_000));
+    let in_backoff = |w: &World| {
+        w.nodes[1]
+            .cur_tx
+            .as_ref()
+            .is_some_and(|tx| tx.handle.is_none() && tx.process.in_csma())
+    };
+    let step = Duration::from_micros(1);
+    let mut at = Instant::ZERO;
+    while !in_backoff(&world) {
+        at += step;
+        world.run_until(at);
+        assert!(at < Instant::from_secs(1), "no frame was loaded");
+    }
+    let down_for = Duration::from_millis(5);
+    world.apply_fault_plan(&FaultPlan::new().reboot(1, at, down_for));
+    let frames_tx = |w: &World| w.nodes[1].counters.get("frames_tx");
+    let sent = frames_tx(&world);
+    let on_air = world.medium.counters.get("frames_tx");
+    world.run_until(at);
+    assert!(world.nodes[1].down, "the reboot is due at once");
+    // No CCA runs for the dropped frame, and nothing from node 1 goes on
+    // the air while it is down: the stream has only node 1 to send.
+    let mut t = at;
+    while t + step < at + down_for {
+        t += step;
+        world.run_until(t);
+        assert!(world.nodes[1].down && world.nodes[1].cur_tx.is_none());
+        assert_eq!(frames_tx(&world), sent, "node 1 sent while down");
+        assert_eq!(world.medium.counters.get("frames_tx"), on_air);
+    }
+    world.run_until(at + Duration::from_secs(60));
+    assert!(!world.nodes[1].down);
+    assert_eq!(world.nodes[1].counters.get("boots"), 1);
+    // The stream died with node 1's socket, so the medium falls quiet
+    // and every transmission begun was closed.
+    assert_eq!(world.medium.active_records(), 0);
+}
