@@ -77,9 +77,8 @@ enum Hop {
 
 /// Events in the world.
 pub enum Event {
-    /// CSMA backoff elapsed: start a CCA measurement.
-    MacTimer(usize),
-    /// CCA measurement done: query the medium.
+    /// CSMA backoff and the CCA measurement after it are over: query
+    /// the medium.
     CcaDone(usize),
     /// Platform (SPI) transfer done: frame goes on the air.
     SpiDone(usize),
@@ -503,7 +502,6 @@ impl World {
             return;
         }
         match ev {
-            Event::MacTimer(i) => self.on_mac_timer(i, now),
             Event::CcaDone(i) => self.on_cca_done(i, now),
             Event::SpiDone(i) => self.on_spi_done(i, now),
             Event::AirDone(i) => self.on_air_done(i, now),
@@ -546,8 +544,7 @@ impl World {
             // a reboot is the boot), and the flooder, which keeps
             // ticking so the attack resumes after the boot.
             Event::Fault(_) | Event::FaultEnd(_) | Event::FloodTick(_) => return false,
-            Event::MacTimer(i)
-            | Event::CcaDone(i)
+            Event::CcaDone(i)
             | Event::SpiDone(i)
             | Event::AckTimeout(i)
             | Event::TransportTimer(i)
@@ -604,8 +601,7 @@ impl World {
                 }
             }
             // The rest hold nothing: they die with the power.
-            Event::MacTimer(_)
-            | Event::CcaDone(_)
+            Event::CcaDone(_)
             | Event::SpiDone(_)
             | Event::AckTimeout(_)
             | Event::TransportTimer(_)
@@ -1061,7 +1057,11 @@ impl World {
     fn handle_step(&mut self, i: usize, step: TxStep, now: Instant) {
         match step {
             TxStep::BackoffThenCca(d) => {
-                let tok = self.queue.schedule(now + d, Event::MacTimer(i));
+                // Nothing happens when the backoff ends: the CCA that
+                // follows is read when it ends, `cca_duration` later.
+                // One event covers both.
+                let cca_end = now + d + self.cfg.phy.cca_duration;
+                let tok = self.queue.schedule(cca_end, Event::CcaDone(i));
                 if let Some(tx) = self.nodes[i].cur_tx.as_mut() {
                     tx.timer = Some(tok);
                 }
@@ -1106,19 +1106,6 @@ impl World {
                 }
             }
             TxStep::Done(ok) => self.finish_frame(i, ok, now),
-        }
-    }
-
-    fn on_mac_timer(&mut self, i: usize, now: Instant) {
-        if self.nodes[i].cur_tx.is_none() {
-            return;
-        }
-        // CCA measurement.
-        let tok = self
-            .queue
-            .schedule(now + self.cfg.phy.cca_duration, Event::CcaDone(i));
-        if let Some(tx) = self.nodes[i].cur_tx.as_mut() {
-            tx.timer = Some(tok);
         }
     }
 

@@ -34,7 +34,7 @@ fn bulk_one_hop_event_budget() {
         "bulk-1hop",
         common::bulk_one_hop(),
         Duration::from_secs(60),
-        (50_101, 16_171),
+        (41_203, 16_142),
     );
 }
 
@@ -44,7 +44,7 @@ fn chain_three_hop_event_budget() {
         "chain-3hop",
         common::chain_three_hop(),
         Duration::from_secs(60),
-        (63_027, 16_894),
+        (48_380, 16_784),
     );
 }
 
@@ -54,7 +54,7 @@ fn syn_frag_flood_event_budget() {
         "syn-frag-flood",
         common::syn_frag_flood(),
         Duration::from_secs(60),
-        (79_762, 16_652),
+        (65_805, 16_709),
     );
 }
 
@@ -64,6 +64,6 @@ fn app_study_tree_event_budget() {
         "anemometer-tree",
         common::app_study_tree(),
         Duration::from_secs(2 * 3600),
-        (1_208_239, 294_036),
+        (923_351, 293_970),
     );
 }
