@@ -96,8 +96,9 @@ fn main() {
     println!("segment, so even a 1-segment window keeps up — the Table 7 gap");
     println!("versus uIP-class stacks comes from their 1-frame MSS, and the");
     println!("window's value appears when RTT grows (duty-cycled links,");
-    println!("Figure 12, need 4-6 segments). Delayed ACKs cut ACK-path");
-    println!("contention (loss triples without them); SACK halves the");
-    println!("fast-retransmit count under loss; timestamps matter for RTT");
-    println!("sampling under loss (§9.4), not raw throughput.");
+    println!("Figure 12, need 4-6 segments). On this one seed of a mildly");
+    println!("lossy path, SACK and delayed ACKs move loss and fast");
+    println!("retransmits by a few events either way, too few to rank");
+    println!("on one seed; timestamps matter for RTT sampling under loss");
+    println!("(§9.4), not raw throughput.");
 }

@@ -508,7 +508,10 @@ impl World {
             Event::AckTimeout(i) => self.on_ack_timeout(i, now),
             Event::LinkAckStart(i, seq, pending) => self.on_link_ack_start(i, seq, pending, now),
             Event::LinkAckDone(i) => self.on_link_ack_done(i, now),
-            Event::TransportTimer(i) => self.on_transport_timer(i, now),
+            Event::TransportTimer(i) => {
+                self.nodes[i].transport_timer = None;
+                self.pump_transport(i, now);
+            }
             Event::PollWake(i) => self.on_poll_wake(i, now),
             Event::PollWindowEnd(i) => self.on_poll_window_end(i, now),
             Event::AppTick(i) => self.on_app_tick(i, now),
@@ -633,7 +636,20 @@ impl World {
                 Some(down_for)
             }
             FaultEvent::LinkBlackout { a, b, duration, .. } => {
-                self.black_out(a, b);
+                // The edge's PRRs from before the first blackout in force
+                // are saved, to come back when the last one ends.
+                let edge = (a.min(b), a.max(b));
+                let (lo, hi) = (RadioIdx(edge.0), RadioIdx(edge.1));
+                let links = self.medium.links();
+                let saved = match self.blackouts.iter().find(|x| x.0 == edge) {
+                    Some(&(_, saved)) => saved,
+                    None => (links.prr(lo, hi), links.prr(hi, lo)),
+                };
+                self.blackouts.push((edge, saved));
+                // PRR to zero but still audible: energy on the channel remains
+                // detectable (CCA, collisions) — only reception dies.
+                self.medium.links_mut().set_symmetric(lo, hi, 0.0);
+                self.nodes[a].counters.inc(NodeCounter::LinkBlackouts);
                 Some(duration)
             }
             FaultEvent::RouteFlap { node, .. } => {
@@ -658,7 +674,18 @@ impl World {
     fn end_fault(&mut self, f: FaultEvent, now: Instant) {
         match f {
             FaultEvent::NodeReboot { node, .. } => self.power_up(node, now),
-            FaultEvent::LinkBlackout { a, b, .. } => self.restore_link(a, b),
+            FaultEvent::LinkBlackout { a, b, .. } => {
+                let edge = (a.min(b), a.max(b));
+                let k = self.blackouts.iter().position(|x| x.0 == edge);
+                let (_, (up, down)) = self
+                    .blackouts
+                    .swap_remove(k.expect("blackout end without start"));
+                if self.blackouts.iter().all(|x| x.0 != edge) {
+                    let (lo, hi) = (RadioIdx(edge.0), RadioIdx(edge.1));
+                    self.medium.links_mut().set_link(lo, hi, up);
+                    self.medium.links_mut().set_link(hi, lo, down);
+                }
+            }
             FaultEvent::BitErrorBurst { node, ber, .. } => {
                 let k = self.ber_bursts.iter().position(|&x| x == (node, ber));
                 self.ber_bursts
@@ -774,38 +801,6 @@ impl World {
         // survives in "flash") notices its socket vanished and begins
         // reconnecting.
         self.queue.schedule(now, Event::TransportTimer(i));
-    }
-
-    /// Darkens the a↔b edge, saving its PRRs if no other blackout of
-    /// the edge is in force.
-    fn black_out(&mut self, a: usize, b: usize) {
-        let edge = (a.min(b), a.max(b));
-        let (lo, hi) = (RadioIdx(edge.0), RadioIdx(edge.1));
-        let links = self.medium.links();
-        let saved = match self.blackouts.iter().find(|x| x.0 == edge) {
-            Some(&(_, saved)) => saved,
-            None => (links.prr(lo, hi), links.prr(hi, lo)),
-        };
-        self.blackouts.push((edge, saved));
-        // PRR to zero but still audible: energy on the channel remains
-        // detectable (CCA, collisions) — only reception dies.
-        self.medium.links_mut().set_symmetric(lo, hi, 0.0);
-        self.nodes[a].counters.inc(NodeCounter::LinkBlackouts);
-    }
-
-    /// Ends one blackout of the a↔b edge, restoring the saved PRRs when
-    /// it was the edge's last.
-    fn restore_link(&mut self, a: usize, b: usize) {
-        let edge = (a.min(b), a.max(b));
-        let k = self.blackouts.iter().position(|x| x.0 == edge);
-        let (_, (up, down)) = self
-            .blackouts
-            .swap_remove(k.expect("blackout end without start"));
-        if self.blackouts.iter().all(|x| x.0 != edge) {
-            let (lo, hi) = (RadioIdx(edge.0), RadioIdx(edge.1));
-            self.medium.links_mut().set_link(lo, hi, up);
-            self.medium.links_mut().set_link(hi, lo, down);
-        }
     }
 
     /// Makes node `i` reselect its routing parent.
@@ -979,7 +974,8 @@ impl World {
         } else if let Some(f) = self.nodes[i].cur_packet_frames.pop_front() {
             Some(f)
         } else if let Some(pkt) = self.nodes[i].ip_queue.pop() {
-            self.fragment_packet(i, pkt);
+            self.frame_packet(i, pkt, None);
+            self.nodes[i].counters.inc(NodeCounter::PacketsTx);
             self.nodes[i].cur_packet_frames.pop_front()
         } else {
             None
@@ -1004,12 +1000,6 @@ impl World {
             handle: None,
             timer: Some(tok),
         });
-    }
-
-    /// Fragments `pkt` into MAC frames bound for its next hop.
-    fn fragment_packet(&mut self, i: usize, pkt: OutPacket) {
-        self.frame_packet(i, pkt, None);
-        self.nodes[i].counters.inc(NodeCounter::PacketsTx);
     }
 
     /// Compresses `pkt` and frames its 6LoWPAN fragments for
@@ -1575,7 +1565,12 @@ impl World {
     /// into a buffer from that pool.
     fn handle_ip(&mut self, i: usize, hdr: Ipv6Header, payload: iphc::Payload<'_>, now: Instant) {
         if hdr.dst == self.nodes[i].ip_addr() {
-            self.trace_deliver(i, &hdr, payload.as_slice(), now);
+            if self.trace.is_enabled() {
+                let summary = crate::trace::summarize_packet(&hdr, payload.as_slice());
+                let id = self.nodes[i].id;
+                self.trace
+                    .record(now, id, crate::trace::TraceDir::Deliver, summary);
+            }
             self.deliver_transport(i, hdr, payload.as_slice(), now);
             if let iphc::Payload::Owned(v) = payload {
                 self.seg_bufs.put(v);
@@ -1591,17 +1586,6 @@ impl World {
             }
         };
         self.forward_ip(i, hdr, bytes, now);
-    }
-
-    fn trace_deliver(&mut self, i: usize, hdr: &Ipv6Header, payload: &[u8], now: Instant) {
-        if self.trace.is_enabled() {
-            self.trace.record(
-                now,
-                self.nodes[i].id,
-                crate::trace::TraceDir::Deliver,
-                crate::trace::summarize_packet(hdr, payload),
-            );
-        }
     }
 
     /// Forwards a non-local packet toward its next hop.
@@ -1992,20 +1976,15 @@ impl World {
                 out.push(encode_segment(bufs, &seg, my_addr, raddr, Ecn::NotCapable));
             }
         }
-        // CoAP client.
+        // CoAP client: a due retransmission first, then new messages.
         if self.nodes[i].transport.coap_client.is_some() {
             let cloud_addr = self.cloud.map(|c| self.nodes[c].ip_addr());
             let c = self.nodes[i].transport.coap_client.as_mut().unwrap();
-            if c.poll_at().is_some_and(|t| t <= now) {
-                if let Some(re) = c.on_timer(now) {
-                    if let Some(dst) = cloud_addr {
-                        let dg = UdpHeader::encode_datagram(my_addr, dst, 49001, COAP_PORT, &re);
-                        let hdr = Ipv6Header::new(my_addr, dst, NextHeader::Udp, dg.len() as u16);
-                        out.push((hdr, dg));
-                    }
-                }
-            }
-            while let Some(msg) = c.poll_transmit(now, &mut self.rng) {
+            let due = c.poll_at().is_some_and(|t| t <= now);
+            let retransmit = if due { c.on_timer(now) } else { None };
+            let rng = &mut self.rng;
+            let fresh = std::iter::from_fn(|| c.poll_transmit(now, rng));
+            for msg in retransmit.into_iter().chain(fresh) {
                 if let Some(dst) = cloud_addr {
                     let dg = UdpHeader::encode_datagram(my_addr, dst, 49001, COAP_PORT, &msg);
                     let hdr = Ipv6Header::new(my_addr, dst, NextHeader::Udp, dg.len() as u16);
@@ -2175,11 +2154,6 @@ impl World {
             let tok = self.queue.schedule(t, Event::TransportTimer(i));
             self.nodes[i].transport_timer = Some(tok);
         }
-    }
-
-    fn on_transport_timer(&mut self, i: usize, now: Instant) {
-        self.nodes[i].transport_timer = None;
-        self.pump_transport(i, now);
     }
 
     // ------------------------------------------------------------------
