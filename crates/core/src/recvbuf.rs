@@ -44,7 +44,7 @@ impl RecvBuffer {
     /// Creates a buffer of fixed `capacity` bytes whose record of
     /// out-of-order data holds `ranges` disjoint ranges before it
     /// allocates.
-    pub fn with_range_capacity(capacity: usize, ranges: usize) -> Self {
+    pub(crate) fn with_range_capacity(capacity: usize, ranges: usize) -> Self {
         assert!(
             (1..=u32::MAX as usize).contains(&capacity),
             "capacity {capacity} must be non-zero and fit the u32 range offsets"

@@ -48,7 +48,7 @@ impl SackScoreboard {
 
     /// Creates an empty scoreboard with room for `ranges` disjoint
     /// SACKed ranges before it allocates.
-    pub fn with_capacity(ranges: usize) -> Self {
+    pub(crate) fn with_capacity(ranges: usize) -> Self {
         SackScoreboard {
             ranges: RangeSet::with_capacity(ranges),
             ..Self::default()

@@ -4,10 +4,11 @@
 //! one hop, three hops under a SYN + FRAG1 flood, and the §9 tree of
 //! sleepy sensors streaming across the border router's wire to the
 //! cloud. Every per-frame and per-segment buffer comes from an owner
-//! that reuses it (see DESIGN.md §11 for the ownership table), and every
-//! structure that could grow is sized from a bound when it is made, so
-//! the chain worlds hold this on every seed of a sweep, not only on the
-//! pinned one.
+//! that reuses it (see DESIGN.md §11 for the ownership table). Every
+//! structure that would grow with a run's history is sized from a bound
+//! when it is made, and the rest are bounded by the traffic alive at one
+//! instant, which warm-up reaches; so the chain worlds hold this on every
+//! seed of a sweep, not only on the pinned one.
 //!
 //! A counting global allocator tallies allocations per thread, so tests
 //! running on other threads of this binary are not counted.
@@ -118,10 +119,9 @@ fn flood_steady_state_allocates_nothing() {
 #[test]
 fn chain_worlds_allocate_nothing_on_any_seed() {
     // Nothing on the datapath may grow to a new high-water mark once the
-    // world is warm, whatever the seed: each structure is sized from a
-    // bound when it is made. The pinned seed and eight more, for each of
-    // the three chain worlds: 60 s of warm-up, then 60 s that must not
-    // allocate.
+    // world is warm, whatever the seed. The pinned seed and eight more,
+    // for each of the three chain worlds: 60 s of warm-up, then 60 s
+    // that must not allocate.
     let seeds = std::iter::once(common::CHAIN_SEED).chain((1..=8).map(|k| 7919 * k));
     let mut failures = Vec::new();
     for seed in seeds {

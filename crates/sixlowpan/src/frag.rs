@@ -154,6 +154,8 @@ struct PartialDatagram {
     src: NodeId,
     tag: u16,
     size: usize,
+    /// Where the datagram's bytes begin in the reassembler's arena.
+    start: usize,
     have: [u64; UNIT_WORDS], // per 8-byte unit
     started: Instant,
 }
@@ -184,7 +186,7 @@ impl PartialDatagram {
 /// datagram this stack sends is smaller, so a recycled buffer never
 /// grows; a larger one (the size field allows up to 2047 bytes) grows
 /// it once.
-pub const DATAGRAM_CAPACITY: usize = 1280;
+const DATAGRAM_CAPACITY: usize = 1280;
 
 /// Fixed overhead charged per reassembly slot on top of the datagram
 /// buffer (bitmap, bookkeeping) — mirrors `tcplp::mem::REASM_SLOT_BYTES`
@@ -233,17 +235,16 @@ impl ReassemblyLimits {
 /// Per-neighbour reassembly buffers with timeout-based reclamation and
 /// per-source/total slot and byte quotas.
 ///
-/// Nothing grows in steady state. The partial datagrams' bytes lie
-/// packed, in slot order, in one arena created (at the first fragment)
-/// with room for all the byte budget admits. The datagram handed out
-/// comes in a buffer the caller gives back through
-/// [`Reassembler::recycle`].
+/// Nothing grows in steady state. The partial datagrams' bytes lie in
+/// one arena created (at the first fragment) with room for all the byte
+/// budget admits. The datagram handed out comes in a buffer the caller
+/// gives back through [`Reassembler::recycle`].
 #[derive(Clone, Debug)]
 pub struct Reassembler {
     /// At most `limits.max_slots`, so it never outgrows its capacity.
     partials: Vec<PartialDatagram>,
-    /// The bytes of `partials[k]` are `arena[start(k)..start(k) + size]`,
-    /// where `start(k)` sums the sizes of the slots before it.
+    /// The bytes of each partial datagram, at its `start`, in the order
+    /// of `partials`; its length is fixed once made.
     arena: Vec<u8>,
     limits: ReassemblyLimits,
     /// Buffers of datagrams handed out and given back, reused by later
@@ -366,7 +367,7 @@ impl Reassembler {
                         .min_by_key(|(_, p)| p.started)
                         .map(|(i, _)| i)
                         .expect("quota reached implies partials from src");
-                    self.remove(oldest);
+                    self.partials.remove(oldest);
                     self.evicted_source += 1;
                 } else if self.partials.len() >= self.limits.max_slots {
                     self.denied_slots += 1;
@@ -376,33 +377,27 @@ impl Reassembler {
                     self.denied_bytes += 1;
                     return None;
                 }
-                // The budget check above keeps every slot inside the
-                // arena's room. Zero-filled, so a slot never shows bytes
-                // of an earlier datagram.
-                if self.arena.capacity() == 0 {
-                    self.arena = Vec::with_capacity(self.limits.arena_bytes());
-                }
-                self.arena.resize(self.arena.len() + size, 0);
+                let start = self.place(size);
                 self.partials.push(PartialDatagram {
                     src,
                     tag,
                     size,
+                    start,
                     have: [0; UNIT_WORDS],
                     started: now,
                 });
                 self.partials.len() - 1
             }
         };
-        let start = self.start(idx);
-        self.arena[start + offset..start + offset + data.len()].copy_from_slice(data);
-        self.partials[idx].mark(offset / 8, data.len().div_ceil(8));
-        if !self.partials[idx].complete() {
+        let p = &mut self.partials[idx];
+        self.arena[p.start + offset..p.start + offset + data.len()].copy_from_slice(data);
+        p.mark(offset / 8, data.len().div_ceil(8));
+        if !p.complete() {
             return None;
         }
-        let size = self.partials[idx].size;
+        let p = self.partials.remove(idx);
         let mut datagram = self.spare_buf();
-        datagram.extend_from_slice(&self.arena[start..start + size]);
-        self.remove(idx);
+        datagram.extend_from_slice(&self.arena[p.start..p.start + p.size]);
         Some(Payload::Owned(datagram))
     }
 
@@ -422,8 +417,8 @@ impl Reassembler {
         buf
     }
 
-    /// An empty buffer with room for [`DATAGRAM_CAPACITY`] bytes, from
-    /// the spare list when one is there.
+    /// An empty buffer with room for `DATAGRAM_CAPACITY` bytes, from the
+    /// spare list when one is there.
     fn spare_buf(&mut self) -> Vec<u8> {
         let mut buf = self
             .spares
@@ -433,16 +428,37 @@ impl Reassembler {
         buf
     }
 
-    /// Where slot `idx`'s bytes begin in the arena.
-    fn start(&self, idx: usize) -> usize {
-        self.partials[..idx].iter().map(|p| p.size).sum()
+    /// Room for a new slot of `size` bytes, zero-filled so it never
+    /// shows bytes of an earlier datagram. Slots sit in the arena in the
+    /// order of `partials`: a new one goes above the last, and when the
+    /// arena's top has no room, the slots are packed down first. The
+    /// byte budget admits a slot only while all of them fit together.
+    fn place(&mut self, size: usize) -> usize {
+        if self.arena.is_empty() {
+            self.arena = vec![0; self.limits.arena_bytes()];
+        }
+        let top = self.partials.last().map_or(0, |p| p.start + p.size);
+        let start = if top + size <= self.arena.len() {
+            top
+        } else {
+            self.pack()
+        };
+        self.arena[start..start + size].fill(0);
+        start
     }
 
-    /// Frees slot `idx` and closes its gap in the arena.
-    fn remove(&mut self, idx: usize) {
-        let start = self.start(idx);
-        let p = self.partials.remove(idx);
-        self.arena.drain(start..start + p.size);
+    /// Moves every slot down so the free room is one run at the top;
+    /// returns where that run begins.
+    fn pack(&mut self) -> usize {
+        let mut end = 0;
+        for p in &mut self.partials {
+            if p.start != end {
+                self.arena.copy_within(p.start..p.start + p.size, end);
+                p.start = end;
+            }
+            end += p.size;
+        }
+        end
     }
 
     fn expire(&mut self, now: Instant) {
@@ -452,7 +468,7 @@ impl Reassembler {
             if now.saturating_duration_since(self.partials[k].started) < timeout {
                 k += 1;
             } else {
-                self.remove(k);
+                self.partials.remove(k);
                 self.timeouts += 1;
             }
         }
@@ -462,7 +478,6 @@ impl Reassembler {
     /// cumulative counters stay, like a node's own counters do.
     pub fn clear(&mut self) {
         self.partials.clear();
-        self.arena.clear();
     }
 
     /// Timeout-based reclamation, callable without offering a frame —
@@ -827,7 +842,7 @@ mod tests {
         let done = done.unwrap();
         assert_eq!(done, a);
         r.recycle(done);
-        assert!(r.arena.is_empty());
+        assert_eq!(r.pending(), 0);
         // `b` arrives back to front, last fragment held back: its slot
         // takes the arena bytes `a` left.
         let fb = frag_vecs(&b, 3, 104);
@@ -836,48 +851,62 @@ mod tests {
             assert!(r.offer(NodeId(3), f, Instant::ZERO).is_none());
         }
         assert!(!r.partials[0].complete(), "FRAG1's units still missing");
+        assert_eq!(r.partials[0].start, 0);
         let first_room = (104 - FRAG1_HDR) & !7;
         assert!(
             r.arena[..first_room].iter().all(|&x| x == 0),
             "unreceived bytes read as zero, not as the earlier datagram"
         );
-        assert_eq!(r.arena[first_room..], b[first_room..]);
+        assert_eq!(r.arena[first_room..b.len()], b[first_room..]);
         let out = r.offer(NodeId(3), &fb[0], Instant::ZERO).expect("complete");
         assert_eq!(out, b);
         assert_eq!(r.pending(), 0);
     }
 
     #[test]
-    fn slots_keep_their_bytes_as_earlier_ones_leave() {
-        // Slots 0, 1 and 2 fill from three sources. Slot 1 completes and
-        // then slot 0 expires, so slot 2's bytes move down twice before
-        // its last fragment lands.
-        let p: Vec<Vec<u8>> = (0..3u8)
-            .map(|k| (0..700).map(|i| (i as u8).wrapping_mul(3) ^ k).collect())
+    fn a_slot_keeps_its_bytes_when_the_arena_is_packed() {
+        // Three 700-byte slots fill all but 192 B of the arena. The first
+        // and the last leave, so a 900-byte slot fits only once the
+        // middle one has moved down.
+        let limits = ReassemblyLimits {
+            max_bytes: 3 * (700 + SLOT_OVERHEAD_BYTES),
+            ..ReassemblyLimits::default()
+        };
+        let p: Vec<Vec<u8>> = [700usize, 700, 700, 900]
+            .iter()
+            .enumerate()
+            .map(|(k, &n)| {
+                (0..n)
+                    .map(|i| (i as u8).wrapping_mul(3) ^ k as u8)
+                    .collect()
+            })
             .collect();
-        let frags: Vec<_> = (0..3).map(|k| frag_vecs(&p[k], k as u16, 104)).collect();
-        let n = frags[0].len();
-        let mut r = Reassembler::default();
+        let frags: Vec<_> = (0..4).map(|k| frag_vecs(&p[k], k as u16, 104)).collect();
+        let src = |k: usize| NodeId(k as u16 + 1);
+        let head = |r: &mut Reassembler, k: usize, t: Instant| {
+            for f in &frags[k][..frags[k].len() - 1] {
+                assert!(r.offer(src(k), f, t).is_none());
+            }
+        };
+        let tail = |r: &mut Reassembler, k: usize, t: Instant| {
+            r.offer(src(k), frags[k].last().unwrap(), t)
+        };
+        let starts = |r: &Reassembler| r.partials.iter().map(|p| p.start).collect::<Vec<_>>();
+        let mut r = Reassembler::with_limits(limits);
         let (t0, t1) = (Instant::ZERO, Instant::from_secs(1));
-        for f in &frags[0][..n - 1] {
-            assert!(r.offer(NodeId(1), f, t0).is_none());
-        }
-        for f in &frags[1][..n - 1] {
-            assert!(r.offer(NodeId(2), f, t1).is_none());
-        }
-        for f in &frags[2][..n - 1] {
-            assert!(r.offer(NodeId(3), f, t1).is_none());
-        }
-        let room = r.arena.capacity();
-        let mid = r.offer(NodeId(2), &frags[1][n - 1], t1);
-        assert_eq!(mid.as_ref(), Some(&p[1]));
-        assert_eq!(r.pending(), 2);
-        // Slot 0 times out on this offer, before the fragment lands.
-        let last = r.offer(NodeId(3), &frags[2][n - 1], Instant::from_millis(4_500));
-        assert_eq!(last.as_ref(), Some(&p[2]));
-        assert_eq!((r.pending(), r.timeouts), (0, 1));
-        assert!(r.arena.is_empty());
-        assert_eq!(r.arena.capacity(), room, "the arena never reallocates");
+        head(&mut r, 0, t0);
+        head(&mut r, 1, t1);
+        head(&mut r, 2, t1);
+        assert_eq!(starts(&r), [0, 700, 1400]);
+        assert_eq!(tail(&mut r, 2, t1).as_ref(), Some(&p[2]));
+        // Slot 0 times out as the 900-byte datagram arrives.
+        let late = Instant::from_millis(4_500);
+        head(&mut r, 3, late);
+        assert_eq!(r.timeouts, 1);
+        assert_eq!(starts(&r), [0, 700], "packed, then placed at the end");
+        assert_eq!(tail(&mut r, 1, late).as_ref(), Some(&p[1]));
+        assert_eq!(tail(&mut r, 3, late).as_ref(), Some(&p[3]));
+        assert_eq!(r.arena.len(), limits.arena_bytes(), "the arena never grows");
     }
 
     #[test]
@@ -918,7 +947,10 @@ mod tests {
         assert_eq!(r.spares.len(), limits.max_slots, "recycling is bounded");
         r.spares.clear();
         r.recycle(vec![0; 64]);
-        assert!(r.spares.is_empty(), "a buffer too small to reuse is dropped");
+        assert!(
+            r.spares.is_empty(),
+            "a buffer too small to reuse is dropped"
+        );
         assert!(r.evicted_source + r.timeouts + r.denied_slots > 400);
         // Genuine traffic still reassembles through the recycled buffers.
         let p = pkt(900);
