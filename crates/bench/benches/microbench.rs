@@ -46,7 +46,13 @@ fn bench(name: &str, bytes_per_iter: Option<u64>, iters: u32, mut f: impl FnMut(
 fn bench_wire_codec() {
     let src = NodeId(1).mesh_addr();
     let dst = NodeId(2).mesh_addr();
-    let mut seg = Segment::new(49152, 80, TcpSeq(1000), TcpSeq(2000), Flags::ACK | Flags::PSH);
+    let mut seg = Segment::new(
+        49152,
+        80,
+        TcpSeq(1000),
+        TcpSeq(2000),
+        Flags::ACK | Flags::PSH,
+    );
     seg.timestamps = Some(tcplp::Timestamps { value: 1, echo: 2 });
     seg.payload = vec![0xab; 462];
     let encoded = seg.encode(src, dst);
@@ -58,17 +64,27 @@ fn bench_wire_codec() {
     // Single-pass serialize+checksum into a recycled buffer: the
     // datapath fast path's tx primitive (no allocation after warmup).
     let mut pooled = Vec::with_capacity(encoded.len());
-    bench("tcp_wire/encode_into_pooled_462B", Some(len), 100_000, || {
-        seg.encode_into(src, dst, &mut pooled);
-        black_box(pooled.len());
-    });
+    bench(
+        "tcp_wire/encode_into_pooled_462B",
+        Some(len),
+        100_000,
+        || {
+            seg.encode_into(src, dst, &mut pooled);
+            black_box(pooled.len());
+        },
+    );
     bench("tcp_wire/decode_462B_segment", Some(len), 100_000, || {
         black_box(Segment::decode(src, dst, &encoded)).unwrap();
     });
     // Borrowed-payload decode: the rx-side zero-copy primitive.
-    bench("tcp_wire/decode_view_462B_segment", Some(len), 100_000, || {
-        black_box(Segment::decode_view(src, dst, &encoded)).unwrap();
-    });
+    bench(
+        "tcp_wire/decode_view_462B_segment",
+        Some(len),
+        100_000,
+        || {
+            black_box(Segment::decode_view(src, dst, &encoded)).unwrap();
+        },
+    );
 }
 
 fn bench_checksum() {
@@ -93,7 +109,12 @@ fn bench_sixlowpan() {
     let len = packet.len() as u64;
 
     bench("sixlowpan/iphc_compress", Some(len), 100_000, || {
-        black_box(lln_sixlowpan::compress(&hdr, NodeId(1), NodeId(2), &payload));
+        black_box(lln_sixlowpan::compress(
+            &hdr,
+            NodeId(1),
+            NodeId(2),
+            &payload,
+        ));
     });
     bench("sixlowpan/iphc_decompress", Some(len), 100_000, || {
         black_box(lln_sixlowpan::decompress(&packet, NodeId(1), NodeId(2))).unwrap();
@@ -187,21 +208,32 @@ fn bench_sim_primitives() {
         let mut q = EventQueue::<[u64; 10]>::new();
         let mut rng = Rng::new(5);
         for i in 1..live {
-            q.schedule(Instant::from_micros(rng.gen_range(5_000)), [u64::from(i); 10]);
+            q.schedule(
+                Instant::from_micros(rng.gen_range(5_000)),
+                [u64::from(i); 10],
+            );
         }
         let mut far = q.schedule(Instant::from_secs(1), [0; 10]);
-        bench(&format!("sim/event_queue_steady_{live}_live"), None, 5_000, || {
-            for i in 0..1000u64 {
-                let (now, _) = q.pop().expect("steady population");
-                let horizon = if rng.gen_range(2) == 0 { 50 } else { 5_000 };
-                q.schedule(now + Duration::from_micros(1 + rng.gen_range(horizon)), [i; 10]);
-                if i % 4 == 0 {
-                    q.cancel(far);
-                    far = q.schedule(now + Duration::from_secs(1), [i; 10]);
+        bench(
+            &format!("sim/event_queue_steady_{live}_live"),
+            None,
+            5_000,
+            || {
+                for i in 0..1000u64 {
+                    let (now, _) = q.pop().expect("steady population");
+                    let horizon = if rng.gen_range(2) == 0 { 50 } else { 5_000 };
+                    q.schedule(
+                        now + Duration::from_micros(1 + rng.gen_range(horizon)),
+                        [i; 10],
+                    );
+                    if i % 4 == 0 {
+                        q.cancel(far);
+                        far = q.schedule(now + Duration::from_secs(1), [i; 10]);
+                    }
                 }
-            }
-            black_box(q.len());
-        });
+                black_box(q.len());
+            },
+        );
     }
     // The large-population tradeoff: 1000 live events, far beyond any
     // world (none keeps more than 21 live). Each insert walks from the
@@ -249,12 +281,17 @@ fn bench_frame_pool() {
         black_box(fcs16(black_box(&mpdu_bytes)));
     });
     let buf = FrameBuf::new(frame.clone());
-    bench("frame/framebuf_clone_fanout4", Some(4 * mpdu), 100_000, || {
-        for _ in 0..4 {
-            let rx = buf.clone();
-            black_box(rx.mpdu_len());
-        }
-    });
+    bench(
+        "frame/framebuf_clone_fanout4",
+        Some(4 * mpdu),
+        100_000,
+        || {
+            for _ in 0..4 {
+                let rx = buf.clone();
+                black_box(rx.mpdu_len());
+            }
+        },
+    );
     bench("frame/pool_alloc_reclaim", Some(mpdu), 100_000, || {
         let mut pool = FramePool::new(4);
         for seq in 0..8u8 {
@@ -286,12 +323,8 @@ fn socket_pair_variant(name: &str, fast_path: bool) {
         let a_addr = NodeId(1).mesh_addr();
         let b_addr = NodeId(2).mesh_addr();
         let mut client = TcpSocket::new(cfg.clone(), a_addr, 49152);
-        let mut listener = ListenSocket::new(
-            cfg.clone(),
-            b_addr,
-            80,
-            &tcplp::NodeBudget::default(),
-        );
+        let mut listener =
+            ListenSocket::new(cfg.clone(), b_addr, 80, &tcplp::NodeBudget::default());
         let mut t = Instant::ZERO;
         client.connect(b_addr, 80, 1, t);
         let syn = client.poll_transmit(t).unwrap();
@@ -301,7 +334,10 @@ fn socket_pair_variant(name: &str, fast_path: bool) {
             .unwrap();
         client.on_segment(&synack, Ecn::NotCapable, t);
         let ack = client.poll_transmit(t).unwrap();
-        let mut server = listener.on_segment(a_addr, &ack, 0, t).into_spawn().unwrap();
+        let mut server = listener
+            .on_segment(a_addr, &ack, 0, t)
+            .into_spawn()
+            .unwrap();
         let data = vec![0xaau8; 462];
         let mut received = 0usize;
         let mut buf = [0u8; 2048];

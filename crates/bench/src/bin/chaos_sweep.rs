@@ -82,10 +82,7 @@ fn bulk_under_plan(plan: &FaultPlan) -> BulkOutcome {
         .and_then(|(_, asm)| asm.assembled());
     let (intact, complete) = match &assembled {
         Some(bytes) => {
-            let ok = bytes
-                .iter()
-                .enumerate()
-                .all(|(m, &b)| b == (m % 256) as u8);
+            let ok = bytes.iter().enumerate().all(|(m, &b)| b == (m % 256) as u8);
             (ok, bytes.len() as u64 == BULK_BYTES)
         }
         None => (false, false),
@@ -162,7 +159,12 @@ fn tree_under_plan(plan: &FaultPlan) -> TreeOutcome {
     let first_leaf = 1 + TREE_ROUTERS;
     for l in 0..TREE_LEAVES {
         let leaf = first_leaf + l;
-        world.add_supervised_client(leaf, 0, sup_cfg(), Instant::from_millis(100 + 40 * l as u64));
+        world.add_supervised_client(
+            leaf,
+            0,
+            sup_cfg(),
+            Instant::from_millis(100 + 40 * l as u64),
+        );
         world.set_anemometer(leaf, 64, None, Instant::from_secs(1));
     }
     world.apply_fault_plan(plan);
@@ -222,13 +224,21 @@ fn tree_plans() -> Vec<(&'static str, FaultPlan)> {
             "leaf reboots",
             FaultPlan::new()
                 .reboot(first_leaf, Instant::from_secs(60), Duration::from_secs(20))
-                .reboot(first_leaf + 1, Instant::from_secs(200), Duration::from_secs(20)),
+                .reboot(
+                    first_leaf + 1,
+                    Instant::from_secs(200),
+                    Duration::from_secs(20),
+                ),
         ),
         (
             "+blackout +BER",
             FaultPlan::new()
                 .reboot(first_leaf, Instant::from_secs(60), Duration::from_secs(20))
-                .reboot(first_leaf + 1, Instant::from_secs(200), Duration::from_secs(20))
+                .reboot(
+                    first_leaf + 1,
+                    Instant::from_secs(200),
+                    Duration::from_secs(20),
+                )
                 .blackout(1, 2, Instant::from_secs(300), Duration::from_secs(45))
                 .bit_error_burst(2, Instant::from_secs(420), Duration::from_secs(30), 1e-3),
         ),

@@ -34,7 +34,11 @@ fn main() {
     println!("{:<6} {:>10} {:>10}", "hour", "TCPlp", "CoAP");
     println!("{:-<28}", "");
     for h in 0..24 {
-        let marker = if (9..18).contains(&h) { " <- office hours" } else { "" };
+        let marker = if (9..18).contains(&h) {
+            " <- office hours"
+        } else {
+            ""
+        };
         println!(
             "{:<6} {:>9.2}% {:>9.2}%{}",
             h,
@@ -44,10 +48,23 @@ fn main() {
         );
     }
     let day_avg = |v: &[f64]| (9..18).map(|h| v[h]).sum::<f64>() / 9.0;
-    let night_avg =
-        |v: &[f64]| (0..24).filter(|h| !(9..18).contains(h)).map(|h| v[h]).sum::<f64>() / 15.0;
-    println!("\nnight: TCPlp {:.2}% vs CoAP {:.2}%", night_avg(&tcp) * 100.0, night_avg(&coap) * 100.0);
-    println!("day:   TCPlp {:.2}% vs CoAP {:.2}%", day_avg(&tcp) * 100.0, day_avg(&coap) * 100.0);
+    let night_avg = |v: &[f64]| {
+        (0..24)
+            .filter(|h| !(9..18).contains(h))
+            .map(|h| v[h])
+            .sum::<f64>()
+            / 15.0
+    };
+    println!(
+        "\nnight: TCPlp {:.2}% vs CoAP {:.2}%",
+        night_avg(&tcp) * 100.0,
+        night_avg(&coap) * 100.0
+    );
+    println!(
+        "day:   TCPlp {:.2}% vs CoAP {:.2}%",
+        day_avg(&tcp) * 100.0,
+        day_avg(&coap) * 100.0
+    );
     println!("\npaper: CoAP lower at night (less interference); TCPlp slightly");
     println!("lower/comparable during working hours (loss resilience, §9.4).");
 }

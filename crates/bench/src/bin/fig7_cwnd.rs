@@ -50,9 +50,7 @@ fn main() {
             println!("{:<12.3} {:>8} {:>10}", t.as_secs_f64(), cwnd, ss);
         }
     }
-    let mean = sock
-        .cwnd_trace
-        .mean_cwnd(start, world.now());
+    let mean = sock.cwnd_trace.mean_cwnd(start, world.now());
     println!("\ntime-weighted mean cwnd: {mean:.0} B of a 1848 B maximum");
     println!(
         "segment retransmission rate: {:.1}%  (timeouts {}, fast rexmits {})",

@@ -6,14 +6,20 @@
 
 use lln_mac::frame::{MacFrame, MAC_OVERHEAD};
 use lln_netip::{Ipv6Header, NextHeader, NodeId};
-use lln_sixlowpan::{compress, fragment, frag, MAX_FRAME_PAYLOAD};
+use lln_sixlowpan::{compress, frag, fragment, MAX_FRAME_PAYLOAD};
 use tcplp::{Flags, Segment, TcpSeq, Timestamps};
 
 fn main() {
     // A realistic data segment: timestamps option, 462 B payload.
     let src = NodeId(12).mesh_addr();
     let dst = NodeId(0).mesh_addr();
-    let mut seg = Segment::new(49152, 80, TcpSeq(1000), TcpSeq(2000), Flags::ACK | Flags::PSH);
+    let mut seg = Segment::new(
+        49152,
+        80,
+        TcpSeq(1000),
+        TcpSeq(2000),
+        Flags::ACK | Flags::PSH,
+    );
     seg.timestamps = Some(Timestamps { value: 7, echo: 9 });
     seg.window = 1848;
     // Use the exact payload that fills five frames in this stack
@@ -28,7 +34,10 @@ fn main() {
     let frags: Vec<_> = fragment(&packet, 1, MAX_FRAME_PAYLOAD).collect();
 
     println!("== Table 6: header overhead per frame ==\n");
-    println!("{:<26} {:>12} {:>14}", "header", "first frame", "other frames");
+    println!(
+        "{:<26} {:>12} {:>14}",
+        "header", "first frame", "other frames"
+    );
     println!("{:-<54}", "");
     println!(
         "{:<26} {:>10} B {:>12} B",
@@ -40,8 +49,14 @@ fn main() {
         frag::FRAG1_HDR,
         frag::FRAGN_HDR
     );
-    println!("{:<26} {:>10} B {:>12} B", "IPv6 (IPHC compressed)", iphc_len, 0);
-    println!("{:<26} {:>10} B {:>12} B", "TCP (incl. timestamps)", tcp_hdr, 0);
+    println!(
+        "{:<26} {:>10} B {:>12} B",
+        "IPv6 (IPHC compressed)", iphc_len, 0
+    );
+    println!(
+        "{:<26} {:>10} B {:>12} B",
+        "TCP (incl. timestamps)", tcp_hdr, 0
+    );
     let first = MAC_OVERHEAD + frag::FRAG1_HDR + iphc_len + tcp_hdr;
     let other = MAC_OVERHEAD + frag::FRAGN_HDR;
     println!("{:-<54}", "");

@@ -45,10 +45,7 @@ fn run_tcplp(hops: usize) -> f64 {
 
 fn main() {
     println!("== Table 7: goodput vs prior embedded TCP stacks ==\n");
-    println!(
-        "{:<34} {:>12} {:>12}",
-        "stack", "one hop", "multi-hop(3)"
-    );
+    println!("{:<34} {:>12} {:>12}", "stack", "one hop", "multi-hop(3)");
     println!("{:-<60}", "");
     type GoodputFn = Box<dyn Fn(usize) -> f64>;
     let rows: [(&str, GoodputFn); 3] = [
@@ -60,10 +57,7 @@ fn main() {
             "uIP-class (MSS 4 frames, win 1 seg)",
             Box::new(|h| run_uip(h, 4)),
         ),
-        (
-            "TCPlp (MSS 5 frames, win 4 segs)",
-            Box::new(run_tcplp),
-        ),
+        ("TCPlp (MSS 5 frames, win 4 segs)", Box::new(run_tcplp)),
     ];
     for (name, f) in rows {
         let one = f(1);

@@ -36,7 +36,9 @@ fn run(hops: u32, segs: usize, red: bool) -> Vec<FlowResult> {
             tcp.clone(),
             Instant::from_millis(10 + 13 * k as u64),
         );
-        world.nodes[src.0 as usize].transport.tcp[si].rtt_trace.enable();
+        world.nodes[src.0 as usize].transport.tcp[si]
+            .rtt_trace
+            .enable();
         world.set_bulk_sender(src.0 as usize, None);
         socks.push((src.0 as usize, si));
     }

@@ -40,11 +40,8 @@ fn main() {
         phy.air_time(127)
     );
     let mean_backoff = Duration::from_micros(320 * 7 / 2);
-    let all_in = phy.frame_cost(127)
-        + mean_backoff
-        + phy.cca_duration
-        + phy.turnaround
-        + phy.ack_air_time();
+    let all_in =
+        phy.frame_cost(127) + mean_backoff + phy.cca_duration + phy.turnaround + phy.ack_air_time();
     println!("all-in frame cost:         {all_in:?} (paper measured: 8.2 ms)");
     let seg_cost = all_in * 5;
     println!("5-frame segment cost:      {seg_cost:?} (paper: 41 ms)");
@@ -56,10 +53,6 @@ fn main() {
     );
     println!("\n== §7.2: multihop scaling bound ==\n");
     for h in 1..=4 {
-        println!(
-            "{} hops: B x {:.3}",
-            h,
-            multihop_scale_factor(h)
-        );
+        println!("{} hops: B x {:.3}", h, multihop_scale_factor(h));
     }
 }

@@ -25,11 +25,7 @@ fn main() {
         size_of::<ListenSocket>()
     );
     println!("{:<38} {:>10}", "send buffer (configured)", cfg.send_buf);
-    println!(
-        "{:<38} {:>10}",
-        "receive buffer (configured)",
-        cfg.recv_buf
-    );
+    println!("{:<38} {:>10}", "receive buffer (configured)", cfg.recv_buf);
     let total = size_of::<TcpSocket>() + cfg.send_buf + cfg.recv_buf;
     println!("{:-<50}", "");
     println!("{:<38} {:>10}", "total per active connection", total);

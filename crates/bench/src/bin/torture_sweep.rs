@@ -70,10 +70,7 @@ fn run(profile: AdversaryProfile, adv_node: usize) -> Outcome {
         .first()
         .map(|(_, b)| b.as_slice())
         .unwrap_or(&[]);
-    let intact = got
-        .iter()
-        .enumerate()
-        .all(|(m, &b)| b == (m % 256) as u8);
+    let intact = got.iter().enumerate().all(|(m, &b)| b == (m % 256) as u8);
     let complete = got.len() == BULK_BYTES;
     let client = world.nodes[CLIENT].transport.tcp.first().expect("client");
     let server_stats = world.nodes[SERVER]
@@ -138,7 +135,16 @@ fn main() {
         println!("-- {name} --");
         println!(
             "{:<7} {:>10} {:>9} {:>8} {:>8} {:>7} {:>6} {:>6} {:>7} {:>11}",
-            "rate", "goodput", "vs clean", "bytes", "mangles", "chack", "sack-", "cnfl", "probes", "verdict"
+            "rate",
+            "goodput",
+            "vs clean",
+            "bytes",
+            "mangles",
+            "chack",
+            "sack-",
+            "cnfl",
+            "probes",
+            "verdict"
         );
         let mut base = None;
         for &rate in &rates {

@@ -363,7 +363,10 @@ fn run_app_study_inner(p: &AppRun, verbose: bool) -> AppResult {
 
     world.run_for(p.duration);
     if verbose {
-        println!("medium: {:?}", world.medium.counters.iter().collect::<Vec<_>>());
+        println!(
+            "medium: {:?}",
+            world.medium.counters.iter().collect::<Vec<_>>()
+        );
         for (i, n) in world.nodes.iter().enumerate() {
             println!(
                 "node{i} ({:?}): reasm_timeouts={} indirect={:?} {:?}",
@@ -388,7 +391,11 @@ fn run_app_study_inner(p: &AppRun, verbose: bool) -> AppResult {
             }
         }
         if let Some(srv) = world.nodes[0].transport.coap_server.as_ref() {
-            println!("server received {} posts, {} dups", srv.received_count(), srv.duplicates);
+            println!(
+                "server received {} posts, {} dups",
+                srv.received_count(),
+                srv.duplicates
+            );
         }
     }
 
@@ -436,7 +443,9 @@ fn run_app_study_inner(p: &AppRun, verbose: bool) -> AppResult {
         .unwrap_or(0);
     let delivered = (tcp_bytes as usize + coap_bytes) as u64 / READING as u64;
     let mins = now.as_secs_f64() / 60.0;
-    let denom = generated.saturating_sub(pending).max(delivered.min(generated));
+    let denom = generated
+        .saturating_sub(pending)
+        .max(delivered.min(generated));
     AppResult {
         reliability: if denom == 0 {
             1.0
@@ -515,6 +524,10 @@ mod tests {
             ..AppRun::default()
         });
         assert!(r.reliability > 0.9, "reliability {}", r.reliability);
-        assert!(r.radio_dc < 0.2, "batching CoAP leaf sleeps: {}", r.radio_dc);
+        assert!(
+            r.radio_dc < 0.2,
+            "batching CoAP leaf sleeps: {}",
+            r.radio_dc
+        );
     }
 }

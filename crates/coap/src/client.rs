@@ -111,14 +111,7 @@ impl CoapClient {
     /// implements: losing one block abandons only that block.
     pub fn post_block(&mut self, payload: Vec<u8>, num: u32, more: bool) -> Option<u64> {
         // szx 5 = 512-byte blocks (closest power of two to 5 frames).
-        self.enqueue(
-            payload,
-            Some(BlockValue {
-                num,
-                more,
-                szx: 5,
-            }),
-        )
+        self.enqueue(payload, Some(BlockValue { num, more, szx: 5 }))
     }
 
     fn enqueue(&mut self, payload: Vec<u8>, block: Option<BlockValue>) -> Option<u64> {
@@ -144,10 +137,7 @@ impl CoapClient {
     /// plus every queued payload — what the node memory budget charges
     /// to the CoAP retransmission class.
     pub fn pending_bytes(&self) -> usize {
-        let in_flight = self
-            .outstanding
-            .as_ref()
-            .map_or(0, |o| o.encoded.len());
+        let in_flight = self.outstanding.as_ref().map_or(0, |o| o.encoded.len());
         in_flight + self.queue.iter().map(|q| q.payload.len()).sum::<usize>()
     }
 

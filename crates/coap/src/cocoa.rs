@@ -93,8 +93,8 @@ impl Cocoa {
             (&self.strong, 0.5)
         };
         if let Some(rto_new) = est.rto() {
-            let blended = rto_new.as_secs_f64() * weight
-                + self.overall.as_secs_f64() * (1.0 - weight);
+            let blended =
+                rto_new.as_secs_f64() * weight + self.overall.as_secs_f64() * (1.0 - weight);
             self.overall = Duration::from_secs_f64(blended);
         }
     }

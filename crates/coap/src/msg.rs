@@ -326,12 +326,25 @@ mod tests {
 
     #[test]
     fn block_value_roundtrip() {
-        for (num, more, szx) in [(0, false, 0), (3, true, 5), (1000, true, 6), (70000, false, 2)] {
+        for (num, more, szx) in [
+            (0, false, 0),
+            (3, true, 5),
+            (1000, true, 6),
+            (70000, false, 2),
+        ] {
             let b = BlockValue { num, more, szx };
             let dec = BlockValue::decode(&b.encode()).unwrap();
             assert_eq!(dec, b);
         }
-        assert_eq!(BlockValue { num: 0, more: false, szx: 5 }.size(), 512);
+        assert_eq!(
+            BlockValue {
+                num: 0,
+                more: false,
+                szx: 5
+            }
+            .size(),
+            512
+        );
     }
 
     #[test]

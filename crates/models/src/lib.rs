@@ -36,13 +36,7 @@ pub fn tcplp_goodput_bps(mss_bytes: f64, rtt: Duration, w: f64, p: f64) -> f64 {
 /// Appendix B's un-simplified burst form (Equation 3): goodput from
 /// window `w` (segments), average windows per burst `b = 1/pwin`, and
 /// recovery time `trec`. Exposed for the model-validation bench.
-pub fn burst_model_bps(
-    mss_bytes: f64,
-    rtt: Duration,
-    w: f64,
-    p_win: f64,
-    t_rec: Duration,
-) -> f64 {
+pub fn burst_model_bps(mss_bytes: f64, rtt: Duration, w: f64, p_win: f64, t_rec: Duration) -> f64 {
     assert!(p_win > 0.0 && p_win <= 1.0);
     let b = 1.0 / p_win;
     let num = w * b * mss_bytes * 8.0;
@@ -169,8 +163,7 @@ mod tests {
         let rtt = Duration::from_millis(100);
         let small_p = 1e-4;
         assert!(
-            mathis_goodput_bps(462.0, rtt, small_p)
-                > tcplp_goodput_bps(462.0, rtt, 4.0, small_p)
+            mathis_goodput_bps(462.0, rtt, small_p) > tcplp_goodput_bps(462.0, rtt, 4.0, small_p)
         );
         let large_p = 0.25;
         assert!(

@@ -37,13 +37,22 @@ impl Checksum {
         let mut acc2: u64 = 0;
         let mut blocks = data.chunks_exact(16);
         for c in &mut blocks {
-            acc = add1c(acc, u64::from_be_bytes(c[..8].try_into().expect("8-byte half")));
-            acc2 = add1c(acc2, u64::from_be_bytes(c[8..].try_into().expect("8-byte half")));
+            acc = add1c(
+                acc,
+                u64::from_be_bytes(c[..8].try_into().expect("8-byte half")),
+            );
+            acc2 = add1c(
+                acc2,
+                u64::from_be_bytes(c[8..].try_into().expect("8-byte half")),
+            );
         }
         acc = add1c(acc, acc2);
         let mut rest = blocks.remainder();
         if rest.len() >= 8 {
-            acc = add1c(acc, u64::from_be_bytes(rest[..8].try_into().expect("8-byte word")));
+            acc = add1c(
+                acc,
+                u64::from_be_bytes(rest[..8].try_into().expect("8-byte word")),
+            );
             rest = &rest[8..];
         }
         let mut pairs = rest.chunks_exact(2);
@@ -181,7 +190,9 @@ mod tests {
         // plus interleaved incremental adds at even split points.
         let mut state: u64 = 0x243F_6A88_85A3_08D3;
         let mut next = move || {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
             (state >> 33) as u8
         };
         for len in 0..=129usize {
@@ -190,7 +201,11 @@ mod tests {
             fast.add_bytes(&data);
             let mut slow = Checksum::new();
             slow.add_bytes_bytewise(&data);
-            assert_eq!(fast.finish(), slow.finish(), "one-shot mismatch at len {len}");
+            assert_eq!(
+                fast.finish(),
+                slow.finish(),
+                "one-shot mismatch at len {len}"
+            );
             if len >= 4 {
                 let cut = (len / 2) & !1; // even split offset
                 let mut fast2 = Checksum::new();

@@ -152,8 +152,7 @@ impl Ipv6Header {
             return None;
         }
         let tc = (b[0] << 4) | (b[1] >> 4);
-        let flow_label =
-            (u32::from(b[1] & 0x0f) << 16) | (u32::from(b[2]) << 8) | u32::from(b[3]);
+        let flow_label = (u32::from(b[1] & 0x0f) << 16) | (u32::from(b[2]) << 8) | u32::from(b[3]);
         let mut src = [0u8; 16];
         src.copy_from_slice(&b[8..24]);
         let mut dst = [0u8; 16];

@@ -64,8 +64,7 @@ impl<T> FifoQueue<T> {
     /// When either bound would be exceeded it tail-drops: the drop is
     /// counted and the packet handed back as `Err`.
     pub fn offer_weighed(&mut self, item: T, weight: usize) -> Result<(), T> {
-        if self.items.len() >= self.capacity || self.bytes.saturating_add(weight) > self.max_bytes
-        {
+        if self.items.len() >= self.capacity || self.bytes.saturating_add(weight) > self.max_bytes {
             self.drops += 1;
             Err(item)
         } else {
@@ -200,8 +199,8 @@ impl<T> RedQueue<T> {
         } else if self.avg >= self.cfg.min_th {
             // Linear probability ramp, with the classic count correction
             // that spaces marks out evenly.
-            let pb = self.cfg.max_p * (self.avg - self.cfg.min_th)
-                / (self.cfg.max_th - self.cfg.min_th);
+            let pb =
+                self.cfg.max_p * (self.avg - self.cfg.min_th) / (self.cfg.max_th - self.cfg.min_th);
             self.count_since_mark += 1;
             let denom = 1.0 - pb * self.count_since_mark as f64;
             let pa = if denom <= 0.0 { 1.0 } else { pb / denom };
@@ -270,7 +269,10 @@ mod tests {
     fn fifo_orders_and_bounds() {
         // The slot bound alone, and the slot bound binding first under a
         // byte bound with room to spare.
-        for (mut q, w) in [(FifoQueue::new(2), 0), (FifoQueue::with_byte_bound(2, 100), 40)] {
+        for (mut q, w) in [
+            (FifoQueue::new(2), 0),
+            (FifoQueue::with_byte_bound(2, 100), 40),
+        ] {
             assert_eq!(q.offer_weighed(1, w), Ok(()));
             assert_eq!(q.offer_weighed(2, w), Ok(()));
             assert_eq!(q.offer_weighed(3, 1), Err(3), "slot bound hands it back");

@@ -98,11 +98,8 @@ mod tests {
         // does: SPI + air + mean CSMA backoff (3.5 slots at BE=3) +
         // CCA + the link-ACK exchange (turnaround + ACK air time).
         let mean_backoff = Duration::from_micros(320 * 7 / 2);
-        let all_in = c.frame_cost(127)
-            + mean_backoff
-            + c.cca_duration
-            + c.turnaround
-            + c.ack_air_time();
+        let all_in =
+            c.frame_cost(127) + mean_backoff + c.cca_duration + c.turnaround + c.ack_air_time();
         let ms = all_in.as_micros() as f64 / 1000.0;
         assert!(
             (7.4..9.0).contains(&ms),

@@ -147,7 +147,10 @@ mod tests {
         let m = LinkMatrix::chain(4, 0.95);
         assert!(m.audible(RadioIdx(0), RadioIdx(1)));
         assert!(m.audible(RadioIdx(1), RadioIdx(0)));
-        assert!(!m.audible(RadioIdx(0), RadioIdx(2)), "hidden terminals exist");
+        assert!(
+            !m.audible(RadioIdx(0), RadioIdx(2)),
+            "hidden terminals exist"
+        );
         assert!(!m.audible(RadioIdx(0), RadioIdx(3)));
         assert_eq!(m.prr(RadioIdx(0), RadioIdx(1)), 0.95);
     }

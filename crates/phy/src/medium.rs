@@ -266,9 +266,17 @@ mod tests {
         let h = m.begin_tx(RadioIdx(1), Instant::ZERO, Instant::from_millis(4));
         assert_eq!(m.end_tx(h, &[RadioIdx(0), RadioIdx(2)]).len(), 2);
         // A later frame with fewer listeners sees only its own outcomes.
-        let h = m.begin_tx(RadioIdx(0), Instant::from_millis(5), Instant::from_millis(9));
+        let h = m.begin_tx(
+            RadioIdx(0),
+            Instant::from_millis(5),
+            Instant::from_millis(9),
+        );
         assert_eq!(m.end_tx(h, &[RadioIdx(1)]), [(RadioIdx(1), true)]);
-        let h = m.begin_tx(RadioIdx(0), Instant::from_millis(10), Instant::from_millis(14));
+        let h = m.begin_tx(
+            RadioIdx(0),
+            Instant::from_millis(10),
+            Instant::from_millis(14),
+        );
         assert!(m.end_tx(h, &[]).is_empty());
     }
 
@@ -277,7 +285,11 @@ mod tests {
         let mut m = medium_chain3();
         // 1 transmits while 0 transmits to it.
         let h0 = m.begin_tx(RadioIdx(0), Instant::ZERO, Instant::from_millis(4));
-        let _h1 = m.begin_tx(RadioIdx(1), Instant::from_millis(1), Instant::from_millis(3));
+        let _h1 = m.begin_tx(
+            RadioIdx(1),
+            Instant::from_millis(1),
+            Instant::from_millis(3),
+        );
         let out = m.end_tx(h0, &[RadioIdx(1)]);
         assert_eq!(out, vec![(RadioIdx(1), false)]);
     }
@@ -325,7 +337,11 @@ mod tests {
         assert!(out.contains(&(RadioIdx(0), false)));
         assert!(out.contains(&(RadioIdx(1), true)));
         // And it shows up in node 0's CCA.
-        let _h2 = m.begin_tx(RadioIdx(2), Instant::from_millis(10), Instant::from_millis(14));
+        let _h2 = m.begin_tx(
+            RadioIdx(2),
+            Instant::from_millis(10),
+            Instant::from_millis(14),
+        );
         assert!(m.cca_busy(RadioIdx(0), Instant::from_millis(12)));
     }
 
@@ -347,12 +363,20 @@ mod tests {
         // frame ends, 2's is still on the air and overlaps it, so 0's
         // record must stay for 2's collision check at node 1.
         let h0 = m.begin_tx(RadioIdx(0), Instant::ZERO, Instant::from_millis(4));
-        let h2 = m.begin_tx(RadioIdx(2), Instant::from_millis(3), Instant::from_millis(7));
+        let h2 = m.begin_tx(
+            RadioIdx(2),
+            Instant::from_millis(3),
+            Instant::from_millis(7),
+        );
         assert_eq!(m.end_tx(h0, &[RadioIdx(1)]), [(RadioIdx(1), false)]);
         assert_eq!(m.active_records(), 2);
         // 1 answers inside 2's frame: its record overlaps 2's as well,
         // and 0's record still does.
-        let h1 = m.begin_tx(RadioIdx(1), Instant::from_millis(5), Instant::from_millis(6));
+        let h1 = m.begin_tx(
+            RadioIdx(1),
+            Instant::from_millis(5),
+            Instant::from_millis(6),
+        );
         assert_eq!(m.end_tx(h1, &[]), []);
         assert_eq!(m.active_records(), 3);
         assert_eq!(m.end_tx(h2, &[RadioIdx(1)]), [(RadioIdx(1), false)]);

@@ -47,7 +47,11 @@ fn addr_mode(addr: Ipv6Addr, l2: NodeId) -> AddrMode {
         let am = if l2.iid() == addr.iid() { 0b11 } else { 0b01 };
         AddrMode { ac: 1, am, ctx }
     } else {
-        AddrMode { ac: 0, am: 0b00, ctx: 0 }
+        AddrMode {
+            ac: 0,
+            am: 0b00,
+            ctx: 0,
+        }
     }
 }
 
@@ -56,12 +60,7 @@ fn addr_mode(addr: Ipv6Addr, l2: NodeId) -> AddrMode {
 /// the full TCP segment for TCP — TCP has no NHC, so its header rides
 /// as payload). Returns the full 6LoWPAN-encoded packet: compressed
 /// headers followed by payload.
-pub fn compress(
-    hdr: &Ipv6Header,
-    src_l2: NodeId,
-    dst_l2: NodeId,
-    payload: &[u8],
-) -> Vec<u8> {
+pub fn compress(hdr: &Ipv6Header, src_l2: NodeId, dst_l2: NodeId, payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(payload.len() + 8);
     compress_into(hdr, src_l2, dst_l2, payload, &mut out);
     out
@@ -225,11 +224,7 @@ impl Payload<'_> {
 /// addresses, needed to reconstruct elided IIDs. Returns the rebuilt
 /// IPv6 header and the transport payload (for UDP, the reconstructed
 /// 8-byte UDP header is prepended back).
-pub fn decompress(
-    packet: &[u8],
-    src_l2: NodeId,
-    dst_l2: NodeId,
-) -> Option<(Ipv6Header, Vec<u8>)> {
+pub fn decompress(packet: &[u8], src_l2: NodeId, dst_l2: NodeId) -> Option<(Ipv6Header, Vec<u8>)> {
     decompress_view(packet, src_l2, dst_l2).map(|(h, p)| (h, p.into_vec()))
 }
 
@@ -340,7 +335,10 @@ pub fn decompress_view<'a>(
                     }
                     let ports = b[0];
                     b = &b[1..];
-                    (0xf0b0 | u16::from(ports >> 4), 0xf0b0 | u16::from(ports & 0xf))
+                    (
+                        0xf0b0 | u16::from(ports >> 4),
+                        0xf0b0 | u16::from(ports & 0xf),
+                    )
                 }
                 0b00 => {
                     if b.len() < 4 {
@@ -565,9 +563,7 @@ mod tests {
             0,
         );
         // 0xf0b1 / 0xf0b2 compress to one ports byte.
-        let udp = lln_netip::UdpHeader::encode_datagram(
-            hdr.src, hdr.dst, 0xf0b1, 0xf0b2, b"coap!",
-        );
+        let udp = lln_netip::UdpHeader::encode_datagram(hdr.src, hdr.dst, 0xf0b1, 0xf0b2, b"coap!");
         let pkt = compress(&hdr, NodeId(3), NodeId(4), &udp);
         // Header: 2 IPHC + 1 CID + 1 NHC + 1 ports + 2 cksum = 7 + payload.
         assert_eq!(pkt.len(), 7 + 5);
@@ -621,7 +617,10 @@ mod tests {
         let payload = vec![0x5au8; 32];
         let pkt = compress(&hdr, NodeId(3), NodeId(4), &payload);
         let (back, view) = decompress_view(&pkt, NodeId(3), NodeId(4)).expect("ok");
-        assert!(matches!(view, Payload::Borrowed(_)), "TCP payload must borrow");
+        assert!(
+            matches!(view, Payload::Borrowed(_)),
+            "TCP payload must borrow"
+        );
         assert_eq!(view.as_slice(), &payload[..]);
         assert_eq!(back.src, hdr.src);
         // The wrapper agrees byte-for-byte.

@@ -68,7 +68,12 @@ fn main() {
     world.add_tcp_listener(0, TcpConfig::default());
     world.set_sink(0);
     for (k, leaf) in [4usize, 5].into_iter().enumerate() {
-        world.add_tcp_client(leaf, 0, TcpConfig::default(), Instant::from_millis(300 + k as u64 * 170));
+        world.add_tcp_client(
+            leaf,
+            0,
+            TcpConfig::default(),
+            Instant::from_millis(300 + k as u64 * 170),
+        );
         world.set_anemometer(leaf, 64, Some(64), Instant::from_secs(1));
     }
     world.run_for(Duration::from_secs(minutes * 60));

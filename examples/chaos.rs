@@ -60,11 +60,16 @@ fn main() {
     }
     let assembled = asm.assembled().expect("contiguous stream");
     let intact = assembled.len() as u64 == BULK_BYTES
-        && assembled.iter().enumerate().all(|(m, &b)| b == (m % 256) as u8);
+        && assembled
+            .iter()
+            .enumerate()
+            .all(|(m, &b)| b == (m % 256) as u8);
 
     let stats = world.supervisor_stats(3).expect("supervised client");
-    println!("supervisor: {} death(s), {} reconnect(s) after {} attempt(s)",
-        stats.deaths, stats.reconnects, stats.connect_attempts);
+    println!(
+        "supervisor: {} death(s), {} reconnect(s) after {} attempt(s)",
+        stats.deaths, stats.reconnects, stats.connect_attempts
+    );
     println!(
         "            {} record(s) replayed ({} B), {:.1} s of downtime",
         stats.records_replayed,

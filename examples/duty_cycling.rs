@@ -30,7 +30,10 @@ fn main() {
     world.run_for(Duration::from_secs(600));
     let now = world.now();
     let idle_dc = world.nodes[1].meter.radio_duty_cycle(now);
-    println!("idle duty cycle (10 min, adaptive polls): {:.3}%", idle_dc * 100.0);
+    println!(
+        "idle duty cycle (10 min, adaptive polls): {:.3}%",
+        idle_dc * 100.0
+    );
 
     // Phase 2: a TCP burst through the duty-cycled link.
     let mut world = build();
@@ -47,7 +50,10 @@ fn main() {
         "bulk uplink through the sleepy link:      {:.1} kb/s (paper §C.2: 68.6 kb/s)",
         goodput / 1000.0
     );
-    println!("duty cycle across idle+burst phases:      {:.2}%", dc * 100.0);
+    println!(
+        "duty cycle across idle+burst phases:      {:.2}%",
+        dc * 100.0
+    );
     println!();
     println!("The Trickle rule (reset to 20 ms on traffic, double to 5 s when");
     println!("idle) gives always-on-like TCP throughput during bursts and a");

@@ -31,9 +31,8 @@ fn numbers(text: &str) -> Vec<String> {
         let mut seen_point = false;
         while k < chars.len() {
             let c = chars[k];
-            let point = c == '.'
-                && !seen_point
-                && chars.get(k + 1).is_some_and(char::is_ascii_digit);
+            let point =
+                c == '.' && !seen_point && chars.get(k + 1).is_some_and(char::is_ascii_digit);
             if point {
                 seen_point = true;
             } else if !c.is_ascii_digit() {
@@ -169,5 +168,8 @@ fn checker_finds_a_stale_number_and_skips_brackets() {
     assert_eq!(found.len(), 2, "{found:#?}");
     assert!(found[0].contains(":4:") && found[0].contains("76.2"));
     assert!(found[1].contains(":5:") && found[1].contains("names no results file"));
-    assert_eq!(numbers("1.5-15× at 0→100 ms, v0.43."), ["1.5", "15", "0", "100", "0.43"]);
+    assert_eq!(
+        numbers("1.5-15× at 0→100 ms, v0.43."),
+        ["1.5", "15", "0", "100", "0.43"]
+    );
 }

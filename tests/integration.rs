@@ -55,8 +55,14 @@ fn goodput_shrinks_with_hops_like_the_bound() {
     let g1 = bulk(&mut chain_world(1, 0.999, 40, 2), 1, 0, 300_000, 90);
     let g2 = bulk(&mut chain_world(2, 0.999, 40, 2), 2, 0, 200_000, 90);
     let g3 = bulk(&mut chain_world(3, 0.999, 40, 2), 3, 0, 150_000, 90);
-    assert!(g2 < 0.65 * g1, "2 hops {g2:.0} not < 0.65x single-hop {g1:.0}");
-    assert!(g3 < 0.55 * g1, "3 hops {g3:.0} not < 0.55x single-hop {g1:.0}");
+    assert!(
+        g2 < 0.65 * g1,
+        "2 hops {g2:.0} not < 0.65x single-hop {g1:.0}"
+    );
+    assert!(
+        g3 < 0.55 * g1,
+        "3 hops {g3:.0} not < 0.55x single-hop {g1:.0}"
+    );
     assert!(
         g3 > 0.15 * g1,
         "3 hops {g3:.0} collapsed relative to {g1:.0}"
@@ -105,8 +111,7 @@ fn eq2_model_tracks_measured_goodput() {
         / (s.stats.segs_sent - s.stats.acks_sent).max(1) as f64)
         .clamp(1e-4, 0.4);
     let measured = world.nodes[0].app.sink_goodput_bps();
-    let predicted =
-        models::tcplp_goodput_bps(462.0, Duration::from_micros(mean_rtt_us), 4.0, p);
+    let predicted = models::tcplp_goodput_bps(462.0, Duration::from_micros(mean_rtt_us), 4.0, p);
     let ratio = predicted / measured;
     assert!(
         (0.6..1.6).contains(&ratio),
@@ -169,7 +174,8 @@ fn tcp_and_coap_both_reliable_under_moderate_loss() {
     let App::Anemometer(a) = &world.nodes[3].app else {
         panic!()
     };
-    let denom = a.generated - a.queue.len() as u64
+    let denom = a.generated
+        - a.queue.len() as u64
         - (world.nodes[3].transport.tcp[0].send_queued() / 82) as u64;
     assert!(
         delivered as f64 >= 0.9 * denom as f64,

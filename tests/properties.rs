@@ -317,8 +317,7 @@ fn iphc_roundtrips_tcp_packets() {
         hdr.hop_limit = hop_limit;
         hdr.ecn = tcplp_repro::netip::Ecn::from_bits(rng.gen_range(4) as u8);
         let pkt = lowpan::compress(&hdr, NodeId(src_id), NodeId(dst_id), &payload);
-        let (back, body) =
-            lowpan::decompress(&pkt, NodeId(src_id), NodeId(dst_id)).expect("ok");
+        let (back, body) = lowpan::decompress(&pkt, NodeId(src_id), NodeId(dst_id)).expect("ok");
         assert_eq!(back.src, hdr.src);
         assert_eq!(back.dst, hdr.dst);
         assert_eq!(back.hop_limit, hop_limit);
