@@ -7,45 +7,18 @@
 //! against the fault-free baseline, plus the supervisor's recovery
 //! counters and an end-to-end data-integrity verdict.
 
-use lln_netip::Ipv6Addr;
+use lln_bench::tier::{self, Sender, CLIENT, SERVER, SUPERVISED_BULK_BYTES};
 use lln_node::app::App;
 use lln_node::fault::FaultPlan;
 use lln_node::route::Topology;
 use lln_node::stack::NodeKind;
-use lln_node::supervisor::{RecordAssembler, SupervisorConfig};
 use lln_node::world::{World, WorldConfig};
 use lln_sim::{Duration, Instant};
-
-/// Supervisor tuned for fast dead-path detection (the chaos tier's
-/// standard config: RTO capped at 4 s, 3 retransmits).
-fn sup_cfg() -> SupervisorConfig {
-    let mut cfg = SupervisorConfig::default();
-    cfg.tcp.max_retransmits = 3;
-    cfg.tcp.max_rto = Duration::from_secs(4);
-    cfg
-}
-
-/// Reassembles a capture sink's streams grouped by client address.
-fn reassemble_by_client(world: &World, sink: usize) -> Vec<(Ipv6Addr, RecordAssembler)> {
-    let mut out: Vec<(Ipv6Addr, RecordAssembler)> = Vec::new();
-    for ((addr, _port), bytes) in world.nodes[sink].app.sink_capture() {
-        let asm = match out.iter_mut().find(|(a, _)| a == addr) {
-            Some((_, asm)) => asm,
-            None => {
-                out.push((*addr, RecordAssembler::new()));
-                &mut out.last_mut().expect("just pushed").1
-            }
-        };
-        asm.ingest_connection(bytes);
-    }
-    out
-}
+use tcplp::NodeBudget;
 
 // ---------------------------------------------------------------------
 // Scenario 1: supervised bulk transfer over the 3-hop chain
 // ---------------------------------------------------------------------
-
-const BULK_BYTES: u64 = 120_000;
 
 struct BulkOutcome {
     goodput_bps: f64,
@@ -53,47 +26,29 @@ struct BulkOutcome {
     replayed: u64,
     downtime_s: f64,
     intact: bool,
-    complete: bool,
 }
 
 fn bulk_under_plan(plan: &FaultPlan) -> BulkOutcome {
-    let topo = Topology::chain(4, 0.999);
-    let mut world = World::new(
-        &topo,
-        &[
-            NodeKind::BorderRouter,
-            NodeKind::Router,
-            NodeKind::Router,
-            NodeKind::Router,
-        ],
-        WorldConfig::default(),
-    );
-    world.add_tcp_listener(0, tcplp::TcpConfig::default());
-    world.set_sink_capture(0);
-    world.add_supervised_client(3, 0, sup_cfg(), Instant::from_millis(10));
-    world.set_bulk_sender(3, Some(BULK_BYTES));
+    let mut world = tier::chain4(0x5eed, NodeBudget::default());
+    tier::install_bulk(&mut world, Sender::Supervised);
     world.apply_fault_plan(plan);
     world.run_for(Duration::from_secs(300));
 
-    let stats = world.supervisor_stats(3).expect("supervised client");
-    let assembled = reassemble_by_client(&world, 0)
-        .into_iter()
-        .next()
-        .and_then(|(_, asm)| asm.assembled());
-    let (intact, complete) = match &assembled {
-        Some(bytes) => {
-            let ok = bytes.iter().enumerate().all(|(m, &b)| b == (m % 256) as u8);
-            (ok, bytes.len() as u64 == BULK_BYTES)
+    let stats = world.supervisor_stats(CLIENT).expect("supervised client");
+    let by_client = tier::records_by_client(world.nodes[SERVER].app.sink_capture());
+    let intact = match by_client.as_slice() {
+        [(_, asm)] => {
+            tier::record_contract(asm).is_ok()
+                && asm.assembled() == Some(tier::pattern(SUPERVISED_BULK_BYTES))
         }
-        None => (false, false),
+        _ => false,
     };
     BulkOutcome {
-        goodput_bps: world.nodes[0].app.sink_goodput_bps(),
+        goodput_bps: world.nodes[SERVER].app.sink_goodput_bps(),
         reconnects: stats.reconnects,
         replayed: stats.records_replayed,
         downtime_s: stats.downtime_us as f64 / 1e6,
         intact,
-        complete,
     }
 }
 
@@ -162,7 +117,7 @@ fn tree_under_plan(plan: &FaultPlan) -> TreeOutcome {
         world.add_supervised_client(
             leaf,
             0,
-            sup_cfg(),
+            tier::chaos_supervisor(),
             Instant::from_millis(100 + 40 * l as u64),
         );
         world.set_anemometer(leaf, 64, None, Instant::from_secs(1));
@@ -190,19 +145,20 @@ fn tree_under_plan(plan: &FaultPlan) -> TreeOutcome {
         replayed += stats.records_replayed;
         dc += world.nodes[leaf].meter.radio_duty_cycle(now);
     }
-    let per_client = reassemble_by_client(&world, 0);
+    let per_client = tier::records_by_client(world.nodes[0].app.sink_capture());
     let delivered: u64 = per_client
         .iter()
         .map(|(_, asm)| asm.record_count() as u64)
         .sum();
-    // Integrity: per client no gaps, duplicates, or torn records, and
-    // loss-freedom — every generated reading is delivered, retained by
-    // its supervisor, or still queued. A record can be *both* delivered
-    // and retained at the cutoff (its TCP ACK still in flight), so the
-    // conservation is `>=`, not `==`.
-    let intact = per_client.iter().all(|(_, asm)| {
-        asm.missing().is_empty() && asm.duplicates() == 0 && asm.truncated_tails() == 0
-    }) && delivered + pending + queued >= generated;
+    // Integrity: per client the record contract and no reading torn
+    // mid-record, and loss-freedom — every generated reading is
+    // delivered, retained by its supervisor, or still queued. A record
+    // can be *both* delivered and retained at the cutoff (its TCP ACK
+    // still in flight), so the conservation is `>=`, not `==`.
+    let intact = per_client
+        .iter()
+        .all(|(_, asm)| tier::record_contract(asm).is_ok() && asm.truncated_tails() == 0)
+        && delivered + pending + queued >= generated;
     TreeOutcome {
         reliability: if generated == 0 {
             1.0
@@ -248,7 +204,7 @@ fn tree_plans() -> Vec<(&'static str, FaultPlan)> {
 fn main() {
     println!("== Chaos sweep: degradation under composed fault plans ==\n");
 
-    println!("-- supervised bulk, 3-hop chain, {BULK_BYTES} B --");
+    println!("-- supervised bulk, 3-hop chain, {SUPERVISED_BULK_BYTES} B --");
     println!(
         "{:<14} {:>10} {:>9} {:>10} {:>8} {:>9} {:>10}",
         "plan", "goodput", "vs base", "reconnects", "replays", "down (s)", "integrity"
@@ -266,7 +222,7 @@ fn main() {
             r.reconnects,
             r.replayed,
             r.downtime_s,
-            if r.intact && r.complete { "OK" } else { "FAIL" }
+            if r.intact { "OK" } else { "FAIL" }
         );
     }
 
@@ -294,7 +250,9 @@ fn main() {
 
     println!();
     println!("integrity = byte-exact reassembly after record dedup: no reading or");
-    println!("bulk byte lost or duplicated across reboots, blackouts, flaps, and");
-    println!("bit-error bursts (the paper's >99.9% multi-day reliability claim,");
-    println!("Table 8, exercised under faults the testbed saw organically).");
+    println!("bulk byte lost, sent twice on one connection, or replayed changed");
+    println!("across reboots, blackouts, flaps, and bit-error bursts (the paper's");
+    println!(">99.9% multi-day reliability claim, Table 8, exercised under faults");
+    println!("the testbed saw organically). Replays of records a dead connection");
+    println!("delivered but never ACKed are by design and counted apart.");
 }

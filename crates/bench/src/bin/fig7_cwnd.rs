@@ -5,6 +5,7 @@
 //! recovery takes only a couple of RTTs — nothing like the classic
 //! sawtooth.
 
+use lln_bench::tier::seed_from_env;
 use lln_mac::MacConfig;
 use lln_node::route::Topology;
 use lln_node::stack::NodeKind;
@@ -21,10 +22,7 @@ fn main() {
             retry_delay_max: Duration::ZERO,
             ..MacConfig::default()
         },
-        seed: std::env::var("FIG7_SEED")
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(0x5eed),
+        seed: seed_from_env("FIG7_SEED", 0x5eed),
         ..WorldConfig::default()
     };
     let mut world = World::new(&topo, &kinds, wc);
@@ -50,8 +48,16 @@ fn main() {
             println!("{:<12.3} {:>8} {:>10}", t.as_secs_f64(), cwnd, ss);
         }
     }
-    let mean = sock.cwnd_trace.mean_cwnd(start, world.now());
-    println!("\ntime-weighted mean cwnd: {mean:.0} B of a 1848 B maximum");
+    let end = world.now();
+    let send_buf = TcpConfig::default().send_buf as u32;
+    println!(
+        "\ntime-weighted mean cwnd: {:.0} B (uncapped; it grows past the send buffer)",
+        sock.cwnd_trace.mean_cwnd(start, end)
+    );
+    println!(
+        "time-weighted mean usable window, min(cwnd, {send_buf} B send buffer): {:.0} B",
+        mean_usable_window(sock.cwnd_trace.points(), send_buf, start, end)
+    );
     println!(
         "segment retransmission rate: {:.1}%  (timeouts {}, fast rexmits {})",
         100.0 * sock.stats.segs_retransmitted as f64
@@ -60,4 +66,23 @@ fn main() {
         sock.stats.fast_rexmits
     );
     println!("paper: cwnd maxed out nearly always; dips recover within ~2 RTTs");
+}
+
+/// Time-weighted mean of `min(cwnd, cap)` over `[start, end]`: each
+/// trace point's cwnd holds until the next point.
+fn mean_usable_window(
+    points: &[(Instant, u32, u32)],
+    cap: u32,
+    start: Instant,
+    end: Instant,
+) -> f64 {
+    let mut weighted = 0.0;
+    for (i, &(t, cwnd, _)) in points.iter().enumerate() {
+        let next = points.get(i + 1).map_or(end, |p| p.0);
+        let (lo, hi) = (t.max(start), next.min(end));
+        if hi > lo {
+            weighted += (hi - lo).as_secs_f64() * cwnd.min(cap) as f64;
+        }
+    }
+    weighted / (end - start).as_secs_f64()
 }

@@ -9,32 +9,20 @@
 //! - the established transfer completes at every swept rate;
 //! - peak accounted memory never exceeds the class caps or the node
 //!   budget, at any rate;
-//! - two same-seed runs produce identical stats digests (printed for
+//! - two same-seed runs produce identical world digests (printed for
 //!   both runs at the highest rate).
 
+use lln_bench::tier::{self, Sender, StreamVerdict, BULK_BYTES, SERVER};
 use lln_node::flood::FloodConfig;
-use lln_node::route::Topology;
-use lln_node::stack::NodeKind;
-use lln_node::world::{World, WorldConfig};
 use lln_sim::{Duration, Instant};
-use tcplp::{MemClass, NodeBudget, TcpConfig};
+use tcplp::{MemClass, NodeBudget};
 
-const BULK_BYTES: usize = 20_000;
-const CLIENT: usize = 3;
-const SERVER: usize = 0;
 const SEED: u64 = 0xF10_0D5E;
-
-fn overload_cfg() -> TcpConfig {
-    TcpConfig {
-        max_retransmits: 8,
-        max_rto: Duration::from_secs(4),
-        ..TcpConfig::default()
-    }
-}
 
 struct Outcome {
     goodput_bps: f64,
-    delivered: usize,
+    delivered: u64,
+    complete: bool,
     syns: u64,
     frags: u64,
     peak_syn_cache: u64,
@@ -46,22 +34,7 @@ struct Outcome {
 }
 
 fn run(seed: u64, rate_hz: u64) -> Outcome {
-    let topo = Topology::chain(4, 0.999);
-    let mut world = World::new(
-        &topo,
-        &[
-            NodeKind::BorderRouter,
-            NodeKind::Router,
-            NodeKind::Router,
-            NodeKind::Router,
-        ],
-        WorldConfig {
-            seed,
-            ..WorldConfig::default()
-        },
-    );
-    world.add_tcp_listener(SERVER, overload_cfg());
-    world.set_sink_capture(SERVER);
+    let mut world = tier::chain4(seed, NodeBudget::default());
     if rate_hz > 0 {
         world.attach_flood(
             SERVER,
@@ -78,53 +51,25 @@ fn run(seed: u64, rate_hz: u64) -> Outcome {
             },
         );
     }
-    world.add_tcp_client(CLIENT, SERVER, overload_cfg(), Instant::from_millis(10));
-    world.set_bulk_sender(CLIENT, Some(BULK_BYTES as u64));
+    tier::install_bulk(&mut world, Sender::Plain);
     world.run_for(Duration::from_secs(350));
     // Flush final gauges so the digest covers the end state.
     world.assert_governor_bounded();
 
-    let delivered = world.nodes[SERVER]
-        .app
-        .sink_capture()
-        .first()
-        .map(|(_, b)| b.len())
-        .unwrap_or(0);
-    let goodput_bps = world.nodes[SERVER].app.sink_goodput_bps();
     let fl = world.flood_stats(SERVER).unwrap_or_default();
     let gov = world.governor(SERVER);
-    let listen_digest = world.nodes[SERVER]
-        .transport
-        .tcp_listener
-        .as_ref()
-        .map(|l| l.stats.digest())
-        .unwrap_or(0);
-    let client_digest = world.nodes[CLIENT]
-        .transport
-        .tcp
-        .first()
-        .map(|s| s.stats.digest())
-        .unwrap_or(0);
-    let denies: u64 = MemClass::ALL.iter().map(|&c| gov.denies(c)).sum();
-    let evictions: u64 = MemClass::ALL.iter().map(|&c| gov.evictions(c)).sum();
     Outcome {
-        goodput_bps,
-        delivered,
+        goodput_bps: world.nodes[SERVER].app.sink_goodput_bps(),
+        delivered: world.nodes[SERVER].app.sink_received(),
+        complete: tier::stream(&world) == StreamVerdict::Complete,
         syns: fl.syns_sent,
         frags: fl.frags_sent,
         peak_syn_cache: gov.high_water(MemClass::SynCache),
         peak_reasm: gov.high_water(MemClass::Reassembly),
         peak_total: gov.total_high_water(),
-        denies,
-        evictions,
-        digest: gov
-            .digest()
-            .wrapping_mul(31)
-            .wrapping_add(listen_digest)
-            .wrapping_mul(31)
-            .wrapping_add(client_digest)
-            .wrapping_mul(31)
-            .wrapping_add(delivered as u64),
+        denies: MemClass::ALL.iter().map(|&c| gov.denies(c)).sum(),
+        evictions: MemClass::ALL.iter().map(|&c| gov.evictions(c)).sum(),
+        digest: tier::world_digest(&world),
     }
 }
 
@@ -155,7 +100,7 @@ fn main() {
     let mut all_ok = true;
     for rate in [0u64, 20, 80, 320] {
         let o = run(SEED, rate);
-        let complete = o.delivered == BULK_BYTES;
+        let complete = o.complete;
         let bounded =
             o.peak_syn_cache <= syn_cap && o.peak_reasm <= reasm_cap && o.peak_total <= total_cap;
         all_ok &= complete && bounded;
@@ -181,7 +126,7 @@ fn main() {
     let a = run(SEED, 320);
     let b = run(SEED, 320);
     println!(
-        "\nsame-seed digest @320/s: run A {:#018x}, run B {:#018x} ({})",
+        "\nsame-seed world digest @320/s: run A {:#018x}, run B {:#018x} ({})",
         a.digest,
         b.digest,
         if a.digest == b.digest {

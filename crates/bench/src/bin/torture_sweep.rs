@@ -9,32 +9,17 @@
 //! outcome must be a clean completion or an attributed death — never a
 //! corrupt stream or a silent stall.
 
+use lln_bench::tier::{self, Sender, StreamVerdict, BULK_BYTES, CLIENT, SERVER};
 use lln_node::adversary::AdversaryProfile;
-use lln_node::route::Topology;
-use lln_node::stack::NodeKind;
-use lln_node::world::{World, WorldConfig};
-use lln_sim::{Duration, Instant};
-use tcplp::{TcpConfig, TcpState};
+use lln_sim::Duration;
+use tcplp::NodeBudget;
 
-const BULK_BYTES: usize = 20_000;
-const CLIENT: usize = 3;
-const SERVER: usize = 0;
 const SEED: u64 = 0x70b7_5eed;
-
-fn torture_cfg() -> TcpConfig {
-    TcpConfig {
-        max_retransmits: 8,
-        max_rto: Duration::from_secs(4),
-        ..TcpConfig::default()
-    }
-}
 
 struct Outcome {
     goodput_bps: f64,
-    delivered: usize,
-    intact: bool,
-    complete: bool,
-    clean_death: bool,
+    delivered: u64,
+    verdict: StreamVerdict,
     mangles: u64,
     challenge_acks: u64,
     sack_rejected: u64,
@@ -43,37 +28,13 @@ struct Outcome {
 }
 
 fn run(profile: AdversaryProfile, adv_node: usize) -> Outcome {
-    let topo = Topology::chain(4, 0.999);
-    let mut world = World::new(
-        &topo,
-        &[
-            NodeKind::BorderRouter,
-            NodeKind::Router,
-            NodeKind::Router,
-            NodeKind::Router,
-        ],
-        WorldConfig {
-            seed: SEED,
-            ..WorldConfig::default()
-        },
-    );
-    world.add_tcp_listener(SERVER, torture_cfg());
-    world.set_sink_capture(SERVER);
+    let mut world = tier::chain4(SEED, NodeBudget::default());
     world.attach_adversary(adv_node, profile);
-    world.add_tcp_client(CLIENT, SERVER, torture_cfg(), Instant::from_millis(10));
-    world.set_bulk_sender(CLIENT, Some(BULK_BYTES as u64));
+    tier::install_bulk(&mut world, Sender::Plain);
     world.run_for(Duration::from_secs(400));
 
-    let got: &[u8] = world.nodes[SERVER]
-        .app
-        .sink_capture()
-        .first()
-        .map(|(_, b)| b.as_slice())
-        .unwrap_or(&[]);
-    let intact = got.iter().enumerate().all(|(m, &b)| b == (m % 256) as u8);
-    let complete = got.len() == BULK_BYTES;
-    let client = world.nodes[CLIENT].transport.tcp.first().expect("client");
-    let server_stats = world.nodes[SERVER]
+    let client = &world.nodes[CLIENT].transport.tcp[0].stats;
+    let server = world.nodes[SERVER]
         .transport
         .tcp
         .first()
@@ -82,30 +43,16 @@ fn run(profile: AdversaryProfile, adv_node: usize) -> Outcome {
     let adv = world.adversary_stats(adv_node).expect("attached");
     Outcome {
         goodput_bps: world.nodes[SERVER].app.sink_goodput_bps(),
-        delivered: got.len(),
-        intact,
-        complete,
-        clean_death: client.state() == TcpState::Closed && client.close_reason().is_some(),
+        delivered: world.nodes[SERVER].app.sink_received(),
+        verdict: tier::stream(&world),
         mangles: adv.total_mangles(),
-        challenge_acks: client.stats.challenge_acks
-            + client.stats.challenge_acks_limited
-            + server_stats.challenge_acks
-            + server_stats.challenge_acks_limited,
-        sack_rejected: client.stats.sack_blocks_rejected + server_stats.sack_blocks_rejected,
-        conflicts: client.stats.reassembly_conflicts + server_stats.reassembly_conflicts,
-        probes: client.stats.zero_window_probes,
-    }
-}
-
-fn verdict(o: &Outcome) -> &'static str {
-    if !o.intact {
-        "CORRUPT"
-    } else if o.complete {
-        "OK"
-    } else if o.clean_death {
-        "died-clean"
-    } else {
-        "STALLED"
+        challenge_acks: client.challenge_acks
+            + client.challenge_acks_limited
+            + server.challenge_acks
+            + server.challenge_acks_limited,
+        sack_rejected: client.sack_blocks_rejected + server.sack_blocks_rejected,
+        conflicts: client.reassembly_conflicts + server.reassembly_conflicts,
+        probes: client.zero_window_probes,
     }
 }
 
@@ -150,7 +97,7 @@ fn main() {
         for &rate in &rates {
             let o = run(make(rate), *node);
             let baseline = *base.get_or_insert(o.goodput_bps.max(1.0));
-            if rate < 0.10 && !o.complete {
+            if rate < 0.10 && o.verdict != StreamVerdict::Complete {
                 cliff = true;
             }
             println!(
@@ -164,7 +111,7 @@ fn main() {
                 o.sack_rejected,
                 o.conflicts,
                 o.probes,
-                verdict(&o)
+                o.verdict
             );
         }
         println!();

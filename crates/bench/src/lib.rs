@@ -26,8 +26,14 @@
 //! | `fig13_fixed_sleep` | Figure 13 (RTT distribution @ 2 s) |
 //! | `fig14_adaptive_sleep` | Figure 14 / §C.2 (adaptive interval) |
 //! | `chaos_sweep` | robustness tier: degradation + recovery under fault plans |
+//! | `torture_sweep` | robustness tier: degradation under the in-band adversary |
+//! | `flood_sweep` | robustness tier: degradation under SYN + fragment floods |
+//!
+//! [`tier`] holds the robustness tiers' one world and their delivery
+//! contracts; [`sweep`] fans a sweep's runs across cores.
 
 pub mod sweep;
+pub mod tier;
 
 use lln_coap::{CoapClient, CoapClientConfig, Cocoa, RtoAlgorithm};
 use lln_mac::poll::PollMode;

@@ -22,6 +22,7 @@
 
 use lln_netip::Ipv6Addr;
 use lln_sim::{Duration, Instant, Rng};
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, VecDeque};
 use tcplp::{CloseReason, TcpConfig, TcpSocket, TcpState};
 
@@ -351,10 +352,20 @@ impl SupervisedConnection {
 /// is in-order within itself); it parses the record framing, discards a
 /// partial record at a stream's end (the connection died mid-record;
 /// the record replays on the next one), and dedups by record sequence.
+///
+/// A record that comes again is a *replay* when it last arrived on an
+/// earlier connection (the supervisor re-sends what was never
+/// cumulatively ACKed, by design) and a *duplicate* when it arrives
+/// twice on one connection (a TCP fault). A replay whose payload
+/// differs from the first copy is also a *replay mismatch*.
 #[derive(Debug, Default)]
 pub struct RecordAssembler {
-    records: BTreeMap<u64, Vec<u8>>,
+    /// Each record's first payload and the last connection it came on.
+    records: BTreeMap<u64, (u32, Vec<u8>)>,
+    connections: u32,
+    replays: u64,
     duplicates: u64,
+    replay_mismatches: u64,
     truncated_tails: u64,
 }
 
@@ -366,6 +377,8 @@ impl RecordAssembler {
 
     /// Ingests one connection's complete received byte stream.
     pub fn ingest_connection(&mut self, bytes: &[u8]) {
+        let conn = self.connections;
+        self.connections += 1;
         let mut off = 0;
         while off + RECORD_HEADER <= bytes.len() {
             let len = u16::from_be_bytes([bytes[off], bytes[off + 1]]) as usize;
@@ -374,9 +387,23 @@ impl RecordAssembler {
             }
             let seq =
                 u64::from_be_bytes(bytes[off + 2..off + RECORD_HEADER].try_into().expect("8B"));
-            let payload = bytes[off + RECORD_HEADER..off + RECORD_HEADER + len].to_vec();
-            if self.records.insert(seq, payload).is_some() {
-                self.duplicates += 1;
+            let payload = &bytes[off + RECORD_HEADER..off + RECORD_HEADER + len];
+            match self.records.entry(seq) {
+                Entry::Vacant(e) => {
+                    e.insert((conn, payload.to_vec()));
+                }
+                Entry::Occupied(mut e) => {
+                    let (last, first) = e.get_mut();
+                    if *last == conn {
+                        self.duplicates += 1;
+                    } else {
+                        self.replays += 1;
+                        if first != payload {
+                            self.replay_mismatches += 1;
+                        }
+                    }
+                    *last = conn;
+                }
             }
             off += RECORD_HEADER + len;
         }
@@ -390,9 +417,19 @@ impl RecordAssembler {
         self.records.len()
     }
 
-    /// Records received more than once (replay overlap).
+    /// Records that came again on a later connection (supervisor replay).
+    pub fn replays(&self) -> u64 {
+        self.replays
+    }
+
+    /// Records that came twice on one connection.
     pub fn duplicates(&self) -> u64 {
         self.duplicates
+    }
+
+    /// Replays whose payload differs from the record's first copy.
+    pub fn replay_mismatches(&self) -> u64 {
+        self.replay_mismatches
     }
 
     /// Streams that ended mid-record.
@@ -415,7 +452,7 @@ impl RecordAssembler {
     /// below the maximum is missing.
     pub fn assembled(&self) -> Option<Vec<u8>> {
         let mut out = Vec::new();
-        for (k, (&seq, payload)) in self.records.iter().enumerate() {
+        for (k, (&seq, (_, payload))) in self.records.iter().enumerate() {
             if seq != k as u64 {
                 return None;
             }
@@ -507,7 +544,9 @@ mod tests {
         asm.ingest_connection(stream1);
         asm.ingest_connection(stream2);
         assert_eq!(asm.record_count(), 3);
-        assert_eq!(asm.duplicates(), 1);
+        assert_eq!(asm.replays(), 1);
+        assert_eq!(asm.duplicates(), 0);
+        assert_eq!(asm.replay_mismatches(), 0);
         assert_eq!(asm.truncated_tails(), 1);
         assert!(asm.missing().is_empty());
         assert_eq!(asm.assembled().unwrap(), b"alphabetagamma");

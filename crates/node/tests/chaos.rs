@@ -7,6 +7,7 @@
 //! anemometer workloads and assert *byte-exact* end-to-end integrity
 //! after recovery, plus determinism of the whole fault schedule.
 
+use lln_bench::tier::{self, Sender, CLIENT, SERVER, SUPERVISED_BULK_BYTES};
 use lln_netip::NodeId;
 use lln_node::app::App;
 use lln_node::fault::FaultPlan;
@@ -18,61 +19,28 @@ use lln_node::trace::TraceDir;
 use lln_node::world::{World, WorldConfig};
 use lln_phy::{LinkMatrix, RadioIdx};
 use lln_sim::{Duration, Instant};
-use tcplp::{MemClass, TcpConfig};
+use tcplp::{MemClass, NodeBudget, TcpConfig};
 
-/// The supervised bulk sender emits records whose concatenated payload
-/// is the byte sequence `m % 256` (same pattern as the plain sender).
-fn expected_pattern(n: usize) -> Vec<u8> {
-    (0..n).map(|m| (m % 256) as u8).collect()
-}
-
-/// Reassembles everything a capture sink received, one ingest per TCP
-/// connection.
-fn reassemble(world: &World, sink: usize) -> RecordAssembler {
-    let mut asm = RecordAssembler::new();
-    for (_remote, bytes) in world.nodes[sink].app.sink_capture() {
-        asm.ingest_connection(bytes);
+/// The records the sink on `sink` received from its one client, after
+/// [`tier::record_contract`] has held.
+fn records(world: &World, sink: usize) -> RecordAssembler {
+    let mut by_client = tier::records_by_client(world.nodes[sink].app.sink_capture());
+    assert_eq!(by_client.len(), 1, "one client");
+    let (_, asm) = by_client.pop().expect("one client");
+    if let Err(e) = tier::record_contract(&asm) {
+        panic!("record contract: {e}");
     }
     asm
 }
-
-/// Supervisor config tuned so a 30 s blackout reliably kills the
-/// connection (retransmit exhaustion) instead of stalling through it:
-/// with the RTO capped at 4 s and 3 retransmits, a dead path is
-/// declared within ~20 s.
-fn chaos_supervisor_cfg() -> SupervisorConfig {
-    let mut cfg = SupervisorConfig::default();
-    cfg.tcp.max_retransmits = 3;
-    cfg.tcp.max_rto = Duration::from_secs(4);
-    cfg
-}
-
-const BULK_BYTES: usize = 120_000;
 
 /// The acceptance scenario: 3-hop chain bulk transfer with a
 /// mid-transfer relay reboot and a 30 s link blackout. The transfer
 /// must complete byte-exactly and the supervisor must have reconnected
 /// at least once.
 fn run_chain_chaos(seed: u64) -> World {
-    let topo = Topology::chain(4, 0.999);
-    let mut world = World::new(
-        &topo,
-        &[
-            NodeKind::BorderRouter,
-            NodeKind::Router,
-            NodeKind::Router,
-            NodeKind::Router,
-        ],
-        WorldConfig {
-            seed,
-            ..WorldConfig::default()
-        },
-    );
+    let mut world = tier::chain4(seed, NodeBudget::default());
     world.enable_trace(200_000);
-    world.add_tcp_listener(0, tcplp::TcpConfig::default());
-    world.set_sink_capture(0);
-    world.add_supervised_client(3, 0, chaos_supervisor_cfg(), Instant::from_millis(10));
-    world.set_bulk_sender(3, Some(BULK_BYTES as u64));
+    tier::install_bulk(&mut world, Sender::Supervised);
     let plan = FaultPlan::new()
         .reboot(2, Instant::from_secs(8), Duration::from_secs(5))
         .blackout(1, 2, Instant::from_secs(15), Duration::from_secs(30));
@@ -90,10 +58,9 @@ fn chain_bulk_survives_relay_reboot_and_blackout() {
 
     // Byte-exact integrity: every record delivered exactly once after
     // dedup, reassembling to the original byte stream.
-    let asm = reassemble(&world, 0);
-    assert_eq!(asm.missing(), Vec::<u64>::new(), "no records may be lost");
+    let asm = records(&world, SERVER);
     let got = asm.assembled().expect("gap-free");
-    let want = expected_pattern(BULK_BYTES);
+    let want = tier::pattern(SUPERVISED_BULK_BYTES);
     let first_diff = got.iter().zip(want.iter()).position(|(a, b)| a != b);
     assert_eq!(
         got,
@@ -103,12 +70,12 @@ fn chain_bulk_survives_relay_reboot_and_blackout() {
         got.len(),
         want.len(),
         first_diff,
-        world.supervisor_stats(3)
+        world.supervisor_stats(CLIENT)
     );
 
     // The blackout must actually have killed and revived the
     // connection.
-    let stats = world.supervisor_stats(3).expect("supervised client");
+    let stats = world.supervisor_stats(CLIENT).expect("supervised client");
     assert!(stats.deaths >= 1, "blackout must kill the connection");
     assert!(
         stats.reconnects >= 1,
@@ -119,7 +86,7 @@ fn chain_bulk_survives_relay_reboot_and_blackout() {
         "unacknowledged records must be queued for replay: {stats:?}"
     );
     assert!(stats.downtime_us > 0);
-    assert!(!world.nodes[3]
+    assert!(!world.nodes[CLIENT]
         .supervisor
         .as_ref()
         .expect("supervisor")
@@ -156,9 +123,9 @@ fn chaos_run_is_deterministic() {
             .collect();
         (
             counters,
-            world.supervisor_stats(3),
+            world.supervisor_stats(CLIENT),
             world.medium.counters.get("frames_tx"),
-            world.nodes[0].app.sink_received(),
+            world.nodes[SERVER].app.sink_received(),
             trace,
         )
     };
@@ -222,8 +189,7 @@ fn anemometer_survives_client_reboot_and_bit_errors() {
     // Conservation: every reading is either still queued in the app,
     // retained in the supervisor, or delivered exactly once. Nothing
     // is lost, nothing duplicated after dedup.
-    let asm = reassemble(&world, 0);
-    assert_eq!(asm.missing(), Vec::<u64>::new());
+    let asm = records(&world, 0);
     let App::Anemometer(app) = &world.nodes[2].app else {
         panic!("anemometer app expected");
     };
@@ -285,8 +251,8 @@ fn route_flap_reparents_and_transfer_completes() {
         parent_before, parent_after,
         "flap must move the client to the alternate parent"
     );
-    let asm = reassemble(&world, 0);
-    assert_eq!(asm.assembled().expect("gap-free"), expected_pattern(20_000));
+    let asm = records(&world, 0);
+    assert_eq!(asm.assembled().expect("gap-free"), tier::pattern(20_000));
 }
 
 /// Blackouts restore the exact pre-fault PRRs when they end.
@@ -394,20 +360,7 @@ fn link_ack_cut_by_reboot_still_closes_its_medium_record() {
 /// eviction the reassembler logged after the reboot.
 #[test]
 fn reassembly_governor_counts_survive_reboot() {
-    let topo = Topology::chain(4, 0.999);
-    let mut world = World::new(
-        &topo,
-        &[
-            NodeKind::BorderRouter,
-            NodeKind::Router,
-            NodeKind::Router,
-            NodeKind::Router,
-        ],
-        WorldConfig {
-            seed: 52001,
-            ..WorldConfig::default()
-        },
-    );
+    let mut world = tier::chain4(52001, NodeBudget::default());
     world.attach_flood(
         0,
         FloodConfig {
@@ -568,7 +521,7 @@ fn rebooted_leaves_reconnect_through_a_full_tcp_class() {
     for l in 0..LEAVES {
         let leaf = first_leaf + l;
         let start = Instant::from_millis(100 + 40 * l as u64);
-        world.add_supervised_client(leaf, 0, chaos_supervisor_cfg(), start);
+        world.add_supervised_client(leaf, 0, tier::chaos_supervisor(), start);
         world.set_anemometer(leaf, 64, None, Instant::from_secs(1));
     }
     let rebooted = [first_leaf, first_leaf + 1];
@@ -599,16 +552,17 @@ fn rebooted_leaves_reconnect_through_a_full_tcp_class() {
             "leaf {leaf} must get back in: {stats:?}"
         );
     }
-    let capture = world.nodes[0].app.sink_capture();
+    let by_client = tier::records_by_client(world.nodes[0].app.sink_capture());
     for leaf in first_leaf..first_leaf + LEAVES {
         let addr = world.nodes[leaf].ip_addr();
-        let mut asm = RecordAssembler::new();
-        for (_, bytes) in capture.iter().filter(|((a, _), _)| *a == addr) {
-            asm.ingest_connection(bytes);
-        }
+        let (_, asm) = by_client
+            .iter()
+            .find(|(a, _)| *a == addr)
+            .unwrap_or_else(|| panic!("leaf {leaf} delivered nothing"));
         assert!(asm.record_count() > 0, "leaf {leaf} delivered nothing");
-        assert_eq!(asm.missing(), Vec::<u64>::new(), "leaf {leaf} lost records");
-        assert_eq!(asm.duplicates(), 0, "leaf {leaf} duplicated records");
+        if let Err(e) = tier::record_contract(asm) {
+            panic!("leaf {leaf}: {e}");
+        }
         assert_eq!(asm.truncated_tails(), 0, "leaf {leaf} tore a record");
     }
 }

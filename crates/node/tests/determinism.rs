@@ -15,95 +15,28 @@
 //! DETERMINISM_PRINT=1 cargo test -p lln-node --test determinism -- --nocapture
 //! ```
 
+use lln_bench::tier::{self, Sender, SERVER};
 use lln_node::adversary::AdversaryProfile;
 use lln_node::flood::FloodConfig;
-use lln_node::route::Topology;
-use lln_node::stack::NodeKind;
-use lln_node::world::{World, WorldConfig};
-use lln_sim::{Duration, Fnv1a, Instant};
-use tcplp::{NodeBudget, TcpConfig};
-
-const SERVER: usize = 0;
-const CLIENT: usize = 3;
-const BULK_BYTES: u64 = 20_000;
-
-/// Bounded-failure TCP config (mirrors the torture/overload tiers).
-fn hardened_cfg() -> TcpConfig {
-    TcpConfig {
-        max_retransmits: 8,
-        max_rto: Duration::from_secs(4),
-        ..TcpConfig::default()
-    }
-}
-
-fn chain_world(seed: u64, budget: NodeBudget) -> World {
-    let topo = Topology::chain(4, 0.999);
-    World::new(
-        &topo,
-        &[
-            NodeKind::BorderRouter,
-            NodeKind::Router,
-            NodeKind::Router,
-            NodeKind::Router,
-        ],
-        WorldConfig {
-            seed,
-            budget,
-            ..WorldConfig::default()
-        },
-    )
-}
-
-/// Everything observable about a finished chain world, as one digest:
-/// client + server socket stats, listener stats, per-node governor
-/// digests, delivered byte count, and the final simulated time (the
-/// last is the sharpest event-schedule probe of all).
-fn world_digest(world: &World) -> u64 {
-    let mut words: Vec<u64> = Vec::new();
-    for n in &world.nodes {
-        for s in &n.transport.tcp {
-            words.push(s.stats.digest());
-        }
-        if let Some(l) = &n.transport.tcp_listener {
-            words.push(l.stats.digest());
-        }
-        words.push(n.governor.digest());
-    }
-    let delivered: usize = world.nodes[SERVER]
-        .app
-        .sink_capture()
-        .iter()
-        .map(|(_, b)| b.len())
-        .sum();
-    words.push(delivered as u64);
-    words.push(world.now().as_micros());
-    words.push(world.medium.counters.get("frames_tx"));
-    words.push(world.medium.counters.get("deliveries"));
-    Fnv1a::digest_words(&words)
-}
+use lln_sim::{Duration, Instant};
+use tcplp::NodeBudget;
 
 /// Clean pinned-seed bulk transfer over the 3-hop chain.
 fn clean_run_digest(seed: u64) -> u64 {
-    let mut world = chain_world(seed, NodeBudget::default());
-    world.add_tcp_listener(SERVER, hardened_cfg());
-    world.set_sink_capture(SERVER);
-    world.add_tcp_client(CLIENT, SERVER, hardened_cfg(), Instant::from_millis(10));
-    world.set_bulk_sender(CLIENT, Some(BULK_BYTES));
+    let mut world = tier::chain4(seed, NodeBudget::default());
+    tier::install_bulk(&mut world, Sender::Plain);
     world.run_for(Duration::from_secs(120));
-    world_digest(&world)
+    tier::world_digest(&world)
 }
 
 /// Torture-tier pinned-seed run: full adversary on the server's
 /// inbound path (the CI TORTURE_SEED scenario shape).
 fn torture_run_digest(seed: u64) -> u64 {
-    let mut world = chain_world(seed, NodeBudget::default());
-    world.add_tcp_listener(SERVER, hardened_cfg());
-    world.set_sink_capture(SERVER);
+    let mut world = tier::chain4(seed, NodeBudget::default());
     world.attach_adversary(SERVER, AdversaryProfile::full(0.12));
-    world.add_tcp_client(CLIENT, SERVER, hardened_cfg(), Instant::from_millis(10));
-    world.set_bulk_sender(CLIENT, Some(BULK_BYTES));
+    tier::install_bulk(&mut world, Sender::Plain);
     world.run_for(Duration::from_secs(200));
-    world_digest(&world)
+    tier::world_digest(&world)
 }
 
 /// Overload-tier pinned-seed run: SYN+fragment flood at the server
@@ -127,9 +60,7 @@ fn syn_flood_run_digest(seed: u64) -> u64 {
 }
 
 fn flood_digest(seed: u64, syn: bool, frag: bool) -> u64 {
-    let mut world = chain_world(seed, NodeBudget::default());
-    world.add_tcp_listener(SERVER, hardened_cfg());
-    world.set_sink_capture(SERVER);
+    let mut world = tier::chain4(seed, NodeBudget::default());
     world.attach_flood(
         SERVER,
         FloodConfig {
@@ -142,10 +73,9 @@ fn flood_digest(seed: u64, syn: bool, frag: bool) -> u64 {
             ..FloodConfig::default()
         },
     );
-    world.add_tcp_client(CLIENT, SERVER, hardened_cfg(), Instant::from_millis(10));
-    world.set_bulk_sender(CLIENT, Some(BULK_BYTES));
+    tier::install_bulk(&mut world, Sender::Plain);
     world.run_for(Duration::from_secs(200));
-    world_digest(&world)
+    tier::world_digest(&world)
 }
 
 /// (seed, pinned digest) pairs captured on the pre-fast-path build.

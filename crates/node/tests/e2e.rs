@@ -2,12 +2,13 @@
 //! over the CSMA MAC over the radio medium, through multihop routes,
 //! the border router, sleepy leaves and the CoAP path.
 
+use lln_bench::tier;
 use lln_node::app::App;
 use lln_node::route::Topology;
 use lln_node::stack::NodeKind;
 use lln_node::world::{World, WorldConfig};
 use lln_sim::{Duration, Instant};
-use tcplp::{TcpConfig, TcpState};
+use tcplp::{NodeBudget, TcpConfig, TcpState};
 
 fn tcp_cfg() -> TcpConfig {
     TcpConfig::default()
@@ -59,17 +60,7 @@ fn single_hop_bulk_transfer_reaches_paper_range() {
 
 #[test]
 fn three_hop_chain_transfer() {
-    let topo = Topology::chain(4, 0.999);
-    let mut world = World::new(
-        &topo,
-        &[
-            NodeKind::BorderRouter,
-            NodeKind::Router,
-            NodeKind::Router,
-            NodeKind::Router,
-        ],
-        WorldConfig::default(),
-    );
+    let mut world = tier::chain4(0x5eed, NodeBudget::default());
     let goodput = run_bulk(&mut world, 3, 0, 100_000, Duration::from_secs(120));
     let received = world.nodes[0].app.sink_received();
     assert_eq!(received, 100_000);

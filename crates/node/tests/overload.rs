@@ -16,92 +16,34 @@
 //! Seeds may be overridden with `FLOOD_SEED=<n>` so CI can pin fixed
 //! seeds and still let developers fuzz locally.
 
+use lln_bench::tier::{self, seed_from_env, Sender, StreamVerdict, SERVER};
 use lln_node::flood::FloodConfig;
-use lln_node::route::Topology;
-use lln_node::stack::NodeKind;
-use lln_node::world::{World, WorldConfig};
+use lln_node::world::World;
 use lln_sim::{Duration, Instant};
-use tcplp::{MemClass, NodeBudget, TcpConfig};
+use tcplp::{MemClass, NodeBudget};
 
-const SERVER: usize = 0;
-const CLIENT: usize = 3;
-const BULK_BYTES: usize = 20_000;
+/// The environment variable that overrides every scenario's seed.
+const SEED_VAR: &str = "FLOOD_SEED";
 
-/// The plain bulk sender emits the byte sequence `m % 256`.
-fn expected_pattern(n: usize) -> Vec<u8> {
-    (0..n).map(|m| (m % 256) as u8).collect()
-}
-
-/// `FLOOD_SEED` override, defaulting to `base`.
-fn flood_seed(base: u64) -> u64 {
-    std::env::var("FLOOD_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(base)
-}
-
-/// Bounded-failure TCP config (mirrors the torture tier).
-fn overload_cfg() -> TcpConfig {
-    TcpConfig {
-        max_retransmits: 8,
-        max_rto: Duration::from_secs(4),
-        ..TcpConfig::default()
-    }
-}
-
-/// 3-hop chain, listener + capture sink on the border node, bulk
-/// client on the far end connecting at `connect_at`, one flooder on
-/// the server.
-fn run_overload(
-    seed: u64,
-    budget: NodeBudget,
-    flood: FloodConfig,
-    connect_at: Instant,
-    span: Duration,
-) -> World {
-    let topo = Topology::chain(4, 0.999);
-    let mut world = World::new(
-        &topo,
-        &[
-            NodeKind::BorderRouter,
-            NodeKind::Router,
-            NodeKind::Router,
-            NodeKind::Router,
-        ],
-        WorldConfig {
-            seed,
-            budget,
-            ..WorldConfig::default()
-        },
-    );
-    world.add_tcp_listener(SERVER, overload_cfg());
-    world.set_sink_capture(SERVER);
+/// The tiers' chain with one flooder on the server, run for `span`.
+fn run_overload(seed: u64, budget: NodeBudget, flood: FloodConfig, span: Duration) -> World {
+    let mut world = tier::chain4(seed, budget);
     world.attach_flood(SERVER, flood);
-    world.add_tcp_client(CLIENT, SERVER, overload_cfg(), connect_at);
-    world.set_bulk_sender(CLIENT, Some(BULK_BYTES as u64));
+    tier::install_bulk(&mut world, Sender::Plain);
     world.run_for(span);
     world
 }
 
-/// Asserts the sink received exactly the sent pattern.
+/// Asserts the sink received exactly the sent pattern ([`tier::stream`]).
 fn assert_complete(world: &World, label: &str) {
-    let want = expected_pattern(BULK_BYTES);
-    let capture = world.nodes[SERVER].app.sink_capture();
-    let got: &[u8] = capture.first().map(|(_, b)| b.as_slice()).unwrap_or(&[]);
-    assert_eq!(
-        got.len(),
-        want.len(),
-        "{label}: transfer incomplete under flood ({} / {} bytes)",
-        got.len(),
-        want.len()
-    );
-    assert_eq!(got, &want[..], "{label}: delivered stream corrupt");
+    let v = tier::stream(world);
+    assert_eq!(v, StreamVerdict::Complete, "{label}: transfer under flood");
 }
 
 #[test]
 fn syn_flood_is_bounded_and_established_transfer_completes() {
     let mut world = run_overload(
-        flood_seed(0xCC01),
+        seed_from_env(SEED_VAR, 0xCC01),
         NodeBudget::default(),
         FloodConfig {
             start: Instant::from_millis(5_000),
@@ -112,7 +54,6 @@ fn syn_flood_is_bounded_and_established_transfer_completes() {
             spoofed_sources: 16,
             ..FloodConfig::default()
         },
-        Instant::from_millis(10),
         Duration::from_secs(300),
     );
     assert_complete(&world, "syn-flood");
@@ -160,7 +101,7 @@ fn syn_flood_is_bounded_and_established_transfer_completes() {
 #[test]
 fn fragment_flood_respects_quotas_and_reclaims_by_timeout() {
     let mut world = run_overload(
-        flood_seed(0xCC02),
+        seed_from_env(SEED_VAR, 0xCC02),
         NodeBudget::default(),
         FloodConfig {
             start: Instant::from_millis(5_000),
@@ -174,7 +115,6 @@ fn fragment_flood_respects_quotas_and_reclaims_by_timeout() {
             spoofed_sources: 2,
             ..FloodConfig::default()
         },
-        Instant::from_millis(10),
         Duration::from_secs(300),
     );
     assert_complete(&world, "frag-flood");
@@ -211,7 +151,7 @@ fn fragment_flood_respects_quotas_and_reclaims_by_timeout() {
 #[test]
 fn combined_flood_stays_within_total_budget_and_drains() {
     let mut world = run_overload(
-        flood_seed(0xCC03),
+        seed_from_env(SEED_VAR, 0xCC03),
         NodeBudget::default(),
         FloodConfig {
             start: Instant::from_millis(2_000),
@@ -228,7 +168,6 @@ fn combined_flood_stays_within_total_budget_and_drains() {
             spoofed_sources: 3,
             ..FloodConfig::default()
         },
-        Instant::from_millis(10),
         Duration::from_secs(350),
     );
     assert_complete(&world, "combined-flood");
@@ -254,7 +193,7 @@ fn tcp_buffer_starvation_sheds_new_syns_not_established_state() {
     let mut budget = NodeBudget::default();
     budget.caps[MemClass::TcpBuffers.idx()] = 4_500;
     let mut world = run_overload(
-        flood_seed(0xCC04),
+        seed_from_env(SEED_VAR, 0xCC04),
         budget,
         FloodConfig {
             start: Instant::from_millis(5_000),
@@ -265,7 +204,6 @@ fn tcp_buffer_starvation_sheds_new_syns_not_established_state() {
             spoofed_sources: 8,
             ..FloodConfig::default()
         },
-        Instant::from_millis(10),
         Duration::from_secs(300),
     );
     assert_complete(&world, "starvation");
@@ -297,40 +235,23 @@ fn tcp_buffer_starvation_sheds_new_syns_not_established_state() {
 // Bit-reproducibility: the whole overloaded world is deterministic.
 // ---------------------------------------------------------------------
 
-/// Digest of everything observable about an overload run.
-fn fingerprint(world: &World) -> (u64, u64, u64, usize, u64) {
-    let client = world.nodes[CLIENT].transport.tcp.first().expect("client");
-    let listen_digest = world.nodes[SERVER]
-        .transport
-        .tcp_listener
-        .as_ref()
-        .map(|l| l.stats.digest())
-        .unwrap_or(0);
-    // Fold every node's governor digest (FNV-style).
-    let mut gov = 0xcbf2_9ce4_8422_2325u64;
-    for i in 0..world.nodes.len() {
-        gov ^= world.governor(i).digest();
-        gov = gov.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    let delivered: usize = world.nodes[SERVER]
-        .app
-        .sink_capture()
-        .iter()
-        .map(|(_, b)| b.len())
-        .sum();
+/// Digest of everything observable about an overload run: the world
+/// and the flood's output.
+fn fingerprint(world: &World) -> (u64, u64, u64) {
     let fl = world.flood_stats(SERVER).expect("attached");
-    (
-        client.stats.digest(),
-        listen_digest,
-        gov,
-        delivered,
-        fl.syns_sent.wrapping_mul(31).wrapping_add(fl.frags_sent),
-    )
+    (tier::world_digest(world), fl.syns_sent, fl.frags_sent)
+}
+
+/// Every node's governor digest: what the flood's decisions move.
+fn governors(world: &World) -> Vec<u64> {
+    (0..world.nodes.len())
+        .map(|i| world.governor(i).digest())
+        .collect()
 }
 
 #[test]
 fn same_seed_same_flood_same_stats_digest() {
-    let seed = flood_seed(0xCC05);
+    let seed = seed_from_env(SEED_VAR, 0xCC05);
     let flood = FloodConfig {
         start: Instant::from_millis(2_000),
         stop: Instant::from_millis(150_000),
@@ -344,14 +265,12 @@ fn same_seed_same_flood_same_stats_digest() {
         seed,
         NodeBudget::default(),
         flood.clone(),
-        Instant::from_millis(10),
         Duration::from_secs(200),
     );
     let b = run_overload(
         seed,
         NodeBudget::default(),
         flood.clone(),
-        Instant::from_millis(10),
         Duration::from_secs(200),
     );
     assert_eq!(
@@ -363,12 +282,11 @@ fn same_seed_same_flood_same_stats_digest() {
         seed ^ 0xffff,
         NodeBudget::default(),
         flood,
-        Instant::from_millis(10),
         Duration::from_secs(200),
     );
     assert_ne!(
-        fingerprint(&a).2,
-        fingerprint(&c).2,
+        governors(&a),
+        governors(&c),
         "different seeds should take different flood decisions"
     );
 }
@@ -377,21 +295,8 @@ fn same_seed_same_flood_same_stats_digest() {
 fn flood_without_traffic_leaves_no_residue() {
     // No client at all: the flood hammers an idle listener, and after
     // it stops everything must return to zero.
-    let topo = Topology::chain(4, 0.999);
-    let mut world = World::new(
-        &topo,
-        &[
-            NodeKind::BorderRouter,
-            NodeKind::Router,
-            NodeKind::Router,
-            NodeKind::Router,
-        ],
-        WorldConfig {
-            seed: flood_seed(0xCC06),
-            ..WorldConfig::default()
-        },
-    );
-    world.add_tcp_listener(SERVER, overload_cfg());
+    let mut world = tier::chain4(seed_from_env(SEED_VAR, 0xCC06), NodeBudget::default());
+    world.add_tcp_listener(SERVER, tier::hardened_tcp());
     world.attach_flood(
         SERVER,
         FloodConfig {

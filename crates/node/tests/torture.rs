@@ -11,66 +11,23 @@
 //! Seeds may be overridden with `TORTURE_SEED=<n>` so CI can pin two
 //! fixed seeds and still let developers fuzz locally.
 
+use lln_bench::tier::{self, seed_from_env, Sender, StreamVerdict, CLIENT, SERVER};
 use lln_node::adversary::AdversaryProfile;
-use lln_node::route::Topology;
-use lln_node::stack::NodeKind;
-use lln_node::world::{World, WorldConfig};
-use lln_sim::{Duration, Instant};
-use tcplp::{TcpConfig, TcpState};
+use lln_node::world::World;
+use lln_sim::Duration;
+use tcplp::NodeBudget;
 
-/// The plain bulk sender emits the byte sequence `m % 256`.
-fn expected_pattern(n: usize) -> Vec<u8> {
-    (0..n).map(|m| (m % 256) as u8).collect()
-}
+/// The environment variable that overrides every scenario's seed.
+const SEED_VAR: &str = "TORTURE_SEED";
 
-/// `TORTURE_SEED` override, defaulting to `base`.
-fn torture_seed(base: u64) -> u64 {
-    std::env::var("TORTURE_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(base)
-}
-
-/// TCP config tuned so a connection the adversary manages to wedge
-/// dies in bounded time (retransmit/persist exhaustion) instead of
-/// stalling past the simulation horizon.
-fn torture_cfg() -> TcpConfig {
-    TcpConfig {
-        max_retransmits: 8,
-        max_rto: Duration::from_secs(4),
-        ..TcpConfig::default()
-    }
-}
-
-const CLIENT: usize = 3;
-const SERVER: usize = 0;
-const BULK_BYTES: usize = 20_000;
-
-/// Runs one adversarial bulk transfer: 3-hop chain, listener + capture
-/// sink on the border router, plain TCPlp client + bulk sender on the
-/// last node, adversary attached to `adv_node` (the node whose *inbound*
-/// segments get mangled: the server attacks the data direction, the
-/// client attacks the ACK direction).
+/// Runs one adversarial bulk transfer on the tiers' chain, adversary
+/// attached to `adv_node` (the node whose *inbound* segments get
+/// mangled: the server attacks the data direction, the client attacks
+/// the ACK direction).
 fn run_torture(seed: u64, profile: AdversaryProfile, adv_node: usize, span: Duration) -> World {
-    let topo = Topology::chain(4, 0.999);
-    let mut world = World::new(
-        &topo,
-        &[
-            NodeKind::BorderRouter,
-            NodeKind::Router,
-            NodeKind::Router,
-            NodeKind::Router,
-        ],
-        WorldConfig {
-            seed,
-            ..WorldConfig::default()
-        },
-    );
-    world.add_tcp_listener(SERVER, torture_cfg());
-    world.set_sink_capture(SERVER);
+    let mut world = tier::chain4(seed, NodeBudget::default());
     world.attach_adversary(adv_node, profile);
-    world.add_tcp_client(CLIENT, SERVER, torture_cfg(), Instant::from_millis(10));
-    world.set_bulk_sender(CLIENT, Some(BULK_BYTES as u64));
+    tier::install_bulk(&mut world, Sender::Plain);
     world.run_for(span);
     // Adversarial runs may cut off mid-flight (persist probes, delayed
     // copies still queued), so assert budget caps rather than full
@@ -79,51 +36,12 @@ fn run_torture(seed: u64, profile: AdversaryProfile, adv_node: usize, span: Dura
     world
 }
 
-/// The hardened stack's contract under attack, checked on a finished
-/// world: delivered bytes are an exact prefix of the sent pattern, and
-/// the transfer either completed or the client died with a definite
-/// failure reason. Returns the number of bytes delivered.
-fn assert_integrity(world: &World, label: &str) -> usize {
-    let want = expected_pattern(BULK_BYTES);
-    let capture = world.nodes[SERVER].app.sink_capture();
-    assert!(
-        capture.len() <= 1,
-        "{label}: one plain client must yield at most one connection"
-    );
-    let got: &[u8] = capture.first().map(|(_, b)| b.as_slice()).unwrap_or(&[]);
-    assert!(
-        got.len() <= want.len(),
-        "{label}: sink got {} bytes, only {} were sent",
-        got.len(),
-        want.len()
-    );
-    let first_diff = got.iter().zip(want.iter()).position(|(a, b)| a != b);
-    assert_eq!(
-        first_diff,
-        None,
-        "{label}: delivered stream corrupt at byte {first_diff:?} \
-         ({} bytes delivered)",
-        got.len()
-    );
-    if got.len() < want.len() {
-        // Incomplete: only acceptable as a clean, attributed death.
-        let sock = world.nodes[CLIENT].transport.tcp.first().expect("client");
-        assert_eq!(
-            sock.state(),
-            TcpState::Closed,
-            "{label}: transfer incomplete ({} / {} bytes) but the client \
-             is still {:?} — silent stall",
-            got.len(),
-            want.len(),
-            sock.state()
-        );
-        let reason = sock.close_reason();
-        assert!(
-            reason.is_some(),
-            "{label}: incomplete transfer must record a CloseReason"
-        );
-    }
-    got.len()
+/// The hardened stack's contract under attack ([`tier::stream`]):
+/// panics unless the run completed or died clean, and returns how.
+fn assert_integrity(world: &World, label: &str) -> StreamVerdict {
+    let v = tier::stream(world);
+    assert!(v.holds(), "{label}: {v:?}");
+    v
 }
 
 // ---------------------------------------------------------------------
@@ -134,13 +52,17 @@ fn assert_integrity(world: &World, label: &str) -> usize {
 #[test]
 fn reordering_and_duplication_complete_byte_exact() {
     let world = run_torture(
-        torture_seed(0x7011),
+        seed_from_env(SEED_VAR, 0x7011),
         AdversaryProfile::reordering(0.10),
         SERVER,
         Duration::from_secs(300),
     );
-    let n = assert_integrity(&world, "reordering");
-    assert_eq!(n, BULK_BYTES, "10% reordering must not prevent completion");
+    let v = assert_integrity(&world, "reordering");
+    assert_eq!(
+        v,
+        StreamVerdict::Complete,
+        "10% reordering must not prevent completion"
+    );
     let adv = world.adversary_stats(SERVER).expect("attached");
     assert!(
         adv.total_mangles() > 0,
@@ -151,14 +73,15 @@ fn reordering_and_duplication_complete_byte_exact() {
 #[test]
 fn truncation_and_splitting_complete_byte_exact() {
     let world = run_torture(
-        torture_seed(0x7012),
+        seed_from_env(SEED_VAR, 0x7012),
         AdversaryProfile::fragmenting(0.10),
         SERVER,
         Duration::from_secs(300),
     );
-    let n = assert_integrity(&world, "fragmenting");
+    let v = assert_integrity(&world, "fragmenting");
     assert_eq!(
-        n, BULK_BYTES,
+        v,
+        StreamVerdict::Complete,
         "10% truncate/split must not prevent completion"
     );
     let adv = world.adversary_stats(SERVER).expect("attached");
@@ -182,13 +105,17 @@ fn conflicting_overlaps_never_corrupt_the_stream() {
         ..AdversaryProfile::default()
     };
     let world = run_torture(
-        torture_seed(0x7013),
+        seed_from_env(SEED_VAR, 0x7013),
         profile,
         SERVER,
         Duration::from_secs(300),
     );
-    let n = assert_integrity(&world, "overlapping");
-    assert_eq!(n, BULK_BYTES, "overlap attack must not prevent completion");
+    let v = assert_integrity(&world, "overlapping");
+    assert_eq!(
+        v,
+        StreamVerdict::Complete,
+        "overlap attack must not prevent completion"
+    );
     let adv = world.adversary_stats(SERVER).expect("attached");
     assert!(
         adv.conflicts_injected > 0,
@@ -207,13 +134,17 @@ fn conflicting_overlaps_never_corrupt_the_stream() {
 #[test]
 fn forged_rst_and_syn_bounce_off_challenge_acks() {
     let world = run_torture(
-        torture_seed(0x7014),
+        seed_from_env(SEED_VAR, 0x7014),
         AdversaryProfile::forging(0.10),
         SERVER,
         Duration::from_secs(300),
     );
-    let n = assert_integrity(&world, "forging");
-    assert_eq!(n, BULK_BYTES, "forged RST/SYN must not kill the transfer");
+    let v = assert_integrity(&world, "forging");
+    assert_eq!(
+        v,
+        StreamVerdict::Complete,
+        "forged RST/SYN must not kill the transfer"
+    );
     let adv = world.adversary_stats(SERVER).expect("attached");
     assert!(adv.rst_forged > 0, "RSTs must have been forged: {adv:?}");
     let server = world.nodes[SERVER].transport.tcp.first().expect("server");
@@ -229,13 +160,17 @@ fn blind_ack_storms_and_rewrites_complete_byte_exact() {
     // Storm the client: forged/rewritten ACKs attack the sender's
     // snd_una/window bookkeeping.
     let world = run_torture(
-        torture_seed(0x7015),
+        seed_from_env(SEED_VAR, 0x7015),
         AdversaryProfile::storming(0.08),
         CLIENT,
         Duration::from_secs(300),
     );
-    let n = assert_integrity(&world, "storming");
-    assert_eq!(n, BULK_BYTES, "ACK storms must not prevent completion");
+    let v = assert_integrity(&world, "storming");
+    assert_eq!(
+        v,
+        StreamVerdict::Complete,
+        "ACK storms must not prevent completion"
+    );
     let adv = world.adversary_stats(CLIENT).expect("attached");
     assert!(
         adv.storm_acks + adv.ack_rewritten > 0,
@@ -246,13 +181,17 @@ fn blind_ack_storms_and_rewrites_complete_byte_exact() {
 #[test]
 fn malformed_sack_and_raw_junk_are_contained() {
     let world = run_torture(
-        torture_seed(0x7016),
+        seed_from_env(SEED_VAR, 0x7016),
         AdversaryProfile::sack_lying(0.10),
         CLIENT,
         Duration::from_secs(300),
     );
-    let n = assert_integrity(&world, "sack_lying");
-    assert_eq!(n, BULK_BYTES, "SACK lies must not prevent completion");
+    let v = assert_integrity(&world, "sack_lying");
+    assert_eq!(
+        v,
+        StreamVerdict::Complete,
+        "SACK lies must not prevent completion"
+    );
     let adv = world.adversary_stats(CLIENT).expect("attached");
     assert!(
         adv.sack_lies + adv.raw_junk > 0,
@@ -273,7 +212,7 @@ fn malformed_sack_and_raw_junk_are_contained() {
 #[test]
 fn forged_zero_windows_do_not_deadlock_the_persist_timer() {
     let world = run_torture(
-        torture_seed(0x7017),
+        seed_from_env(SEED_VAR, 0x7017),
         AdversaryProfile::zero_windowing(0.25),
         CLIENT,
         Duration::from_secs(300),
@@ -283,27 +222,25 @@ fn forged_zero_windows_do_not_deadlock_the_persist_timer() {
         adv.zero_windows_forged > 0,
         "zero-window forgeries must have fired: {adv:?}"
     );
-    let n = assert_integrity(&world, "zero_windowing");
+    let v = assert_integrity(&world, "zero_windowing");
     let client = world.nodes[CLIENT].transport.tcp.first().expect("client");
-    if n < BULK_BYTES {
-        // assert_integrity already proved a clean death; it must be
-        // attributed, not a mystery hang converted to a generic abort.
-        let reason = client.stats.clone();
+    if let StreamVerdict::DiedClean(reason) = v {
+        // An attributed death, not a mystery hang converted to a
+        // generic abort: it must die a failure.
         assert!(
-            client.close_reason().expect("reason").is_failure(),
-            "incomplete adversarial run must die a failure: {reason:?}"
+            reason.is_failure(),
+            "incomplete adversarial run must die a failure: {reason:?} {:?}",
+            client.stats
         );
-    } else {
-        // Completed: if the forgeries ever wedged the window shut, the
-        // probe machinery must be what un-wedged it.
-        assert_eq!(n, BULK_BYTES);
     }
     // Either way the client must not be sitting in Established with
     // unsent data and no pending timer (the deadlock this satellite
     // exists to rule out) — run_torture's horizon plus assert_integrity
-    // has already excluded that, so just document the probe activity.
+    // has already excluded that, so just document the probe activity:
+    // if the forgeries ever wedged the window shut, the probe machinery
+    // must be what un-wedged it.
     assert!(
-        client.stats.zero_window_probes > 0 || n == BULK_BYTES,
+        client.stats.zero_window_probes > 0 || v == StreamVerdict::Complete,
         "a wedged window must produce persist probes: {:?}",
         client.stats
     );
@@ -315,7 +252,10 @@ fn forged_zero_windows_do_not_deadlock_the_persist_timer() {
 
 #[test]
 fn full_adversary_yields_prefix_or_clean_death() {
-    for seed in [torture_seed(0x7018), torture_seed(0x7018) ^ 0x5a5a] {
+    for seed in [
+        seed_from_env(SEED_VAR, 0x7018),
+        seed_from_env(SEED_VAR, 0x7018) ^ 0x5a5a,
+    ] {
         let world = run_torture(
             seed,
             AdversaryProfile::full(0.15),
@@ -332,14 +272,15 @@ fn no_cliff_below_ten_percent_composite_rate() {
     // must never drive goodput to zero — the transfer completes.
     for rate in [0.02, 0.06, 0.10] {
         let world = run_torture(
-            torture_seed(0x7019),
+            seed_from_env(SEED_VAR, 0x7019),
             AdversaryProfile::full(rate),
             SERVER,
             Duration::from_secs(400),
         );
-        let n = assert_integrity(&world, "no-cliff");
+        let v = assert_integrity(&world, "no-cliff");
         assert_eq!(
-            n, BULK_BYTES,
+            v,
+            StreamVerdict::Complete,
             "composite rate {rate} must not prevent completion"
         );
     }
@@ -349,34 +290,16 @@ fn no_cliff_below_ten_percent_composite_rate() {
 // Bit-reproducibility: the whole adversarial world is deterministic.
 // ---------------------------------------------------------------------
 
-/// Digest of everything observable about a torture run.
-fn fingerprint(world: &World, adv_node: usize) -> (u64, u64, u64, usize, u64) {
-    let client = world.nodes[CLIENT].transport.tcp.first().expect("client");
-    let server_digest = world.nodes[SERVER]
-        .transport
-        .tcp
-        .first()
-        .map(|s| s.stats.digest())
-        .unwrap_or(0);
-    let delivered: usize = world.nodes[SERVER]
-        .app
-        .sink_capture()
-        .iter()
-        .map(|(_, b)| b.len())
-        .sum();
+/// Digest of everything observable about a torture run: the world
+/// and the adversary's decisions.
+fn fingerprint(world: &World, adv_node: usize) -> (u64, u64, u64) {
     let adv = world.adversary_stats(adv_node).expect("attached");
-    (
-        client.stats.digest(),
-        server_digest,
-        adv.fingerprint(),
-        delivered,
-        adv.seen,
-    )
+    (tier::world_digest(world), adv.fingerprint(), adv.seen)
 }
 
 #[test]
 fn same_seed_same_torture_same_stats_digest() {
-    let seed = torture_seed(0x701a);
+    let seed = seed_from_env(SEED_VAR, 0x701a);
     let profile = AdversaryProfile::full(0.12);
     let a = run_torture(seed, profile, SERVER, Duration::from_secs(200));
     let b = run_torture(seed, profile, SERVER, Duration::from_secs(200));
@@ -389,8 +312,8 @@ fn same_seed_same_torture_same_stats_digest() {
     // fingerprint is vacuous.
     let c = run_torture(seed ^ 0xffff, profile, SERVER, Duration::from_secs(200));
     assert_ne!(
-        fingerprint(&a, SERVER).2,
-        fingerprint(&c, SERVER).2,
+        fingerprint(&a, SERVER).1,
+        fingerprint(&c, SERVER).1,
         "different seeds should take different adversarial decisions"
     );
 }

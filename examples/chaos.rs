@@ -6,39 +6,18 @@
 //!
 //! Run with: `cargo run --example chaos --release`
 
+use lln_bench::tier::{self, Sender, CLIENT, SERVER, SUPERVISED_BULK_BYTES};
 use tcplp_repro::node::fault::FaultPlan;
-use tcplp_repro::node::route::Topology;
-use tcplp_repro::node::stack::NodeKind;
-use tcplp_repro::node::supervisor::{RecordAssembler, SupervisorConfig};
-use tcplp_repro::node::world::{World, WorldConfig};
 use tcplp_repro::sim::{Duration, Instant};
-use tcplp_repro::tcplp::TcpConfig;
-
-const BULK_BYTES: u64 = 120_000;
+use tcplp_repro::tcplp::NodeBudget;
 
 fn main() {
     // node3 -> node2 -> node1 -> node0 (border router + capture sink).
-    let topo = Topology::chain(4, 0.999);
-    let mut world = World::new(
-        &topo,
-        &[
-            NodeKind::BorderRouter,
-            NodeKind::Router,
-            NodeKind::Router,
-            NodeKind::Router,
-        ],
-        WorldConfig::default(),
-    );
-    world.add_tcp_listener(0, TcpConfig::default());
-    world.set_sink_capture(0);
-
-    // Supervised sender: fast dead-path detection (3 retransmits, RTO
-    // capped at 4 s) so a 30 s blackout is declared dead, not ridden out.
-    let mut sup = SupervisorConfig::default();
-    sup.tcp.max_retransmits = 3;
-    sup.tcp.max_rto = Duration::from_secs(4);
-    world.add_supervised_client(3, 0, sup, Instant::from_millis(10));
-    world.set_bulk_sender(3, Some(BULK_BYTES));
+    // The supervised sender detects a dead path fast (3 retransmits,
+    // RTO capped at 4 s), so a 30 s blackout is declared dead, not
+    // ridden out.
+    let mut world = tier::chain4(0x5eed, NodeBudget::default());
+    tier::install_bulk(&mut world, Sender::Supervised);
 
     // The fault plan: the middle relay reboots at t=8s (down 5 s), then
     // the 1-2 link goes completely dark for 30 s starting at t=15s.
@@ -47,25 +26,20 @@ fn main() {
         .blackout(1, 2, Instant::from_secs(15), Duration::from_secs(30));
     world.apply_fault_plan(&plan);
 
-    println!("3-hop supervised bulk transfer, {BULK_BYTES} B:");
+    println!("3-hop supervised bulk transfer, {SUPERVISED_BULK_BYTES} B:");
     println!("  t= 8s  relay node2 reboots (down 5 s, all state lost)");
     println!("  t=15s  link 1-2 blacked out for 30 s\n");
     world.run_for(Duration::from_secs(240));
 
     // Reassemble everything the sink captured, across every connection
     // incarnation, deduplicating replayed records by sequence number.
-    let mut asm = RecordAssembler::new();
-    for (_, bytes) in world.nodes[0].app.sink_capture() {
-        asm.ingest_connection(bytes);
-    }
-    let assembled = asm.assembled().expect("contiguous stream");
-    let intact = assembled.len() as u64 == BULK_BYTES
-        && assembled
-            .iter()
-            .enumerate()
-            .all(|(m, &b)| b == (m % 256) as u8);
+    let by_client = tier::records_by_client(world.nodes[SERVER].app.sink_capture());
+    let (_, asm) = by_client.first().expect("the client delivered");
+    let assembled = asm.assembled().unwrap_or_default();
+    let intact =
+        tier::record_contract(asm).is_ok() && assembled == tier::pattern(SUPERVISED_BULK_BYTES);
 
-    let stats = world.supervisor_stats(3).expect("supervised client");
+    let stats = world.supervisor_stats(CLIENT).expect("supervised client");
     println!(
         "supervisor: {} death(s), {} reconnect(s) after {} attempt(s)",
         stats.deaths, stats.reconnects, stats.connect_attempts
@@ -77,10 +51,10 @@ fn main() {
         stats.downtime_us as f64 / 1e6
     );
     println!(
-        "delivery:   {} / {BULK_BYTES} B reassembled, {} duplicate record(s) \
+        "delivery:   {} / {SUPERVISED_BULK_BYTES} B reassembled, {} replayed record(s) \
          discarded, byte-exact: {}",
         assembled.len(),
-        asm.duplicates(),
+        asm.replays(),
         if intact { "yes" } else { "NO" }
     );
 
