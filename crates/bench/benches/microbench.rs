@@ -137,6 +137,31 @@ fn bench_sixlowpan() {
         }
         black_box(out);
     });
+    // The flood world's forged FRAG1s (RFC 4944 §5.3 quotas): three
+    // spoofed sources, 320 per second, each claiming a 600-byte
+    // datagram that never completes, into the default 8 slots. Every
+    // offer evicts its source's oldest partial, and the node's governor
+    // then reads the bytes held.
+    let mut rng = Rng::new(0xF4A6);
+    let forged: Vec<[u8; 68]> = (0..256)
+        .map(|_| {
+            let mut f = [0u8; 68];
+            f[0] = 0b1100_0000 | (600u16 >> 8) as u8;
+            f[1] = 600u16 as u8;
+            f[2..4].copy_from_slice(&(rng.next_u64() as u16).to_be_bytes());
+            f
+        })
+        .collect();
+    let mut r = lln_sixlowpan::Reassembler::default();
+    let mut k = 0usize;
+    let mut now = Instant::ZERO;
+    bench("sixlowpan/reasm_frag1_flood", None, 500_000, || {
+        let src = NodeId(0xF800 + (k % 3) as u16);
+        black_box(r.offer(src, &forged[k % forged.len()], now));
+        black_box(r.pending_bytes());
+        k += 1;
+        now += Duration::from_micros(3_125);
+    });
 }
 
 fn bench_recvbuf() {
@@ -314,6 +339,35 @@ fn bench_socket_pair() {
     socket_pair_variant("tcp_socket_pair/transfer_50_segs_slow", false);
 }
 
+/// Spoofed SYNs into a full 8-slot SYN cache (RFC 4987), 160 per
+/// second from three sources: each evicts the oldest entry and is owed
+/// a SYN-ACK that is never built, its source having no route.
+fn bench_syn_cache_flood() {
+    let mut budget = tcplp::NodeBudget::default();
+    budget.caps[tcplp::MemClass::SynCache.idx()] = 8 * tcplp::mem::SYN_ENTRY_BYTES;
+    let mut l = ListenSocket::new(TcpConfig::default(), NodeId(0).mesh_addr(), 80, &budget);
+    let mut rng = Rng::new(0x5F1D);
+    let syns: Vec<(lln_netip::Ipv6Addr, Segment)> = (0..256u16)
+        .map(|k| {
+            let sport = 40_000 + (rng.next_u64() % 20_000) as u16;
+            let seq = TcpSeq(rng.next_u64() as u32);
+            let mut syn = Segment::new(sport, 80, seq, TcpSeq(0), Flags::SYN);
+            syn.window = 1024;
+            syn.mss = Some(462);
+            (NodeId(0xF000 + k % 3).mesh_addr(), syn)
+        })
+        .collect();
+    let mut k = 0usize;
+    let mut now = Instant::ZERO;
+    bench("tcplp/syn_cache_flood", None, 500_000, || {
+        let (src, syn) = &syns[k % syns.len()];
+        black_box(l.on_segment(*src, syn, k as u32, now));
+        k += 1;
+        now += Duration::from_micros(6_250);
+    });
+    assert_eq!(l.half_open(), 8, "the cache stays full");
+}
+
 fn socket_pair_variant(name: &str, fast_path: bool) {
     let cfg = TcpConfig {
         header_prediction: fast_path,
@@ -328,10 +382,11 @@ fn socket_pair_variant(name: &str, fast_path: bool) {
         let mut t = Instant::ZERO;
         client.connect(b_addr, 80, 1, t);
         let syn = client.poll_transmit(t).unwrap();
-        let synack = listener
+        let due = listener
             .on_segment(a_addr, &syn, 2, t)
             .into_reply()
             .unwrap();
+        let synack = listener.synack(due, t);
         client.on_segment(&synack, Ecn::NotCapable, t);
         let ack = client.poll_transmit(t).unwrap();
         let mut server = listener
@@ -403,5 +458,6 @@ fn main() {
     bench_sim_primitives();
     bench_frame_pool();
     bench_socket_pair();
+    bench_syn_cache_flood();
     bench_world();
 }

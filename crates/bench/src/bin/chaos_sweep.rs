@@ -150,14 +150,15 @@ fn tree_under_plan(plan: &FaultPlan) -> TreeOutcome {
         .iter()
         .map(|(_, asm)| asm.record_count() as u64)
         .sum();
-    // Integrity: per client the record contract and no reading torn
-    // mid-record, and loss-freedom — every generated reading is
-    // delivered, retained by its supervisor, or still queued. A record
-    // can be *both* delivered and retained at the cutoff (its TCP ACK
-    // still in flight), so the conservation is `>=`, not `==`.
+    // Integrity: per client the record contract (a reading torn
+    // mid-record must be torn at a prefix of its whole copy), and
+    // loss-freedom — every generated reading is delivered, retained by
+    // its supervisor, or still queued. A record can be *both* delivered
+    // and retained at the cutoff (its TCP ACK still in flight), so the
+    // conservation is `>=`, not `==`.
     let intact = per_client
         .iter()
-        .all(|(_, asm)| tier::record_contract(asm).is_ok() && asm.truncated_tails() == 0)
+        .all(|(_, asm)| tier::record_contract(asm).is_ok())
         && delivered + pending + queued >= generated;
     TreeOutcome {
         reliability: if generated == 0 {

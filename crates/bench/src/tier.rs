@@ -221,12 +221,13 @@ pub fn records_by_client(capture: &Capture) -> Vec<(Ipv6Addr, RecordAssembler)> 
 }
 
 /// The record contract on one client's records: gap-free, no record
-/// twice on one connection, and every replay on a later connection
-/// equal to the record's first copy. Replays and streams torn
-/// mid-record are allowed: the supervisor re-sends every record not yet
-/// cumulatively ACKed, whole, on its next connection. A record that
-/// never comes whole leaves a gap, or a short stream for a caller that
-/// knows the total.
+/// twice on one connection, every replay on a later connection equal to
+/// the record's first copy, and every stream torn mid-record torn at a
+/// prefix of that record's whole copy. Replays and torn streams are
+/// allowed: the supervisor re-sends every record not yet cumulatively
+/// ACKed, whole, on its next connection. A record that never comes
+/// whole leaves a gap, or a short stream for a caller that knows the
+/// total.
 pub fn record_contract(asm: &RecordAssembler) -> Result<(), String> {
     let missing = asm.missing();
     if !missing.is_empty() {
@@ -242,6 +243,12 @@ pub fn record_contract(asm: &RecordAssembler) -> Result<(), String> {
         return Err(format!(
             "{} replays differ from the first copy",
             asm.replay_mismatches()
+        ));
+    }
+    if asm.torn_mismatches() > 0 {
+        return Err(format!(
+            "{} torn records are no prefix of their whole copy",
+            asm.torn_mismatches()
         ));
     }
     Ok(())
@@ -426,6 +433,48 @@ mod tests {
         assert_eq!((asm.truncated_tails(), asm.replays()), (1, 0));
         assert_eq!(record_contract(asm), Ok(()));
         assert_eq!(asm.assembled().unwrap(), b"alphabeta");
+    }
+
+    #[test]
+    fn a_torn_record_that_differs_from_its_whole_copy_fails() {
+        let whole = record(1, b"beta");
+        let mut bent = whole[..RECORD_HEADER + 2].to_vec();
+        bent[RECORD_HEADER + 1] ^= 1;
+        let mut long = whole.clone();
+        long[1] += 1; // claims one byte more than the record has
+        for tail in [bent, long[..RECORD_HEADER + 1].to_vec()] {
+            let mut torn = record(0, b"alpha");
+            torn.extend_from_slice(&tail);
+            let asm = &records(&[torn, whole.clone()])[0].1;
+            assert_eq!((asm.truncated_tails(), asm.torn_mismatches()), (1, 1));
+            assert!(record_contract(asm).is_err());
+        }
+    }
+
+    #[test]
+    fn a_torn_record_checks_against_a_whole_copy_that_came_first() {
+        // The record came whole on the first connection and was torn on
+        // a replay (its ACK was lost before the connection died).
+        let first = [record(0, b"alpha"), record(1, b"beta")].concat();
+        let torn = record(1, b"beta")[..RECORD_HEADER + 3].to_vec();
+        let asm = &records(&[first.clone(), torn])[0].1;
+        assert_eq!((asm.truncated_tails(), asm.torn_mismatches()), (1, 0));
+        assert_eq!(record_contract(asm), Ok(()));
+        let bent = record(1, b"bent")[..RECORD_HEADER + 3].to_vec();
+        assert!(record_contract(&records(&[first, bent])[0].1).is_err());
+    }
+
+    #[test]
+    fn a_tail_with_nothing_to_compare_is_allowed() {
+        // A header cut short names no record, and a record that never
+        // came whole (the run ended mid-record) has no whole copy.
+        let short = [record(0, b"alpha"), record(1, b"beta")[..4].to_vec()].concat();
+        let unfinished = [record(0, b"alpha"), record(1, b"beta")[..12].to_vec()].concat();
+        for stream in [short, unfinished] {
+            let asm = &records(&[stream])[0].1;
+            assert_eq!((asm.truncated_tails(), asm.torn_mismatches()), (1, 0));
+            assert_eq!(record_contract(asm), Ok(()));
+        }
     }
 
     #[test]

@@ -36,10 +36,11 @@
 //! let t0 = Instant::ZERO;
 //! client.connect(b_addr, 80, 1000, t0);
 //! let syn = client.poll_transmit(t0).expect("SYN");
-//! let synack = listener
+//! let due = listener
 //!     .on_segment(a_addr, &syn, 2000, t0)
 //!     .into_reply()
 //!     .expect("SYN-ACK from the SYN cache");
+//! let synack = listener.synack(due, t0);
 //! client.on_segment(&synack, Ecn::NotCapable, t0);
 //! let ack = client.poll_transmit(t0).expect("ACK");
 //! let server = listener
@@ -69,7 +70,7 @@ pub mod wire;
 pub use cc::NewReno;
 pub use config::TcpConfig;
 pub use input::{classify, Predicted, Tcb, Verdict};
-pub use listen::{reset_for, ListenSocket, ListenStats, ListenerResponse};
+pub use listen::{reset_for, ListenSocket, ListenStats, ListenerResponse, SynAckDue};
 pub use mem::{MemClass, MemGovernor, NodeBudget};
 pub use recvbuf::RecvBuffer;
 pub use rtt::RttEstimator;

@@ -3,9 +3,12 @@
 //!
 //! A SYN parks a fixed-size entry in the cache instead of a full
 //! [`TcpSocket`]; the SYN-ACK comes from the entry, and the socket is
-//! built only when the handshake-completing ACK arrives. [`reset_for`]
-//! builds the RST the host sends for a segment no socket or listener
-//! takes.
+//! built only when the handshake-completing ACK arrives. The listener
+//! says when a SYN-ACK is due ([`SynAckDue`]); the host builds it with
+//! [`ListenSocket::synack`] only once it has a route to the peer, so a
+//! SYN from a spoofed source costs a cache entry and no segment.
+//! [`reset_for`] builds the RST the host sends for a segment no socket
+//! or listener takes.
 
 use crate::config::TcpConfig;
 use crate::input::{classify, Tcb, Verdict};
@@ -82,23 +85,37 @@ struct SynEntry {
     rexmits: u32,
 }
 
+/// A SYN-ACK the listener owes a peer, from [`ListenSocket::on_segment`]
+/// or [`ListenSocket::poll_transmit`]. Nothing is built until the
+/// caller, knowing the SYN-ACK can leave, asks [`ListenSocket::synack`]
+/// for it; it stays valid until the listener handles another segment
+/// or timer.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct SynAckDue {
+    /// Where the SYN-ACK goes.
+    pub peer: Ipv6Addr,
+    /// The peer's port, which with `peer` names the entry.
+    port: u16,
+    /// The entry's index in the cache.
+    entry: usize,
+}
+
 /// What the listener decided about a segment.
 #[derive(Debug)]
 pub enum ListenerResponse {
     /// Not listener-relevant (the caller applies its no-socket policy,
     /// typically [`reset_for`]).
     None,
-    /// Transmit this segment to the segment's source (a SYN-ACK from
-    /// the cache).
-    Reply(Segment),
+    /// A SYN-ACK from the cache is due to the segment's source.
+    Reply(SynAckDue),
     /// The handshake-completing ACK validated: adopt this established
     /// socket.
     Spawn(Box<TcpSocket>),
 }
 
 impl ListenerResponse {
-    /// The reply segment, if that's what this is.
-    pub fn into_reply(self) -> Option<Segment> {
+    /// The SYN-ACK due, if that's what this is.
+    pub fn into_reply(self) -> Option<SynAckDue> {
         match self {
             ListenerResponse::Reply(s) => Some(s),
             _ => None,
@@ -266,8 +283,7 @@ impl ListenSocket {
                 if let Some(ts) = seg.timestamps {
                     e.ts_val = Some(ts.value);
                 }
-                let reply = self.synack_for(i, now);
-                return ListenerResponse::Reply(reply);
+                return ListenerResponse::Reply(self.due(i));
             }
             // Same 4-tuple, new ISN: the peer restarted. Drop the
             // stale half-open; the fresh entry goes to the back below.
@@ -301,8 +317,7 @@ impl ListenSocket {
             rexmit_at: now + INITIAL_RTO,
             rexmits: 0,
         });
-        let reply = self.synack_for(self.entries.len() - 1, now);
-        ListenerResponse::Reply(reply)
+        ListenerResponse::Reply(self.due(self.entries.len() - 1))
     }
 
     fn on_ack(
@@ -356,9 +371,10 @@ impl ListenSocket {
     /// [`TcpConfig::max_rto`], reclaimed after
     /// [`TcpConfig::max_retransmits`]. A sleepy client whose handshake
     /// ACK was lost may not speak again until its first batch is due,
-    /// and the entry must still be there. Returns at most one
-    /// `(peer, SYN-ACK)` per call; drivers loop until `None`.
-    pub fn poll_transmit(&mut self, now: Instant) -> Option<(Ipv6Addr, Segment)> {
+    /// and the entry must still be there. Returns at most one SYN-ACK
+    /// due per call, to be built with [`ListenSocket::synack`]; drivers
+    /// loop until `None`.
+    pub fn poll_transmit(&mut self, now: Instant) -> Option<SynAckDue> {
         loop {
             let due = self.entries.iter().position(|e| e.rexmit_at <= now)?;
             if self.entries[due].rexmits >= self.cfg.max_retransmits {
@@ -375,9 +391,7 @@ impl ListenSocket {
             };
             self.entries[due].rexmit_at = now + backoff;
             self.stats.synack_rexmits += 1;
-            let peer = self.entries[due].remote_addr;
-            let seg = self.synack_for(due, now);
-            return Some((peer, seg));
+            return Some(self.due(due));
         }
     }
 
@@ -387,13 +401,28 @@ impl ListenSocket {
             .position(|e| e.remote_port == remote_port && e.remote_addr == remote_addr)
     }
 
-    /// Builds the SYN-ACK for entry `i` (also used verbatim for dedup
-    /// replies and timer retransmissions). It offers the options
-    /// [`ListenSocket::tcb`] negotiated, which the promoted socket uses,
-    /// and is built by the same code as a socket's own SYN-ACK, so a
-    /// promoted socket's TSvals continue the sequence it started.
-    fn synack_for(&self, i: usize, now: Instant) -> Segment {
+    /// The SYN-ACK due for entry `i`.
+    fn due(&self, i: usize) -> SynAckDue {
         let e = &self.entries[i];
+        SynAckDue {
+            peer: e.remote_addr,
+            port: e.remote_port,
+            entry: i,
+        }
+    }
+
+    /// Builds the SYN-ACK `due` names: the first answer to a SYN, the
+    /// answer to its retransmission and each timer retransmission alike.
+    /// It offers the options the entry negotiated, which the promoted
+    /// socket uses, and is built by the same code as a socket's own
+    /// SYN-ACK, so a promoted socket's TSvals continue the sequence it
+    /// started.
+    pub fn synack(&self, due: SynAckDue, now: Instant) -> Segment {
+        let e = &self.entries[due.entry];
+        debug_assert!(
+            (e.remote_addr, e.remote_port) == (due.peer, due.port),
+            "a SYN-ACK due outlived its entry"
+        );
         let ports = (self.local_port, e.remote_port);
         syn_segment(&self.tcb(e), &self.cfg, ports, true, now)
     }
@@ -475,10 +504,12 @@ mod tests {
         // A SYN parks in the cache and is answered — no socket yet.
         let mut syn = Segment::new(5, 80, TcpSeq(77), TcpSeq(0), Flags::SYN);
         syn.mss = Some(300);
-        let synack = l
+        let due = l
             .on_segment(peer, &syn, 1, t)
             .into_reply()
             .expect("SYN-ACK");
+        assert_eq!(due.peer, peer);
+        let synack = l.synack(due, t);
         assert!(synack.flags.contains(Flags::SYN) && synack.flags.contains(Flags::ACK));
         assert_eq!(synack.seq, TcpSeq(1));
         assert_eq!(synack.ack, TcpSeq(78));
@@ -509,10 +540,11 @@ mod tests {
         let promote = |syn: &Segment| {
             let mut l = listener(cfg.clone());
             let t = Instant::ZERO;
-            let synack = l
+            let due = l
                 .on_segment(peer, syn, 300, t)
                 .into_reply()
                 .expect("SYN-ACK");
+            let synack = l.synack(due, t);
             // No timestamp on the ACK, so TS.Recent stays the SYN's.
             let mut ack = Segment::new(5, 80, syn.seq + 1, synack.seq + 1, Flags::ACK);
             ack.window = 1000;
@@ -593,20 +625,23 @@ mod tests {
         let t = Instant::ZERO;
         let peer = NodeId(1).mesh_addr();
         let syn = Segment::new(5, 80, TcpSeq(77), TcpSeq(0), Flags::SYN);
-        let first = l.on_segment(peer, &syn, 10, t).into_reply().unwrap();
+        let due = l.on_segment(peer, &syn, 10, t).into_reply().unwrap();
+        let first = l.synack(due, t);
         // Same SYN again, with a *different* candidate ISS: the cached
         // entry (and its ISS) must win.
-        let again = l
+        let due = l
             .on_segment(peer, &syn, 99, t + Duration::from_millis(500))
             .into_reply()
             .expect("dedup re-answers");
+        let again = l.synack(due, t);
         assert_eq!(l.half_open(), 1, "one entry, not two");
         assert_eq!(l.stats.syn_dups, 1);
         assert_eq!(again.seq, first.seq, "same ISS re-offered");
         // A SYN with a new ISN from the same 4-tuple is a peer restart:
         // the stale entry is replaced, still exactly one slot used.
         let syn2 = Segment::new(5, 80, TcpSeq(500), TcpSeq(0), Flags::SYN);
-        let fresh = l.on_segment(peer, &syn2, 42, t).into_reply().unwrap();
+        let due = l.on_segment(peer, &syn2, 42, t).into_reply().unwrap();
+        let fresh = l.synack(due, t);
         assert_eq!(l.half_open(), 1);
         assert_eq!(fresh.ack, TcpSeq(501));
     }
@@ -736,6 +771,8 @@ mod tests {
                 (ListenerResponse::None, ListenerResponse::None) => {}
                 (ListenerResponse::Reply(x), ListenerResponse::Reply(y)) => {
                     assert_eq!(x, y);
+                    let x = owned.synack(x, t);
+                    assert_eq!(x, viewed.synack(y, t));
                     if seg.flags == Flags::SYN && !sent.iter().any(|s| s.2 == seg.seq) {
                         sent.push((peer, seg.src_port, seg.seq, x.seq));
                     }
@@ -773,8 +810,9 @@ mod tests {
         let mut sent = Vec::new();
         while let Some(at) = l.poll_at() {
             match l.poll_transmit(at) {
-                Some((peer, s)) => {
-                    assert_eq!(peer, NodeId(1).mesh_addr());
+                Some(due) => {
+                    assert_eq!(due.peer, NodeId(1).mesh_addr());
+                    let s = l.synack(due, at);
                     assert!(s.flags.contains(Flags::SYN) && s.flags.contains(Flags::ACK));
                     sent.push(at.as_micros() / 1_000_000);
                 }
@@ -802,10 +840,11 @@ mod tests {
         let t0 = Instant::ZERO;
         let peer = NodeId(1).mesh_addr();
         let syn = Segment::new(5, 80, TcpSeq(77), TcpSeq(0), Flags::SYN);
-        let synack = l
+        let due = l
             .on_segment(peer, &syn, 10, t0)
             .into_reply()
             .expect("SYN-ACK");
+        let synack = l.synack(due, t0);
         let wake = t0 + Duration::from_secs(64);
         while let Some(at) = l.poll_at().filter(|&at| at <= wake) {
             let _ = l.poll_transmit(at);

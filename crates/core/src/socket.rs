@@ -1406,10 +1406,11 @@ mod tests {
         a.connect(b_addr, 80, 100, t);
         let syn = a.poll_transmit(t).unwrap();
         let mut l = ListenSocket::new(TcpConfig::default(), b_addr, 80, &NodeBudget::default());
-        let synack = l
+        let due = l
             .on_segment(a_addr, &syn, 200, t)
             .into_reply()
             .expect("SYN-ACK from the cache");
+        let synack = l.synack(due, t);
         a.on_segment(&synack, Ecn::NotCapable, t);
         let ack = a.poll_transmit(t).unwrap();
         let b = l

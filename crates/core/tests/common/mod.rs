@@ -73,10 +73,11 @@ pub fn accept_via_listener(
     now: Instant,
     latency: Duration,
 ) -> TcpSocket {
-    let synack = listener
+    let due = listener
         .on_segment(a_addr, syn, iss, now)
         .into_reply()
         .expect("SYN parks in the cache and is answered");
+    let synack = listener.synack(due, now);
     let t1 = now + latency;
     a.on_segment(&synack, Ecn::NotCapable, t1);
     let ack = a.poll_transmit(t1).expect("handshake ACK");

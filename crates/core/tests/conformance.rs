@@ -367,10 +367,11 @@ fn established_with(cfg: TcpConfig) -> (TcpSocket, TcpSocket) {
     let mut l = ListenSocket::new(cfg, b_addr, SERVER, &NodeBudget::default());
     a.connect(b_addr, SERVER, 1000, t0());
     let syn = a.poll_transmit(t0()).expect("SYN");
-    let synack = l
+    let due = l
         .on_segment(a_addr, &syn, 2000, t0())
         .into_reply()
         .expect("SYN-ACK");
+    let synack = l.synack(due, t0());
     a.on_segment(&synack, Ecn::NotCapable, t0());
     let ack = a.poll_transmit(t0()).expect("ACK");
     let b = l
@@ -478,8 +479,8 @@ fn transitions_syn_received_in_the_cache() {
     // A listener whose cache holds `syn` (IRS 77, ISS 300).
     let parked = || {
         let mut l = ListenSocket::new(cfg(), b_addr, SERVER, &NodeBudget::default());
-        let synack = l.on_segment(a_addr, &syn, 300, t0()).into_reply();
-        assert_eq!(synack.map(|s| s.flags), Some(SYN_ACK));
+        let due = l.on_segment(a_addr, &syn, 300, t0()).into_reply();
+        assert_eq!(due.map(|d| l.synack(d, t0()).flags), Some(SYN_ACK));
         l
     };
     let spawn =
@@ -491,10 +492,11 @@ fn transitions_syn_received_in_the_cache() {
 
     // A retransmitted SYN is answered with the same SYN-ACK.
     let mut l = parked();
-    let again = l
+    let due = l
         .on_segment(a_addr, &syn, 999, t0())
         .into_reply()
         .expect("SYN-ACK");
+    let again = l.synack(due, t0());
     assert_eq!(
         (again.seq, again.ack, l.half_open()),
         (TcpSeq(300), TcpSeq(78), 1)

@@ -85,10 +85,11 @@ fn run_pair(fast_path: bool, seed: u64) -> Trace {
     let mut now = Instant::ZERO;
     client.connect(b_addr, SERVER_PORT, 1000, now);
     let syn = client.poll_transmit(now).expect("SYN");
-    let synack = listener
+    let due = listener
         .on_segment(a_addr, &syn, 2000, now)
         .into_reply()
         .expect("SYN-ACK");
+    let synack = listener.synack(due, now);
     client.on_segment(&synack, Ecn::NotCapable, now);
     let ack = client.poll_transmit(now).expect("ACK");
     let mut server = listener
@@ -302,10 +303,11 @@ fn predicate_boundaries_match() {
         let now = Instant::ZERO;
         client.connect(b_addr, SERVER_PORT, 1000, now);
         let syn = client.poll_transmit(now).expect("SYN");
-        let synack = listener
+        let due = listener
             .on_segment(a_addr, &syn, 2000, now)
             .into_reply()
             .expect("SYN-ACK");
+        let synack = listener.synack(due, now);
         client.on_segment(&synack, Ecn::NotCapable, now);
         let ack = client.poll_transmit(now).expect("ACK");
         let mut server = listener

@@ -12,12 +12,13 @@
 
 use lln_netip::NodeId;
 use lln_phy::{LinkMatrix, RadioIdx};
-use std::collections::HashMap;
 
 /// Next-hop routing table for one node.
 #[derive(Clone, Debug, Default)]
 pub struct RouteTable {
-    next_hop: HashMap<NodeId, NodeId>,
+    /// The next hop toward each node id, indexed by the id: node ids
+    /// are radio indices, so the table is as long as the network.
+    next_hop: Vec<Option<NodeId>>,
     /// Default route (toward the border router), if any.
     pub default_route: Option<NodeId>,
 }
@@ -30,23 +31,28 @@ impl RouteTable {
 
     /// Installs a route.
     pub fn insert(&mut self, dst: NodeId, via: NodeId) {
-        self.next_hop.insert(dst, via);
+        let k = usize::from(dst.0);
+        if k >= self.next_hop.len() {
+            self.next_hop.resize(k + 1, None);
+        }
+        self.next_hop[k] = Some(via);
     }
 
     /// Looks up the next hop toward `dst`, falling back to the default
-    /// route.
+    /// route (also for an id beyond the table, such as a spoofed one).
     pub fn lookup(&self, dst: NodeId) -> Option<NodeId> {
-        self.next_hop.get(&dst).copied().or(self.default_route)
+        let via = self.next_hop.get(usize::from(dst.0)).copied().flatten();
+        via.or(self.default_route)
     }
 
     /// Number of explicit routes.
     pub fn len(&self) -> usize {
-        self.next_hop.len()
+        self.next_hop.iter().flatten().count()
     }
 
     /// True when no explicit routes exist.
     pub fn is_empty(&self) -> bool {
-        self.next_hop.is_empty()
+        self.len() == 0
     }
 }
 
@@ -298,6 +304,29 @@ mod tests {
         let (t1, a, b, border1) = Topology::fairness_y(1, 1.0);
         assert_eq!(t1.hops(a, border1), Some(1));
         assert_eq!(t1.hops(b, border1), Some(1));
+    }
+
+    /// The dense table answers every lookup a map would, and an id
+    /// beyond it (a spoofed source) takes the default route.
+    #[test]
+    fn dense_table_matches_a_map() {
+        let mut rng = lln_sim::Rng::new(0x70_07E5);
+        for round in 0..200 {
+            let mut rt = RouteTable::new();
+            let mut map = std::collections::HashMap::new();
+            rt.default_route = (round % 3 != 0).then(|| NodeId(rng.gen_range(64) as u16));
+            for _ in 0..rng.gen_range(40) {
+                let (dst, via) = (rng.gen_range(64) as u16, rng.gen_range(64) as u16);
+                rt.insert(NodeId(dst), NodeId(via));
+                map.insert(NodeId(dst), NodeId(via));
+            }
+            for dst in (0..80).chain((0..16).map(|k| 0xF000 + k)) {
+                let want = map.get(&NodeId(dst)).copied().or(rt.default_route);
+                assert_eq!(rt.lookup(NodeId(dst)), want, "round {round}, id {dst}");
+            }
+            assert_eq!(rt.len(), map.len());
+            assert_eq!(rt.is_empty(), map.is_empty());
+        }
     }
 
     #[test]

@@ -349,15 +349,18 @@ impl SupervisedConnection {
 ///
 /// Feed it each connection's received byte stream separately (streams
 /// from different connections interleave arbitrarily in time, but each
-/// is in-order within itself); it parses the record framing, discards a
-/// partial record at a stream's end (the connection died mid-record;
-/// the record replays on the next one), and dedups by record sequence.
+/// is in-order within itself); it parses the record framing, keeps a
+/// partial record at a stream's end aside (the connection died
+/// mid-record; the record replays on the next one), and dedups by
+/// record sequence.
 ///
 /// A record that comes again is a *replay* when it last arrived on an
 /// earlier connection (the supervisor re-sends what was never
 /// cumulatively ACKed, by design) and a *duplicate* when it arrives
 /// twice on one connection (a TCP fault). A replay whose payload
-/// differs from the first copy is also a *replay mismatch*.
+/// differs from the first copy is also a *replay mismatch*, and a torn
+/// partial that is not a prefix of its record's whole copy a *torn
+/// mismatch*.
 #[derive(Debug, Default)]
 pub struct RecordAssembler {
     /// Each record's first payload and the last connection it came on.
@@ -366,7 +369,17 @@ pub struct RecordAssembler {
     replays: u64,
     duplicates: u64,
     replay_mismatches: u64,
-    truncated_tails: u64,
+    /// The bytes after each torn stream's last whole record.
+    torn: Vec<Vec<u8>>,
+}
+
+/// The length and sequence number in the record header at the front of
+/// `bytes`, if the header is all there.
+fn record_header(bytes: &[u8]) -> Option<(usize, u64)> {
+    let header = bytes.get(..RECORD_HEADER)?;
+    let len = usize::from(u16::from_be_bytes([header[0], header[1]]));
+    let seq = u64::from_be_bytes(header[2..].try_into().expect("8B"));
+    Some((len, seq))
 }
 
 impl RecordAssembler {
@@ -380,13 +393,10 @@ impl RecordAssembler {
         let conn = self.connections;
         self.connections += 1;
         let mut off = 0;
-        while off + RECORD_HEADER <= bytes.len() {
-            let len = u16::from_be_bytes([bytes[off], bytes[off + 1]]) as usize;
+        while let Some((len, seq)) = record_header(&bytes[off..]) {
             if off + RECORD_HEADER + len > bytes.len() {
                 break;
             }
-            let seq =
-                u64::from_be_bytes(bytes[off + 2..off + RECORD_HEADER].try_into().expect("8B"));
             let payload = &bytes[off + RECORD_HEADER..off + RECORD_HEADER + len];
             match self.records.entry(seq) {
                 Entry::Vacant(e) => {
@@ -408,7 +418,7 @@ impl RecordAssembler {
             off += RECORD_HEADER + len;
         }
         if off < bytes.len() {
-            self.truncated_tails += 1;
+            self.torn.push(bytes[off..].to_vec());
         }
     }
 
@@ -434,7 +444,23 @@ impl RecordAssembler {
 
     /// Streams that ended mid-record.
     pub fn truncated_tails(&self) -> u64 {
-        self.truncated_tails
+        self.torn.len() as u64
+    }
+
+    /// Torn partials that are not a prefix of their record's whole copy
+    /// (length field and payload bytes). A partial too short to name
+    /// its record, or whose record never came whole, has nothing to be
+    /// compared with and is not counted.
+    pub fn torn_mismatches(&self) -> u64 {
+        let differs = |tail: &Vec<u8>| {
+            let Some((len, seq)) = record_header(tail) else {
+                return false;
+            };
+            self.records.get(&seq).is_some_and(|(_, whole)| {
+                whole.len() != len || !whole.starts_with(&tail[RECORD_HEADER..])
+            })
+        };
+        self.torn.iter().filter(|t| differs(t)).count() as u64
     }
 
     /// Record sequences missing below the highest seen (empty ⇒ the

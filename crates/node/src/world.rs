@@ -62,7 +62,7 @@ impl Default for WorldConfig {
     }
 }
 
-/// Where a node sends a packet (see `World::next_hop`).
+/// Where a node sends a packet (see `World::route`).
 #[derive(Clone, Copy)]
 enum Hop {
     /// Over the wired link to this node, if one is attached.
@@ -71,8 +71,6 @@ enum Hop {
     Indirect(NodeId),
     /// Into the IP queue, toward this radio neighbour.
     Radio(NodeId),
-    /// No route: the packet is counted and dropped.
-    Unroutable,
 }
 
 /// Events in the world.
@@ -1444,19 +1442,30 @@ impl World {
 
     /// Queues a locally-originated or forwarded packet.
     fn enqueue_ip(&mut self, i: usize, hdr: Ipv6Header, payload: Vec<u8>, now: Instant) {
-        let hop = self.next_hop(i, hdr.dst);
-        if self.admit(i, hop, payload.len()) {
-            self.push_ip(i, hop, hdr, payload, now);
-        } else {
-            self.seg_bufs.put(payload);
+        match self.route(i, hdr.dst) {
+            Some(hop) if self.admit(i, hop, payload.len()) => {
+                self.push_ip(i, hop, hdr, payload, now);
+            }
+            _ => self.seg_bufs.put(payload),
         }
     }
 
-    /// Sends a TCP segment from node `i`. Routing and admission run
-    /// before the segment is encoded, so a reply that can go nowhere
-    /// (a SYN-ACK to a spoofed source) never takes a buffer.
-    fn send_tcp(&mut self, i: usize, src: Ipv6Addr, dst: Ipv6Addr, seg: &Segment, now: Instant) {
-        let hop = self.next_hop(i, dst);
+    /// Sends the TCP segment `build` makes from node `i`. Routing runs
+    /// before the segment is built and admission before it is encoded,
+    /// so a reply that can go nowhere (a SYN-ACK to a spoofed source)
+    /// is never built and never takes a buffer.
+    fn send_tcp(
+        &mut self,
+        i: usize,
+        src: Ipv6Addr,
+        dst: Ipv6Addr,
+        now: Instant,
+        build: impl FnOnce(&Node) -> Segment,
+    ) {
+        let Some(hop) = self.route(i, dst) else {
+            return;
+        };
+        let seg = build(&self.nodes[i]);
         let len = seg.wire_len();
         if !self.admit(i, hop, len) {
             return;
@@ -1467,16 +1476,17 @@ impl World {
         self.push_ip(i, hop, hdr, bytes, now);
     }
 
-    /// Where node `i` sends a packet for `dst`.
-    fn next_hop(&self, i: usize, dst: Ipv6Addr) -> Hop {
+    /// Where node `i` sends a packet for `dst`; `None`, counted as
+    /// unroutable, when it has no route there.
+    fn route(&mut self, i: usize, dst: Ipv6Addr) -> Option<Hop> {
         let n = &self.nodes[i];
         // Cloud host: everything goes over the wire to the border.
         if n.kind == NodeKind::CloudHost {
-            return Hop::Wired(self.border);
+            return Some(Hop::Wired(self.border));
         }
         // Border router: cloud-prefix destinations go over the wire.
         if n.kind == NodeKind::BorderRouter && !dst.is_mesh_local() {
-            return Hop::Wired(self.cloud);
+            return Some(Hop::Wired(self.cloud));
         }
         // Mesh: route by the destination's node id; off-mesh packets go
         // toward the border router.
@@ -1486,11 +1496,14 @@ impl World {
             self.border.map(|b| NodeId(b as u16))
         };
         match dst_node.and_then(|d| n.routes.lookup(d)) {
-            None => Hop::Unroutable,
+            None => {
+                self.nodes[i].counters.inc(NodeCounter::Unroutable);
+                None
+            }
             // Indirect queueing for sleepy children (bounded per child
             // by the node budget).
-            Some(next) if n.sleepy_children.contains(&next) => Hop::Indirect(next),
-            Some(next) => Hop::Radio(next),
+            Some(next) if n.sleepy_children.contains(&next) => Some(Hop::Indirect(next)),
+            Some(next) => Some(Hop::Radio(next)),
         }
     }
 
@@ -1501,10 +1514,6 @@ impl World {
         match hop {
             Hop::Wired(peer) => peer.is_some(),
             Hop::Indirect(_) => true,
-            Hop::Unroutable => {
-                n.counters.inc(NodeCounter::Unroutable);
-                false
-            }
             // Governor admission: the IP-queue class must have room for
             // the packet's bytes before the queue even sees it.
             Hop::Radio(_) => {
@@ -1553,7 +1562,7 @@ impl World {
                 self.nodes[i].sync_governor();
                 self.kick_mac(i, now);
             }
-            Hop::Wired(None) | Hop::Unroutable => unreachable!("refused by admit"),
+            Hop::Wired(None) => unreachable!("refused by admit"),
         }
     }
 
@@ -1780,9 +1789,11 @@ impl World {
             l.sync_backlog(live);
             let resp = l.on_segment_view(hdr.src, seg, iss, now);
             match resp {
-                ListenerResponse::Reply(reply) => {
+                ListenerResponse::Reply(due) => {
                     let my_addr = self.nodes[i].ip_addr();
-                    self.send_tcp(i, my_addr, hdr.src, &reply, now);
+                    self.send_tcp(i, my_addr, due.peer, now, |n| {
+                        n.transport.tcp_listener.as_ref().unwrap().synack(due, now)
+                    });
                     self.nodes[i].sync_governor();
                     self.reschedule_transport_timer(i, now);
                     return;
@@ -1822,7 +1833,7 @@ impl World {
         }
         // No socket: RST.
         if let Some(rst) = tcplp::reset_for(&seg) {
-            self.send_tcp(i, hdr.dst, hdr.src, &rst, now);
+            self.send_tcp(i, hdr.dst, hdr.src, now, |_| rst);
         }
     }
 
@@ -1952,14 +1963,22 @@ impl World {
                 s.recycle(seg);
             }
         }
-        // Listener: SYN-ACK retransmissions and half-open expiry.
-        if let Some(l) = self.nodes[i].transport.tcp_listener.as_mut() {
-            while let Some((peer, synack)) = l.poll_transmit(now) {
+        // Listener: SYN-ACK retransmissions and half-open expiry. A
+        // SYN-ACK is built only for a peer with a route (`enqueue_ip`
+        // below looks the route up again).
+        while let Some(due) = self.nodes[i]
+            .transport
+            .tcp_listener
+            .as_mut()
+            .and_then(|l| l.poll_transmit(now))
+        {
+            if self.route(i, due.peer).is_some() {
+                let l = self.nodes[i].transport.tcp_listener.as_ref().unwrap();
                 out.push(encode_segment(
-                    bufs,
-                    &synack,
+                    &mut self.seg_bufs,
+                    &l.synack(due, now),
                     my_addr,
-                    peer,
+                    due.peer,
                     Ecn::NotCapable,
                 ));
             }
@@ -1967,6 +1986,7 @@ impl World {
         // Reassembly: reclaim stale partial datagrams on the timer path.
         self.nodes[i].reassembler.reclaim(now);
         // uIP socket.
+        let bufs = &mut self.seg_bufs;
         if let Some(u) = self.nodes[i].transport.uip.as_mut() {
             if u.poll_at().is_some_and(|t| t <= now) {
                 u.on_timer(now);

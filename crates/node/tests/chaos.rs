@@ -563,6 +563,5 @@ fn rebooted_leaves_reconnect_through_a_full_tcp_class() {
         if let Err(e) = tier::record_contract(asm) {
             panic!("leaf {leaf}: {e}");
         }
-        assert_eq!(asm.truncated_tails(), 0, "leaf {leaf} tore a record");
     }
 }

@@ -2,14 +2,16 @@
 //! interference effects, stray-segment RST handling, adaptive polling,
 //! and energy accounting sanity.
 
+use lln_netip::NodeId;
 use lln_node::app::InterfererApp;
 use lln_node::fault::FaultPlan;
+use lln_node::flood::FloodConfig;
 use lln_node::route::Topology;
 use lln_node::stack::{IpQueue, Node, NodeKind};
 use lln_node::world::{World, WorldConfig};
 use lln_phy::{LinkMatrix, RadioIdx};
 use lln_sim::{Duration, Instant};
-use tcplp::{TcpConfig, TcpState};
+use tcplp::{ListenSocket, MemClass, TcpConfig, TcpState};
 
 #[test]
 fn red_ecn_marks_instead_of_dropping() {
@@ -508,4 +510,83 @@ fn reboot_in_csma_backoff_drops_the_frame_before_its_cca() {
     // The stream died with node 1's socket, so the medium falls quiet
     // and every transmission begun was closed.
     assert_eq!(world.medium.active_records(), 0);
+}
+
+/// A forged SYN from a source with no route parks the same cache entry,
+/// moves the same listener counters and charges the same memory as one
+/// from a routable source. Its SYN-ACKs, the first answer and every
+/// timer retransmission, are each counted once as unroutable, and
+/// nothing reaches the IP queue or the air.
+#[test]
+fn syn_from_an_unroutable_source_is_cached_but_never_sent() {
+    // Node 0 listens and takes 20 forged SYNs from three spoofed
+    // sources, each SYN-ACK retransmitted up to three times; with
+    // `routable`, node 0's default route points at node 1.
+    let world = |routable: bool| {
+        let topo = Topology::chain(2, 0.999);
+        let mut w = World::new(&topo, &[NodeKind::Router; 2], WorldConfig::default());
+        let cfg = TcpConfig {
+            max_retransmits: 3,
+            ..TcpConfig::default()
+        };
+        w.add_tcp_listener(0, cfg);
+        w.attach_flood(
+            0,
+            FloodConfig {
+                start: Instant::from_secs(1),
+                stop: Instant::from_secs(3),
+                rate_hz: 10,
+                syn: true,
+                frag: false,
+                spoofed_sources: 3,
+                ..FloodConfig::default()
+            },
+        );
+        if routable {
+            w.nodes[0].routes.default_route = Some(NodeId(1));
+        }
+        w
+    };
+    let listener = |w: &World| -> ListenSocket {
+        w.nodes[0].transport.tcp_listener.clone().expect("listener")
+    };
+    let ledger = |w: &World| {
+        let g = w.governor(0);
+        let c = MemClass::SynCache;
+        (g.gauge(c), g.high_water(c), g.denies(c), g.evictions(c))
+    };
+    let (mut spoofed, mut reachable) = (world(false), world(true));
+    let mut t = Instant::ZERO;
+    while t < Instant::from_secs(30) {
+        t += Duration::from_millis(10);
+        spoofed.run_until(t);
+        reachable.run_until(t);
+        let (a, b) = (listener(&spoofed), listener(&reachable));
+        assert_eq!(
+            (a.half_open(), a.half_open_bytes(), a.poll_at()),
+            (b.half_open(), b.half_open_bytes(), b.poll_at()),
+            "cache at {t:?}"
+        );
+        assert_eq!(a.stats.digest(), b.stats.digest(), "stats at {t:?}");
+        assert_eq!(ledger(&spoofed), ledger(&reachable), "ledger at {t:?}");
+        let n = &spoofed.nodes[0];
+        assert_eq!(a.stats.backlog_denied, 0);
+        assert_eq!(
+            n.counters.get("unroutable"),
+            a.stats.syns_rcvd + a.stats.synack_rexmits,
+            "one unroutable count per SYN-ACK due, at {t:?}"
+        );
+        assert!(n.ip_queue.is_empty(), "queued at {t:?}");
+        for c in ["packets_tx", "frames_tx", "queue_drops", "queue_byte_drops"] {
+            assert_eq!(n.counters.get(c), 0, "{c} at {t:?}");
+        }
+    }
+    let a = listener(&spoofed).stats;
+    assert_eq!(a.syns_rcvd, 20);
+    assert!(a.synack_rexmits > 0 && a.expired > 0, "{a:?}");
+    assert_eq!(spoofed.governor(0).gauge(MemClass::SynCache), 0);
+    // The routable twin did answer, from node 0, every time.
+    let n = &reachable.nodes[0];
+    assert_eq!(n.counters.get("unroutable"), 0);
+    assert_eq!(n.counters.get("packets_tx"), a.syns_rcvd + a.synack_rexmits);
 }

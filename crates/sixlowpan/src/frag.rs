@@ -161,10 +161,22 @@ struct PartialDatagram {
 }
 
 impl PartialDatagram {
+    /// Marks units `first_unit..first_unit + units` as received, one
+    /// word mask at a time.
     fn mark(&mut self, first_unit: usize, units: usize) {
-        for u in first_unit..first_unit + units {
-            self.have[u / 64] |= 1 << (u % 64);
+        let end = first_unit + units;
+        let mut u = first_unit;
+        while u < end {
+            let bit = u % 64;
+            let n = (end - u).min(64 - bit);
+            self.have[u / 64] |= (u64::MAX >> (64 - n)) << bit;
+            u += n;
         }
+    }
+
+    /// What the slot charges against the byte budget.
+    fn bytes(&self) -> usize {
+        self.size + SLOT_OVERHEAD_BYTES
     }
 
     fn complete(&self) -> bool {
@@ -241,8 +253,14 @@ impl ReassemblyLimits {
 /// gives back through [`Reassembler::recycle`].
 #[derive(Clone, Debug)]
 pub struct Reassembler {
+    /// Partial datagrams in arrival order: each is pushed at the back
+    /// when its first fragment arrives, and time never goes backwards,
+    /// so the front is the oldest and the expired ones are a prefix.
     /// At most `limits.max_slots`, so it never outgrows its capacity.
     partials: Vec<PartialDatagram>,
+    /// What `partials` charge against the byte budget, kept current at
+    /// every push and removal.
+    pending_bytes: usize,
     /// The bytes of each partial datagram, at its `start`, in the order
     /// of `partials`; its length is fixed once made.
     arena: Vec<u8>,
@@ -285,6 +303,7 @@ impl Reassembler {
         assert!(limits.max_slots > 0 && limits.per_source_slots > 0);
         Reassembler {
             partials: Vec::with_capacity(limits.max_slots),
+            pending_bytes: 0,
             arena: Vec::new(),
             limits,
             spares: Vec::new(),
@@ -356,18 +375,21 @@ impl Reassembler {
                 // but a datagram that died mid-flight cannot block the
                 // source's later traffic until the timeout fires.
                 // Eviction is strictly same-source — traffic from one
-                // neighbour can never push out another's partials.
-                let from_src = self.partials.iter().filter(|p| p.src == src).count();
+                // neighbour can never push out another's partials. One
+                // pass finds the source's count and its oldest partial,
+                // its first in arrival order.
+                let mut from_src = 0;
+                let mut oldest = 0;
+                for (k, p) in self.partials.iter().enumerate() {
+                    if p.src == src {
+                        if from_src == 0 {
+                            oldest = k;
+                        }
+                        from_src += 1;
+                    }
+                }
                 if from_src >= self.limits.per_source_slots {
-                    let oldest = self
-                        .partials
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, p)| p.src == src)
-                        .min_by_key(|(_, p)| p.started)
-                        .map(|(i, _)| i)
-                        .expect("quota reached implies partials from src");
-                    self.partials.remove(oldest);
+                    self.remove(oldest);
                     self.evicted_source += 1;
                 } else if self.partials.len() >= self.limits.max_slots {
                     self.denied_slots += 1;
@@ -377,15 +399,21 @@ impl Reassembler {
                     self.denied_bytes += 1;
                     return None;
                 }
+                debug_assert!(
+                    self.partials.last().is_none_or(|p| p.started <= now),
+                    "partial datagrams must stay in arrival order"
+                );
                 let start = self.place(size);
-                self.partials.push(PartialDatagram {
+                let p = PartialDatagram {
                     src,
                     tag,
                     size,
                     start,
                     have: [0; UNIT_WORDS],
                     started: now,
-                });
+                };
+                self.pending_bytes += p.bytes();
+                self.partials.push(p);
                 self.partials.len() - 1
             }
         };
@@ -395,7 +423,7 @@ impl Reassembler {
         if !p.complete() {
             return None;
         }
-        let p = self.partials.remove(idx);
+        let p = self.remove(idx);
         let mut datagram = self.spare_buf();
         datagram.extend_from_slice(&self.arena[p.start..p.start + p.size]);
         Some(Payload::Owned(datagram))
@@ -461,23 +489,31 @@ impl Reassembler {
         end
     }
 
+    /// Removes partial `k`, giving back the bytes it charged.
+    fn remove(&mut self, k: usize) -> PartialDatagram {
+        let p = self.partials.remove(k);
+        self.pending_bytes -= p.bytes();
+        p
+    }
+
+    /// Drops the partials whose timeout has run out: a prefix of
+    /// `partials`, which are in arrival order.
     fn expire(&mut self, now: Instant) {
         let timeout = self.limits.timeout;
-        let mut k = 0;
-        while k < self.partials.len() {
-            if now.saturating_duration_since(self.partials[k].started) < timeout {
-                k += 1;
-            } else {
-                self.partials.remove(k);
-                self.timeouts += 1;
-            }
+        let expired = self
+            .partials
+            .partition_point(|p| now.saturating_duration_since(p.started) >= timeout);
+        for p in self.partials.drain(..expired) {
+            self.pending_bytes -= p.bytes();
         }
+        self.timeouts += expired as u64;
     }
 
     /// Drops every partial datagram (a reboot loses them). The
     /// cumulative counters stay, like a node's own counters do.
     pub fn clear(&mut self) {
         self.partials.clear();
+        self.pending_bytes = 0;
     }
 
     /// Timeout-based reclamation, callable without offering a frame —
@@ -495,10 +531,15 @@ impl Reassembler {
     /// Bytes currently pinned by incomplete datagrams (claimed sizes
     /// plus per-slot overhead) — what the node budget charges.
     pub fn pending_bytes(&self) -> usize {
-        self.partials
-            .iter()
-            .map(|p| p.size + SLOT_OVERHEAD_BYTES)
-            .sum()
+        debug_assert_eq!(
+            self.pending_bytes,
+            self.partials
+                .iter()
+                .map(PartialDatagram::bytes)
+                .sum::<usize>(),
+            "the running byte total drifted from its partials"
+        );
+        self.pending_bytes
     }
 }
 
@@ -959,6 +1000,31 @@ mod tests {
             done = r.offer(NodeId(1), &f, Instant::from_secs(60)).or(done);
         }
         assert_eq!(done.unwrap(), p);
+    }
+
+    #[test]
+    fn mark_sets_the_units_a_per_unit_loop_sets() {
+        for seed in [0u64, 0x9E37_79B9_7F4A_7C15] {
+            let before = [seed, seed.rotate_left(17), !seed, seed ^ 0xFF];
+            for first in 0..=256 {
+                for units in 0..=256 - first {
+                    let mut p = PartialDatagram {
+                        src: NodeId(1),
+                        tag: 0,
+                        size: 2047,
+                        start: 0,
+                        have: before,
+                        started: Instant::ZERO,
+                    };
+                    p.mark(first, units);
+                    let mut want = before;
+                    for u in first..first + units {
+                        want[u / 64] |= 1 << (u % 64);
+                    }
+                    assert_eq!(p.have, want, "mark({first}, {units})");
+                }
+            }
+        }
     }
 
     #[test]

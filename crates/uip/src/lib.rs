@@ -462,10 +462,11 @@ mod tests {
         let t = Instant::ZERO;
         c.connect(b_addr, 80, 100, t);
         let syn = c.poll_transmit(t).expect("syn");
-        let synack = listener
+        let due = listener
             .on_segment(a_addr, &syn, 200, t)
             .into_reply()
             .expect("SYN-ACK from the cache");
+        let synack = listener.synack(due, t);
         c.on_segment(&synack, t);
         assert_eq!(c.state(), UipState::Established);
         let ack = c.poll_transmit(t).expect("ack");
