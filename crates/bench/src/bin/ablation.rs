@@ -74,7 +74,7 @@ fn main() {
                 hops,
                 prr: 0.97,
                 tcp: row.cfg.clone(),
-                bytes: 800_000,
+                bytes: Some(800_000),
                 duration: Duration::from_secs(150),
                 ..ChainRun::default()
             });

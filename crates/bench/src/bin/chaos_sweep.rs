@@ -7,12 +7,11 @@
 //! against the fault-free baseline, plus the supervisor's recovery
 //! counters and an end-to-end data-integrity verdict.
 
-use lln_bench::tier::{self, Sender, CLIENT, SERVER, SUPERVISED_BULK_BYTES};
+use lln_bench::tier::{
+    self, Sender, CLIENT, FIRST_LEAF, SERVER, SUPERVISED_BULK_BYTES, TREE_LEAVES,
+};
 use lln_node::app::App;
 use lln_node::fault::FaultPlan;
-use lln_node::route::Topology;
-use lln_node::stack::NodeKind;
-use lln_node::world::{World, WorldConfig};
 use lln_sim::{Duration, Instant};
 use tcplp::NodeBudget;
 
@@ -88,40 +87,8 @@ struct TreeOutcome {
     intact: bool,
 }
 
-const TREE_ROUTERS: usize = 4;
-const TREE_LEAVES: usize = 4;
-
-/// The border router's listener probes idle connections, so the socket
-/// of a leaf that rebooted (and reconnects from a new port) is freed
-/// instead of holding a slot of the TCP buffer class forever. Healthy
-/// unbatched leaves send every 1 s, so live connections are never
-/// probed.
-fn listener_cfg() -> tcplp::TcpConfig {
-    tcplp::TcpConfig {
-        keepalive_idle: Some(Duration::from_secs(30)),
-        ..tcplp::TcpConfig::default()
-    }
-}
-
 fn tree_under_plan(plan: &FaultPlan) -> TreeOutcome {
-    let topo = Topology::office_tree(TREE_ROUTERS, TREE_LEAVES, 0.999);
-    let mut kinds = vec![NodeKind::BorderRouter];
-    kinds.extend(std::iter::repeat_n(NodeKind::Router, TREE_ROUTERS));
-    kinds.extend(std::iter::repeat_n(NodeKind::SleepyLeaf, TREE_LEAVES));
-    let mut world = World::new(&topo, &kinds, WorldConfig::default());
-    world.add_tcp_listener(0, listener_cfg());
-    world.set_sink_capture(0);
-    let first_leaf = 1 + TREE_ROUTERS;
-    for l in 0..TREE_LEAVES {
-        let leaf = first_leaf + l;
-        world.add_supervised_client(
-            leaf,
-            0,
-            tier::chaos_supervisor(),
-            Instant::from_millis(100 + 40 * l as u64),
-        );
-        world.set_anemometer(leaf, 64, None, Instant::from_secs(1));
-    }
+    let mut world = tier::chaos_tree(0x5eed);
     world.apply_fault_plan(plan);
     world.run_for(Duration::from_secs(600));
 
@@ -132,8 +99,7 @@ fn tree_under_plan(plan: &FaultPlan) -> TreeOutcome {
     let mut reconnects = 0u64;
     let mut replayed = 0u64;
     let mut dc = 0.0;
-    for l in 0..TREE_LEAVES {
-        let leaf = first_leaf + l;
+    for leaf in FIRST_LEAF..FIRST_LEAF + TREE_LEAVES {
         if let App::Anemometer(app) = &world.nodes[leaf].app {
             generated += app.generated;
             queued += app.queue.len() as u64;
@@ -145,7 +111,7 @@ fn tree_under_plan(plan: &FaultPlan) -> TreeOutcome {
         replayed += stats.records_replayed;
         dc += world.nodes[leaf].meter.radio_duty_cycle(now);
     }
-    let per_client = tier::records_by_client(world.nodes[0].app.sink_capture());
+    let per_client = tier::records_by_client(world.nodes[SERVER].app.sink_capture());
     let delivered: u64 = per_client
         .iter()
         .map(|(_, asm)| asm.record_count() as u64)
@@ -174,15 +140,14 @@ fn tree_under_plan(plan: &FaultPlan) -> TreeOutcome {
 }
 
 fn tree_plans() -> Vec<(&'static str, FaultPlan)> {
-    let first_leaf = 1 + TREE_ROUTERS;
     vec![
         ("fault-free", FaultPlan::new()),
         (
             "leaf reboots",
             FaultPlan::new()
-                .reboot(first_leaf, Instant::from_secs(60), Duration::from_secs(20))
+                .reboot(FIRST_LEAF, Instant::from_secs(60), Duration::from_secs(20))
                 .reboot(
-                    first_leaf + 1,
+                    FIRST_LEAF + 1,
                     Instant::from_secs(200),
                     Duration::from_secs(20),
                 ),
@@ -190,9 +155,9 @@ fn tree_plans() -> Vec<(&'static str, FaultPlan)> {
         (
             "+blackout +BER",
             FaultPlan::new()
-                .reboot(first_leaf, Instant::from_secs(60), Duration::from_secs(20))
+                .reboot(FIRST_LEAF, Instant::from_secs(60), Duration::from_secs(20))
                 .reboot(
-                    first_leaf + 1,
+                    FIRST_LEAF + 1,
                     Instant::from_secs(200),
                     Duration::from_secs(20),
                 )

@@ -1,37 +1,29 @@
 //! Figure 12: TCP goodput and RTT over a duty-cycled link as the
 //! (fixed) sleep interval varies — Appendix C's motivating sweep.
 
+use lln_bench::worlds::{duty_cycled_pair, install_stream, SLEEPY_LEAF};
 use lln_mac::poll::PollMode;
-use lln_node::route::Topology;
-use lln_node::stack::NodeKind;
-use lln_node::world::{World, WorldConfig};
-use lln_sim::{Duration, Instant, Summary};
+use lln_sim::{Duration, Summary};
 use tcplp::TcpConfig;
 
 pub fn run(sleep_ms: u64, downlink: bool, segs: usize) -> (f64, f64) {
-    let topo = Topology::pair(0.999);
-    let mut world = World::new(
-        &topo,
-        &[NodeKind::Router, NodeKind::SleepyLeaf],
-        WorldConfig::default(),
-    );
     // Fixed interval regardless of expectation: adaptive with
     // smin == smax pins the interval.
-    world.set_poll_mode(
-        1,
+    let interval = Duration::from_millis(sleep_ms);
+    let mut world = duty_cycled_pair(
+        0x5eed,
         PollMode::Adaptive {
-            smin: Duration::from_millis(sleep_ms),
-            smax: Duration::from_millis(sleep_ms),
+            smin: interval,
+            smax: interval,
         },
     );
-    world.schedule_poll(1, Instant::from_millis(5));
     let tcp = TcpConfig::with_window_segments(462, segs);
-    let (src, dst) = if downlink { (0usize, 1usize) } else { (1, 0) };
-    world.add_tcp_listener(dst, tcp.clone());
-    world.set_sink(dst);
-    let si = world.add_tcp_client(src, dst, tcp.clone(), Instant::from_millis(10));
-    world.nodes[src].transport.tcp[si].rtt_trace.enable();
-    world.set_bulk_sender(src, None);
+    let (src, dst) = if downlink {
+        (0, SLEEPY_LEAF)
+    } else {
+        (SLEEPY_LEAF, 0)
+    };
+    let si = install_stream(&mut world, src, dst, &tcp, None);
     world.run_for(Duration::from_secs(120));
     let goodput = world.nodes[dst].app.sink_goodput_bps();
     let mut rtt = Summary::new();

@@ -1,35 +1,26 @@
 //! Figure 13: RTT distribution over a duty-cycled link with a fixed
 //! 2-second sleep interval, uplink and downlink.
 
+use lln_bench::worlds::{duty_cycled_pair, install_stream, SLEEPY_LEAF};
 use lln_mac::poll::PollMode;
-use lln_node::route::Topology;
-use lln_node::stack::NodeKind;
-use lln_node::world::{World, WorldConfig};
-use lln_sim::{Duration, Histogram, Instant};
+use lln_sim::{Duration, Histogram};
 use tcplp::TcpConfig;
 
 fn run(downlink: bool) -> Histogram {
-    let topo = Topology::pair(0.999);
-    let mut world = World::new(
-        &topo,
-        &[NodeKind::Router, NodeKind::SleepyLeaf],
-        WorldConfig::default(),
-    );
-    world.set_poll_mode(
-        1,
+    let mut world = duty_cycled_pair(
+        0x5eed,
         PollMode::Adaptive {
             smin: Duration::from_secs(2),
             smax: Duration::from_secs(2),
         },
     );
-    world.schedule_poll(1, Instant::from_millis(5));
     let tcp = TcpConfig::with_window_segments(462, 6);
-    let (src, dst) = if downlink { (0usize, 1usize) } else { (1, 0) };
-    world.add_tcp_listener(dst, tcp.clone());
-    world.set_sink(dst);
-    let si = world.add_tcp_client(src, dst, tcp, Instant::from_millis(10));
-    world.nodes[src].transport.tcp[si].rtt_trace.enable();
-    world.set_bulk_sender(src, None);
+    let (src, dst) = if downlink {
+        (0, SLEEPY_LEAF)
+    } else {
+        (SLEEPY_LEAF, 0)
+    };
+    let si = install_stream(&mut world, src, dst, &tcp, None);
     world.run_for(Duration::from_secs(600));
     let mut h = Histogram::new(0.0, 10_000.0, 20);
     for &(_, r) in world.nodes[src].transport.tcp[si].rtt_trace.samples() {

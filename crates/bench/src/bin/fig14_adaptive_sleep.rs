@@ -2,30 +2,21 @@
 //! high bulk throughput with a tiny idle duty cycle, and the RTT
 //! distribution during transfers.
 
+use lln_bench::worlds::{duty_cycled_pair, install_stream, SLEEPY_LEAF};
 use lln_mac::poll::PollMode;
-use lln_node::route::Topology;
-use lln_node::stack::NodeKind;
-use lln_node::world::{World, WorldConfig};
-use lln_sim::{Duration, Histogram, Instant};
+use lln_sim::{Duration, Histogram};
 use tcplp::TcpConfig;
 
 fn run(downlink: bool) -> (f64, Histogram, f64) {
-    let topo = Topology::pair(0.999);
-    let mut world = World::new(
-        &topo,
-        &[NodeKind::Router, NodeKind::SleepyLeaf],
-        WorldConfig::default(),
-    );
-    world.set_poll_mode(1, PollMode::paper_adaptive()); // smin 20ms, smax 5s
-    world.schedule_poll(1, Instant::from_millis(5));
-    // §C.2 uses 6-segment buffers.
+    let mut world = duty_cycled_pair(0x5eed, PollMode::paper_adaptive()); // smin 20ms, smax 5s
+                                                                          // §C.2 uses 6-segment buffers.
     let tcp = TcpConfig::with_window_segments(462, 6);
-    let (src, dst) = if downlink { (0usize, 1usize) } else { (1, 0) };
-    world.add_tcp_listener(dst, tcp.clone());
-    world.set_sink(dst);
-    let si = world.add_tcp_client(src, dst, tcp, Instant::from_millis(10));
-    world.nodes[src].transport.tcp[si].rtt_trace.enable();
-    world.set_bulk_sender(src, None);
+    let (src, dst) = if downlink {
+        (0, SLEEPY_LEAF)
+    } else {
+        (SLEEPY_LEAF, 0)
+    };
+    let si = install_stream(&mut world, src, dst, &tcp, None);
     world.run_for(Duration::from_secs(120));
     let goodput = world.nodes[dst].app.sink_goodput_bps();
     let mut h = Histogram::new(0.0, 2_000.0, 20);
@@ -37,17 +28,10 @@ fn run(downlink: bool) -> (f64, Histogram, f64) {
 
 /// Idle duty cycle: the same leaf with no traffic for ten minutes.
 fn idle_duty_cycle() -> f64 {
-    let topo = Topology::pair(0.999);
-    let mut world = World::new(
-        &topo,
-        &[NodeKind::Router, NodeKind::SleepyLeaf],
-        WorldConfig::default(),
-    );
-    world.set_poll_mode(1, PollMode::paper_adaptive());
-    world.schedule_poll(1, Instant::from_millis(5));
+    let mut world = duty_cycled_pair(0x5eed, PollMode::paper_adaptive());
     world.run_for(Duration::from_secs(600));
     let now = world.now();
-    world.nodes[1].meter.radio_duty_cycle(now)
+    world.nodes[SLEEPY_LEAF].meter.radio_duty_cycle(now)
 }
 
 fn main() {

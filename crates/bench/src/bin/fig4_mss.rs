@@ -21,7 +21,7 @@ fn main() {
         for downlink in [false, true] {
             let r = run_chain_bulk(&ChainRun {
                 tcp: TcpConfig::with_window_segments(mss, 4),
-                bytes: 600_000,
+                bytes: Some(600_000),
                 duration: Duration::from_secs(90),
                 downlink,
                 retry_delay: Duration::from_millis(5),

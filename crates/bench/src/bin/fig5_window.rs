@@ -18,7 +18,7 @@ fn main() {
     for segs in 1..=6usize {
         let r = run_chain_bulk(&ChainRun {
             tcp: TcpConfig::with_window_segments(462, segs),
-            bytes: 600_000,
+            bytes: Some(600_000),
             duration: Duration::from_secs(90),
             downlink: true,
             retry_delay: Duration::from_millis(5),

@@ -6,34 +6,24 @@
 //! sawtooth.
 
 use lln_bench::tier::seed_from_env;
-use lln_mac::MacConfig;
-use lln_node::route::Topology;
-use lln_node::stack::NodeKind;
-use lln_node::world::{World, WorldConfig};
+use lln_bench::ChainRun;
 use lln_sim::{Duration, Instant};
 use tcplp::TcpConfig;
 
 fn main() {
-    let hops = 3;
-    let topo = Topology::chain(hops + 1, 0.999);
-    let kinds = vec![NodeKind::Router; hops + 1];
-    let wc = WorldConfig {
-        mac: MacConfig {
-            retry_delay_max: Duration::ZERO,
-            ..MacConfig::default()
-        },
+    let run = ChainRun {
+        hops: 3,
+        retry_delay: Duration::ZERO,
+        bytes: None,
         seed: seed_from_env("FIG7_SEED", 0x5eed),
-        ..WorldConfig::default()
+        ..ChainRun::default()
     };
-    let mut world = World::new(&topo, &kinds, wc);
-    world.add_tcp_listener(0, TcpConfig::default());
-    world.set_sink(0);
-    let si = world.add_tcp_client(hops, 0, TcpConfig::default(), Instant::from_millis(10));
-    world.nodes[hops].transport.tcp[si].cwnd_trace.enable();
-    world.set_bulk_sender(hops, None);
+    let mut world = run.build();
+    let (src, _) = run.ends();
+    world.nodes[src].transport.tcp[0].cwnd_trace.enable();
     world.run_for(Duration::from_secs(130));
 
-    let sock = &world.nodes[hops].transport.tcp[si];
+    let sock = &world.nodes[src].transport.tcp[0];
     println!("== Figure 7a: cwnd/ssthresh trace, 3 hops, d=0 (t=30s..130s) ==\n");
     println!("{:<12} {:>8} {:>10}", "t (s)", "cwnd", "ssthresh");
     println!("{:-<32}", "");

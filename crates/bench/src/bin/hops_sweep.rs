@@ -23,7 +23,7 @@ fn main() {
             let r = run_chain_bulk(&ChainRun {
                 hops,
                 tcp: TcpConfig::with_window_segments(462, segs),
-                bytes: 1_500_000,
+                bytes: Some(1_500_000),
                 duration: Duration::from_secs(150),
                 ..ChainRun::default()
             });

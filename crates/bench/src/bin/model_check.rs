@@ -23,7 +23,7 @@ fn main() {
             hops: 3,
             retry_delay: Duration::from_millis(d),
             tcp: TcpConfig::default(),
-            bytes: 1_500_000,
+            bytes: Some(1_500_000),
             duration: Duration::from_secs(120),
             ..ChainRun::default()
         });

@@ -2,26 +2,17 @@
 //! studies (uIP-class: MSS of 1 frame and a single in-flight segment;
 //! a 4-frame variant matching the paper's reference \[50\]).
 
-use lln_bench::mss_for_frames;
-use lln_mac::MacConfig;
-use lln_node::route::Topology;
-use lln_node::stack::NodeKind;
-use lln_node::world::{World, WorldConfig};
+use lln_bench::{mss_for_frames, ChainRun};
 use lln_sim::{Duration, Instant};
 use lln_uip::UipConfig;
 use tcplp::TcpConfig;
 
 fn run_uip(hops: usize, mss_frames: usize) -> f64 {
-    let topo = Topology::chain(hops + 1, 0.999);
-    let kinds = vec![NodeKind::Router; hops + 1];
-    let wc = WorldConfig {
-        mac: MacConfig {
-            retry_delay_max: Duration::from_millis(40),
-            ..MacConfig::default()
-        },
-        ..WorldConfig::default()
-    };
-    let mut world = World::new(&topo, &kinds, wc);
+    let mut world = ChainRun {
+        hops,
+        ..ChainRun::default()
+    }
+    .world();
     world.add_tcp_listener(0, TcpConfig::default());
     world.set_sink(0);
     let cfg = UipConfig {
@@ -34,11 +25,11 @@ fn run_uip(hops: usize, mss_frames: usize) -> f64 {
 }
 
 fn run_tcplp(hops: usize) -> f64 {
-    let r = lln_bench::run_chain_bulk(&lln_bench::ChainRun {
+    let r = lln_bench::run_chain_bulk(&ChainRun {
         hops,
-        bytes: 1_500_000,
+        bytes: Some(1_500_000),
         duration: Duration::from_secs(150),
-        ..lln_bench::ChainRun::default()
+        ..ChainRun::default()
     });
     r.goodput_bps
 }

@@ -29,20 +29,18 @@
 //! | `torture_sweep` | robustness tier: degradation under the in-band adversary |
 //! | `flood_sweep` | robustness tier: degradation under SYN + fragment floods |
 //!
-//! [`tier`] holds the robustness tiers' one world and their delivery
+//! [`worlds`] builds each of the paper's canonical worlds once;
+//! [`tier`] holds the robustness tiers' worlds and their delivery
 //! contracts; [`sweep`] fans a sweep's runs across cores.
 
 pub mod sweep;
 pub mod tier;
+pub mod worlds;
 
-use lln_coap::{CoapClient, CoapClientConfig, Cocoa, RtoAlgorithm};
-use lln_mac::poll::PollMode;
-use lln_mac::MacConfig;
-use lln_node::route::Topology;
-use lln_node::stack::NodeKind;
-use lln_node::world::{World, WorldConfig};
-use lln_sim::{Duration, Instant, Summary};
-use tcplp::TcpConfig;
+use lln_node::world::World;
+use lln_sim::{Duration, Summary};
+
+pub use worlds::{AppProtocol, AppRun, ChainRun};
 
 /// Result of a bulk-transfer run.
 #[derive(Clone, Debug)]
@@ -60,79 +58,19 @@ pub struct BulkResult {
     pub fast_rexmits: u64,
     /// Smoothed RTT at the end of the run.
     pub srtt: Option<Duration>,
-    /// RTT sample summary (enable via `rtt_trace`).
+    /// The sender's RTT samples, in ms.
     pub rtt: Summary,
     /// Total frames transmitted in the medium.
     pub frames_tx: u64,
 }
 
-/// Parameters for a chain bulk-transfer experiment.
-#[derive(Clone, Debug)]
-pub struct ChainRun {
-    /// Number of wireless hops.
-    pub hops: usize,
-    /// Per-link PRR.
-    pub prr: f64,
-    /// Link-retry delay bound `d`.
-    pub retry_delay: Duration,
-    /// TCP configuration for both ends.
-    pub tcp: TcpConfig,
-    /// Bytes to transfer.
-    pub bytes: u64,
-    /// Simulated duration cap.
-    pub duration: Duration,
-    /// Seed.
-    pub seed: u64,
-    /// Downlink (node 0 sends to the far node) instead of uplink.
-    pub downlink: bool,
-    /// Give intermediate nodes two-hop carrier sensing (denser
-    /// deployments suppress some hidden-terminal collisions).
-    pub two_hop_carrier: bool,
-}
-
-impl Default for ChainRun {
-    fn default() -> Self {
-        ChainRun {
-            hops: 1,
-            prr: 0.999,
-            retry_delay: Duration::from_millis(40),
-            tcp: TcpConfig::default(),
-            bytes: 1_000_000,
-            duration: Duration::from_secs(120),
-            seed: 0x5eed,
-            downlink: false,
-            two_hop_carrier: false,
-        }
-    }
-}
-
 /// Runs a bulk TCP transfer along a chain; returns measured results.
 pub fn run_chain_bulk(p: &ChainRun) -> BulkResult {
-    let links = if p.two_hop_carrier {
-        lln_phy::LinkMatrix::chain_with_two_hop_carrier(p.hops + 1, p.prr)
-    } else {
-        lln_phy::LinkMatrix::chain(p.hops + 1, p.prr)
-    };
-    let topo = Topology::with_shortest_paths(links);
-    let kinds: Vec<NodeKind> = (0..=p.hops).map(|_| NodeKind::Router).collect();
-    let wc = WorldConfig {
-        seed: p.seed,
-        mac: MacConfig {
-            retry_delay_max: p.retry_delay,
-            ..MacConfig::default()
-        },
-        ..WorldConfig::default()
-    };
-    let mut world = World::new(&topo, &kinds, wc);
-    let (src, dst) = if p.downlink { (0, p.hops) } else { (p.hops, 0) };
-    world.add_tcp_listener(dst, p.tcp.clone());
-    world.set_sink(dst);
-    let si = world.add_tcp_client(src, dst, p.tcp.clone(), Instant::from_millis(10));
-    world.nodes[src].transport.tcp[si].rtt_trace.enable();
-    world.set_bulk_sender(src, Some(p.bytes));
+    let (src, dst) = p.ends();
+    let mut world = p.build();
     world.run_for(p.duration);
 
-    let sender = &world.nodes[src].transport.tcp[si];
+    let sender = &world.nodes[src].transport.tcp[0];
     let mut rtt = Summary::new();
     for &(_, r) in sender.rtt_trace.samples() {
         rtt.add(r.as_secs_f64() * 1e3);
@@ -177,52 +115,6 @@ pub fn mss_for_frames(frames: usize) -> usize {
     best
 }
 
-/// Which transport an anemometer node uses.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum AppProtocol {
-    /// TCPlp stream to the cloud.
-    Tcplp,
-    /// CoAP confirmable (default congestion control).
-    Coap,
-    /// CoAP with CoCoA.
-    Cocoa,
-    /// CoAP non-confirmable (unreliable rows of Table 8).
-    CoapNon,
-}
-
-/// Parameters for the §9 application study.
-#[derive(Clone, Debug)]
-pub struct AppRun {
-    /// Transport under test.
-    pub protocol: AppProtocol,
-    /// Batch size (None = no batching).
-    pub batch: Option<usize>,
-    /// Injected uniform packet loss at the border router.
-    pub injected_loss: f64,
-    /// Simulated duration.
-    pub duration: Duration,
-    /// Number of sensor leaves (paper: nodes 12-15, i.e. 4).
-    pub sensors: usize,
-    /// Interference profile (None = clean night-time network).
-    pub interference: Option<(f64, f64)>, // (day, night) occupancy
-    /// Seed.
-    pub seed: u64,
-}
-
-impl Default for AppRun {
-    fn default() -> Self {
-        AppRun {
-            protocol: AppProtocol::Tcplp,
-            batch: Some(64),
-            injected_loss: 0.0,
-            duration: Duration::from_secs(1800),
-            sensors: 4,
-            interference: None,
-            seed: 0x0411,
-        }
-    }
-}
-
 /// Result of an application-study run.
 #[derive(Clone, Debug)]
 pub struct AppResult {
@@ -242,168 +134,10 @@ pub struct AppResult {
     pub delivered: u64,
 }
 
-/// Builds the §9 world: cloud(0) — border(1) — routers(2,3,4) chain —
-/// `sensors` sleepy leaves split across routers 3 and 4 (3-5 hop
-/// paths, like the paper's -8 dBm topology), plus an optional
-/// interferer audible across the mesh.
+/// Runs the §9 application study ([`AppRun::build`]) and measures it.
 pub fn run_app_study(p: &AppRun) -> AppResult {
-    run_app_study_inner(p, false)
-}
-
-/// Like [`run_app_study`] but dumps per-node counters and, one line
-/// each, every TCP connection's final state and close reason and every
-/// listener's [`tcplp::ListenStats`] (debugging: a sensor that went
-/// silent shows up as a client that is not `Established`).
-pub fn run_app_study_verbose(p: &AppRun) -> AppResult {
-    run_app_study_inner(p, true)
-}
-
-fn run_app_study_inner(p: &AppRun, verbose: bool) -> AppResult {
-    let routers = 3usize;
-    let n_mesh = 2 + routers; // cloud + border + routers
-    let n = n_mesh + p.sensors + usize::from(p.interference.is_some());
-    let mut links = lln_phy::LinkMatrix::new(n);
-    let prr = 0.98;
-    // border(1) - r2 - r3 - r4 chain.
-    links.set_symmetric(lln_phy::RadioIdx(1), lln_phy::RadioIdx(2), prr);
-    links.set_symmetric(lln_phy::RadioIdx(2), lln_phy::RadioIdx(3), prr);
-    links.set_symmetric(lln_phy::RadioIdx(3), lln_phy::RadioIdx(4), prr);
-    // Sensors alternate between r3 and r4.
-    for s in 0..p.sensors {
-        let leaf = n_mesh + s;
-        let parent = if s % 2 == 0 { 3 } else { 4 };
-        links.set_symmetric(lln_phy::RadioIdx(leaf), lln_phy::RadioIdx(parent), prr);
-    }
-    // Dense office: radios without a usable link still hear each
-    // other's energy (carrier sensing suppresses most hidden-terminal
-    // collisions, as in the paper's testbed where nodes share rooms).
-    for a in 1..n_mesh + p.sensors {
-        for b in (a + 1)..n_mesh + p.sensors {
-            if !links.audible(lln_phy::RadioIdx(a), lln_phy::RadioIdx(b)) {
-                links.set_interference(lln_phy::RadioIdx(a), lln_phy::RadioIdx(b));
-                links.set_interference(lln_phy::RadioIdx(b), lln_phy::RadioIdx(a));
-            }
-        }
-    }
-    // Interferer: audible at every mesh radio.
-    if p.interference.is_some() {
-        let intf = n - 1;
-        for r in 1..n_mesh + p.sensors {
-            links.set_interference(lln_phy::RadioIdx(intf), lln_phy::RadioIdx(r));
-        }
-    }
-    let topo = Topology::with_shortest_paths(links);
-    let mut kinds = vec![NodeKind::CloudHost, NodeKind::BorderRouter];
-    kinds.extend(std::iter::repeat_n(NodeKind::Router, routers));
-    kinds.extend(std::iter::repeat_n(NodeKind::SleepyLeaf, p.sensors));
-    if p.interference.is_some() {
-        kinds.push(NodeKind::Interferer);
-    }
-    let wc = WorldConfig {
-        seed: p.seed,
-        ..WorldConfig::default()
-    };
-    let mut world = World::new(&topo, &kinds, wc);
-    world.set_injected_loss(1, p.injected_loss);
-
-    // Cloud services.
-    world.add_tcp_listener(0, TcpConfig::default());
-    world.set_sink(0);
-    world.add_coap_server(0);
-
-    // Sensors.
-    let queue_cap = match p.protocol {
-        AppProtocol::Tcplp => 64,
-        _ => 104,
-    };
-    for s in 0..p.sensors {
-        let leaf = n_mesh + s;
-        match p.protocol {
-            AppProtocol::Tcplp => {
-                world.add_tcp_client(
-                    leaf,
-                    0,
-                    TcpConfig::default(),
-                    Instant::from_millis(200 + 111 * s as u64),
-                );
-            }
-            AppProtocol::Coap | AppProtocol::Cocoa | AppProtocol::CoapNon => {
-                let cfg = CoapClientConfig {
-                    non_confirmable: p.protocol == AppProtocol::CoapNon,
-                };
-                let rto = if p.protocol == AppProtocol::Cocoa {
-                    RtoAlgorithm::Cocoa(Cocoa::new())
-                } else {
-                    RtoAlgorithm::Default
-                };
-                world.add_coap_client(leaf, CoapClient::new(cfg, rto, &["sensors"]));
-            }
-        }
-        world.set_anemometer(
-            leaf,
-            queue_cap,
-            p.batch,
-            Instant::from_millis(500 + 113 * s as u64),
-        );
-        // Unreliable CoAP expects no responses: keep the default slow
-        // poll. Reliable transports poll fast while waiting (§9.6).
-        if p.protocol == AppProtocol::CoapNon {
-            world.set_poll_mode(
-                leaf,
-                PollMode::Fixed {
-                    idle: Duration::from_secs(240),
-                    fast: Duration::from_secs(240),
-                },
-            );
-            world.schedule_poll(leaf, Instant::from_millis(50 + 37 * leaf as u64));
-        }
-    }
-
-    if let Some((day, night)) = p.interference {
-        let intf = n - 1;
-        let mut app = lln_node::app::InterfererApp::office();
-        app.day_occupancy = day;
-        app.night_occupancy = night;
-        world.start_interferer(intf, app, Instant::from_millis(77));
-    }
-
+    let mut world = p.build();
     world.run_for(p.duration);
-    if verbose {
-        println!(
-            "medium: {:?}",
-            world.medium.counters.iter().collect::<Vec<_>>()
-        );
-        for (i, n) in world.nodes.iter().enumerate() {
-            println!(
-                "node{i} ({:?}): reasm_timeouts={} indirect={:?} {:?}",
-                n.kind,
-                n.reassembler.timeouts,
-                n.indirect.values().map(|q| q.len()).sum::<usize>(),
-                n.counters.iter().collect::<Vec<_>>()
-            );
-        }
-        for (i, n) in world.nodes.iter().enumerate() {
-            for t in &n.transport.tcp {
-                let (addr, port) = t.remote();
-                println!(
-                    "tcp node{i}:{} -> [{addr}]:{port}: {:?}, close reason {:?}",
-                    t.local().1,
-                    t.state(),
-                    t.close_reason()
-                );
-            }
-            if let Some(l) = &n.transport.tcp_listener {
-                println!("listener node{i}:{}: {:?}", l.port(), l.stats);
-            }
-        }
-        if let Some(srv) = world.nodes[0].transport.coap_server.as_ref() {
-            println!(
-                "server received {} posts, {} dups",
-                srv.received_count(),
-                srv.duplicates
-            );
-        }
-    }
 
     // Collect results.
     let now = world.now();
@@ -413,8 +147,7 @@ fn run_app_study_inner(p: &AppRun, verbose: bool) -> AppResult {
     let mut cpu = 0.0;
     let mut rexmits = 0u64;
     let mut rtos = 0u64;
-    for s in 0..p.sensors {
-        let leaf = n_mesh + s;
+    for leaf in p.sensor_nodes() {
         if let lln_node::app::App::Anemometer(a) = &world.nodes[leaf].app {
             generated += a.generated;
             // Readings still queued or buffered when the run ends are
@@ -469,6 +202,48 @@ fn run_app_study_inner(p: &AppRun, verbose: bool) -> AppResult {
 
 const READING: usize = lln_node::app::READING_BYTES;
 
+/// Prints `world`'s medium counters and per-node counters and, one line
+/// each, every TCP connection's state and close reason, every
+/// listener's [`tcplp::ListenStats`] and the cloud's CoAP server tally.
+/// For debugging a run such as [`AppRun::build`]'s: a sensor that went
+/// silent shows up as a client that is not `Established`.
+pub fn dump_world(world: &World) {
+    println!(
+        "medium: {:?}",
+        world.medium.counters.iter().collect::<Vec<_>>()
+    );
+    for (i, n) in world.nodes.iter().enumerate() {
+        println!(
+            "node{i} ({:?}): reasm_timeouts={} indirect={:?} {:?}",
+            n.kind,
+            n.reassembler.timeouts,
+            n.indirect.values().map(|q| q.len()).sum::<usize>(),
+            n.counters.iter().collect::<Vec<_>>()
+        );
+    }
+    for (i, n) in world.nodes.iter().enumerate() {
+        for t in &n.transport.tcp {
+            let (addr, port) = t.remote();
+            println!(
+                "tcp node{i}:{} -> [{addr}]:{port}: {:?}, close reason {:?}",
+                t.local().1,
+                t.state(),
+                t.close_reason()
+            );
+        }
+        if let Some(l) = &n.transport.tcp_listener {
+            println!("listener node{i}:{}: {:?}", l.port(), l.stats);
+        }
+    }
+    if let Some(srv) = world.nodes[0].transport.coap_server.as_ref() {
+        println!(
+            "server received {} posts, {} dups",
+            srv.received_count(),
+            srv.duplicates
+        );
+    }
+}
+
 /// Formats bits/second as "xx.x kb/s".
 pub fn kbps(bps: f64) -> String {
     format!("{:.1} kb/s", bps / 1000.0)
@@ -500,7 +275,7 @@ mod tests {
     #[test]
     fn chain_run_smoke() {
         let r = run_chain_bulk(&ChainRun {
-            bytes: 20_000,
+            bytes: Some(20_000),
             duration: Duration::from_secs(20),
             ..ChainRun::default()
         });

@@ -1,4 +1,4 @@
-//! The robustness tiers' one world and their delivery contracts.
+//! The robustness tiers' worlds and their delivery contracts.
 //!
 //! Three tiers back the paper's claim that TCPlp stays reliable under
 //! loss (§9.4): chaos (fault plans against a supervised client),
@@ -19,7 +19,8 @@
 //! and the `chaos` example all build their worlds and check their
 //! outcomes here. Variation goes through the `World` methods
 //! (`attach_adversary`, `attach_flood`, `apply_fault_plan`) between
-//! [`chain4`] and [`install_bulk`].
+//! [`chain4`] and [`install_bulk`]. The chaos tier also runs supervised
+//! anemometer leaves over a Fig. 3-like tree, [`chaos_tree`].
 
 use std::fmt;
 
@@ -83,6 +84,47 @@ pub fn chain4(seed: u64, budget: NodeBudget) -> World {
             ..WorldConfig::default()
         },
     )
+}
+
+/// Routers of [`chaos_tree`], nodes 1 to 4.
+pub const TREE_ROUTERS: usize = 4;
+/// Supervised anemometer leaves of [`chaos_tree`], from [`FIRST_LEAF`].
+pub const TREE_LEAVES: usize = 4;
+/// The first leaf of [`chaos_tree`].
+pub const FIRST_LEAF: usize = 1 + TREE_ROUTERS;
+
+/// The chaos tier's tree at `seed`: `Topology::office_tree(4, 4,
+/// 0.999)`, the border router ([`SERVER`]) listening into a capture
+/// sink, and [`TREE_LEAVES`] sleepy leaves, each a [`chaos_supervisor`]
+/// client (connecting at 100 ms + 40 ms per leaf) sending one unbatched
+/// reading a second from 1 s. The listener probes connections idle for
+/// 30 s, so the socket of a leaf that rebooted (and reconnects from a
+/// new port) is freed instead of holding a slot of the TCP buffer class
+/// forever; healthy leaves send every second, so live connections are
+/// never probed. Apply fault plans after this call.
+pub fn chaos_tree(seed: u64) -> World {
+    let topo = Topology::office_tree(TREE_ROUTERS, TREE_LEAVES, 0.999);
+    let mut kinds = vec![NodeKind::BorderRouter];
+    kinds.extend([NodeKind::Router; TREE_ROUTERS]);
+    kinds.extend([NodeKind::SleepyLeaf; TREE_LEAVES]);
+    let wc = WorldConfig {
+        seed,
+        ..WorldConfig::default()
+    };
+    let mut world = World::new(&topo, &kinds, wc);
+    let listener = TcpConfig {
+        keepalive_idle: Some(Duration::from_secs(30)),
+        ..TcpConfig::default()
+    };
+    world.add_tcp_listener(SERVER, listener);
+    world.set_sink_capture(SERVER);
+    for l in 0..TREE_LEAVES {
+        let start = Instant::from_millis(100 + 40 * l as u64);
+        let leaf = FIRST_LEAF + l;
+        world.add_supervised_client(leaf, SERVER, chaos_supervisor(), start);
+        world.set_anemometer(leaf, 64, None, Instant::from_secs(1));
+    }
+    world
 }
 
 /// Which client [`install_bulk`] puts on [`CLIENT`].

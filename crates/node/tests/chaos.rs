@@ -7,7 +7,9 @@
 //! anemometer workloads and assert *byte-exact* end-to-end integrity
 //! after recovery, plus determinism of the whole fault schedule.
 
-use lln_bench::tier::{self, Sender, CLIENT, SERVER, SUPERVISED_BULK_BYTES};
+use lln_bench::tier::{
+    self, Sender, CLIENT, FIRST_LEAF, SERVER, SUPERVISED_BULK_BYTES, TREE_LEAVES,
+};
 use lln_netip::NodeId;
 use lln_node::app::App;
 use lln_node::fault::FaultPlan;
@@ -502,29 +504,8 @@ fn overlapping_faults_end_with_the_last_one() {
 /// duplicates.
 #[test]
 fn rebooted_leaves_reconnect_through_a_full_tcp_class() {
-    const ROUTERS: usize = 4;
-    const LEAVES: usize = 4;
-    let topo = Topology::office_tree(ROUTERS, LEAVES, 0.999);
-    let mut kinds = vec![NodeKind::BorderRouter];
-    kinds.extend(std::iter::repeat_n(NodeKind::Router, ROUTERS));
-    kinds.extend(std::iter::repeat_n(NodeKind::SleepyLeaf, LEAVES));
-    let mut world = World::new(&topo, &kinds, WorldConfig::default());
-    world.add_tcp_listener(
-        0,
-        TcpConfig {
-            keepalive_idle: Some(Duration::from_secs(30)),
-            ..TcpConfig::default()
-        },
-    );
-    world.set_sink_capture(0);
-    let first_leaf = 1 + ROUTERS;
-    for l in 0..LEAVES {
-        let leaf = first_leaf + l;
-        let start = Instant::from_millis(100 + 40 * l as u64);
-        world.add_supervised_client(leaf, 0, tier::chaos_supervisor(), start);
-        world.set_anemometer(leaf, 64, None, Instant::from_secs(1));
-    }
-    let rebooted = [first_leaf, first_leaf + 1];
+    let mut world = tier::chaos_tree(0x5eed);
+    let rebooted = [FIRST_LEAF, FIRST_LEAF + 1];
     world.apply_fault_plan(
         &FaultPlan::new()
             .reboot(rebooted[0], Instant::from_secs(30), Duration::from_secs(10))
@@ -537,7 +518,7 @@ fn rebooted_leaves_reconnect_through_a_full_tcp_class() {
         .iter()
         .filter(|s| s.state() == tcplp::TcpState::Established)
         .count();
-    assert_eq!(established, LEAVES, "every leaf holds a connection");
+    assert_eq!(established, TREE_LEAVES, "every leaf holds a connection");
 
     world.run_until(Instant::from_secs(300));
     assert!(
@@ -553,7 +534,7 @@ fn rebooted_leaves_reconnect_through_a_full_tcp_class() {
         );
     }
     let by_client = tier::records_by_client(world.nodes[0].app.sink_capture());
-    for leaf in first_leaf..first_leaf + LEAVES {
+    for leaf in FIRST_LEAF..FIRST_LEAF + TREE_LEAVES {
         let addr = world.nodes[leaf].ip_addr();
         let (_, asm) = by_client
             .iter()

@@ -1,35 +1,25 @@
-//! The benchmark's worlds, built once for the steady-state tests: the
-//! allocation check (`zero_alloc.rs`) and the event budget
-//! (`event_budget.rs`). Each sink only counts bytes: a byte capture or
-//! an RTT trace would grow by design, and neither is part of the
-//! datapath.
+//! Helpers for the steady-state tests, the allocation check
+//! (`zero_alloc.rs`) and the event budget (`event_budget.rs`), which run
+//! the benchmark's worlds as `lln_bench::worlds` builds them.
 
 // Each test binary uses a subset of these.
 #![allow(dead_code)]
 
+use lln_bench::ChainRun;
 use lln_mac::csma::MacConfig;
 use lln_node::flood::FloodConfig;
 use lln_node::route::Topology;
 use lln_node::stack::NodeKind;
 use lln_node::world::{World, WorldConfig};
-use lln_phy::{LinkMatrix, RadioIdx};
 use lln_sim::{Duration, Instant};
 use tcplp::TcpConfig;
-
-/// Sensors in [`app_study_tree`], on radio indices `TREE_MESH..`.
-const TREE_SENSORS: usize = 4;
-/// Cloud, border router and three routers of [`app_study_tree`].
-const TREE_MESH: usize = 5;
-
-/// The seed of every benchmark world but the tree
-/// (`WorldConfig::default()`'s).
-pub const CHAIN_SEED: u64 = 0x5eed;
 
 /// A chain of `hops` hops at PRR 0.999 and d = 40 ms, seeded with
 /// `seed`: the far end streams to node 0 over default TCPlp. With
 /// `flood`, node 0 is the border router and takes 320/s forged SYNs and
 /// 320/s forged FRAG1s from 5 s on.
-pub fn chain(hops: usize, flood: bool, seed: u64) -> World {
+pub fn old_flood(seed: u64) -> World {
+    let (hops, flood) = (3, true);
     let topo = Topology::chain(hops + 1, 0.999);
     let mut kinds = vec![NodeKind::Router; hops + 1];
     if flood {
@@ -65,64 +55,27 @@ pub fn chain(hops: usize, flood: bool, seed: u64) -> World {
     world
 }
 
-/// The benchmark's `bulk-1hop` world: node 1 streams to node 0.
-pub fn bulk_one_hop() -> World {
-    chain(1, false, CHAIN_SEED)
-}
+/// The seed the benchmark pins for its chain worlds.
+pub const CHAIN_SEED: u64 = 0x5eed;
 
-/// The benchmark's `chain-3hop` world: node 3 streams to node 0
-/// through link retries and hidden-terminal collisions.
-pub fn chain_three_hop() -> World {
-    chain(3, false, CHAIN_SEED)
-}
-
-/// The benchmark's `syn-frag-flood` world: the 3-hop stream while the
-/// SYN cache, the reassembly quotas and the memory governor of node 0
-/// sit at their limits.
-pub fn syn_frag_flood() -> World {
-    chain(3, true, CHAIN_SEED)
-}
-
-/// The benchmark's `anemometer-tree` world (the §9 app study): cloud
-/// (0) — border router (1) — routers 2, 3, 4 — four sleepy leaves on
-/// routers 3 and 4 at PRR 0.98, each batching 64 readings to the cloud
-/// over TCPlp.
-pub fn app_study_tree() -> World {
-    let n = TREE_MESH + TREE_SENSORS;
-    let prr = 0.98;
-    let mut links = LinkMatrix::new(n);
-    links.set_symmetric(RadioIdx(1), RadioIdx(2), prr);
-    links.set_symmetric(RadioIdx(2), RadioIdx(3), prr);
-    links.set_symmetric(RadioIdx(3), RadioIdx(4), prr);
-    for s in 0..TREE_SENSORS {
-        let parent = if s % 2 == 0 { 3 } else { 4 };
-        links.set_symmetric(RadioIdx(TREE_MESH + s), RadioIdx(parent), prr);
-    }
-    for a in 1..n {
-        for b in (a + 1)..n {
-            if !links.audible(RadioIdx(a), RadioIdx(b)) {
-                links.set_interference(RadioIdx(a), RadioIdx(b));
-                links.set_interference(RadioIdx(b), RadioIdx(a));
-            }
-        }
-    }
-    let topo = Topology::with_shortest_paths(links);
-    let mut kinds = vec![NodeKind::CloudHost, NodeKind::BorderRouter];
-    kinds.extend([NodeKind::Router; 3]);
-    kinds.extend([NodeKind::SleepyLeaf; TREE_SENSORS]);
-    let wc = WorldConfig {
-        seed: 0x0411,
-        ..WorldConfig::default()
+/// The benchmark's `bulk-1hop` (1 hop) or `chain-3hop` (3 hops) world at
+/// `seed`, streaming for as long as it runs, untraced.
+pub fn bulk_chain(hops: usize, seed: u64) -> World {
+    let run = ChainRun {
+        hops,
+        bytes: None,
+        seed,
+        ..ChainRun::default()
     };
-    let mut world = World::new(&topo, &kinds, wc);
-    world.add_tcp_listener(0, TcpConfig::default());
-    world.set_sink(0);
-    for s in 0..TREE_SENSORS {
-        let leaf = TREE_MESH + s;
-        let start = Instant::from_millis(200 + 111 * s as u64);
-        world.add_tcp_client(leaf, 0, TcpConfig::default(), start);
-        let first_reading = Instant::from_millis(500 + 113 * s as u64);
-        world.set_anemometer(leaf, 64, Some(64), first_reading);
+    untraced(run.build())
+}
+
+/// `world` with its RTT traces off: each sink only counts bytes, and a
+/// trace, like a byte capture, grows with the run by design and is not
+/// part of the datapath.
+fn untraced(mut world: World) -> World {
+    for s in world.nodes.iter_mut().flat_map(|n| &mut n.transport.tcp) {
+        s.rtt_trace = Default::default();
     }
     world
 }

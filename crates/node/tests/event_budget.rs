@@ -10,6 +10,8 @@
 
 mod common;
 
+use common::{bulk_chain, CHAIN_SEED};
+use lln_bench::AppRun;
 use lln_node::world::World;
 use lln_sim::Duration;
 
@@ -32,7 +34,7 @@ fn check_budget(name: &str, mut world: World, span: Duration, pinned: (u64, u64)
 fn bulk_one_hop_event_budget() {
     check_budget(
         "bulk-1hop",
-        common::bulk_one_hop(),
+        bulk_chain(1, CHAIN_SEED),
         Duration::from_secs(60),
         (41_203, 16_142),
     );
@@ -42,7 +44,7 @@ fn bulk_one_hop_event_budget() {
 fn chain_three_hop_event_budget() {
     check_budget(
         "chain-3hop",
-        common::chain_three_hop(),
+        bulk_chain(3, CHAIN_SEED),
         Duration::from_secs(60),
         (48_380, 16_784),
     );
@@ -52,7 +54,7 @@ fn chain_three_hop_event_budget() {
 fn syn_frag_flood_event_budget() {
     check_budget(
         "syn-frag-flood",
-        common::syn_frag_flood(),
+        common::old_flood(0x5eed),
         Duration::from_secs(60),
         (65_805, 16_709),
     );
@@ -62,7 +64,7 @@ fn syn_frag_flood_event_budget() {
 fn app_study_tree_event_budget() {
     check_budget(
         "anemometer-tree",
-        common::app_study_tree(),
+        AppRun::default().build(),
         Duration::from_secs(2 * 3600),
         (923_351, 293_970),
     );

@@ -15,7 +15,8 @@
 
 mod common;
 
-use common::segs_sent;
+use common::{bulk_chain, segs_sent, CHAIN_SEED};
+use lln_bench::AppRun;
 use lln_sim::Duration;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -66,7 +67,7 @@ fn allocs() -> u64 {
 fn bulk_one_hop_steady_state_allocates_nothing() {
     // The benchmark's `bulk-1hop` world: node 1 streams to node 0 over
     // one 0.999-PRR hop, default TCPlp, 40 ms link-retry delay.
-    let mut world = common::bulk_one_hop();
+    let mut world = bulk_chain(1, CHAIN_SEED);
     world.run_for(Duration::from_secs(30));
     let segs_before = world.nodes[1].transport.tcp[0].stats.segs_sent;
     let received_before = world.nodes[0].app.sink_received();
@@ -93,7 +94,7 @@ fn flood_steady_state_allocates_nothing() {
     // forged packet reuses what an earlier one freed. Meanwhile node 3
     // streams to node 0 at d = 40 ms, through link retries, collisions
     // and SACK recovery, out of the pools the first minute warmed.
-    let mut world = common::syn_frag_flood();
+    let mut world = common::old_flood(CHAIN_SEED);
     world.run_for(Duration::from_secs(60));
     let before_stats = world.flood_stats(0).unwrap();
     let segs_before = segs_sent(&world);
@@ -122,7 +123,7 @@ fn chain_worlds_allocate_nothing_on_any_seed() {
     // world is warm, whatever the seed. The pinned seed and eight more,
     // for each of the three chain worlds: 60 s of warm-up, then 60 s
     // that must not allocate.
-    let seeds = std::iter::once(common::CHAIN_SEED).chain((1..=8).map(|k| 7919 * k));
+    let seeds = std::iter::once(CHAIN_SEED).chain((1..=8).map(|k| 7919 * k));
     let mut failures = Vec::new();
     for seed in seeds {
         for (name, hops, flood) in [
@@ -130,7 +131,11 @@ fn chain_worlds_allocate_nothing_on_any_seed() {
             ("chain-3hop", 3, false),
             ("syn-frag-flood", 3, true),
         ] {
-            let mut world = common::chain(hops, flood, seed);
+            let mut world = if flood {
+                common::old_flood(seed)
+            } else {
+                bulk_chain(hops, seed)
+            };
             world.run_for(Duration::from_secs(60));
             let segs_before = segs_sent(&world);
             let before = allocs();
@@ -152,7 +157,7 @@ fn app_study_tree_steady_state_allocates_almost_nothing() {
     // crosses the wire from the border router to the cloud while only
     // ACKs come back, so this pins that packet buffers return to one
     // pool whichever node frees them.
-    let mut world = common::app_study_tree();
+    let mut world = AppRun::default().build();
     world.run_for(Duration::from_secs(2 * 3600));
     let segs_before = segs_sent(&world);
     let received_before = world.nodes[0].app.sink_received();

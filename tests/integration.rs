@@ -3,9 +3,8 @@
 //! end.
 
 use lln_bench::sweep::sweep;
-use lln_bench::{run_app_study, AppProtocol, AppRun};
+use lln_bench::{run_app_study, run_chain_bulk, AppProtocol, AppRun, BulkResult, ChainRun};
 use tcplp_repro::coap::{CoapClient, CoapClientConfig, Cocoa, RtoAlgorithm};
-use tcplp_repro::mac::MacConfig;
 use tcplp_repro::models;
 use tcplp_repro::node::app::App;
 use tcplp_repro::node::route::Topology;
@@ -15,34 +14,24 @@ use tcplp_repro::phy::{LinkMatrix, RadioIdx};
 use tcplp_repro::sim::{Duration, Instant};
 use tcplp_repro::tcplp::TcpConfig;
 
-fn chain_world(hops: usize, prr: f64, d_ms: u64, seed: u64) -> World {
-    let topo = Topology::chain(hops + 1, prr);
-    let cfg = WorldConfig {
+/// A bulk transfer of `bytes` over a `hops`-hop chain at link-retry
+/// delay `d_ms`, run for `secs`.
+fn bulk(hops: usize, d_ms: u64, seed: u64, bytes: u64, secs: u64) -> BulkResult {
+    run_chain_bulk(&ChainRun {
+        hops,
+        retry_delay: Duration::from_millis(d_ms),
+        bytes: Some(bytes),
+        duration: Duration::from_secs(secs),
         seed,
-        mac: MacConfig {
-            retry_delay_max: Duration::from_millis(d_ms),
-            ..MacConfig::default()
-        },
-        ..WorldConfig::default()
-    };
-    World::new(&topo, &vec![NodeKind::Router; hops + 1], cfg)
-}
-
-fn bulk(world: &mut World, src: usize, dst: usize, bytes: u64, secs: u64) -> f64 {
-    world.add_tcp_listener(dst, TcpConfig::default());
-    world.set_sink(dst);
-    world.add_tcp_client(src, dst, TcpConfig::default(), Instant::from_millis(10));
-    world.set_bulk_sender(src, Some(bytes));
-    world.run_for(Duration::from_secs(secs));
-    world.nodes[dst].app.sink_goodput_bps()
+        ..ChainRun::default()
+    })
 }
 
 #[test]
 fn headline_single_hop_goodput() {
     // Paper Table 7 / §6.3: TCPlp reaches ~63-75 kb/s over one hop —
     // 5-40x the simplified stacks.
-    let mut world = chain_world(1, 0.999, 40, 1);
-    let goodput = bulk(&mut world, 1, 0, 300_000, 60);
+    let goodput = bulk(1, 40, 1, 300_000, 60).goodput_bps;
     assert!(
         (55_000.0..85_000.0).contains(&goodput),
         "single-hop TCPlp goodput {goodput:.0} b/s out of range"
@@ -52,9 +41,9 @@ fn headline_single_hop_goodput() {
 #[test]
 fn goodput_shrinks_with_hops_like_the_bound() {
     // §7.2: B, ~B/2, ~B/3.
-    let g1 = bulk(&mut chain_world(1, 0.999, 40, 2), 1, 0, 300_000, 90);
-    let g2 = bulk(&mut chain_world(2, 0.999, 40, 2), 2, 0, 200_000, 90);
-    let g3 = bulk(&mut chain_world(3, 0.999, 40, 2), 3, 0, 150_000, 90);
+    let g1 = bulk(1, 40, 2, 300_000, 90).goodput_bps;
+    let g2 = bulk(2, 40, 2, 200_000, 90).goodput_bps;
+    let g3 = bulk(3, 40, 2, 150_000, 90).goodput_bps;
     assert!(
         g2 < 0.65 * g1,
         "2 hops {g2:.0} not < 0.65x single-hop {g1:.0}"
@@ -75,18 +64,8 @@ fn goodput_shrinks_with_hops_like_the_bound() {
 #[test]
 fn retry_delay_rescues_hidden_terminal_losses() {
     // Figure 6(b): segment loss at d=0 far exceeds loss at d=40ms.
-    let loss = |d_ms: u64| {
-        let mut world = chain_world(3, 0.999, d_ms, 3);
-        world.add_tcp_listener(0, TcpConfig::default());
-        world.set_sink(0);
-        world.add_tcp_client(3, 0, TcpConfig::default(), Instant::from_millis(10));
-        world.set_bulk_sender(3, Some(400_000));
-        world.run_for(Duration::from_secs(90));
-        let s = &world.nodes[3].transport.tcp[0];
-        s.stats.segs_retransmitted as f64 / (s.stats.segs_sent - s.stats.acks_sent).max(1) as f64
-    };
-    let at0 = loss(0);
-    let at40 = loss(40);
+    let at0 = bulk(3, 0, 3, 400_000, 90).seg_loss;
+    let at40 = bulk(3, 40, 3, 400_000, 90).seg_loss;
     assert!(
         at0 > 3.0 * at40,
         "segment loss at d=0 ({at0:.3}) should dwarf d=40ms ({at40:.3})"
@@ -96,22 +75,11 @@ fn retry_delay_rescues_hidden_terminal_losses() {
 #[test]
 fn eq2_model_tracks_measured_goodput() {
     // §8: Equation 2 predicts within ~35% given measured RTT and loss.
-    let mut world = chain_world(3, 0.999, 40, 4);
-    world.add_tcp_listener(0, TcpConfig::default());
-    world.set_sink(0);
-    let si = world.add_tcp_client(3, 0, TcpConfig::default(), Instant::from_millis(10));
-    world.nodes[3].transport.tcp[si].rtt_trace.enable();
-    world.set_bulk_sender(3, Some(400_000));
-    world.run_for(Duration::from_secs(120));
-    let s = &world.nodes[3].transport.tcp[si];
-    let rtts = s.rtt_trace.samples();
-    let mean_rtt_us: u64 =
-        rtts.iter().map(|&(_, r)| r.as_micros()).sum::<u64>() / rtts.len().max(1) as u64;
-    let p = (s.stats.segs_retransmitted as f64
-        / (s.stats.segs_sent - s.stats.acks_sent).max(1) as f64)
-        .clamp(1e-4, 0.4);
-    let measured = world.nodes[0].app.sink_goodput_bps();
-    let predicted = models::tcplp_goodput_bps(462.0, Duration::from_micros(mean_rtt_us), 4.0, p);
+    let r = bulk(3, 40, 4, 400_000, 120);
+    let mean_rtt = Duration::from_micros((r.rtt.mean() * 1e3) as u64);
+    let p = r.seg_loss.clamp(1e-4, 0.4);
+    let measured = r.goodput_bps;
+    let predicted = models::tcplp_goodput_bps(462.0, mean_rtt, 4.0, p);
     let ratio = predicted / measured;
     assert!(
         (0.6..1.6).contains(&ratio),
@@ -119,7 +87,7 @@ fn eq2_model_tracks_measured_goodput() {
     );
     // Equation 1 wildly overpredicts in the same regime (the paper's
     // point about loss-limited models).
-    let eq1 = models::mathis_goodput_bps(462.0, Duration::from_micros(mean_rtt_us), p);
+    let eq1 = models::mathis_goodput_bps(462.0, mean_rtt, p);
     assert!(eq1 > 2.0 * measured, "Eq.1 {eq1:.0} should overpredict");
 }
 
@@ -127,14 +95,17 @@ fn eq2_model_tracks_measured_goodput() {
 fn cwnd_stays_pinned_despite_loss() {
     // §7.3: with 4-segment buffers, the time-weighted mean cwnd stays
     // near the maximum even under hidden-terminal loss at d=0.
-    let mut world = chain_world(3, 0.999, 0, 5);
-    world.add_tcp_listener(0, TcpConfig::default());
-    world.set_sink(0);
-    let si = world.add_tcp_client(3, 0, TcpConfig::default(), Instant::from_millis(10));
-    world.nodes[3].transport.tcp[si].cwnd_trace.enable();
-    world.set_bulk_sender(3, None);
+    let mut world = ChainRun {
+        hops: 3,
+        retry_delay: Duration::ZERO,
+        bytes: None,
+        seed: 5,
+        ..ChainRun::default()
+    }
+    .build();
+    world.nodes[3].transport.tcp[0].cwnd_trace.enable();
     world.run_for(Duration::from_secs(120));
-    let s = &world.nodes[3].transport.tcp[si];
+    let s = &world.nodes[3].transport.tcp[0];
     let mean = s
         .cwnd_trace
         .mean_cwnd(Instant::from_secs(20), Instant::from_secs(120));
