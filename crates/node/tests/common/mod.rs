@@ -5,55 +5,9 @@
 // Each test binary uses a subset of these.
 #![allow(dead_code)]
 
+use lln_bench::worlds::syn_frag_flood;
 use lln_bench::ChainRun;
-use lln_mac::csma::MacConfig;
-use lln_node::flood::FloodConfig;
-use lln_node::route::Topology;
-use lln_node::stack::NodeKind;
-use lln_node::world::{World, WorldConfig};
-use lln_sim::{Duration, Instant};
-use tcplp::TcpConfig;
-
-/// A chain of `hops` hops at PRR 0.999 and d = 40 ms, seeded with
-/// `seed`: the far end streams to node 0 over default TCPlp. With
-/// `flood`, node 0 is the border router and takes 320/s forged SYNs and
-/// 320/s forged FRAG1s from 5 s on.
-pub fn old_flood(seed: u64) -> World {
-    let (hops, flood) = (3, true);
-    let topo = Topology::chain(hops + 1, 0.999);
-    let mut kinds = vec![NodeKind::Router; hops + 1];
-    if flood {
-        kinds[0] = NodeKind::BorderRouter;
-    }
-    let wc = WorldConfig {
-        mac: MacConfig {
-            retry_delay_max: Duration::from_millis(40),
-            ..MacConfig::default()
-        },
-        seed,
-        ..WorldConfig::default()
-    };
-    let mut world = World::new(&topo, &kinds, wc);
-    world.add_tcp_listener(0, TcpConfig::default());
-    world.set_sink(0);
-    world.add_tcp_client(hops, 0, TcpConfig::default(), Instant::from_millis(10));
-    world.set_bulk_sender(hops, None);
-    if flood {
-        world.attach_flood(
-            0,
-            FloodConfig {
-                start: Instant::from_millis(5_000),
-                stop: Instant::from_secs(3_600),
-                rate_hz: 320,
-                syn: true,
-                frag: true,
-                spoofed_sources: 3,
-                ..FloodConfig::default()
-            },
-        );
-    }
-    world
-}
+use lln_node::world::World;
 
 /// The seed the benchmark pins for its chain worlds.
 pub const CHAIN_SEED: u64 = 0x5eed;
@@ -68,6 +22,15 @@ pub fn bulk_chain(hops: usize, seed: u64) -> World {
         ..ChainRun::default()
     };
     untraced(run.build())
+}
+
+/// The seed the benchmark pins for its `syn-frag-flood` world.
+pub const FLOOD_SEED: u64 = 0xF10_0D5E;
+
+/// The benchmark's `syn-frag-flood` world at `seed`, streaming for as
+/// long as it runs, untraced.
+pub fn flood_chain(seed: u64) -> World {
+    untraced(syn_frag_flood(seed, None))
 }
 
 /// `world` with its RTT traces off: each sink only counts bytes, and a

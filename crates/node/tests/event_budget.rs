@@ -10,7 +10,7 @@
 
 mod common;
 
-use common::{bulk_chain, CHAIN_SEED};
+use common::{bulk_chain, flood_chain, CHAIN_SEED, FLOOD_SEED};
 use lln_bench::AppRun;
 use lln_node::world::World;
 use lln_sim::Duration;
@@ -54,9 +54,9 @@ fn chain_three_hop_event_budget() {
 fn syn_frag_flood_event_budget() {
     check_budget(
         "syn-frag-flood",
-        common::old_flood(0x5eed),
+        flood_chain(FLOOD_SEED),
         Duration::from_secs(60),
-        (65_805, 16_709),
+        (67_143, 17_147),
     );
 }
 

@@ -15,7 +15,7 @@
 
 mod common;
 
-use common::{bulk_chain, segs_sent, CHAIN_SEED};
+use common::{bulk_chain, flood_chain, segs_sent, CHAIN_SEED, FLOOD_SEED};
 use lln_bench::AppRun;
 use lln_sim::Duration;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -87,14 +87,15 @@ fn bulk_one_hop_steady_state_allocates_nothing() {
 
 #[test]
 fn flood_steady_state_allocates_nothing() {
-    // The benchmark's `syn-frag-flood` world: node 0 of a 3-hop chain,
-    // the border router, listens and takes 320/s forged SYNs and 320/s
-    // forged FRAG1s from 5 s on. The SYN cache, the reassembly quotas
+    // The benchmark's `syn-frag-flood` world at its pinned seed: node 0
+    // of a 3-hop chain, the border router, listens and takes 320/s forged
+    // SYNs and 320/s forged FRAG1s from 5 s on. The SYN cache, the reassembly quotas
     // and the memory governor sit at their limits throughout, so every
     // forged packet reuses what an earlier one freed. Meanwhile node 3
-    // streams to node 0 at d = 40 ms, through link retries, collisions
-    // and SACK recovery, out of the pools the first minute warmed.
-    let mut world = common::old_flood(CHAIN_SEED);
+    // streams to node 0 at d = 40 ms over hardened TCP, through link
+    // retries, collisions and SACK recovery, out of the pools the first
+    // minute warmed.
+    let mut world = flood_chain(FLOOD_SEED);
     world.run_for(Duration::from_secs(60));
     let before_stats = world.flood_stats(0).unwrap();
     let segs_before = segs_sent(&world);
@@ -120,32 +121,31 @@ fn flood_steady_state_allocates_nothing() {
 #[test]
 fn chain_worlds_allocate_nothing_on_any_seed() {
     // Nothing on the datapath may grow to a new high-water mark once the
-    // world is warm, whatever the seed. The pinned seed and eight more,
-    // for each of the three chain worlds: 60 s of warm-up, then 60 s
-    // that must not allocate.
+    // world is warm, whatever the seed. The chain worlds' pinned seed and
+    // eight more, for each of the three chain worlds, and the flood
+    // world's own pinned seed: 60 s of warm-up, then 60 s that must not
+    // allocate.
     let seeds = std::iter::once(CHAIN_SEED).chain((1..=8).map(|k| 7919 * k));
+    let runs = seeds
+        .flat_map(|seed| {
+            [
+                ("bulk-1hop", seed, bulk_chain(1, seed)),
+                ("chain-3hop", seed, bulk_chain(3, seed)),
+                ("syn-frag-flood", seed, flood_chain(seed)),
+            ]
+        })
+        .chain([("syn-frag-flood", FLOOD_SEED, flood_chain(FLOOD_SEED))]);
     let mut failures = Vec::new();
-    for seed in seeds {
-        for (name, hops, flood) in [
-            ("bulk-1hop", 1, false),
-            ("chain-3hop", 3, false),
-            ("syn-frag-flood", 3, true),
-        ] {
-            let mut world = if flood {
-                common::old_flood(seed)
-            } else {
-                bulk_chain(hops, seed)
-            };
-            world.run_for(Duration::from_secs(60));
-            let segs_before = segs_sent(&world);
-            let before = allocs();
-            world.run_for(Duration::from_secs(60));
-            let during = allocs() - before;
-            let segs = segs_sent(&world) - segs_before;
-            assert!(segs > 500, "{name}, seed {seed}: only {segs} segments");
-            if during != 0 {
-                failures.push(format!("{name}, seed {seed}: {during} allocations"));
-            }
+    for (name, seed, mut world) in runs {
+        world.run_for(Duration::from_secs(60));
+        let segs_before = segs_sent(&world);
+        let before = allocs();
+        world.run_for(Duration::from_secs(60));
+        let during = allocs() - before;
+        let segs = segs_sent(&world) - segs_before;
+        assert!(segs > 500, "{name}, seed {seed}: only {segs} segments");
+        if during != 0 {
+            failures.push(format!("{name}, seed {seed}: {during} allocations"));
         }
     }
     assert!(failures.is_empty(), "{failures:#?}");
