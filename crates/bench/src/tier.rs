@@ -324,14 +324,27 @@ pub fn world_digest(world: &World) -> u64 {
     Fnv1a::digest_words(&words)
 }
 
-/// The seed in environment variable `var`, or `base` when it is unset
-/// or not a number: CI pins seeds and developers fuzz with the same
-/// binary.
+/// The seed in environment variable `var`, or `base` when it is unset:
+/// CI pins seeds and developers fuzz with the same binary. The value is
+/// decimal or `0x` hex, with or without `_` separators, so a seed
+/// printed as `0xF10_0D5E` can be pasted back.
+///
+/// # Panics
+///
+/// If `var` is set to anything else: a seed that cannot be read must
+/// not quietly run `base` instead.
 pub fn seed_from_env(var: &str, base: u64) -> u64 {
-    std::env::var(var)
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(base)
+    std::env::var_os(var).map_or(base, |value| parse_seed(var, &value))
+}
+
+/// Reads `value`, the value of `var`, as a seed (see [`seed_from_env`]).
+fn parse_seed(var: &str, value: &std::ffi::OsStr) -> u64 {
+    let digits = value.to_str().map(|s| s.replace('_', ""));
+    let seed = digits.as_deref().and_then(|d| match d.strip_prefix("0x") {
+        Some(hex) => u64::from_str_radix(hex, 16).ok(),
+        None => d.parse().ok(),
+    });
+    seed.unwrap_or_else(|| panic!("{var}={value:?} is not a seed: use decimal or 0x hex"))
 }
 
 #[cfg(test)]
@@ -538,5 +551,33 @@ mod tests {
     #[test]
     fn seed_from_env_falls_back_to_the_base() {
         assert_eq!(seed_from_env("LLN_TIER_SEED_THAT_IS_NEVER_SET", 42), 42);
+    }
+
+    fn seed(value: &str) -> u64 {
+        parse_seed("SEED", value.as_ref())
+    }
+
+    #[test]
+    fn a_seed_reads_as_decimal() {
+        assert_eq!(seed("52001"), 52001);
+        assert_eq!(seed("52_001"), 52001);
+    }
+
+    #[test]
+    fn a_seed_reads_as_hex() {
+        assert_eq!(seed("0xF10_0D5E"), 0xF10_0D5E);
+        assert_eq!(seed("0x5eed"), 0x5eed);
+    }
+
+    #[test]
+    #[should_panic(expected = "FLOOD_SEED=\"0xF1O\" is not a seed")]
+    fn a_seed_that_is_no_number_panics_with_the_variable() {
+        parse_seed("FLOOD_SEED", "0xF1O".as_ref());
+    }
+
+    #[test]
+    #[should_panic(expected = "SEED=\"\" is not a seed")]
+    fn an_empty_seed_panics() {
+        seed("");
     }
 }
