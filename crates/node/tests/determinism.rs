@@ -16,6 +16,7 @@
 //! ```
 
 use lln_bench::tier::{self, Sender, SERVER};
+use lln_bench::AppRun;
 use lln_node::adversary::AdversaryProfile;
 use lln_node::flood::FloodConfig;
 use lln_sim::{Duration, Instant};
@@ -78,6 +79,21 @@ fn flood_digest(seed: u64, syn: bool, frag: bool) -> u64 {
     tier::world_digest(&world)
 }
 
+/// The §9 tree as `AppRun` builds it (its TCPlp arm, the benchmark's
+/// `anemometer-tree`) at 12 % injected loss at the border router, over
+/// 600 s: the world of the lossy app study.
+fn lossy_tree_digest(seed: u64) -> u64 {
+    let mut world = AppRun {
+        injected_loss: 0.12,
+        seed,
+        ..AppRun::default()
+    }
+    .build();
+    world.set_sink_capture(SERVER);
+    world.run_for(Duration::from_secs(600));
+    tier::world_digest(&world)
+}
+
 /// (seed, pinned digest) pairs captured on the pre-fast-path build.
 const CLEAN_PINS: [(u64, u64); 2] = [
     (24001, 0x341b_1798_6cf0_02ee),
@@ -104,6 +120,9 @@ const SYN_FLOOD_PINS: [(u64, u64); 2] = [
     (52001, 0x432b_b19c_5b90_6bd0),
     (90017, 0x8ee1_26c0_5583_0e53),
 ];
+
+/// Captured when the tree got its one builder.
+const LOSSY_TREE_PINS: [(u64, u64); 1] = [(0x0411, 0x520f_ab7c_6baa_56a1)];
 
 fn check(kind: &str, pins: &[(u64, u64)], run: fn(u64) -> u64) {
     let print = std::env::var("DETERMINISM_PRINT").is_ok();
@@ -145,4 +164,9 @@ fn frag_only_flood_digests_are_pinned() {
 #[test]
 fn syn_only_flood_digests_are_pinned() {
     check("syn-only flood", &SYN_FLOOD_PINS, syn_flood_run_digest);
+}
+
+#[test]
+fn lossy_tree_digest_is_pinned() {
+    check("lossy tree", &LOSSY_TREE_PINS, lossy_tree_digest);
 }
