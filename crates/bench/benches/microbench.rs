@@ -428,20 +428,12 @@ fn socket_pair_variant(name: &str, fast_path: bool) {
 /// End-to-end simulated single-hop transfer: how fast the whole world
 /// executes (simulated-seconds per wall-second proxy).
 fn bench_world() {
-    use lln_node::route::Topology;
-    use lln_node::stack::NodeKind;
-    use lln_node::world::{World, WorldConfig};
     bench("world/single_hop_30s_sim", None, 10, || {
-        let topo = Topology::pair(0.999);
-        let mut world = World::new(
-            &topo,
-            &[NodeKind::Router, NodeKind::Router],
-            WorldConfig::default(),
-        );
-        world.add_tcp_listener(0, TcpConfig::default());
-        world.set_sink(0);
-        world.add_tcp_client(1, 0, TcpConfig::default(), Instant::from_millis(10));
-        world.set_bulk_sender(1, Some(100_000));
+        let mut world = lln_bench::ChainRun {
+            bytes: Some(100_000),
+            ..lln_bench::ChainRun::default()
+        }
+        .build();
         world.run_for(Duration::from_secs(30));
         black_box(world.nodes[0].app.sink_received());
     });

@@ -10,6 +10,7 @@
 use lln_bench::tier::{
     self, Sender, CLIENT, FIRST_LEAF, SERVER, SUPERVISED_BULK_BYTES, TREE_LEAVES,
 };
+use lln_bench::worlds::install_stream;
 use lln_netip::NodeId;
 use lln_node::app::App;
 use lln_node::fault::FaultPlan;
@@ -302,10 +303,7 @@ fn link_ack_cut_by_reboot_still_closes_its_medium_record() {
     let build = || {
         let topo = Topology::chain(3, 1.0);
         let mut world = World::new(&topo, &[NodeKind::Router; 3], WorldConfig::default());
-        world.add_tcp_listener(1, TcpConfig::default());
-        world.set_sink(1);
-        world.add_tcp_client(0, 1, TcpConfig::default(), Instant::from_millis(10));
-        world.set_bulk_sender(0, None);
+        install_stream(&mut world, 0, 1, &TcpConfig::default(), None);
         world
     };
     // A probe run of the same world finds a data frame the sink decodes;

@@ -3,6 +3,7 @@
 //! the border router, sleepy leaves and the CoAP path.
 
 use lln_bench::tier;
+use lln_bench::worlds::install_stream;
 use lln_node::app::App;
 use lln_node::route::Topology;
 use lln_node::stack::NodeKind;
@@ -16,10 +17,7 @@ fn tcp_cfg() -> TcpConfig {
 
 /// Builds a bulk uplink flow from `src` to `dst` and runs it.
 fn run_bulk(world: &mut World, src: usize, dst: usize, bytes: u64, span: Duration) -> f64 {
-    world.add_tcp_listener(dst, tcp_cfg());
-    world.set_sink(dst);
-    world.add_tcp_client(src, dst, tcp_cfg(), Instant::from_millis(10));
-    world.set_bulk_sender(src, Some(bytes));
+    install_stream(world, src, dst, &tcp_cfg(), Some(bytes));
     world.run_for(span);
     // No-leak invariant: once the transfer quiesces, every transient
     // memory class must return to zero and never have exceeded its cap.
@@ -102,10 +100,7 @@ fn leaf_to_cloud_over_border_router() {
         ],
         WorldConfig::default(),
     );
-    world.add_tcp_listener(0, tcp_cfg());
-    world.set_sink(0);
-    world.add_tcp_client(3, 0, tcp_cfg(), Instant::from_millis(10));
-    world.set_bulk_sender(3, Some(30_000));
+    install_stream(&mut world, 3, 0, &tcp_cfg(), Some(30_000));
     world.run_for(Duration::from_secs(60));
     world.assert_governor_drained();
     assert_eq!(

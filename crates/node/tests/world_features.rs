@@ -2,6 +2,8 @@
 //! interference effects, stray-segment RST handling, adaptive polling,
 //! and energy accounting sanity.
 
+use lln_bench::worlds::{duty_cycled_pair, install_stream};
+use lln_bench::ChainRun;
 use lln_netip::NodeId;
 use lln_node::app::InterfererApp;
 use lln_node::fault::FaultPlan;
@@ -17,17 +19,15 @@ use tcplp::{ListenSocket, MemClass, TcpConfig, TcpState};
 fn red_ecn_marks_instead_of_dropping() {
     // 3-hop chain with RED+ECN relays and ECN-negotiating endpoints:
     // the sender must take ECE reductions, and relay queues must mark.
-    let topo = Topology::chain(4, 0.999);
-    let mut world = World::new(
-        &topo,
-        &[
-            NodeKind::Router,
-            NodeKind::Router,
-            NodeKind::Router,
-            NodeKind::Router,
-        ],
-        WorldConfig::default(),
-    );
+    let mut tcp = TcpConfig::with_window_segments(462, 7);
+    tcp.use_ecn = true;
+    let mut world = ChainRun {
+        hops: 3,
+        tcp,
+        bytes: Some(300_000),
+        ..ChainRun::default()
+    }
+    .build();
     for i in 0..4 {
         world.nodes[i].use_red_queue(lln_netip::RedConfig {
             min_th: 1.0,
@@ -35,12 +35,6 @@ fn red_ecn_marks_instead_of_dropping() {
             ..lln_netip::RedConfig::default()
         });
     }
-    let mut tcp = TcpConfig::with_window_segments(462, 7);
-    tcp.use_ecn = true;
-    world.add_tcp_listener(0, tcp.clone());
-    world.set_sink(0);
-    let si = world.add_tcp_client(3, 0, tcp, Instant::from_millis(10));
-    world.set_bulk_sender(3, Some(300_000));
     world.run_for(Duration::from_secs(240));
     // Aggressive RED marking halves cwnd repeatedly, slowing the flow
     // (that's its job); the transfer must still make solid progress
@@ -50,7 +44,7 @@ fn red_ecn_marks_instead_of_dropping() {
         "delivered {}",
         world.nodes[0].app.sink_received()
     );
-    let sender = &world.nodes[3].transport.tcp[si];
+    let sender = &world.nodes[3].transport.tcp[0];
     assert!(sender.ecn_active(), "ECN negotiated end to end");
     // Relay queues must have CE-marked something with a 7-segment
     // window pushing through a B/3 bottleneck.
@@ -82,10 +76,7 @@ fn interference_degrades_throughput() {
             &[NodeKind::Router, NodeKind::Router, NodeKind::Interferer],
             WorldConfig::default(),
         );
-        world.add_tcp_listener(0, TcpConfig::default());
-        world.set_sink(0);
-        world.add_tcp_client(1, 0, TcpConfig::default(), Instant::from_millis(10));
-        world.set_bulk_sender(1, Some(300_000));
+        install_stream(&mut world, 1, 0, &TcpConfig::default(), Some(300_000));
         if with_interferer {
             let mut app = InterfererApp::office();
             app.day_occupancy = 0.4;
@@ -130,14 +121,7 @@ fn stray_segment_gets_rst() {
 fn adaptive_poll_mode_duty_cycle_profile() {
     // Idle adaptive leaf: duty cycle far below the fixed-100ms regime.
     let run = |mode: lln_mac::poll::PollMode| {
-        let topo = Topology::pair(0.999);
-        let mut world = World::new(
-            &topo,
-            &[NodeKind::Router, NodeKind::SleepyLeaf],
-            WorldConfig::default(),
-        );
-        world.set_poll_mode(1, mode);
-        world.schedule_poll(1, Instant::from_millis(5));
+        let mut world = duty_cycled_pair(0x5eed, mode);
         world.run_for(Duration::from_secs(300));
         let now = world.now();
         world.nodes[1].meter.radio_duty_cycle(now)
@@ -159,16 +143,11 @@ fn adaptive_poll_mode_duty_cycle_profile() {
 
 #[test]
 fn energy_meter_tracks_transfer_phases() {
-    let topo = Topology::pair(0.999);
-    let mut world = World::new(
-        &topo,
-        &[NodeKind::Router, NodeKind::Router],
-        WorldConfig::default(),
-    );
-    world.add_tcp_listener(0, TcpConfig::default());
-    world.set_sink(0);
-    world.add_tcp_client(1, 0, TcpConfig::default(), Instant::from_millis(10));
-    world.set_bulk_sender(1, Some(100_000));
+    let mut world = ChainRun {
+        bytes: Some(100_000),
+        ..ChainRun::default()
+    }
+    .build();
     world.run_for(Duration::from_secs(60));
     let now = world.now();
     let (sleep, rx, tx) = world.nodes[1].meter.radio_times(now);
@@ -207,17 +186,13 @@ fn two_tcp_clients_on_one_node_multiplex() {
 
 #[test]
 fn packet_trace_captures_a_transfer() {
-    let topo = Topology::chain(3, 0.999);
-    let mut world = World::new(
-        &topo,
-        &[NodeKind::Router, NodeKind::Router, NodeKind::Router],
-        WorldConfig::default(),
-    );
+    let mut world = ChainRun {
+        hops: 2,
+        bytes: Some(5_000),
+        ..ChainRun::default()
+    }
+    .build();
     world.enable_trace(50_000);
-    world.add_tcp_listener(0, TcpConfig::default());
-    world.set_sink(0);
-    world.add_tcp_client(2, 0, TcpConfig::default(), Instant::from_millis(10));
-    world.set_bulk_sender(2, Some(5_000));
     world.run_for(Duration::from_secs(20));
     assert_eq!(world.nodes[0].app.sink_received(), 5_000);
 
@@ -391,16 +366,11 @@ fn dropped_fragments_return_to_the_frame_pool() {
     // fragments are discarded unsent. Every frame block must still come
     // back: once the transfer is over and nothing is on the air or
     // queued, each block the pool ever built is a spare again.
-    let topo = Topology::pair(0.999);
-    let mut world = World::new(
-        &topo,
-        &[NodeKind::Router, NodeKind::Router],
-        WorldConfig::default(),
-    );
-    world.add_tcp_listener(0, TcpConfig::default());
-    world.set_sink(0);
-    world.add_tcp_client(1, 0, TcpConfig::default(), Instant::from_millis(10));
-    world.set_bulk_sender(1, Some(50_000));
+    let mut world = ChainRun {
+        bytes: Some(50_000),
+        ..ChainRun::default()
+    }
+    .build();
     world.apply_fault_plan(&FaultPlan::new().blackout(
         0,
         1,
@@ -468,12 +438,12 @@ fn reboot_in_csma_backoff_drops_the_frame_before_its_cca() {
     // steps 1 µs at a time until node 1's first frame is loaded and in
     // its CSMA backoff (SpiDone handled, the CCA still ahead), then node
     // 1 loses power for 5 ms, longer than any backoff plus CCA.
-    let topo = Topology::chain(2, 1.0);
-    let mut world = World::new(&topo, &[NodeKind::Router; 2], WorldConfig::default());
-    world.add_tcp_listener(0, TcpConfig::default());
-    world.set_sink(0);
-    world.add_tcp_client(1, 0, TcpConfig::default(), Instant::from_millis(10));
-    world.set_bulk_sender(1, Some(20_000));
+    let mut world = ChainRun {
+        prr: 1.0,
+        bytes: Some(20_000),
+        ..ChainRun::default()
+    }
+    .build();
     let in_backoff = |w: &World| {
         w.nodes[1]
             .cur_tx
