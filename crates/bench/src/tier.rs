@@ -87,7 +87,7 @@ pub fn chain4(seed: u64, budget: NodeBudget) -> World {
 }
 
 /// Routers of [`chaos_tree`], nodes 1 to 4.
-pub const TREE_ROUTERS: usize = 4;
+const TREE_ROUTERS: usize = 4;
 /// Supervised anemometer leaves of [`chaos_tree`], from [`FIRST_LEAF`].
 pub const TREE_LEAVES: usize = 4;
 /// The first leaf of [`chaos_tree`].

@@ -144,9 +144,6 @@ impl ChainRun {
     }
 }
 
-/// Forged SYNs, and forged FRAG1s, per second in [`syn_frag_flood`].
-pub const FLOOD_RATE_HZ: u64 = 320;
-
 /// The benchmark's `syn-frag-flood` world: the 3-hop bulk chain at
 /// `seed` with [`hardened_tcp`] on both ends, and node 0, the sink, a
 /// border router under the overload tier's flood: 320/s forged SYNs
@@ -166,7 +163,7 @@ pub fn syn_frag_flood(seed: u64, bytes: Option<u64>) -> World {
         FloodConfig {
             start: Instant::from_millis(5_000),
             stop: Instant::from_secs(1_500),
-            rate_hz: FLOOD_RATE_HZ,
+            rate_hz: 320,
             syn: true,
             frag: true,
             spoofed_sources: 3,
@@ -225,7 +222,7 @@ impl Default for AppRun {
 
 /// The first sensor leaf of [`AppRun::build`]'s tree: the cloud host,
 /// the border router and three routers come before the leaves.
-pub const FIRST_SENSOR: usize = 5;
+const FIRST_SENSOR: usize = 5;
 
 impl AppRun {
     /// The sensor leaves' node indices.
