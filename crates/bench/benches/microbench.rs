@@ -387,7 +387,7 @@ fn socket_pair_variant(name: &str, fast_path: bool) {
             .into_reply()
             .unwrap();
         let synack = listener.synack(due, t);
-        client.on_segment(&synack, Ecn::NotCapable, t);
+        client.on_segment_view(synack.view(), Ecn::NotCapable, t);
         let ack = client.poll_transmit(t).unwrap();
         let mut server = listener
             .on_segment(a_addr, &ack, 0, t)
@@ -405,7 +405,7 @@ fn socket_pair_variant(name: &str, fast_path: bool) {
                 client.on_timer(t);
             }
             while let Some(seg) = client.poll_transmit(t) {
-                server.on_segment(&seg, Ecn::NotCapable, t);
+                server.on_segment_view(seg.view(), Ecn::NotCapable, t);
             }
             loop {
                 let n = server.recv(&mut buf);
@@ -418,7 +418,7 @@ fn socket_pair_variant(name: &str, fast_path: bool) {
                 server.on_timer(t);
             }
             while let Some(seg) = server.poll_transmit(t) {
-                client.on_segment(&seg, Ecn::NotCapable, t);
+                client.on_segment_view(seg.view(), Ecn::NotCapable, t);
             }
         }
         black_box(received);

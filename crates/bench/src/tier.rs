@@ -298,8 +298,9 @@ pub fn record_contract(asm: &RecordAssembler) -> Result<(), String> {
 
 /// Everything observable about a finished world, as one digest: every
 /// socket's and listener's stats, every node's governor, the bytes the
-/// [`SERVER`] sink captured, the final simulated time (the sharpest
-/// probe of the event schedule) and the medium's frame counts.
+/// [`SERVER`] sink received (captured or only counted), the final
+/// simulated time (the sharpest probe of the event schedule) and the
+/// medium's frame counts.
 pub fn world_digest(world: &World) -> u64 {
     let mut words: Vec<u64> = Vec::new();
     for n in &world.nodes {
@@ -311,13 +312,7 @@ pub fn world_digest(world: &World) -> u64 {
         }
         words.push(n.governor.digest());
     }
-    let delivered: usize = world.nodes[SERVER]
-        .app
-        .sink_capture()
-        .iter()
-        .map(|(_, b)| b.len())
-        .sum();
-    words.push(delivered as u64);
+    words.push(world.nodes[SERVER].app.sink_received());
     words.push(world.now().as_micros());
     words.push(world.medium.counters.get("frames_tx"));
     words.push(world.medium.counters.get("deliveries"));
@@ -350,6 +345,7 @@ fn parse_seed(var: &str, value: &std::ffi::OsStr) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lln_node::app::App;
     use lln_node::supervisor::RECORD_HEADER;
 
     fn conn(port: u16, bytes: Vec<u8>) -> ((Ipv6Addr, u16), Vec<u8>) {
@@ -359,6 +355,17 @@ mod tests {
     const ESTABLISHED: (TcpState, Option<CloseReason>) = (TcpState::Established, None);
     const DIED: (TcpState, Option<CloseReason>) =
         (TcpState::Closed, Some(CloseReason::TooManyRetransmits));
+
+    #[test]
+    fn the_digest_counts_what_a_counting_sink_received() {
+        let mut world = chain4(1, NodeBudget::default());
+        world.set_sink(SERVER);
+        let before = world_digest(&world);
+        if let App::Sink { received, .. } = &mut world.nodes[SERVER].app {
+            *received += 1;
+        }
+        assert_ne!(world_digest(&world), before);
+    }
 
     #[test]
     fn full_stream_is_complete() {

@@ -41,7 +41,7 @@
 //!     .into_reply()
 //!     .expect("SYN-ACK from the SYN cache");
 //! let synack = listener.synack(due, t0);
-//! client.on_segment(&synack, Ecn::NotCapable, t0);
+//! client.on_segment_view(synack.view(), Ecn::NotCapable, t0);
 //! let ack = client.poll_transmit(t0).expect("ACK");
 //! let server = listener
 //!     .on_segment(a_addr, &ack, 0, t0)

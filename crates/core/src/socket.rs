@@ -581,18 +581,12 @@ impl TcpSocket {
     // Segment input
     // ------------------------------------------------------------------
 
-    /// Processes an incoming, checksum-verified segment. `ecn` is the
-    /// IP-layer codepoint (CE marking feeds the ECN machinery).
-    /// Convenience wrapper over [`TcpSocket::on_segment_view`] for
-    /// callers holding an owned [`Segment`].
-    pub fn on_segment(&mut self, seg: &Segment, ecn: Ecn, now: Instant) {
-        self.on_segment_view(seg.view(), ecn, now);
-    }
-
     /// Processes an incoming, checksum-verified segment handed over as
     /// a borrowed view — the zero-copy input path: the payload slice
     /// is read straight into the receive buffer, never copied into an
-    /// intermediate allocation.
+    /// intermediate allocation. `ecn` is the IP-layer codepoint (CE
+    /// marking feeds the ECN machinery); an owned [`Segment`] goes in
+    /// through [`Segment::view`].
     pub fn on_segment_view(&mut self, seg: SegmentView<'_>, ecn: Ecn, now: Instant) {
         if self.tcb.state == TcpState::Closed {
             return;
@@ -1411,7 +1405,7 @@ mod tests {
             .into_reply()
             .expect("SYN-ACK from the cache");
         let synack = l.synack(due, t);
-        a.on_segment(&synack, Ecn::NotCapable, t);
+        a.on_segment_view(synack.view(), Ecn::NotCapable, t);
         let ack = a.poll_transmit(t).unwrap();
         let b = l
             .on_segment(a_addr, &ack, 0, t)
@@ -1458,7 +1452,7 @@ mod tests {
         // Hand-craft a SYN-ACK with no options at all.
         let mut synack = Segment::new(80, 49152, TcpSeq(7), TcpSeq(43), Flags::SYN | Flags::ACK);
         synack.window = 1000;
-        a.on_segment(&synack, Ecn::NotCapable, t);
+        a.on_segment_view(synack.view(), Ecn::NotCapable, t);
         assert_eq!(a.state(), TcpState::Established);
         let ack = a.poll_transmit(t).expect("handshake ACK");
         assert!(
@@ -1477,7 +1471,7 @@ mod tests {
         let t = Instant::ZERO;
         assert_eq!(a.send(b"hello world"), 11);
         while let Some(seg) = a.poll_transmit(t) {
-            b.on_segment(&seg, Ecn::NotCapable, t);
+            b.on_segment_view(seg.view(), Ecn::NotCapable, t);
         }
         assert_eq!(b.available(), 11);
         let mut buf = [0u8; 32];
@@ -1494,22 +1488,22 @@ mod tests {
         assert_eq!(a.state(), TcpState::FinWait1);
         assert!(!a.may_send(), "no new data after close");
         while let Some(seg) = a.poll_transmit(t) {
-            b.on_segment(&seg, Ecn::NotCapable, t);
+            b.on_segment_view(seg.view(), Ecn::NotCapable, t);
         }
         assert_eq!(b.state(), TcpState::CloseWait);
         assert!(b.peer_closed());
         while let Some(seg) = b.poll_transmit(t) {
-            a.on_segment(&seg, Ecn::NotCapable, t);
+            a.on_segment_view(seg.view(), Ecn::NotCapable, t);
         }
         assert_eq!(a.state(), TcpState::FinWait2, "FIN acked");
         b.close();
         assert_eq!(b.state(), TcpState::LastAck);
         while let Some(seg) = b.poll_transmit(t) {
-            a.on_segment(&seg, Ecn::NotCapable, t);
+            a.on_segment_view(seg.view(), Ecn::NotCapable, t);
         }
         assert_eq!(a.state(), TcpState::TimeWait);
         while let Some(seg) = a.poll_transmit(t) {
-            b.on_segment(&seg, Ecn::NotCapable, t);
+            b.on_segment_view(seg.view(), Ecn::NotCapable, t);
         }
         assert_eq!(b.state(), TcpState::Closed);
         assert_eq!(b.close_reason(), Some(CloseReason::Normal));
@@ -1545,12 +1539,12 @@ mod tests {
         let t = Instant::ZERO;
         a.send(&[0u8; 462]);
         while let Some(seg) = a.poll_transmit(t) {
-            b.on_segment(&seg, Ecn::NotCapable, t);
+            b.on_segment_view(seg.view(), Ecn::NotCapable, t);
         }
         // Force an immediate ACK via the second segment rule.
         a.send(&[0u8; 462]);
         while let Some(seg) = a.poll_transmit(t) {
-            b.on_segment(&seg, Ecn::NotCapable, t);
+            b.on_segment_view(seg.view(), Ecn::NotCapable, t);
         }
         let ack = b.poll_transmit(t).expect("delayed-ack fires on 2nd");
         assert_eq!(
@@ -1569,7 +1563,7 @@ mod tests {
         synack.window = 1848;
         synack.timestamps = Some(Timestamps { value: 1, echo: 1 });
         let before = a.stats.segs_sent;
-        a.on_segment(&synack, Ecn::NotCapable, t);
+        a.on_segment_view(synack.view(), Ecn::NotCapable, t);
         assert_eq!(a.state(), TcpState::Established, "state unharmed");
         let out = a.poll_transmit(t);
         assert!(out.is_some(), "duplicate answered with an ACK");
@@ -1597,13 +1591,13 @@ mod tests {
         let t = Instant::ZERO;
         assert_eq!(a.send(b"ping"), 4);
         let seg = a.poll_transmit(t).expect("data out");
-        b.on_segment(&seg, Ecn::NotCapable, t);
+        b.on_segment_view(seg.view(), Ecn::NotCapable, t);
         let mut buf = [0u8; 8];
         assert_eq!(b.recv(&mut buf), 4);
         assert_eq!(&buf[..4], b"ping");
         assert_eq!(b.send(b"pong"), 4);
         let back = b.poll_transmit(t).expect("reply data");
-        a.on_segment(&back, Ecn::NotCapable, t);
+        a.on_segment_view(back.view(), Ecn::NotCapable, t);
         assert_eq!(a.recv(&mut buf), 4);
         assert_eq!(&buf[..4], b"pong");
     }
@@ -1615,7 +1609,7 @@ mod tests {
         assert_eq!(s.send(b"early"), 5, "SynSent may buffer");
         let mut stray = Segment::new(80, 49152, TcpSeq(0), TcpSeq(43), Flags::ACK | Flags::PSH);
         stray.payload = vec![1, 2, 3];
-        s.on_segment(&stray, Ecn::NotCapable, Instant::ZERO);
+        s.on_segment_view(stray.view(), Ecn::NotCapable, Instant::ZERO);
         assert_eq!(s.available(), 0, "no data accepted before SYN seen");
     }
 
@@ -1633,7 +1627,7 @@ mod tests {
         let mut ooo = Segment::new(80, 49152, TcpSeq(301), TcpSeq(101), Flags::ACK | Flags::PSH);
         ooo.window = 1000;
         ooo.payload = vec![7; 4];
-        a.on_segment(&ooo, Ecn::NotCapable, t);
+        a.on_segment_view(ooo.view(), Ecn::NotCapable, t);
         a.abort();
         let rst = a.poll_transmit(t).expect("the RST");
         assert!(rst.flags.contains(Flags::RST));
@@ -1663,11 +1657,11 @@ mod tests {
         let remote = (NodeId(1).mesh_addr(), 5);
         let mut s = TcpSocket::accept(TcpConfig::default(), local, remote, tcb, None, t);
         // Duplicate SYN: queues a re-ACK/challenge.
-        s.on_segment(&syn, Ecn::NotCapable, t);
+        s.on_segment_view(syn.view(), Ecn::NotCapable, t);
         // Forged ACK for data we never sent: queues a RST.
         let mut bad = Segment::new(5, 80, TcpSeq(78), TcpSeq(300), Flags::ACK);
         bad.window = 1000;
-        s.on_segment(&bad, Ecn::NotCapable, t);
+        s.on_segment_view(bad.view(), Ecn::NotCapable, t);
         let first = s.poll_transmit(t).expect("RST first");
         assert!(first.flags.contains(Flags::RST), "got {:?}", first.flags);
         assert!(
@@ -1685,11 +1679,11 @@ mod tests {
         let mut data = Segment::new(80, 49152, TcpSeq(201), TcpSeq(101), Flags::ACK | Flags::PSH);
         data.window = 1000;
         data.payload = b"hi".to_vec();
-        a.on_segment(&data, Ecn::NotCapable, t);
+        a.on_segment_view(data.view(), Ecn::NotCapable, t);
         assert!(a.poll_transmit(t).is_none(), "delack held");
         // Forged in-window (not exact) RST: challenge ACK.
         let rst = Segment::new(80, 49152, TcpSeq(300), TcpSeq(101), Flags::RST | Flags::ACK);
-        a.on_segment(&rst, Ecn::NotCapable, t);
+        a.on_segment_view(rst.view(), Ecn::NotCapable, t);
         assert_eq!(a.state(), TcpState::Established, "forged RST ignored");
         let ack = a.poll_transmit(t).expect("one challenge ACK");
         assert!(ack.payload.is_empty());
@@ -1712,7 +1706,7 @@ mod tests {
                 TcpSeq(101),
                 Flags::RST | Flags::ACK,
             );
-            a.on_segment(&rst, Ecn::NotCapable, t);
+            a.on_segment_view(rst.view(), Ecn::NotCapable, t);
             while a.poll_transmit(t).is_some() {}
         }
         assert_eq!(a.state(), TcpState::Established, "flood survived");
@@ -1721,7 +1715,7 @@ mod tests {
         // Next window: budget refills.
         let t2 = t + Duration::from_secs(2);
         let rst = Segment::new(80, 49152, TcpSeq(300), TcpSeq(101), Flags::RST | Flags::ACK);
-        a.on_segment(&rst, Ecn::NotCapable, t2);
+        a.on_segment_view(rst.view(), Ecn::NotCapable, t2);
         assert_eq!(a.stats.challenge_acks, 11);
     }
 
@@ -1736,7 +1730,7 @@ mod tests {
         let t = Instant::ZERO;
         let mut forged = Segment::new(80, 49152, TcpSeq(1201), TcpSeq(101), Flags::ACK);
         forged.window = 0;
-        a.on_segment(&forged, Ecn::NotCapable, t);
+        a.on_segment_view(forged.view(), Ecn::NotCapable, t);
         assert_eq!(a.send(b"payload"), 7);
         assert!(a.poll_transmit(t).is_none(), "frozen by forged window");
         let due = a.poll_at().expect("persist timer armed");
@@ -1748,7 +1742,7 @@ mod tests {
         // the forged 1201), open window.
         let mut genuine = Segment::new(80, 49152, TcpSeq(201), TcpSeq(102), Flags::ACK);
         genuine.window = 1848;
-        a.on_segment(&genuine, Ecn::NotCapable, due);
+        a.on_segment_view(genuine.view(), Ecn::NotCapable, due);
         let seg = a.poll_transmit(due).expect("flow resumes");
         assert!(!seg.payload.is_empty(), "data flows after recovery");
         assert_eq!(a.close_reason(), None);
@@ -1764,7 +1758,7 @@ mod tests {
         let t = Instant::ZERO;
         let mut forged = Segment::new(80, 49152, TcpSeq(1201), TcpSeq(101), Flags::ACK);
         forged.window = 0;
-        a.on_segment(&forged, Ecn::NotCapable, t);
+        a.on_segment_view(forged.view(), Ecn::NotCapable, t);
         a.send(b"payload");
         while a.poll_transmit(t).is_some() {}
         let mut guard = 0;

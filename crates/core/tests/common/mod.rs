@@ -79,7 +79,7 @@ pub fn accept_via_listener(
         .expect("SYN parks in the cache and is answered");
     let synack = listener.synack(due, now);
     let t1 = now + latency;
-    a.on_segment(&synack, Ecn::NotCapable, t1);
+    a.on_segment_view(synack.view(), Ecn::NotCapable, t1);
     let ack = a.poll_transmit(t1).expect("handshake ACK");
     listener
         .on_segment(a_addr, &ack, 0, t1 + latency)
@@ -197,8 +197,8 @@ impl Harness {
                 let (_, (dir, seg, ce)) = self.queue.pop().unwrap();
                 let ecn = if ce { Ecn::Ce } else { Ecn::Ect0 };
                 match dir {
-                    Dir::AtoB => self.b.on_segment(&seg, ecn, self.now),
-                    Dir::BtoA => self.a.on_segment(&seg, ecn, self.now),
+                    Dir::AtoB => self.b.on_segment_view(seg.view(), ecn, self.now),
+                    Dir::BtoA => self.a.on_segment_view(seg.view(), ecn, self.now),
                 }
             }
             // Fire timers. A timer still due after `on_timer` would

@@ -324,7 +324,7 @@ fn row(
     out: &[Flags],
 ) -> Vec<Segment> {
     assert_eq!(classify(&seg.view(), s.tcb()), verdict, "{name}: verdict");
-    s.on_segment(seg, Ecn::NotCapable, t0());
+    s.on_segment_view(seg.view(), Ecn::NotCapable, t0());
     assert_eq!(s.state(), next, "{name}: next state");
     let sent = drain(s);
     let flags: Vec<Flags> = sent.iter().map(|x| x.flags).collect();
@@ -372,7 +372,7 @@ fn established_with(cfg: TcpConfig) -> (TcpSocket, TcpSocket) {
         .into_reply()
         .expect("SYN-ACK");
     let synack = l.synack(due, t0());
-    a.on_segment(&synack, Ecn::NotCapable, t0());
+    a.on_segment_view(synack.view(), Ecn::NotCapable, t0());
     let ack = a.poll_transmit(t0()).expect("ACK");
     let b = l
         .on_segment(a_addr, &ack, 0, t0())
@@ -384,7 +384,7 @@ fn established_with(cfg: TcpConfig) -> (TcpSocket, TcpSocket) {
 /// Delivers each of `segs` to `to`.
 fn deliver(to: &mut TcpSocket, segs: &[Segment]) {
     for s in segs {
-        to.on_segment(s, Ecn::NotCapable, t0());
+        to.on_segment_view(s.view(), Ecn::NotCapable, t0());
     }
 }
 
@@ -715,7 +715,7 @@ fn output_nagle_holds_a_small_write_behind_unacked_data() {
         "SND.NXT > SND.UNA: the 50 bytes wait"
     );
     let ack = from_peer(&a, una + 100, ACK);
-    a.on_segment(&ack, Ecn::NotCapable, t0());
+    a.on_segment_view(ack.view(), Ecn::NotCapable, t0());
     assert_eq!(
         shape(&drain(&mut a)),
         [(una + 100, 50, PSH_ACK)],
@@ -731,7 +731,7 @@ fn output_window_limited_send_fills_the_window() {
     let (mut a, _) = established();
     let una = a.tcb().snd_una;
     let ack = ack_with_window(&a, una, 300);
-    a.on_segment(&ack, Ecn::NotCapable, t0());
+    a.on_segment_view(ack.view(), Ecn::NotCapable, t0());
     assert_eq!(a.tcb().snd_wnd, 300);
     a.send(&[3; 1000]);
     assert_eq!(
@@ -750,7 +750,7 @@ fn output_zero_window_probe_is_one_byte() {
     let (mut a, _) = established();
     let una = a.tcb().snd_una;
     let ack = ack_with_window(&a, una, 0);
-    a.on_segment(&ack, Ecn::NotCapable, t0());
+    a.on_segment_view(ack.view(), Ecn::NotCapable, t0());
     a.send(&[4; 200]);
     assert!(drain(&mut a).is_empty(), "SND.WND = 0: nothing goes out");
     let due = a
@@ -788,22 +788,22 @@ fn output_sack_holes_one_per_unlocking_ack() {
     let dup = |a: &TcpSocket, blocks| sack_dup(a, una, blocks);
     let both = [(462, 924), (1386, 1848)];
     for (i, blocks) in [&both[..1], &both[..]].into_iter().enumerate() {
-        a.on_segment(&dup(&a, blocks), Ecn::NotCapable, t0());
+        a.on_segment_view(dup(&a, blocks).view(), Ecn::NotCapable, t0());
         assert!(
             drain(&mut a).is_empty(),
             "dup ACK {}: no retransmission yet",
             i + 1
         );
     }
-    a.on_segment(&dup(&a, &both), Ecn::NotCapable, t0());
+    a.on_segment_view(dup(&a, &both).view(), Ecn::NotCapable, t0());
     assert_eq!(
         shape(&drain(&mut a)),
         [(una, 462, ACK), (una, 462, ACK)],
         "third dup ACK: fast retransmit, then the one budgeted hole"
     );
-    a.on_segment(&dup(&a, &both), Ecn::NotCapable, t0());
+    a.on_segment_view(dup(&a, &both).view(), Ecn::NotCapable, t0());
     assert_eq!(shape(&drain(&mut a)), [(una + 924, 462, ACK)], "next hole");
-    a.on_segment(&dup(&a, &both), Ecn::NotCapable, t0());
+    a.on_segment_view(dup(&a, &both).view(), Ecn::NotCapable, t0());
     assert!(
         drain(&mut a).is_empty(),
         "no hole left below the highest SACK"
@@ -818,7 +818,7 @@ fn output_fin_only_after_the_send_buffer_drains() {
     let (mut a, _) = established();
     let una = a.tcb().snd_una;
     let ack = ack_with_window(&a, una, 300);
-    a.on_segment(&ack, Ecn::NotCapable, t0());
+    a.on_segment_view(ack.view(), Ecn::NotCapable, t0());
     a.send(&[6; 600]);
     a.close();
     assert_eq!(a.state(), FinWait1);
@@ -828,7 +828,7 @@ fn output_fin_only_after_the_send_buffer_drains() {
         "no FIN while data waits"
     );
     let ack = ack_with_window(&a, una + 300, 1848);
-    a.on_segment(&ack, Ecn::NotCapable, t0());
+    a.on_segment_view(ack.view(), Ecn::NotCapable, t0());
     assert_eq!(
         shape(&drain(&mut a)),
         [(una + 300, 300, PSH_ACK), (una + 600, 0, FIN_ACK)],
@@ -846,7 +846,7 @@ fn output_rst_subsumes_a_pending_ack() {
     let mut ooo = from_peer(&a, a.tcb().snd_una, ACK | Flags::PSH);
     ooo.seq = rcv_nxt + 100;
     ooo.payload = vec![8; 10];
-    a.on_segment(&ooo, Ecn::NotCapable, t0());
+    a.on_segment_view(ooo.view(), Ecn::NotCapable, t0());
     a.abort();
     let sent = drain(&mut a);
     assert_eq!(shape(&sent), [(nxt, 0, RST_ACK)], "the RST alone");
@@ -884,7 +884,11 @@ fn output_sack_budget_is_spent_when_no_hole_is_usable() {
     a.send(&[5; 1848]);
     assert_eq!(drain(&mut a).len(), 4);
     for k in 1..=4 {
-        a.on_segment(&from_peer(&a, una + 462 * k, ACK), Ecn::NotCapable, t0());
+        a.on_segment_view(
+            (from_peer(&a, una + 462 * k, ACK)).view(),
+            Ecn::NotCapable,
+            t0(),
+        );
     }
     let una = a.tcb().snd_una;
     a.send(&[6; 3696]);
@@ -892,13 +896,13 @@ fn output_sack_budget_is_spent_when_no_hole_is_usable() {
     let dup = |a: &TcpSocket, blocks| sack_dup(a, una, blocks);
     let one = [(462, 924)];
     for _ in 0..3 {
-        a.on_segment(&dup(&a, &one), Ecn::NotCapable, t0());
+        a.on_segment_view(dup(&a, &one).view(), Ecn::NotCapable, t0());
     }
     assert_eq!(drain(&mut a).len(), 2, "fast retransmit and one hole");
-    a.on_segment(&dup(&a, &one), Ecn::NotCapable, t0());
+    a.on_segment_view(dup(&a, &one).view(), Ecn::NotCapable, t0());
     assert!(drain(&mut a).is_empty(), "no hole below the highest SACK");
     let three = [(462, 924), (1386, 1848), (2310, 2772)];
-    a.on_segment(&dup(&a, &three), Ecn::NotCapable, t0());
+    a.on_segment_view(dup(&a, &three).view(), Ecn::NotCapable, t0());
     assert_eq!(
         shape(&drain(&mut a)),
         [(una + 924, 462, ACK)],
@@ -916,11 +920,11 @@ fn output_fin_retransmission_leaves_a_pending_ack() {
     let una = a.tcb().snd_una;
     assert_eq!(shape(&drain(&mut a)), [(una, 0, FIN_ACK)]);
     for _ in 0..3 {
-        a.on_segment(&from_peer(&a, una, ACK), Ecn::NotCapable, t0());
+        a.on_segment_view(from_peer(&a, una, ACK).view(), Ecn::NotCapable, t0());
     }
     // An ACK of nothing sent queues an ACK in reply.
     let unsent = from_peer(&a, una + 100, ACK);
-    a.on_segment(&unsent, Ecn::NotCapable, t0());
+    a.on_segment_view(unsent.view(), Ecn::NotCapable, t0());
     assert_eq!(
         shape(&drain(&mut a)),
         [(una, 0, FIN_ACK), (una + 1, 0, ACK)],

@@ -90,7 +90,7 @@ fn run_pair(fast_path: bool, seed: u64) -> Trace {
         .into_reply()
         .expect("SYN-ACK");
     let synack = listener.synack(due, now);
-    client.on_segment(&synack, Ecn::NotCapable, now);
+    client.on_segment_view(synack.view(), Ecn::NotCapable, now);
     let ack = client.poll_transmit(now).expect("ACK");
     let mut server = listener
         .on_segment(a_addr, &ack, 0, now)
@@ -150,10 +150,10 @@ fn run_pair(fast_path: bool, seed: u64) -> Trace {
             if script.chance(10) {
                 return; // dropped in transit
             }
-            dst.on_segment(seg, Ecn::NotCapable, now);
+            dst.on_segment_view(seg.view(), Ecn::NotCapable, now);
             if script.chance(6) {
                 // Duplicate delivery (dup ACKs / dup data at the peer).
-                dst.on_segment(seg, Ecn::NotCapable, now);
+                dst.on_segment_view(seg.view(), Ecn::NotCapable, now);
             }
         };
         for seg in &from_client {
@@ -308,7 +308,7 @@ fn predicate_boundaries_match() {
             .into_reply()
             .expect("SYN-ACK");
         let synack = listener.synack(due, now);
-        client.on_segment(&synack, Ecn::NotCapable, now);
+        client.on_segment_view(synack.view(), Ecn::NotCapable, now);
         let ack = client.poll_transmit(now).expect("ACK");
         let mut server = listener
             .on_segment(a_addr, &ack, 0, now)
@@ -318,7 +318,7 @@ fn predicate_boundaries_match() {
         // In-order data -> predicted on the receiver (when enabled).
         client.send(&[0xAA; 100]);
         let data = client.poll_transmit(now).expect("data");
-        server.on_segment(&data, Ecn::NotCapable, now);
+        server.on_segment_view(data.view(), Ecn::NotCapable, now);
         assert_eq!(server.stats.predicted_data, u64::from(fast));
 
         // The ACK for new data -> predicted on the sender (when enabled).
@@ -328,13 +328,13 @@ fn predicate_boundaries_match() {
         let later = now + Duration::from_millis(200);
         server.on_timer(later); // delack fires
         let ack = server.poll_transmit(later).expect("delayed ACK");
-        client.on_segment(&ack, Ecn::NotCapable, later);
+        client.on_segment_view(ack.view(), Ecn::NotCapable, later);
         assert_eq!(client.stats.predicted_acks, u64::from(fast));
 
         // A duplicate of that same ACK is NOT predicted (ack == snd_una
         // now): the dup-ACK machinery runs identically either way.
         let before = client.stats.predicted_acks;
-        client.on_segment(&ack, Ecn::NotCapable, later);
+        client.on_segment_view(ack.view(), Ecn::NotCapable, later);
         assert_eq!(
             client.stats.predicted_acks, before,
             "duplicate ACK must not take the ACK fast path"
@@ -345,12 +345,12 @@ fn predicate_boundaries_match() {
         // the advertised window.
         client.send(&[0xBB; 200]);
         let data2 = client.poll_transmit(later).expect("more data");
-        server.on_segment(&data2, Ecn::NotCapable, later);
+        server.on_segment_view(data2.view(), Ecn::NotCapable, later);
         let later2 = later + Duration::from_millis(200);
         server.on_timer(later2); // delack with shrunken window
         let ack2 = server.poll_transmit(later2).expect("delayed ACK 2");
         let before = client.stats.predicted_acks;
-        client.on_segment(&ack2, Ecn::NotCapable, later2);
+        client.on_segment_view(ack2.view(), Ecn::NotCapable, later2);
         assert_eq!(
             client.stats.predicted_acks, before,
             "window-changing ACK must not take the ACK fast path"

@@ -147,7 +147,7 @@ fn probe_drops_only_after_configured_count() {
 /// Delivers everything `from` sends at `now` to `to`.
 fn relay(from: &mut TcpSocket, to: &mut TcpSocket, now: Instant) {
     while let Some(seg) = from.poll_transmit(now) {
-        to.on_segment(&seg, Ecn::NotCapable, now);
+        to.on_segment_view(seg.view(), Ecn::NotCapable, now);
     }
 }
 

@@ -30,7 +30,7 @@ fn paws_drops_old_timestamps() {
     let _ = (b_addr, b_port);
     let mut stale = Segment::new(a_port, b_port, TcpSeq(0), TcpSeq(0), Flags::ACK);
     stale.timestamps = Some(Timestamps { value: 1, echo: 0 });
-    h.b.on_segment(&stale, Ecn::NotCapable, h.now);
+    h.b.on_segment_view(stale.view(), Ecn::NotCapable, h.now);
     assert_eq!(h.b.stats.paws_drops, before + 1, "PAWS must reject it");
 }
 
@@ -54,7 +54,7 @@ fn in_window_syn_triggers_challenge_ack() {
     let before = h.b.stats.challenge_acks;
     let mut probe = syn.clone();
     probe.seq = TcpSeq(10_001); // client ISS was 10_000; rcv_nxt = 10_001
-    h.b.on_segment(&probe, Ecn::NotCapable, h.now);
+    h.b.on_segment_view(probe.view(), Ecn::NotCapable, h.now);
     assert_eq!(
         h.b.stats.challenge_acks,
         before + 1,
@@ -74,7 +74,7 @@ fn in_window_rst_not_exact_is_challenged() {
         echo: 0,
     });
     let before = h.b.stats.challenge_acks;
-    h.b.on_segment(&rst, Ecn::NotCapable, h.now);
+    h.b.on_segment_view(rst.view(), Ecn::NotCapable, h.now);
     assert_eq!(h.b.state(), TcpState::Established, "blind RST defeated");
     assert_eq!(h.b.stats.challenge_acks, before + 1);
 }
@@ -89,7 +89,7 @@ fn exact_rst_closes_connection() {
         value: u32::MAX / 2,
         echo: 0,
     });
-    h.b.on_segment(&rst, Ecn::NotCapable, h.now);
+    h.b.on_segment_view(rst.view(), Ecn::NotCapable, h.now);
     assert_eq!(h.b.state(), TcpState::Closed);
     assert_eq!(h.b.close_reason(), Some(CloseReason::Reset));
 }
@@ -207,7 +207,7 @@ fn time_wait_absorbs_retransmitted_fin() {
             value: u32::MAX / 2,
             echo: 0,
         });
-        h.a.on_segment(&fin, Ecn::NotCapable, h.now);
+        h.a.on_segment_view(fin.view(), Ecn::NotCapable, h.now);
         assert_eq!(h.a.state(), TcpState::TimeWait);
         // Eventually closes.
         h.run_for(Duration::from_secs(10));

@@ -28,7 +28,7 @@
 use lln_netip::checksum::Checksum;
 use lln_netip::Ipv6Addr;
 use lln_sim::{Duration, Fnv1a, Rng};
-use tcplp::{Flags, SackBlock, Segment, TcpSeq};
+use tcplp::{Flags, SackBlock, Segment, SegmentView, TcpSeq};
 
 /// Per-mangle probabilities. All rates are independent probabilities in
 /// `[0, 1]`; the *fate* rates (drop, truncate, split, reorder,
@@ -247,17 +247,6 @@ impl AdversaryStats {
     }
 }
 
-/// One thing to deliver to the node's TCP input. Zero-delay deliveries
-/// happen inline (same event); positive delays are scheduled through
-/// the sim queue and bypass the adversary on arrival (no re-mangling).
-#[derive(Clone, Debug)]
-pub enum Delivery {
-    /// A decoded segment to re-encode and deliver after the delay.
-    Seg(Duration, Segment),
-    /// Raw bytes to deliver as-is (may be deliberately malformed).
-    Raw(Duration, Vec<u8>),
-}
-
 /// The interposer itself. Owned by a [`crate::stack::Node`]; consulted
 /// by the world for every inbound TCP segment addressed to that node.
 #[derive(Clone, Debug)]
@@ -279,12 +268,22 @@ impl Adversary {
         }
     }
 
-    /// Mangle one inbound segment into a list of deliveries. `src` and
-    /// `dst` are the IP addresses of the original packet (needed to
-    /// checksum raw forgeries).
-    pub fn on_segment(&mut self, seg: &Segment, src: Ipv6Addr, dst: Ipv6Addr) -> Vec<Delivery> {
+    /// Mangles one inbound segment, from `src` to `dst`, into deliveries
+    /// appended to `out`: each is a delay and the TCP bytes to hand the
+    /// node's TCP input then, encoded and checksummed for `src` and
+    /// `dst` (raw forgeries may be deliberately malformed). A zero
+    /// delay means inline, in the same event; a later delivery
+    /// bypasses the adversary on arrival (no re-mangling).
+    pub fn on_segment(
+        &mut self,
+        view: &SegmentView<'_>,
+        src: Ipv6Addr,
+        dst: Ipv6Addr,
+        out: &mut Vec<(Duration, Vec<u8>)>,
+    ) {
         self.stats.seen += 1;
-        let mut out = Vec::new();
+        let seg = &view.to_owned();
+        let emit = |out: &mut Vec<_>, delay, m: &Segment| out.push((delay, m.encode(src, dst)));
         let p = self.profile;
         let has_payload = !seg.payload.is_empty();
 
@@ -301,7 +300,7 @@ impl Adversary {
             let mut m = seg.clone();
             m.payload.truncate(keep);
             m.flags = m.flags.difference(Flags::FIN); // the FIN seq no longer lines up
-            out.push(Delivery::Seg(Duration::ZERO, m));
+            emit(out, Duration::ZERO, &m);
             self.stats.truncated += 1;
             genuine_inline = false;
         } else if has_payload && seg.payload.len() >= 2 && self.rng.gen_bool(p.split) {
@@ -312,8 +311,8 @@ impl Adversary {
             let mut b = seg.clone();
             b.seq = seg.seq + cut as u32;
             b.payload = seg.payload[cut..].to_vec();
-            out.push(Delivery::Seg(Duration::ZERO, a));
-            out.push(Delivery::Seg(Duration::ZERO, b));
+            emit(out, Duration::ZERO, &a);
+            emit(out, Duration::ZERO, &b);
             self.stats.split += 1;
             genuine_inline = true;
         } else if !has_payload
@@ -325,17 +324,17 @@ impl Adversary {
             // to payload (it would poison the stream; module docs).
             let mut m = seg.clone();
             m.seq = seg.seq + 1 + self.rng.gen_range(1200) as u32;
-            out.push(Delivery::Seg(Duration::ZERO, m));
+            emit(out, Duration::ZERO, &m);
             self.stats.seq_rewritten += 1;
             genuine_inline = false;
         } else if self.rng.gen_bool(p.reorder) {
             let max_ms = p.reorder_delay.as_millis().max(1);
             let delay = Duration::from_millis(1 + self.rng.gen_range(max_ms));
-            out.push(Delivery::Seg(delay, seg.clone()));
+            emit(out, delay, seg);
             self.stats.reordered += 1;
             genuine_inline = false;
         } else {
-            out.push(Delivery::Seg(Duration::ZERO, seg.clone()));
+            emit(out, Duration::ZERO, seg);
             self.stats.passed += 1;
             genuine_inline = true;
         }
@@ -343,7 +342,7 @@ impl Adversary {
         // --- Additive attacks: forged traffic on top of the fate.
         if self.rng.gen_bool(p.duplicate) {
             let delay = Duration::from_millis(1 + self.rng.gen_range(20));
-            out.push(Delivery::Seg(delay, seg.clone()));
+            emit(out, delay, seg);
             self.stats.duplicated += 1;
         }
         if genuine_inline && has_payload && self.rng.gen_bool(p.overlap_conflict) {
@@ -354,7 +353,7 @@ impl Adversary {
                 *b ^= 0xA5;
             }
             let delay = Duration::from_millis(1 + self.rng.gen_range(10));
-            out.push(Delivery::Seg(delay, m));
+            emit(out, delay, &m);
             self.stats.conflicts_injected += 1;
         }
         if self.rng.gen_bool(p.rewrite_ack) {
@@ -369,7 +368,7 @@ impl Adversary {
                 seg.ack + 60_000 + self.rng.gen_range(50_000) as u32
             };
             let delay = Duration::from_millis(1 + self.rng.gen_range(8));
-            out.push(Delivery::Seg(delay, m));
+            emit(out, delay, &m);
             self.stats.ack_rewritten += 1;
         }
         if self.rng.gen_bool(p.forge_rst) {
@@ -381,7 +380,7 @@ impl Adversary {
                 m.seq = seg.seq + seg.seq_len() + 1 + self.rng.gen_range(600) as u32;
             }
             m.window = seg.window;
-            out.push(Delivery::Seg(Duration::ZERO, m));
+            emit(out, Duration::ZERO, &m);
             self.stats.rst_forged += 1;
         }
         if self.rng.gen_bool(p.forge_syn) {
@@ -389,7 +388,7 @@ impl Adversary {
             let mut m = Segment::new(seg.src_port, seg.dst_port, fseq, TcpSeq(0), Flags::SYN);
             m.window = seg.window;
             m.mss = Some(536);
-            out.push(Delivery::Seg(Duration::ZERO, m));
+            emit(out, Duration::ZERO, &m);
             self.stats.syn_forged += 1;
         }
         if self.rng.gen_bool(p.ack_storm) {
@@ -403,7 +402,7 @@ impl Adversary {
                     m.ack = seg.ack + 90_000 + self.rng.gen_range(1 << 20) as u32;
                 }
                 let delay = Duration::from_micros(u64::from(k) * 200);
-                out.push(Delivery::Seg(delay, m));
+                emit(out, delay, &m);
                 self.stats.storm_acks += 1;
             }
         }
@@ -413,7 +412,7 @@ impl Adversary {
             // window-update race; window 0 freezes the victim.
             m.seq = seg.seq + seg.seq_len() + 1 + self.rng.gen_range(1200) as u32;
             m.window = 0;
-            out.push(Delivery::Seg(Duration::ZERO, m));
+            emit(out, Duration::ZERO, &m);
             self.stats.zero_windows_forged += 1;
         }
         if self.rng.gen_bool(p.malformed_sack) {
@@ -421,15 +420,14 @@ impl Adversary {
             m.window = seg.window;
             m.sack_blocks = self.forged_sack_blocks(seg);
             let delay = Duration::from_millis(self.rng.gen_range(4));
-            out.push(Delivery::Seg(delay, m));
+            emit(out, delay, &m);
             self.stats.sack_lies += 1;
         }
         if self.rng.gen_bool(p.raw_junk) {
             let bytes = self.raw_junk_bytes(seg, src, dst);
-            out.push(Delivery::Raw(Duration::ZERO, bytes));
+            out.push((Duration::ZERO, bytes));
             self.stats.raw_junk += 1;
         }
-        out
     }
 
     /// SACK blocks a lying receiver might report: inverted, far outside
@@ -528,21 +526,24 @@ mod tests {
         s
     }
 
+    /// The deliveries `adv` makes for `seg`, each decoded (`None` for
+    /// bytes the parser refuses).
+    fn mangle(adv: &mut Adversary, seg: &Segment) -> Vec<(Duration, Option<Segment>)> {
+        let (src, dst) = addrs();
+        let mut out = Vec::new();
+        adv.on_segment(&seg.view(), src, dst, &mut out);
+        out.into_iter()
+            .map(|(d, bytes)| (d, Segment::decode(src, dst, &bytes)))
+            .collect()
+    }
+
     #[test]
     fn zero_profile_passes_everything_inline() {
         let mut adv = Adversary::new(AdversaryProfile::default(), Rng::new(7));
-        let (src, dst) = addrs();
         let seg = data_seg();
         for _ in 0..50 {
-            let ds = adv.on_segment(&seg, src, dst);
-            assert_eq!(ds.len(), 1);
-            match &ds[0] {
-                Delivery::Seg(d, s) => {
-                    assert_eq!(*d, Duration::ZERO);
-                    assert_eq!(*s, seg);
-                }
-                Delivery::Raw(..) => panic!("no raw junk at zero profile"),
-            }
+            let ds = mangle(&mut adv, &seg);
+            assert_eq!(ds, [(Duration::ZERO, Some(seg.clone()))]);
         }
         assert_eq!(adv.stats.passed, 50);
         assert_eq!(adv.stats.total_mangles(), 0);
@@ -550,12 +551,11 @@ mod tests {
 
     #[test]
     fn same_seed_same_decisions() {
-        let (src, dst) = addrs();
         let seg = data_seg();
         let run = |seed: u64| {
             let mut adv = Adversary::new(AdversaryProfile::full(0.3), Rng::new(seed));
             for _ in 0..200 {
-                adv.on_segment(&seg, src, dst);
+                mangle(&mut adv, &seg);
             }
             adv.stats
         };
@@ -573,23 +573,22 @@ mod tests {
 
     #[test]
     fn conflicting_copy_only_after_inline_genuine() {
-        let (src, dst) = addrs();
         let seg = data_seg();
         let mut adv = Adversary::new(AdversaryProfile::full(0.4), Rng::new(0xC0FFEE));
         let mut saw_conflict = false;
         for _ in 0..400 {
             let before = adv.stats.conflicts_injected;
-            let ds = adv.on_segment(&seg, src, dst);
+            let ds = mangle(&mut adv, &seg);
             if adv.stats.conflicts_injected > before {
                 saw_conflict = true;
                 // The genuine payload must appear, inline, before the
                 // conflicting copy in the delivery list.
-                let genuine_at = ds.iter().position(|d| {
-                    matches!(d, Delivery::Seg(dl, s)
+                let genuine_at = ds.iter().position(|(dl, s)| {
+                    matches!(s, Some(s)
                         if *dl == Duration::ZERO && s.payload == seg.payload && s.seq == seg.seq)
                 });
-                let split_first_at = ds.iter().position(|d| {
-                    matches!(d, Delivery::Seg(dl, s)
+                let split_first_at = ds.iter().position(|(dl, s)| {
+                    matches!(s, Some(s)
                         if *dl == Duration::ZERO && s.seq == seg.seq
                             && seg.payload.starts_with(&s.payload))
                 });
@@ -598,8 +597,8 @@ mod tests {
                     "conflict injected without inline genuine bytes"
                 );
                 // And the conflicting copy is strictly delayed.
-                let conflict_delayed = ds.iter().any(|d| {
-                    matches!(d, Delivery::Seg(dl, s)
+                let conflict_delayed = ds.iter().any(|(dl, s)| {
+                    matches!(s, Some(s)
                         if *dl > Duration::ZERO && s.seq == seg.seq
                             && !s.payload.is_empty() && s.payload != seg.payload)
                 });
@@ -611,7 +610,6 @@ mod tests {
 
     #[test]
     fn seq_rewrites_never_carry_payload() {
-        let (src, dst) = addrs();
         let mut pure_ack = data_seg();
         pure_ack.payload.clear();
         let mut adv = Adversary::new(
@@ -622,23 +620,20 @@ mod tests {
             Rng::new(5),
         );
         // Data segments pass untouched (rate applies to pure ACKs only).
-        let ds = adv.on_segment(&data_seg(), src, dst);
-        assert!(matches!(&ds[0], Delivery::Seg(_, s) if s.seq == TcpSeq(1000)));
+        let ds = mangle(&mut adv, &data_seg());
+        assert!(matches!(&ds[0], (_, Some(s)) if s.seq == TcpSeq(1000)));
         // Pure ACKs get shifted.
-        let ds = adv.on_segment(&pure_ack, src, dst);
-        match &ds[0] {
-            Delivery::Seg(_, s) => {
-                assert!(s.payload.is_empty());
-                assert_ne!(s.seq, pure_ack.seq);
-            }
-            Delivery::Raw(..) => panic!("unexpected raw"),
-        }
+        let ds = mangle(&mut adv, &pure_ack);
+        let (_, Some(s)) = &ds[0] else {
+            panic!("a rewritten ACK decodes");
+        };
+        assert!(s.payload.is_empty());
+        assert_ne!(s.seq, pure_ack.seq);
         assert_eq!(adv.stats.seq_rewritten, 1);
     }
 
     #[test]
     fn raw_junk_variants_are_checksummed_or_deliberately_not() {
-        let (src, dst) = addrs();
         let seg = data_seg();
         let mut adv = Adversary::new(
             AdversaryProfile {
@@ -651,15 +646,13 @@ mod tests {
         let mut decoded = 0usize;
         let mut rejected = 0usize;
         for _ in 0..80 {
-            for d in adv.on_segment(&seg, src, dst) {
-                if let Delivery::Raw(_, bytes) = d {
-                    match Segment::decode(src, dst, &bytes) {
-                        Some(s) => {
-                            decoded += 1;
-                            assert!(s.sack_blocks.len() <= 3, "parser must cap SACK lists");
-                        }
-                        None => rejected += 1,
+            for (_, s) in mangle(&mut adv, &seg) {
+                match s {
+                    Some(s) => {
+                        decoded += 1;
+                        assert!(s.sack_blocks.len() <= 3, "parser must cap SACK lists");
                     }
+                    None => rejected += 1,
                 }
             }
         }

@@ -17,11 +17,17 @@
 //! the attack bit-identically — the overload tier asserts same-seed
 //! runs produce identical stats digests.
 
+use lln_netip::{Ipv6Addr, Ipv6Header, NextHeader, NodeId};
 use lln_sim::{Duration, Instant, Rng};
+use tcplp::{Flags, Segment, TcpSeq};
 
 /// Claimed datagram size in forged FRAG1 headers: each pins that many
 /// accounted bytes per reassembly slot until timeout (DESIGN.md §10).
 pub const CLAIMED_FRAG_SIZE: u16 = 600;
+
+/// Bytes in each forged FRAG1 [`Flooder::next_frag1`] makes: the 4 B
+/// header and 64 B of junk payload.
+const FRAG1_LEN: usize = 68;
 
 /// What the attacker sends, how fast, and for how long.
 #[derive(Clone, Debug)]
@@ -93,6 +99,33 @@ impl Flooder {
         Duration::from_micros(1_000_000 / self.cfg.rate_hz)
     }
 
+    /// The next forged SYN at `victim`, with its IPv6 header: from the
+    /// next of the rotating spoofed mesh sources, from a random port
+    /// and with a random ISN, to the victim's listen port.
+    pub(crate) fn next_syn(&mut self, victim: Ipv6Addr) -> (Ipv6Header, Segment) {
+        let k = (self.stats.syns_sent % u64::from(self.cfg.spoofed_sources)) as u16;
+        let src = NodeId(0xF000 + k).mesh_addr();
+        let sport = 40_000 + (self.rng.next_u64() % 20_000) as u16;
+        let seq = TcpSeq(self.rng.next_u64() as u32);
+        let mut seg = Segment::new(sport, self.cfg.target_port, seq, TcpSeq(0), Flags::SYN);
+        seg.window = 1024;
+        seg.mss = Some(462);
+        let hdr = Ipv6Header::new(src, victim, NextHeader::Tcp, seg.wire_len() as u16);
+        self.stats.syns_sent += 1;
+        (hdr, seg)
+    }
+
+    /// The next forged FRAG1 (see [`Flooder::forge_frag1_into`]) and
+    /// the spoofed link-layer source it comes from, the next of the
+    /// rotating ones.
+    pub(crate) fn next_frag1(&mut self) -> (NodeId, [u8; FRAG1_LEN]) {
+        let k = (self.stats.frags_sent % u64::from(self.cfg.spoofed_sources)) as u16;
+        let mut bytes = [0u8; FRAG1_LEN];
+        self.forge_frag1_into(&mut bytes);
+        self.stats.frags_sent += 1;
+        (NodeId(0xF800 + k), bytes)
+    }
+
     /// Writes a forged FRAG1 (RFC 4944 §5.3) into `buf`: a header
     /// claiming a datagram of [`CLAIMED_FRAG_SIZE`] bytes under a random
     /// tag, then `buf.len() - 4` bytes of zero junk payload. The
@@ -140,6 +173,42 @@ mod tests {
             assert_eq!(owned.forge_frag1(64), buf);
         }
         assert_eq!(owned.rng.next_u64(), in_place.rng.next_u64());
+    }
+
+    #[test]
+    fn forged_syns_rotate_their_spoofed_sources() {
+        let cfg = FloodConfig {
+            spoofed_sources: 2,
+            ..FloodConfig::default()
+        };
+        let mut f = Flooder::new(cfg, Rng::new(7));
+        let victim = NodeId(1).mesh_addr();
+        let forged: Vec<_> = (0..3).map(|_| f.next_syn(victim)).collect();
+        let srcs: Vec<_> = forged.iter().map(|(hdr, _)| hdr.src).collect();
+        let spoofed = |k: u16| NodeId(0xF000 + k).mesh_addr();
+        assert_eq!(srcs, [spoofed(0), spoofed(1), spoofed(0)]);
+        for (hdr, seg) in &forged {
+            assert_eq!(hdr.dst, victim);
+            assert_eq!(usize::from(hdr.payload_len), seg.wire_len());
+            assert_eq!((seg.flags, seg.dst_port), (Flags::SYN, 80));
+        }
+        assert_eq!(f.stats.syns_sent, 3);
+    }
+
+    #[test]
+    fn forged_frag1s_rotate_their_spoofed_sources() {
+        let cfg = FloodConfig {
+            spoofed_sources: 2,
+            ..FloodConfig::default()
+        };
+        let mut f = Flooder::new(cfg.clone(), Rng::new(11));
+        let mut owned = Flooder::new(cfg, Rng::new(11));
+        for k in [0, 1, 0] {
+            let (src, bytes) = f.next_frag1();
+            assert_eq!(src, NodeId(0xF800 + k));
+            assert_eq!(owned.forge_frag1(FRAG1_LEN - 4), bytes);
+        }
+        assert_eq!(f.stats.frags_sent, 3);
     }
 
     #[test]

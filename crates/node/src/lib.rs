@@ -23,11 +23,11 @@ pub mod supervisor;
 pub mod trace;
 pub mod world;
 
-pub use adversary::{Adversary, AdversaryProfile, AdversaryStats, Delivery};
+pub use adversary::{Adversary, AdversaryProfile, AdversaryStats};
 pub use fault::{FaultEvent, FaultPlan};
 pub use flood::{FloodConfig, FloodStats, Flooder};
 pub use route::{RouteTable, Topology};
-pub use stack::{Node, NodeCounter, NodeKind, TransportKind, TransportStack};
+pub use stack::{Node, NodeCounter, NodeKind, TransportStack};
 pub use supervisor::{RecordAssembler, SupervisedConnection, SupervisorConfig, SupervisorStats};
 pub use trace::{PacketTrace, TraceDir};
 pub use world::{World, WorldConfig};

@@ -10,7 +10,7 @@ use crate::route::RouteTable;
 use crate::supervisor::SupervisedConnection;
 use lln_coap::{CoapClient, CoapServer};
 use lln_energy::EnergyMeter;
-use lln_mac::csma::{MacConfig, TxProcess};
+use lln_mac::csma::TxProcess;
 use lln_mac::pool::FrameBuf;
 use lln_netip::{Ecn, FifoQueue, Ipv6Addr, Ipv6Header, NodeId, RedConfig, RedQueue};
 use lln_phy::medium::TxHandle;
@@ -114,19 +114,6 @@ pub enum NodeKind {
     CloudHost,
     /// A pure interference source (jams, never communicates).
     Interferer,
-}
-
-/// Which transport stack a node runs (for reporting).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum TransportKind {
-    /// No transport.
-    None,
-    /// Full-scale TCPlp.
-    Tcplp,
-    /// The uIP-class simplified TCP baseline.
-    Uip,
-    /// CoAP (confirmable or not, per client config).
-    Coap,
 }
 
 /// Transport sockets hosted on a node.
@@ -278,8 +265,6 @@ pub struct Node {
     pub id: NodeId,
     /// Role.
     pub kind: NodeKind,
-    /// MAC configuration (per-node so experiments can vary `d`).
-    pub mac_cfg: MacConfig,
 
     // --- MAC state ---
     /// Control frames (data requests, indirect data) — priority queue,
@@ -354,8 +339,6 @@ pub struct Node {
     // --- transport / app ---
     /// Transport sockets.
     pub transport: TransportStack,
-    /// Which transport this node reports as.
-    pub transport_kind: TransportKind,
     /// Pending transport-timer token.
     pub transport_timer: Option<EventToken>,
     /// Reconnecting connection supervisor (survives reboots, like a
@@ -385,13 +368,7 @@ pub struct Node {
 impl Node {
     /// Creates a node with the given role and memory budget (use
     /// [`Node::apply_budget`] to change it before traffic).
-    pub fn new(
-        id: NodeId,
-        kind: NodeKind,
-        mac_cfg: MacConfig,
-        budget: NodeBudget,
-        now: Instant,
-    ) -> Self {
+    pub fn new(id: NodeId, kind: NodeKind, budget: NodeBudget, now: Instant) -> Self {
         let awake = kind != NodeKind::SleepyLeaf;
         let mut meter = EnergyMeter::new(now);
         if awake && kind != NodeKind::CloudHost && kind != NodeKind::Interferer {
@@ -400,7 +377,6 @@ impl Node {
         Node {
             id,
             kind,
-            mac_cfg,
             ctrl_queue: Self::ctrl_queue_for(&budget),
             cur_packet_frames: VecDeque::new(),
             cur_tx: None,
@@ -428,7 +404,6 @@ impl Node {
             polling: false,
             poll_got_frame: false,
             transport: TransportStack::default(),
-            transport_kind: TransportKind::None,
             transport_timer: None,
             supervisor: None,
             app: App::None,
@@ -650,13 +625,7 @@ mod tests {
     use lln_mac::frame::MacFrame;
 
     fn node(kind: NodeKind) -> Node {
-        Node::new(
-            NodeId(3),
-            kind,
-            MacConfig::default(),
-            NodeBudget::default(),
-            Instant::ZERO,
-        )
+        Node::new(NodeId(3), kind, NodeBudget::default(), Instant::ZERO)
     }
 
     #[test]

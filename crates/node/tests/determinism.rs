@@ -89,7 +89,6 @@ fn lossy_tree_digest(seed: u64) -> u64 {
         ..AppRun::default()
     }
     .build();
-    world.set_sink_capture(SERVER);
     world.run_for(Duration::from_secs(600));
     tier::world_digest(&world)
 }

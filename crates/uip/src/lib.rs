@@ -490,7 +490,7 @@ mod tests {
                 c.on_timer(t);
             }
             while let Some(seg) = c.poll_transmit(t) {
-                s.on_segment(&seg, Ecn::NotCapable, t);
+                s.on_segment_view(seg.view(), Ecn::NotCapable, t);
                 quiet = false;
             }
             while let Some(seg) = s.poll_transmit(t) {
@@ -568,7 +568,7 @@ mod tests {
         assert_eq!(rexmit.seq, seg.seq);
         assert_eq!(c.retransmissions, 1);
         // Deliver and confirm the ACK clears the in-flight slot.
-        s.on_segment(&rexmit, Ecn::NotCapable, t);
+        s.on_segment_view(rexmit.view(), Ecn::NotCapable, t);
         pump(&mut c, &mut s, t);
         assert!(c.poll_transmit(t).is_none());
     }
