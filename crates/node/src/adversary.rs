@@ -273,7 +273,9 @@ impl Adversary {
     /// node's TCP input then, encoded and checksummed for `src` and
     /// `dst` (raw forgeries may be deliberately malformed). A zero
     /// delay means inline, in the same event; a later delivery
-    /// bypasses the adversary on arrival (no re-mangling).
+    /// bypasses the adversary on arrival (no re-mangling). It mangles
+    /// one owned copy of `view`, so even an untouched segment is
+    /// re-encoded here and decoded again by the node.
     pub fn on_segment(
         &mut self,
         view: &SegmentView<'_>,

@@ -2,11 +2,11 @@
 //! blackouts, route flaps, bit-error bursts), the adversary on a node's
 //! inbound TCP path and the flooder, each with its setup call, and the
 //! guard that swallows events at a powered-off node. It handles
-//! [`Event::Fault`], [`Event::FaultEnd`] and [`NodeEvent::FloodTick`];
+//! [`Event::Fault`], [`Event::FaultEnd`] and [`Event::FloodTick`];
 //! the adversary's later deliveries come back as
-//! [`NodeEvent::AdversaryDeliver`], which the transport handles.
+//! [`Event::AdversaryDeliver`], which the transport handles.
 
-use super::{Event, NodeEvent, World, CPU_PER_FRAME, CPU_PER_SEGMENT};
+use super::{Event, World, CPU_PER_FRAME, CPU_PER_SEGMENT};
 use crate::adversary::{Adversary, AdversaryProfile, AdversaryStats};
 use crate::app::App;
 use crate::fault::{FaultEvent, FaultPlan};
@@ -65,7 +65,7 @@ impl World {
         let rng = self.rng.fork(0xF100_0D00 + node as u64);
         let start = cfg.start;
         self.nodes[node].flooder = Some(Flooder::new(cfg, rng));
-        self.at(start, node, NodeEvent::FloodTick);
+        self.queue.schedule(start, Event::FloodTick(node));
     }
 
     /// The flooder's counters on `node`, if one is attached.
@@ -78,28 +78,45 @@ impl World {
     /// for transmissions the reboot cut mid-air, and handing a swallowed
     /// packet's bytes back to the pool. Returns true when the event was
     /// consumed.
-    pub(super) fn guard_down_node(&mut self, i: usize, ev: &mut NodeEvent, now: Instant) -> bool {
+    pub(super) fn guard_down_node(&mut self, ev: &mut Event, now: Instant) -> bool {
+        let i = match ev {
+            // These act on a down node: a fault and its end (the end of
+            // a reboot is the boot), and the flooder, which keeps
+            // ticking so the attack resumes after the boot.
+            Event::Fault(_) | Event::FaultEnd(_) | Event::FloodTick(_) => return false,
+            Event::CcaDone(i)
+            | Event::SpiDone(i)
+            | Event::AckTimeout(i)
+            | Event::TransportTimer(i)
+            | Event::PollWake(i)
+            | Event::PollWindowEnd(i)
+            | Event::AppTick(i)
+            | Event::AirDone(i)
+            | Event::LinkAckDone(i)
+            | Event::LinkAckStart(i, _, _)
+            | Event::WiredDeliver(i, _, _)
+            | Event::AdversaryDeliver(i, _, _)
+            | Event::InterfererStart(i)
+            | Event::InterfererEnd(i) => *i,
+        };
         if !self.nodes[i].down {
             return false;
         }
         match ev {
-            // The flooder keeps ticking on a down node, so the attack
-            // resumes after the boot.
-            NodeEvent::FloodTick => return false,
-            NodeEvent::AppTick => {
+            Event::AppTick(_) => {
                 // The sensing schedule resumes after boot; readings
                 // that would have been taken while down are lost at
                 // the source (the mote was off).
                 if let App::Anemometer(app) = &self.nodes[i].app {
                     let iv = app.interval;
-                    self.at(now + iv, i, NodeEvent::AppTick);
+                    self.queue.schedule(now + iv, Event::AppTick(i));
                 }
             }
-            NodeEvent::WiredDeliver(_, payload) | NodeEvent::AdversaryDeliver(_, payload) => {
+            Event::WiredDeliver(_, _, payload) | Event::AdversaryDeliver(_, _, payload) => {
                 self.nodes[i].counters.inc(NodeCounter::DownDrops);
                 self.seg_bufs.put(std::mem::take(payload));
             }
-            NodeEvent::AirDone => {
+            Event::AirDone(_) => {
                 // Our own frame was mid-air when the power died: the
                 // transmission is cut, nobody decodes it, but the
                 // medium record must still close.
@@ -113,25 +130,28 @@ impl World {
                     self.pool.reclaim(tx.frame);
                 }
             }
-            NodeEvent::LinkAckDone => {
+            Event::LinkAckDone(_) => {
                 if let Some((handle, _, _)) = self.ack_handles[i].take() {
                     self.medium.end_tx(handle, &[]);
                 }
             }
-            NodeEvent::InterfererEnd => {
+            Event::InterfererEnd(_) => {
                 if let Some((handle, _)) = self.interferer_handles[i].take() {
                     self.medium.end_tx(handle, &[]);
                 }
             }
             // The rest hold nothing: they die with the power.
-            NodeEvent::CcaDone
-            | NodeEvent::SpiDone
-            | NodeEvent::AckTimeout
-            | NodeEvent::LinkAckStart(..)
-            | NodeEvent::PollWake
-            | NodeEvent::PollWindowEnd
-            | NodeEvent::InterfererStart
-            | NodeEvent::TransportTimer => {}
+            Event::CcaDone(_)
+            | Event::SpiDone(_)
+            | Event::AckTimeout(_)
+            | Event::TransportTimer(_)
+            | Event::PollWake(_)
+            | Event::PollWindowEnd(_)
+            | Event::LinkAckStart(..)
+            | Event::InterfererStart(_)
+            | Event::Fault(_)
+            | Event::FaultEnd(_)
+            | Event::FloodTick(_) => {}
         }
         true
     }
@@ -295,7 +315,7 @@ impl World {
                 // Cold boot: the leaf stays asleep and re-joins its
                 // poll schedule after a deterministic boot delay.
                 let boot = Duration::from_millis(50 + 37 * i as u64);
-                let tok = self.at(now + boot, i, NodeEvent::PollWake);
+                let tok = self.queue.schedule(now + boot, Event::PollWake(i));
                 self.nodes[i].poll_timer = Some(tok);
             }
             NodeKind::CloudHost | NodeKind::Interferer => {}
@@ -307,7 +327,7 @@ impl World {
         // Restart the transport layer: the supervisor (its record queue
         // survives in "flash") notices its socket vanished and begins
         // reconnecting.
-        self.at(now, i, NodeEvent::TransportTimer);
+        self.queue.schedule(now, Event::TransportTimer(i));
     }
 
     /// Makes node `i` reselect its routing parent.
@@ -423,7 +443,7 @@ impl World {
     /// Runs `seg`, inbound at node `i`, through the node's adversary.
     /// Each delivery it makes that is due now reaches the transport
     /// inline; a later one comes back as a
-    /// [`NodeEvent::AdversaryDeliver`].
+    /// [`Event::AdversaryDeliver`].
     pub(super) fn mangle_tcp(
         &mut self,
         i: usize,
@@ -441,7 +461,8 @@ impl World {
                 self.deliver_tcp(i, &h, &bytes, true, now);
                 self.seg_bufs.put(bytes);
             } else {
-                self.at(now + delay, i, NodeEvent::AdversaryDeliver(h, bytes));
+                self.queue
+                    .schedule(now + delay, Event::AdversaryDeliver(i, h, bytes));
             }
         }
         self.inject.mangled = out;
@@ -477,6 +498,6 @@ impl World {
             // a wake source (see `reschedule_transport_timer`).
             self.nodes[i].sync_governor();
         }
-        self.at(now + interval, i, NodeEvent::FloodTick);
+        self.queue.schedule(now + interval, Event::FloodTick(i));
     }
 }

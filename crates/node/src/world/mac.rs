@@ -1,9 +1,9 @@
 //! The MAC layer of the [`World`]: the CSMA engine, frame reception,
 //! link ACKs, data polling (sleepy leaves and their parents) and the
 //! interferers' bursts. It handles the MAC and interferer
-//! [`NodeEvent`]s.
+//! [`Event`]s.
 
-use super::{NodeEvent, World, POLL_WINDOW};
+use super::{Event, World, POLL_WINDOW};
 use crate::app::App;
 use crate::stack::{CurrentTx, Node, NodeCounter, NodeKind};
 use crate::trace::{summarize_frame, TraceDir};
@@ -52,7 +52,7 @@ impl World {
             if let Some(tok) = n.poll_timer.take() {
                 self.queue.cancel(tok);
             }
-            let tok = self.at(now + delay, i, NodeEvent::PollWake);
+            let tok = self.queue.schedule(now + delay, Event::PollWake(i));
             self.nodes[i].poll_timer = Some(tok);
         }
     }
@@ -89,7 +89,7 @@ impl World {
         // frame and skip this cost.
         let overhead = self.cfg.phy.platform_overhead(frame.mpdu_len());
         self.nodes[i].meter.add_cpu(overhead);
-        let tok = self.at(now + overhead, i, NodeEvent::SpiDone);
+        let tok = self.queue.schedule(now + overhead, Event::SpiDone(i));
         self.nodes[i].cur_tx = Some(CurrentTx {
             frame,
             process,
@@ -105,7 +105,7 @@ impl World {
                 // follows is read when it ends, `cca_duration` later.
                 // One event covers both.
                 let cca_end = now + d + self.cfg.phy.cca_duration;
-                let tok = self.at(cca_end, i, NodeEvent::CcaDone);
+                let tok = self.queue.schedule(cca_end, Event::CcaDone(i));
                 if let Some(tx) = self.nodes[i].cur_tx.as_mut() {
                     tx.timer = Some(tok);
                 }
@@ -136,11 +136,11 @@ impl World {
                     self.trace
                         .record(now, self.nodes[i].id, TraceDir::FrameTx, summary);
                 }
-                self.at(start + air, i, NodeEvent::AirDone);
+                self.queue.schedule(start + air, Event::AirDone(i));
             }
             TxStep::AwaitAck => {
                 let wait = self.cfg.phy.ack_wait + self.cfg.phy.turnaround;
-                let tok = self.at(now + wait, i, NodeEvent::AckTimeout);
+                let tok = self.queue.schedule(now + wait, Event::AckTimeout(i));
                 if let Some(tx) = self.nodes[i].cur_tx.as_mut() {
                     tx.timer = Some(tok);
                 }
@@ -310,10 +310,9 @@ impl World {
                             .indirect
                             .get(&frame.src)
                             .is_some_and(|q| !q.is_empty());
-                    self.at(
+                    self.queue.schedule(
                         now + self.cfg.phy.turnaround,
-                        i,
-                        NodeEvent::LinkAckStart(frame.seq, pending),
+                        Event::LinkAckStart(i, frame.seq, pending),
                     );
                 }
                 if dup {
@@ -400,7 +399,7 @@ impl World {
         if let Some(tok) = self.nodes[i].poll_window.take() {
             self.queue.cancel(tok);
         }
-        let tok = self.at(now + span, i, NodeEvent::PollWindowEnd);
+        let tok = self.queue.schedule(now + span, Event::PollWindowEnd(i));
         self.nodes[i].poll_window = Some(tok);
     }
 
@@ -417,7 +416,7 @@ impl World {
         self.nodes[i].transmitting = true;
         self.nodes[i].meter.set_radio_state(RadioState::Tx, now);
         self.ack_handles[i] = Some((handle, ack, now));
-        self.at(now + air, i, NodeEvent::LinkAckDone);
+        self.queue.schedule(now + air, Event::LinkAckDone(i));
     }
 
     pub(super) fn on_link_ack_done(&mut self, i: usize, now: Instant) {
@@ -500,7 +499,7 @@ impl World {
             if let Some(tok) = self.nodes[i].poll_timer.take() {
                 self.queue.cancel(tok);
             }
-            let tok = self.at(now + fast, i, NodeEvent::PollWake);
+            let tok = self.queue.schedule(now + fast, Event::PollWake(i));
             self.nodes[i].poll_timer = Some(tok);
         }
     }
@@ -516,7 +515,7 @@ impl World {
         let burst = app.burst;
         let handle = self.medium.begin_tx(RadioIdx(i), now, now + burst);
         self.interferer_handles[i] = Some((handle, now));
-        self.at(now + burst, i, NodeEvent::InterfererEnd);
+        self.queue.schedule(now + burst, Event::InterfererEnd(i));
     }
 
     pub(super) fn on_interferer_end(&mut self, i: usize, now: Instant) {
@@ -528,6 +527,6 @@ impl World {
             return;
         };
         let gap = app.next_gap(now, &mut self.rng);
-        self.at(now + gap, i, NodeEvent::InterfererStart);
+        self.queue.schedule(now + gap, Event::InterfererStart(i));
     }
 }

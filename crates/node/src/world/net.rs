@@ -1,9 +1,9 @@
 //! The IP and 6LoWPAN layers of the [`World`]: routing, admission, the
 //! IP and indirect queues, the wired link, forwarding, and framing a
 //! packet into 6LoWPAN fragments. It handles
-//! [`NodeEvent::WiredDeliver`].
+//! [`Event::WiredDeliver`].
 
-use super::{NodeEvent, World, WIRED_LATENCY};
+use super::{Event, World, WIRED_LATENCY};
 use crate::stack::{NodeCounter, NodeKind, OutPacket};
 use crate::trace::{summarize_packet, TraceDir};
 use lln_mac::frame::{MacFrame, MAX_MAC_PAYLOAD};
@@ -98,11 +98,8 @@ impl World {
     ) {
         match hop {
             Hop::Wired(Some(peer)) => {
-                self.at(
-                    now + WIRED_LATENCY,
-                    peer,
-                    NodeEvent::WiredDeliver(hdr, payload),
-                );
+                self.queue
+                    .schedule(now + WIRED_LATENCY, Event::WiredDeliver(peer, hdr, payload));
             }
             Hop::Indirect(next_hop) => {
                 let pkt = OutPacket {

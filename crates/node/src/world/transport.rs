@@ -1,10 +1,10 @@
 //! The transport and application layers of the [`World`]: TCP and UDP
 //! delivery, the listener's SYN cache and the RST generator, the
 //! transport pump and its timer, the connection supervisor, and the
-//! applications. It handles [`NodeEvent::TransportTimer`] and
-//! [`NodeEvent::AppTick`].
+//! applications. It handles [`Event::TransportTimer`] and
+//! [`Event::AppTick`].
 
-use super::{NodeEvent, World, COAP_PORT, CPU_PER_SEGMENT};
+use super::{Event, World, COAP_PORT, CPU_PER_SEGMENT};
 use crate::app::{App, READING_BYTES};
 use crate::stack::{BufPool, Node, NodeCounter};
 use crate::supervisor::SupervisedConnection;
@@ -403,7 +403,7 @@ impl World {
             self.queue.cancel(tok);
         }
         if let Some(t) = next {
-            let tok = self.at(t.max(now), i, NodeEvent::TransportTimer);
+            let tok = self.queue.schedule(t.max(now), Event::TransportTimer(i));
             self.nodes[i].transport_timer = Some(tok);
         }
     }
@@ -579,7 +579,7 @@ impl World {
             None
         };
         if let Some(iv) = interval {
-            self.at(now + iv, i, NodeEvent::AppTick);
+            self.queue.schedule(now + iv, Event::AppTick(i));
         }
         self.pump_transport(i, now);
     }

@@ -231,10 +231,9 @@ fn inject(
     let dst = world.nodes[to].ip_addr();
     let bytes = seg.encode(src, dst);
     let hdr = lln_netip::Ipv6Header::new(src, dst, lln_netip::NextHeader::Tcp, bytes.len() as u16);
-    let ev = lln_node::world::NodeEvent::WiredDeliver(hdr, bytes);
     world
         .queue
-        .schedule(at, lln_node::world::Event::Node(to, ev));
+        .schedule(at, lln_node::world::Event::WiredDeliver(to, hdr, bytes));
 }
 
 /// The `key=` field of a traced TCP summary, e.g. `ack=` of
