@@ -10,7 +10,7 @@
 //! ns/iter and, where a byte count is meaningful, MB/s.
 
 use lln_mac::frame::{fcs16, MacFrame, MAX_MPDU};
-use lln_mac::pool::{FrameBuf, FramePool};
+use lln_mac::pool::FramePool;
 use lln_netip::{Ecn, Ipv6Header, NextHeader, NodeId, RedConfig, RedQueue};
 use lln_sim::{Duration, EventQueue, Instant, Rng};
 use std::hint::black_box;
@@ -305,18 +305,6 @@ fn bench_frame_pool() {
     bench("frame/fcs16_127B", Some(MAX_MPDU as u64), 1_000_000, || {
         black_box(fcs16(black_box(&mpdu_bytes)));
     });
-    let buf = FrameBuf::new(frame.clone());
-    bench(
-        "frame/framebuf_clone_fanout4",
-        Some(4 * mpdu),
-        100_000,
-        || {
-            for _ in 0..4 {
-                let rx = buf.clone();
-                black_box(rx.mpdu_len());
-            }
-        },
-    );
     bench("frame/pool_alloc_reclaim", Some(mpdu), 100_000, || {
         let mut pool = FramePool::new(4);
         for seq in 0..8u8 {

@@ -1,11 +1,11 @@
-//! Pooled, reference-counted frame buffers.
+//! Pooled, single-owner frame buffers.
 //!
-//! A [`FrameBuf`] wraps a decoded [`MacFrame`]. Cloning is a
-//! reference-count bump, so a frame can sit in the MAC queue, ride the
-//! medium, fan out to several receivers, and wait in the retransmit
-//! path without its payload ever being copied — the same zero-copy
-//! buffering discipline TCPlp applies to its send buffer on-mote (§5 of
-//! the paper).
+//! A [`FrameBuf`] owns one boxed [`MacFrame`]. It moves, never shares:
+//! from the MAC queue into the node's transmission in progress, and from
+//! there back to the pool. Receivers borrow the frame while the world
+//! resolves its air time, so nothing is ever copied or reference
+//! counted — the same zero-copy buffering discipline TCPlp applies to
+//! its send buffer on-mote (§5 of the paper).
 //!
 //! No wire encoding is kept. Air time and platform overhead need only
 //! the MPDU length, which [`MacFrame::mpdu_len`] computes from the
@@ -13,14 +13,14 @@
 //! while a bit-error burst is on at it, when the world encodes the
 //! frame for that one reception.
 //!
-//! A [`FramePool`] recycles the underlying allocations: when the last
-//! reference to a buffer is handed back via [`FramePool::reclaim`], its
-//! heap storage (the `Arc` block and the payload `Vec`) is reused for
-//! later frames instead of going back to the allocator. Payloads are
-//! built in buffers from [`FramePool::payload_buf`]; when a recycled
-//! block takes a new frame, the old frame's payload returns to that
-//! list. The steady state of a busy node — one frame in flight, a
-//! handful queued — runs entirely out of the pool.
+//! A [`FramePool`] recycles the underlying allocations: a buffer handed
+//! back via [`FramePool::reclaim`] keeps its heap storage (the box and
+//! the payload `Vec`) for later frames instead of returning it to the
+//! allocator. Payloads are built in buffers from
+//! [`FramePool::payload_buf`]; when a recycled box takes a new frame,
+//! the old frame's payload returns to that list. The steady state of a
+//! busy node — one frame in flight, a handful queued — runs entirely
+//! out of the pool.
 //!
 //! # Ownership rules
 //!
@@ -28,20 +28,18 @@
 //!   frames (the frame-pending bit, sequence number) is set on the
 //!   `MacFrame` *before* the buffer is built.
 //! - `reclaim` is an optimisation, never a requirement: dropping a
-//!   `FrameBuf` is always correct, and `reclaim` quietly declines
-//!   buffers that still have other holders.
+//!   `FrameBuf` is always correct.
 
 use crate::frame::{MacFrame, MAX_MAC_PAYLOAD};
-use std::sync::Arc;
 
-/// An immutable, shared MAC frame.
-#[derive(Clone, Debug)]
-pub struct FrameBuf(Arc<MacFrame>);
+/// An immutable MAC frame with one owner.
+#[derive(Debug)]
+pub struct FrameBuf(Box<MacFrame>);
 
 impl FrameBuf {
     /// Builds a buffer for `frame`.
     pub fn new(frame: MacFrame) -> Self {
-        FrameBuf(Arc::new(frame))
+        FrameBuf(Box::new(frame))
     }
 
     /// The decoded frame.
@@ -61,9 +59,9 @@ impl FrameBuf {
     }
 }
 
-/// A free list of uniquely-owned frame buffers awaiting reuse.
+/// A free list of idle frame buffers awaiting reuse.
 pub struct FramePool {
-    spares: Vec<Arc<MacFrame>>,
+    spares: Vec<FrameBuf>,
     /// Cleared payload buffers, lent out by [`FramePool::payload_buf`].
     payloads: Vec<Vec<u8>>,
     max_spares: usize,
@@ -95,12 +93,11 @@ impl FramePool {
     /// is available.
     pub fn alloc(&mut self, frame: MacFrame) -> FrameBuf {
         match self.spares.pop() {
-            Some(mut arc) => {
-                let slot = Arc::get_mut(&mut arc).expect("spares are uniquely owned");
-                let old = std::mem::replace(slot, frame);
+            Some(mut buf) => {
+                let old = std::mem::replace(&mut *buf.0, frame);
                 self.keep_payload(old.payload);
                 self.reused += 1;
-                FrameBuf(arc)
+                buf
             }
             None => {
                 self.fresh += 1;
@@ -109,18 +106,17 @@ impl FramePool {
         }
     }
 
-    /// Returns a buffer's allocation to the free list if this was the
-    /// last reference; otherwise (or when the pool is full) the buffer
-    /// simply drops.
+    /// Returns a buffer's allocation to the free list; when the pool is
+    /// full the buffer simply drops.
     pub fn reclaim(&mut self, buf: FrameBuf) {
-        if self.spares.len() < self.max_spares && Arc::strong_count(&buf.0) == 1 {
-            self.spares.push(buf.0);
+        if self.spares.len() < self.max_spares {
+            self.spares.push(buf);
         }
     }
 
     /// An empty payload buffer for the next frame, reused from an
     /// earlier frame's payload when one is spare: from the payload list,
-    /// or else out of a spare block that still holds its last frame's.
+    /// or else out of a spare box that still holds its last frame's.
     /// It always has room for a full [`MAX_MAC_PAYLOAD`], so a recycled
     /// short payload never has to grow mid-write. Build the payload in
     /// it, then pass the frame to [`FramePool::alloc`].
@@ -129,9 +125,8 @@ impl FramePool {
             self.spares
                 .iter_mut()
                 .rev()
-                .filter_map(Arc::get_mut)
-                .find(|f| f.payload.capacity() > 0)
-                .map(|f| std::mem::take(&mut f.payload))
+                .find(|buf| buf.0.payload.capacity() > 0)
+                .map(|buf| std::mem::take(&mut buf.0.payload))
                 .unwrap_or_default()
         });
         payload.clear();
@@ -172,13 +167,6 @@ mod tests {
     }
 
     #[test]
-    fn clone_shares_storage() {
-        let buf = FrameBuf::new(data(10));
-        let other = buf.clone();
-        assert!(std::ptr::eq(buf.frame(), other.frame()));
-    }
-
-    #[test]
     fn ack_buffer_encodes_ack() {
         let buf = FrameBuf::new(MacFrame::ack(9, true));
         assert_eq!(buf.mpdu_len(), ACK_MPDU_LEN);
@@ -204,7 +192,7 @@ mod tests {
 
     #[test]
     fn reused_block_encodes_only_its_new_frame() {
-        // One block cycles through an ACK, an empty data frame and a
+        // One box cycles through an ACK, an empty data frame and a
         // full MAX_MPDU data frame, then an ACK again, so every kind
         // follows a different one and the ACK follows the longest.
         let mut pool = FramePool::new(8);
@@ -232,16 +220,6 @@ mod tests {
             (1, 3),
             "one block served all four"
         );
-    }
-
-    #[test]
-    fn pool_declines_shared_buffers() {
-        let mut pool = FramePool::new(8);
-        let a = pool.alloc(data(20));
-        let held = a.clone();
-        pool.reclaim(a);
-        assert_eq!(pool.spares(), 0, "shared buffer must not be recycled");
-        drop(held);
     }
 
     #[test]

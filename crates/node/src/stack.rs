@@ -248,8 +248,8 @@ impl IpQueue {
 
 /// The in-progress MAC transmission.
 pub struct CurrentTx {
-    /// The frame being sent (its encoding is cached in the buffer, so
-    /// link retries never re-encode).
+    /// The frame being sent. Link retries send it again as it is; it is
+    /// never encoded, since air time needs only its MPDU length.
     pub frame: FrameBuf,
     /// CSMA/retry state machine.
     pub process: TxProcess,
@@ -488,7 +488,7 @@ impl Node {
 
     /// Bytes currently accounted to `class` by walking the owning
     /// structures (the governor's gauges are synced from this).
-    pub fn accounted_bytes(&self, class: MemClass) -> usize {
+    fn accounted_bytes(&self, class: MemClass) -> usize {
         match class {
             MemClass::TcpBuffers => self
                 .transport

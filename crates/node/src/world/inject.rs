@@ -31,6 +31,9 @@ pub(super) struct InjectState {
     ber_bursts: Vec<(usize, f64)>,
     /// Scratch: the adversary's deliveries for one segment.
     mangled: Vec<(Duration, Vec<u8>)>,
+    /// Every applied plan's faults, in order; [`Event::Fault`] and
+    /// [`Event::FaultEnd`] carry an index into it.
+    faults: Vec<FaultEvent>,
 }
 
 impl World {
@@ -39,7 +42,9 @@ impl World {
     /// with a fixed seed and a fixed plan replays bit-identically.
     pub fn apply_fault_plan(&mut self, plan: &FaultPlan) {
         for &ev in plan.events() {
-            self.queue.schedule(ev.at(), Event::Fault(ev));
+            let k = self.inject.faults.len() as u32;
+            self.inject.faults.push(ev);
+            self.queue.schedule(ev.at(), Event::Fault(k));
         }
     }
 
@@ -76,9 +81,9 @@ impl World {
     /// Swallows `ev` when node `i` is powered off, preserving the
     /// medium invariant (every `begin_tx` is matched by one `end_tx`)
     /// for transmissions the reboot cut mid-air, and handing a swallowed
-    /// packet's bytes back to the pool. Returns true when the event was
-    /// consumed.
-    pub(super) fn guard_down_node(&mut self, ev: &mut Event, now: Instant) -> bool {
+    /// packet's bytes back to the pool and freeing its slot. Returns true
+    /// when the event was consumed.
+    pub(super) fn guard_down_node(&mut self, ev: Event, now: Instant) -> bool {
         let i = match ev {
             // These act on a down node: a fault and its end (the end of
             // a reboot is the boot), and the flooder, which keeps
@@ -94,10 +99,10 @@ impl World {
             | Event::AirDone(i)
             | Event::LinkAckDone(i)
             | Event::LinkAckStart(i, _, _)
-            | Event::WiredDeliver(i, _, _)
-            | Event::AdversaryDeliver(i, _, _)
+            | Event::WiredDeliver(i, _)
+            | Event::AdversaryDeliver(i, _)
             | Event::InterfererStart(i)
-            | Event::InterfererEnd(i) => *i,
+            | Event::InterfererEnd(i) => i,
         };
         if !self.nodes[i].down {
             return false;
@@ -112,9 +117,10 @@ impl World {
                     self.queue.schedule(now + iv, Event::AppTick(i));
                 }
             }
-            Event::WiredDeliver(_, _, payload) | Event::AdversaryDeliver(_, _, payload) => {
+            Event::WiredDeliver(_, slot) | Event::AdversaryDeliver(_, slot) => {
                 self.nodes[i].counters.inc(NodeCounter::DownDrops);
-                self.seg_bufs.put(std::mem::take(payload));
+                let (_, payload) = self.parked.take(slot);
+                self.seg_bufs.put(payload);
             }
             Event::AirDone(_) => {
                 // Our own frame was mid-air when the power died: the
@@ -160,11 +166,11 @@ impl World {
     // Fault plan
     // ------------------------------------------------------------------
 
-    /// Puts fault `f` into effect. Returns its span when its end must be
+    /// Puts fault `k` into effect. Returns its span when its end must be
     /// scheduled: not for a route flap, which has none, nor for a reboot
     /// of a node that is already down.
-    pub(super) fn start_fault(&mut self, f: FaultEvent, now: Instant) -> Option<Duration> {
-        match f {
+    pub(super) fn start_fault(&mut self, k: u32, now: Instant) -> Option<Duration> {
+        match self.inject.faults[k as usize] {
             FaultEvent::NodeReboot { node, down_for, .. } => {
                 if self.nodes[node].down {
                     return None;
@@ -207,9 +213,9 @@ impl World {
         }
     }
 
-    /// Ends fault `f` when its span is over.
-    pub(super) fn end_fault(&mut self, f: FaultEvent, now: Instant) {
-        match f {
+    /// Ends fault `k` when its span is over.
+    pub(super) fn end_fault(&mut self, k: u32, now: Instant) {
+        match self.inject.faults[k as usize] {
             FaultEvent::NodeReboot { node, .. } => self.power_up(node, now),
             FaultEvent::LinkBlackout { a, b, .. } => {
                 let edge = (a.min(b), a.max(b));
@@ -461,8 +467,9 @@ impl World {
                 self.deliver_tcp(i, &h, &bytes, true, now);
                 self.seg_bufs.put(bytes);
             } else {
+                let slot = self.parked.park(h, bytes);
                 self.queue
-                    .schedule(now + delay, Event::AdversaryDeliver(i, h, bytes));
+                    .schedule(now + delay, Event::AdversaryDeliver(i, slot));
             }
         }
         self.inject.mangled = out;

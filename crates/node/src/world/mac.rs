@@ -27,7 +27,6 @@ impl World {
     }
 
     pub(super) fn maybe_sleep(&mut self, i: usize, now: Instant) {
-        let expecting = self.nodes[i].expecting_response();
         let n = &mut self.nodes[i];
         if n.kind != NodeKind::SleepyLeaf || !n.awake {
             return;
@@ -41,6 +40,7 @@ impl World {
         {
             return;
         }
+        let expecting = n.expecting_response();
         n.awake = false;
         n.meter.set_radio_state(RadioState::Sleep, now);
         // Schedule the next poll.
@@ -178,7 +178,9 @@ impl World {
     /// that decoded it. Only radios awake, not transmitting, and
     /// listening since the frame began can receive it. The listener list
     /// and the outcomes pass through world-owned scratch buffers, so
-    /// resolving a frame allocates nothing.
+    /// resolving a frame allocates nothing. The outcomes are copied one
+    /// by one: there are a few per frame, too few to pay for a `memcpy`
+    /// call.
     fn resolve_tx(
         &mut self,
         i: usize,
@@ -204,7 +206,9 @@ impl World {
         );
         let mut outcomes = std::mem::take(&mut self.outcomes);
         outcomes.clear();
-        outcomes.extend_from_slice(self.medium.end_tx(handle, &listeners));
+        for &outcome in self.medium.end_tx(handle, &listeners) {
+            outcomes.push(outcome);
+        }
         self.listeners = listeners;
         for &(rx, ok) in &outcomes {
             if ok {
@@ -215,24 +219,27 @@ impl World {
     }
 
     pub(super) fn on_air_done(&mut self, i: usize, now: Instant) {
-        let Some(tx) = self.nodes[i].cur_tx.as_ref() else {
+        let n = &mut self.nodes[i];
+        if n.cur_tx.as_ref().is_none_or(|tx| tx.handle.is_none()) {
             return;
-        };
-        let Some(handle) = tx.handle else { return };
-        let buf = tx.frame.clone(); // refcount bump, not a copy
-        let air = self.cfg.phy.air_time(buf.mpdu_len());
-        let start = now - air;
+        }
+        // The transmission moves out while the receivers borrow its
+        // frame, and back in after: the frame is never shared.
+        let mut tx = n.cur_tx.take().expect("checked above");
+        let handle = tx.handle.take().expect("checked above");
+        let start = now - self.cfg.phy.air_time(tx.frame.mpdu_len());
         // Sender returns to listening.
-        self.nodes[i].transmitting = false;
-        self.nodes[i].listen_since = now;
-        self.nodes[i].meter.set_radio_state(RadioState::Rx, now);
-        self.resolve_tx(i, handle, start, buf.frame(), now);
+        n.transmitting = false;
+        n.listen_since = now;
+        n.meter.set_radio_state(RadioState::Rx, now);
+        self.resolve_tx(i, handle, start, tx.frame.frame(), now);
+        debug_assert!(
+            self.nodes[i].cur_tx.is_none(),
+            "node {i} was re-armed while its frame was resolved"
+        );
         // Advance the transmit state machine.
-        let step = {
-            let tx = self.nodes[i].cur_tx.as_mut().unwrap();
-            tx.handle = None;
-            tx.process.on_tx_done()
-        };
+        let step = tx.process.on_tx_done();
+        self.nodes[i].cur_tx = Some(tx);
         self.handle_step(i, step, now);
     }
 

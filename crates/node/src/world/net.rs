@@ -1,9 +1,9 @@
 //! The IP and 6LoWPAN layers of the [`World`]: routing, admission, the
 //! IP and indirect queues, the wired link, forwarding, and framing a
 //! packet into 6LoWPAN fragments. It handles
-//! [`Event::WiredDeliver`].
+//! [`Event::WiredDeliver`](super::Event::WiredDeliver).
 
-use super::{Event, World, WIRED_LATENCY};
+use super::{World, WIRED_LATENCY};
 use crate::stack::{NodeCounter, NodeKind, OutPacket};
 use crate::trace::{summarize_packet, TraceDir};
 use lln_mac::frame::{MacFrame, MAX_MAC_PAYLOAD};
@@ -98,8 +98,7 @@ impl World {
     ) {
         match hop {
             Hop::Wired(Some(peer)) => {
-                self.queue
-                    .schedule(now + WIRED_LATENCY, Event::WiredDeliver(peer, hdr, payload));
+                self.schedule_wired(peer, now + WIRED_LATENCY, hdr, payload);
             }
             Hop::Indirect(next_hop) => {
                 let pkt = OutPacket {

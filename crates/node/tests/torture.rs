@@ -287,6 +287,47 @@ fn no_cliff_below_ten_percent_composite_rate() {
 }
 
 // ---------------------------------------------------------------------
+// Contract: an adversary that mangles nothing is invisible.
+// ---------------------------------------------------------------------
+
+/// An adversary whose rates are all zero hands every segment on at
+/// once, so its world must replay an adversary-free twin exactly: the
+/// same [`tier::world_digest`] and the same count of dispatched events.
+/// The twin makes the one draw from the world RNG that attaching the
+/// adversary makes (the parent's draw does not depend on the forked
+/// stream's id), so both schedules start equal. Bytes that reached the
+/// transport any later than inline, even as an event due at the same
+/// instant, fail here: on this quiet chain such an event changes no
+/// outcome the digest reads, but it is one more event per segment.
+#[test]
+fn a_zero_rate_adversary_is_invisible() {
+    let seed = seed_from_env(SEED_VAR, 0x7020);
+    let span = Duration::from_secs(120);
+    let attacked = run_torture(seed, AdversaryProfile::default(), SERVER, span);
+    let mut twin = tier::chain4(seed, NodeBudget::default());
+    let _ = twin.rng.fork(0);
+    tier::install_bulk(&mut twin, Sender::Plain);
+    twin.run_for(span);
+    // `run_torture`'s check syncs every governor, which the digest reads.
+    twin.assert_governor_bounded();
+    assert!(attacked.adversary_stats(SERVER).expect("attached").seen > 0);
+    assert_eq!(
+        assert_integrity(&attacked, "zero-rate adversary"),
+        StreamVerdict::Complete
+    );
+    assert_eq!(
+        tier::world_digest(&attacked),
+        tier::world_digest(&twin),
+        "a zero-rate adversary changed the run"
+    );
+    assert_eq!(
+        attacked.events(),
+        twin.events(),
+        "a zero-rate adversary scheduled events"
+    );
+}
+
+// ---------------------------------------------------------------------
 // Bit-reproducibility: the whole adversarial world is deterministic.
 // ---------------------------------------------------------------------
 

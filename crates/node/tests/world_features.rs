@@ -231,9 +231,7 @@ fn inject(
     let dst = world.nodes[to].ip_addr();
     let bytes = seg.encode(src, dst);
     let hdr = lln_netip::Ipv6Header::new(src, dst, lln_netip::NextHeader::Tcp, bytes.len() as u16);
-    world
-        .queue
-        .schedule(at, lln_node::world::Event::WiredDeliver(to, hdr, bytes));
+    world.schedule_wired(to, at, hdr, bytes);
 }
 
 /// The `key=` field of a traced TCP summary, e.g. `ack=` of
