@@ -113,12 +113,12 @@ pub enum Event {
     AppTick(usize),
     /// Wired packet arrives at node (border or cloud); the packet is
     /// parked in the given slot (see [`World::schedule_wired`]). (`net.rs`)
-    WiredDeliver(usize, u32),
+    WiredDeliver(usize, Slot),
     /// Adversary-delayed (reordered/duplicated/forged) TCP bytes, parked
     /// in the given slot, reach the node's transport input. Bypasses the
     /// adversary on arrival so mangled traffic is never re-mangled.
     /// (`transport.rs`)
-    AdversaryDeliver(usize, u32),
+    AdversaryDeliver(usize, Slot),
     /// Interferer begins a burst. (`mac.rs`)
     InterfererStart(usize),
     /// Interferer burst ends. (`mac.rs`)
@@ -566,6 +566,13 @@ impl World {
     }
 }
 
+/// A slot of the world's parked packets, named by a
+/// [`Event::WiredDeliver`] or [`Event::AdversaryDeliver`]. Only the
+/// world makes one, when it parks a packet, so an event can name no slot
+/// that was never parked.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Slot(u32);
+
 /// Packets parked for a later event, in slots the event names by
 /// index. A slot is freed when its event is handled or swallowed, and
 /// the free list hands it to the next packet. The payload `Vec` comes
@@ -573,27 +580,28 @@ impl World {
 #[derive(Default)]
 struct Parked {
     slots: Vec<(Ipv6Header, Vec<u8>)>,
-    free: Vec<u32>,
+    free: Vec<Slot>,
 }
 
 impl Parked {
     /// Parks a packet; returns its slot.
-    fn park(&mut self, hdr: Ipv6Header, payload: Vec<u8>) -> u32 {
+    fn park(&mut self, hdr: Ipv6Header, payload: Vec<u8>) -> Slot {
         match self.free.pop() {
             Some(slot) => {
-                self.slots[slot as usize] = (hdr, payload);
+                self.slots[slot.0 as usize] = (hdr, payload);
                 slot
             }
             None => {
                 self.slots.push((hdr, payload));
-                (self.slots.len() - 1) as u32
+                Slot((self.slots.len() - 1) as u32)
             }
         }
     }
 
     /// Takes the packet out of `slot` and frees the slot.
-    fn take(&mut self, slot: u32) -> (Ipv6Header, Vec<u8>) {
-        let (hdr, payload) = &mut self.slots[slot as usize];
+    fn take(&mut self, slot: Slot) -> (Ipv6Header, Vec<u8>) {
+        debug_assert!(!self.free.contains(&slot), "{slot:?} taken twice");
+        let (hdr, payload) = &mut self.slots[slot.0 as usize];
         let packet = (*hdr, std::mem::take(payload));
         self.free.push(slot);
         packet

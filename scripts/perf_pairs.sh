@@ -14,7 +14,7 @@
 #
 # Runs are `perfbench --trace 0`. Any CARGO_PROFILE_RELEASE_* variable
 # in the environment (for example CARGO_PROFILE_RELEASE_CODEGEN_UNITS=1)
-# applies to both builds. Set PERF_PAIRS_KEEP=1 to keep the copies.
+# applies to both builds.
 # Untracked files that .gitignore does not exclude are part of the
 # working-tree copy.
 set -euo pipefail
@@ -47,11 +47,7 @@ git rev-parse --verify --quiet "$rev^{commit}" > /dev/null || {
 }
 
 tmp=$(mktemp -d "${TMPDIR:-/tmp}/perf_pairs.XXXXXX")
-if [ "${PERF_PAIRS_KEEP:-0}" = 1 ]; then
-    echo "copies kept in $tmp" >&2
-else
-    trap 'rm -rf "$tmp"' EXIT
-fi
+trap 'rm -rf "$tmp"' EXIT
 
 mkdir -p "$tmp/base" "$tmp/work"
 git archive "$rev" | tar -x -C "$tmp/base"
